@@ -203,7 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-depth", type=int, help="subdivision depth limit")
     p.add_argument("--min-box-width", type=float, help="smallest box width to split")
     p.add_argument("--word-budget", type=int, help="words scanned per box")
-    p.add_argument("--workers", type=int, help="worker thread count")
+    p.add_argument("--workers", type=int,
+                   help="accepted for compatibility; the search runs on one thread")
     p.add_argument("--max-boxes", type=int, help="box budget, 0 for unlimited")
     p.add_argument("--no-hint", action="store_true", default=None,
                    help="disable the inherited near-miss word hint")

@@ -15,8 +15,10 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from . import __version__
 from .bicuspid import Params
 from .cuspgeom import CuspShape
+from .words import _cmul2
 
 DEDUP_DECIMALS = 9
 
@@ -36,15 +38,6 @@ def _generator_matrices(p: Params) -> Tuple[Matrix, ...]:
         (one, -p.b, zero, one),
         (p.c, -one, one, zero),
         (zero, one, -one, p.c),
-    )
-
-
-def _mul(m: Matrix, g: Matrix) -> Matrix:
-    return (
-        m[0] * g[0] + m[1] * g[2],
-        m[0] * g[1] + m[1] * g[3],
-        m[2] * g[0] + m[3] * g[2],
-        m[2] * g[1] + m[3] * g[3],
     )
 
 
@@ -122,7 +115,7 @@ def enumerate_elements(p: Params, max_len: int) -> List[GroupElement]:
             for i in range(6):
                 if i == _INVERSE_OF[last]:
                     continue
-                nxt.append((word + (i,), _mul(m, gens[i])))
+                nxt.append((word + (i,), _cmul2(m, gens[i])))
         level = nxt
     return order
 
@@ -241,7 +234,7 @@ def render_svg(
         },
     )
     meta = ET.SubElement(root, "metadata")
-    payload = {"version": "0.1.0", "ball_count": len(diagram.balls)}
+    payload = {"version": __version__, "ball_count": len(diagram.balls)}
     if metadata:
         payload.update(metadata)
     meta.text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -280,7 +273,7 @@ def render_svg(
 def export_csv(diagram: HoroballDiagram, metadata: Optional[dict] = None) -> str:
     """CSV of the balls with leading comment lines for version and lattice."""
     buf = io.StringIO()
-    buf.write("# horocusp 0.1.0\n")
+    buf.write("# horocusp %s\n" % __version__)
     a = diagram.lattice.a
     b = diagram.lattice.b
     buf.write(

@@ -2,24 +2,28 @@
 
 The driver subdivides the feasible box dyadically, scans each box against a
 canonical word stream with the killer test, and assembles a leaf cover with
-per-box verdicts plus an aggregate covolume bound.  Reports serialize to
-canonical JSON and are byte-identical for any worker count on complete runs.
+per-box verdicts plus an aggregate covolume bound.  The search runs on one
+thread, so reports serialize to canonical JSON that is byte-identical from
+run to run, capped or complete, whatever worker count is configured.
 """
 
 import json
 import logging
+import math
 import random
-import threading
 import time
 import zlib
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
+from . import __version__
 from .bicuspid import Feasibility, ParamBox, Params, box_in_param_space, param_space
 from .interval import RealInterval
 from .words import (
+    KillerVerdict,
     Word,
+    classify_bounds,
     enumerate_words,
     evaluate_word_float,
     lower_left_abs,
@@ -39,8 +43,9 @@ class SearchConfig:
     max_boxes bounds the number of boxes tested (0 for unlimited); when the
     limit trips, untested boxes become undecided leaves and the report is
     flagged incomplete.  root_box overrides the feasible box, as six
-    [lo, hi] coordinate bounds or a ParamBox.  worker_count never affects
-    report bytes on complete runs.
+    [lo, hi] coordinate bounds or a ParamBox.  worker_count is validated
+    and kept for compatibility; the search runs on one thread whatever its
+    value, so it changes neither the report bytes nor the speed.
     """
 
     area_bound: float
@@ -55,7 +60,7 @@ class SearchConfig:
     root_box: Optional[object] = None
 
     def __post_init__(self):
-        if not (self.area_bound > 0.0 and self.area_bound == self.area_bound):
+        if not (self.area_bound > 0.0 and math.isfinite(self.area_bound)):
             raise ValueError("area_bound must be positive and finite")
         if self.max_d < 1:
             raise ValueError("max_d must be at least 1")
@@ -152,7 +157,7 @@ class SearchReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "version": "0.1.0",
+            "version": __version__,
             "config": self.config.to_json_dict(),
             "leaves": [leaf.to_json_dict() for leaf in self.leaves],
             "global_volume_bound": self.global_volume_bound,
@@ -219,9 +224,10 @@ def test_box(
             raise ValueError(f"word stream produced a power-free word: {w}")
         bounds = lower_left_abs(w, box)
         scanned += 1
-        if bounds.hi < 1.0:
-            if bounds.lo > 0.0:
-                return BoxVerdict(box, BoxStatus.ELIMINATED_KILLER, w, None, scanned)
+        verdict = classify_bounds(bounds)
+        if verdict is KillerVerdict.ELIMINATES:
+            return BoxVerdict(box, BoxStatus.ELIMINATED_KILLER, w, None, scanned)
+        if verdict is KillerVerdict.CANDIDATE_RELATOR:
             key = w.sort_key()
             if candidate is None or key < candidate[0]:
                 candidate = (key, w)
@@ -237,8 +243,9 @@ def test_box(
         if verdict is not None:
             return verdict
     stream = iter(words) if words is not None else enumerate_words(cfg.max_d, cfg.max_exp)
-    for w in stream:
-        if scanned >= budget:
+    while scanned < budget:
+        w = next(stream, None)
+        if w is None:
             break
         if hint is not None and w == hint:
             continue
@@ -257,39 +264,6 @@ def test_box(
 test_box.__test__ = False
 
 
-class _WordPool:
-    """Thread-safe shared prefix of the canonical word stream."""
-
-    def __init__(self, max_d: int, max_exp: int):
-        self._gen = enumerate_words(max_d, max_exp)
-        self._cache: List[Word] = []
-        self._done = False
-        self._lock = threading.Lock()
-
-    def _get(self, i: int) -> Optional[Word]:
-        while True:
-            with self._lock:
-                if i < len(self._cache):
-                    return self._cache[i]
-                if self._done:
-                    return None
-                try:
-                    w = next(self._gen)
-                except StopIteration:
-                    self._done = True
-                    return None
-                self._cache.append(w)
-
-    def stream(self):
-        i = 0
-        while True:
-            w = self._get(i)
-            if w is None:
-                return
-            yield w
-            i += 1
-
-
 def aggregate_volume_bound(leaves: Iterable[BoxVerdict]) -> Union[float, str]:
     """Covolume aggregate over a leaf cover, with sentinel strings."""
     bounds = []
@@ -306,7 +280,9 @@ def run_search(cfg: SearchConfig) -> SearchReport:
 
     Undecided boxes wider than cfg.min_box_width and shallower than
     cfg.max_depth are subdivided; other undecided boxes become leaves.
-    Complete runs serialize identically for every worker_count.
+    The search runs on one thread, so the box budget cuts a fixed prefix of
+    the depth-first order and every report, capped or complete, serializes
+    identically for any worker_count.
     """
     start = time.perf_counter()
     root = cfg.resolved_root()
@@ -315,67 +291,47 @@ def run_search(cfg: SearchConfig) -> SearchReport:
         log.info("search finished: empty feasible region")
         return report
 
-    pool = _WordPool(cfg.max_d, cfg.max_exp)
-    results: Dict[str, BoxVerdict] = {}
+    source = enumerate_words(cfg.max_d, cfg.max_exp)
+    cache: List[Word] = []
+
+    def shared_words() -> Iterator[Word]:
+        # replay the words pulled so far, then extend the cache; a for loop
+        # rather than yield from, so closing one box's stream leaves source open
+        yield from cache
+        for w in source:
+            cache.append(w)
+            yield w
+
+    leaves: List[BoxVerdict] = []
     stack: List[Tuple[ParamBox, Optional[Word]]] = [(root, None)]
-    cond = threading.Condition()
-    state = {"active": 0, "boxes": 0, "words": 0, "exhausted": False}
+    boxes = words = 0
+    incomplete = False
+    while stack:
+        box, hint = stack.pop()
+        if cfg.max_boxes and boxes >= cfg.max_boxes:
+            incomplete = True
+            leaves.append(BoxVerdict(box, BoxStatus.UNDECIDED))
+            continue
+        boxes += 1
+        verdict = test_box(box, shared_words(), cfg, hint=hint)
+        words += verdict.words_scanned
+        splittable = len(box.path) < cfg.max_depth and box.max_width() > cfg.min_box_width
+        if verdict.status is BoxStatus.UNDECIDED and splittable:
+            child_hint = verdict.near_miss if cfg.use_parent_word_hint else None
+            lo, hi = subdivide(box)
+            stack.append((hi, child_hint))
+            stack.append((lo, child_hint))
+        else:
+            leaves.append(verdict)
 
-    def worker() -> None:
-        while True:
-            with cond:
-                while not stack and state["active"] > 0:
-                    cond.wait()
-                if not stack:
-                    cond.notify_all()
-                    return
-                box, hint = stack.pop()
-                if state["exhausted"] or (
-                    cfg.max_boxes and state["boxes"] >= cfg.max_boxes
-                ):
-                    state["exhausted"] = True
-                    results[box.path] = BoxVerdict(box, BoxStatus.UNDECIDED)
-                    cond.notify_all()
-                    continue
-                state["boxes"] += 1
-                state["active"] += 1
-            verdict = test_box(box, pool.stream(), cfg, hint=hint)
-            with cond:
-                state["active"] -= 1
-                state["words"] += verdict.words_scanned
-                splittable = (
-                    len(box.path) < cfg.max_depth
-                    and box.max_width() > cfg.min_box_width
-                )
-                if verdict.status is BoxStatus.UNDECIDED and splittable:
-                    child_hint = verdict.near_miss if cfg.use_parent_word_hint else None
-                    lo, hi = subdivide(box)
-                    stack.append((hi, child_hint))
-                    stack.append((lo, child_hint))
-                else:
-                    results[box.path] = verdict
-                cond.notify_all()
-
-    if cfg.worker_count == 1:
-        worker()
-    else:
-        threads = [
-            threading.Thread(target=worker, name=f"search-{i}")
-            for i in range(cfg.worker_count)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-
-    leaves = [results[path] for path in sorted(results)]
+    leaves.sort(key=lambda leaf: leaf.box.path)
     report = SearchReport(
         cfg,
         leaves,
         aggregate_volume_bound(leaves),
-        state["boxes"],
-        state["words"],
-        state["exhausted"],
+        boxes,
+        words,
+        incomplete,
         time.perf_counter() - start,
     )
     log.info(

@@ -300,8 +300,8 @@ class KillerVerdict(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-def killer_test(word: Word, target: Union[GeneratorTriple, Params, ParamBox]) -> KillerVerdict:
-    """Classify a word's elimination power over a box.
+def classify_bounds(bounds: RealInterval) -> KillerVerdict:
+    """Verdict of an enclosure [L, U] of the lower-left entry's modulus.
 
     ELIMINATES when 0 < L and U < 1: no point of the box admits a discrete
     bicuspid group, since the image ball would overlap the height-one
@@ -309,12 +309,16 @@ def killer_test(word: Word, target: Union[GeneratorTriple, Params, ParamBox]) ->
     only a relation w = identity could save the box, which caps covolume.
     INCONCLUSIVE when U >= 1.
     """
-    if word.z_count < 1:
-        raise ValueError("killer test needs a word with at least one z-syllable")
-    bounds = lower_left_abs(word, target)
     if bounds.hi < 1.0:
         return KillerVerdict.ELIMINATES if bounds.lo > 0.0 else KillerVerdict.CANDIDATE_RELATOR
     return KillerVerdict.INCONCLUSIVE
+
+
+def killer_test(word: Word, target: Union[GeneratorTriple, Params, ParamBox]) -> KillerVerdict:
+    """Classify a word's elimination power over a box with classify_bounds."""
+    if word.z_count < 1:
+        raise ValueError("killer test needs a word with at least one z-syllable")
+    return classify_bounds(lower_left_abs(word, target))
 
 
 def volume_bound(word: Word) -> float:

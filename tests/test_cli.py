@@ -107,6 +107,7 @@ def test_search_partial_exit_code(tmp_path):
 def test_search_usage_errors(tmp_path):
     out = str(tmp_path / "r.json")
     assert run_cli(["search", "--area-max", "0", "--out", out]) == 64
+    assert run_cli(["search", "--area-max", "inf", "--out", out]) == 64
     assert run_cli(["search", "--area-max", "6"]) == 64
     assert run_cli(["search", "--out", out]) == 64
     assert run_cli(["search", "--area-max", "6", "--bogus", "--out", out]) == 64

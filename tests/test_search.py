@@ -36,6 +36,7 @@ def _cfg(**kw):
 def test_config_validation() -> None:
     for kw in (
         {"area_bound": 0.0},
+        {"area_bound": math.inf},
         {"max_d": 0},
         {"max_exp": 0},
         {"max_depth": 0},
@@ -219,15 +220,23 @@ def test_run_search_point_box_survives():
 
 
 def test_run_search_worker_count_byte_determinism():
-    blobs = []
-    for workers in (1, 4, 8):
-        rep = run_search(
-            _cfg(max_depth=6, min_box_width=1e-3, worker_count=workers, root_box=STRADDLE_BOUNDS)
-        )
-        blobs.append(rep.to_canonical_json())
-    assert blobs[0] == blobs[1] == blobs[2]
-    assert "worker_count" not in blobs[0]
-    assert "wall_time" not in blobs[0]
+    for max_boxes in (0, 7):
+        blobs = []
+        for workers in (1, 4, 8):
+            rep = run_search(
+                _cfg(
+                    max_depth=6,
+                    min_box_width=1e-3,
+                    worker_count=workers,
+                    max_boxes=max_boxes,
+                    root_box=STRADDLE_BOUNDS,
+                )
+            )
+            assert rep.incomplete == (max_boxes > 0)
+            blobs.append(rep.to_canonical_json())
+        assert blobs[0] == blobs[1] == blobs[2]
+        assert "worker_count" not in blobs[0]
+        assert "wall_time" not in blobs[0]
 
 
 def test_run_search_repeat_run_byte_determinism() -> None:
