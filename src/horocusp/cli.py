@@ -6,6 +6,7 @@ undecided boxes, 64 usage error, 65 degenerate lattice.
 
 import argparse
 import json
+import math
 import re
 import sys
 
@@ -86,10 +87,11 @@ def cmd_search(args, parser):
     area = _cfg_value(args.area_max, file_cfg, "area_bound", None)
     if area is None:
         parser.error("--area-max is required (flag or config file)")
+    hint = file_cfg.get("use_parent_word_hint", True)
+    if not isinstance(hint, bool):
+        parser.error("use_parent_word_hint must be true or false, got %r" % (hint,))
     if args.no_hint:
         hint = False
-    else:
-        hint = bool(file_cfg.get("use_parent_word_hint", True))
     try:
         cfg = SearchConfig(
             area_bound=float(area),
@@ -125,8 +127,8 @@ def cmd_search(args, parser):
 def cmd_cusp(args, parser):
     a = _complex_or_usage(parser, "--a", args.a)
     b = _complex_or_usage(parser, "--b", args.b)
-    if not args.slope_length > 0.0:
-        parser.error("--slope-length must be positive")
+    if not (args.slope_length > 0.0 and math.isfinite(args.slope_length)):
+        parser.error("--slope-length must be positive and finite")
     try:
         shape = CuspShape(a, b)
     except ValueError as exc:
@@ -149,8 +151,8 @@ def cmd_horoball(args, parser):
         parser.error("--cutoff must lie in (0, 1]")
     if args.depth < 1:
         parser.error("--depth must be at least 1")
-    if not args.scale > 0.0:
-        parser.error("--scale must be positive")
+    if not (args.scale > 0.0 and math.isfinite(args.scale)):
+        parser.error("--scale must be positive and finite")
     if not args.svg and not args.csv:
         parser.error("at least one of --svg or --csv is required")
     if (a.conjugate() * b).imag == 0.0:

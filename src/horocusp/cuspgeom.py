@@ -88,8 +88,8 @@ def short_slopes(s: CuspShape, cutoff: float = DEFAULT_LENGTH_CUTOFF) -> List[Sl
     p = Im(conj(b) v)/Im(conj(b) a) and q = Im(conj(a) v)/Im(conj(a) b)
     bound |p| by cutoff*|b|/area and |q| by cutoff*|a|/area.
     """
-    if not cutoff > 0.0:
-        raise ValueError("cutoff must be positive")
+    if not (cutoff > 0.0 and math.isfinite(cutoff)):
+        raise ValueError("cutoff must be positive and finite")
     area = cusp_area(s)
     p_max = int(math.ceil(cutoff * abs(s.b) / area)) + 1
     q_max = int(math.ceil(cutoff * abs(s.a) / area)) + 1

@@ -1,10 +1,12 @@
 """Horoball patterns at concrete parameter points.
 
-Group elements are enumerated breadth-first over the six generator letters,
-deduplicated by matrix up to sign, and mapped to horoballs: an element with
-lower-left entry y sends the height-1 horoball at infinity to a ball of
-diameter 1/|y|^2 tangent to the boundary at w/y.  Everything here is float
-arithmetic; diagrams are illustrations, not certificates.
+Reduced words are walked breadth-first, one matrix product per word.  An
+element with lower-left entry y sends the height-1 horoball at infinity to a
+ball of diameter 1/|y|^2 tangent to the boundary at w/y.  Cusp translations
+on either side of a word keep |y| and move w/y by a lattice vector, so the
+diagram and min_lower_left walk one word per double coset of P\\G/P, P = <x, y>:
+it starts and ends with z^+-1 and spells each translation run as x^m y^n.
+Everything here is float arithmetic; diagrams are illustrations, not certificates.
 """
 
 import csv
@@ -13,7 +15,7 @@ import json
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from . import __version__
 from .bicuspid import Params
@@ -24,8 +26,10 @@ DEDUP_DECIMALS = 9
 
 _LETTERS = ("x", "x^-1", "y", "y^-1", "z", "z^-1")
 _INVERSE_OF = (1, 0, 3, 2, 5, 4)
+_Y_THEN_X = {(2, 0), (2, 1), (3, 0), (3, 1)}
 
 Matrix = Tuple[complex, complex, complex, complex]
+Letters = Tuple[int, ...]
 
 
 def _generator_matrices(p: Params) -> Tuple[Matrix, ...]:
@@ -63,7 +67,7 @@ class GroupElement:
         return " ".join(self.letters)
 
 
-def reduced_words(max_len: int) -> Iterator[Tuple[int, ...]]:
+def reduced_words(max_len: int) -> Iterator[Letters]:
     """All nonempty reduced letter sequences up to max_len, breadth-first.
 
     Letters are indices into ("x", "x^-1", "y", "y^-1", "z", "z^-1"); reduced
@@ -72,20 +76,35 @@ def reduced_words(max_len: int) -> Iterator[Tuple[int, ...]]:
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    level: List[Tuple[int, ...]] = [(i,) for i in range(6)]
-    for w in level:
-        yield w
+    level: List[Letters] = [(i,) for i in range(6)]
+    yield from level
     for _ in range(max_len - 1):
-        nxt = []
-        for w in level:
-            last = w[-1]
-            for i in range(6):
-                if i == _INVERSE_OF[last]:
-                    continue
-                child = w + (i,)
-                nxt.append(child)
-                yield child
-        level = nxt
+        level = [w + (i,) for w in level for i in range(6) if i != _INVERSE_OF[w[-1]]]
+        yield from level
+
+
+def _with_matrices(p: Params, words: Iterable[Letters]) -> Iterator[Tuple[Letters, Matrix]]:
+    """Pair each word with its left-to-right product, parents first.
+
+    A word whose parent (itself minus the last letter) is not in the stream
+    is dropped, so leaving a word out prunes all its extensions.
+    """
+    gens = _generator_matrices(p)
+    mats: Dict[Letters, Matrix] = {}
+    for w in words:
+        if len(w) == 1 or w[:-1] in mats:
+            mats[w] = gens[w[0]] if len(w) == 1 else _cmul2(mats[w[:-1]], gens[w[-1]])
+            yield w, mats[w]
+
+
+def _double_coset_words(p: Params, max_len: int) -> Iterator[Tuple[Letters, Matrix]]:
+    # Start at z^+-1 and spell each translation run x^m y^n: a run such as
+    # x y x^-1 y^-1 is the identity, but its float product is not and would
+    # add a ball of diameter ~1e31.  x^m y^n is also first in walk order.
+    words = (w for w in reduced_words(max_len) if w[0] >= 4 and w[-2:] not in _Y_THEN_X)
+    for w, m in _with_matrices(p, words):
+        if w[-1] >= 4:
+            yield w, m
 
 
 def enumerate_elements(p: Params, max_len: int) -> List[GroupElement]:
@@ -94,30 +113,12 @@ def enumerate_elements(p: Params, max_len: int) -> List[GroupElement]:
     Breadth-first with incremental matrix products; the first (shortest)
     word reaching a matrix class up to sign is kept as the witness.
     """
-    if max_len < 1:
-        raise ValueError("max_len must be at least 1")
-    gens = _generator_matrices(p)
     seen: Dict[tuple, GroupElement] = {}
-    order: List[GroupElement] = []
-    level: List[Tuple[Tuple[int, ...], Matrix]] = [((i,), gens[i]) for i in range(6)]
-    while True:
-        for word, m in level:
-            key = _sign_key(m)
-            if key not in seen:
-                el = GroupElement(tuple(_LETTERS[i] for i in word), m)
-                seen[key] = el
-                order.append(el)
-        if len(level[0][0]) >= max_len:
-            break
-        nxt = []
-        for word, m in level:
-            last = word[-1]
-            for i in range(6):
-                if i == _INVERSE_OF[last]:
-                    continue
-                nxt.append((word + (i,), _cmul2(m, gens[i])))
-        level = nxt
-    return order
+    for word, m in _with_matrices(p, reduced_words(max_len)):
+        key = _sign_key(m)
+        if key not in seen:
+            seen[key] = GroupElement(tuple(_LETTERS[i] for i in word), m)
+    return list(seen.values())
 
 
 @dataclass(frozen=True)
@@ -149,45 +150,43 @@ def _reduce_mod_lattice(t: complex, a: complex, b: complex) -> complex:
 def horoball_diagram(p: Params, min_diameter: float, max_len: int) -> HoroballDiagram:
     """Horoballs of diameter >= min_diameter from words up to max_len.
 
-    Centers are reduced into the fundamental parallelogram of <a, b>.
-    Balls agreeing in reduced center and diameter to 1e-9 are merged,
-    keeping the first (shortest) witness word.
+    Only double-coset words are walked (see the module docstring).  Centers
+    are reduced into the fundamental parallelogram of <a, b>.  Balls agreeing
+    in reduced center and diameter to 1e-9 are merged, keeping the first
+    (shortest) witness word.
     """
     if not min_diameter > 0.0:
         raise ValueError("min_diameter must be positive")
     lattice = CuspShape(p.a, p.b)
     balls: Dict[tuple, Horoball] = {}
-    for el in enumerate_elements(p, max_len):
-        y = el.matrix[2]
+    for word, m in _double_coset_words(p, max_len):
+        y = m[2]
         ay = abs(y)
         if ay == 0.0:
             continue
         diameter = 1.0 / (ay * ay)
         if diameter < min_diameter:
             continue
-        center = _reduce_mod_lattice(el.matrix[0] / y, lattice.a, lattice.b)
+        center = _reduce_mod_lattice(m[0] / y, lattice.a, lattice.b)
         key = (
             round(center.real, DEDUP_DECIMALS) + 0.0,
             round(center.imag, DEDUP_DECIMALS) + 0.0,
             round(diameter, DEDUP_DECIMALS) + 0.0,
         )
         if key not in balls:
-            balls[key] = Horoball(center, diameter, el.word)
+            balls[key] = Horoball(center, diameter, " ".join(_LETTERS[i] for i in word))
     return HoroballDiagram(lattice, list(balls.values()))
 
 
 def min_lower_left(p: Params, max_len: int) -> float:
-    """Minimum |y| over enumerated elements with y != 0.
+    """Minimum |y| over reduced words up to max_len with y != 0.
 
-    A value below 1 - 1e-6 indicates the height-1 cusp neighborhood does
-    not embed at these parameters.
+    Only double-coset words are walked: a translation on either side of a
+    word keeps |y|.  A value below 1 - 1e-6 indicates the height-1 cusp
+    neighborhood does not embed at these parameters.
     """
-    best = math.inf
-    for el in enumerate_elements(p, max_len):
-        ay = abs(el.matrix[2])
-        if ay > 0.0 and ay < best:
-            best = ay
-    return best
+    lower = (abs(m[2]) for _, m in _double_coset_words(p, max_len))
+    return min((ay for ay in lower if ay > 0.0), default=math.inf)
 
 
 def _fmt(v: float) -> str:
@@ -200,8 +199,8 @@ def render_svg(
     metadata: Optional[dict] = None,
 ) -> str:
     """Standalone SVG: fundamental parallelogram outline plus one circle per ball."""
-    if not scale_px_per_unit > 0.0:
-        raise ValueError("scale_px_per_unit must be positive")
+    if not (scale_px_per_unit > 0.0 and math.isfinite(scale_px_per_unit)):
+        raise ValueError("scale_px_per_unit must be positive and finite")
     a = diagram.lattice.a
     b = diagram.lattice.b
     corners = [0j, a, a + b, b]

@@ -43,9 +43,10 @@ class SearchConfig:
     max_boxes bounds the number of boxes tested (0 for unlimited); when the
     limit trips, untested boxes become undecided leaves and the report is
     flagged incomplete.  root_box overrides the feasible box, as six
-    [lo, hi] coordinate bounds or a ParamBox.  worker_count is validated
-    and kept for compatibility; the search runs on one thread whatever its
-    value, so it changes neither the report bytes nor the speed.
+    [lo, hi] coordinate bounds or a ParamBox; bounds are checked and turned
+    into a ParamBox on construction.  worker_count is validated and kept
+    for compatibility; the search runs on one thread whatever its value, so
+    it changes neither the report bytes nor the speed.
     """
 
     area_bound: float
@@ -76,19 +77,20 @@ class SearchConfig:
             raise ValueError("worker_count must be at least 1")
         if self.max_boxes < 0:
             raise ValueError("max_boxes must be nonnegative")
+        if self.root_box is not None and not isinstance(self.root_box, ParamBox):
+            try:
+                box = ParamBox.from_bounds(self.root_box)
+            except (TypeError, ValueError) as exc:
+                raise ValueError("root_box: %s" % exc) from None
+            object.__setattr__(self, "root_box", box)
 
     def resolved_root(self) -> Optional[ParamBox]:
         if self.root_box is None:
             return param_space(self.area_bound)
-        if isinstance(self.root_box, ParamBox):
-            return self.root_box
-        return ParamBox.from_bounds(self.root_box)
+        return self.root_box
 
     def to_json_dict(self) -> dict:
-        root = None
-        if self.root_box is not None:
-            box = self.resolved_root()
-            root = box.to_bounds()
+        root = None if self.root_box is None else self.root_box.to_bounds()
         return {
             "area_bound": self.area_bound,
             "max_d": self.max_d,

@@ -104,10 +104,21 @@ def test_search_partial_exit_code(tmp_path):
     assert report["incomplete"] is True
 
 
-def test_search_usage_errors(tmp_path):
+def test_search_usage_errors(tmp_path, capsys):
     out = str(tmp_path / "r.json")
     assert run_cli(["search", "--area-max", "0", "--out", out]) == 64
     assert run_cli(["search", "--area-max", "inf", "--out", out]) == 64
+    for key, bad in (
+        ("root_box", SLICE_CFG["root_box"][:5]),
+        ("root_box", [[1.2, 1.0]] + SLICE_CFG["root_box"][1:]),
+        ("root_box", "box"),
+        ("use_parent_word_hint", "no"),
+    ):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(dict(SLICE_CFG, **{key: bad})))
+        assert run_cli(["search", "--config", str(cfg_path), "--out", out]) == 64, (key, bad)
+        assert not (tmp_path / "r.json").exists()
+    capsys.readouterr()
     assert run_cli(["search", "--area-max", "6"]) == 64
     assert run_cli(["search", "--out", out]) == 64
     assert run_cli(["search", "--area-max", "6", "--bogus", "--out", out]) == 64
@@ -156,6 +167,8 @@ def test_cusp_out_file_and_bad_flags(tmp_path, capsys):
     assert json.loads(out.read_text())["max_exceptional_count"] == 8
     assert run_cli(["cusp", "--a", "x", "--b", "1i"]) == 64
     assert run_cli(["cusp", "--a", "1", "--b", "1i", "--slope-length", "0"]) == 64
+    assert run_cli(["cusp", "--a", "1", "--b", "1i", "--slope-length", "inf"]) == 64
+    assert run_cli(["cusp", "--a", "1", "--b", "1i", "--slope-length", "nan"]) == 64
     capsys.readouterr()
 
 
@@ -199,6 +212,9 @@ def test_horoball_usage_and_degenerate(tmp_path, capsys):
     assert run_cli(base + ["--cutoff", "2", "--svg", svg]) == 64
     assert run_cli(base + ["--cutoff", "0", "--svg", svg]) == 64
     assert run_cli(base + ["--cutoff", "0.5"]) == 64
+    assert run_cli(base + ["--cutoff", "0.5", "--scale", "inf", "--svg", svg]) == 64
+    assert run_cli(base + ["--cutoff", "0.5", "--scale", "nan", "--svg", svg]) == 64
+    assert not (tmp_path / "o.svg").exists()
     assert run_cli(["horoball", "--a", "4", "--b", "8", "--c", "2",
                     "--cutoff", "0.5", "--svg", svg]) == 65
     capsys.readouterr()

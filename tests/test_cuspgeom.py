@@ -169,6 +169,12 @@ def test_short_slopes_unit_square():
     assert [(s.p, s.q) for s in short_slopes(SQUARE, 1.0)] == [(1, 0), (0, 1)]
     got = [(s.p, s.q) for s in short_slopes(SQUARE, 6.0)]
     assert got == _oracle_short_slopes(1.0, 1j, 6.0)
+    for bad in (0.0, math.inf, math.nan):
+        try:
+            short_slopes(SQUARE, bad)
+            assert False, f"expected ValueError for cutoff {bad}"
+        except ValueError:
+            pass
 
 
 def test_short_slopes_reference_lattice():

@@ -6,8 +6,11 @@ import math
 import random
 import xml.etree.ElementTree as ET
 
+import pytest
+
 from horocusp.bicuspid import Params
 from horocusp.horoball import (
+    DEDUP_DECIMALS,
     GroupElement,
     enumerate_elements,
     export_csv,
@@ -19,6 +22,11 @@ from horocusp.horoball import (
 )
 
 REF = Params(4.0, 1.0 + math.sqrt(3.0) * 1j, 2.0)
+
+
+def _ref(k, c=2.0):
+    """The reference point with b renormalized to b + k*a."""
+    return Params(4.0, complex(1.0 + 4.0 * k, math.sqrt(3.0)), c)
 
 
 def _test_matrices(p):
@@ -124,11 +132,55 @@ def test_reference_diagram_balls():
     assert rows == [(2 + 0j, 1.0, "z"), (0j, 1.0, "z^-1")]
 
 
-def test_reference_diagram_depth_four_all_below_height_one():
-    d = horoball_diagram(REF, 0.05, 4)
-    assert len(d.balls) == 44
+@pytest.mark.parametrize(
+    "k, depth, count", [(-1, 4, 28), (0, 4, 44), (1, 4, 24), (-1, 5, 50), (0, 5, 64), (1, 5, 40)]
+)
+def test_reference_diagram_counts_all_below_height_one(k, depth, count):
+    d = horoball_diagram(_ref(k), 0.05, depth)
+    assert len(d.balls) == count
     for ball in d.balls:
         assert 0.0 < ball.diameter <= 1.0 + 1e-9
+
+
+def _diagram_via_elements(p, min_diameter, max_len):
+    """The diagram rebuilt from every sign-deduplicated element, as rows."""
+    balls = {}
+    for el in enumerate_elements(p, max_len):
+        y = el.matrix[2]
+        if y == 0:
+            continue
+        diameter = 1.0 / (abs(y) * abs(y))
+        if diameter < min_diameter:
+            continue
+        center = _reduce_mod_lattice(el.matrix[0] / y, p.a, p.b)
+        key = tuple(round(v, DEDUP_DECIMALS) + 0.0 for v in (center.real, center.imag, diameter))
+        if key not in balls:
+            balls[key] = (center, diameter, el.word)
+    return list(balls.values())
+
+
+def _min_lower_left_via_elements(p, max_len):
+    return min(abs(el.matrix[2]) for el in enumerate_elements(p, max_len) if el.matrix[2] != 0)
+
+
+_GENERIC = Params(2.72490163, -0.16861255 + 1.02845135j, -0.21947240 - 0.35802275j)
+
+
+@pytest.mark.parametrize(
+    "p, depths",
+    [(_ref(-1), range(1, 6)), (_ref(0), range(1, 6)), (_ref(1), range(1, 6)),
+     (_ref(0, c=0.5), range(1, 6)), (_GENERIC, (6,))],
+    ids=["ref-k-1", "ref-k0", "ref-k1", "c0.5", "generic-depth6"],
+)
+def test_double_coset_walk_matches_all_elements(p, depths):
+    # At the generic point, depth 6 reaches words such as z^-1 x y x^-1 y^-1 z
+    # whose float product has |y| ~ 1e-16 though the element is the identity.
+    for depth in depths:
+        for cutoff in (0.05, 0.5):
+            balls = horoball_diagram(p, cutoff, depth).balls
+            rows = [(b.center, b.diameter, b.word) for b in balls]
+            assert rows == _diagram_via_elements(p, cutoff, depth)
+        assert abs(min_lower_left(p, depth) - _min_lower_left_via_elements(p, depth)) <= 1e-15
 
 
 def test_diagram_cutoff_validation_and_empty():
@@ -198,6 +250,10 @@ def test_render_svg_structure_and_determinism():
     assert len(circles) == 2
     meta = json.loads(root.find("s:metadata", ns).text)
     assert meta["ball_count"] == 2 and meta["note"] == "reference"
+
+    for scale in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            render_svg(d, scale)
 
     empty = horoball_diagram(REF, 1.5, 2)
     root2 = ET.fromstring(render_svg(empty))

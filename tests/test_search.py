@@ -45,12 +45,17 @@ def test_config_validation() -> None:
         {"word_budget_per_box": 0},
         {"worker_count": 0},
         {"max_boxes": -1},
+        {"root_box": SLICE_BOUNDS[:5]},
+        {"root_box": [[1.2, 1.0]] + SLICE_BOUNDS[1:]},
+        {"root_box": "box"},
+        {"root_box": 6},
     ):
         try:
             _cfg(**kw)
             assert False, f"expected ValueError for {kw}"
         except ValueError:
             pass
+    assert _cfg(root_box=SLICE_BOUNDS).resolved_root() == ParamBox.from_bounds(SLICE_BOUNDS)
 
 
 def test_subdivide_tie_break_and_partition():
