@@ -114,7 +114,8 @@ class GeneratorTriple:
     """Interval enclosures of the three generators over a box or point.
 
     Caches translation matrices keyed by integer exponent pairs and powers
-    of the pairing element, since word evaluation reuses both heavily.
+    of the pairing element, since word evaluation reuses both heavily, and
+    their unboxed entries keyed by syllable for the word-scan kernel.
     """
 
     a: ComplexInterval
@@ -125,6 +126,7 @@ class GeneratorTriple:
     gamma: IntervalMatrix
     _translations: dict = field(default_factory=dict)
     _gamma_powers: dict = field(default_factory=dict)
+    _unboxed: dict = field(default_factory=dict)
 
     @classmethod
     def build(cls, a: ComplexInterval, b: ComplexInterval, c: ComplexInterval) -> "GeneratorTriple":
@@ -155,6 +157,25 @@ class GeneratorTriple:
         mat = IntervalMatrix(one, off, zero, one)
         self._translations[key] = mat
         return mat
+
+    def unboxed_syllable(self, syllable: tuple) -> tuple:
+        """Entries of one syllable (m, n, e) as float rectangles.
+
+        Returns (offset, gamma): the translation offset m*a + n*b, or None
+        when m = n = 0, and the four entries (g11, g12, g21, g22) of
+        gamma^e, or None when e = 0.  Each rectangle is the endpoint tuple
+        of the same cached enclosure translation() and gamma_power() give.
+        """
+        hit = self._unboxed.get(syllable)
+        if hit is None:
+            m, n, e = syllable
+            offset = self.translation(m, n).m12.endpoints() if m or n else None
+            gamma = None
+            if e:
+                g = self.gamma_power(e)
+                gamma = tuple(x.endpoints() for x in (g.m11, g.m12, g.m21, g.m22))
+            hit = self._unboxed[syllable] = (offset, gamma)
+        return hit
 
     def gamma_power(self, e: int) -> IntervalMatrix:
         if e == 0:

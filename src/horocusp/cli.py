@@ -138,7 +138,10 @@ def cmd_cusp(args, parser):
         "version": __version__,
         "config": {"a": args.a, "b": args.b, "slope_length": args.slope_length},
     }
-    payload.update(audit_cusp(shape, cutoff=args.slope_length))
+    try:
+        payload.update(audit_cusp(shape, cutoff=args.slope_length))
+    except ValueError as exc:
+        parser.error(str(exc))
     _emit_json(payload, args.out)
     return EXIT_OK
 

@@ -12,6 +12,9 @@ from typing import List
 from .bicuspid import Params
 
 DEFAULT_LENGTH_CUTOFF = 6.0
+# Most (p, q) pairs short_slopes scans, so that a huge cutoff fails at
+# once rather than running for hours; a million takes a few seconds.
+MAX_SLOPE_WINDOW = 10**6
 
 
 @dataclass(frozen=True)
@@ -86,13 +89,17 @@ def short_slopes(s: CuspShape, cutoff: float = DEFAULT_LENGTH_CUTOFF) -> List[Sl
 
     The window is complete: writing v = p*a + q*b, the dual-basis identities
     p = Im(conj(b) v)/Im(conj(b) a) and q = Im(conj(a) v)/Im(conj(a) b)
-    bound |p| by cutoff*|b|/area and |q| by cutoff*|a|/area.
+    bound |p| by cutoff*|b|/area and |q| by cutoff*|a|/area.  Raises
+    ValueError when that window holds more than MAX_SLOPE_WINDOW pairs.
     """
     if not (cutoff > 0.0 and math.isfinite(cutoff)):
         raise ValueError("cutoff must be positive and finite")
     area = cusp_area(s)
-    p_max = int(math.ceil(cutoff * abs(s.b) / area)) + 1
-    q_max = int(math.ceil(cutoff * abs(s.a) / area)) + 1
+    # bounds clamped at the cap, so an infinite one still gives an integer
+    p_max = int(math.ceil(min(cutoff * abs(s.b) / area, MAX_SLOPE_WINDOW))) + 1
+    q_max = int(math.ceil(min(cutoff * abs(s.a) / area, MAX_SLOPE_WINDOW))) + 1
+    if (2 * p_max + 1) * (q_max + 1) > MAX_SLOPE_WINDOW:
+        raise ValueError(f"cutoff {cutoff} needs a window of more than {MAX_SLOPE_WINDOW} slopes")
     found = []
     for q in range(0, q_max + 1):
         for p in range(-p_max, p_max + 1):

@@ -24,13 +24,86 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+_nextafter = math.nextafter
+_INF = math.inf
 
-def _down(x: float) -> float:
-    return math.nextafter(x, -math.inf)
+
+# Unboxed arithmetic on endpoint tuples: a real interval is (lo, hi), a
+# complex interval is the rectangle (re_lo, re_hi, im_lo, im_hi).  The
+# interval classes below delegate to these functions, so the boxed route
+# and the word-scan kernel round identically.  Nothing here validates its
+# result: an overflow shows up as an infinite or NaN endpoint, which the
+# classes reject on construction.  Subtraction is addition of the exact
+# negation (-hi, -lo), since a + (-b) and a - b round alike.
 
 
-def _up(x: float) -> float:
-    return math.nextafter(x, math.inf)
+def real_add(al: float, ah: float, bl: float, bh: float) -> tuple:
+    if bl == 0.0 and bh == 0.0:
+        return al, ah
+    if al == 0.0 and ah == 0.0:
+        return bl, bh
+    return _nextafter(al + bl, -_INF), _nextafter(ah + bh, _INF)
+
+
+def real_mul(al: float, ah: float, bl: float, bh: float) -> tuple:
+    if (al == 0.0 and ah == 0.0) or (bl == 0.0 and bh == 0.0):
+        return 0.0, 0.0
+    if al == 1.0 and ah == 1.0:
+        return bl, bh
+    if bl == 1.0 and bh == 1.0:
+        return al, ah
+    p1 = al * bl
+    p2 = al * bh
+    p3 = ah * bl
+    p4 = ah * bh
+    return _nextafter(min(p1, p2, p3, p4), -_INF), _nextafter(max(p1, p2, p3, p4), _INF)
+
+
+def rect_add(x: tuple, y: tuple) -> tuple:
+    return real_add(x[0], x[1], y[0], y[1]) + real_add(x[2], x[3], y[2], y[3])
+
+
+def rect_mul(x: tuple, y: tuple) -> tuple:
+    """Product of two rectangles, re*re - im*im and re*im + im*re."""
+    xrl, xrh, xil, xih = x
+    yrl, yrh, yil, yih = y
+    al, ah = real_mul(xrl, xrh, yrl, yrh)
+    bl, bh = real_mul(xil, xih, yil, yih)
+    cl, ch = real_mul(xrl, xrh, yil, yih)
+    dl, dh = real_mul(xil, xih, yrl, yrh)
+    return real_add(al, ah, -bh, -bl) + real_add(cl, ch, dl, dh)
+
+
+def rect_abs(rl: float, rh: float, il: float, ih: float) -> "RealInterval":
+    """Certified enclosure [L, U] of |z| over the rectangle.
+
+    L comes from the rectangle point nearest the origin, U from the
+    farthest corner. When the extremal point lies on an axis the
+    modulus reduces to a plain absolute value and no rounding occurs,
+    so L is exactly 0 iff the rectangle contains the origin and point
+    rectangles on an axis get exact bounds.
+    """
+    near_x = 0.0 if rl <= 0.0 <= rh else (rl if rl > 0.0 else rh)
+    near_y = 0.0 if il <= 0.0 <= ih else (il if il > 0.0 else ih)
+    if near_x == 0.0 and near_y == 0.0:
+        lo = 0.0
+    elif near_x == 0.0:
+        lo = abs(near_y)
+    elif near_y == 0.0:
+        lo = abs(near_x)
+    else:
+        lo = _nextafter(math.hypot(near_x, near_y), -_INF)
+    far_x = max(-rl, rh)
+    far_y = max(-il, ih)
+    if far_x == 0.0 and far_y == 0.0:
+        hi = 0.0
+    elif far_x == 0.0:
+        hi = far_y
+    elif far_y == 0.0:
+        hi = far_x
+    else:
+        hi = _nextafter(math.hypot(far_x, far_y), _INF)
+    return RealInterval(max(lo, 0.0), hi)
 
 
 @dataclass(slots=True)
@@ -60,12 +133,6 @@ class RealInterval:
     def is_point(self) -> bool:
         return self.lo == self.hi
 
-    def _is_zero(self) -> bool:
-        return self.lo == 0.0 and self.hi == 0.0
-
-    def _is_one(self) -> bool:
-        return self.lo == 1.0 and self.hi == 1.0
-
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
 
@@ -84,31 +151,13 @@ class RealInterval:
         return RealInterval(-self.hi, -self.lo)
 
     def __add__(self, other: "RealInterval") -> "RealInterval":
-        if other._is_zero():
-            return self
-        if self._is_zero():
-            return other
-        return RealInterval(_down(self.lo + other.lo), _up(self.hi + other.hi))
+        return RealInterval(*real_add(self.lo, self.hi, other.lo, other.hi))
 
     def __sub__(self, other: "RealInterval") -> "RealInterval":
-        if other._is_zero():
-            return self
-        if self._is_zero():
-            return -other
-        return RealInterval(_down(self.lo - other.hi), _up(self.hi - other.lo))
+        return RealInterval(*real_add(self.lo, self.hi, -other.hi, -other.lo))
 
     def __mul__(self, other: "RealInterval") -> "RealInterval":
-        if self._is_zero() or other._is_zero():
-            return RealInterval(0.0, 0.0)
-        if self._is_one():
-            return other
-        if other._is_one():
-            return self
-        p1 = self.lo * other.lo
-        p2 = self.lo * other.hi
-        p3 = self.hi * other.lo
-        p4 = self.hi * other.hi
-        return RealInterval(_down(min(p1, p2, p3, p4)), _up(max(p1, p2, p3, p4)))
+        return RealInterval(*real_mul(self.lo, self.hi, other.lo, other.hi))
 
 
 @dataclass(slots=True)
@@ -156,37 +205,12 @@ class ComplexInterval:
         return ComplexInterval(re, im)
 
     def abs_bounds(self) -> RealInterval:
-        """Certified enclosure [L, U] of |z| over the rectangle.
+        """Certified enclosure [L, U] of |z| over the rectangle, see rect_abs."""
+        return rect_abs(*self.endpoints())
 
-        L comes from the rectangle point nearest the origin, U from the
-        farthest corner. When the extremal point lies on an axis the
-        modulus reduces to a plain absolute value and no rounding occurs,
-        so L is exactly 0 iff the rectangle contains the origin and point
-        rectangles on an axis get exact bounds.
-        """
-        rl, rh = self.re.lo, self.re.hi
-        il, ih = self.im.lo, self.im.hi
-        near_x = 0.0 if rl <= 0.0 <= rh else (rl if rl > 0.0 else rh)
-        near_y = 0.0 if il <= 0.0 <= ih else (il if il > 0.0 else ih)
-        if near_x == 0.0 and near_y == 0.0:
-            lo = 0.0
-        elif near_x == 0.0:
-            lo = abs(near_y)
-        elif near_y == 0.0:
-            lo = abs(near_x)
-        else:
-            lo = _down(math.hypot(near_x, near_y))
-        far_x = max(-rl, rh)
-        far_y = max(-il, ih)
-        if far_x == 0.0 and far_y == 0.0:
-            hi = 0.0
-        elif far_x == 0.0:
-            hi = far_y
-        elif far_y == 0.0:
-            hi = far_x
-        else:
-            hi = _up(math.hypot(far_x, far_y))
-        return RealInterval(max(lo, 0.0), hi)
+    def endpoints(self) -> tuple:
+        """The unboxed rectangle (re_lo, re_hi, im_lo, im_hi)."""
+        return (self.re.lo, self.re.hi, self.im.lo, self.im.hi)
 
 
 @dataclass(slots=True)

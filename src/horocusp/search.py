@@ -18,6 +18,7 @@ from enum import Enum
 from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 from . import __version__
+from . import words as _words
 from .bicuspid import Feasibility, ParamBox, Params, box_in_param_space, param_space
 from .interval import RealInterval
 from .words import (
@@ -215,6 +216,8 @@ def test_box(
     if box_in_param_space(box, cfg.area_bound) is Feasibility.OUTSIDE:
         return BoxVerdict(box, BoxStatus.ELIMINATED_INFEASIBLE)
 
+    # looked up on the words module, where perfbench's tracer wraps it
+    gens = _words.gens_from_params(box)
     budget = cfg.word_budget_per_box
     scanned = 0
     candidate: Optional[Tuple[tuple, Word]] = None
@@ -224,7 +227,7 @@ def test_box(
         nonlocal scanned, candidate, near
         if w.z_count < 1:
             raise ValueError(f"word stream produced a power-free word: {w}")
-        bounds = lower_left_abs(w, box)
+        bounds = lower_left_abs(w, gens)
         scanned += 1
         verdict = classify_bounds(bounds)
         if verdict is KillerVerdict.ELIMINATES:

@@ -24,6 +24,12 @@ the inverse rewritten into word form by one cyclic rotation.
 
 Serialization: factors space-separated with caret exponents, exponent one
 omitted, e.g. "x^2 y^-1 z x z^-1".
+
+Evaluation: lower_left_abs is the scan kernel behind killer_test and the
+search.  It propagates only the bottom row of the product on unboxed float
+rectangles.  evaluate_word is the full-matrix route over the interval
+classes; it stays as public API and as the oracle the kernel's bounds are
+tested against bit for bit.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from itertools import product
 from typing import Iterator, List, Tuple, Union
 
 from .bicuspid import GeneratorTriple, ParamBox, Params, gens_from_params
-from .interval import IntervalMatrix, RealInterval
+from .interval import IntervalMatrix, RealInterval, rect_abs, rect_add, rect_mul
 
 Syllable = Tuple[int, int, int]
 
@@ -199,22 +205,40 @@ def enumerate_words(max_d: int, max_exp: int) -> Iterator[Word]:
     if max_d < 1 or max_exp < 1:
         raise ValueError("max_d and max_exp must be at least 1")
     block_cache = {c: _blocks_with_sum(c, max_exp) for c in range(0, 2 * max_exp + 1)}
+    # Word.sort_key orders each exponent v by 2|v| + (v < 0); within one
+    # (d, extra) bucket d and the total exponent sum are fixed, so these flat
+    # keys alone order the bucket.  Each syllable's three keys are packed
+    # into one integer in base 2 * max_exp + 2, which keeps that order.
+    flat = {v: 2 * abs(v) + (v < 0) for v in range(-max_exp, max_exp + 1)}
+    base = 2 * max_exp + 2
+    packed = {
+        (m, n, e): (flat[m] * base + flat[n]) * base + flat[e]
+        for m in flat
+        for n in flat
+        for e in flat
+    }
+    key_of = packed.__getitem__
     for d in range(1, max_d + 1):
         for extra in range(0, 2 * max_exp * d + 1):
             bucket = []
-            for word in _raw_words(d, extra, max_exp, block_cache):
-                if not word.cyclically_reduced:
-                    continue
-                key = word.sort_key()
-                if key <= word.inverse_in_form().sort_key():
-                    bucket.append((key, word))
-            bucket.sort(key=lambda kw: kw[0])
-            for _, word in bucket:
-                yield word
+            for syls in _raw_words(d, extra, max_exp, block_cache):
+                m1, n1, e1 = syls[0]
+                e_last = syls[-1][2]
+                if m1 == 0 and n1 == 0 and (e1 > 0) != (e_last > 0):
+                    continue  # not cyclically reduced
+                inverse = ((-m1, -n1, -e_last),) + tuple(
+                    (-m, -n, -e) for (m, n, _), (_, _, e) in zip(syls[:0:-1], syls[-2::-1])
+                )
+                key = tuple(map(key_of, syls))
+                if key <= tuple(map(key_of, inverse)):
+                    bucket.append((key, syls))
+            bucket.sort()
+            for _, syls in bucket:
+                yield Word(syls)
 
 
-def _raw_words(d: int, extra: int, max_exp: int, block_cache) -> Iterator[Word]:
-    """All candidate words with z-count d and commuting exponent sum extra."""
+def _raw_words(d: int, extra: int, max_exp: int, block_cache) -> Iterator[Tuple[Syllable, ...]]:
+    """Syllables of all candidate words with z-count d and commuting exponent sum extra."""
     for j in range(max(1, -(-d // max_exp)), d + 1):
         if extra > 2 * max_exp * j:
             continue
@@ -238,11 +262,9 @@ def _raw_words(d: int, extra: int, max_exp: int, block_cache) -> Iterator[Word]:
                     block_lists = [block_cache[c] for c in cparts]
                     for blocks in product(*block_lists):
                         for signs in sign_choices:
-                            syls = tuple(
-                                (blocks[i][0], blocks[i][1], signs[i] * eps_abs[i])
-                                for i in range(j)
+                            yield tuple(
+                                (m, n, s * a) for (m, n), s, a in zip(blocks, signs, eps_abs)
                             )
-                            yield Word(syls)
 
 
 def evaluate_word(word: Word, target: Union[GeneratorTriple, Params, ParamBox]) -> IntervalMatrix:
@@ -250,7 +272,9 @@ def evaluate_word(word: Word, target: Union[GeneratorTriple, Params, ParamBox]) 
 
     Left-to-right product, one translation enclosure per commuting block
     and cached powers of the pairing element. Inverses go through the SL2
-    adjugate, so no entry is ever divided.
+    adjugate, so no entry is ever divided.  This is the oracle route: the
+    search scans with lower_left_abs, whose bounds equal this matrix's
+    m21.abs_bounds() bit for bit.
     """
     gens = target if isinstance(target, GeneratorTriple) else gens_from_params(target)
     acc: IntervalMatrix | None = None
@@ -290,8 +314,43 @@ def _cmul2(x, y):
 
 
 def lower_left_abs(word: Word, target: Union[GeneratorTriple, Params, ParamBox]) -> RealInterval:
-    """Enclosure [L, U] of the lower-left entry's modulus over the target."""
-    return evaluate_word(word, target).m21.abs_bounds()
+    """Enclosure [L, U] of the lower-left entry's modulus over the target.
+
+    This is the scan kernel.  It carries only the bottom row (m21, m22) of
+    the left-to-right product, since in acc @ M that row depends only on
+    the bottom row of acc, and it works on the unboxed rectangles the
+    GeneratorTriple caches per syllable.  The rectangle arithmetic is the
+    interval layer's own, so [L, U] is bit-identical to the oracle
+    evaluate_word(word, target).m21.abs_bounds(); pass one GeneratorTriple
+    per box to build the enclosures once.
+
+    Raises ValueError when the bottom row overflows.  An infinite or NaN
+    endpoint survives every rectangle operation but a product with an
+    exact zero, and each row of a generator matrix has a nonzero entry, so
+    an overflow anywhere leaves a non-finite endpoint in the final row.
+    Both entries are checked there, before the max() in rect_abs can drop
+    a NaN.
+    """
+    gens = target if isinstance(target, GeneratorTriple) else gens_from_params(target)
+    r1, r2 = _ZERO, _ONE
+    for syllable in word.syllables:
+        offset, gamma = gens.unboxed_syllable(syllable)
+        if offset is not None:
+            # times [[1, t], [0, 1]]: m21 * 1 + m22 * 0 is m21 exactly
+            r2 = rect_add(rect_mul(r1, offset), r2)
+        if gamma is not None:
+            g11, g12, g21, g22 = gamma
+            r1, r2 = (
+                rect_add(rect_mul(r1, g11), rect_mul(r2, g21)),
+                rect_add(rect_mul(r1, g12), rect_mul(r2, g22)),
+            )
+    if not all(map(math.isfinite, r1 + r2)):
+        raise ValueError(f"endpoints must be finite in the bottom row of {word}")
+    return rect_abs(*r1)
+
+
+_ZERO = (0.0, 0.0, 0.0, 0.0)
+_ONE = (1.0, 1.0, 0.0, 0.0)
 
 
 class KillerVerdict(enum.Enum):

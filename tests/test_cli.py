@@ -169,6 +169,8 @@ def test_cusp_out_file_and_bad_flags(tmp_path, capsys):
     assert run_cli(["cusp", "--a", "1", "--b", "1i", "--slope-length", "0"]) == 64
     assert run_cli(["cusp", "--a", "1", "--b", "1i", "--slope-length", "inf"]) == 64
     assert run_cli(["cusp", "--a", "1", "--b", "1i", "--slope-length", "nan"]) == 64
+    for huge in ("1e300", "1e308"):
+        assert run_cli(["cusp", "--a", "4", "--b", HEX_B, "--slope-length", huge]) == 64
     capsys.readouterr()
 
 

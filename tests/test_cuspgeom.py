@@ -5,6 +5,7 @@ import json
 import math
 import random
 
+from horocusp import cuspgeom
 from horocusp.bicuspid import Params
 from horocusp.cuspgeom import (
     CuspShape,
@@ -169,12 +170,23 @@ def test_short_slopes_unit_square():
     assert [(s.p, s.q) for s in short_slopes(SQUARE, 1.0)] == [(1, 0), (0, 1)]
     got = [(s.p, s.q) for s in short_slopes(SQUARE, 6.0)]
     assert got == _oracle_short_slopes(1.0, 1j, 6.0)
-    for bad in (0.0, math.inf, math.nan):
+    for bad in (0.0, math.inf, math.nan, 1e300, 1e308):
         try:
             short_slopes(SQUARE, bad)
             assert False, f"expected ValueError for cutoff {bad}"
         except ValueError:
             pass
+
+
+def test_short_slopes_window_cap(monkeypatch):
+    # the unit square scans (2 * (ceil(c) + 1) + 1) * (ceil(c) + 2) pairs for cutoff c
+    monkeypatch.setattr(cuspgeom, "MAX_SLOPE_WINDOW", 15 * 8)
+    assert [(s.p, s.q) for s in short_slopes(SQUARE, 6.0)] == _oracle_short_slopes(1.0, 1j, 6.0)
+    try:
+        short_slopes(SQUARE, 6.5)
+        assert False, "expected ValueError for a window of 17 * 9 pairs"
+    except ValueError:
+        pass
 
 
 def test_short_slopes_reference_lattice():

@@ -1,5 +1,6 @@
 """Branch-and-prune driver: frozen fixtures, cover invariants, determinism."""
 
+import hashlib
 import json
 import math
 from collections import Counter
@@ -242,6 +243,48 @@ def test_run_search_worker_count_byte_determinism():
         assert blobs[0] == blobs[1] == blobs[2]
         assert "worker_count" not in blobs[0]
         assert "wall_time" not in blobs[0]
+
+
+def test_capped_area_search_report_golden() -> None:
+    # canonical report bytes of the budget-capped area-1.5 search, recorded
+    # before the unboxed scan kernel and the tuple-key enumerator
+    cfg = SearchConfig(
+        area_bound=1.5,
+        max_d=2,
+        max_exp=1,
+        max_depth=12,
+        min_box_width=0.01,
+        word_budget_per_box=10000,
+        max_boxes=20,
+    )
+    text = run_search(cfg).to_canonical_json().encode()
+    assert hashlib.sha256(text).hexdigest() == (
+        "313e10159ab073e3d4469a0208102611a48aab98e72a04eac48fb3e3c0798c3b"
+    )
+
+
+def test_box_scan_golden_at_reference_point() -> None:
+    # recorded before the unboxed scan kernel and the tuple-key enumerator
+    cfg = SearchConfig(
+        area_bound=6.0,
+        max_d=6,
+        max_exp=3,
+        max_depth=12,
+        min_box_width=1e-6,
+        word_budget_per_box=300,
+    )
+    for k in (-1, 0, 1):
+        p = Params(4.0, complex(1.0 + 4.0 * k, math.sqrt(3.0)), 2.0)
+        v = test_box(ParamBox.from_point(p), None, cfg)
+        verdict = (v.status, v.word, v.words_scanned, v.near_miss)
+        assert verdict == (BoxStatus.UNDECIDED, None, 300, None)
+    # a box around c = 3, where the scan keeps a near miss
+    box = ParamBox.from_bounds(
+        [[3.95, 4.05], [0.0, 0.0], [0.95, 1.05], [math.sqrt(3.0) - 0.05, math.sqrt(3.0) + 0.05],
+         [2.95, 3.05], [-0.05, 0.05]]
+    )
+    v = test_box(box, None, cfg)
+    assert (v.status, v.words_scanned, str(v.near_miss)) == (BoxStatus.UNDECIDED, 300, "z x^-1 z")
 
 
 def test_run_search_repeat_run_byte_determinism() -> None:

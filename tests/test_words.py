@@ -4,8 +4,12 @@ import math
 import random
 from itertools import islice
 
-from horocusp.bicuspid import ParamBox, Params, gens_from_params
+import pytest
+
+from horocusp import words as words_module
+from horocusp.bicuspid import ParamBox, Params, gens_from_params, param_space
 from horocusp.interval import RealInterval
+from horocusp.search import subdivide
 from horocusp.words import (
     KillerVerdict,
     Word,
@@ -162,6 +166,106 @@ def test_enumeration_is_sorted_and_deterministic():
     assert keys == sorted(keys)
     assert len(set(first)) == len(first)
     assert all(w.cyclically_reduced and w.z_count >= 1 for w in first)
+
+
+def _canonical_stream(max_exp, limit):
+    """The canonical stream rebuilt from Word's own rules, up to a (d, total) limit.
+
+    Every syllable sequence within the exponent cap whose (z_count,
+    total_exponents) is at most limit, kept when cyclically_reduced and no
+    larger under sort_key than its inverse_in_form, sorted by sort_key.
+    """
+    span = range(-max_exp, max_exp + 1)
+    # (syllable, d step, total step), by d step so a loop can stop early
+    steps = [
+        ((m, n, e), abs(e), abs(m) + abs(n) + abs(e))
+        for m in span
+        for n in span
+        for e in span
+        if e
+    ]
+    steps.sort(key=lambda row: row[1])
+    out = []
+
+    def grow(prefix, d, total):
+        if prefix:
+            w = Word(tuple(prefix))
+            if w.cyclically_reduced:
+                key = w.sort_key()
+                if key <= w.inverse_in_form().sort_key():
+                    out.append((key, w))
+        for syllable, dd, dt in steps:
+            if d + dd > limit[0]:
+                break
+            # d and total only grow along a word, so this prunes whole subtrees
+            if (prefix and syllable[0] == 0 and syllable[1] == 0) or (d + dd, total + dt) > limit:
+                continue
+            prefix.append(syllable)
+            grow(prefix, d + dd, total + dt)
+            prefix.pop()
+
+    grow([], 0, 0)
+    out.sort(key=lambda row: row[0])
+    return [w for _, w in out]
+
+
+@pytest.mark.parametrize(
+    "max_d, max_exp, count",
+    [(2, 1, None), (3, 2, None), (4, 1, None), (6, 3, 5000)],
+)
+def test_enumeration_matches_canonical_stream(max_d, max_exp, count) -> None:
+    got = list(islice(enumerate_words(max_d, max_exp), count))
+    if count is None:
+        assert got == _canonical_stream(max_exp, (max_d, math.inf))
+    else:
+        # the prefix ends inside one (d, total) bucket; rebuild through that bucket
+        assert got == _canonical_stream(max_exp, got[-1].sort_key()[:2])[:count]
+
+
+def _random_dyadic_boxes(area_bound, count, rng):
+    boxes = []
+    for _ in range(count):
+        box = param_space(area_bound)
+        for _ in range(rng.randrange(3, 13)):
+            box = subdivide(box)[rng.randrange(2)]
+        boxes.append(box)
+    return boxes
+
+
+def _bits(iv):
+    return (iv.lo.hex(), iv.hi.hex())
+
+
+def test_kernel_bounds_bit_identical_to_full_matrix_oracle() -> None:
+    rng = random.Random(20081)
+    ref = [Params(4.0, 1.0 + 4.0 * k + math.sqrt(3.0) * 1j, 2.0) for k in (-1, 0, 1)]
+    boxes = [ParamBox.from_point(p) for p in ref]
+    boxes += _random_dyadic_boxes(1.5, 2, rng) + _random_dyadic_boxes(6.0, 2, rng)
+    pool = list(enumerate_words(2, 1)) + list(islice(enumerate_words(6, 3), 2000))
+    for box in boxes:
+        gens = gens_from_params(box)
+        for w in pool:
+            oracle = evaluate_word(w, box).m21.abs_bounds()
+            assert _bits(lower_left_abs(w, gens)) == _bits(oracle), (box.path, str(w))
+
+
+def test_overflowing_words_raise_before_classification(monkeypatch) -> None:
+    seen = []
+    monkeypatch.setattr(words_module, "classify_bounds", lambda bounds: seen.append(bounds))
+    cases = [
+        (Word(((0, 0, 400),)), Params(4.0, 1.0 + math.sqrt(3.0) * 1j, 10.0)),
+        (Word(((3, 0, 1),) * 300), REF),
+        (Word(((3, 2, -1),) * 300), REF),
+        # overflows only in m22: gamma^2 = -1 at c = 0 keeps m21 finite
+        (Word(((0, 0, 1),) + ((1, 0, 1),) * 3 + ((1, 0, 2),)), Params(1e100, 1j, 0.0)),
+    ]
+    routes = (lower_left_abs, killer_test, lambda w, t: evaluate_word(w, t).m21.abs_bounds())
+    for w, p in cases:
+        for target in (p, ParamBox.from_point(p), gens_from_params(p)):
+            for route in routes:
+                with pytest.raises(ValueError):
+                    route(w, target)
+    assert seen == []
 
 
 def test_evaluate_pairing_sandwich_symbolic():
