@@ -178,18 +178,24 @@ class GeneratorTriple:
         return hit
 
     def gamma_power(self, e: int) -> IntervalMatrix:
+        """Cached enclosure of gamma^e, the left-to-right product of |e| factors.
+
+        The factors are gamma, or its SL2 inverse for e < 0.  A loop fills
+        the cache, so a large |e| does not recurse.
+        """
         if e == 0:
             return IntervalMatrix.identity()
-        cached = self._gamma_powers.get(e)
+        powers = self._gamma_powers
+        cached = powers.get(e)
         if cached is not None:
             return cached
-        if e > 0:
-            mat = self.gamma if e == 1 else self.gamma_power(e - 1) @ self.gamma
-        else:
-            ginv = self.gamma.inverse_sl2()
-            mat = ginv if e == -1 else self.gamma_power(e + 1) @ ginv
-        self._gamma_powers[e] = mat
-        return mat
+        step = 1 if e > 0 else -1
+        gen = self.gamma if e > 0 else self.gamma.inverse_sl2()
+        powers.setdefault(step, gen)
+        for k in range(2 * step, e + step, step):
+            if k not in powers:
+                powers[k] = powers[k - step] @ gen
+        return powers[e]
 
 
 def gens_from_params(p: Union[Params, ParamBox]) -> GeneratorTriple:

@@ -61,6 +61,13 @@ def _cfg_value(flag_value, file_cfg, key, default):
     return file_cfg.get(key, default)
 
 
+def _int_setting(parser, flag_value, file_cfg, key, default):
+    value = _cfg_value(flag_value, file_cfg, key, default)
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        parser.error("%s must be an integer, got %r" % (key, value))
+    return int(value)
+
+
 def _write_text(path, text):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
@@ -95,17 +102,17 @@ def cmd_search(args, parser):
     try:
         cfg = SearchConfig(
             area_bound=float(area),
-            max_d=int(_cfg_value(args.max_d, file_cfg, "max_d", 3)),
-            max_exp=int(_cfg_value(args.max_exp, file_cfg, "max_exp", 2)),
-            max_depth=int(_cfg_value(args.max_depth, file_cfg, "max_depth", 12)),
+            max_d=_int_setting(parser, args.max_d, file_cfg, "max_d", 3),
+            max_exp=_int_setting(parser, args.max_exp, file_cfg, "max_exp", 2),
+            max_depth=_int_setting(parser, args.max_depth, file_cfg, "max_depth", 12),
             min_box_width=float(
                 _cfg_value(args.min_box_width, file_cfg, "min_box_width", 1e-3)
             ),
-            word_budget_per_box=int(
-                _cfg_value(args.word_budget, file_cfg, "word_budget_per_box", 20000)
+            word_budget_per_box=_int_setting(
+                parser, args.word_budget, file_cfg, "word_budget_per_box", 20000
             ),
-            worker_count=int(_cfg_value(args.workers, file_cfg, "worker_count", 1)),
-            max_boxes=int(_cfg_value(args.max_boxes, file_cfg, "max_boxes", 0)),
+            worker_count=_int_setting(parser, args.workers, file_cfg, "worker_count", 1),
+            max_boxes=_int_setting(parser, args.max_boxes, file_cfg, "max_boxes", 0),
             use_parent_word_hint=hint,
             root_box=file_cfg.get("root_box"),
         )

@@ -26,7 +26,16 @@ DEDUP_DECIMALS = 9
 
 _LETTERS = ("x", "x^-1", "y", "y^-1", "z", "z^-1")
 _INVERSE_OF = (1, 0, 3, 2, 5, 4)
-_Y_THEN_X = {(2, 0), (2, 1), (3, 0), (3, 1)}
+# follows[letter]: the letters that may come next.  Reduced words never put
+# a letter before its inverse.  Double-coset words also start at z^+-1 and
+# spell each translation run x^m y^n, so no y-letter is followed by an
+# x-letter: a run such as x y x^-1 y^-1 is the identity, but its float
+# product is not and would add a ball of diameter ~1e31.  x^m y^n is also
+# first in walk order.
+_REDUCED = tuple(tuple(i for i in range(6) if i != _INVERSE_OF[j]) for j in range(6))
+_COSET = tuple(
+    tuple(i for i in _REDUCED[j] if not (j in (2, 3) and i in (0, 1))) for j in range(6)
+)
 
 Matrix = Tuple[complex, complex, complex, complex]
 Letters = Tuple[int, ...]
@@ -79,30 +88,30 @@ def reduced_words(max_len: int) -> Iterator[Letters]:
     level: List[Letters] = [(i,) for i in range(6)]
     yield from level
     for _ in range(max_len - 1):
-        level = [w + (i,) for w in level for i in range(6) if i != _INVERSE_OF[w[-1]]]
+        level = [w + (i,) for w in level for i in _REDUCED[w[-1]]]
         yield from level
 
 
-def _with_matrices(p: Params, words: Iterable[Letters]) -> Iterator[Tuple[Letters, Matrix]]:
-    """Pair each word with its left-to-right product, parents first.
+def _walk(
+    p: Params, max_len: int, first: Iterable[int], follows: Tuple[Tuple[int, ...], ...]
+) -> Iterator[Tuple[Letters, Matrix]]:
+    """Words breadth-first with their left-to-right products.
 
-    A word whose parent (itself minus the last letter) is not in the stream
-    is dropped, so leaving a word out prunes all its extensions.
+    Words start with a letter in first, and a letter may be followed only by
+    the letters follows[letter] lists.
     """
+    if max_len < 1:
+        raise ValueError("max_len must be at least 1")
     gens = _generator_matrices(p)
-    mats: Dict[Letters, Matrix] = {}
-    for w in words:
-        if len(w) == 1 or w[:-1] in mats:
-            mats[w] = gens[w[0]] if len(w) == 1 else _cmul2(mats[w[:-1]], gens[w[-1]])
-            yield w, mats[w]
+    level = [((i,), gens[i]) for i in first]
+    yield from level
+    for _ in range(max_len - 1):
+        level = [(w + (i,), _cmul2(m, gens[i])) for w, m in level for i in follows[w[-1]]]
+        yield from level
 
 
 def _double_coset_words(p: Params, max_len: int) -> Iterator[Tuple[Letters, Matrix]]:
-    # Start at z^+-1 and spell each translation run x^m y^n: a run such as
-    # x y x^-1 y^-1 is the identity, but its float product is not and would
-    # add a ball of diameter ~1e31.  x^m y^n is also first in walk order.
-    words = (w for w in reduced_words(max_len) if w[0] >= 4 and w[-2:] not in _Y_THEN_X)
-    for w, m in _with_matrices(p, words):
+    for w, m in _walk(p, max_len, (4, 5), _COSET):
         if w[-1] >= 4:
             yield w, m
 
@@ -114,7 +123,7 @@ def enumerate_elements(p: Params, max_len: int) -> List[GroupElement]:
     word reaching a matrix class up to sign is kept as the witness.
     """
     seen: Dict[tuple, GroupElement] = {}
-    for word, m in _with_matrices(p, reduced_words(max_len)):
+    for word, m in _walk(p, max_len, range(6), _REDUCED):
         key = _sign_key(m)
         if key not in seen:
             seen[key] = GroupElement(tuple(_LETTERS[i] for i in word), m)

@@ -16,11 +16,13 @@ Cyclic reduction: interior commuting blocks are nontrivial by construction,
 and when r_1 is trivial the first and last z-exponents must share a sign,
 otherwise the word would shorten under cyclic rotation.
 
-Canonical order: words are produced sorted by (d, total exponent sum,
+Canonical order: words come in order of (d, total exponent sum,
 syllable-wise lexicographic key) with positive exponents ordering before
 negative ones of the same magnitude. Exactly one representative of each
 inverse pair {w, w^-1} is produced, the smaller under that same key, with
-the inverse rewritten into word form by one cyclic rotation.
+the inverse rewritten into word form by one cyclic rotation.  Nothing is
+sorted after the fact: enumerate_words walks the syllables of each
+(d, total) bucket depth first in key order, so the order comes from the walk.
 
 Serialization: factors space-separated with caret exponents, exponent one
 omitted, e.g. "x^2 y^-1 z x z^-1".
@@ -38,7 +40,6 @@ import enum
 import math
 import re
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterator, List, Tuple, Union
 
 from .bicuspid import GeneratorTriple, ParamBox, Params, gens_from_params
@@ -168,103 +169,70 @@ def parse_word(text: str) -> Word:
     return Word(tuple(syllables))
 
 
-def _blocks_with_sum(c: int, max_exp: int) -> List[Tuple[int, int]]:
-    """All commuting blocks (m, n) with |m| + |n| = c under the exponent cap."""
-    if c == 0:
-        return [(0, 0)]
-    out = []
-    for am in range(0, min(c, max_exp) + 1):
-        an = c - am
-        if an > max_exp:
-            continue
-        ms = (am,) if am == 0 else (am, -am)
-        ns = (an,) if an == 0 else (an, -an)
-        for m in ms:
-            for n in ns:
-                out.append((m, n))
-    return out
-
-
-def _compositions(total: int, parts: int, lo: int, hi: int) -> Iterator[Tuple[int, ...]]:
-    if parts == 1:
-        if lo <= total <= hi:
-            yield (total,)
-        return
-    for head in range(lo, min(hi, total - lo * (parts - 1)) + 1):
-        for rest in _compositions(total - head, parts - 1, lo, hi):
-            yield (head,) + rest
-
-
 def enumerate_words(max_d: int, max_exp: int) -> Iterator[Word]:
     """Yield every cyclically reduced word within the caps, canonically ordered.
 
     Order is (d, total exponent sum, syllable key); one representative per
     inverse pair. The stream is fully deterministic, so budget-capped
     consumers see a stable prefix.
+
+    Each (d, extra) bucket is one depth-first walk over syllables taken in
+    _scalar_key order, so it comes out sorted.  Words of one bucket never
+    prefix each other, and a word's key is the tuple of its syllables'
+    ranks, which orders the bucket as Word.sort_key does.
     """
     if max_d < 1 or max_exp < 1:
         raise ValueError("max_d and max_exp must be at least 1")
-    block_cache = {c: _blocks_with_sum(c, max_exp) for c in range(0, 2 * max_exp + 1)}
-    # Word.sort_key orders each exponent v by 2|v| + (v < 0); within one
-    # (d, extra) bucket d and the total exponent sum are fixed, so these flat
-    # keys alone order the bucket.  Each syllable's three keys are packed
-    # into one integer in base 2 * max_exp + 2, which keeps that order.
-    flat = {v: 2 * abs(v) + (v < 0) for v in range(-max_exp, max_exp + 1)}
-    base = 2 * max_exp + 2
-    packed = {
-        (m, n, e): (flat[m] * base + flat[n]) * base + flat[e]
-        for m in flat
-        for n in flat
-        for e in flat
-    }
-    key_of = packed.__getitem__
+    span = range(-max_exp, max_exp + 1)
+    syllables = sorted(
+        ((m, n, e) for m in span for n in span for e in span if e),
+        key=lambda s: tuple(map(_scalar_key, s)),
+    )
+    rank = {s: i for i, s in enumerate(syllables)}
+    moves = {}
+
+    def next_syllables(d_left: int, extra_left: int, first: bool):
+        """Syllables after which the rest of the bucket can still be filled.
+
+        The rest needs between ceil(d / max_exp) and d more syllables, each
+        with a nontrivial block costing 1 to 2 * max_exp of extra.
+        """
+        key = (d_left, extra_left, first)
+        if key not in moves:
+            out = moves[key] = []
+            for s in syllables:
+                m, n, e = s
+                cost = abs(m) + abs(n)
+                rest_d, rest_extra = d_left - abs(e), extra_left - cost
+                if (cost or first) and rest_d >= 0:
+                    if -(-rest_d // max_exp) <= rest_extra <= 2 * max_exp * rest_d:
+                        out.append((s, rank[s], rest_d, rest_extra))
+        return moves[key]
+
+    def walk(d_left: int, extra_left: int, syls: list, ranks: list) -> Iterator[Word]:
+        for s, r, rest_d, rest_extra in next_syllables(d_left, extra_left, not syls):
+            syls.append(s)
+            ranks.append(r)
+            if rest_d:
+                yield from walk(rest_d, rest_extra, syls, ranks)
+            else:
+                m1, n1, e1 = syls[0]
+                e_last = s[2]
+                # cyclically reduced, and no larger than the inverse in word form
+                if m1 or n1 or (e1 > 0) == (e_last > 0):
+                    inverse = [rank[(-m1, -n1, -e_last)]]
+                    inverse += [
+                        rank[(-m, -n, -e)]
+                        for (m, n, _), (_, _, e) in zip(syls[:0:-1], syls[-2::-1])
+                    ]
+                    if ranks <= inverse:
+                        yield Word(tuple(syls))
+            syls.pop()
+            ranks.pop()
+
     for d in range(1, max_d + 1):
         for extra in range(0, 2 * max_exp * d + 1):
-            bucket = []
-            for syls in _raw_words(d, extra, max_exp, block_cache):
-                m1, n1, e1 = syls[0]
-                e_last = syls[-1][2]
-                if m1 == 0 and n1 == 0 and (e1 > 0) != (e_last > 0):
-                    continue  # not cyclically reduced
-                inverse = ((-m1, -n1, -e_last),) + tuple(
-                    (-m, -n, -e) for (m, n, _), (_, _, e) in zip(syls[:0:-1], syls[-2::-1])
-                )
-                key = tuple(map(key_of, syls))
-                if key <= tuple(map(key_of, inverse)):
-                    bucket.append((key, syls))
-            bucket.sort()
-            for _, syls in bucket:
-                yield Word(syls)
-
-
-def _raw_words(d: int, extra: int, max_exp: int, block_cache) -> Iterator[Tuple[Syllable, ...]]:
-    """Syllables of all candidate words with z-count d and commuting exponent sum extra."""
-    for j in range(max(1, -(-d // max_exp)), d + 1):
-        if extra > 2 * max_exp * j:
-            continue
-        for eps_abs in _compositions(d, j, 1, max_exp):
-            sign_choices = list(product((1, -1), repeat=j))
-            if j == 1:
-                first_parts = range(extra, extra + 1)
-            else:
-                first_parts = range(0, min(extra - (j - 1) + 1, 2 * max_exp + 1))
-            for c1 in first_parts:
-                if c1 > 2 * max_exp:
-                    continue
-                rest = extra - c1
-                tail_comps = (
-                    [()]
-                    if j == 1
-                    else list(_compositions(rest, j - 1, 1, 2 * max_exp))
-                )
-                for tail in tail_comps:
-                    cparts = (c1,) + tail
-                    block_lists = [block_cache[c] for c in cparts]
-                    for blocks in product(*block_lists):
-                        for signs in sign_choices:
-                            yield tuple(
-                                (m, n, s * a) for (m, n), s, a in zip(blocks, signs, eps_abs)
-                            )
+            yield from walk(d, extra, [], [])
 
 
 def evaluate_word(word: Word, target: Union[GeneratorTriple, Params, ParamBox]) -> IntervalMatrix:

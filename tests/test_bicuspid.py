@@ -13,6 +13,7 @@ from horocusp.bicuspid import (
     space_radius,
 )
 from horocusp.interval import RealInterval
+from horocusp.words import Word, evaluate_word, lower_left_abs
 
 REF = Params(4.0, 1.0 + math.sqrt(3.0) * 1j, 2.0)
 
@@ -44,6 +45,38 @@ def test_gamma_power_inverse_pairs():
     for e in (-3, -2, -1, 1, 2, 3):
         prod = g.gamma_power(e) @ g.gamma_power(-e)
         assert prod.contains(1.0, 0.0, 0.0, 1.0)
+
+
+def _entry_bits(mat):
+    return [v.hex() for x in (mat.m11, mat.m12, mat.m21, mat.m22) for v in x.endpoints()]
+
+
+def test_gamma_power_matches_left_to_right_product():
+    box = ParamBox.from_bounds(
+        [[4.0, 4.0625], [0.0, 0.0], [1.0, 1.0625], [1.6875, 1.75], [0.5, 0.5625], [-0.0625, 0.0]]
+    )
+    for target in (REF, Params(REF.a, REF.b, 0.5), box):
+        g = gens_from_params(target)
+        for e in (7, 40, -3, -40):  # fill the cache in pieces
+            g.gamma_power(e)
+        fresh = gens_from_params(target)
+        for sign, gen in ((1, fresh.gamma), (-1, fresh.gamma.inverse_sl2())):
+            acc = gen
+            for k in range(1, 41):
+                assert _entry_bits(g.gamma_power(sign * k)) == _entry_bits(acc), sign * k
+                acc = acc @ gen
+
+
+def test_long_gamma_power_gives_bounds_or_value_error():
+    p = Params(4.0, 1.0 + 1.7320508075688772j, 0.5)
+    routes = (lower_left_abs, lambda w, t: evaluate_word(w, t).m21.abs_bounds())
+    for e in (1200, -1200):
+        for route in routes:
+            try:
+                bounds = route(Word(((0, 0, e),)), p)
+            except ValueError:
+                continue
+            assert isinstance(bounds, RealInterval)
 
 
 def test_space_radius_reference_values():

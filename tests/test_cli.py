@@ -113,6 +113,14 @@ def test_search_usage_errors(tmp_path, capsys):
         ("root_box", [[1.2, 1.0]] + SLICE_CFG["root_box"][1:]),
         ("root_box", "box"),
         ("use_parent_word_hint", "no"),
+        ("max_d", 1.9),
+        ("max_exp", True),
+        ("max_depth", 12.5),
+        ("word_budget_per_box", True),
+        ("worker_count", 1.5),
+        ("max_boxes", True),
+        ("max_d", math.inf),
+        ("max_boxes", math.nan),
     ):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(dict(SLICE_CFG, **{key: bad})))

@@ -211,7 +211,7 @@ def _canonical_stream(max_exp, limit):
 
 @pytest.mark.parametrize(
     "max_d, max_exp, count",
-    [(2, 1, None), (3, 2, None), (4, 1, None), (6, 3, 5000)],
+    [(2, 1, None), (3, 2, None), (4, 1, None), (2, 3, None), (6, 3, 5000), (8, 2, 3000)],
 )
 def test_enumeration_matches_canonical_stream(max_d, max_exp, count) -> None:
     got = list(islice(enumerate_words(max_d, max_exp), count))
