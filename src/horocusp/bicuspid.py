@@ -116,6 +116,9 @@ class GeneratorTriple:
     Caches translation matrices keyed by integer exponent pairs and powers
     of the pairing element, since word evaluation reuses both heavily, and
     their unboxed entries keyed by syllable for the word-scan kernel.
+    _rows holds (syllable, r1, r2), the kernel's bottom row after each
+    syllable of the last word it scanned, so the next word can resume from
+    their common prefix.
     """
 
     a: ComplexInterval
@@ -127,6 +130,7 @@ class GeneratorTriple:
     _translations: dict = field(default_factory=dict)
     _gamma_powers: dict = field(default_factory=dict)
     _unboxed: dict = field(default_factory=dict)
+    _rows: list = field(default_factory=list)
 
     @classmethod
     def build(cls, a: ComplexInterval, b: ComplexInterval, c: ComplexInterval) -> "GeneratorTriple":

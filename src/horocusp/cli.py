@@ -68,6 +68,13 @@ def _int_setting(parser, flag_value, file_cfg, key, default):
     return int(value)
 
 
+def _float_setting(parser, flag_value, file_cfg, key, default):
+    value = _cfg_value(flag_value, file_cfg, key, default)
+    if isinstance(value, bool):
+        parser.error("%s must be a number, got %r" % (key, value))
+    return float(value)
+
+
 def _write_text(path, text):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
@@ -91,8 +98,7 @@ def cmd_search(args, parser):
             parser.error("cannot read config file: %s" % exc)
         if not isinstance(file_cfg, dict):
             parser.error("config file must hold a JSON object")
-    area = _cfg_value(args.area_max, file_cfg, "area_bound", None)
-    if area is None:
+    if _cfg_value(args.area_max, file_cfg, "area_bound", None) is None:
         parser.error("--area-max is required (flag or config file)")
     hint = file_cfg.get("use_parent_word_hint", True)
     if not isinstance(hint, bool):
@@ -101,12 +107,12 @@ def cmd_search(args, parser):
         hint = False
     try:
         cfg = SearchConfig(
-            area_bound=float(area),
+            area_bound=_float_setting(parser, args.area_max, file_cfg, "area_bound", None),
             max_d=_int_setting(parser, args.max_d, file_cfg, "max_d", 3),
             max_exp=_int_setting(parser, args.max_exp, file_cfg, "max_exp", 2),
             max_depth=_int_setting(parser, args.max_depth, file_cfg, "max_depth", 12),
-            min_box_width=float(
-                _cfg_value(args.min_box_width, file_cfg, "min_box_width", 1e-3)
+            min_box_width=_float_setting(
+                parser, args.min_box_width, file_cfg, "min_box_width", 1e-3
             ),
             word_budget_per_box=_int_setting(
                 parser, args.word_budget, file_cfg, "word_budget_per_box", 20000

@@ -70,8 +70,8 @@ class SearchConfig:
             raise ValueError("max_exp must be at least 1")
         if not 1 <= self.max_depth <= 64:
             raise ValueError("max_depth must lie in [1, 64]")
-        if not self.min_box_width > 0.0:
-            raise ValueError("min_box_width must be positive")
+        if not (self.min_box_width > 0.0 and math.isfinite(self.min_box_width)):
+            raise ValueError("min_box_width must be positive and finite")
         if self.word_budget_per_box < 1:
             raise ValueError("word_budget_per_box must be at least 1")
         if self.worker_count < 1:

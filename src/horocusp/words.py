@@ -29,9 +29,13 @@ omitted, e.g. "x^2 y^-1 z x z^-1".
 
 Evaluation: lower_left_abs is the scan kernel behind killer_test and the
 search.  It propagates only the bottom row of the product on unboxed float
-rectangles.  evaluate_word is the full-matrix route over the interval
-classes; it stays as public API and as the oracle the kernel's bounds are
-tested against bit for bit.
+rectangles, and resumes each word from the row of the longest syllable
+prefix it shares with the last word scanned on the same GeneratorTriple.
+The stream is a depth-first walk, so consecutive words share long prefixes.
+A prefix's row is the same left-to-right sequence of operations whatever
+follows it, so reuse changes no bit.  evaluate_word is the full-matrix
+route over the interval classes; it stays as public API and as the oracle
+the kernel's bounds are tested against bit for bit.
 """
 
 from __future__ import annotations
@@ -292,6 +296,13 @@ def lower_left_abs(word: Word, target: Union[GeneratorTriple, Params, ParamBox])
     evaluate_word(word, target).m21.abs_bounds(); pass one GeneratorTriple
     per box to build the enclosures once.
 
+    The GeneratorTriple also keeps the row after each syllable of the last
+    word it scanned.  The word starts from the row of the longest syllable
+    prefix it shares with that word, and the list is cut back to that
+    prefix before the new syllables' rows are pushed.  The row after a
+    prefix is the same sequence of rect_mul and rect_add calls whatever
+    follows it, so [L, U] does not depend on the order words come in.
+
     Raises ValueError when the bottom row overflows.  An infinite or NaN
     endpoint survives every rectangle operation but a product with an
     exact zero, and each row of a generator matrix has a nonzero entry, so
@@ -300,8 +311,16 @@ def lower_left_abs(word: Word, target: Union[GeneratorTriple, Params, ParamBox])
     a NaN.
     """
     gens = target if isinstance(target, GeneratorTriple) else gens_from_params(target)
-    r1, r2 = _ZERO, _ONE
-    for syllable in word.syllables:
+    syllables = word.syllables
+    rows = gens._rows
+    kept = 0
+    for (syllable, _, _), own in zip(rows, syllables):
+        if syllable != own:
+            break
+        kept += 1
+    del rows[kept:]
+    r1, r2 = rows[-1][1:] if rows else (_ZERO, _ONE)
+    for syllable in syllables[kept:]:
         offset, gamma = gens.unboxed_syllable(syllable)
         if offset is not None:
             # times [[1, t], [0, 1]]: m21 * 1 + m22 * 0 is m21 exactly
@@ -312,6 +331,7 @@ def lower_left_abs(word: Word, target: Union[GeneratorTriple, Params, ParamBox])
                 rect_add(rect_mul(r1, g11), rect_mul(r2, g21)),
                 rect_add(rect_mul(r1, g12), rect_mul(r2, g22)),
             )
+        rows.append((syllable, r1, r2))
     if not all(map(math.isfinite, r1 + r2)):
         raise ValueError(f"endpoints must be finite in the bottom row of {word}")
     return rect_abs(*r1)

@@ -108,6 +108,10 @@ def test_search_usage_errors(tmp_path, capsys):
     out = str(tmp_path / "r.json")
     assert run_cli(["search", "--area-max", "0", "--out", out]) == 64
     assert run_cli(["search", "--area-max", "inf", "--out", out]) == 64
+    for width in ("inf", "nan"):
+        argv = ["search", "--area-max", "6", "--min-box-width", width, "--max-boxes", "2"]
+        assert run_cli(argv + ["--out", out]) == 64, width
+        assert not (tmp_path / "r.json").exists()
     for key, bad in (
         ("root_box", SLICE_CFG["root_box"][:5]),
         ("root_box", [[1.2, 1.0]] + SLICE_CFG["root_box"][1:]),
@@ -121,6 +125,8 @@ def test_search_usage_errors(tmp_path, capsys):
         ("max_boxes", True),
         ("max_d", math.inf),
         ("max_boxes", math.nan),
+        ("min_box_width", True),
+        ("area_bound", True),
     ):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(dict(SLICE_CFG, **{key: bad})))

@@ -43,6 +43,8 @@ def test_config_validation() -> None:
         {"max_depth": 0},
         {"max_depth": 65},
         {"min_box_width": 0.0},
+        {"min_box_width": math.inf},
+        {"min_box_width": math.nan},
         {"word_budget_per_box": 0},
         {"worker_count": 0},
         {"max_boxes": -1},

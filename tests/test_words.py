@@ -7,7 +7,7 @@ from itertools import islice
 import pytest
 
 from horocusp import words as words_module
-from horocusp.bicuspid import ParamBox, Params, gens_from_params, param_space
+from horocusp.bicuspid import GeneratorTriple, ParamBox, Params, gens_from_params, param_space
 from horocusp.interval import RealInterval
 from horocusp.search import subdivide
 from horocusp.words import (
@@ -266,6 +266,60 @@ def test_overflowing_words_raise_before_classification(monkeypatch) -> None:
                 with pytest.raises(ValueError):
                     route(w, target)
     assert seen == []
+
+
+def test_prefix_reuse_is_order_independent() -> None:
+    """Rows kept from earlier words never leak into a later word's bounds."""
+    rng = random.Random(6063)
+    boxes = [ParamBox.from_point(REF)]
+    boxes += _random_dyadic_boxes(1.5, 1, rng) + _random_dyadic_boxes(6.0, 1, rng)
+    pool = list(islice(enumerate_words(6, 3), 2000))
+    shuffled = pool[:]
+    rng.shuffle(shuffled)
+    hint = pool[1234]
+    interleaved = []
+    for i, w in enumerate(pool):
+        if i % 50 == 0:
+            interleaved.append(hint)
+        interleaved.append(w)
+    for box in boxes:
+        gens = gens_from_params(box)
+        oracle = {w: _bits(evaluate_word(w, box).m21.abs_bounds()) for w in pool}
+        for order in (shuffled, pool, interleaved):
+            for w in order:
+                assert _bits(lower_left_abs(w, gens)) == oracle[w], (box.path, str(w))
+
+    gens = gens_from_params(REF)
+    overflowing = Word(((3, 0, 1),) * 300)
+    sibling = Word(((3, 0, 1), (0, 1, -1)))
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            lower_left_abs(overflowing, gens)
+    oracle = _bits(evaluate_word(sibling, REF).m21.abs_bounds())
+    assert _bits(lower_left_abs(sibling, gens)) == oracle
+    with pytest.raises(ValueError):
+        lower_left_abs(overflowing, gens)
+
+
+def test_scan_syllable_steps(monkeypatch) -> None:
+    """The canonical stream on one triple resumes each word from its shared prefix."""
+    steps = []
+    unboxed = GeneratorTriple.unboxed_syllable
+
+    def counting(self, syllable):
+        steps.append(syllable)
+        return unboxed(self, syllable)
+
+    monkeypatch.setattr(GeneratorTriple, "unboxed_syllable", counting)
+    for stream, expected in (
+        (islice(enumerate_words(6, 3), 2000), 2126),
+        (enumerate_words(2, 1), 162),
+    ):
+        gens = gens_from_params(REF)
+        steps.clear()
+        for w in stream:
+            lower_left_abs(w, gens)
+        assert len(steps) == expected
 
 
 def test_evaluate_pairing_sandwich_symbolic():
