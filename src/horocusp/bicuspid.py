@@ -27,6 +27,16 @@ from .interval import ComplexInterval, IntervalMatrix, RealInterval
 COORD_NAMES = ("a_re", "a_im", "b_re", "b_im", "c_re", "c_im")
 
 
+def real_number(value, name: str) -> float:
+    """value as a float; only an int or a float counts, never a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is out of float range, got {value!r}") from None
+
+
 @dataclass(slots=True)
 class Params:
     """One parameter point (a, b, c)."""
@@ -74,7 +84,10 @@ class ParamBox:
         """Build from six [lo, hi] pairs ordered as COORD_NAMES."""
         if len(bounds) != 6:
             raise ValueError("expected six coordinate bounds")
-        ivs = [RealInterval(float(lo), float(hi)) for lo, hi in bounds]
+        ivs = [
+            RealInterval(real_number(lo, "endpoint"), real_number(hi, "endpoint"))
+            for lo, hi in bounds
+        ]
         return cls(*ivs, path)
 
     def coords(self) -> tuple:
@@ -221,7 +234,7 @@ def space_radius(area_bound: float) -> float:
     """Largest admissible translation length, 2 * area_bound / sqrt(3)."""
     area_bound = float(area_bound)
     if not math.isfinite(area_bound) or area_bound <= 0.0:
-        raise ValueError(f"area bound must be positive, got {area_bound}")
+        raise ValueError(f"area_bound must be positive and finite, got {area_bound}")
     return 2.0 * area_bound / math.sqrt(3.0)
 
 

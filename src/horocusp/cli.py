@@ -9,6 +9,7 @@ import json
 import math
 import re
 import sys
+from dataclasses import fields
 
 from horocusp import __version__
 from horocusp.bicuspid import Params
@@ -55,26 +56,6 @@ def _complex_or_usage(parser, flag, text):
         parser.error("%s: expected a complex literal such as 1+1.73i, got %r" % (flag, text))
 
 
-def _cfg_value(flag_value, file_cfg, key, default):
-    if flag_value is not None:
-        return flag_value
-    return file_cfg.get(key, default)
-
-
-def _int_setting(parser, flag_value, file_cfg, key, default):
-    value = _cfg_value(flag_value, file_cfg, key, default)
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        parser.error("%s must be an integer, got %r" % (key, value))
-    return int(value)
-
-
-def _float_setting(parser, flag_value, file_cfg, key, default):
-    value = _cfg_value(flag_value, file_cfg, key, default)
-    if isinstance(value, bool):
-        parser.error("%s must be a number, got %r" % (key, value))
-    return float(value)
-
-
 def _write_text(path, text):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
@@ -89,39 +70,19 @@ def _emit_json(payload, out_path):
 
 
 def cmd_search(args, parser):
-    file_cfg = {}
+    settings = {}
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
-                file_cfg = json.load(fh)
+                settings = json.load(fh)
         except (OSError, ValueError) as exc:
             parser.error("cannot read config file: %s" % exc)
-        if not isinstance(file_cfg, dict):
+        if not isinstance(settings, dict):
             parser.error("config file must hold a JSON object")
-    if _cfg_value(args.area_max, file_cfg, "area_bound", None) is None:
-        parser.error("--area-max is required (flag or config file)")
-    hint = file_cfg.get("use_parent_word_hint", True)
-    if not isinstance(hint, bool):
-        parser.error("use_parent_word_hint must be true or false, got %r" % (hint,))
-    if args.no_hint:
-        hint = False
+    names = {f.name for f in fields(SearchConfig)}
+    settings.update((k, v) for k, v in vars(args).items() if k in names and v is not None)
     try:
-        cfg = SearchConfig(
-            area_bound=_float_setting(parser, args.area_max, file_cfg, "area_bound", None),
-            max_d=_int_setting(parser, args.max_d, file_cfg, "max_d", 3),
-            max_exp=_int_setting(parser, args.max_exp, file_cfg, "max_exp", 2),
-            max_depth=_int_setting(parser, args.max_depth, file_cfg, "max_depth", 12),
-            min_box_width=_float_setting(
-                parser, args.min_box_width, file_cfg, "min_box_width", 1e-3
-            ),
-            word_budget_per_box=_int_setting(
-                parser, args.word_budget, file_cfg, "word_budget_per_box", 20000
-            ),
-            worker_count=_int_setting(parser, args.workers, file_cfg, "worker_count", 1),
-            max_boxes=_int_setting(parser, args.max_boxes, file_cfg, "max_boxes", 0),
-            use_parent_word_hint=hint,
-            root_box=file_cfg.get("root_box"),
-        )
+        cfg = SearchConfig(**settings)
     except (TypeError, ValueError) as exc:
         parser.error(str(exc))
     report = run_search(cfg)
@@ -215,16 +176,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="branch-and-prune over the parameter box")
     p.add_argument("--config", help="JSON file with search settings")
-    p.add_argument("--area-max", type=float, help="cusp area upper bound")
+    p.add_argument("--area-max", type=float, dest="area_bound", help="cusp area upper bound")
     p.add_argument("--max-d", type=int, help="largest z-count to enumerate")
     p.add_argument("--max-exp", type=int, help="largest per-syllable exponent")
     p.add_argument("--max-depth", type=int, help="subdivision depth limit")
     p.add_argument("--min-box-width", type=float, help="smallest box width to split")
-    p.add_argument("--word-budget", type=int, help="words scanned per box")
-    p.add_argument("--workers", type=int,
+    p.add_argument("--word-budget", type=int, dest="word_budget_per_box",
+                   help="words scanned per box")
+    p.add_argument("--workers", type=int, dest="worker_count",
                    help="accepted for compatibility; the search runs on one thread")
     p.add_argument("--max-boxes", type=int, help="box budget, 0 for unlimited")
-    p.add_argument("--no-hint", action="store_true", default=None,
+    p.add_argument("--no-hint", action="store_false", dest="use_parent_word_hint", default=None,
                    help="disable the inherited near-miss word hint")
     p.add_argument("--out", required=True, help="report JSON path")
     p.set_defaults(func=cmd_search)

@@ -13,13 +13,14 @@ import math
 import random
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 from . import __version__
 from . import words as _words
 from .bicuspid import Feasibility, ParamBox, Params, box_in_param_space, param_space
+from .bicuspid import real_number, space_radius
 from .interval import RealInterval
 from .words import (
     KillerVerdict,
@@ -37,9 +38,28 @@ log = logging.getLogger(__name__)
 AUDIT_TOLERANCE = 1e-9
 
 
+def _setting(name: str, kind: type, value):
+    """value checked and stored as kind: a bool, a float, or an integral int."""
+    if kind is bool:
+        if not isinstance(value, bool):
+            raise TypeError(f"{name} must be true or false, got {value!r}")
+        return value
+    number = real_number(value, name)
+    if kind is float:
+        return number
+    if not number.is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SearchConfig:
-    """Budgets and limits for one search run.
+    """Budgets and limits for one search run; the one owner of every setting.
+
+    Only area_bound is required.  Integer settings take an integral int or
+    float, float settings any int or float; neither takes a bool or a
+    string, and use_parent_word_hint takes only a bool.  A bad type raises
+    TypeError, a bad value (such as an overflowing search radius) ValueError.
 
     max_boxes bounds the number of boxes tested (0 for unlimited); when the
     limit trips, untested boxes become undecided leaves and the report is
@@ -51,31 +71,30 @@ class SearchConfig:
     """
 
     area_bound: float
-    max_d: int
-    max_exp: int
-    max_depth: int
-    min_box_width: float
-    word_budget_per_box: int
+    max_d: int = 3
+    max_exp: int = 2
+    max_depth: int = 12
+    min_box_width: float = 1e-3
+    word_budget_per_box: int = 20000
     worker_count: int = 1
     max_boxes: int = 0
     use_parent_word_hint: bool = True
     root_box: Optional[object] = None
 
     def __post_init__(self):
-        if not (self.area_bound > 0.0 and math.isfinite(self.area_bound)):
-            raise ValueError("area_bound must be positive and finite")
-        if self.max_d < 1:
-            raise ValueError("max_d must be at least 1")
-        if self.max_exp < 1:
-            raise ValueError("max_exp must be at least 1")
+        for f in fields(self):
+            if f.type in (bool, int, float):
+                object.__setattr__(self, f.name, _setting(f.name, f.type, getattr(self, f.name)))
+        # space_radius itself rejects an area_bound that is not positive and finite
+        if not math.isfinite(space_radius(self.area_bound)):
+            raise ValueError("area_bound is too large: 2 * area_bound / sqrt(3) overflows")
+        for name in ("max_d", "max_exp", "word_budget_per_box", "worker_count"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
         if not 1 <= self.max_depth <= 64:
             raise ValueError("max_depth must lie in [1, 64]")
         if not (self.min_box_width > 0.0 and math.isfinite(self.min_box_width)):
             raise ValueError("min_box_width must be positive and finite")
-        if self.word_budget_per_box < 1:
-            raise ValueError("word_budget_per_box must be at least 1")
-        if self.worker_count < 1:
-            raise ValueError("worker_count must be at least 1")
         if self.max_boxes < 0:
             raise ValueError("max_boxes must be nonnegative")
         if self.root_box is not None and not isinstance(self.root_box, ParamBox):

@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 from horocusp.cli import main, parse_complex_literal
+from horocusp.search import SearchConfig, run_search
 
 SLICE_CFG = {
     "area_bound": 6.0,
@@ -90,6 +91,44 @@ def test_search_deterministic_across_workers(tmp_path) -> None:
     assert blobs[0] == blobs[1] == blobs[2]
 
 
+def test_search_api_and_cli_give_identical_bytes(tmp_path):
+    # the CLI coerces nothing itself: integral floats and int areas reach
+    # SearchConfig as given and serialize as they do through the library
+    cfg = SearchConfig(
+        area_bound=6,
+        max_d=2.0,
+        max_exp=1,
+        max_depth=12.0,
+        min_box_width=0.01,
+        word_budget_per_box=10000,
+        root_box=SLICE_CFG["root_box"],
+    )
+    api = (run_search(cfg).to_canonical_json() + "\n").encode()
+    cfg_path = tmp_path / "ints.json"
+    cfg_path.write_text(json.dumps(dict(SLICE_CFG, area_bound=6, max_d=2.0, max_depth=12.0)))
+    for argv in (
+        ["--config", str(cfg_path)],
+        ["--config", str(cfg_path), "--area-max", "6", "--max-d", "2"],
+    ):
+        out = tmp_path / "r.json"
+        assert run_cli(["search", *argv, "--out", str(out)]) == 0, argv
+        assert out.read_bytes() == api, argv
+
+
+def test_search_report_config_reproduces_report(tmp_path):
+    first = tmp_path / "first.json"
+    argv = ["--area-max", "1.5", "--max-d", "2", "--max-exp", "1", "--max-boxes", "20",
+            "--no-hint", "--word-budget", "500"]
+    assert run_cli(["search", *argv, "--out", str(first)]) == 2
+    config = json.loads(first.read_text())["config"]
+    assert config["use_parent_word_hint"] is False and config["word_budget_per_box"] == 500
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    second = tmp_path / "second.json"
+    assert run_cli(["search", "--config", str(cfg_path), "--out", str(second)]) == 2
+    assert second.read_bytes() == first.read_bytes()
+
+
 def test_search_partial_exit_code(tmp_path):
     cfg = dict(SLICE_CFG)
     cfg["root_box"] = [[0.5, 1.5], [0.0, 0.0], [0.0, 0.0], [4.0, 4.0], [-0.75, -0.25], [0.0, 0.0]]
@@ -116,6 +155,8 @@ def test_search_usage_errors(tmp_path, capsys):
         ("root_box", SLICE_CFG["root_box"][:5]),
         ("root_box", [[1.2, 1.0]] + SLICE_CFG["root_box"][1:]),
         ("root_box", "box"),
+        ("root_box", [[0, True]] + SLICE_CFG["root_box"][1:]),
+        ("root_box", [[0, "1"]] + SLICE_CFG["root_box"][1:]),
         ("use_parent_word_hint", "no"),
         ("max_d", 1.9),
         ("max_exp", True),
@@ -127,11 +168,22 @@ def test_search_usage_errors(tmp_path, capsys):
         ("max_boxes", math.nan),
         ("min_box_width", True),
         ("area_bound", True),
+        ("area_bound", 1e308),
     ):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(dict(SLICE_CFG, **{key: bad})))
         assert run_cli(["search", "--config", str(cfg_path), "--out", out]) == 64, (key, bad)
         assert not (tmp_path / "r.json").exists()
+    for typo in ("max_dept", "wrod_budget_per_box"):
+        cfg_path = tmp_path / "typo.json"
+        cfg_path.write_text(json.dumps(dict(SLICE_CFG, **{typo: 2})))
+        capsys.readouterr()
+        assert run_cli(["search", "--config", str(cfg_path), "--out", out]) == 64, typo
+        assert typo in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+    argv = ["search", "--area-max", "1e308", "--max-boxes", "2", "--out", out]
+    assert run_cli(argv) == 64
+    assert not (tmp_path / "r.json").exists()
     capsys.readouterr()
     assert run_cli(["search", "--area-max", "6"]) == 64
     assert run_cli(["search", "--out", out]) == 64

@@ -38,27 +38,56 @@ def test_config_validation() -> None:
     for kw in (
         {"area_bound": 0.0},
         {"area_bound": math.inf},
+        {"area_bound": True},
+        {"area_bound": "6"},
+        {"area_bound": 1e308},
         {"max_d": 0},
+        {"max_d": 1.9},
+        {"max_d": True},
+        {"max_d": math.inf},
         {"max_exp": 0},
+        {"max_exp": True},
         {"max_depth": 0},
         {"max_depth": 65},
+        {"max_depth": 12.5},
         {"min_box_width": 0.0},
         {"min_box_width": math.inf},
         {"min_box_width": math.nan},
+        {"min_box_width": True},
         {"word_budget_per_box": 0},
+        {"word_budget_per_box": True},
         {"worker_count": 0},
+        {"worker_count": 1.5},
         {"max_boxes": -1},
+        {"max_boxes": 2.5},
+        {"max_boxes": True},
+        {"max_boxes": math.nan},
+        {"use_parent_word_hint": "no"},
+        {"use_parent_word_hint": 1},
         {"root_box": SLICE_BOUNDS[:5]},
         {"root_box": [[1.2, 1.0]] + SLICE_BOUNDS[1:]},
+        {"root_box": [[0, True]] + SLICE_BOUNDS[1:]},
+        {"root_box": [[0, "1"]] + SLICE_BOUNDS[1:]},
         {"root_box": "box"},
         {"root_box": 6},
     ):
         try:
             _cfg(**kw)
-            assert False, f"expected ValueError for {kw}"
-        except ValueError:
+            assert False, f"expected TypeError or ValueError for {kw}"
+        except (TypeError, ValueError):
             pass
     assert _cfg(root_box=SLICE_BOUNDS).resolved_root() == ParamBox.from_bounds(SLICE_BOUNDS)
+
+
+def test_config_defaults_and_stored_types() -> None:
+    cfg = SearchConfig(area_bound=6)
+    assert (cfg.max_d, cfg.max_exp, cfg.max_depth) == (3, 2, 12)
+    assert (cfg.min_box_width, cfg.word_budget_per_box) == (1e-3, 20000)
+    assert (cfg.worker_count, cfg.max_boxes, cfg.use_parent_word_hint) == (1, 0, True)
+    cfg = _cfg(area_bound=6, max_d=2.0, max_depth=12.0, min_box_width=1, max_boxes=5.0)
+    assert type(cfg.area_bound) is float and type(cfg.min_box_width) is float
+    assert type(cfg.max_d) is int and type(cfg.max_depth) is int and type(cfg.max_boxes) is int
+    assert cfg == _cfg(max_boxes=5, min_box_width=1.0)
 
 
 def test_subdivide_tie_break_and_partition():
