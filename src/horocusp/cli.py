@@ -189,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-hint", action="store_false", dest="use_parent_word_hint", default=None,
                    help="disable the inherited near-miss word hint")
     p.add_argument("--out", required=True, help="report JSON path")
-    p.set_defaults(func=cmd_search)
+    p.set_defaults(func=cmd_search, parser=p)
 
     p = sub.add_parser("cusp", help="cusp area, volume, and slope audit")
     p.add_argument("--a", required=True, help="first lattice generator, complex literal")
@@ -197,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slope-length", type=float, default=6.0,
                    help="slope length cutoff (default 6)")
     p.add_argument("--out", help="write JSON here instead of stdout")
-    p.set_defaults(func=cmd_cusp)
+    p.set_defaults(func=cmd_cusp, parser=p)
 
     p = sub.add_parser("horoball", help="render a horoball diagram")
     p.add_argument("--a", required=True, help="first lattice generator, complex literal")
@@ -210,22 +210,22 @@ def build_parser() -> argparse.ArgumentParser:
                    help="SVG pixels per lattice unit (default 80)")
     p.add_argument("--svg", help="SVG output path")
     p.add_argument("--csv", help="CSV output path")
-    p.set_defaults(func=cmd_horoball)
+    p.set_defaults(func=cmd_horoball, parser=p)
 
     p = sub.add_parser("verify", help="float audit of a search report")
     p.add_argument("--report", required=True, help="report JSON produced by search")
     p.add_argument("--samples", type=int, default=50,
                    help="sample points per eliminated box (default 50)")
     p.add_argument("--out", help="write the audit JSON here instead of stdout")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, parser=p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, parser)
+        # each subcommand reports usage errors through its own subparser
+        return args.func(args, args.parser)
     except SystemExit:
         raise
     except Exception as exc:  # surfaces as a runtime failure, exit 1

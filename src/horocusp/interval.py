@@ -30,11 +30,16 @@ _INF = math.inf
 
 # Unboxed arithmetic on endpoint tuples: a real interval is (lo, hi), a
 # complex interval is the rectangle (re_lo, re_hi, im_lo, im_hi).  The
-# interval classes below delegate to these functions, so the boxed route
-# and the word-scan kernel round identically.  Nothing here validates its
-# result: an overflow shows up as an infinite or NaN endpoint, which the
-# classes reject on construction.  Subtraction is addition of the exact
-# negation (-hi, -lo), since a + (-b) and a - b round alike.
+# interval classes below delegate to real_add and real_mul, which hold the
+# rounding and shortcut rules.  rect_mul, the word-scan kernel's hot spot,
+# is self-contained: it writes those rules out inline instead of calling
+# them, and tests/test_interval.py checks it bit for bit against their
+# composition.  The classes never call rect_mul, so the kernel-vs-oracle
+# bit test in tests/test_words.py checks it a second time.  Nothing here
+# validates its result: an overflow shows up as an infinite or NaN
+# endpoint, which the classes reject on construction.  Subtraction is
+# addition of the exact negation (-hi, -lo), since a + (-b) and a - b round
+# alike.
 
 
 def real_add(al: float, ah: float, bl: float, bh: float) -> tuple:
@@ -64,14 +69,135 @@ def rect_add(x: tuple, y: tuple) -> tuple:
 
 
 def rect_mul(x: tuple, y: tuple) -> tuple:
-    """Product of two rectangles, re*re - im*im and re*im + im*re."""
+    """Product of two rectangles, re*re - im*im and re*im + im*re.
+
+    Each of the four real products follows real_mul: an exact zero factor
+    first, then an exact one on the left, then on the right, else the four
+    endpoint products with one nextafter step on their min and max.  The
+    min and max are taken by the builtins' own left-to-right strict
+    comparisons, so signed zeros and NaNs come out alike; a product below
+    the running min cannot also be above the running max, hence the elif.
+    The two sums follow real_add, the real part as a + (-b).
+    """
     xrl, xrh, xil, xih = x
     yrl, yrh, yil, yih = y
-    al, ah = real_mul(xrl, xrh, yrl, yrh)
-    bl, bh = real_mul(xil, xih, yil, yih)
-    cl, ch = real_mul(xrl, xrh, yil, yih)
-    dl, dh = real_mul(xil, xih, yrl, yrh)
-    return real_add(al, ah, -bh, -bl) + real_add(cl, ch, dl, dh)
+    # a = re(x) re(y)
+    if (xrl == 0.0 and xrh == 0.0) or (yrl == 0.0 and yrh == 0.0):
+        al = ah = 0.0
+    elif xrl == 1.0 and xrh == 1.0:
+        al, ah = yrl, yrh
+    elif yrl == 1.0 and yrh == 1.0:
+        al, ah = xrl, xrh
+    else:
+        al = ah = xrl * yrl
+        p = xrl * yrh
+        if p < al:
+            al = p
+        elif p > ah:
+            ah = p
+        p = xrh * yrl
+        if p < al:
+            al = p
+        elif p > ah:
+            ah = p
+        p = xrh * yrh
+        if p < al:
+            al = p
+        elif p > ah:
+            ah = p
+        al = _nextafter(al, -_INF)
+        ah = _nextafter(ah, _INF)
+    # b = im(x) im(y)
+    if (xil == 0.0 and xih == 0.0) or (yil == 0.0 and yih == 0.0):
+        bl = bh = 0.0
+    elif xil == 1.0 and xih == 1.0:
+        bl, bh = yil, yih
+    elif yil == 1.0 and yih == 1.0:
+        bl, bh = xil, xih
+    else:
+        bl = bh = xil * yil
+        p = xil * yih
+        if p < bl:
+            bl = p
+        elif p > bh:
+            bh = p
+        p = xih * yil
+        if p < bl:
+            bl = p
+        elif p > bh:
+            bh = p
+        p = xih * yih
+        if p < bl:
+            bl = p
+        elif p > bh:
+            bh = p
+        bl = _nextafter(bl, -_INF)
+        bh = _nextafter(bh, _INF)
+    # c = re(x) im(y)
+    if (xrl == 0.0 and xrh == 0.0) or (yil == 0.0 and yih == 0.0):
+        cl = ch = 0.0
+    elif xrl == 1.0 and xrh == 1.0:
+        cl, ch = yil, yih
+    elif yil == 1.0 and yih == 1.0:
+        cl, ch = xrl, xrh
+    else:
+        cl = ch = xrl * yil
+        p = xrl * yih
+        if p < cl:
+            cl = p
+        elif p > ch:
+            ch = p
+        p = xrh * yil
+        if p < cl:
+            cl = p
+        elif p > ch:
+            ch = p
+        p = xrh * yih
+        if p < cl:
+            cl = p
+        elif p > ch:
+            ch = p
+        cl = _nextafter(cl, -_INF)
+        ch = _nextafter(ch, _INF)
+    # d = im(x) re(y)
+    if (xil == 0.0 and xih == 0.0) or (yrl == 0.0 and yrh == 0.0):
+        dl = dh = 0.0
+    elif xil == 1.0 and xih == 1.0:
+        dl, dh = yrl, yrh
+    elif yrl == 1.0 and yrh == 1.0:
+        dl, dh = xil, xih
+    else:
+        dl = dh = xil * yrl
+        p = xil * yrh
+        if p < dl:
+            dl = p
+        elif p > dh:
+            dh = p
+        p = xih * yrl
+        if p < dl:
+            dl = p
+        elif p > dh:
+            dh = p
+        p = xih * yrh
+        if p < dl:
+            dl = p
+        elif p > dh:
+            dh = p
+        dl = _nextafter(dl, -_INF)
+        dh = _nextafter(dh, _INF)
+    # re = a + (-b), im = c + d
+    if bl == 0.0 and bh == 0.0:
+        rl, rh = al, ah
+    elif al == 0.0 and ah == 0.0:
+        rl, rh = -bh, -bl
+    else:
+        rl = _nextafter(al + -bh, -_INF)
+        rh = _nextafter(ah + -bl, _INF)
+    if dl == 0.0 and dh == 0.0:
+        return rl, rh, cl, ch
+    if cl == 0.0 and ch == 0.0:
+        return rl, rh, dl, dh
+    return rl, rh, _nextafter(cl + dl, -_INF), _nextafter(ch + dh, _INF)
 
 
 def rect_abs(rl: float, rh: float, il: float, ih: float) -> "RealInterval":

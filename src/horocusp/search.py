@@ -240,11 +240,11 @@ def test_box(
     budget = cfg.word_budget_per_box
     scanned = 0
     candidate: Optional[Tuple[tuple, Word]] = None
-    near: Optional[Tuple[float, tuple, Word]] = None
+    near: Optional[Tuple[float, Word]] = None
 
     def scan(w: Word) -> Optional[BoxVerdict]:
         nonlocal scanned, candidate, near
-        if w.z_count < 1:
+        if w.is_pure_translation:
             raise ValueError(f"word stream produced a power-free word: {w}")
         bounds = lower_left_abs(w, gens)
         scanned += 1
@@ -256,10 +256,13 @@ def test_box(
             if candidate is None or key < candidate[0]:
                 candidate = (key, w)
         elif bounds.lo < 1.0:
-            # lo >= 1 means no sub-box can ever be eliminated by this word
-            entry = (bounds.hi, w.sort_key(), w)
-            if near is None or entry[:2] < near[:2]:
-                near = entry
+            # lo >= 1 means no sub-box can ever be eliminated by this word;
+            # the least (hi, sort_key), with keys built only on a tie in hi
+            hi = bounds.hi
+            if near is None or hi < near[0] or (
+                hi == near[0] and w.sort_key() < near[1].sort_key()
+            ):
+                near = (hi, w)
         return None
 
     if hint is not None:
@@ -280,7 +283,7 @@ def test_box(
     if candidate is not None:
         word = candidate[1]
         return BoxVerdict(box, BoxStatus.CANDIDATE, word, volume_bound(word), scanned)
-    miss = near[2] if near is not None else None
+    miss = near[1] if near is not None else None
     return BoxVerdict(box, BoxStatus.UNDECIDED, None, None, scanned, miss)
 
 

@@ -23,6 +23,10 @@ inverse pair {w, w^-1} is produced, the smaller under that same key, with
 the inverse rewritten into word form by one cyclic rotation.  Nothing is
 sorted after the fact: enumerate_words walks the syllables of each
 (d, total) bucket depth first in key order, so the order comes from the walk.
+A cyclically reduced word and its inverse in word form always differ in
+their first syllable, so the walk compares only that syllable, and it
+builds its words without re-running Word's validation, since it makes
+only valid syllables.
 
 Serialization: factors space-separated with caret exponents, exponent one
 omitted, e.g. "x^2 y^-1 z x z^-1".
@@ -33,9 +37,10 @@ rectangles, and resumes each word from the row of the longest syllable
 prefix it shares with the last word scanned on the same GeneratorTriple.
 The stream is a depth-first walk, so consecutive words share long prefixes.
 A prefix's row is the same left-to-right sequence of operations whatever
-follows it, so reuse changes no bit.  evaluate_word is the full-matrix
-route over the interval classes; it stays as public API and as the oracle
-the kernel's bounds are tested against bit for bit.
+follows it, so reuse changes no bit.  Its rectangle product is the
+self-contained interval.rect_mul.  evaluate_word is the full-matrix route
+over the interval classes, which never call rect_mul; it stays as public
+API and as the oracle the kernel's bounds are tested against bit for bit.
 """
 
 from __future__ import annotations
@@ -85,7 +90,23 @@ class Word:
 
     @property
     def is_pure_translation(self) -> bool:
-        return self.z_count == 0
+        """True for a power-free word, z_count == 0, in O(1).
+
+        A valid word has a zero z-exponent only as a one-syllable
+        translation, so the last exponent decides.
+        """
+        return self.syllables[-1][2] == 0
+
+    @classmethod
+    def _trusted(cls, syllables: Tuple[Syllable, ...]) -> "Word":
+        """A Word from syllables already known valid, skipping __post_init__.
+
+        Only for code that makes valid tuples of int triples by
+        construction, such as enumerate_words.
+        """
+        word = object.__new__(cls)
+        _set_syllables(word, syllables)
+        return word
 
     @property
     def cyclically_reduced(self) -> bool:
@@ -130,6 +151,10 @@ class Word:
             if e:
                 pieces.append(_factor("z", e))
         return " ".join(pieces)
+
+
+# the slot's own setter, which a frozen dataclass's __setattr__ would refuse
+_set_syllables = Word.syllables.__set__
 
 
 def _scalar_key(v: int):
@@ -182,8 +207,12 @@ def enumerate_words(max_d: int, max_exp: int) -> Iterator[Word]:
 
     Each (d, extra) bucket is one depth-first walk over syllables taken in
     _scalar_key order, so it comes out sorted.  Words of one bucket never
-    prefix each other, and a word's key is the tuple of its syllables'
-    ranks, which orders the bucket as Word.sort_key does.
+    prefix each other, so the walk order, syllable by syllable, is the
+    order of Word.sort_key.  Of a word and its inverse in word form the
+    walk keeps the one whose first syllable comes first; the two first
+    syllables never tie, so no other syllable is compared.  Words are
+    built with Word._trusted, since the walk makes only valid tuples of
+    int syllables.
     """
     if max_d < 1 or max_exp < 1:
         raise ValueError("max_d and max_exp must be at least 1")
@@ -194,6 +223,7 @@ def enumerate_words(max_d: int, max_exp: int) -> Iterator[Word]:
     )
     rank = {s: i for i, s in enumerate(syllables)}
     moves = {}
+    trusted = Word._trusted
 
     def next_syllables(d_left: int, extra_left: int, first: bool):
         """Syllables after which the rest of the bucket can still be filled.
@@ -210,33 +240,29 @@ def enumerate_words(max_d: int, max_exp: int) -> Iterator[Word]:
                 rest_d, rest_extra = d_left - abs(e), extra_left - cost
                 if (cost or first) and rest_d >= 0:
                     if -(-rest_d // max_exp) <= rest_extra <= 2 * max_exp * rest_d:
-                        out.append((s, rank[s], rest_d, rest_extra))
+                        out.append((s, rest_d, rest_extra))
         return moves[key]
 
-    def walk(d_left: int, extra_left: int, syls: list, ranks: list) -> Iterator[Word]:
-        for s, r, rest_d, rest_extra in next_syllables(d_left, extra_left, not syls):
+    def walk(d_left: int, extra_left: int, syls: list) -> Iterator[Word]:
+        for s, rest_d, rest_extra in next_syllables(d_left, extra_left, not syls):
             syls.append(s)
-            ranks.append(r)
             if rest_d:
-                yield from walk(rest_d, rest_extra, syls, ranks)
+                yield from walk(rest_d, rest_extra, syls)
             else:
-                m1, n1, e1 = syls[0]
+                first = m1, n1, e1 = syls[0]
                 e_last = s[2]
-                # cyclically reduced, and no larger than the inverse in word form
-                if m1 or n1 or (e1 > 0) == (e_last > 0):
-                    inverse = [rank[(-m1, -n1, -e_last)]]
-                    inverse += [
-                        rank[(-m, -n, -e)]
-                        for (m, n, _), (_, _, e) in zip(syls[:0:-1], syls[-2::-1])
-                    ]
-                    if ranks <= inverse:
-                        yield Word(tuple(syls))
+                # Cyclically reduced, and smaller than the inverse in word
+                # form, whose first syllable is (-m1, -n1, -e_last).  The first
+                # syllables decide: they would tie only for m1 = n1 = 0 and
+                # e1 = -e_last, a word that is not cyclically reduced.
+                reduced = m1 or n1 or (e1 > 0) == (e_last > 0)
+                if reduced and rank[first] < rank[(-m1, -n1, -e_last)]:
+                    yield trusted(tuple(syls))
             syls.pop()
-            ranks.pop()
 
     for d in range(1, max_d + 1):
         for extra in range(0, 2 * max_exp * d + 1):
-            yield from walk(d, extra, [], [])
+            yield from walk(d, extra, [])
 
 
 def evaluate_word(word: Word, target: Union[GeneratorTriple, Params, ParamBox]) -> IntervalMatrix:

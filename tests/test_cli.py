@@ -192,6 +192,24 @@ def test_search_usage_errors(tmp_path, capsys):
     assert run_cli(["frobnicate"]) == 64
 
 
+def test_usage_errors_show_the_subcommand_usage(tmp_path, capsys):
+    """A bad setting prints the usage line of its own subcommand."""
+    out = str(tmp_path / "r.json")
+    for argv in (
+        ["search", "--area-max", "1e308", "--max-boxes", "2", "--out", out],
+        ["cusp", "--a", "4", "--b", HEX_B, "--slope-length", "0"],
+        ["horoball", "--a", "4", "--b", HEX_B, "--c", "2", "--cutoff", "2",
+         "--svg", str(tmp_path / "x.svg")],
+        ["verify", "--report", "x", "--samples", "0"],
+    ):
+        capsys.readouterr()
+        assert run_cli(argv) == 64, argv
+        err = capsys.readouterr().err
+        assert err.startswith("usage: horocusp %s " % argv[0]), err
+        assert "horocusp %s: error:" % argv[0] in err, err
+    assert not list(tmp_path.iterdir())
+
+
 def test_cusp_reference_point(capsys):
     code = run_cli(["cusp", "--a", "4", "--b", HEX_B])
     assert code == 0

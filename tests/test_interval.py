@@ -3,7 +3,14 @@
 import math
 import random
 
-from horocusp.interval import ComplexInterval, IntervalMatrix, RealInterval
+from horocusp.interval import (
+    ComplexInterval,
+    IntervalMatrix,
+    RealInterval,
+    real_add,
+    real_mul,
+    rect_mul,
+)
 
 ULP = 1e-12
 
@@ -210,3 +217,40 @@ def test_determinant_of_generator_words_contains_one() -> None:
         for _ in range(rng.randint(1, 10)):
             m = m @ gens[rng.randrange(6)]
         assert m.det().contains(1.0 + 0.0j)
+
+
+_SPECIAL = (0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 1e-300, -1e-300, 1e300, -1e300)
+_SPECIAL += (math.inf, -math.inf, math.nan)
+
+
+def _endpoints(rng):
+    """A point or non-point interval, each endpoint special or random."""
+    def draw():
+        if rng.random() < 0.5:
+            return rng.choice(_SPECIAL)
+        return rng.uniform(-4.0, 4.0) * 10.0 ** rng.randint(-3, 3)
+
+    lo = draw()
+    if rng.random() < 0.4:
+        return lo, lo
+    hi = draw()
+    return (lo, hi) if not hi < lo else (hi, lo)
+
+
+def _composed_rect_mul(x, y):
+    """The rectangle product as real_mul and real_add calls."""
+    al, ah = real_mul(x[0], x[1], y[0], y[1])
+    bl, bh = real_mul(x[2], x[3], y[2], y[3])
+    cl, ch = real_mul(x[0], x[1], y[2], y[3])
+    dl, dh = real_mul(x[2], x[3], y[0], y[1])
+    return real_add(al, ah, -bh, -bl) + real_add(cl, ch, dl, dh)
+
+
+def test_rect_mul_matches_real_primitives() -> None:
+    """The self-contained rect_mul rounds exactly as the primitives compose."""
+    rng = random.Random(81157)
+    for _ in range(100_000):
+        x = _endpoints(rng) + _endpoints(rng)
+        y = _endpoints(rng) + _endpoints(rng)
+        got = [v.hex() for v in rect_mul(x, y)]
+        assert got == [v.hex() for v in _composed_rect_mul(x, y)], (x, y)

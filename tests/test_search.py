@@ -4,7 +4,9 @@ import hashlib
 import json
 import math
 from collections import Counter
+from itertools import permutations
 
+from horocusp import search as search_module
 from horocusp.bicuspid import COORD_NAMES, ParamBox, Params, param_space
 from horocusp.search import (
     BoxStatus,
@@ -15,6 +17,7 @@ from horocusp.search import (
     test_box,
     verify_report,
 )
+from horocusp.interval import RealInterval
 from horocusp.words import parse_word
 
 SLICE_BOUNDS = [[1.0, 1.2], [0.0, 0.0], [0.0, 0.0], [4.0, 4.0], [-0.7, -0.4], [0.0, 0.0]]
@@ -170,6 +173,46 @@ def test_box_hint_scanned_first():
     v = test_box(box, None, _cfg(), hint=parse_word("z x z"))
     assert v.status is BoxStatus.ELIMINATED_KILLER
     assert v.words_scanned == 1
+
+
+def test_near_miss_tie_rule(monkeypatch) -> None:
+    """The near miss is the least (hi, sort_key) in any scan order, hint included."""
+    box = ParamBox.from_bounds(
+        [[1.0, 1.2], [0.0, 0.0], [0.0, 0.0], [4.0, 4.0], [-0.3, -0.1], [0.0, 0.0]]
+    )
+    small, mid, big, far = (parse_word(t) for t in ("x z", "z x z", "z x^-1 z", "z"))
+    assert small.sort_key() < mid.sort_key() < big.sort_key()
+    assert far.sort_key() < small.sort_key()
+    bounds = {}
+    monkeypatch.setattr(search_module, "lower_left_abs", lambda w, gens: bounds[w])
+
+    def near_miss(order, hint=None):
+        v = test_box(box, order, _cfg(), hint=hint)
+        assert v.status is BoxStatus.UNDECIDED
+        return v.near_miss
+
+    # equal hi: the smallest sort_key wins in stream order, reversed, or as a late hint
+    bounds.update({w: RealInterval(0.5, 1.25) for w in (small, mid, big)})
+    bounds[far] = RealInterval(1.0, 1.0)  # lo >= 1: never a near miss
+    assert near_miss([small, mid, big]) == small
+    assert near_miss([big, mid, small]) == small
+    assert near_miss([small, mid, big], hint=big) == small
+    assert near_miss([big, far], hint=mid) == mid
+    assert near_miss([far]) is None
+    # a strictly smaller hi wins over any key
+    bounds[big] = RealInterval(0.5, 1.125)
+    assert near_miss([small, mid, big]) == big
+    assert near_miss([big, small, mid], hint=small) == big
+    bounds[far] = RealInterval(0.0, 1.0)
+    assert near_miss([small, mid, big, far]) == far
+
+    for his in ((1.5, 1.5, 1.5, 1.5), (1.5, 1.25, 1.25, 2.0), (1.75, 1.75, 1.5, 1.75)):
+        bounds.update({w: RealInterval(0.25, hi) for w, hi in zip((small, mid, big, far), his)})
+        expected = min(bounds, key=lambda w: (bounds[w].hi, w.sort_key()))
+        for order in permutations(bounds):
+            assert near_miss(list(order)) == expected, order
+            for hint in order:
+                assert near_miss(list(order), hint=hint) == expected, (order, hint)
 
 
 def _status_counts(report):

@@ -84,6 +84,9 @@ def test_z_count_examples():
     assert Word(((0, 0, 1),)).z_count == 1
     assert Word(((2, 1, 0),)).z_count == 0
     assert parse_word("z x z^-2 y z").z_count == 4
+    for text in ("x", "y^-2", "x^2 y", "z", "x z^-1", "z x z^-2 y z"):
+        w = parse_word(text)
+        assert w.is_pure_translation is (w.z_count == 0) is ("z" not in text), text
 
 
 def test_depth_one_enumeration_content():
@@ -220,6 +223,20 @@ def test_enumeration_matches_canonical_stream(max_d, max_exp, count) -> None:
     else:
         # the prefix ends inside one (d, total) bucket; rebuild through that bucket
         assert got == _canonical_stream(max_exp, got[-1].sort_key()[:2])[:count]
+
+
+@pytest.mark.parametrize(
+    "max_d, max_exp, count", [(2, 1, None), (3, 2, None), (2, 3, None), (6, 3, 20000)]
+)
+def test_enumerated_words_are_validated_words(max_d, max_exp, count) -> None:
+    """Words built without re-validation equal and hash like validated ones."""
+    for w in islice(enumerate_words(max_d, max_exp), count):
+        assert type(w.syllables) is tuple
+        assert all(type(s) is tuple and all(type(v) is int for v in s) for s in w.syllables)
+        for twin in (Word(w.syllables), parse_word(str(w))):
+            assert twin == w and hash(twin) == hash(w) and twin.syllables == w.syllables
+        assert w.is_pure_translation is (w.z_count == 0)
+        assert not w.is_pure_translation
 
 
 def _random_dyadic_boxes(area_bound, count, rng):
