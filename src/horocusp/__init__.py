@@ -61,7 +61,6 @@ from .horoball import (
     export_csv,
     horoball_diagram,
     min_lower_left,
-    reduced_words,
     render_svg,
 )
 
@@ -105,7 +104,6 @@ __all__ = [
     "min_lower_left",
     "param_space",
     "parse_word",
-    "reduced_words",
     "render_svg",
     "run_search",
     "short_slopes",

@@ -126,6 +126,7 @@ class ParamBox:
 class GeneratorTriple:
     """Interval enclosures of the three generators over a box or point.
 
+    alpha and beta are kept as their offsets a and b, gamma as a matrix.
     Caches translation matrices keyed by integer exponent pairs and powers
     of the pairing element, since word evaluation reuses both heavily, and
     their unboxed entries keyed by syllable for the word-scan kernel.
@@ -137,8 +138,6 @@ class GeneratorTriple:
     a: ComplexInterval
     b: ComplexInterval
     c: ComplexInterval
-    alpha: IntervalMatrix
-    beta: IntervalMatrix
     gamma: IntervalMatrix
     _translations: dict = field(default_factory=dict)
     _gamma_powers: dict = field(default_factory=dict)
@@ -147,16 +146,8 @@ class GeneratorTriple:
 
     @classmethod
     def build(cls, a: ComplexInterval, b: ComplexInterval, c: ComplexInterval) -> "GeneratorTriple":
-        one = ComplexInterval.point(1.0)
-        zero = ComplexInterval.point(0.0)
-        return cls(
-            a,
-            b,
-            c,
-            alpha=IntervalMatrix(one, a, zero, one),
-            beta=IntervalMatrix(one, b, zero, one),
-            gamma=IntervalMatrix(c, ComplexInterval.point(-1.0), one, zero),
-        )
+        point = ComplexInterval.point
+        return cls(a, b, c, IntervalMatrix(c, point(-1.0), point(1.0), point(0.0)))
 
     def translation(self, m: int, n: int) -> IntervalMatrix:
         """Enclosure of alpha^m * beta^n, the translation by m*a + n*b."""

@@ -5,11 +5,11 @@ undecided boxes, 64 usage error, 65 degenerate lattice.
 """
 
 import argparse
+import inspect
 import json
 import math
 import re
 import sys
-from dataclasses import fields
 
 from horocusp import __version__
 from horocusp.bicuspid import Params
@@ -79,7 +79,8 @@ def cmd_search(args, parser):
             parser.error("cannot read config file: %s" % exc)
         if not isinstance(settings, dict):
             parser.error("config file must hold a JSON object")
-    names = {f.name for f in fields(SearchConfig)}
+    # SearchConfig's keywords, so that --workers reaches its deprecation note
+    names = inspect.signature(SearchConfig).parameters
     settings.update((k, v) for k, v in vars(args).items() if k in names and v is not None)
     try:
         cfg = SearchConfig(**settings)
@@ -135,7 +136,10 @@ def cmd_horoball(args, parser):
     if (a.conjugate() * b).imag == 0.0:
         print("error: degenerate lattice: a and b are collinear", file=sys.stderr)
         return EXIT_DEGENERATE
-    diagram = horoball_diagram(Params(a, b, c), args.cutoff, args.depth)
+    try:
+        diagram = horoball_diagram(Params(a, b, c), args.cutoff, args.depth)
+    except ValueError as exc:
+        parser.error(str(exc))
     config = {
         "a": args.a,
         "b": args.b,
@@ -183,8 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-box-width", type=float, help="smallest box width to split")
     p.add_argument("--word-budget", type=int, dest="word_budget_per_box",
                    help="words scanned per box")
-    p.add_argument("--workers", type=int, dest="worker_count",
-                   help="accepted for compatibility; the search runs on one thread")
+    p.add_argument("--workers", type=int, dest="worker_count", help=argparse.SUPPRESS)
     p.add_argument("--max-boxes", type=int, help="box budget, 0 for unlimited")
     p.add_argument("--no-hint", action="store_false", dest="use_parent_word_hint", default=None,
                    help="disable the inherited near-miss word hint")

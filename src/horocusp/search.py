@@ -4,7 +4,7 @@ The driver subdivides the feasible box dyadically, scans each box against a
 canonical word stream with the killer test, and assembles a leaf cover with
 per-box verdicts plus an aggregate covolume bound.  The search runs on one
 thread, so reports serialize to canonical JSON that is byte-identical from
-run to run, capped or complete, whatever worker count is configured.
+run to run, capped or complete.
 """
 
 import json
@@ -12,8 +12,9 @@ import logging
 import math
 import random
 import time
+import warnings
 import zlib
-from dataclasses import dataclass, field, fields
+from dataclasses import InitVar, dataclass, field, fields
 from enum import Enum
 from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
@@ -65,9 +66,9 @@ class SearchConfig:
     limit trips, untested boxes become undecided leaves and the report is
     flagged incomplete.  root_box overrides the feasible box, as six
     [lo, hi] coordinate bounds or a ParamBox; bounds are checked and turned
-    into a ParamBox on construction.  worker_count is validated and kept
-    for compatibility; the search runs on one thread whatever its value, so
-    it changes neither the report bytes nor the speed.
+    into a ParamBox on construction.  The search runs on one thread; the
+    old worker_count keyword is still accepted, ignored whatever its value,
+    with a FutureWarning.
     """
 
     area_bound: float
@@ -76,19 +77,23 @@ class SearchConfig:
     max_depth: int = 12
     min_box_width: float = 1e-3
     word_budget_per_box: int = 20000
-    worker_count: int = 1
+    worker_count: InitVar[object] = None
     max_boxes: int = 0
     use_parent_word_hint: bool = True
     root_box: Optional[object] = None
 
-    def __post_init__(self):
+    def __post_init__(self, worker_count):
+        if worker_count is not None:
+            note = "worker_count is deprecated and ignored: the search runs on one thread"
+            # stacklevel 3 names the caller of the generated __init__
+            warnings.warn(note, FutureWarning, stacklevel=3)
         for f in fields(self):
             if f.type in (bool, int, float):
                 object.__setattr__(self, f.name, _setting(f.name, f.type, getattr(self, f.name)))
         # space_radius itself rejects an area_bound that is not positive and finite
         if not math.isfinite(space_radius(self.area_bound)):
             raise ValueError("area_bound is too large: 2 * area_bound / sqrt(3) overflows")
-        for name in ("max_d", "max_exp", "word_budget_per_box", "worker_count"):
+        for name in ("max_d", "max_exp", "word_budget_per_box"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
         if not 1 <= self.max_depth <= 64:
@@ -309,7 +314,7 @@ def run_search(cfg: SearchConfig) -> SearchReport:
     cfg.max_depth are subdivided; other undecided boxes become leaves.
     The search runs on one thread, so the box budget cuts a fixed prefix of
     the depth-first order and every report, capped or complete, serializes
-    identically for any worker_count.
+    identically from run to run.
     """
     start = time.perf_counter()
     root = cfg.resolved_root()

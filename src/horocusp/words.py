@@ -46,6 +46,7 @@ API and as the oracle the kernel's bounds are tested against bit for bit.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -198,6 +199,34 @@ def parse_word(text: str) -> Word:
     return Word(tuple(syllables))
 
 
+@functools.cache
+def _syllable_ranks(max_exp: int) -> dict:
+    """Rank of each syllable (m, n, e) within max_exp by _scalar_key; keys in rank order."""
+    span = range(-max_exp, max_exp + 1)
+    syllables = ((m, n, e) for m in span for n in span for e in span if e)
+    ordered = sorted(syllables, key=lambda s: tuple(map(_scalar_key, s)))
+    return {s: i for i, s in enumerate(ordered)}
+
+
+@functools.cache
+def _moves(max_exp: int, d_left: int, extra_left: int, first: bool) -> tuple:
+    """(syllable, rest_d, rest_extra) for each next syllable, in rank order.
+
+    A syllable is next when the rest of the bucket can still be filled: it
+    needs between ceil(d / max_exp) and d more syllables, each with a
+    nontrivial block costing 1 to 2 * max_exp of extra.
+    """
+    out = []
+    for s in _syllable_ranks(max_exp):
+        m, n, e = s
+        cost = abs(m) + abs(n)
+        rest_d, rest_extra = d_left - abs(e), extra_left - cost
+        if (cost or first) and rest_d >= 0:
+            if -(-rest_d // max_exp) <= rest_extra <= 2 * max_exp * rest_d:
+                out.append((s, rest_d, rest_extra))
+    return tuple(out)
+
+
 def enumerate_words(max_d: int, max_exp: int) -> Iterator[Word]:
     """Yield every cyclically reduced word within the caps, canonically ordered.
 
@@ -212,39 +241,15 @@ def enumerate_words(max_d: int, max_exp: int) -> Iterator[Word]:
     walk keeps the one whose first syllable comes first; the two first
     syllables never tie, so no other syllable is compared.  Words are
     built with Word._trusted, since the walk makes only valid tuples of
-    int syllables.
+    int syllables.  Every call shares the cached ranks and move tables.
     """
     if max_d < 1 or max_exp < 1:
         raise ValueError("max_d and max_exp must be at least 1")
-    span = range(-max_exp, max_exp + 1)
-    syllables = sorted(
-        ((m, n, e) for m in span for n in span for e in span if e),
-        key=lambda s: tuple(map(_scalar_key, s)),
-    )
-    rank = {s: i for i, s in enumerate(syllables)}
-    moves = {}
+    rank = _syllable_ranks(max_exp)
     trusted = Word._trusted
 
-    def next_syllables(d_left: int, extra_left: int, first: bool):
-        """Syllables after which the rest of the bucket can still be filled.
-
-        The rest needs between ceil(d / max_exp) and d more syllables, each
-        with a nontrivial block costing 1 to 2 * max_exp of extra.
-        """
-        key = (d_left, extra_left, first)
-        if key not in moves:
-            out = moves[key] = []
-            for s in syllables:
-                m, n, e = s
-                cost = abs(m) + abs(n)
-                rest_d, rest_extra = d_left - abs(e), extra_left - cost
-                if (cost or first) and rest_d >= 0:
-                    if -(-rest_d // max_exp) <= rest_extra <= 2 * max_exp * rest_d:
-                        out.append((s, rest_d, rest_extra))
-        return moves[key]
-
     def walk(d_left: int, extra_left: int, syls: list) -> Iterator[Word]:
-        for s, rest_d, rest_extra in next_syllables(d_left, extra_left, not syls):
+        for s, rest_d, rest_extra in _moves(max_exp, d_left, extra_left, not syls):
             syls.append(s)
             if rest_d:
                 yield from walk(rest_d, rest_extra, syls)

@@ -26,10 +26,13 @@ def test_pairing_lower_left_exact_at_points():
 
 def test_generator_shapes():
     g = gens_from_params(REF)
-    assert g.alpha.contains(1.0, 4.0, 0.0, 1.0)
-    assert g.beta.contains(1.0, REF.b, 0.0, 1.0)
+    alpha, beta = g.translation(1, 0), g.translation(0, 1)
+    assert alpha.contains(1.0, 4.0, 0.0, 1.0)
+    assert beta.contains(1.0, REF.b, 0.0, 1.0)
     assert g.gamma.contains(2.0, -1.0, 1.0, 0.0)
-    assert g.alpha.m21.re.is_point and g.alpha.m21.re.lo == 0.0
+    assert alpha.m21.re.is_point and alpha.m21.re.lo == 0.0
+    # the exact-one and exact-zero shortcuts give the offsets a and b exactly
+    assert alpha.m12 == g.a and beta.m12 == g.b
 
 
 def test_translation_cache_and_offset():
@@ -205,6 +208,10 @@ def test_box_generators_enclose_point_generators() -> None:
         assert box.contains_params(p)
         gb = gens_from_params(box)
         gp = gens_from_params(p)
-        for mb, mp in ((gb.alpha, gp.alpha), (gb.beta, gp.beta), (gb.gamma, gp.gamma)):
+        for mb, mp in (
+            (gb.translation(1, 0), gp.translation(1, 0)),
+            (gb.translation(0, 1), gp.translation(0, 1)),
+            (gb.gamma, gp.gamma),
+        ):
             for name in ("m11", "m12", "m21", "m22"):
                 assert getattr(mb, name).encloses(getattr(mp, name))

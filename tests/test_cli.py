@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 from horocusp.cli import main, parse_complex_literal
 from horocusp.search import SearchConfig, run_search
@@ -69,26 +70,42 @@ def test_search_flags_override_config_file(tmp_path):
     assert code in (0, 2)
 
 
-def test_search_deterministic_across_workers(tmp_path) -> None:
+def test_search_deterministic_across_runs(tmp_path) -> None:
     cfg_path = tmp_path / "slice.json"
     cfg_path.write_text(json.dumps(SLICE_CFG))
     blobs = []
-    for i, workers in enumerate(("1", "8", "1")):
+    for i in range(2):
         out = tmp_path / ("r%d.json" % i)
-        code = run_cli(
-            [
-                "search",
-                "--config",
-                str(cfg_path),
-                "--workers",
-                workers,
-                "--out",
-                str(out),
-            ]
-        )
+        code = run_cli(["search", "--config", str(cfg_path), "--out", str(out)])
         assert code == 0
         blobs.append(out.read_bytes())
-    assert blobs[0] == blobs[1] == blobs[2]
+    assert blobs[0] == blobs[1]
+
+
+def test_search_workers_flag_and_key_print_a_note(tmp_path, capsys) -> None:
+    """--workers and a worker_count key are ignored with a note on stderr."""
+    cfg_path = tmp_path / "slice.json"
+    cfg_path.write_text(json.dumps(SLICE_CFG))
+    keyed = tmp_path / "keyed.json"
+    keyed.write_text(json.dumps(dict(SLICE_CFG, worker_count=8)))
+    plain = tmp_path / "plain.json"
+    assert run_cli(["search", "--config", str(cfg_path), "--out", str(plain)]) == 0
+    for i, argv in enumerate(
+        (["--config", str(cfg_path), "--workers", "8"], ["--config", str(keyed)])
+    ):
+        out = tmp_path / ("r%d.json" % i)
+        proc = subprocess.run(
+            [sys.executable, "-m", "horocusp.cli", "search", *argv, "--out", str(out)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "FutureWarning: worker_count is deprecated and ignored" in proc.stderr
+        assert out.read_bytes() == plain.read_bytes(), argv
+    capsys.readouterr()
+    assert run_cli(["search", "--help"]) == 0
+    help_text = capsys.readouterr().out
+    assert "--max-boxes" in help_text and "--workers" not in help_text
 
 
 def test_search_api_and_cli_give_identical_bytes(tmp_path):
@@ -162,7 +179,6 @@ def test_search_usage_errors(tmp_path, capsys):
         ("max_exp", True),
         ("max_depth", 12.5),
         ("word_budget_per_box", True),
-        ("worker_count", 1.5),
         ("max_boxes", True),
         ("max_d", math.inf),
         ("max_boxes", math.nan),
@@ -345,3 +361,14 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["max_exceptional_count"] == 8
+
+
+def test_horoball_depth_over_the_walk_cap_is_a_usage_error(tmp_path, capsys):
+    svg = tmp_path / "o.svg"
+    argv = ["horoball", "--a", "4", "--b", HEX_B, "--c", "2", "--cutoff", "0.05",
+            "--depth", "40", "--svg", str(svg)]
+    start = time.perf_counter()
+    assert run_cli(argv) == 64
+    assert time.perf_counter() - start < 1.0
+    assert "words" in capsys.readouterr().err
+    assert not svg.exists()

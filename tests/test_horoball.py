@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import time
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -11,14 +12,17 @@ import pytest
 from horocusp.bicuspid import Params
 from horocusp.horoball import (
     DEDUP_DECIMALS,
+    MAX_WALK_WORDS,
     GroupElement,
     enumerate_elements,
     export_csv,
     horoball_diagram,
     min_lower_left,
-    reduced_words,
     render_svg,
+    _COSET,
+    _REDUCED,
     _reduce_mod_lattice,
+    _walk,
 )
 
 REF = Params(4.0, 1.0 + math.sqrt(3.0) * 1j, 2.0)
@@ -55,11 +59,17 @@ def _prod(letters, p):
     return acc
 
 
+def _reduced_words(max_len):
+    """Letter sequences of the reduced-word walk, in walk order."""
+    return [w for w, _ in _walk(REF, max_len, range(6), _REDUCED)]
+
+
 def test_reduced_word_counts_match_cayley_ball() -> None:
-    words = list(reduced_words(5))
+    words = _reduced_words(5)
     for k in range(1, 6):
         assert sum(1 for w in words if len(w) == k) == 6 * 5 ** (k - 1)
     assert len(set(words)) == len(words)
+    assert [len(w) for w in words] == sorted(len(w) for w in words)
 
 
 def test_reduced_words_content_matches_direct_filter():
@@ -70,7 +80,26 @@ def test_reduced_words_content_matches_direct_filter():
             if any(w[i + 1] == inverse[w[i]] for i in range(k - 1)):
                 continue
             direct.add(w)
-    assert set(reduced_words(3)) == direct
+    assert set(_reduced_words(3)) == direct
+
+
+def test_deep_walks_fail_at_once():
+    start = time.perf_counter()
+    for call in (
+        lambda: horoball_diagram(REF, 0.05, 40),
+        lambda: min_lower_left(REF, 40),
+        lambda: enumerate_elements(REF, 40),
+    ):
+        with pytest.raises(ValueError, match="words"):
+            call()
+    assert time.perf_counter() - start < 1.0
+    # checked before the first level is built, counting five successors per
+    # word: the reduced walk builds 585,936 words to length 8 and 2,929,686
+    # to 9; the double-coset walk at most 976,562 to 9 and 4,882,812 to 10
+    for first, follows, longest in ((range(6), _REDUCED, 8), ((4, 5), _COSET, 9)):
+        assert next(_walk(REF, longest, first, follows))[0] == (first[0],)
+        with pytest.raises(ValueError, match=str(MAX_WALK_WORDS)):
+            next(_walk(REF, longest + 1, first, follows))
 
 
 def test_depth_one_elements():

@@ -4,7 +4,10 @@ import hashlib
 import json
 import math
 from collections import Counter
+from dataclasses import fields
 from itertools import permutations
+
+import pytest
 
 from horocusp import search as search_module
 from horocusp.bicuspid import COORD_NAMES, ParamBox, Params, param_space
@@ -59,8 +62,6 @@ def test_config_validation() -> None:
         {"min_box_width": True},
         {"word_budget_per_box": 0},
         {"word_budget_per_box": True},
-        {"worker_count": 0},
-        {"worker_count": 1.5},
         {"max_boxes": -1},
         {"max_boxes": 2.5},
         {"max_boxes": True},
@@ -86,7 +87,7 @@ def test_config_defaults_and_stored_types() -> None:
     cfg = SearchConfig(area_bound=6)
     assert (cfg.max_d, cfg.max_exp, cfg.max_depth) == (3, 2, 12)
     assert (cfg.min_box_width, cfg.word_budget_per_box) == (1e-3, 20000)
-    assert (cfg.worker_count, cfg.max_boxes, cfg.use_parent_word_hint) == (1, 0, True)
+    assert (cfg.max_boxes, cfg.use_parent_word_hint) == (0, True)
     cfg = _cfg(area_bound=6, max_d=2.0, max_depth=12.0, min_box_width=1, max_boxes=5.0)
     assert type(cfg.area_bound) is float and type(cfg.min_box_width) is float
     assert type(cfg.max_d) is int and type(cfg.max_depth) is int and type(cfg.max_boxes) is int
@@ -299,24 +300,47 @@ def test_run_search_point_box_survives():
     assert rep.global_volume_bound == "unbounded"
 
 
-def test_run_search_worker_count_byte_determinism():
+def test_run_search_byte_determinism():
     for max_boxes in (0, 7):
         blobs = []
-        for workers in (1, 4, 8):
+        for _ in range(2):
             rep = run_search(
                 _cfg(
                     max_depth=6,
                     min_box_width=1e-3,
-                    worker_count=workers,
                     max_boxes=max_boxes,
                     root_box=STRADDLE_BOUNDS,
                 )
             )
             assert rep.incomplete == (max_boxes > 0)
             blobs.append(rep.to_canonical_json())
-        assert blobs[0] == blobs[1] == blobs[2]
+        assert blobs[0] == blobs[1]
         assert "worker_count" not in blobs[0]
         assert "wall_time" not in blobs[0]
+
+
+def test_worker_count_is_a_deprecated_no_op():
+    assert [f.name for f in fields(SearchConfig)] == [
+        "area_bound",
+        "max_d",
+        "max_exp",
+        "max_depth",
+        "min_box_width",
+        "word_budget_per_box",
+        "max_boxes",
+        "use_parent_word_hint",
+        "root_box",
+    ]
+    for value in (8, 1, 0, 1.5, "many"):
+        with pytest.warns(FutureWarning, match="worker_count") as record:
+            cfg = SearchConfig(area_bound=6.0, worker_count=value)
+        assert len(record) == 1
+        assert record[0].filename == __file__  # the caller, not search.py
+        assert cfg == SearchConfig(area_bound=6.0)
+    plain = run_search(_cfg(max_depth=6, max_boxes=7, root_box=STRADDLE_BOUNDS))
+    with pytest.warns(FutureWarning):
+        cfg = _cfg(max_depth=6, max_boxes=7, root_box=STRADDLE_BOUNDS, worker_count=8)
+    assert run_search(cfg).to_canonical_json() == plain.to_canonical_json()
 
 
 def test_capped_area_search_report_golden() -> None:

@@ -2,7 +2,7 @@
 
 import math
 import random
-from itertools import islice
+from itertools import islice, zip_longest
 
 import pytest
 
@@ -169,6 +169,18 @@ def test_enumeration_is_sorted_and_deterministic():
     assert keys == sorted(keys)
     assert len(set(first)) == len(first)
     assert all(w.cyclically_reduced and w.z_count >= 1 for w in first)
+    # live streams with other caps share the cached move tables; taken in
+    # turns, each still yields its own canonical stream
+    caps = ((6, 3, 2000), (2, 3, None), (4, 2, 2000), (2, 1, None))
+    got = [[] for _ in caps]
+    streams = [islice(enumerate_words(max_d, max_exp), n) for max_d, max_exp, n in caps]
+    for row in zip_longest(*streams):
+        for words, w in zip(got, row):
+            if w is not None:
+                words.append(w)
+    for (max_d, max_exp, n), words in zip(caps, got):
+        limit = (max_d, math.inf) if n is None else words[-1].sort_key()[:2]
+        assert words == _canonical_stream(max_exp, limit)[:n], (max_d, max_exp)
 
 
 def _canonical_stream(max_exp, limit):
