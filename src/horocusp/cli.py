@@ -163,7 +163,10 @@ def cmd_verify(args, parser):
     except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
-    result = verify_report(data, args.samples)
+    try:
+        result = verify_report(data, args.samples)
+    except ValueError as exc:
+        parser.error("%s: %s" % (args.report, exc))
     payload = {
         "version": __version__,
         "config": {"report": args.report, "samples": args.samples},

@@ -200,14 +200,15 @@ def rect_mul(x: tuple, y: tuple) -> tuple:
     return rl, rh, _nextafter(cl + dl, -_INF), _nextafter(ch + dh, _INF)
 
 
-def rect_abs(rl: float, rh: float, il: float, ih: float) -> "RealInterval":
-    """Certified enclosure [L, U] of |z| over the rectangle.
+def rect_abs(rl: float, rh: float, il: float, ih: float) -> tuple:
+    """Certified enclosure (L, U) of |z| over the rectangle.
 
     L comes from the rectangle point nearest the origin, U from the
     farthest corner. When the extremal point lies on an axis the
     modulus reduces to a plain absolute value and no rounding occurs,
     so L is exactly 0 iff the rectangle contains the origin and point
-    rectangles on an axis get exact bounds.
+    rectangles on an axis get exact bounds.  For finite endpoints
+    0 <= L <= U, and L is finite; U is infinite when hypot overflows.
     """
     near_x = 0.0 if rl <= 0.0 <= rh else (rl if rl > 0.0 else rh)
     near_y = 0.0 if il <= 0.0 <= ih else (il if il > 0.0 else ih)
@@ -229,7 +230,7 @@ def rect_abs(rl: float, rh: float, il: float, ih: float) -> "RealInterval":
         hi = far_x
     else:
         hi = _nextafter(math.hypot(far_x, far_y), _INF)
-    return RealInterval(max(lo, 0.0), hi)
+    return max(lo, 0.0), hi
 
 
 @dataclass(slots=True)
@@ -238,6 +239,17 @@ class RealInterval:
 
     lo: float
     hi: float
+
+    @classmethod
+    def _trusted(cls, lo: float, hi: float) -> "RealInterval":
+        """An interval from floats already known finite with lo <= hi, skipping __post_init__.
+
+        Only for code that has checked both, such as the scan kernel.
+        """
+        iv = object.__new__(cls)
+        iv.lo = lo
+        iv.hi = hi
+        return iv
 
     def __post_init__(self) -> None:
         self.lo = float(self.lo)
@@ -332,7 +344,7 @@ class ComplexInterval:
 
     def abs_bounds(self) -> RealInterval:
         """Certified enclosure [L, U] of |z| over the rectangle, see rect_abs."""
-        return rect_abs(*self.endpoints())
+        return RealInterval(*rect_abs(*self.endpoints()))
 
     def endpoints(self) -> tuple:
         """The unboxed rectangle (re_lo, re_hi, im_lo, im_hi)."""

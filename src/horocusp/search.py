@@ -5,6 +5,22 @@ canonical word stream with the killer test, and assembles a leaf cover with
 per-box verdicts plus an aggregate covolume bound.  The search runs on one
 thread, so reports serialize to canonical JSON that is byte-identical from
 run to run, capped or complete.
+
+A box skips the words an ancestor box has ruled out.  A word whose
+enclosure [L, U] of |m21| has L >= _DEAD_LO on a box has L >= 1 on every
+box inside it, so it is inconclusive there and never a near miss.  Every
+step of lower_left_abs is inclusion isotone: real_add and real_mul with
+their exact 0 and 1 shortcuts, the inline rect_mul, nextafter, and the
+generator and gamma^e builds, since round-to-nearest and nextafter are
+monotone and a shortcut taken only on the child returns the exact value,
+which the parent's rounded hull contains.  So each rectangle of a child's
+bottom row lies inside the parent's, and the point of rect_abs nearest the
+origin lies at least as far out on each axis.  From Python 3.10 on
+math.hypot errs by under 1 ulp, so L, one nextafter below it, is within 2
+ulp of the true distance; _DEAD_LO leaves a 16-ulp margin above 1.  A
+finite parent row also keeps the child's finite.  Such a word still counts
+as scanned, toward the budget too, so verdicts, near misses, hints and
+report bytes are those of a scan that evaluates every word.
 """
 
 import json
@@ -37,6 +53,9 @@ from .words import (
 log = logging.getLogger(__name__)
 
 AUDIT_TOLERANCE = 1e-9
+
+# L >= _DEAD_LO on a box forces L >= 1 on every box inside it (module docstring)
+_DEAD_LO = 1.0 + 2.0**-48
 
 
 def _setting(name: str, kind: type, value):
@@ -143,6 +162,8 @@ class BoxVerdict:
     word is the eliminating word or the canonical-least candidate word.
     near_miss is the scanned word with the smallest upper bound on the
     lower-left entry; it seeds the children's scans and is never serialized.
+    dead holds the stream indices of the words this box or an ancestor has
+    ruled out for every box below it; it too goes to the children only.
     """
 
     box: ParamBox
@@ -151,6 +172,7 @@ class BoxVerdict:
     volume_bound: Optional[float] = None
     words_scanned: int = 0
     near_miss: Optional[Word] = field(default=None, repr=False)
+    dead: frozenset = field(default=frozenset(), repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         d = {
@@ -229,6 +251,7 @@ def test_box(
     cfg: SearchConfig,
     *,
     hint: Optional[Word] = None,
+    dead: frozenset = frozenset(),
 ) -> BoxVerdict:
     """Scan one box against the word stream.
 
@@ -236,6 +259,14 @@ def test_box(
     first eliminating word otherwise, else the canonically least candidate
     word, else Undecided.  At most cfg.word_budget_per_box words are
     scanned and the hint word is scanned first.
+
+    dead holds indices into the same word stream of words with L >=
+    _DEAD_LO on an enclosing box.  Each counts as scanned without being
+    evaluated: by inclusion isotonicity and the hypot margin (see the
+    module docstring) it has L >= 1 here, so it neither decides the box
+    nor becomes its near miss.  An Undecided verdict carries a new set,
+    dead plus the indices that reach _DEAD_LO on this box, for its
+    children; the set passed in is never changed, since siblings share it.
     """
     if box_in_param_space(box, cfg.area_bound) is Feasibility.OUTSIDE:
         return BoxVerdict(box, BoxStatus.ELIMINATED_INFEASIBLE)
@@ -246,8 +277,9 @@ def test_box(
     scanned = 0
     candidate: Optional[Tuple[tuple, Word]] = None
     near: Optional[Tuple[float, Word]] = None
+    ruled_out: List[int] = []
 
-    def scan(w: Word) -> Optional[BoxVerdict]:
+    def scan(w: Word, index: Optional[int]) -> Optional[BoxVerdict]:
         nonlocal scanned, candidate, near
         if w.is_pure_translation:
             raise ValueError(f"word stream produced a power-free word: {w}")
@@ -268,20 +300,27 @@ def test_box(
                 hi == near[0] and w.sort_key() < near[1].sort_key()
             ):
                 near = (hi, w)
+        elif bounds.lo >= _DEAD_LO and index is not None:
+            ruled_out.append(index)
         return None
 
     if hint is not None:
-        verdict = scan(hint)
+        verdict = scan(hint, None)
         if verdict is not None:
             return verdict
     stream = iter(words) if words is not None else enumerate_words(cfg.max_d, cfg.max_exp)
+    index = -1
     while scanned < budget:
         w = next(stream, None)
         if w is None:
             break
+        index += 1
         if hint is not None and w == hint:
             continue
-        verdict = scan(w)
+        if index in dead:
+            scanned += 1
+            continue
+        verdict = scan(w, index)
         if verdict is not None:
             return verdict
 
@@ -289,7 +328,7 @@ def test_box(
         word = candidate[1]
         return BoxVerdict(box, BoxStatus.CANDIDATE, word, volume_bound(word), scanned)
     miss = near[1] if near is not None else None
-    return BoxVerdict(box, BoxStatus.UNDECIDED, None, None, scanned, miss)
+    return BoxVerdict(box, BoxStatus.UNDECIDED, None, None, scanned, miss, dead.union(ruled_out))
 
 
 # keep pytest from collecting the operation as a test case
@@ -312,6 +351,8 @@ def run_search(cfg: SearchConfig) -> SearchReport:
 
     Undecided boxes wider than cfg.min_box_width and shallower than
     cfg.max_depth are subdivided; other undecided boxes become leaves.
+    Both children inherit the box's near miss as their hint and its set of
+    dead stream indices, so they skip the words it ruled out.
     The search runs on one thread, so the box budget cuts a fixed prefix of
     the depth-first order and every report, capped or complete, serializes
     identically from run to run.
@@ -335,24 +376,24 @@ def run_search(cfg: SearchConfig) -> SearchReport:
             yield w
 
     leaves: List[BoxVerdict] = []
-    stack: List[Tuple[ParamBox, Optional[Word]]] = [(root, None)]
+    stack: List[Tuple[ParamBox, Optional[Word], frozenset]] = [(root, None, frozenset())]
     boxes = words = 0
     incomplete = False
     while stack:
-        box, hint = stack.pop()
+        box, hint, dead = stack.pop()
         if cfg.max_boxes and boxes >= cfg.max_boxes:
             incomplete = True
             leaves.append(BoxVerdict(box, BoxStatus.UNDECIDED))
             continue
         boxes += 1
-        verdict = test_box(box, shared_words(), cfg, hint=hint)
+        verdict = test_box(box, shared_words(), cfg, hint=hint, dead=dead)
         words += verdict.words_scanned
         splittable = len(box.path) < cfg.max_depth and box.max_width() > cfg.min_box_width
         if verdict.status is BoxStatus.UNDECIDED and splittable:
             child_hint = verdict.near_miss if cfg.use_parent_word_hint else None
             lo, hi = subdivide(box)
-            stack.append((hi, child_hint))
-            stack.append((lo, child_hint))
+            stack.append((hi, child_hint, verdict.dead))
+            stack.append((lo, child_hint, verdict.dead))
         else:
             leaves.append(verdict)
 
@@ -379,7 +420,38 @@ def run_search(cfg: SearchConfig) -> SearchReport:
 def _leaf_rows(report) -> List[dict]:
     if isinstance(report, SearchReport):
         return [leaf.to_json_dict() for leaf in report.leaves]
-    return list(report["leaves"])
+    leaves = report.get("leaves") if isinstance(report, dict) else None
+    if not isinstance(leaves, list):
+        raise ValueError("not a search report: expected a JSON object with a 'leaves' list")
+    if not all(isinstance(row, dict) and isinstance(row.get("status"), str) for row in leaves):
+        raise ValueError("not a search report: every leaf must be an object with a 'status' string")
+    return leaves
+
+
+def _finite_pair(bound) -> bool:
+    return (
+        isinstance(bound, list)
+        and len(bound) == 2
+        and all(type(x) in (int, float) and math.isfinite(x) for x in bound)
+        and bound[0] <= bound[1]
+    )
+
+
+def _killer_leaf(row: dict) -> Tuple[str, Word, list]:
+    """Path, word and bounds of a killer leaf row; ValueError names what is malformed."""
+    path, text, bounds = row.get("path"), row.get("word"), row.get("bounds")
+    if not isinstance(path, str) or path.strip("01"):
+        raise ValueError("not a search report: a killer leaf's path must be a string of 0s and 1s")
+    where = f"not a search report: killer leaf {path!r}"
+    if not isinstance(text, str):
+        raise ValueError(f"{where} has no word string")
+    try:
+        word = parse_word(text)
+    except ValueError as exc:
+        raise ValueError(f"{where}: word {text!r}: {exc}") from None
+    if not (isinstance(bounds, list) and len(bounds) == 6 and all(map(_finite_pair, bounds))):
+        raise ValueError(f"{where}: bounds must be six [lo, hi] pairs of finite numbers")
+    return path, word, bounds
 
 
 def verify_report(report, samples_per_box: int) -> dict:
@@ -388,7 +460,8 @@ def verify_report(report, samples_per_box: int) -> dict:
     Samples points inside each such leaf with a path-seeded generator and
     float-evaluates the recorded word, requiring the lower-left magnitude
     to stay inside (0, 1) with tolerance AUDIT_TOLERANCE.  Accepts a
-    SearchReport or its JSON dictionary form.
+    SearchReport or its JSON dictionary form; raises ValueError, naming
+    the problem, when the dictionary is not a search report.
     """
     if samples_per_box < 1:
         raise ValueError("samples_per_box must be at least 1")
@@ -399,11 +472,11 @@ def verify_report(report, samples_per_box: int) -> dict:
         if row["status"] != BoxStatus.ELIMINATED_KILLER.value:
             continue
         audited += 1
-        word = parse_word(row["word"])
-        rng = random.Random(zlib.crc32(("audit:" + row["path"]).encode("ascii")))
+        path, word, bounds = _killer_leaf(row)
+        rng = random.Random(zlib.crc32(("audit:" + path).encode("ascii")))
         for _ in range(samples_per_box):
             taken += 1
-            vals = [lo + rng.random() * (hi - lo) for lo, hi in row["bounds"]]
+            vals = [lo + rng.random() * (hi - lo) for lo, hi in bounds]
             p = Params(
                 complex(vals[0], vals[1]),
                 complex(vals[2], vals[3]),
@@ -413,7 +486,7 @@ def verify_report(report, samples_per_box: int) -> dict:
             if mag <= AUDIT_TOLERANCE or mag >= 1.0 + AUDIT_TOLERANCE:
                 violations.append(
                     {
-                        "path": row["path"],
+                        "path": path,
                         "word": row["word"],
                         "params": vals,
                         "abs_lower_left": mag,

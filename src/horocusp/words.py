@@ -339,7 +339,9 @@ def lower_left_abs(word: Word, target: Union[GeneratorTriple, Params, ParamBox])
     exact zero, and each row of a generator matrix has a nonzero entry, so
     an overflow anywhere leaves a non-finite endpoint in the final row.
     Both entries are checked there, before the max() in rect_abs can drop
-    a NaN.
+    a NaN, and so is U, since hypot of two finite floats can overflow.
+    Having checked them, the kernel builds [L, U] without RealInterval's
+    checks.
     """
     gens = target if isinstance(target, GeneratorTriple) else gens_from_params(target)
     syllables = word.syllables
@@ -365,7 +367,10 @@ def lower_left_abs(word: Word, target: Union[GeneratorTriple, Params, ParamBox])
         rows.append((syllable, r1, r2))
     if not all(map(math.isfinite, r1 + r2)):
         raise ValueError(f"endpoints must be finite in the bottom row of {word}")
-    return rect_abs(*r1)
+    lo, hi = rect_abs(*r1)
+    if hi == math.inf:
+        raise ValueError(f"|m21| overflows in the bottom row of {word}")
+    return RealInterval._trusted(lo, hi)
 
 
 _ZERO = (0.0, 0.0, 0.0, 0.0)

@@ -6,6 +6,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from horocusp.cli import main, parse_complex_literal
 from horocusp.search import SearchConfig, run_search
 
@@ -346,6 +348,40 @@ def test_verify_missing_report_and_bad_samples(tmp_path, capsys):
     assert run_cli(["verify", "--report", str(tmp_path / "none.json")]) == 1
     assert run_cli(["verify", "--report", "x", "--samples", "0"]) == 64
     capsys.readouterr()
+
+
+_KILLER_Q = {
+    "leaves": [
+        {
+            "path": "0",
+            "status": "eliminated_killer",
+            "word": "q",
+            "bounds": [[1.0, 1.1], [0.0, 0.0], [0.0, 0.0], [4.0, 4.0], [-0.7, -0.4], [0.0, 0.0]],
+        }
+    ]
+}
+
+
+@pytest.mark.parametrize(
+    "data, problem",
+    [
+        ([1, 2], "'leaves' list"),
+        ({}, "'leaves' list"),
+        (_KILLER_Q, "killer leaf '0': word 'q': bad factor 'q'"),
+        ({"leaves": [_KILLER_Q["leaves"][0] | {"word": "z", "bounds": [[0.0, "1"]] * 6}]},
+         "killer leaf '0': bounds"),
+        ({"leaves": [_KILLER_Q["leaves"][0] | {"word": "z", "path": 7}]}, "path"),
+        ({"leaves": ["undecided"]}, "'status' string"),
+    ],
+    ids=["list", "empty-object", "bad-word", "bad-bounds", "bad-path", "bad-leaf"],
+)
+def test_verify_json_that_is_not_a_report_is_a_usage_error(tmp_path, capsys, data, problem):
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(data))
+    assert run_cli(["verify", "--report", str(path)]) == 64
+    err = capsys.readouterr().err
+    assert "not a search report" in err and problem in err
+    assert "Traceback" not in err
 
 
 def test_version_flag(capsys):

@@ -3,12 +3,15 @@
 import math
 import random
 
+import pytest
+
 from horocusp.interval import (
     ComplexInterval,
     IntervalMatrix,
     RealInterval,
     real_add,
     real_mul,
+    rect_abs,
     rect_mul,
 )
 
@@ -223,11 +226,11 @@ _SPECIAL = (0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 1e-300, -1e-300, 1e300, -1e300)
 _SPECIAL += (math.inf, -math.inf, math.nan)
 
 
-def _endpoints(rng):
+def _endpoints(rng, special=_SPECIAL):
     """A point or non-point interval, each endpoint special or random."""
     def draw():
         if rng.random() < 0.5:
-            return rng.choice(_SPECIAL)
+            return rng.choice(special)
         return rng.uniform(-4.0, 4.0) * 10.0 ** rng.randint(-3, 3)
 
     lo = draw()
@@ -254,3 +257,23 @@ def test_rect_mul_matches_real_primitives() -> None:
         y = _endpoints(rng) + _endpoints(rng)
         got = [v.hex() for v in rect_mul(x, y)]
         assert got == [v.hex() for v in _composed_rect_mul(x, y)], (x, y)
+
+
+def test_unchecked_rect_abs_matches_the_checked_route() -> None:
+    """The scan kernel's unchecked [L, U] is the checked abs_bounds bit for bit.
+
+    Finite rectangles, points among them, with +-0.0 and points on and off
+    the axes; the kernel builds RealInterval._trusted from rect_abs.
+    """
+    rng = random.Random(30517)
+    finite = tuple(v for v in _SPECIAL if math.isfinite(v))
+    for _ in range(100_000):
+        r = _endpoints(rng, finite) + _endpoints(rng, finite)
+        fast = RealInterval._trusted(*rect_abs(*r))
+        checked = ComplexInterval.box(*r).abs_bounds()
+        assert (fast.lo.hex(), fast.hi.hex()) == (checked.lo.hex(), checked.hi.hex()), r
+        assert 0.0 <= fast.lo <= fast.hi < math.inf, r
+    # hypot overflows on finite endpoints near the top of the range
+    assert rect_abs(1.5e308, 1.5e308, 1.5e308, 1.5e308)[1] == math.inf
+    with pytest.raises(ValueError):
+        ComplexInterval.box(1.5e308, 1.5e308, 1.5e308, 1.5e308).abs_bounds()

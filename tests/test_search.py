@@ -3,14 +3,15 @@
 import hashlib
 import json
 import math
+import random
 from collections import Counter
 from dataclasses import fields
-from itertools import permutations
+from itertools import islice, permutations
 
 import pytest
 
 from horocusp import search as search_module
-from horocusp.bicuspid import COORD_NAMES, ParamBox, Params, param_space
+from horocusp.bicuspid import COORD_NAMES, ParamBox, Params, gens_from_params, param_space
 from horocusp.search import (
     BoxStatus,
     SearchConfig,
@@ -21,7 +22,7 @@ from horocusp.search import (
     verify_report,
 )
 from horocusp.interval import RealInterval
-from horocusp.words import parse_word
+from horocusp.words import enumerate_words, lower_left_abs, parse_word
 
 SLICE_BOUNDS = [[1.0, 1.2], [0.0, 0.0], [0.0, 0.0], [4.0, 4.0], [-0.7, -0.4], [0.0, 0.0]]
 STRADDLE_BOUNDS = [[0.5, 1.5], [0.0, 0.0], [0.0, 0.0], [4.0, 4.0], [-0.75, -0.25], [0.0, 0.0]]
@@ -459,3 +460,114 @@ def test_root_defaults_to_feasible_box():
     rep = run_search(cfg)
     assert rep.boxes_tested >= 1
     _assert_leaf_partition(rep)
+
+
+def _rect_inside(inner, outer) -> bool:
+    return outer[0] <= inner[0] and inner[1] <= outer[1] and outer[2] <= inner[2] and inner[3] <= outer[3]
+
+
+def test_dead_words_stay_dead_in_every_descendant() -> None:
+    """L >= _DEAD_LO on a box forces L >= 1 on each dyadic descendant.
+
+    Seeded boxes of two roots, then six levels below each: both children of
+    every level are scanned and the walk goes on in one of them.  Each
+    child's bottom-row m21 rectangle must also lie inside its parent's,
+    the isotonicity the rule rests on.
+    """
+    rng = random.Random(36007)
+    pool = list(enumerate_words(2, 1)) + list(islice(enumerate_words(3, 2), 3000))
+
+    def scan(box):
+        gens = gens_from_params(box)
+        lows, rects = [], []
+        for w in pool:
+            lows.append(lower_left_abs(w, gens).lo)
+            rects.append(gens._rows[-1][1])
+        return lows, rects
+
+    dead_checked = 0
+    for area in (1.5, 5.1):
+        for _ in range(2):
+            box = param_space(area)
+            for _ in range(rng.randrange(7)):
+                box = subdivide(box)[rng.randrange(2)]
+            lows, rects = scan(box)
+            dead = [lo >= search_module._DEAD_LO for lo in lows]
+            for _ in range(6):
+                children = [(child, *scan(child)) for child in subdivide(box)]
+                for child, child_lows, child_rects in children:
+                    for i, w in enumerate(pool):
+                        assert _rect_inside(child_rects[i], rects[i]), (child.path, str(w))
+                        if dead[i]:
+                            dead_checked += 1
+                            assert child_lows[i] >= 1.0, (child.path, str(w))
+                box, lows, rects = children[rng.randrange(2)]
+                dead = [was or lo >= search_module._DEAD_LO for was, lo in zip(dead, lows)]
+    assert dead_checked > 10_000
+
+
+# search-area's settings
+_AREA_15 = dict(
+    area_bound=1.5,
+    max_d=2,
+    max_exp=1,
+    max_depth=12,
+    min_box_width=0.01,
+    word_budget_per_box=10000,
+)
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        dict(_AREA_15, max_boxes=7),
+        dict(_AREA_15, max_boxes=50),
+        dict(_AREA_15, max_boxes=500),
+        # at area 2 a word ruled out on one sibling can kill the other early on
+        dict(_AREA_15, area_bound=2.0, max_boxes=100),
+        dict(_AREA_15, max_boxes=50, use_parent_word_hint=False),
+        # the 145-word (2, 1) stream cut at 60, so an uncounted skip shows
+        dict(_AREA_15, max_boxes=500, word_budget_per_box=60),
+        dict(area_bound=6.0, max_d=2, max_exp=1, max_depth=6, min_box_width=1e-3,
+             root_box=STRADDLE_BOUNDS),
+        # the longer (3, 2) stream; its root box is eliminated at once
+        dict(area_bound=6.0, max_d=3, max_exp=2, max_depth=6, min_box_width=1e-3,
+             root_box=STRADDLE_BOUNDS),
+    ],
+    ids=["area-7", "area-50", "area-500", "area-2", "no-hint", "budget-60", "straddle",
+         "straddle-d3"],
+)
+def test_dead_word_skips_keep_report_bytes(monkeypatch, settings) -> None:
+    """Skipping words an ancestor ruled out changes no byte of the report."""
+    cfg = SearchConfig(**settings)
+    evaluated = Counter()
+    real = search_module.lower_left_abs
+
+    def counted(word, gens):
+        evaluated[search_module._DEAD_LO] += 1
+        return real(word, gens)
+
+    monkeypatch.setattr(search_module, "lower_left_abs", counted)
+    skipping = run_search(cfg).to_canonical_json()
+    monkeypatch.setattr(search_module, "_DEAD_LO", math.inf)  # rules no word out
+    full = run_search(cfg)
+    assert skipping == full.to_canonical_json()
+    assert evaluated[math.inf] == full.words_evaluated
+    # a root box alone has no ancestor to skip words for
+    assert evaluated[1.0 + 2.0**-48] < full.words_evaluated or full.boxes_tested == 1
+
+
+def test_box_hands_its_children_a_new_dead_set() -> None:
+    """test_box never writes into the dead set it is given: siblings share it."""
+    cfg = SearchConfig(**_AREA_15)
+    words = list(enumerate_words(2, 1))
+    box = param_space(1.5)
+    for _ in range(4):
+        box = subdivide(box)[0]
+    parent = test_box(box, words, cfg)
+    assert parent.status is BoxStatus.UNDECIDED and parent.dead
+    given = set(parent.dead)
+    child = test_box(subdivide(box)[1], words, cfg, hint=parent.near_miss, dead=given)
+    assert child.status is BoxStatus.UNDECIDED
+    assert given == parent.dead
+    assert child.dead > given

@@ -287,6 +287,8 @@ def test_overflowing_words_raise_before_classification(monkeypatch) -> None:
         (Word(((3, 2, -1),) * 300), REF),
         # overflows only in m22: gamma^2 = -1 at c = 0 keeps m21 finite
         (Word(((0, 0, 1),) + ((1, 0, 1),) * 3 + ((1, 0, 2),)), Params(1e100, 1j, 0.0)),
+        # a finite bottom row whose |m21| = |c + a| overflows hypot
+        (parse_word("z x z"), Params(4.0, 1j, complex(1.5e308, 1.5e308))),
     ]
     routes = (lower_left_abs, killer_test, lambda w, t: evaluate_word(w, t).m21.abs_bounds())
     for w, p in cases:
