@@ -22,9 +22,21 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .interval import ComplexInterval, IntervalMatrix, RealInterval
+from .interval import ComplexInterval, IntervalMatrix, RealInterval, rect_add, rect_mul
+
+_ZERO = (0.0, 0.0, 0.0, 0.0)
 
 COORD_NAMES = ("a_re", "a_im", "b_re", "b_im", "c_re", "c_im")
+
+
+def _point(k: int) -> tuple:
+    """The rectangle of ComplexInterval.point(k)."""
+    return (float(k), float(k), 0.0, 0.0)
+
+
+def _check_finite(rect: tuple, what: str) -> None:
+    if not all(map(math.isfinite, rect)):
+        raise ValueError(f"endpoints must be finite in {what}, got {rect}")
 
 
 def real_number(value, name: str) -> float:
@@ -127,9 +139,11 @@ class GeneratorTriple:
     """Interval enclosures of the three generators over a box or point.
 
     alpha and beta are kept as their offsets a and b, gamma as a matrix.
-    Caches translation matrices keyed by integer exponent pairs and powers
-    of the pairing element, since word evaluation reuses both heavily, and
-    their unboxed entries keyed by syllable for the word-scan kernel.
+    translation() and gamma_power() cache IntervalMatrix enclosures for the
+    oracle route.  The word-scan kernel reads unboxed_syllable() instead,
+    whose table is built straight from the endpoints of a, b and c with
+    rect_mul and rect_add, by the same operations in the same order, so it
+    is bit-identical to those matrices' entries.
     _rows holds (syllable, r1, r2), the kernel's bottom row after each
     syllable of the last word it scanned, so the next word can resume from
     their common prefix.
@@ -142,6 +156,7 @@ class GeneratorTriple:
     _translations: dict = field(default_factory=dict)
     _gamma_powers: dict = field(default_factory=dict)
     _unboxed: dict = field(default_factory=dict)
+    _unboxed_powers: dict = field(default_factory=dict)
     _rows: list = field(default_factory=list)
 
     @classmethod
@@ -167,23 +182,58 @@ class GeneratorTriple:
         return mat
 
     def unboxed_syllable(self, syllable: tuple) -> tuple:
-        """Entries of one syllable (m, n, e) as float rectangles.
+        """Entries of one syllable (m, n, e) as float rectangles, built once.
 
         Returns (offset, gamma): the translation offset m*a + n*b, or None
         when m = n = 0, and the four entries (g11, g12, g21, g22) of
-        gamma^e, or None when e = 0.  Each rectangle is the endpoint tuple
-        of the same cached enclosure translation() and gamma_power() give.
+        gamma^e, or None when e = 0.  Both come from the endpoints of a, b
+        and c by the operations translation() and gamma_power() apply to
+        their intervals, so each rectangle is bit-identical to the entry
+        those give.  Raises ValueError when an entry overflows, as building
+        those intervals does: each entry is checked, and an overflow inside
+        the sums and products that make it leaves a non-finite endpoint.
         """
         hit = self._unboxed.get(syllable)
         if hit is None:
             m, n, e = syllable
-            offset = self.translation(m, n).m12.endpoints() if m or n else None
-            gamma = None
-            if e:
-                g = self.gamma_power(e)
-                gamma = tuple(x.endpoints() for x in (g.m11, g.m12, g.m21, g.m22))
-            hit = self._unboxed[syllable] = (offset, gamma)
+            offset = None
+            if m or n:
+                offset = _ZERO
+                if m:
+                    offset = rect_add(offset, rect_mul(_point(m), self.a.endpoints()))
+                if n:
+                    offset = rect_add(offset, rect_mul(_point(n), self.b.endpoints()))
+                _check_finite(offset, f"the offset of x^{m} y^{n}")
+            hit = self._unboxed[syllable] = (offset, self._unboxed_power(e) if e else None)
         return hit
+
+    def _unboxed_power(self, e: int) -> tuple:
+        """gamma^e's entries as rectangles, gamma_power()'s product on endpoints."""
+        powers = self._unboxed_powers
+        hit = powers.get(e)
+        if hit is not None:
+            return hit
+        c = self.c.endpoints()
+        if e > 0:
+            step, gen = 1, (c, _point(-1), _point(1), _ZERO)
+        else:
+            # the adjugate negates -1 and 1 exactly, signed zeros and all
+            step, gen = -1, (_ZERO, (1.0, 1.0, -0.0, -0.0), (-1.0, -1.0, -0.0, -0.0), c)
+        powers.setdefault(step, gen)
+        y11, y12, y21, y22 = gen
+        for k in range(2 * step, e + step, step):
+            if k not in powers:
+                x11, x12, x21, x22 = powers[k - step]
+                power = (
+                    rect_add(rect_mul(x11, y11), rect_mul(x12, y21)),
+                    rect_add(rect_mul(x11, y12), rect_mul(x12, y22)),
+                    rect_add(rect_mul(x21, y11), rect_mul(x22, y21)),
+                    rect_add(rect_mul(x21, y12), rect_mul(x22, y22)),
+                )
+                for entry in power:
+                    _check_finite(entry, f"gamma^{k}")
+                powers[k] = power
+        return powers[e]
 
     def gamma_power(self, e: int) -> IntervalMatrix:
         """Cached enclosure of gamma^e, the left-to-right product of |e| factors.

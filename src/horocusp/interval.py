@@ -31,15 +31,15 @@ _INF = math.inf
 # Unboxed arithmetic on endpoint tuples: a real interval is (lo, hi), a
 # complex interval is the rectangle (re_lo, re_hi, im_lo, im_hi).  The
 # interval classes below delegate to real_add and real_mul, which hold the
-# rounding and shortcut rules.  rect_mul, the word-scan kernel's hot spot,
-# is self-contained: it writes those rules out inline instead of calling
-# them, and tests/test_interval.py checks it bit for bit against their
-# composition.  The classes never call rect_mul, so the kernel-vs-oracle
-# bit test in tests/test_words.py checks it a second time.  Nothing here
-# validates its result: an overflow shows up as an infinite or NaN
-# endpoint, which the classes reject on construction.  Subtraction is
-# addition of the exact negation (-hi, -lo), since a + (-b) and a - b round
-# alike.
+# rounding and shortcut rules.  The word-scan kernel's rectangle operations,
+# rect_add, rect_mul and rect_neg, are self-contained: they write those
+# rules out inline instead of calling them, and tests/test_interval.py
+# checks them bit for bit against their composition.  The classes never
+# call them, so the kernel-vs-oracle bit test in tests/test_words.py checks
+# them a second time.  Nothing here validates its result: an overflow shows
+# up as an infinite or NaN endpoint, which the classes reject on
+# construction.  Subtraction is addition of the exact negation (-hi, -lo),
+# since a + (-b) and a - b round alike.
 
 
 def real_add(al: float, ah: float, bl: float, bh: float) -> tuple:
@@ -65,7 +65,21 @@ def real_mul(al: float, ah: float, bl: float, bh: float) -> tuple:
 
 
 def rect_add(x: tuple, y: tuple) -> tuple:
-    return real_add(x[0], x[1], y[0], y[1]) + real_add(x[2], x[3], y[2], y[3])
+    """Sum of two rectangles, each part by real_add's rules written out."""
+    xrl, xrh, xil, xih = x
+    yrl, yrh, yil, yih = y
+    if yrl == 0.0 and yrh == 0.0:
+        rl, rh = xrl, xrh
+    elif xrl == 0.0 and xrh == 0.0:
+        rl, rh = yrl, yrh
+    else:
+        rl = _nextafter(xrl + yrl, -_INF)
+        rh = _nextafter(xrh + yrh, _INF)
+    if yil == 0.0 and yih == 0.0:
+        return rl, rh, xil, xih
+    if xil == 0.0 and xih == 0.0:
+        return rl, rh, yil, yih
+    return rl, rh, _nextafter(xil + yil, -_INF), _nextafter(xih + yih, _INF)
 
 
 def rect_mul(x: tuple, y: tuple) -> tuple:
@@ -198,6 +212,42 @@ def rect_mul(x: tuple, y: tuple) -> tuple:
     if cl == 0.0 and ch == 0.0:
         return rl, rh, dl, dh
     return rl, rh, _nextafter(cl + dl, -_INF), _nextafter(ch + dh, _INF)
+
+
+def rect_neg(x: tuple) -> tuple:
+    """Product of a rectangle and the exact point -1, bit for bit as rect_mul gives it.
+
+    The imaginary part of -1 is an exact zero, so rect_mul reduces to one
+    real_mul per part, by the real interval [-1, -1]: an exact zero part
+    stays [0, 0], an exact one becomes [-1, -1], and any other part has its
+    endpoint products, -lo and -hi, inflated by one nextafter step, although
+    negation is exact.  The comparisons are rect_mul's, so NaNs fare alike.
+    """
+    xrl, xrh, xil, xih = x
+    if xrl == 0.0 and xrh == 0.0:
+        rl = rh = 0.0
+    elif xrl == 1.0 and xrh == 1.0:
+        rl = rh = -1.0
+    else:
+        rl = rh = -xrl
+        p = -xrh
+        if p < rl:
+            rl = p
+        elif p > rh:
+            rh = p
+        rl = _nextafter(rl, -_INF)
+        rh = _nextafter(rh, _INF)
+    if xil == 0.0 and xih == 0.0:
+        return rl, rh, 0.0, 0.0
+    if xil == 1.0 and xih == 1.0:
+        return rl, rh, -1.0, -1.0
+    il = ih = -xil
+    p = -xih
+    if p < il:
+        il = p
+    elif p > ih:
+        ih = p
+    return rl, rh, _nextafter(il, -_INF), _nextafter(ih, _INF)
 
 
 def rect_abs(rl: float, rh: float, il: float, ih: float) -> tuple:

@@ -10,17 +10,20 @@ A box skips the words an ancestor box has ruled out.  A word whose
 enclosure [L, U] of |m21| has L >= _DEAD_LO on a box has L >= 1 on every
 box inside it, so it is inconclusive there and never a near miss.  Every
 step of lower_left_abs is inclusion isotone: real_add and real_mul with
-their exact 0 and 1 shortcuts, the inline rect_mul, nextafter, and the
-generator and gamma^e builds, since round-to-nearest and nextafter are
-monotone and a shortcut taken only on the child returns the exact value,
-which the parent's rounded hull contains.  So each rectangle of a child's
-bottom row lies inside the parent's, and the point of rect_abs nearest the
-origin lies at least as far out on each axis.  From Python 3.10 on
-math.hypot errs by under 1 ulp, so L, one nextafter below it, is within 2
-ulp of the true distance; _DEAD_LO leaves a 16-ulp margin above 1.  A
-finite parent row also keeps the child's finite.  Such a word still counts
-as scanned, toward the budget too, so verdicts, near misses, hints and
-report bytes are those of a scan that evaluates every word.
+their exact 0 and 1 shortcuts, the inline rect_add and rect_mul, the
+product by -1 (rect_neg), nextafter, and the generator and gamma^e builds,
+since round-to-nearest and nextafter are monotone and a shortcut taken
+only on the child returns the exact value, which the parent's rounded hull
+contains.  A gamma^+-1 step skips its products by the exact entries 0 and
+1 and keeps the full step's bits, so the argument covers it as is.  So each
+rectangle of a child's bottom row lies inside the parent's, and the point
+of rect_abs nearest the origin lies at least as far out on each axis.
+From Python 3.10 on math.hypot errs by under 1 ulp, so L, one nextafter
+below it, is within 2 ulp of the true distance; _DEAD_LO leaves a 16-ulp
+margin above 1.  A finite parent row also keeps the child's finite.  Such
+a word still counts as scanned, toward the budget too, so verdicts, near
+misses, hints and report bytes are those of a scan that evaluates every
+word.
 """
 
 import json
@@ -30,7 +33,7 @@ import random
 import time
 import warnings
 import zlib
-from dataclasses import InitVar, dataclass, field, fields
+from dataclasses import InitVar, dataclass, field, fields, replace
 from enum import Enum
 from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
@@ -85,9 +88,9 @@ class SearchConfig:
     limit trips, untested boxes become undecided leaves and the report is
     flagged incomplete.  root_box overrides the feasible box, as six
     [lo, hi] coordinate bounds or a ParamBox; bounds are checked and turned
-    into a ParamBox on construction.  The search runs on one thread; the
-    old worker_count keyword is still accepted, ignored whatever its value,
-    with a FutureWarning.
+    into a ParamBox on construction, and either way the root's path is "".
+    The search runs on one thread; the old worker_count keyword is still
+    accepted, ignored whatever its value, with a FutureWarning.
     """
 
     area_bound: float
@@ -121,7 +124,12 @@ class SearchConfig:
             raise ValueError("min_box_width must be positive and finite")
         if self.max_boxes < 0:
             raise ValueError("max_boxes must be nonnegative")
-        if self.root_box is not None and not isinstance(self.root_box, ParamBox):
+        if isinstance(self.root_box, ParamBox):
+            # the root's path is "", whatever tree the box came from: leaf
+            # paths and max_depth count from it, and to_json_dict keeps only
+            # the bounds, so a kept path would not survive a rerun
+            object.__setattr__(self, "root_box", replace(self.root_box, path=""))
+        elif self.root_box is not None:
             try:
                 box = ParamBox.from_bounds(self.root_box)
             except (TypeError, ValueError) as exc:
@@ -309,13 +317,15 @@ def test_box(
         if verdict is not None:
             return verdict
     stream = iter(words) if words is not None else enumerate_words(cfg.max_d, cfg.max_exp)
+    # a tuple comparison, cheaper per word than Word's generated __eq__
+    skip = hint.syllables if hint is not None else None
     index = -1
     while scanned < budget:
         w = next(stream, None)
         if w is None:
             break
         index += 1
-        if hint is not None and w == hint:
+        if w.syllables == skip:
             continue
         if index in dead:
             scanned += 1

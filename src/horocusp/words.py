@@ -37,10 +37,14 @@ rectangles, and resumes each word from the row of the longest syllable
 prefix it shares with the last word scanned on the same GeneratorTriple.
 The stream is a depth-first walk, so consecutive words share long prefixes.
 A prefix's row is the same left-to-right sequence of operations whatever
-follows it, so reuse changes no bit.  Its rectangle product is the
-self-contained interval.rect_mul.  evaluate_word is the full-matrix route
-over the interval classes, which never call rect_mul; it stays as public
-API and as the oracle the kernel's bounds are tested against bit for bit.
+follows it, so reuse changes no bit.  Its rectangle sum and product are the
+self-contained interval.rect_add and rect_mul.  A gamma or gamma^-1 step,
+nearly every step of a scan, skips the products by those matrices' exact 0
+and 1 entries and takes the one by -1 as interval.rect_neg; what it skips
+is exact or a shortcut, so the row keeps its bits.  evaluate_word is the
+full-matrix route over the interval classes, which never call the
+rectangle functions; it stays as public API and as the oracle the kernel's
+bounds are tested against bit for bit.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from dataclasses import dataclass
 from typing import Iterator, List, Tuple, Union
 
 from .bicuspid import GeneratorTriple, ParamBox, Params, gens_from_params
-from .interval import IntervalMatrix, RealInterval, rect_abs, rect_add, rect_mul
+from .interval import IntervalMatrix, RealInterval, rect_abs, rect_add, rect_mul, rect_neg
 
 Syllable = Tuple[int, int, int]
 
@@ -331,8 +335,18 @@ def lower_left_abs(word: Word, target: Union[GeneratorTriple, Params, ParamBox])
     word it scanned.  The word starts from the row of the longest syllable
     prefix it shares with that word, and the list is cut back to that
     prefix before the new syllables' rows are pushed.  The row after a
-    prefix is the same sequence of rect_mul and rect_add calls whatever
-    follows it, so [L, U] does not depend on the order words come in.
+    prefix is the same sequence of rectangle operations whatever follows
+    it, so [L, U] does not depend on the order words come in.
+
+    A gamma^+-1 step resolves the exact entries of [[c, -1], [1, 0]] and
+    [[0, 1], [-1, c]]: one rect_mul by c, one rect_add and one rect_neg,
+    where the full step takes four rect_mul and two rect_add.  A product by
+    0 is [0, 0], which a sum passes over.  A product by 1 is the row
+    itself but for the sign of an all-zero part; rect_add takes a part from
+    whichever argument is nonzero there, and from its first argument where
+    both are zero, so the rect_mul result, whose zero parts are +0.0, goes
+    first.  The step thus keeps the full step's bits.  Other powers take
+    four rect_mul.
 
     Raises ValueError when the bottom row overflows.  An infinite or NaN
     endpoint survives every rectangle operation but a product with an
@@ -358,7 +372,14 @@ def lower_left_abs(word: Word, target: Union[GeneratorTriple, Params, ParamBox])
         if offset is not None:
             # times [[1, t], [0, 1]]: m21 * 1 + m22 * 0 is m21 exactly
             r2 = rect_add(rect_mul(r1, offset), r2)
-        if gamma is not None:
+        e = syllable[2]
+        if e == 1:
+            # times [[c, -1], [1, 0]], the exact entries resolved
+            r1, r2 = rect_add(rect_mul(r1, gamma[0]), r2), rect_neg(r1)
+        elif e == -1:
+            # times [[0, 1], [-1, c]], the exact entries resolved
+            r1, r2 = rect_neg(r2), rect_add(rect_mul(r2, gamma[3]), r1)
+        elif e:
             g11, g12, g21, g22 = gamma
             r1, r2 = (
                 rect_add(rect_mul(r1, g11), rect_mul(r2, g21)),

@@ -12,7 +12,9 @@ from horocusp.interval import (
     real_add,
     real_mul,
     rect_abs,
+    rect_add,
     rect_mul,
+    rect_neg,
 )
 
 ULP = 1e-12
@@ -257,6 +259,30 @@ def test_rect_mul_matches_real_primitives() -> None:
         y = _endpoints(rng) + _endpoints(rng)
         got = [v.hex() for v in rect_mul(x, y)]
         assert got == [v.hex() for v in _composed_rect_mul(x, y)], (x, y)
+
+
+def test_rect_add_matches_real_primitives() -> None:
+    """The self-contained rect_add rounds exactly as real_add does per part."""
+    rng = random.Random(62017)
+    for _ in range(100_000):
+        x = _endpoints(rng) + _endpoints(rng)
+        y = _endpoints(rng) + _endpoints(rng)
+        composed = real_add(x[0], x[1], y[0], y[1]) + real_add(x[2], x[3], y[2], y[3])
+        assert [v.hex() for v in rect_add(x, y)] == [v.hex() for v in composed], (x, y)
+
+
+def test_rect_neg_is_the_product_by_minus_one() -> None:
+    """rect_neg keeps rect_mul's shortcuts and inflation for the point -1."""
+    rng = random.Random(7411)
+    for _ in range(100_000):
+        x = _endpoints(rng) + _endpoints(rng)
+        got = [v.hex() for v in rect_neg(x)]
+        for minus_one in ((-1.0, -1.0, 0.0, 0.0), (-1.0, -1.0, -0.0, -0.0)):
+            assert got == [v.hex() for v in rect_mul(x, minus_one)], x
+    # exact negation, yet inflated, as real_mul inflates it
+    down, up = math.nextafter(-3.0, -math.inf), math.nextafter(-2.0, math.inf)
+    assert rect_neg((2.0, 3.0, 0.0, 0.0)) == (down, up, 0.0, 0.0)
+    assert rect_neg((1.0, 1.0, 0.0, 0.0)) == (-1.0, -1.0, 0.0, 0.0)
 
 
 def test_unchecked_rect_abs_matches_the_checked_route() -> None:

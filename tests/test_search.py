@@ -362,6 +362,48 @@ def test_capped_area_search_report_golden() -> None:
     )
 
 
+def test_area_one_complete_cover_golden() -> None:
+    """The first complete cover: area 1.0 at depth 18, every leaf decided.
+
+    The only tier-1 run that scans gamma^+-2 syllables on wide boxes with
+    dead-word sets handed down 18 levels.  Bytes recorded before the
+    kernel resolved gamma^+-1's exact entries.
+    """
+    cfg = SearchConfig(
+        area_bound=1.0, max_d=3, max_exp=2, max_depth=18, word_budget_per_box=2000
+    )
+    report = run_search(cfg)
+    text = report.to_canonical_json().encode()
+    assert hashlib.sha256(text).hexdigest() == (
+        "f02a3bba9797b07d01a9184ea92f69bbbd5744d9c50e9947348f1999e4b99f98"
+    )
+    assert (report.boxes_tested, report.words_evaluated) == (239, 446388)
+    assert Counter(leaf.status for leaf in report.leaves) == {
+        BoxStatus.CANDIDATE: 104,
+        BoxStatus.ELIMINATED_KILLER: 4,
+        BoxStatus.ELIMINATED_INFEASIBLE: 12,
+    }
+    assert report.global_volume_bound == math.pi and not report.incomplete
+    _assert_leaf_partition(report)
+    assert verify_report(report, 20)["passed"]
+
+
+def test_leaf_box_as_root_reproduces_from_its_bounds() -> None:
+    """A ParamBox root with a path searches as its bounds do, and reruns from its report."""
+    earlier = run_search(_cfg(max_depth=6, max_boxes=5, root_box=STRADDLE_BOUNDS))
+    leaf = next(leaf.box for leaf in earlier.leaves if leaf.status is BoxStatus.UNDECIDED)
+    assert leaf.path
+    settings = dict(max_depth=3, min_box_width=1e-3, word_budget_per_box=200)
+    from_box = run_search(_cfg(root_box=leaf, **settings))
+    from_bounds = run_search(_cfg(root_box=leaf.to_bounds(), **settings))
+    text = from_box.to_canonical_json()
+    assert text == from_bounds.to_canonical_json()
+    assert SearchConfig(**json.loads(text)["config"]) == from_box.config
+    assert run_search(SearchConfig(**json.loads(text)["config"])).to_canonical_json() == text
+    assert from_box.config.root_box.path == ""
+    assert max(len(row.box.path) for row in from_box.leaves) == 3
+
+
 def test_box_scan_golden_at_reference_point() -> None:
     # recorded before the unboxed scan kernel and the tuple-key enumerator
     cfg = SearchConfig(

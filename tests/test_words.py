@@ -8,7 +8,7 @@ import pytest
 
 from horocusp import words as words_module
 from horocusp.bicuspid import GeneratorTriple, ParamBox, Params, gens_from_params, param_space
-from horocusp.interval import RealInterval
+from horocusp.interval import RealInterval, rect_add, rect_mul
 from horocusp.search import subdivide
 from horocusp.words import (
     KillerVerdict,
@@ -21,6 +21,8 @@ from horocusp.words import (
     parse_word,
     volume_bound,
 )
+
+from test_interval import _SPECIAL, _endpoints
 
 REF = Params(4.0, 1.0 + math.sqrt(3.0) * 1j, 2.0)
 
@@ -351,6 +353,105 @@ def test_scan_syllable_steps(monkeypatch) -> None:
         for w in stream:
             lower_left_abs(w, gens)
         assert len(steps) == expected
+
+
+def test_scan_rect_mul_count(monkeypatch) -> None:
+    """The kernel's general products per stream, pinned.
+
+    A gamma^+-1 step takes one rect_mul, a translation one more and any
+    other gamma^e step four; 2079 of the 2126 steps of the first stream and
+    all 162 of the second are gamma^+-1.  The table's builds call
+    bicuspid's rect_mul and are not counted.
+    """
+    calls = 0
+
+    def counting(x, y):
+        nonlocal calls
+        calls += 1
+        return rect_mul(x, y)
+
+    monkeypatch.setattr(words_module, "rect_mul", counting)
+    for stream, expected in (
+        (islice(enumerate_words(6, 3), 2000), 4385),
+        (enumerate_words(2, 1), 322),
+    ):
+        gens = gens_from_params(REF)
+        calls = 0
+        for w in stream:
+            lower_left_abs(w, gens)
+        assert calls == expected
+
+
+def _hex_rects(rects):
+    return [tuple(v.hex() for v in r) for r in rects]
+
+
+def test_gamma_unit_steps_match_the_general_step() -> None:
+    """The kernel's gamma^+-1 step is the four-product step bit for bit.
+
+    Each case seeds the triple's kept rows with rectangles that have
+    special endpoints, infinities and NaNs among them, and reads the row
+    the kernel pushes for one more syllable (0, 0, +-1).  A non-finite row
+    is pushed before lower_left_abs raises on it.  NaN hexes alike
+    whatever its sign, so the rows must match wherever they are finite
+    and be non-finite where the general step is.
+    """
+    rng = random.Random(5273)
+    finite = tuple(v for v in _SPECIAL if math.isfinite(v))
+    first = (1, 0, 1)
+    for _ in range(20_000):
+        c = _endpoints(rng, finite) + _endpoints(rng, finite)
+        box = ParamBox.from_bounds([[4.0, 4.0], [0.0, 0.0], [1.0, 1.0], [2.0, 2.0], c[:2], c[2:]])
+        gens = gens_from_params(box)
+        r1 = _endpoints(rng) + _endpoints(rng)
+        r2 = _endpoints(rng) + _endpoints(rng)
+        for e in (1, -1):
+            gens._rows[:] = [(first, r1, r2)]
+            try:
+                lower_left_abs(Word._trusted((first, (0, 0, e))), gens)
+            except ValueError:
+                pass
+            g11, g12, g21, g22 = gens.unboxed_syllable((0, 0, e))[1]
+            general = (
+                rect_add(rect_mul(r1, g11), rect_mul(r2, g21)),
+                rect_add(rect_mul(r1, g12), rect_mul(r2, g22)),
+            )
+            assert _hex_rects(gens._rows[-1][1:]) == _hex_rects(general), (c, r1, r2, e)
+
+
+def test_unboxed_table_matches_the_oracle_entries() -> None:
+    """Rectangles built from endpoints equal translation() and gamma_power() bit for bit."""
+    box = param_space(1.5)
+    for bit in "0110100101":
+        box = subdivide(box)[int(bit)]
+    for target in (REF, Params(4.0, 1.0 + math.sqrt(3.0) * 1j, 0.5), box):
+        gens = gens_from_params(target)
+        for m in range(-3, 4):
+            for n in range(-3, 4):
+                offset = gens.unboxed_syllable((m, n, 1))[0]
+                if m or n:
+                    oracle = gens.translation(m, n).m12.endpoints()
+                    assert _hex_rects([offset]) == _hex_rects([oracle])
+                else:
+                    assert offset is None
+        for e in [k for k in range(-40, 41) if k]:
+            g = gens.gamma_power(e)
+            oracle = [x.endpoints() for x in (g.m11, g.m12, g.m21, g.m22)]
+            assert _hex_rects(gens.unboxed_syllable((0, 0, e))[1]) == _hex_rects(oracle), e
+        assert gens.unboxed_syllable((2, -1, 0)) == (gens.unboxed_syllable((2, -1, 1))[0], None)
+    # gamma^+-400 overflows at c = 10: the table's build raises, every time
+    p = Params(4.0, 1.0 + math.sqrt(3.0) * 1j, 10.0)
+    near = ParamBox.from_bounds(
+        [[4.0, 4.0], [0.0, 0.0], [1.0, 1.0], [1.5, 2.0], [10.0, 10.25], [0.0, 0.25]]
+    )
+    for target in (p, ParamBox.from_point(p), near):
+        gens = gens_from_params(target)
+        for e in (400, -400):
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    gens.unboxed_syllable((0, 0, e))
+            with pytest.raises(ValueError):
+                gens.gamma_power(e)
 
 
 def test_evaluate_pairing_sandwich_symbolic():
