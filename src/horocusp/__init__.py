@@ -21,6 +21,7 @@ from .bicuspid import (
 from .words import (
     KillerVerdict,
     Word,
+    WordStream,
     enumerate_words,
     evaluate_word,
     evaluate_word_float,
@@ -83,6 +84,7 @@ __all__ = [
     "SearchReport",
     "Slope",
     "Word",
+    "WordStream",
     "__version__",
     "aggregate_volume_bound",
     "audit_cusp",

@@ -143,10 +143,8 @@ class GeneratorTriple:
     oracle route.  The word-scan kernel reads unboxed_syllable() instead,
     whose table is built straight from the endpoints of a, b and c with
     rect_mul and rect_add, by the same operations in the same order, so it
-    is bit-identical to those matrices' entries.
-    _rows holds (syllable, r1, r2), the kernel's bottom row after each
-    syllable of the last word it scanned, so the next word can resume from
-    their common prefix.
+    is bit-identical to those matrices' entries.  The triple holds no scan
+    state: the kernel's row stack belongs to the scan that calls it.
     """
 
     a: ComplexInterval
@@ -157,7 +155,6 @@ class GeneratorTriple:
     _gamma_powers: dict = field(default_factory=dict)
     _unboxed: dict = field(default_factory=dict)
     _unboxed_powers: dict = field(default_factory=dict)
-    _rows: list = field(default_factory=list)
 
     @classmethod
     def build(cls, a: ComplexInterval, b: ComplexInterval, c: ComplexInterval) -> "GeneratorTriple":

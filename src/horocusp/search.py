@@ -6,10 +6,18 @@ per-box verdicts plus an aggregate covolume bound.  The search runs on one
 thread, so reports serialize to canonical JSON that is byte-identical from
 run to run, capped or complete.
 
+One WordStream serves every box of a run: it takes each word from
+enumerate_words once, when the first box asks for it, and records how many
+leading syllables the word shares with the one before it.  A box scans with
+its own row stack for words.lower_left_bounds and keeps the running minimum
+of those counts since the last word it evaluated, which the stream's
+docstring shows is a prefix both words share.  So a scan never compares
+syllables, and words it skips cost it no row.
+
 A box skips the words an ancestor box has ruled out.  A word whose
 enclosure [L, U] of |m21| has L >= _DEAD_LO on a box has L >= 1 on every
 box inside it, so it is inconclusive there and never a near miss.  Every
-step of lower_left_abs is inclusion isotone: real_add and real_mul with
+step of lower_left_bounds is inclusion isotone: real_add and real_mul with
 their exact 0 and 1 shortcuts, the inline rect_add and rect_mul, the
 product by -1 (rect_neg), nextafter, and the generator and gamma^e builds,
 since round-to-nearest and nextafter are monotone and a shortcut taken
@@ -35,7 +43,7 @@ import warnings
 import zlib
 from dataclasses import InitVar, dataclass, field, fields, replace
 from enum import Enum
-from typing import Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Iterable, List, Optional, Tuple, Union
 
 from . import __version__
 from . import words as _words
@@ -45,13 +53,18 @@ from .interval import RealInterval
 from .words import (
     KillerVerdict,
     Word,
+    WordStream,
     classify_bounds,
     enumerate_words,
     evaluate_word_float,
-    lower_left_abs,
+    lower_left_bounds,
+    new_row_stack,
     parse_word,
     volume_bound,
 )
+
+# not called here: perfbench hooks its words.evaluate span on search.lower_left_abs
+from .words import lower_left_abs  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -266,7 +279,14 @@ def test_box(
     Returns EliminatedInfeasible if the box misses the feasible region, the
     first eliminating word otherwise, else the canonically least candidate
     word, else Undecided.  At most cfg.word_budget_per_box words are
-    scanned and the hint word is scanned first.
+    scanned and the hint word is scanned first; the stream's copy of it is
+    passed over.
+
+    words is a WordStream, which boxes can share so that each word is
+    taken and compared with its predecessor once; any other iterable of
+    words, which is wrapped in a new WordStream; or None for
+    enumerate_words(cfg.max_d, cfg.max_exp).  A power-free word in the
+    stream or as the hint raises ValueError.
 
     dead holds indices into the same word stream of words with L >=
     _DEAD_LO on an enclosing box.  Each counts as scanned without being
@@ -278,61 +298,70 @@ def test_box(
     """
     if box_in_param_space(box, cfg.area_bound) is Feasibility.OUTSIDE:
         return BoxVerdict(box, BoxStatus.ELIMINATED_INFEASIBLE)
+    if hint is not None and hint.is_pure_translation:
+        raise ValueError(f"word stream produced a power-free word: {hint}")
+    if not isinstance(words, WordStream):
+        words = WordStream(enumerate_words(cfg.max_d, cfg.max_exp) if words is None else words)
 
     # looked up on the words module, where perfbench's tracer wraps it
     gens = _words.gens_from_params(box)
+    kernel = lower_left_bounds
+    dead_lo = _DEAD_LO
     budget = cfg.word_budget_per_box
+    taken, shared = words.words, words.shared
+    available = len(taken)
+    rows = new_row_stack()
+    # a tuple comparison, cheaper per word than Word's generated __eq__
+    skip = hint.syllables if hint is not None else None
     scanned = 0
     candidate: Optional[Tuple[tuple, Word]] = None
     near: Optional[Tuple[float, Word]] = None
     ruled_out: List[int] = []
 
-    def scan(w: Word, index: Optional[int]) -> Optional[BoxVerdict]:
-        nonlocal scanned, candidate, near
-        if w.is_pure_translation:
-            raise ValueError(f"word stream produced a power-free word: {w}")
-        bounds = lower_left_abs(w, gens)
-        scanned += 1
-        verdict = classify_bounds(bounds)
-        if verdict is KillerVerdict.ELIMINATES:
-            return BoxVerdict(box, BoxStatus.ELIMINATED_KILLER, w, None, scanned)
-        if verdict is KillerVerdict.CANDIDATE_RELATOR:
-            key = w.sort_key()
-            if candidate is None or key < candidate[0]:
-                candidate = (key, w)
-        elif bounds.lo < 1.0:
-            # lo >= 1 means no sub-box can ever be eliminated by this word;
-            # the least (hi, sort_key), with keys built only on a tie in hi
-            hi = bounds.hi
-            if near is None or hi < near[0] or (
-                hi == near[0] and w.sort_key() < near[1].sort_key()
-            ):
-                near = (hi, w)
-        elif bounds.lo >= _DEAD_LO and index is not None:
-            ruled_out.append(index)
-        return None
-
-    if hint is not None:
-        verdict = scan(hint, None)
-        if verdict is not None:
-            return verdict
-    stream = iter(words) if words is not None else enumerate_words(cfg.max_d, cfg.max_exp)
-    # a tuple comparison, cheaper per word than Word's generated __eq__
-    skip = hint.syllables if hint is not None else None
-    index = -1
-    while scanned < budget:
-        w = next(stream, None)
-        if w is None:
+    # Evaluate `word` (the hint first, at index -1), then step to the next
+    # stream word to evaluate.  rows holds the rows of every syllable of the
+    # last word evaluated, and keep is the running minimum of the shared
+    # counts since then; shared[0] is 0, so the first stream word after the
+    # hint starts from rows[0].
+    word, index, keep = hint, -1, 0
+    while True:
+        if word is not None:
+            syllables = word.syllables
+            lo, hi = kernel(gens, syllables, rows, keep)
+            keep = len(syllables)
+            scanned += 1
+            if hi < 1.0:
+                # only U < 1 decides a box; classify_bounds says which way
+                if classify_bounds(lo, hi) is KillerVerdict.ELIMINATES:
+                    return BoxVerdict(box, BoxStatus.ELIMINATED_KILLER, word, None, scanned)
+                key = word.sort_key()
+                if candidate is None or key < candidate[0]:
+                    candidate = (key, word)
+            elif lo < 1.0:
+                # lo >= 1 means no sub-box can ever be eliminated by this word;
+                # the least (hi, sort_key), with keys built only on a tie in hi
+                if near is None or hi < near[0] or (
+                    hi == near[0] and word.sort_key() < near[1].sort_key()
+                ):
+                    near = (hi, word)
+            elif lo >= dead_lo and index >= 0:
+                ruled_out.append(index)
+        if scanned >= budget:
             break
         index += 1
-        if w.syllables == skip:
-            continue
-        if index in dead:
+        if index == available:
+            if not words.take():
+                break
+            available += 1
+        count = shared[index]
+        if count < keep:
+            keep = count
+        word = taken[index]
+        if word.syllables == skip:
+            word = None
+        elif index in dead:
             scanned += 1
-            continue
-        verdict = scan(w, index)
-        if verdict is not None:
-            return verdict
+            word = None
 
     if candidate is not None:
         word = candidate[1]
@@ -374,17 +403,8 @@ def run_search(cfg: SearchConfig) -> SearchReport:
         log.info("search finished: empty feasible region")
         return report
 
-    source = enumerate_words(cfg.max_d, cfg.max_exp)
-    cache: List[Word] = []
-
-    def shared_words() -> Iterator[Word]:
-        # replay the words pulled so far, then extend the cache; a for loop
-        # rather than yield from, so closing one box's stream leaves source open
-        yield from cache
-        for w in source:
-            cache.append(w)
-            yield w
-
+    # one stream for every box, taken from enumerate_words as boxes ask
+    stream = WordStream(enumerate_words(cfg.max_d, cfg.max_exp))
     leaves: List[BoxVerdict] = []
     stack: List[Tuple[ParamBox, Optional[Word], frozenset]] = [(root, None, frozenset())]
     boxes = words = 0
@@ -396,7 +416,7 @@ def run_search(cfg: SearchConfig) -> SearchReport:
             leaves.append(BoxVerdict(box, BoxStatus.UNDECIDED))
             continue
         boxes += 1
-        verdict = test_box(box, shared_words(), cfg, hint=hint, dead=dead)
+        verdict = test_box(box, stream, cfg, hint=hint, dead=dead)
         words += verdict.words_scanned
         splittable = len(box.path) < cfg.max_depth and box.max_width() > cfg.min_box_width
         if verdict.status is BoxStatus.UNDECIDED and splittable:

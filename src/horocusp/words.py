@@ -31,20 +31,24 @@ only valid syllables.
 Serialization: factors space-separated with caret exponents, exponent one
 omitted, e.g. "x^2 y^-1 z x z^-1".
 
-Evaluation: lower_left_abs is the scan kernel behind killer_test and the
-search.  It propagates only the bottom row of the product on unboxed float
-rectangles, and resumes each word from the row of the longest syllable
-prefix it shares with the last word scanned on the same GeneratorTriple.
-The stream is a depth-first walk, so consecutive words share long prefixes.
-A prefix's row is the same left-to-right sequence of operations whatever
-follows it, so reuse changes no bit.  Its rectangle sum and product are the
-self-contained interval.rect_add and rect_mul.  A gamma or gamma^-1 step,
-nearly every step of a scan, skips the products by those matrices' exact 0
-and 1 entries and takes the one by -1 as interval.rect_neg; what it skips
-is exact or a shortcut, so the row keeps its bits.  evaluate_word is the
-full-matrix route over the interval classes, which never call the
-rectangle functions; it stays as public API and as the oracle the kernel's
-bounds are tested against bit for bit.
+Evaluation: lower_left_bounds is the one scan kernel.  It propagates only
+the bottom row of the product on unboxed float rectangles, over a row stack
+its caller owns: rows[k] is the bottom row after k syllables of the last
+word evaluated on that stack.  The caller says how many syllable rows are
+still valid, and the kernel cuts the stack to them and pushes the rest.  A
+WordStream records, once per stream, how many leading syllables each word
+shares with the word before it, so a scan never compares syllables to find
+its prefix.  The canonical stream is a depth-first walk, so consecutive
+words share long prefixes.  A prefix's row is the same left-to-right
+sequence of operations whatever follows it, so reuse changes no bit.  Its
+rectangle sum and product are the self-contained interval.rect_add and
+rect_mul.  A gamma or gamma^-1 step, nearly every step of a scan, skips the
+products by those matrices' exact 0 and 1 entries and takes the one by -1
+as interval.rect_neg; what it skips is exact or a shortcut, so the row
+keeps its bits.  lower_left_abs and killer_test run the kernel on a fresh
+stack.  evaluate_word is the full-matrix route over the interval classes,
+which never call the rectangle functions; it stays as public API and as the
+oracle the kernel's bounds are tested against bit for bit.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple, Union
+from typing import Iterable, Iterator, List, Tuple, Union
 
 from .bicuspid import GeneratorTriple, ParamBox, Params, gens_from_params
 from .interval import IntervalMatrix, RealInterval, rect_abs, rect_add, rect_mul, rect_neg
@@ -274,13 +278,53 @@ def enumerate_words(max_d: int, max_exp: int) -> Iterator[Word]:
             yield from walk(d, extra, [])
 
 
+class WordStream:
+    """A word stream taken from its source as scans ask, kept for reuse.
+
+    words holds the words taken so far, and shared[i] is the number of
+    leading syllables words[i] shares with words[i - 1] (0 for the first).
+    take() pulls one more word from the source; each count is computed
+    there, once per stream, however many scans read it.  A scan that has
+    evaluated words[i] and next evaluates words[j] may keep the rows of
+    min(shared[i + 1 : j + 1]) syllables: the words between them share at
+    least that prefix with both.  take() also rejects a power-free word,
+    which has no lower-left entry to test, with ValueError.
+    """
+
+    __slots__ = ("words", "shared", "_source", "_last")
+
+    def __init__(self, source: Iterable[Word]) -> None:
+        self.words: List[Word] = []
+        self.shared: List[int] = []
+        self._source = iter(source)
+        self._last: Tuple[Syllable, ...] = ()
+
+    def take(self) -> bool:
+        """Append the source's next word and its shared count; False when the source is done."""
+        word = next(self._source, None)
+        if word is None:
+            return False
+        if word.is_pure_translation:
+            raise ValueError(f"word stream produced a power-free word: {word}")
+        syllables = word.syllables
+        shared = 0
+        for mine, last in zip(syllables, self._last):
+            if mine != last:
+                break
+            shared += 1
+        self.words.append(word)
+        self.shared.append(shared)
+        self._last = syllables
+        return True
+
+
 def evaluate_word(word: Word, target: Union[GeneratorTriple, Params, ParamBox]) -> IntervalMatrix:
     """Certified enclosure of the word's matrix over a point or box.
 
     Left-to-right product, one translation enclosure per commuting block
     and cached powers of the pairing element. Inverses go through the SL2
     adjugate, so no entry is ever divided.  This is the oracle route: the
-    search scans with lower_left_abs, whose bounds equal this matrix's
+    search scans with lower_left_bounds, whose bounds equal this matrix's
     m21.abs_bounds() bit for bit.
     """
     gens = target if isinstance(target, GeneratorTriple) else gens_from_params(target)
@@ -320,23 +364,35 @@ def _cmul2(x, y):
     )
 
 
-def lower_left_abs(word: Word, target: Union[GeneratorTriple, Params, ParamBox]) -> RealInterval:
-    """Enclosure [L, U] of the lower-left entry's modulus over the target.
+_INF = math.inf
+# the bottom row (m21, m22) of the identity, as rectangles
+_IDENTITY_ROW = ((0.0, 0.0, 0.0, 0.0), (1.0, 1.0, 0.0, 0.0))
+
+
+def new_row_stack() -> list:
+    """A row stack for lower_left_bounds that holds only rows[0], the identity's bottom row."""
+    return [_IDENTITY_ROW]
+
+
+def lower_left_bounds(gens: GeneratorTriple, syllables: tuple, rows: list, keep: int) -> tuple:
+    """Floats (L, U) enclosing the lower-left entry's modulus of a word over gens.
 
     This is the scan kernel.  It carries only the bottom row (m21, m22) of
     the left-to-right product, since in acc @ M that row depends only on
     the bottom row of acc, and it works on the unboxed rectangles the
     GeneratorTriple caches per syllable.  The rectangle arithmetic is the
-    interval layer's own, so [L, U] is bit-identical to the oracle
-    evaluate_word(word, target).m21.abs_bounds(); pass one GeneratorTriple
-    per box to build the enclosures once.
+    interval layer's own, so (L, U) is bit-identical to the oracle
+    evaluate_word(word, gens).m21.abs_bounds().
 
-    The GeneratorTriple also keeps the row after each syllable of the last
-    word it scanned.  The word starts from the row of the longest syllable
-    prefix it shares with that word, and the list is cut back to that
-    prefix before the new syllables' rows are pushed.  The row after a
-    prefix is the same sequence of rectangle operations whatever follows
-    it, so [L, U] does not depend on the order words come in.
+    rows is a stack the caller owns, started by new_row_stack(): rows[k]
+    is the bottom row (r1, r2) after the first k syllables of the last
+    word evaluated on it.  keep is how many of the word's leading
+    syllables those rows still serve, at most the prefix it shares with
+    that word; a WordStream's shared counts give it.  The kernel cuts the
+    stack to rows[:keep + 1] and pushes the rows of the remaining
+    syllables.  The row after a prefix is the same sequence of rectangle
+    operations whatever follows it, so (L, U) does not depend on keep or
+    on the order words come in.
 
     A gamma^+-1 step resolves the exact entries of [[c, -1], [1, 0]] and
     [[0, 1], [-1, c]]: one rect_mul by c, one rect_add and one rect_neg,
@@ -348,27 +404,19 @@ def lower_left_abs(word: Word, target: Union[GeneratorTriple, Params, ParamBox])
     first.  The step thus keeps the full step's bits.  Other powers take
     four rect_mul.
 
-    Raises ValueError when the bottom row overflows.  An infinite or NaN
-    endpoint survives every rectangle operation but a product with an
-    exact zero, and each row of a generator matrix has a nonzero entry, so
-    an overflow anywhere leaves a non-finite endpoint in the final row.
-    Both entries are checked there, before the max() in rect_abs can drop
-    a NaN, and so is U, since hypot of two finite floats can overflow.
-    Having checked them, the kernel builds [L, U] without RealInterval's
-    checks.
+    Raises ValueError when the bottom row overflows, after pushing its
+    rows.  An infinite or NaN endpoint survives every rectangle operation
+    but a product with an exact zero, and each row of a generator matrix
+    has a nonzero entry, so an overflow anywhere leaves a non-finite
+    endpoint in the final row.  All eight endpoints are checked there,
+    before the max() in rect_abs can drop a NaN, and so is U, since hypot
+    of two finite floats can overflow.
     """
-    gens = target if isinstance(target, GeneratorTriple) else gens_from_params(target)
-    syllables = word.syllables
-    rows = gens._rows
-    kept = 0
-    for (syllable, _, _), own in zip(rows, syllables):
-        if syllable != own:
-            break
-        kept += 1
-    del rows[kept:]
-    r1, r2 = rows[-1][1:] if rows else (_ZERO, _ONE)
-    for syllable in syllables[kept:]:
-        offset, gamma = gens.unboxed_syllable(syllable)
+    del rows[keep + 1 :]
+    r1, r2 = rows[keep]
+    table = gens._unboxed
+    for syllable in syllables[keep:]:
+        offset, gamma = table.get(syllable) or gens.unboxed_syllable(syllable)
         if offset is not None:
             # times [[1, t], [0, 1]]: m21 * 1 + m22 * 0 is m21 exactly
             r2 = rect_add(rect_mul(r1, offset), r2)
@@ -385,17 +433,30 @@ def lower_left_abs(word: Word, target: Union[GeneratorTriple, Params, ParamBox])
                 rect_add(rect_mul(r1, g11), rect_mul(r2, g21)),
                 rect_add(rect_mul(r1, g12), rect_mul(r2, g22)),
             )
-        rows.append((syllable, r1, r2))
-    if not all(map(math.isfinite, r1 + r2)):
-        raise ValueError(f"endpoints must be finite in the bottom row of {word}")
-    lo, hi = rect_abs(*r1)
-    if hi == math.inf:
-        raise ValueError(f"|m21| overflows in the bottom row of {word}")
-    return RealInterval._trusted(lo, hi)
+        rows.append((r1, r2))
+    rl, rh, il, ih = r1
+    sl, sh, jl, jh = r2
+    # x - x is 0.0 for a finite x and NaN for an infinite or NaN one
+    zero_if_finite = (rl - rl) + (rh - rh) + (il - il) + (ih - ih)
+    if zero_if_finite + (sl - sl) + (sh - sh) + (jl - jl) + (jh - jh) != 0.0:
+        raise ValueError(f"endpoints must be finite in the bottom row of {Word._trusted(syllables)}")
+    lo, hi = rect_abs(rl, rh, il, ih)
+    if hi == _INF:
+        raise ValueError(f"|m21| overflows in the bottom row of {Word._trusted(syllables)}")
+    return lo, hi
 
 
-_ZERO = (0.0, 0.0, 0.0, 0.0)
-_ONE = (1.0, 1.0, 0.0, 0.0)
+def lower_left_abs(word: Word, target: Union[GeneratorTriple, Params, ParamBox]) -> RealInterval:
+    """Enclosure [L, U] of the lower-left entry's modulus over the target.
+
+    lower_left_bounds on a fresh row stack; pass one GeneratorTriple per
+    box to build its syllable table once.  [L, U] equals the oracle
+    evaluate_word(word, target).m21.abs_bounds() bit for bit, and raises
+    ValueError where the kernel does.  The kernel has checked both bounds
+    finite, so [L, U] is built without RealInterval's checks.
+    """
+    gens = target if isinstance(target, GeneratorTriple) else gens_from_params(target)
+    return RealInterval._trusted(*lower_left_bounds(gens, word.syllables, new_row_stack(), 0))
 
 
 class KillerVerdict(enum.Enum):
@@ -404,17 +465,17 @@ class KillerVerdict(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-def classify_bounds(bounds: RealInterval) -> KillerVerdict:
-    """Verdict of an enclosure [L, U] of the lower-left entry's modulus.
+def classify_bounds(lo: float, hi: float) -> KillerVerdict:
+    """Verdict of an enclosure [lo, hi] of the lower-left entry's modulus.
 
-    ELIMINATES when 0 < L and U < 1: no point of the box admits a discrete
-    bicuspid group, since the image ball would overlap the height-one
-    horoball without coinciding. CANDIDATE_RELATOR when L = 0 and U < 1:
-    only a relation w = identity could save the box, which caps covolume.
-    INCONCLUSIVE when U >= 1.
+    ELIMINATES when 0 < lo and hi < 1: no point of the box admits a
+    discrete bicuspid group, since the image ball would overlap the
+    height-one horoball without coinciding. CANDIDATE_RELATOR when lo = 0
+    and hi < 1: only a relation w = identity could save the box, which
+    caps covolume.  INCONCLUSIVE when hi >= 1.
     """
-    if bounds.hi < 1.0:
-        return KillerVerdict.ELIMINATES if bounds.lo > 0.0 else KillerVerdict.CANDIDATE_RELATOR
+    if hi < 1.0:
+        return KillerVerdict.ELIMINATES if lo > 0.0 else KillerVerdict.CANDIDATE_RELATOR
     return KillerVerdict.INCONCLUSIVE
 
 
@@ -422,7 +483,8 @@ def killer_test(word: Word, target: Union[GeneratorTriple, Params, ParamBox]) ->
     """Classify a word's elimination power over a box with classify_bounds."""
     if word.z_count < 1:
         raise ValueError("killer test needs a word with at least one z-syllable")
-    return classify_bounds(lower_left_abs(word, target))
+    bounds = lower_left_abs(word, target)
+    return classify_bounds(bounds.lo, bounds.hi)
 
 
 def volume_bound(word: Word) -> float:

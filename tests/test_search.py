@@ -22,7 +22,15 @@ from horocusp.search import (
     verify_report,
 )
 from horocusp.interval import RealInterval
-from horocusp.words import enumerate_words, lower_left_abs, parse_word
+from horocusp.words import (
+    Word,
+    WordStream,
+    enumerate_words,
+    lower_left_abs,
+    lower_left_bounds,
+    new_row_stack,
+    parse_word,
+)
 
 SLICE_BOUNDS = [[1.0, 1.2], [0.0, 0.0], [0.0, 0.0], [4.0, 4.0], [-0.7, -0.4], [0.0, 0.0]]
 STRADDLE_BOUNDS = [[0.5, 1.5], [0.0, 0.0], [0.0, 0.0], [4.0, 4.0], [-0.75, -0.25], [0.0, 0.0]]
@@ -186,7 +194,12 @@ def test_near_miss_tie_rule(monkeypatch) -> None:
     assert small.sort_key() < mid.sort_key() < big.sort_key()
     assert far.sort_key() < small.sort_key()
     bounds = {}
-    monkeypatch.setattr(search_module, "lower_left_abs", lambda w, gens: bounds[w])
+
+    def kernel(gens, syllables, rows, keep):
+        iv = bounds[Word(syllables)]
+        return iv.lo, iv.hi
+
+    monkeypatch.setattr(search_module, "lower_left_bounds", kernel)
 
     def near_miss(order, hint=None):
         v = test_box(box, order, _cfg(), hint=hint)
@@ -519,12 +532,17 @@ def test_dead_words_stay_dead_in_every_descendant() -> None:
     rng = random.Random(36007)
     pool = list(enumerate_words(2, 1)) + list(islice(enumerate_words(3, 2), 3000))
 
+    stream = WordStream(pool)
+    while stream.take():
+        pass
+
     def scan(box):
         gens = gens_from_params(box)
+        rows = new_row_stack()
         lows, rects = [], []
-        for w in pool:
-            lows.append(lower_left_abs(w, gens).lo)
-            rects.append(gens._rows[-1][1])
+        for w, keep in zip(stream.words, stream.shared):
+            lows.append(lower_left_bounds(gens, w.syllables, rows, keep)[0])
+            rects.append(rows[-1][0])
         return lows, rects
 
     dead_checked = 0
@@ -583,13 +601,13 @@ def test_dead_word_skips_keep_report_bytes(monkeypatch, settings) -> None:
     """Skipping words an ancestor ruled out changes no byte of the report."""
     cfg = SearchConfig(**settings)
     evaluated = Counter()
-    real = search_module.lower_left_abs
+    real = search_module.lower_left_bounds
 
-    def counted(word, gens):
+    def counted(gens, syllables, rows, keep):
         evaluated[search_module._DEAD_LO] += 1
-        return real(word, gens)
+        return real(gens, syllables, rows, keep)
 
-    monkeypatch.setattr(search_module, "lower_left_abs", counted)
+    monkeypatch.setattr(search_module, "lower_left_bounds", counted)
     skipping = run_search(cfg).to_canonical_json()
     monkeypatch.setattr(search_module, "_DEAD_LO", math.inf)  # rules no word out
     full = run_search(cfg)
@@ -613,3 +631,71 @@ def test_box_hands_its_children_a_new_dead_set() -> None:
     assert child.status is BoxStatus.UNDECIDED
     assert given == parent.dead
     assert child.dead > given
+
+
+def _verdict_fields(v):
+    return v.status, v.word, v.words_scanned, v.near_miss, v.dead
+
+
+@pytest.mark.parametrize("stream_caps", [(2, 1), (3, 2)], ids=["d2", "d3"])
+def test_box_reads_every_stream_form_alike(stream_caps) -> None:
+    """None, a list, a generator and a shared WordStream give one verdict.
+
+    Each box is scanned with and without a hint and with dead sets whose
+    runs of consecutive indices make the scan fold several shared counts
+    into its prefix length.  The shared WordStream is scanned by every
+    case in turn, so later cases start with the stream already taken.  An
+    Undecided verdict's dead set must also match the one computed word by
+    word on fresh row stacks.
+    """
+    max_d, max_exp = stream_caps
+    cfg = SearchConfig(**dict(_AREA_15, max_d=max_d, max_exp=max_exp, word_budget_per_box=1000))
+    pool = list(islice(enumerate_words(max_d, max_exp), 1000))
+    shared = WordStream(enumerate_words(max_d, max_exp))
+    rng = random.Random(4153)
+    boxes = [param_space(1.5)]
+    for _ in range(5):
+        box = param_space(1.5)
+        for _ in range(rng.randrange(3, 9)):
+            box = subdivide(box)[rng.randrange(2)]
+        boxes.append(box)
+    undecided = 0
+    for box in boxes:
+        first = test_box(box, pool, cfg)
+        gens = gens_from_params(box)
+        lows = [lower_left_abs(w, gens).lo for w in pool]
+        runs = [frozenset()]
+        runs.append(frozenset(range(3, 40)) | frozenset(range(60, 64)) | frozenset(range(100, 101)))
+        runs.append(frozenset(i for i in range(len(pool)) if (i // 7) % 2))
+        for dead in runs:
+            for hint in (None, first.near_miss, pool[17]):
+                forms = (None, pool, (w for w in pool), shared)
+                verdicts = [test_box(box, words, cfg, hint=hint, dead=dead) for words in forms]
+                assert len({_verdict_fields(v) for v in verdicts}) == 1, (box.path, hint, dead)
+                v = verdicts[0]
+                if v.status is BoxStatus.UNDECIDED:
+                    undecided += 1
+                    ruled_out = {
+                        i
+                        for i, w in enumerate(pool)
+                        if i not in dead and w != hint and lows[i] >= search_module._DEAD_LO
+                    }
+                    assert v.dead == dead | ruled_out, (box.path, hint)
+    assert undecided >= 10
+
+
+def test_box_rejects_power_free_words() -> None:
+    """A pure translation in the stream or as the hint raises ValueError."""
+    box = param_space(1.5)
+    cfg = SearchConfig(**_AREA_15)
+    translation = parse_word("x^2")
+    assert translation.is_pure_translation
+    words = list(enumerate_words(2, 1))
+    message = "word stream produced a power-free word"
+    for stream in ([translation] + words, words[:5] + [translation] + words[5:]):
+        for form in (stream, iter(stream), WordStream(stream)):
+            with pytest.raises(ValueError, match=message):
+                test_box(box, form, cfg)
+    for form in (None, words, WordStream(words)):
+        with pytest.raises(ValueError, match=message):
+            test_box(box, form, cfg, hint=translation)

@@ -6,18 +6,22 @@ from itertools import islice, zip_longest
 
 import pytest
 
+from horocusp import search as search_module
 from horocusp import words as words_module
-from horocusp.bicuspid import GeneratorTriple, ParamBox, Params, gens_from_params, param_space
+from horocusp.bicuspid import ParamBox, Params, gens_from_params, param_space
 from horocusp.interval import RealInterval, rect_add, rect_mul
-from horocusp.search import subdivide
+from horocusp.search import SearchConfig, subdivide, test_box
 from horocusp.words import (
     KillerVerdict,
     Word,
+    WordStream,
     enumerate_words,
     evaluate_word,
     evaluate_word_float,
     killer_test,
     lower_left_abs,
+    lower_left_bounds,
+    new_row_stack,
     parse_word,
     volume_bound,
 )
@@ -282,7 +286,7 @@ def test_kernel_bounds_bit_identical_to_full_matrix_oracle() -> None:
 
 def test_overflowing_words_raise_before_classification(monkeypatch) -> None:
     seen = []
-    monkeypatch.setattr(words_module, "classify_bounds", lambda bounds: seen.append(bounds))
+    monkeypatch.setattr(words_module, "classify_bounds", lambda lo, hi: seen.append((lo, hi)))
     cases = [
         (Word(((0, 0, 400),)), Params(4.0, 1.0 + math.sqrt(3.0) * 1j, 10.0)),
         (Word(((3, 0, 1),) * 300), REF),
@@ -301,8 +305,20 @@ def test_overflowing_words_raise_before_classification(monkeypatch) -> None:
     assert seen == []
 
 
+def _taken(words):
+    """A WordStream that has taken every word of words."""
+    stream = WordStream(words)
+    while stream.take():
+        pass
+    return stream
+
+
 def test_prefix_reuse_is_order_independent() -> None:
-    """Rows kept from earlier words never leak into a later word's bounds."""
+    """Rows kept from earlier words never leak into a later word's bounds.
+
+    Each order is scanned on one row stack with the WordStream's shared
+    counts, as a search scans.
+    """
     rng = random.Random(6063)
     boxes = [ParamBox.from_point(REF)]
     boxes += _random_dyadic_boxes(1.5, 1, rng) + _random_dyadic_boxes(6.0, 1, rng)
@@ -315,44 +331,91 @@ def test_prefix_reuse_is_order_independent() -> None:
         if i % 50 == 0:
             interleaved.append(hint)
         interleaved.append(w)
+    streams = [_taken(order) for order in (shuffled, pool, interleaved)]
     for box in boxes:
         gens = gens_from_params(box)
         oracle = {w: _bits(evaluate_word(w, box).m21.abs_bounds()) for w in pool}
-        for order in (shuffled, pool, interleaved):
-            for w in order:
-                assert _bits(lower_left_abs(w, gens)) == oracle[w], (box.path, str(w))
+        for stream in streams:
+            rows = new_row_stack()
+            for w, keep in zip(stream.words, stream.shared):
+                bounds = RealInterval(*lower_left_bounds(gens, w.syllables, rows, keep))
+                assert _bits(bounds) == oracle[w], (box.path, str(w))
 
     gens = gens_from_params(REF)
     overflowing = Word(((3, 0, 1),) * 300)
     sibling = Word(((3, 0, 1), (0, 1, -1)))
-    for _ in range(2):
+    rows = new_row_stack()
+    for keep in (0, 1):
         with pytest.raises(ValueError):
-            lower_left_abs(overflowing, gens)
+            lower_left_bounds(gens, overflowing.syllables, rows, keep)
     oracle = _bits(evaluate_word(sibling, REF).m21.abs_bounds())
-    assert _bits(lower_left_abs(sibling, gens)) == oracle
+    assert _bits(RealInterval(*lower_left_bounds(gens, sibling.syllables, rows, 1))) == oracle
     with pytest.raises(ValueError):
-        lower_left_abs(overflowing, gens)
+        lower_left_bounds(gens, overflowing.syllables, rows, 1)
+
+
+def test_word_stream_counts_shared_prefixes() -> None:
+    """Each shared count is the longest common syllable prefix with the word before."""
+    for stream in (
+        islice(enumerate_words(6, 3), 2000),
+        islice(enumerate_words(3, 2), 3000),
+        enumerate_words(2, 1),
+    ):
+        words = list(stream)
+        taken = _taken(words)
+        assert taken.words == words
+        expected = [0]
+        for last, word in zip(words, words[1:]):
+            k = 0
+            while k < min(len(last.syllables), len(word.syllables)):
+                if last.syllables[k] != word.syllables[k]:
+                    break
+                k += 1
+            expected.append(k)
+        assert taken.shared == expected
+
+
+def test_word_stream_takes_words_as_asked() -> None:
+    """take() pulls one word at a time and reports the end of its source."""
+    source = enumerate_words(2, 1)
+    stream = WordStream(source)
+    assert stream.words == [] and stream.shared == []
+    assert stream.take() and len(stream.words) == 1
+    assert next(source) == list(islice(enumerate_words(2, 1), 2))[1]
+    rest = WordStream(list(enumerate_words(2, 1))[-2:])
+    assert rest.take() and rest.take() and not rest.take() and len(rest.words) == 2
+
+
+def _scan_reference_point(monkeypatch, max_d, max_exp, budget, rows=None):
+    """test_box at REF over the canonical (max_d, max_exp) stream; the verdict."""
+    if rows is not None:
+        monkeypatch.setattr(search_module, "new_row_stack", lambda: rows)
+    cfg = SearchConfig(area_bound=6.0, max_d=max_d, max_exp=max_exp, word_budget_per_box=budget)
+    return test_box(ParamBox.from_point(REF), None, cfg)
 
 
 def test_scan_syllable_steps(monkeypatch) -> None:
-    """The canonical stream on one triple resumes each word from its shared prefix."""
-    steps = []
-    unboxed = GeneratorTriple.unboxed_syllable
+    """The canonical stream on one box resumes each word from its shared prefix.
 
-    def counting(self, syllable):
-        steps.append(syllable)
-        return unboxed(self, syllable)
+    Steps are the rows test_box's scan pushes on its row stack.
+    """
+    steps = 0
 
-    monkeypatch.setattr(GeneratorTriple, "unboxed_syllable", counting)
-    for stream, expected in (
-        (islice(enumerate_words(6, 3), 2000), 2126),
-        (enumerate_words(2, 1), 162),
+    class CountingRows(list):
+        def append(self, row):
+            nonlocal steps
+            steps += 1
+            super().append(row)
+
+    for (max_d, max_exp, budget), words, expected in (
+        ((6, 3, 2000), 2000, 2126),
+        ((2, 1, 10000), 145, 162),
     ):
-        gens = gens_from_params(REF)
-        steps.clear()
-        for w in stream:
-            lower_left_abs(w, gens)
-        assert len(steps) == expected
+        steps = 0
+        rows = CountingRows(new_row_stack())
+        verdict = _scan_reference_point(monkeypatch, max_d, max_exp, budget, rows)
+        assert verdict.words_scanned == words
+        assert steps == expected
 
 
 def test_scan_rect_mul_count(monkeypatch) -> None:
@@ -371,14 +434,13 @@ def test_scan_rect_mul_count(monkeypatch) -> None:
         return rect_mul(x, y)
 
     monkeypatch.setattr(words_module, "rect_mul", counting)
-    for stream, expected in (
-        (islice(enumerate_words(6, 3), 2000), 4385),
-        (enumerate_words(2, 1), 322),
+    for (max_d, max_exp, budget), words, expected in (
+        ((6, 3, 2000), 2000, 4385),
+        ((2, 1, 10000), 145, 322),
     ):
-        gens = gens_from_params(REF)
         calls = 0
-        for w in stream:
-            lower_left_abs(w, gens)
+        verdict = _scan_reference_point(monkeypatch, max_d, max_exp, budget)
+        assert verdict.words_scanned == words
         assert calls == expected
 
 
@@ -389,12 +451,12 @@ def _hex_rects(rects):
 def test_gamma_unit_steps_match_the_general_step() -> None:
     """The kernel's gamma^+-1 step is the four-product step bit for bit.
 
-    Each case seeds the triple's kept rows with rectangles that have
-    special endpoints, infinities and NaNs among them, and reads the row
-    the kernel pushes for one more syllable (0, 0, +-1).  A non-finite row
-    is pushed before lower_left_abs raises on it.  NaN hexes alike
-    whatever its sign, so the rows must match wherever they are finite
-    and be non-finite where the general step is.
+    Each case seeds a row stack with a row after one syllable whose
+    rectangles have special endpoints, infinities and NaNs among them, and
+    reads the row the kernel pushes for one more syllable (0, 0, +-1).  A
+    non-finite row is pushed before lower_left_bounds raises on it.  NaN
+    hexes alike whatever its sign, so the rows must match wherever they
+    are finite and be non-finite where the general step is.
     """
     rng = random.Random(5273)
     finite = tuple(v for v in _SPECIAL if math.isfinite(v))
@@ -406,9 +468,9 @@ def test_gamma_unit_steps_match_the_general_step() -> None:
         r1 = _endpoints(rng) + _endpoints(rng)
         r2 = _endpoints(rng) + _endpoints(rng)
         for e in (1, -1):
-            gens._rows[:] = [(first, r1, r2)]
+            rows = new_row_stack() + [(r1, r2)]
             try:
-                lower_left_abs(Word._trusted((first, (0, 0, e))), gens)
+                lower_left_bounds(gens, (first, (0, 0, e)), rows, 1)
             except ValueError:
                 pass
             g11, g12, g21, g22 = gens.unboxed_syllable((0, 0, e))[1]
@@ -416,7 +478,8 @@ def test_gamma_unit_steps_match_the_general_step() -> None:
                 rect_add(rect_mul(r1, g11), rect_mul(r2, g21)),
                 rect_add(rect_mul(r1, g12), rect_mul(r2, g22)),
             )
-            assert _hex_rects(gens._rows[-1][1:]) == _hex_rects(general), (c, r1, r2, e)
+            assert len(rows) == 3
+            assert _hex_rects(rows[-1]) == _hex_rects(general), (c, r1, r2, e)
 
 
 def test_unboxed_table_matches_the_oracle_entries() -> None:
