@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .interval import ComplexInterval, IntervalMatrix, RealInterval, rect_add, rect_mul
+from .interval import ComplexInterval, RealInterval, rect_add, rect_mul
 
 _ZERO = (0.0, 0.0, 0.0, 0.0)
 
@@ -136,47 +136,21 @@ class ParamBox:
 
 @dataclass(slots=True)
 class GeneratorTriple:
-    """Interval enclosures of the three generators over a box or point.
+    """Interval enclosures of a, b and c over a box or point, and the scan table.
 
-    alpha and beta are kept as their offsets a and b, gamma as a matrix.
-    translation() and gamma_power() cache IntervalMatrix enclosures for the
-    oracle route.  The word-scan kernel reads unboxed_syllable() instead,
-    whose table is built straight from the endpoints of a, b and c with
-    rect_mul and rect_add, by the same operations in the same order, so it
-    is bit-identical to those matrices' entries.  The triple holds no scan
-    state: the kernel's row stack belongs to the scan that calls it.
+    alpha and beta are the translations by a and b, gamma is
+    [[c, -1], [1, 0]].  The triple holds the word-scan kernel's syllable
+    table, unboxed_syllable(), built once per syllable from the endpoints
+    of a, b and c, and nothing else: the oracle words.evaluate_word builds
+    its own matrices from a, b and c, and the kernel's row stack belongs to
+    the scan that calls it.
     """
 
     a: ComplexInterval
     b: ComplexInterval
     c: ComplexInterval
-    gamma: IntervalMatrix
-    _translations: dict = field(default_factory=dict)
-    _gamma_powers: dict = field(default_factory=dict)
     _unboxed: dict = field(default_factory=dict)
     _unboxed_powers: dict = field(default_factory=dict)
-
-    @classmethod
-    def build(cls, a: ComplexInterval, b: ComplexInterval, c: ComplexInterval) -> "GeneratorTriple":
-        point = ComplexInterval.point
-        return cls(a, b, c, IntervalMatrix(c, point(-1.0), point(1.0), point(0.0)))
-
-    def translation(self, m: int, n: int) -> IntervalMatrix:
-        """Enclosure of alpha^m * beta^n, the translation by m*a + n*b."""
-        key = (m, n)
-        cached = self._translations.get(key)
-        if cached is not None:
-            return cached
-        zero = ComplexInterval.point(0.0)
-        off = zero
-        if m:
-            off = off + ComplexInterval.point(float(m)) * self.a
-        if n:
-            off = off + ComplexInterval.point(float(n)) * self.b
-        one = ComplexInterval.point(1.0)
-        mat = IntervalMatrix(one, off, zero, one)
-        self._translations[key] = mat
-        return mat
 
     def unboxed_syllable(self, syllable: tuple) -> tuple:
         """Entries of one syllable (m, n, e) as float rectangles, built once.
@@ -184,11 +158,12 @@ class GeneratorTriple:
         Returns (offset, gamma): the translation offset m*a + n*b, or None
         when m = n = 0, and the four entries (g11, g12, g21, g22) of
         gamma^e, or None when e = 0.  Both come from the endpoints of a, b
-        and c by the operations translation() and gamma_power() apply to
-        their intervals, so each rectangle is bit-identical to the entry
-        those give.  Raises ValueError when an entry overflows, as building
-        those intervals does: each entry is checked, and an overflow inside
-        the sums and products that make it leaves a non-finite endpoint.
+        and c by the operations words.evaluate_word applies to their
+        intervals, so each rectangle is bit-identical to the entry of the
+        oracle's factor.  Raises ValueError when an entry overflows, as
+        building those intervals does: each entry is checked, and an
+        overflow inside the sums and products that make it leaves a
+        non-finite endpoint.
         """
         hit = self._unboxed.get(syllable)
         if hit is None:
@@ -205,7 +180,11 @@ class GeneratorTriple:
         return hit
 
     def _unboxed_power(self, e: int) -> tuple:
-        """gamma^e's entries as rectangles, gamma_power()'s product on endpoints."""
+        """gamma^e's entries as rectangles: the oracle's left-to-right product of |e| factors.
+
+        The factors are gamma, or its SL2 adjugate for e < 0.  A loop fills
+        the cache, so a large |e| does not recurse.
+        """
         powers = self._unboxed_powers
         hit = powers.get(e)
         if hit is not None:
@@ -232,40 +211,17 @@ class GeneratorTriple:
                 powers[k] = power
         return powers[e]
 
-    def gamma_power(self, e: int) -> IntervalMatrix:
-        """Cached enclosure of gamma^e, the left-to-right product of |e| factors.
-
-        The factors are gamma, or its SL2 inverse for e < 0.  A loop fills
-        the cache, so a large |e| does not recurse.
-        """
-        if e == 0:
-            return IntervalMatrix.identity()
-        powers = self._gamma_powers
-        cached = powers.get(e)
-        if cached is not None:
-            return cached
-        step = 1 if e > 0 else -1
-        gen = self.gamma if e > 0 else self.gamma.inverse_sl2()
-        powers.setdefault(step, gen)
-        for k in range(2 * step, e + step, step):
-            if k not in powers:
-                powers[k] = powers[k - step] @ gen
-        return powers[e]
-
 
 def gens_from_params(p: Union[Params, ParamBox]) -> GeneratorTriple:
     """Generator enclosures for a parameter point or box.
 
-    Point parameters produce zero-width entries, so structurally exact
-    entries (the 0, 1, -1 slots and the pairing lower-left 1) stay exact.
+    Point parameters give zero-width a, b and c, so a word evaluated at a
+    point keeps its structurally exact entries exact.
     """
     if isinstance(p, Params):
-        return GeneratorTriple.build(
-            ComplexInterval.point(p.a),
-            ComplexInterval.point(p.b),
-            ComplexInterval.point(p.c),
-        )
-    return GeneratorTriple.build(p.a(), p.b(), p.c())
+        point = ComplexInterval.point
+        return GeneratorTriple(point(p.a), point(p.b), point(p.c))
+    return GeneratorTriple(p.a(), p.b(), p.c())
 
 
 def space_radius(area_bound: float) -> float:

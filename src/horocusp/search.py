@@ -148,6 +148,8 @@ class SearchConfig:
             except (TypeError, ValueError) as exc:
                 raise ValueError("root_box: %s" % exc) from None
             object.__setattr__(self, "root_box", box)
+        if self.root_box is not None and not all(map(math.isfinite, self.root_box.widths())):
+            raise ValueError("root_box: every width hi - lo must be finite")
 
     def resolved_root(self) -> Optional[ParamBox]:
         if self.root_box is None:
@@ -459,12 +461,17 @@ def _leaf_rows(report) -> List[dict]:
 
 
 def _finite_pair(bound) -> bool:
-    return (
-        isinstance(bound, list)
-        and len(bound) == 2
-        and all(type(x) in (int, float) and math.isfinite(x) for x in bound)
-        and bound[0] <= bound[1]
-    )
+    """True for [lo, hi], two numbers with lo <= hi and a finite width hi - lo."""
+    if not (isinstance(bound, list) and len(bound) == 2):
+        return False
+    if not all(type(x) in (int, float) for x in bound):
+        return False
+    try:
+        lo, hi = map(float, bound)
+    except OverflowError:
+        return False
+    # the width is finite only when both endpoints are
+    return lo <= hi and math.isfinite(hi - lo)
 
 
 def _killer_leaf(row: dict) -> Tuple[str, Word, list]:
@@ -480,7 +487,7 @@ def _killer_leaf(row: dict) -> Tuple[str, Word, list]:
     except ValueError as exc:
         raise ValueError(f"{where}: word {text!r}: {exc}") from None
     if not (isinstance(bounds, list) and len(bounds) == 6 and all(map(_finite_pair, bounds))):
-        raise ValueError(f"{where}: bounds must be six [lo, hi] pairs of finite numbers")
+        raise ValueError(f"{where}: bounds must be six [lo, hi] pairs with a finite width")
     return path, word, bounds
 
 
@@ -489,7 +496,8 @@ def verify_report(report, samples_per_box: int) -> dict:
 
     Samples points inside each such leaf with a path-seeded generator and
     float-evaluates the recorded word, requiring the lower-left magnitude
-    to stay inside (0, 1) with tolerance AUDIT_TOLERANCE.  Accepts a
+    to stay inside (0, 1) with tolerance AUDIT_TOLERANCE; a sample that
+    is not strictly inside, NaN included, is a violation.  Accepts a
     SearchReport or its JSON dictionary form; raises ValueError, naming
     the problem, when the dictionary is not a search report.
     """
@@ -513,7 +521,7 @@ def verify_report(report, samples_per_box: int) -> dict:
                 complex(vals[4], vals[5]),
             )
             mag = abs(evaluate_word_float(word, p)[2])
-            if mag <= AUDIT_TOLERANCE or mag >= 1.0 + AUDIT_TOLERANCE:
+            if not AUDIT_TOLERANCE < mag < 1.0 + AUDIT_TOLERANCE:
                 violations.append(
                     {
                         "path": path,

@@ -47,8 +47,11 @@ products by those matrices' exact 0 and 1 entries and takes the one by -1
 as interval.rect_neg; what it skips is exact or a shortcut, so the row
 keeps its bits.  lower_left_abs and killer_test run the kernel on a fresh
 stack.  evaluate_word is the full-matrix route over the interval classes,
-which never call the rectangle functions; it stays as public API and as the
-oracle the kernel's bounds are tested against bit for bit.
+which never call the rectangle functions.  It builds its generator matrices
+from the triple's a, b and c on each call and shares no table with the
+scan; it stays as public API and as the oracle the kernel's bounds are
+tested against bit for bit.  evaluate_word_float is the plain-float audit
+route.
 """
 
 from __future__ import annotations
@@ -61,7 +64,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Tuple, Union
 
 from .bicuspid import GeneratorTriple, ParamBox, Params, gens_from_params
-from .interval import IntervalMatrix, RealInterval, rect_abs, rect_add, rect_mul, rect_neg
+from .interval import ComplexInterval, IntervalMatrix, RealInterval
+from .interval import rect_abs, rect_add, rect_mul, rect_neg
 
 Syllable = Tuple[int, int, int]
 
@@ -321,20 +325,34 @@ class WordStream:
 def evaluate_word(word: Word, target: Union[GeneratorTriple, Params, ParamBox]) -> IntervalMatrix:
     """Certified enclosure of the word's matrix over a point or box.
 
-    Left-to-right product, one translation enclosure per commuting block
-    and cached powers of the pairing element. Inverses go through the SL2
-    adjugate, so no entry is ever divided.  This is the oracle route: the
-    search scans with lower_left_bounds, whose bounds equal this matrix's
-    m21.abs_bounds() bit for bit.
+    This is the oracle route, and the one place the generator matrices are
+    built: alpha^m beta^n is [[1, t], [0, 1]] with t = 0 + m*a + n*b, each
+    term added only when nonzero, and gamma is [[c, -1], [1, 0]], inverted
+    through the SL2 adjugate for e < 0, so no entry is ever divided.
+    gamma^e is the left-to-right product of its |e| factors, formed before
+    it joins the left-to-right product of the word.  The search scans with
+    lower_left_bounds, whose bounds equal this matrix's m21.abs_bounds()
+    bit for bit.
     """
     gens = target if isinstance(target, GeneratorTriple) else gens_from_params(target)
+    point = ComplexInterval.point
+    zero, one = point(0.0), point(1.0)
+    gamma = IntervalMatrix(gens.c, point(-1.0), one, zero)
     acc: IntervalMatrix | None = None
     for m, n, e in word.syllables:
         if m or n:
-            t = gens.translation(m, n)
+            off = zero
+            if m:
+                off = off + point(float(m)) * gens.a
+            if n:
+                off = off + point(float(n)) * gens.b
+            t = IntervalMatrix(one, off, zero, one)
             acc = t if acc is None else acc @ t
         if e:
-            g = gens.gamma_power(e)
+            gen = gamma if e > 0 else gamma.inverse_sl2()
+            g = gen
+            for _ in range(abs(e) - 1):
+                g = g @ gen
             acc = g if acc is None else acc @ g
     assert acc is not None
     return acc

@@ -13,32 +13,37 @@ from horocusp.bicuspid import (
     space_radius,
 )
 from horocusp.interval import RealInterval
-from horocusp.words import Word, evaluate_word, lower_left_abs
+from horocusp.words import Word, evaluate_word, lower_left_abs, parse_word
 
 REF = Params(4.0, 1.0 + math.sqrt(3.0) * 1j, 2.0)
 
 
+def _translation(m, n, target):
+    return evaluate_word(Word(((m, n, 0),)), target)
+
+
+def _gamma_power(e, target):
+    return evaluate_word(Word(((0, 0, e),)), target)
+
+
 def test_pairing_lower_left_exact_at_points():
-    g = gens_from_params(REF)
-    bounds = g.gamma.m21.abs_bounds()
+    bounds = evaluate_word(parse_word("z"), REF).m21.abs_bounds()
     assert bounds.lo == 1.0 and bounds.hi == 1.0
 
 
 def test_generator_shapes():
     g = gens_from_params(REF)
-    alpha, beta = g.translation(1, 0), g.translation(0, 1)
+    alpha, beta = _translation(1, 0, g), _translation(0, 1, g)
     assert alpha.contains(1.0, 4.0, 0.0, 1.0)
     assert beta.contains(1.0, REF.b, 0.0, 1.0)
-    assert g.gamma.contains(2.0, -1.0, 1.0, 0.0)
+    assert evaluate_word(parse_word("z"), g).contains(2.0, -1.0, 1.0, 0.0)
     assert alpha.m21.re.is_point and alpha.m21.re.lo == 0.0
     # the exact-one and exact-zero shortcuts give the offsets a and b exactly
     assert alpha.m12 == g.a and beta.m12 == g.b
 
 
-def test_translation_cache_and_offset():
-    g = gens_from_params(REF)
-    t = g.translation(2, -1)
-    assert t is g.translation(2, -1)
+def test_translation_offset():
+    t = _translation(2, -1, REF)
     assert t.m12.contains(2 * REF.a - REF.b)
     assert t.m21.re.lo == 0.0 and t.m21.re.hi == 0.0
 
@@ -46,7 +51,7 @@ def test_translation_cache_and_offset():
 def test_gamma_power_inverse_pairs():
     g = gens_from_params(REF)
     for e in (-3, -2, -1, 1, 2, 3):
-        prod = g.gamma_power(e) @ g.gamma_power(-e)
+        prod = _gamma_power(e, g) @ _gamma_power(-e, g)
         assert prod.contains(1.0, 0.0, 0.0, 1.0)
 
 
@@ -59,14 +64,11 @@ def test_gamma_power_matches_left_to_right_product():
         [[4.0, 4.0625], [0.0, 0.0], [1.0, 1.0625], [1.6875, 1.75], [0.5, 0.5625], [-0.0625, 0.0]]
     )
     for target in (REF, Params(REF.a, REF.b, 0.5), box):
-        g = gens_from_params(target)
-        for e in (7, 40, -3, -40):  # fill the cache in pieces
-            g.gamma_power(e)
-        fresh = gens_from_params(target)
-        for sign, gen in ((1, fresh.gamma), (-1, fresh.gamma.inverse_sl2())):
+        gamma = evaluate_word(parse_word("z"), target)
+        for sign, gen in ((1, gamma), (-1, gamma.inverse_sl2())):
             acc = gen
             for k in range(1, 41):
-                assert _entry_bits(g.gamma_power(sign * k)) == _entry_bits(acc), sign * k
+                assert _entry_bits(_gamma_power(sign * k, target)) == _entry_bits(acc), sign * k
                 acc = acc @ gen
 
 
@@ -206,12 +208,7 @@ def test_box_generators_enclose_point_generators() -> None:
             complex(rng.uniform(box.c_re.lo, box.c_re.hi), rng.uniform(box.c_im.lo, box.c_im.hi)),
         )
         assert box.contains_params(p)
-        gb = gens_from_params(box)
-        gp = gens_from_params(p)
-        for mb, mp in (
-            (gb.translation(1, 0), gp.translation(1, 0)),
-            (gb.translation(0, 1), gp.translation(0, 1)),
-            (gb.gamma, gp.gamma),
-        ):
+        for word in (Word(((1, 0, 0),)), Word(((0, 1, 0),)), parse_word("z")):
+            mb, mp = evaluate_word(word, box), evaluate_word(word, p)
             for name in ("m11", "m12", "m21", "m22"):
                 assert getattr(mb, name).encloses(getattr(mp, name))

@@ -176,6 +176,8 @@ def test_search_usage_errors(tmp_path, capsys):
         ("root_box", "box"),
         ("root_box", [[0, True]] + SLICE_CFG["root_box"][1:]),
         ("root_box", [[0, "1"]] + SLICE_CFG["root_box"][1:]),
+        # finite endpoints whose b_re width overflows
+        ("root_box", [[1.0, 1.2], [0, 0], [-1.7e308, 1.7e308], [0.5, 1.0], [-0.7, -0.4], [0, 0]]),
         ("use_parent_word_hint", "no"),
         ("max_d", 1.9),
         ("max_exp", True),
@@ -362,6 +364,9 @@ _KILLER_Q = {
 }
 
 
+_WIDE_KILLER_BOUNDS = [[1.0, 1.1], [0, 0], [0, 0], [4, 4], [-1e308, 1e308], [0, 0]]
+
+
 @pytest.mark.parametrize(
     "data, problem",
     [
@@ -372,8 +377,15 @@ _KILLER_Q = {
          "killer leaf '0': bounds"),
         ({"leaves": [_KILLER_Q["leaves"][0] | {"word": "z", "path": 7}]}, "path"),
         ({"leaves": ["undecided"]}, "'status' string"),
+        # finite endpoints whose c_re width overflows, so every sample would be non-finite
+        ({"leaves": [_KILLER_Q["leaves"][0] | {"word": "z x z", "bounds": _WIDE_KILLER_BOUNDS}]},
+         "killer leaf '0': bounds"),
+        # an integer endpoint no float can hold
+        ({"leaves": [_KILLER_Q["leaves"][0] | {"word": "z", "bounds": [[0, 10**400]] * 6}]},
+         "killer leaf '0': bounds"),
     ],
-    ids=["list", "empty-object", "bad-word", "bad-bounds", "bad-path", "bad-leaf"],
+    ids=["list", "empty-object", "bad-word", "bad-bounds", "bad-path", "bad-leaf", "wide-bounds",
+         "huge-int-bounds"],
 )
 def test_verify_json_that_is_not_a_report_is_a_usage_error(tmp_path, capsys, data, problem):
     path = tmp_path / "r.json"

@@ -33,6 +33,8 @@ from horocusp.words import (
 )
 
 SLICE_BOUNDS = [[1.0, 1.2], [0.0, 0.0], [0.0, 0.0], [4.0, 4.0], [-0.7, -0.4], [0.0, 0.0]]
+# finite endpoints whose b_re width 3.4e308 overflows to inf
+WIDE_BOUNDS = [[1.0, 1.2], [0.0, 0.0], [-1.7e308, 1.7e308], [0.5, 1.0], [-0.7, -0.4], [0.0, 0.0]]
 STRADDLE_BOUNDS = [[0.5, 1.5], [0.0, 0.0], [0.0, 0.0], [4.0, 4.0], [-0.75, -0.25], [0.0, 0.0]]
 
 
@@ -83,6 +85,8 @@ def test_config_validation() -> None:
         {"root_box": [[0, "1"]] + SLICE_BOUNDS[1:]},
         {"root_box": "box"},
         {"root_box": 6},
+        {"root_box": WIDE_BOUNDS},
+        {"root_box": ParamBox.from_bounds(WIDE_BOUNDS)},
     ):
         try:
             _cfg(**kw)
@@ -499,6 +503,16 @@ def test_verify_report_accepts_json_dict_and_catches_corruption():
     first = audit["violations"][0]
     assert first["path"] == "" and first["word"] == "z y z"
     assert first["abs_lower_left"] >= 1.0
+
+
+def test_verify_report_counts_a_nan_magnitude_as_a_violation(monkeypatch):
+    rep = run_search(_cfg(root_box=SLICE_BOUNDS))
+    assert verify_report(rep, 5)["passed"]
+    nan = complex(math.nan, 0.0)
+    monkeypatch.setattr(search_module, "evaluate_word_float", lambda word, p: (nan,) * 4)
+    audit = verify_report(rep, 5)
+    assert not audit["passed"] and len(audit["violations"]) == audit["samples_taken"] == 5
+    assert math.isnan(audit["violations"][0]["abs_lower_left"])
 
 
 def test_verify_report_vacuous_on_empty():

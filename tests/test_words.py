@@ -483,7 +483,7 @@ def test_gamma_unit_steps_match_the_general_step() -> None:
 
 
 def test_unboxed_table_matches_the_oracle_entries() -> None:
-    """Rectangles built from endpoints equal translation() and gamma_power() bit for bit."""
+    """Rectangles built from endpoints equal the oracle's generator entries bit for bit."""
     box = param_space(1.5)
     for bit in "0110100101":
         box = subdivide(box)[int(bit)]
@@ -493,12 +493,12 @@ def test_unboxed_table_matches_the_oracle_entries() -> None:
             for n in range(-3, 4):
                 offset = gens.unboxed_syllable((m, n, 1))[0]
                 if m or n:
-                    oracle = gens.translation(m, n).m12.endpoints()
+                    oracle = evaluate_word(Word(((m, n, 0),)), gens).m12.endpoints()
                     assert _hex_rects([offset]) == _hex_rects([oracle])
                 else:
                     assert offset is None
         for e in [k for k in range(-40, 41) if k]:
-            g = gens.gamma_power(e)
+            g = evaluate_word(Word(((0, 0, e),)), gens)
             oracle = [x.endpoints() for x in (g.m11, g.m12, g.m21, g.m22)]
             assert _hex_rects(gens.unboxed_syllable((0, 0, e))[1]) == _hex_rects(oracle), e
         assert gens.unboxed_syllable((2, -1, 0)) == (gens.unboxed_syllable((2, -1, 1))[0], None)
@@ -514,7 +514,7 @@ def test_unboxed_table_matches_the_oracle_entries() -> None:
                 with pytest.raises(ValueError):
                     gens.unboxed_syllable((0, 0, e))
             with pytest.raises(ValueError):
-                gens.gamma_power(e)
+                evaluate_word(Word(((0, 0, e),)), gens)
 
 
 def test_evaluate_pairing_sandwich_symbolic():
