@@ -6,6 +6,9 @@ ball of diameter 1/|y|^2 tangent to the boundary at w/y.  Cusp translations
 on either side of a word keep |y| and move w/y by a lattice vector, so the
 diagram and min_lower_left walk one word per double coset of P\\G/P, P = <x, y>:
 it starts and ends with z^+-1 and spells each translation run as x^m y^n.
+Each level of a walk is kept to grow the next, except the last: it is
+yielded as it is built, and the double-coset walk builds there only words
+ending with z^+-1.
 Everything here is float arithmetic; diagrams are illustrations, not certificates.
 """
 
@@ -13,7 +16,6 @@ import csv
 import io
 import json
 import math
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -24,8 +26,9 @@ from .words import _cmul2
 
 DEDUP_DECIMALS = 9
 # Most words one walk may build, so that a deep walk fails at once rather
-# than filling memory.  Depth 9 of the double-coset walk, 317,810 words,
-# takes 0.4 s and about 130 MB.
+# than filling memory.  Depth 9 of the double-coset walk builds 167,762
+# words and keeps 75,024 of them: about 0.3 s and 43 MB peak RSS at the
+# reference point (Python 3.11, one core).
 MAX_WALK_WORDS = 10**6
 
 _LETTERS = ("x", "x^-1", "y", "y^-1", "z", "z^-1")
@@ -40,6 +43,8 @@ _REDUCED = tuple(tuple(i for i in range(6) if i != _INVERSE_OF[j]) for j in rang
 _COSET = tuple(
     tuple(i for i in _REDUCED[j] if not (j in (2, 3) and i in (0, 1))) for j in range(6)
 )
+# A double-coset word ends with z^+-1, so its last letter is one of these.
+_COSET_LAST = tuple(tuple(i for i in f if i >= 4) for f in _COSET)
 
 Matrix = Tuple[complex, complex, complex, complex]
 Letters = Tuple[int, ...]
@@ -81,13 +86,20 @@ class GroupElement:
 
 
 def _walk(
-    p: Params, max_len: int, first: Sequence[int], follows: Tuple[Letters, ...]
+    p: Params,
+    max_len: int,
+    first: Sequence[int],
+    follows: Tuple[Letters, ...],
+    last: Optional[Tuple[Letters, ...]] = None,
 ) -> Iterator[Tuple[Letters, Matrix]]:
     """Words breadth-first with their left-to-right products.
 
     Words start with a letter in first, and a letter may be followed only by
-    the letters follows[letter] lists.  Raises ValueError, before building
-    any word, when the walk could build more than MAX_WALK_WORDS of them.
+    the letters follows[letter] lists; in the last level, of length max_len
+    > 1, only by those last[letter] lists (default follows).  Each level
+    but the last is stored to grow the next; the last is yielded as it is
+    built.  Raises ValueError, before building any word, when the walk
+    could build more than MAX_WALK_WORDS of them.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
@@ -102,15 +114,26 @@ def _walk(
     gens = _generator_matrices(p)
     level = [((i,), gens[i]) for i in first]
     yield from level
-    for _ in range(max_len - 1):
+    if max_len == 1:
+        return
+    for _ in range(max_len - 2):
         level = [(w + (i,), _cmul2(m, gens[i])) for w, m in level for i in follows[w[-1]]]
         yield from level
+    if last is None:
+        last = follows
+    for w, m in level:
+        for i in last[w[-1]]:
+            yield w + (i,), _cmul2(m, gens[i])
 
 
 def _double_coset_words(p: Params, max_len: int) -> Iterator[Tuple[Letters, Matrix]]:
-    for w, m in _walk(p, max_len, (4, 5), _COSET):
+    for w, m in _walk(p, max_len, (4, 5), _COSET, _COSET_LAST):
         if w[-1] >= 4:
             yield w, m
+
+
+def _spell(word: Letters) -> str:
+    return " ".join(_LETTERS[i] for i in word)
 
 
 def enumerate_elements(p: Params, max_len: int) -> List[GroupElement]:
@@ -159,7 +182,8 @@ def horoball_diagram(p: Params, min_diameter: float, max_len: int) -> HoroballDi
     Only double-coset words are walked (see the module docstring).  Centers
     are reduced into the fundamental parallelogram of <a, b>.  Balls agreeing
     in reduced center and diameter to 1e-9 are merged, keeping the first
-    (shortest) witness word.
+    (shortest) witness word.  Raises ValueError naming the first word whose
+    kept ball has a NaN center or diameter.
     """
     if not min_diameter > 0.0:
         raise ValueError("min_diameter must be positive")
@@ -173,14 +197,17 @@ def horoball_diagram(p: Params, min_diameter: float, max_len: int) -> HoroballDi
         diameter = 1.0 / (ay * ay)
         if diameter < min_diameter:
             continue
-        center = _reduce_mod_lattice(m[0] / y, lattice.a, lattice.b)
+        q = m[0] / y
+        if q != q:
+            raise ValueError(f"the horoball of word {_spell(word)!r} has a NaN center or diameter")
+        center = _reduce_mod_lattice(q, lattice.a, lattice.b)
         key = (
             round(center.real, DEDUP_DECIMALS) + 0.0,
             round(center.imag, DEDUP_DECIMALS) + 0.0,
             round(diameter, DEDUP_DECIMALS) + 0.0,
         )
         if key not in balls:
-            balls[key] = Horoball(center, diameter, " ".join(_LETTERS[i] for i in word))
+            balls[key] = Horoball(center, diameter, _spell(word))
     return HoroballDiagram(lattice, list(balls.values()))
 
 
@@ -189,14 +216,24 @@ def min_lower_left(p: Params, max_len: int) -> float:
 
     Only double-coset words are walked: a translation on either side of a
     word keeps |y|.  A value below 1 - 1e-6 indicates the height-1 cusp
-    neighborhood does not embed at these parameters.
+    neighborhood does not embed at these parameters.  Raises ValueError
+    naming the first word whose y is NaN.
     """
-    lower = (abs(m[2]) for _, m in _double_coset_words(p, max_len))
-    return min((ay for ay in lower if ay > 0.0), default=math.inf)
+    best = math.inf
+    for word, m in _double_coset_words(p, max_len):
+        ay = abs(m[2])
+        # false for most words; true for a new minimum, a zero or a NaN
+        if not ay >= best:
+            if ay != ay:
+                raise ValueError(f"the lower-left entry of word {_spell(word)!r} is NaN")
+            if ay > 0.0:
+                best = ay
+    return best
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.6f}"
+def _xml_text(text: str) -> str:
+    """text escaped as XML character data, as xml.etree writes it."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def render_svg(
@@ -228,51 +265,29 @@ def render_svg(
             (max_y - z.imag) * scale_px_per_unit + pad,
         )
 
-    root = ET.Element(
-        "svg",
-        {
-            "xmlns": "http://www.w3.org/2000/svg",
-            "version": "1.1",
-            "width": _fmt(width),
-            "height": _fmt(height),
-            "viewBox": f"0 0 {_fmt(width)} {_fmt(height)}",
-        },
-    )
-    meta = ET.SubElement(root, "metadata")
     payload = {"version": __version__, "ball_count": len(diagram.balls)}
     if metadata:
         payload.update(metadata)
-    meta.text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    ET.SubElement(
-        root,
-        "polygon",
-        {
-            "points": " ".join(
-                "{},{}".format(_fmt(px), _fmt(py)) for px, py in map(to_px, (0j, a, a + b, b))
-            ),
-            "fill": "none",
-            "stroke": "#202020",
-            "stroke-width": "1.5",
-        },
-    )
+    meta = _xml_text(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+    points = " ".join(f"{px:.6f},{py:.6f}" for px, py in map(to_px, corners))
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width:.6f}"'
+        f' height="{height:.6f}" viewBox="0 0 {width:.6f} {height:.6f}">'
+        f"<metadata>{meta}</metadata>"
+        f'<polygon points="{points}" fill="none" stroke="#202020" stroke-width="1.5" />'
+    ]
     for ball in diagram.balls:
         cx, cy = to_px(ball.center)
-        circle = ET.SubElement(
-            root,
-            "circle",
-            {
-                "cx": _fmt(cx),
-                "cy": _fmt(cy),
-                "r": _fmt(ball.diameter / 2.0 * scale_px_per_unit),
-                "fill": "#4878b0",
-                "fill-opacity": "0.35",
-                "stroke": "#1f4b7a",
-                "stroke-width": "1.0",
-            },
+        r = ball.diameter / 2.0 * scale_px_per_unit
+        # an empty title is written self-closed, as xml.etree writes it
+        title = f"<title>{_xml_text(ball.word)}</title>" if ball.word else "<title />"
+        parts.append(
+            f'<circle cx="{cx:.6f}" cy="{cy:.6f}" r="{r:.6f}" fill="#4878b0"'
+            f' fill-opacity="0.35" stroke="#1f4b7a" stroke-width="1.0">{title}</circle>'
         )
-        title = ET.SubElement(circle, "title")
-        title.text = ball.word
-    return '<?xml version="1.0" encoding="UTF-8"?>\n' + ET.tostring(root, encoding="unicode")
+    parts.append("</svg>")
+    return "".join(parts)
 
 
 def export_csv(diagram: HoroballDiagram, metadata: Optional[dict] = None) -> str:

@@ -5,15 +5,20 @@ import json
 import math
 import random
 import time
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import pytest
 
+from horocusp import __version__
 from horocusp.bicuspid import Params
+from horocusp.cuspgeom import CuspShape
 from horocusp.horoball import (
     DEDUP_DECIMALS,
     MAX_WALK_WORDS,
     GroupElement,
+    Horoball,
+    HoroballDiagram,
     enumerate_elements,
     export_csv,
     horoball_diagram,
@@ -21,7 +26,9 @@ from horocusp.horoball import (
     render_svg,
     _COSET,
     _REDUCED,
+    _double_coset_words,
     _reduce_mod_lattice,
+    _sign_key,
     _walk,
 )
 
@@ -314,3 +321,214 @@ def test_degenerate_lattice_rejected():
 def test_group_element_word_property():
     el = GroupElement(("x", "z^-1"), (1 + 0j, 0j, 0j, 1 + 0j))
     assert el.word == "x z^-1"
+
+
+_LETTER_NAMES = ("x", "x^-1", "y", "y^-1", "z", "z^-1")
+
+
+def _plain_walk(p, max_len, first, may_follow):
+    """Breadth-first (letters, product) pairs, every level built and kept."""
+    mats = _test_matrices(p)
+    gens = [mats[name] for name in _LETTER_NAMES]
+    levels = [[((i,), gens[i]) for i in first]]
+    for _ in range(max_len - 1):
+        nxt = []
+        for w, acc in levels[-1]:
+            for i in range(6):
+                if may_follow(w[-1], i):
+                    g = gens[i]
+                    m = (
+                        acc[0] * g[0] + acc[1] * g[2],
+                        acc[0] * g[1] + acc[1] * g[3],
+                        acc[2] * g[0] + acc[3] * g[2],
+                        acc[2] * g[1] + acc[3] * g[3],
+                    )
+                    nxt.append((w + (i,), m))
+        levels.append(nxt)
+    return [pair for level in levels for pair in level]
+
+
+def _reduced_rule(j, i):
+    return i != (1, 0, 3, 2, 5, 4)[j]
+
+
+def _coset_rule(j, i):
+    # reduced, and no y-letter followed by an x-letter
+    return _reduced_rule(j, i) and not (j in (2, 3) and i in (0, 1))
+
+
+def _bits(pairs):
+    """(letters, matrix) pairs with each float spelled exactly, signed zeros too."""
+    return [
+        (w, tuple(map(float.hex, (m[0].real, m[0].imag, m[1].real, m[1].imag,
+                                  m[2].real, m[2].imag, m[3].real, m[3].imag))))
+        for w, m in pairs
+    ]
+
+
+@pytest.mark.parametrize(
+    "p", [_ref(-1), _ref(0), _ref(1), _ref(0, c=0.5), _GENERIC],
+    ids=["ref-k-1", "ref-k0", "ref-k1", "c0.5", "generic"],
+)
+def test_streamed_walks_match_a_walk_that_keeps_every_level(p):
+    # the walk to one length is the start of the walk to a longer one
+    coset = _plain_walk(p, 8, (4, 5), _coset_rule)
+    coset = _bits([(w, m) for w, m in coset if w[-1] >= 4])
+    for length in range(1, 9):
+        expect = [(w, m) for w, m in coset if len(w) <= length]
+        assert _bits(_double_coset_words(p, length)) == expect
+    reduced = _plain_walk(p, 6, range(6), _reduced_rule)
+    # the first witness of each matrix class, in walk order
+    witnesses = {}
+    for w, m in reduced:
+        witnesses.setdefault(_sign_key(m), (w, m))
+    reduced, witnesses = _bits(reduced), _bits(witnesses.values())
+    for length in range(1, 7):
+        expect = [(w, m) for w, m in reduced if len(w) <= length]
+        assert _bits(_walk(p, length, range(6), _REDUCED)) == expect
+        expect = [(tuple(_LETTER_NAMES[i] for i in w), m) for w, m in witnesses if len(w) <= length]
+        got = [(el.letters, el.matrix) for el in enumerate_elements(p, length)]
+        assert _bits(got) == expect
+
+
+def _fmt(v: float) -> str:
+    return f"{v:.6f}"
+
+
+def _render_svg_etree(
+    diagram,
+    scale_px_per_unit: float = 80.0,
+    metadata=None,
+) -> str:
+    """The SVG writer as it was when it built an xml.etree tree: the byte oracle."""
+    if not (scale_px_per_unit > 0.0 and math.isfinite(scale_px_per_unit)):
+        raise ValueError("scale_px_per_unit must be positive and finite")
+    a = diagram.lattice.a
+    b = diagram.lattice.b
+    corners = [0j, a, a + b, b]
+    xs = [z.real for z in corners]
+    ys = [z.imag for z in corners]
+    for ball in diagram.balls:
+        r = ball.diameter / 2.0
+        xs += [ball.center.real - r, ball.center.real + r]
+        ys += [ball.center.imag - r, ball.center.imag + r]
+    pad = 10.0
+    min_x, max_x = min(xs), max(xs)
+    min_y, max_y = min(ys), max(ys)
+    width = (max_x - min_x) * scale_px_per_unit + 2 * pad
+    height = (max_y - min_y) * scale_px_per_unit + 2 * pad
+
+    def to_px(z: complex):
+        return (
+            (z.real - min_x) * scale_px_per_unit + pad,
+            (max_y - z.imag) * scale_px_per_unit + pad,
+        )
+
+    root = ET.Element(
+        "svg",
+        {
+            "xmlns": "http://www.w3.org/2000/svg",
+            "version": "1.1",
+            "width": _fmt(width),
+            "height": _fmt(height),
+            "viewBox": f"0 0 {_fmt(width)} {_fmt(height)}",
+        },
+    )
+    meta = ET.SubElement(root, "metadata")
+    payload = {"version": __version__, "ball_count": len(diagram.balls)}
+    if metadata:
+        payload.update(metadata)
+    meta.text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    ET.SubElement(
+        root,
+        "polygon",
+        {
+            "points": " ".join(
+                "{},{}".format(_fmt(px), _fmt(py)) for px, py in map(to_px, (0j, a, a + b, b))
+            ),
+            "fill": "none",
+            "stroke": "#202020",
+            "stroke-width": "1.5",
+        },
+    )
+    for ball in diagram.balls:
+        cx, cy = to_px(ball.center)
+        circle = ET.SubElement(
+            root,
+            "circle",
+            {
+                "cx": _fmt(cx),
+                "cy": _fmt(cy),
+                "r": _fmt(ball.diameter / 2.0 * scale_px_per_unit),
+                "fill": "#4878b0",
+                "fill-opacity": "0.35",
+                "stroke": "#1f4b7a",
+                "stroke-width": "1.0",
+            },
+        )
+        title = ET.SubElement(circle, "title")
+        title.text = ball.word
+    return '<?xml version="1.0" encoding="UTF-8"?>\n' + ET.tostring(root, encoding="unicode")
+
+
+_SVG_METADATA = (
+    None,
+    {},
+    {"config": {"cutoff": 0.05, "note": "a & b < c > d \" e ' f \n g \t h"}},
+    {"<&>": "Dehn filling, Poincaré ∞ ≥ 1 — 双曲", "&amp;": ["<", ">", "&", "é"]},
+)
+
+
+def _random_point(rng):
+    return Params(
+        complex(rng.uniform(1.0, 3.0), 0.0),
+        complex(rng.uniform(-1.0, 1.0), rng.uniform(1.0, 2.0)),
+        complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)),
+    )
+
+
+def test_render_svg_bytes_match_the_etree_writer():
+    rng = random.Random(31337)
+    points = [_ref(-1), _ref(0), _ref(1)] + [_random_point(rng) for _ in range(3)]
+    diagrams = [horoball_diagram(p, 0.02, depth) for p in points for depth in range(1, 7)]
+    # titles the walk never spells: markup characters, non-ASCII, empty
+    lattice = CuspShape(REF.a, REF.b)
+    words = ("a & b", "<z>", "z^-1 > x", "Poincaré ∞", "", " ", "&amp;\n\t")
+    diagrams.append(
+        HoroballDiagram(lattice, [Horoball(0.5j * k, 0.25, w) for k, w in enumerate(words)])
+    )
+    diagrams.append(HoroballDiagram(lattice, []))
+    for diagram in diagrams:
+        for scale in (80.0, 13.5):
+            for metadata in _SVG_METADATA:
+                expect = _render_svg_etree(diagram, scale, metadata)
+                assert render_svg(diagram, scale, metadata) == expect
+                if metadata is None:
+                    assert render_svg(diagram, scale) == expect
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: min_lower_left(REF, 8), lambda: horoball_diagram(REF, 0.05, 8)],
+    ids=["min_lower_left", "horoball_diagram"],
+)
+def test_depth_eight_walk_peak_memory(call):
+    # a size gate, not a timing gate: the last level, about three quarters
+    # of the words, is streamed, so the peak is the depth-7 level's
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
+
+
+def test_nan_lower_left_is_an_error_not_a_bound():
+    p = Params(4.0, 1.0 + math.sqrt(3.0) * 1j, math.nan)
+    # z z has y = c; the ball of z has center c / 1
+    with pytest.raises(ValueError, match=r"lower-left entry of word 'z z' is NaN"):
+        min_lower_left(p, 3)
+    with pytest.raises(ValueError, match=r"horoball of word 'z' has a NaN center"):
+        horoball_diagram(p, 0.05, 3)
+    assert min_lower_left(p, 1) == 1.0
