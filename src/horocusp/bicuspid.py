@@ -49,6 +49,13 @@ def real_number(value, name: str) -> float:
         raise ValueError(f"{name} is out of float range, got {value!r}") from None
 
 
+def integer(value, name: str) -> int:
+    """value as an int; only an integral int or float counts, never a bool or a string."""
+    if not real_number(value, name).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(slots=True)
 class Params:
     """One parameter point (a, b, c)."""

@@ -163,10 +163,16 @@ class HoroballDiagram:
     balls: List[Horoball] = field(default_factory=list)
 
 
-def _reduce_mod_lattice(t: complex, a: complex, b: complex) -> complex:
+def _reduce_mod_lattice(t: complex, a: complex, b: complex) -> Optional[complex]:
+    """t moved into the fundamental parallelogram of <a, b>.
+
+    None when a lattice coordinate of t is not finite, where math.floor would raise.
+    """
     # dual coordinates of t in the (a, b) basis
     s = (b.conjugate() * t).imag / (b.conjugate() * a).imag
     u = (a.conjugate() * t).imag / (a.conjugate() * b).imag
+    if not (math.isfinite(s) and math.isfinite(u)):
+        return None
     fs = s - math.floor(s)
     fu = u - math.floor(u)
     if fs > 1.0 - 1e-9:
@@ -183,7 +189,8 @@ def horoball_diagram(p: Params, min_diameter: float, max_len: int) -> HoroballDi
     are reduced into the fundamental parallelogram of <a, b>.  Balls agreeing
     in reduced center and diameter to 1e-9 are merged, keeping the first
     (shortest) witness word.  Raises ValueError naming the first word whose
-    kept ball has a NaN center or diameter.
+    kept ball has a NaN center or diameter, or a center whose lattice
+    coordinates are not finite.
     """
     if not min_diameter > 0.0:
         raise ValueError("min_diameter must be positive")
@@ -201,6 +208,9 @@ def horoball_diagram(p: Params, min_diameter: float, max_len: int) -> HoroballDi
         if q != q:
             raise ValueError(f"the horoball of word {_spell(word)!r} has a NaN center or diameter")
         center = _reduce_mod_lattice(q, lattice.a, lattice.b)
+        if center is None:
+            where = f"the horoball of word {_spell(word)!r}"
+            raise ValueError(f"{where} has a center with non-finite lattice coordinates")
         key = (
             round(center.real, DEDUP_DECIMALS) + 0.0,
             round(center.imag, DEDUP_DECIMALS) + 0.0,

@@ -8,11 +8,13 @@ run to run, capped or complete.
 
 One WordStream serves every box of a run: it takes each word from
 enumerate_words once, when the first box asks for it, and records how many
-leading syllables the word shares with the one before it.  A box scans with
-its own row stack for words.lower_left_bounds and keeps the running minimum
-of those counts since the last word it evaluated, which the stream's
-docstring shows is a prefix both words share.  So a scan never compares
-syllables, and words it skips cost it no row.
+leading syllables the word shares with the one before it.  Boxes name
+words by stream position, and ties go to the earliest, which on the
+canonical stream is the canonical least.  A box scans with its own row
+stack for words.lower_left_bounds and keeps the running minimum of those
+counts since the last word it evaluated, which the stream's docstring
+shows is a prefix both words share.  So a scan never compares syllables,
+and words it skips cost it no row.
 
 A box skips the words an ancestor box has ruled out.  A word whose
 enclosure [L, U] of |m21| has L >= _DEAD_LO on a box has L >= 1 on every
@@ -48,7 +50,7 @@ from typing import Iterable, List, Optional, Tuple, Union
 from . import __version__
 from . import words as _words
 from .bicuspid import Feasibility, ParamBox, Params, box_in_param_space, param_space
-from .bicuspid import real_number, space_radius
+from .bicuspid import integer, real_number, space_radius
 from .interval import RealInterval
 from .words import (
     KillerVerdict,
@@ -80,12 +82,7 @@ def _setting(name: str, kind: type, value):
         if not isinstance(value, bool):
             raise TypeError(f"{name} must be true or false, got {value!r}")
         return value
-    number = real_number(value, name)
-    if kind is float:
-        return number
-    if not number.is_integer():
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    return real_number(value, name) if kind is float else integer(value, name)
 
 
 @dataclass(frozen=True)
@@ -182,11 +179,12 @@ class BoxStatus(Enum):
 class BoxVerdict:
     """Outcome of testing one box.
 
-    word is the eliminating word or the canonical-least candidate word.
-    near_miss is the scanned word with the smallest upper bound on the
-    lower-left entry; it seeds the children's scans and is never serialized.
-    dead holds the stream indices of the words this box or an ancestor has
-    ruled out for every box below it; it too goes to the children only.
+    word is the eliminating word or the candidate word at the earliest
+    stream position.  near_miss is the stream position of the scanned word
+    with the smallest upper bound on the lower-left entry; it seeds the
+    children's scans and is never serialized.  dead holds the stream
+    positions of the words this box or an ancestor has ruled out for every
+    box below it; it too goes to the children only, and leaves keep neither.
     """
 
     box: ParamBox
@@ -194,7 +192,7 @@ class BoxVerdict:
     word: Optional[Word] = None
     volume_bound: Optional[float] = None
     words_scanned: int = 0
-    near_miss: Optional[Word] = field(default=None, repr=False)
+    near_miss: Optional[int] = field(default=None, repr=False)
     dead: frozenset = field(default=frozenset(), repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
@@ -270,106 +268,101 @@ def subdivide(box: ParamBox) -> Tuple[ParamBox, ParamBox]:
 
 def test_box(
     box: ParamBox,
-    words: Optional[Iterable[Word]],
+    stream: Optional[WordStream],
     cfg: SearchConfig,
     *,
-    hint: Optional[Word] = None,
+    hint: Optional[int] = None,
     dead: frozenset = frozenset(),
 ) -> BoxVerdict:
     """Scan one box against the word stream.
 
     Returns EliminatedInfeasible if the box misses the feasible region, the
-    first eliminating word otherwise, else the canonically least candidate
-    word, else Undecided.  At most cfg.word_budget_per_box words are
-    scanned and the hint word is scanned first; the stream's copy of it is
-    passed over.
+    first eliminating word otherwise, else the earliest candidate word,
+    else Undecided.  At most cfg.word_budget_per_box words are scanned.
 
-    words is a WordStream, which boxes can share so that each word is
-    taken and compared with its predecessor once; any other iterable of
-    words, which is wrapped in a new WordStream; or None for
-    enumerate_words(cfg.max_d, cfg.max_exp).  A power-free word in the
-    stream or as the hint raises ValueError.
+    stream is a WordStream, which boxes can share so that each word is
+    taken and compared with its predecessor once, or None for
+    WordStream(enumerate_words(cfg.max_d, cfg.max_exp)).  Words are named
+    by stream position, and ties go to the earliest, which on the
+    canonical stream is the canonical least.  hint, the position of a word
+    the stream has already taken (else ValueError), is scanned first and
+    its stream copy is passed over.
 
-    dead holds indices into the same word stream of words with L >=
-    _DEAD_LO on an enclosing box.  Each counts as scanned without being
-    evaluated: by inclusion isotonicity and the hypot margin (see the
-    module docstring) it has L >= 1 here, so it neither decides the box
-    nor becomes its near miss.  An Undecided verdict carries a new set,
-    dead plus the indices that reach _DEAD_LO on this box, for its
-    children; the set passed in is never changed, since siblings share it.
+    dead holds the positions of words with L >= _DEAD_LO on an enclosing
+    box.  Each counts as scanned without being evaluated: by inclusion
+    isotonicity and the hypot margin (see the module docstring) it has
+    L >= 1 here, so it neither decides the box nor becomes its near miss.
+    An Undecided verdict carries a new set, dead plus the positions that
+    reach _DEAD_LO on this box, the hint's included, for its children;
+    the set passed in is never changed, since siblings share it.
     """
+    if stream is None:
+        stream = WordStream(enumerate_words(cfg.max_d, cfg.max_exp))
+    taken, shared = stream.words, stream.shared
+    available = len(taken)
+    if hint is not None and not 0 <= hint < available:
+        raise ValueError(f"hint must be a taken stream position in [0, {available}), got {hint!r}")
     if box_in_param_space(box, cfg.area_bound) is Feasibility.OUTSIDE:
         return BoxVerdict(box, BoxStatus.ELIMINATED_INFEASIBLE)
-    if hint is not None and hint.is_pure_translation:
-        raise ValueError(f"word stream produced a power-free word: {hint}")
-    if not isinstance(words, WordStream):
-        words = WordStream(enumerate_words(cfg.max_d, cfg.max_exp) if words is None else words)
 
     # looked up on the words module, where perfbench's tracer wraps it
     gens = _words.gens_from_params(box)
     kernel = lower_left_bounds
     dead_lo = _DEAD_LO
     budget = cfg.word_budget_per_box
-    taken, shared = words.words, words.shared
-    available = len(taken)
     rows = new_row_stack()
-    # a tuple comparison, cheaper per word than Word's generated __eq__
-    skip = hint.syllables if hint is not None else None
     scanned = 0
-    candidate: Optional[Tuple[tuple, Word]] = None
-    near: Optional[Tuple[float, Word]] = None
+    candidate: Optional[int] = None
+    near_hi, near = math.inf, None
     ruled_out: List[int] = []
 
-    # Evaluate `word` (the hint first, at index -1), then step to the next
-    # stream word to evaluate.  rows holds the rows of every syllable of the
-    # last word evaluated, and keep is the running minimum of the shared
-    # counts since then; shared[0] is 0, so the first stream word after the
-    # hint starts from rows[0].
-    word, index, keep = hint, -1, 0
+    # Evaluate the word at position `at` (the hint first), then step to the
+    # next stream position to evaluate.  rows holds the rows of every
+    # syllable of the last word evaluated, and keep is the running minimum
+    # of the shared counts since then; shared[0] is 0, so the first stream
+    # word after the hint starts from rows[0].
+    at, index, keep = hint, -1, 0
     while True:
-        if word is not None:
-            syllables = word.syllables
+        if at is not None:
+            syllables = taken[at].syllables
             lo, hi = kernel(gens, syllables, rows, keep)
             keep = len(syllables)
             scanned += 1
             if hi < 1.0:
                 # only U < 1 decides a box; classify_bounds says which way
                 if classify_bounds(lo, hi) is KillerVerdict.ELIMINATES:
-                    return BoxVerdict(box, BoxStatus.ELIMINATED_KILLER, word, None, scanned)
-                key = word.sort_key()
-                if candidate is None or key < candidate[0]:
-                    candidate = (key, word)
+                    return BoxVerdict(box, BoxStatus.ELIMINATED_KILLER, taken[at], None, scanned)
+                if candidate is None or at < candidate:
+                    candidate = at
             elif lo < 1.0:
                 # lo >= 1 means no sub-box can ever be eliminated by this word;
-                # the least (hi, sort_key), with keys built only on a tie in hi
-                if near is None or hi < near[0] or (
-                    hi == near[0] and word.sort_key() < near[1].sort_key()
-                ):
-                    near = (hi, word)
-            elif lo >= dead_lo and index >= 0:
-                ruled_out.append(index)
+                # the least (hi, position); the kernel's hi is finite
+                if hi < near_hi or (hi == near_hi and at < near):
+                    near_hi, near = hi, at
+            elif lo >= dead_lo:
+                ruled_out.append(at)
         if scanned >= budget:
             break
         index += 1
         if index == available:
-            if not words.take():
+            if not stream.take():
                 break
             available += 1
         count = shared[index]
         if count < keep:
             keep = count
-        word = taken[index]
-        if word.syllables == skip:
-            word = None
+        if index == hint:
+            at = None
         elif index in dead:
             scanned += 1
-            word = None
+            at = None
+        else:
+            at = index
 
     if candidate is not None:
-        word = candidate[1]
+        word = taken[candidate]
         return BoxVerdict(box, BoxStatus.CANDIDATE, word, volume_bound(word), scanned)
-    miss = near[1] if near is not None else None
-    return BoxVerdict(box, BoxStatus.UNDECIDED, None, None, scanned, miss, dead.union(ruled_out))
+    return BoxVerdict(box, BoxStatus.UNDECIDED, None, None, scanned, near, dead.union(ruled_out))
 
 
 # keep pytest from collecting the operation as a test case
@@ -393,7 +386,8 @@ def run_search(cfg: SearchConfig) -> SearchReport:
     Undecided boxes wider than cfg.min_box_width and shallower than
     cfg.max_depth are subdivided; other undecided boxes become leaves.
     Both children inherit the box's near miss as their hint and its set of
-    dead stream indices, so they skip the words it ruled out.
+    dead stream positions, so they skip the words it ruled out.  A leaf
+    keeps neither: no report reads them.
     The search runs on one thread, so the box budget cuts a fixed prefix of
     the depth-first order and every report, capped or complete, serializes
     identically from run to run.
@@ -408,7 +402,7 @@ def run_search(cfg: SearchConfig) -> SearchReport:
     # one stream for every box, taken from enumerate_words as boxes ask
     stream = WordStream(enumerate_words(cfg.max_d, cfg.max_exp))
     leaves: List[BoxVerdict] = []
-    stack: List[Tuple[ParamBox, Optional[Word], frozenset]] = [(root, None, frozenset())]
+    stack: List[Tuple[ParamBox, Optional[int], frozenset]] = [(root, None, frozenset())]
     boxes = words = 0
     incomplete = False
     while stack:
@@ -427,6 +421,7 @@ def run_search(cfg: SearchConfig) -> SearchReport:
             stack.append((hi, child_hint, verdict.dead))
             stack.append((lo, child_hint, verdict.dead))
         else:
+            verdict.near_miss, verdict.dead = None, frozenset()
             leaves.append(verdict)
 
     leaves.sort(key=lambda leaf: leaf.box.path)

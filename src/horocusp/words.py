@@ -63,7 +63,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Tuple, Union
 
-from .bicuspid import GeneratorTriple, ParamBox, Params, gens_from_params
+from .bicuspid import GeneratorTriple, ParamBox, Params, gens_from_params, integer
 from .interval import ComplexInterval, IntervalMatrix, RealInterval
 from .interval import rect_abs, rect_add, rect_mul, rect_neg
 
@@ -74,12 +74,19 @@ _TOKEN = re.compile(r"^([xyz])(?:\^(-?\d+))?$")
 
 @dataclass(frozen=True, slots=True)
 class Word:
-    """Immutable syllable sequence, each syllable a triple (m, n, e)."""
+    """Immutable syllable sequence, each syllable a triple (m, n, e).
+
+    Each entry is an integral int or float, stored as an int; a bool or a
+    string raises TypeError, and any other number ValueError.
+    """
 
     syllables: Tuple[Syllable, ...]
 
     def __post_init__(self) -> None:
-        syls = tuple((int(m), int(n), int(e)) for m, n, e in self.syllables)
+        name = "a syllable entry"
+        syls = tuple(
+            (integer(m, name), integer(n, name), integer(e, name)) for m, n, e in self.syllables
+        )
         object.__setattr__(self, "syllables", syls)
         if not syls:
             raise ValueError("empty word")
@@ -292,7 +299,9 @@ class WordStream:
     evaluated words[i] and next evaluates words[j] may keep the rows of
     min(shared[i + 1 : j + 1]) syllables: the words between them share at
     least that prefix with both.  take() also rejects a power-free word,
-    which has no lower-left entry to test, with ValueError.
+    which has no lower-left entry to test, with ValueError.  Scans name a
+    word by its position in words and break ties by the earliest, which
+    is the canonical least only when the source is enumerate_words.
     """
 
     __slots__ = ("words", "shared", "_source", "_last")

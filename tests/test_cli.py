@@ -411,6 +411,17 @@ def test_module_entry_point(tmp_path):
     assert json.loads(proc.stdout)["max_exceptional_count"] == 8
 
 
+def test_horoball_center_overflow_is_a_usage_error(tmp_path, capsys):
+    csv_path = tmp_path / "o.csv"
+    argv = ["horoball", "--a", "4", "--b", HEX_B, "--c", "17" + "0" * 307, "--cutoff", "0.05",
+            "--depth", "1", "--csv", str(csv_path)]
+    assert run_cli(argv) == 64
+    err = capsys.readouterr().err
+    assert "word 'z' has a center with non-finite lattice coordinates" in err
+    assert "Traceback" not in err
+    assert not csv_path.exists()
+
+
 def test_horoball_depth_over_the_walk_cap_is_a_usage_error(tmp_path, capsys):
     svg = tmp_path / "o.svg"
     argv = ["horoball", "--a", "4", "--b", HEX_B, "--c", "2", "--cutoff", "0.05",

@@ -532,3 +532,11 @@ def test_nan_lower_left_is_an_error_not_a_bound():
     with pytest.raises(ValueError, match=r"horoball of word 'z' has a NaN center"):
         horoball_diagram(p, 0.05, 3)
     assert min_lower_left(p, 1) == 1.0
+
+
+def test_center_off_the_lattice_coordinates_is_an_error():
+    """A finite center whose lattice coordinates overflow names its word, not math.floor's error."""
+    p = Params(4.0, 1.0 + math.sqrt(3.0) * 1j, 1.7e308)
+    # the ball of z has center c; conj(b) * c, behind its coordinate along a, overflows
+    with pytest.raises(ValueError, match=r"horoball of word 'z' has a center with non-finite lattice"):
+        horoball_diagram(p, 0.05, 1)

@@ -32,6 +32,8 @@ from horocusp.words import (
     parse_word,
 )
 
+from test_words import _taken
+
 SLICE_BOUNDS = [[1.0, 1.2], [0.0, 0.0], [0.0, 0.0], [4.0, 4.0], [-0.7, -0.4], [0.0, 0.0]]
 # finite endpoints whose b_re width 3.4e308 overflows to inf
 WIDE_BOUNDS = [[1.0, 1.2], [0.0, 0.0], [-1.7e308, 1.7e308], [0.5, 1.0], [-0.7, -0.4], [0.0, 0.0]]
@@ -175,28 +177,37 @@ def test_box_budget_and_near_miss():
     lined = ParamBox.from_bounds(
         [[1.0, 1.2], [0.0, 0.0], [0.0, 0.0], [4.0, 4.0], [-0.3, -0.1], [0.0, 0.0]]
     )
-    v2 = test_box(lined, None, _cfg())
+    stream = WordStream(enumerate_words(2, 1))
+    v2 = test_box(lined, stream, _cfg())
     assert v2.status is BoxStatus.UNDECIDED
-    assert v2.near_miss == parse_word("z x z")
+    assert stream.words[v2.near_miss] == parse_word("z x z")
 
 
 def test_box_hint_scanned_first():
     box = ParamBox.from_bounds(
         [[1.0, 1.1], [0.0, 0.0], [0.0, 0.0], [4.0, 4.0], [-0.6, -0.5], [0.0, 0.0]]
     )
-    v = test_box(box, None, _cfg(), hint=parse_word("z x z"))
+    stream = _taken(enumerate_words(2, 1))
+    hint = stream.words.index(parse_word("z x z"))
+    assert hint > 0
+    v = test_box(box, stream, _cfg(), hint=hint)
     assert v.status is BoxStatus.ELIMINATED_KILLER
+    assert v.word == parse_word("z x z")
     assert v.words_scanned == 1
 
 
 def test_near_miss_tie_rule(monkeypatch) -> None:
-    """The near miss is the least (hi, sort_key) in any scan order, hint included."""
+    """Candidate and near miss are the earliest in stream order, hint included.
+
+    The near miss is the least (hi, position) and the candidate the least
+    position, in any stream order and whichever word is the hint.  On the
+    canonical stream the earliest position is the least sort_key.
+    """
     box = ParamBox.from_bounds(
         [[1.0, 1.2], [0.0, 0.0], [0.0, 0.0], [4.0, 4.0], [-0.3, -0.1], [0.0, 0.0]]
     )
     small, mid, big, far = (parse_word(t) for t in ("x z", "z x z", "z x^-1 z", "z"))
-    assert small.sort_key() < mid.sort_key() < big.sort_key()
-    assert far.sort_key() < small.sort_key()
+    assert far.sort_key() < small.sort_key() < mid.sort_key() < big.sort_key()
     bounds = {}
 
     def kernel(gens, syllables, rows, keep):
@@ -205,20 +216,26 @@ def test_near_miss_tie_rule(monkeypatch) -> None:
 
     monkeypatch.setattr(search_module, "lower_left_bounds", kernel)
 
-    def near_miss(order, hint=None):
-        v = test_box(box, order, _cfg(), hint=hint)
-        assert v.status is BoxStatus.UNDECIDED
-        return v.near_miss
+    def scan(order, hint=None):
+        """The verdict on a stream of order, hint given as a word; (verdict, near miss word)."""
+        stream = _taken(order)
+        v = test_box(box, stream, _cfg(), hint=None if hint is None else order.index(hint))
+        return v, None if v.near_miss is None else stream.words[v.near_miss]
 
-    # equal hi: the smallest sort_key wins in stream order, reversed, or as a late hint
+    def near_miss(order, hint=None):
+        v, miss = scan(order, hint)
+        assert v.status is BoxStatus.UNDECIDED
+        return miss
+
+    # equal hi: the earliest position wins, whichever word is the hint
     bounds.update({w: RealInterval(0.5, 1.25) for w in (small, mid, big)})
     bounds[far] = RealInterval(1.0, 1.0)  # lo >= 1: never a near miss
     assert near_miss([small, mid, big]) == small
-    assert near_miss([big, mid, small]) == small
+    assert near_miss([big, mid, small]) == big
     assert near_miss([small, mid, big], hint=big) == small
-    assert near_miss([big, far], hint=mid) == mid
+    assert near_miss([far, big, mid], hint=mid) == big
     assert near_miss([far]) is None
-    # a strictly smaller hi wins over any key
+    # a strictly smaller hi wins over any position
     bounds[big] = RealInterval(0.5, 1.125)
     assert near_miss([small, mid, big]) == big
     assert near_miss([big, small, mid], hint=small) == big
@@ -227,11 +244,36 @@ def test_near_miss_tie_rule(monkeypatch) -> None:
 
     for his in ((1.5, 1.5, 1.5, 1.5), (1.5, 1.25, 1.25, 2.0), (1.75, 1.75, 1.5, 1.75)):
         bounds.update({w: RealInterval(0.25, hi) for w, hi in zip((small, mid, big, far), his)})
-        expected = min(bounds, key=lambda w: (bounds[w].hi, w.sort_key()))
-        for order in permutations(bounds):
-            assert near_miss(list(order)) == expected, order
-            for hint in order:
-                assert near_miss(list(order), hint=hint) == expected, (order, hint)
+        for order in map(list, permutations(bounds)):
+            expected = min(order, key=lambda w: (bounds[w].hi, order.index(w)))
+            for hint in (None, *order):
+                assert near_miss(order, hint) == expected, (order, hint)
+
+    # lo = 0 and hi < 1 make a candidate: the earliest one wins, whatever its hi
+    bounds.update({small: RealInterval(0.0, 0.5), big: RealInterval(0.0, 0.25)})
+    bounds.update({mid: RealInterval(0.5, 1.5), far: RealInterval(1.0, 2.0)})
+    for order in map(list, permutations(bounds)):
+        expected = min((w for w in order if bounds[w].hi < 1.0), key=order.index)
+        for hint in (None, *order):
+            v, _ = scan(order, hint)
+            assert (v.status, v.word) == (BoxStatus.CANDIDATE, expected), (order, hint)
+
+    # on the canonical stream, the earliest position is the least sort_key
+    canonical = list(enumerate_words(2, 1))
+    rng = random.Random(5081)
+    for _ in range(20):
+        bounds.clear()
+        for w in canonical:
+            bounds[w] = RealInterval(rng.choice((0.5, 1.0)), rng.choice((1.25, 1.5)))
+        hint = rng.choice((None, *canonical))
+        expected = min(
+            (w for w in canonical if bounds[w].lo < 1.0), key=lambda w: (bounds[w].hi, w.sort_key())
+        )
+        assert near_miss(canonical, hint) == expected
+        candidates = rng.sample(canonical, 3)
+        bounds.update({w: RealInterval(0.0, rng.choice((0.5, 0.75))) for w in candidates})
+        v, _ = scan(canonical, hint)
+        assert (v.status, v.word) == (BoxStatus.CANDIDATE, min(candidates, key=Word.sort_key))
 
 
 def _status_counts(report):
@@ -441,8 +483,10 @@ def test_box_scan_golden_at_reference_point() -> None:
         [[3.95, 4.05], [0.0, 0.0], [0.95, 1.05], [math.sqrt(3.0) - 0.05, math.sqrt(3.0) + 0.05],
          [2.95, 3.05], [-0.05, 0.05]]
     )
-    v = test_box(box, None, cfg)
-    assert (v.status, v.words_scanned, str(v.near_miss)) == (BoxStatus.UNDECIDED, 300, "z x^-1 z")
+    stream = WordStream(enumerate_words(6, 3))
+    v = test_box(box, stream, cfg)
+    assert (v.status, v.words_scanned) == (BoxStatus.UNDECIDED, 300)
+    assert str(stream.words[v.near_miss]) == "z x^-1 z"
 
 
 def test_run_search_repeat_run_byte_determinism() -> None:
@@ -634,7 +678,7 @@ def test_dead_word_skips_keep_report_bytes(monkeypatch, settings) -> None:
 def test_box_hands_its_children_a_new_dead_set() -> None:
     """test_box never writes into the dead set it is given: siblings share it."""
     cfg = SearchConfig(**_AREA_15)
-    words = list(enumerate_words(2, 1))
+    words = WordStream(enumerate_words(2, 1))
     box = param_space(1.5)
     for _ in range(4):
         box = subdivide(box)[0]
@@ -647,25 +691,41 @@ def test_box_hands_its_children_a_new_dead_set() -> None:
     assert child.dead > given
 
 
+def test_leaves_keep_no_near_miss_or_dead_set() -> None:
+    """Only children read a near miss or a dead set, so no leaf keeps one."""
+    rep = run_search(SearchConfig(**dict(_AREA_15, max_depth=6, word_budget_per_box=2000)))
+    assert any(leaf.status is BoxStatus.UNDECIDED and leaf.words_scanned for leaf in rep.leaves)
+    assert all(leaf.near_miss is None and leaf.dead == frozenset() for leaf in rep.leaves)
+
+
 def _verdict_fields(v):
     return v.status, v.word, v.words_scanned, v.near_miss, v.dead
 
 
 @pytest.mark.parametrize("stream_caps", [(2, 1), (3, 2)], ids=["d2", "d3"])
 def test_box_reads_every_stream_form_alike(stream_caps) -> None:
-    """None, a list, a generator and a shared WordStream give one verdict.
+    """None, a fresh WordStream and a shared one give one verdict.
 
-    Each box is scanned with and without a hint and with dead sets whose
-    runs of consecutive indices make the scan fold several shared counts
-    into its prefix length.  The shared WordStream is scanned by every
-    case in turn, so later cases start with the stream already taken.  An
-    Undecided verdict's dead set must also match the one computed word by
-    word on fresh row stacks.
+    Each box is scanned without a hint and with three: its near miss, a
+    fixed position and a word ruled out on the box.  Dead sets have runs of
+    consecutive positions that make the scan fold several shared counts
+    into its prefix length.  A fresh stream has taken words only through
+    the hint; the shared one is scanned by every case in turn, so later
+    cases start with it already taken.  None takes no hint, since its
+    stream holds no word yet.  An Undecided verdict's dead set must also
+    match the one computed word by word on fresh row stacks, a ruled-out
+    hint's position included.
     """
     max_d, max_exp = stream_caps
     cfg = SearchConfig(**dict(_AREA_15, max_d=max_d, max_exp=max_exp, word_budget_per_box=1000))
     pool = list(islice(enumerate_words(max_d, max_exp), 1000))
     shared = WordStream(enumerate_words(max_d, max_exp))
+
+    def through(stream, hint):
+        while hint is not None and len(stream.words) <= hint:
+            stream.take()
+        return stream
+
     rng = random.Random(4153)
     boxes = [param_space(1.5)]
     for _ in range(5):
@@ -673,33 +733,33 @@ def test_box_reads_every_stream_form_alike(stream_caps) -> None:
         for _ in range(rng.randrange(3, 9)):
             box = subdivide(box)[rng.randrange(2)]
         boxes.append(box)
-    undecided = 0
+    undecided = dead_hints = 0
     for box in boxes:
-        first = test_box(box, pool, cfg)
+        first = test_box(box, None, cfg)
         gens = gens_from_params(box)
         lows = [lower_left_abs(w, gens).lo for w in pool]
+        ruled_out = {i for i, lo in enumerate(lows) if lo >= search_module._DEAD_LO}
         runs = [frozenset()]
         runs.append(frozenset(range(3, 40)) | frozenset(range(60, 64)) | frozenset(range(100, 101)))
         runs.append(frozenset(i for i in range(len(pool)) if (i // 7) % 2))
         for dead in runs:
-            for hint in (None, first.near_miss, pool[17]):
-                forms = (None, pool, (w for w in pool), shared)
+            for hint in (None, first.near_miss, 17, min(ruled_out - dead, default=None)):
+                forms = [through(WordStream(enumerate_words(max_d, max_exp)), hint)]
+                forms.append(through(shared, hint))
+                if hint is None:
+                    forms.append(None)
                 verdicts = [test_box(box, words, cfg, hint=hint, dead=dead) for words in forms]
                 assert len({_verdict_fields(v) for v in verdicts}) == 1, (box.path, hint, dead)
                 v = verdicts[0]
                 if v.status is BoxStatus.UNDECIDED:
                     undecided += 1
-                    ruled_out = {
-                        i
-                        for i, w in enumerate(pool)
-                        if i not in dead and w != hint and lows[i] >= search_module._DEAD_LO
-                    }
+                    dead_hints += hint in ruled_out - dead
                     assert v.dead == dead | ruled_out, (box.path, hint)
-    assert undecided >= 10
+    assert undecided >= 10 and dead_hints >= 5
 
 
 def test_box_rejects_power_free_words() -> None:
-    """A pure translation in the stream or as the hint raises ValueError."""
+    """A pure translation in the stream, or a hint the stream has not taken, raises ValueError."""
     box = param_space(1.5)
     cfg = SearchConfig(**_AREA_15)
     translation = parse_word("x^2")
@@ -707,9 +767,9 @@ def test_box_rejects_power_free_words() -> None:
     words = list(enumerate_words(2, 1))
     message = "word stream produced a power-free word"
     for stream in ([translation] + words, words[:5] + [translation] + words[5:]):
-        for form in (stream, iter(stream), WordStream(stream)):
-            with pytest.raises(ValueError, match=message):
-                test_box(box, form, cfg)
-    for form in (None, words, WordStream(words)):
         with pytest.raises(ValueError, match=message):
-            test_box(box, form, cfg, hint=translation)
+            test_box(box, WordStream(stream), cfg)
+    stream = _taken(words)
+    for form, hint in ((stream, -1), (stream, len(words)), (None, 0)):
+        with pytest.raises(ValueError, match="hint must be a taken stream position"):
+            test_box(box, form, cfg, hint=hint)

@@ -67,6 +67,19 @@ def test_word_validation() -> None:
     Word(((0, 0, 2), (1, -1, -1)))
 
 
+def test_word_checks_its_syllable_entries() -> None:
+    """Entries are checked as SearchConfig checks its integer settings."""
+    for bad in ((0, 0, "2"), (True, 0, 1), (0, False, 1), (0, 0, None)):
+        with pytest.raises(TypeError, match="syllable entry"):
+            Word((bad,))
+    for bad in ((0, 0, 1.5), (0.5, 0, 1), (0, 0, math.inf), (0, 0, math.nan), (0, 0, 10**400)):
+        with pytest.raises(ValueError, match="syllable entry"):
+            Word((bad,))
+    w = Word(((2.0, 0, -1.0), (1, -1, 2)))
+    assert w.syllables == ((2, 0, -1), (1, -1, 2))
+    assert all(type(v) is int for s in w.syllables for v in s)
+
+
 def test_serialization_round_trip():
     w = Word(((2, -1, 1), (1, 0, -1)))
     assert str(w) == "x^2 y^-1 z x z^-1"
