@@ -58,16 +58,22 @@ def integer(value, name: str) -> int:
 
 @dataclass(slots=True)
 class Params:
-    """One parameter point (a, b, c)."""
+    """One parameter point (a, b, c).
+
+    Each of a, b and c is an int, a float or a complex, stored as a
+    complex; a bool or a string raises TypeError.
+    """
 
     a: complex
     b: complex
     c: complex
 
     def __post_init__(self) -> None:
-        self.a = complex(self.a)
-        self.b = complex(self.b)
-        self.c = complex(self.c)
+        for name in ("a", "b", "c"):
+            value = getattr(self, name)
+            if not isinstance(value, complex):
+                value = real_number(value, name)
+            setattr(self, name, complex(value))
 
 
 @dataclass(slots=True)
@@ -149,8 +155,7 @@ class GeneratorTriple:
     [[c, -1], [1, 0]].  The triple holds the word-scan kernel's syllable
     table, unboxed_syllable(), built once per syllable from the endpoints
     of a, b and c, and nothing else: the oracle words.evaluate_word builds
-    its own matrices from a, b and c, and the kernel's row stack belongs to
-    the scan that calls it.
+    its own matrices from a, b and c.
     """
 
     a: ComplexInterval

@@ -290,17 +290,6 @@ class RealInterval:
     lo: float
     hi: float
 
-    @classmethod
-    def _trusted(cls, lo: float, hi: float) -> "RealInterval":
-        """An interval from floats already known finite with lo <= hi, skipping __post_init__.
-
-        Only for code that has checked both, such as the scan kernel.
-        """
-        iv = object.__new__(cls)
-        iv.lo = lo
-        iv.hi = hi
-        return iv
-
     def __post_init__(self) -> None:
         self.lo = float(self.lo)
         self.hi = float(self.hi)

@@ -7,14 +7,16 @@ thread, so reports serialize to canonical JSON that is byte-identical from
 run to run, capped or complete.
 
 One WordStream serves every box of a run: it takes each word from
-enumerate_words once, when the first box asks for it, and records how many
-leading syllables the word shares with the one before it.  Boxes name
-words by stream position, and ties go to the earliest, which on the
-canonical stream is the canonical least.  A box scans with its own row
-stack for words.lower_left_bounds and keeps the running minimum of those
-counts since the last word it evaluated, which the stream's docstring
-shows is a prefix both words share.  So a scan never compares syllables,
-and words it skips cost it no row.
+enumerate_words once, when the first box asks for it, and records the
+position of the first word with the same body, the word with its leading
+block x^m y^n made trivial.  Boxes name words by stream position, and
+ties go to the earliest, which on the canonical stream is the canonical
+least.  A box evaluates, with words.lower_left_bounds, only the first word
+of each body.  A later body twin has the same [L, U] bit for bit and comes
+after its first word, so it cannot decide the box sooner, be an earlier
+candidate or win a near-miss tie; it counts as scanned, toward the budget
+too.  Its leading block's table entry is still looked up, since that is
+where its own evaluation could overflow.
 
 A box skips the words an ancestor box has ruled out.  A word whose
 enclosure [L, U] of |m21| has L >= _DEAD_LO on a box has L >= 1 on every
@@ -60,7 +62,6 @@ from .words import (
     enumerate_words,
     evaluate_word_float,
     lower_left_bounds,
-    new_row_stack,
     parse_word,
     volume_bound,
 )
@@ -281,27 +282,37 @@ def test_box(
     else Undecided.  At most cfg.word_budget_per_box words are scanned.
 
     stream is a WordStream, which boxes can share so that each word is
-    taken and compared with its predecessor once, or None for
+    taken and its body looked up once, or None for
     WordStream(enumerate_words(cfg.max_d, cfg.max_exp)).  Words are named
     by stream position, and ties go to the earliest, which on the
     canonical stream is the canonical least.  hint, the position of a word
-    the stream has already taken (else ValueError), is scanned first and
-    its stream copy is passed over.
+    the stream has already taken (else ValueError; TypeError if it is not
+    an int), is scanned first and its stream copy is passed over.
+
+    Only the first word of each body is evaluated.  A later twin (see
+    WordStream) counts as scanned and is passed over: its [L, U] is its
+    first word's, scanned before it, so it neither decides the box sooner
+    nor becomes its near miss.  Its leading block's table entry is looked
+    up as its evaluation would, so an overflow there raises ValueError.
 
     dead holds the positions of words with L >= _DEAD_LO on an enclosing
     box.  Each counts as scanned without being evaluated: by inclusion
     isotonicity and the hypot margin (see the module docstring) it has
     L >= 1 here, so it neither decides the box nor becomes its near miss.
-    An Undecided verdict carries a new set, dead plus the positions that
-    reach _DEAD_LO on this box, the hint's included, for its children;
-    the set passed in is never changed, since siblings share it.
+    An Undecided verdict carries a new set, dead plus the evaluated
+    positions that reach _DEAD_LO on this box, the hint's included, for
+    its children; the set passed in is never changed, since siblings share
+    it.
     """
     if stream is None:
         stream = WordStream(enumerate_words(cfg.max_d, cfg.max_exp))
-    taken, shared = stream.words, stream.shared
+    taken, first = stream.words, stream.first
     available = len(taken)
-    if hint is not None and not 0 <= hint < available:
-        raise ValueError(f"hint must be a taken stream position in [0, {available}), got {hint!r}")
+    if hint is not None:
+        if isinstance(hint, bool) or not isinstance(hint, int):
+            raise TypeError(f"hint must be an int stream position, got {hint!r}")
+        if not 0 <= hint < available:
+            raise ValueError(f"hint must be a taken stream position in [0, {available}), got {hint!r}")
     if box_in_param_space(box, cfg.area_bound) is Feasibility.OUTSIDE:
         return BoxVerdict(box, BoxStatus.ELIMINATED_INFEASIBLE)
 
@@ -310,23 +321,17 @@ def test_box(
     kernel = lower_left_bounds
     dead_lo = _DEAD_LO
     budget = cfg.word_budget_per_box
-    rows = new_row_stack()
     scanned = 0
     candidate: Optional[int] = None
     near_hi, near = math.inf, None
     ruled_out: List[int] = []
 
     # Evaluate the word at position `at` (the hint first), then step to the
-    # next stream position to evaluate.  rows holds the rows of every
-    # syllable of the last word evaluated, and keep is the running minimum
-    # of the shared counts since then; shared[0] is 0, so the first stream
-    # word after the hint starts from rows[0].
-    at, index, keep = hint, -1, 0
+    # next stream position to evaluate.
+    at, index = hint, -1
     while True:
         if at is not None:
-            syllables = taken[at].syllables
-            lo, hi = kernel(gens, syllables, rows, keep)
-            keep = len(syllables)
+            lo, hi = kernel(gens, taken[at].syllables)
             scanned += 1
             if hi < 1.0:
                 # only U < 1 decides a box; classify_bounds says which way
@@ -348,12 +353,15 @@ def test_box(
             if not stream.take():
                 break
             available += 1
-        count = shared[index]
-        if count < keep:
-            keep = count
         if index == hint:
             at = None
         elif index in dead:
+            scanned += 1
+            at = None
+        elif first[index] != index:
+            # a body twin: only its leading block's table entry can raise
+            # where its own evaluation would
+            gens.unboxed_syllable(taken[index].syllables[0])
             scanned += 1
             at = None
         else:

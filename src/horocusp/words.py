@@ -32,26 +32,27 @@ Serialization: factors space-separated with caret exponents, exponent one
 omitted, e.g. "x^2 y^-1 z x z^-1".
 
 Evaluation: lower_left_bounds is the one scan kernel.  It propagates only
-the bottom row of the product on unboxed float rectangles, over a row stack
-its caller owns: rows[k] is the bottom row after k syllables of the last
-word evaluated on that stack.  The caller says how many syllable rows are
-still valid, and the kernel cuts the stack to them and pushes the rest.  A
-WordStream records, once per stream, how many leading syllables each word
-shares with the word before it, so a scan never compares syllables to find
-its prefix.  The canonical stream is a depth-first walk, so consecutive
-words share long prefixes.  A prefix's row is the same left-to-right
-sequence of operations whatever follows it, so reuse changes no bit.  Its
-rectangle sum and product are the self-contained interval.rect_add and
-rect_mul.  A gamma or gamma^-1 step, nearly every step of a scan, skips the
-products by those matrices' exact 0 and 1 entries and takes the one by -1
-as interval.rect_neg; what it skips is exact or a shortcut, so the row
-keeps its bits.  lower_left_abs and killer_test run the kernel on a fresh
-stack.  evaluate_word is the full-matrix route over the interval classes,
-which never call the rectangle functions.  It builds its generator matrices
-from the triple's a, b and c on each call and shares no table with the
-scan; it stays as public API and as the oracle the kernel's bounds are
-tested against bit for bit.  evaluate_word_float is the plain-float audit
-route.
+the bottom row of the product on unboxed float rectangles, from the
+identity's bottom row.  Its rectangle sum and product are the
+self-contained interval.rect_add and rect_mul.  A gamma or gamma^-1 step,
+nearly every step of a scan, skips the products by those matrices' exact
+0 and 1 entries and takes the one by -1 as interval.rect_neg; what it
+skips is exact or a shortcut, so the row keeps its bits.  lower_left_abs
+and killer_test run the kernel for one word.  evaluate_word is the
+full-matrix route over the interval classes, which never call the
+rectangle functions.  It builds its generator matrices from the triple's
+a, b and c on each call and shares no table with the scan; it stays as
+public API and as the oracle the kernel's bounds are tested against bit
+for bit.  evaluate_word_float is the plain-float audit route.
+
+Body twins: a cusp translation on the left leaves the bottom row of a
+product unchanged, so a word r_1 B, with leading block r_1 = x^m y^n and
+body B = z^e_1 r_2 ... z^e_j, has the [L, U] of every other word with
+body B, bit for bit.  The kernel keeps this exactly: the identity row
+(0, 1) times [[1, t], [0, 1]] is (0, 1) again, by rect_mul's zero
+shortcut and rect_add's pass-through.  A WordStream records, once per
+stream, the position of the first word with each word's body, and a scan
+evaluates only that first word.
 """
 
 from __future__ import annotations
@@ -292,42 +293,38 @@ def enumerate_words(max_d: int, max_exp: int) -> Iterator[Word]:
 class WordStream:
     """A word stream taken from its source as scans ask, kept for reuse.
 
-    words holds the words taken so far, and shared[i] is the number of
-    leading syllables words[i] shares with words[i - 1] (0 for the first).
-    take() pulls one more word from the source; each count is computed
-    there, once per stream, however many scans read it.  A scan that has
-    evaluated words[i] and next evaluates words[j] may keep the rows of
-    min(shared[i + 1 : j + 1]) syllables: the words between them share at
-    least that prefix with both.  take() also rejects a power-free word,
-    which has no lower-left entry to test, with ValueError.  Scans name a
-    word by its position in words and break ties by the earliest, which
-    is the canonical least only when the source is enumerate_words.
+    words holds the words taken so far, and first[i] is the position of
+    the first word with the body of words[i], its syllables with the
+    leading block made trivial: ((0, 0, e_1),) + syllables[1:].  Such body
+    twins have the same [L, U] bit for bit (see the module docstring), and
+    first[i] <= i, with equality for the first word of each body.  take()
+    pulls one more word from the source and looks its body up there, once
+    per stream, however many scans read it.  take() also rejects a
+    power-free word, which has no lower-left entry to test, with
+    ValueError.  Scans name a word by its position in words and break ties
+    by the earliest, which is the canonical least only when the source is
+    enumerate_words.
     """
 
-    __slots__ = ("words", "shared", "_source", "_last")
+    __slots__ = ("words", "first", "_source", "_bodies")
 
     def __init__(self, source: Iterable[Word]) -> None:
         self.words: List[Word] = []
-        self.shared: List[int] = []
+        self.first: List[int] = []
         self._source = iter(source)
-        self._last: Tuple[Syllable, ...] = ()
+        self._bodies: dict = {}
 
     def take(self) -> bool:
-        """Append the source's next word and its shared count; False when the source is done."""
+        """Append the source's next word and its first-with-body position; False at the end."""
         word = next(self._source, None)
         if word is None:
             return False
         if word.is_pure_translation:
             raise ValueError(f"word stream produced a power-free word: {word}")
         syllables = word.syllables
-        shared = 0
-        for mine, last in zip(syllables, self._last):
-            if mine != last:
-                break
-            shared += 1
+        body = ((0, 0, syllables[0][2]),) + syllables[1:]
+        self.first.append(self._bodies.setdefault(body, len(self.words)))
         self.words.append(word)
-        self.shared.append(shared)
-        self._last = syllables
         return True
 
 
@@ -396,30 +393,39 @@ _INF = math.inf
 _IDENTITY_ROW = ((0.0, 0.0, 0.0, 0.0), (1.0, 1.0, 0.0, 0.0))
 
 
-def new_row_stack() -> list:
-    """A row stack for lower_left_bounds that holds only rows[0], the identity's bottom row."""
-    return [_IDENTITY_ROW]
-
-
-def lower_left_bounds(gens: GeneratorTriple, syllables: tuple, rows: list, keep: int) -> tuple:
+def lower_left_bounds(gens: GeneratorTriple, syllables: tuple) -> tuple:
     """Floats (L, U) enclosing the lower-left entry's modulus of a word over gens.
 
     This is the scan kernel.  It carries only the bottom row (m21, m22) of
-    the left-to-right product, since in acc @ M that row depends only on
-    the bottom row of acc, and it works on the unboxed rectangles the
-    GeneratorTriple caches per syllable.  The rectangle arithmetic is the
-    interval layer's own, so (L, U) is bit-identical to the oracle
-    evaluate_word(word, gens).m21.abs_bounds().
+    the left-to-right product, from the identity's, since in acc @ M that
+    row depends only on the bottom row of acc, and it works on the unboxed
+    rectangles the GeneratorTriple caches per syllable.  The rectangle
+    arithmetic is the interval layer's own, so (L, U) is bit-identical to
+    the oracle evaluate_word(word, gens).m21.abs_bounds().  A leading
+    block x^m y^n leaves the identity's row as it is, bit for bit, so body
+    twins (see WordStream) get one (L, U).
 
-    rows is a stack the caller owns, started by new_row_stack(): rows[k]
-    is the bottom row (r1, r2) after the first k syllables of the last
-    word evaluated on it.  keep is how many of the word's leading
-    syllables those rows still serve, at most the prefix it shares with
-    that word; a WordStream's shared counts give it.  The kernel cuts the
-    stack to rows[:keep + 1] and pushes the rows of the remaining
-    syllables.  The row after a prefix is the same sequence of rectangle
-    operations whatever follows it, so (L, U) does not depend on keep or
-    on the order words come in.
+    Raises ValueError when the bottom row overflows.  An infinite or NaN
+    endpoint survives every rectangle operation but a product with an
+    exact zero, and each row of a generator matrix has a nonzero entry, so
+    an overflow anywhere leaves a non-finite endpoint in the final row.
+    All eight endpoints are checked there, before the max() in rect_abs
+    can drop a NaN, and so is U, since hypot of two finite floats can
+    overflow.
+    """
+    (rl, rh, il, ih), (sl, sh, jl, jh) = _bottom_row(gens, syllables, _IDENTITY_ROW)
+    # x - x is 0.0 for a finite x and NaN for an infinite or NaN one
+    zero_if_finite = (rl - rl) + (rh - rh) + (il - il) + (ih - ih)
+    if zero_if_finite + (sl - sl) + (sh - sh) + (jl - jl) + (jh - jh) != 0.0:
+        raise ValueError(f"endpoints must be finite in the bottom row of {Word._trusted(syllables)}")
+    lo, hi = rect_abs(rl, rh, il, ih)
+    if hi == _INF:
+        raise ValueError(f"|m21| overflows in the bottom row of {Word._trusted(syllables)}")
+    return lo, hi
+
+
+def _bottom_row(gens: GeneratorTriple, syllables: tuple, row: tuple) -> tuple:
+    """The bottom row (r1, r2) of row's matrix times the syllables, left to right.
 
     A gamma^+-1 step resolves the exact entries of [[c, -1], [1, 0]] and
     [[0, 1], [-1, c]]: one rect_mul by c, one rect_add and one rect_neg,
@@ -429,20 +435,11 @@ def lower_left_bounds(gens: GeneratorTriple, syllables: tuple, rows: list, keep:
     whichever argument is nonzero there, and from its first argument where
     both are zero, so the rect_mul result, whose zero parts are +0.0, goes
     first.  The step thus keeps the full step's bits.  Other powers take
-    four rect_mul.
-
-    Raises ValueError when the bottom row overflows, after pushing its
-    rows.  An infinite or NaN endpoint survives every rectangle operation
-    but a product with an exact zero, and each row of a generator matrix
-    has a nonzero entry, so an overflow anywhere leaves a non-finite
-    endpoint in the final row.  All eight endpoints are checked there,
-    before the max() in rect_abs can drop a NaN, and so is U, since hypot
-    of two finite floats can overflow.
+    four rect_mul.  Nothing here checks the row for overflow.
     """
-    del rows[keep + 1 :]
-    r1, r2 = rows[keep]
+    r1, r2 = row
     table = gens._unboxed
-    for syllable in syllables[keep:]:
+    for syllable in syllables:
         offset, gamma = table.get(syllable) or gens.unboxed_syllable(syllable)
         if offset is not None:
             # times [[1, t], [0, 1]]: m21 * 1 + m22 * 0 is m21 exactly
@@ -460,30 +457,19 @@ def lower_left_bounds(gens: GeneratorTriple, syllables: tuple, rows: list, keep:
                 rect_add(rect_mul(r1, g11), rect_mul(r2, g21)),
                 rect_add(rect_mul(r1, g12), rect_mul(r2, g22)),
             )
-        rows.append((r1, r2))
-    rl, rh, il, ih = r1
-    sl, sh, jl, jh = r2
-    # x - x is 0.0 for a finite x and NaN for an infinite or NaN one
-    zero_if_finite = (rl - rl) + (rh - rh) + (il - il) + (ih - ih)
-    if zero_if_finite + (sl - sl) + (sh - sh) + (jl - jl) + (jh - jh) != 0.0:
-        raise ValueError(f"endpoints must be finite in the bottom row of {Word._trusted(syllables)}")
-    lo, hi = rect_abs(rl, rh, il, ih)
-    if hi == _INF:
-        raise ValueError(f"|m21| overflows in the bottom row of {Word._trusted(syllables)}")
-    return lo, hi
+    return r1, r2
 
 
 def lower_left_abs(word: Word, target: Union[GeneratorTriple, Params, ParamBox]) -> RealInterval:
     """Enclosure [L, U] of the lower-left entry's modulus over the target.
 
-    lower_left_bounds on a fresh row stack; pass one GeneratorTriple per
-    box to build its syllable table once.  [L, U] equals the oracle
-    evaluate_word(word, target).m21.abs_bounds() bit for bit, and raises
-    ValueError where the kernel does.  The kernel has checked both bounds
-    finite, so [L, U] is built without RealInterval's checks.
+    lower_left_bounds for one word, whatever its body; pass one
+    GeneratorTriple per box to build its syllable table once.  [L, U]
+    equals the oracle evaluate_word(word, target).m21.abs_bounds() bit for
+    bit, and raises ValueError where the kernel does.
     """
     gens = target if isinstance(target, GeneratorTriple) else gens_from_params(target)
-    return RealInterval._trusted(*lower_left_bounds(gens, word.syllables, new_row_stack(), 0))
+    return RealInterval(*lower_left_bounds(gens, word.syllables))
 
 
 class KillerVerdict(enum.Enum):

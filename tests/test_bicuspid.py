@@ -3,6 +3,8 @@
 import math
 import random
 
+import pytest
+
 from horocusp.bicuspid import (
     Feasibility,
     ParamBox,
@@ -29,6 +31,16 @@ def _gamma_power(e, target):
 def test_pairing_lower_left_exact_at_points():
     bounds = evaluate_word(parse_word("z"), REF).m21.abs_bounds()
     assert bounds.lo == 1.0 and bounds.hi == 1.0
+
+
+def test_params_take_numbers_only() -> None:
+    """An int, a float or a complex is stored as a complex; a bool or a string raises TypeError."""
+    p = Params(4, 1.5, 2 + 1j)
+    assert (p.a, p.b, p.c) == (4 + 0j, 1.5 + 0j, 2 + 1j)
+    assert all(type(v) is complex for v in (p.a, p.b, p.c))
+    for args in (("4", 1.0, 2.0), (4.0, True, 2.0), (4.0, 1.0, "2+1j"), ("4", True, "2+1j")):
+        with pytest.raises(TypeError, match="must be a number"):
+            Params(*args)
 
 
 def test_generator_shapes():

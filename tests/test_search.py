@@ -11,6 +11,7 @@ from itertools import islice, permutations
 import pytest
 
 from horocusp import search as search_module
+from horocusp import words as words_module
 from horocusp.bicuspid import COORD_NAMES, ParamBox, Params, gens_from_params, param_space
 from horocusp.search import (
     BoxStatus,
@@ -21,16 +22,8 @@ from horocusp.search import (
     test_box,
     verify_report,
 )
-from horocusp.interval import RealInterval
-from horocusp.words import (
-    Word,
-    WordStream,
-    enumerate_words,
-    lower_left_abs,
-    lower_left_bounds,
-    new_row_stack,
-    parse_word,
-)
+from horocusp.interval import RealInterval, rect_abs
+from horocusp.words import Word, WordStream, enumerate_words, lower_left_abs, parse_word
 
 from test_words import _taken
 
@@ -196,12 +189,26 @@ def test_box_hint_scanned_first():
     assert v.words_scanned == 1
 
 
+class _NoTwins(WordStream):
+    """A WordStream that names every word the first of its body, so scans evaluate every word."""
+
+    __slots__ = ()
+
+    def take(self) -> bool:
+        if not super().take():
+            return False
+        self.first[-1] = len(self.first) - 1
+        return True
+
+
 def test_near_miss_tie_rule(monkeypatch) -> None:
     """Candidate and near miss are the earliest in stream order, hint included.
 
     The near miss is the least (hi, position) and the candidate the least
     position, in any stream order and whichever word is the hint.  On the
-    canonical stream the earliest position is the least sort_key.
+    canonical stream the earliest position is the least sort_key.  The
+    made-up bounds give body twins such as "x z" and "z" different
+    enclosures, so the scans run on streams that evaluate every word.
     """
     box = ParamBox.from_bounds(
         [[1.0, 1.2], [0.0, 0.0], [0.0, 0.0], [4.0, 4.0], [-0.3, -0.1], [0.0, 0.0]]
@@ -210,7 +217,7 @@ def test_near_miss_tie_rule(monkeypatch) -> None:
     assert far.sort_key() < small.sort_key() < mid.sort_key() < big.sort_key()
     bounds = {}
 
-    def kernel(gens, syllables, rows, keep):
+    def kernel(gens, syllables):
         iv = bounds[Word(syllables)]
         return iv.lo, iv.hi
 
@@ -218,7 +225,9 @@ def test_near_miss_tie_rule(monkeypatch) -> None:
 
     def scan(order, hint=None):
         """The verdict on a stream of order, hint given as a word; (verdict, near miss word)."""
-        stream = _taken(order)
+        stream = _NoTwins(order)
+        while stream.take():
+            pass
         v = test_box(box, stream, _cfg(), hint=None if hint is None else order.index(hint))
         return v, None if v.near_miss is None else stream.words[v.near_miss]
 
@@ -596,12 +605,9 @@ def test_dead_words_stay_dead_in_every_descendant() -> None:
 
     def scan(box):
         gens = gens_from_params(box)
-        rows = new_row_stack()
-        lows, rects = [], []
-        for w, keep in zip(stream.words, stream.shared):
-            lows.append(lower_left_bounds(gens, w.syllables, rows, keep)[0])
-            rects.append(rows[-1][0])
-        return lows, rects
+        identity = words_module._IDENTITY_ROW
+        rects = [words_module._bottom_row(gens, w.syllables, identity)[0] for w in stream.words]
+        return [rect_abs(*r)[0] for r in rects], rects
 
     dead_checked = 0
     for area in (1.5, 5.1):
@@ -656,23 +662,38 @@ _AREA_15 = dict(
          "straddle-d3"],
 )
 def test_dead_word_skips_keep_report_bytes(monkeypatch, settings) -> None:
-    """Skipping words an ancestor ruled out changes no byte of the report."""
+    """Skipping dead words and body twins changes no byte of the report.
+
+    Each setting runs with dead-word skipping on and off, and with twin
+    skipping on and off; with both off the scan evaluates every word.
+    """
     cfg = SearchConfig(**settings)
-    evaluated = Counter()
+    calls = 0
     real = search_module.lower_left_bounds
 
-    def counted(gens, syllables, rows, keep):
-        evaluated[search_module._DEAD_LO] += 1
-        return real(gens, syllables, rows, keep)
+    def counted(gens, syllables):
+        nonlocal calls
+        calls += 1
+        return real(gens, syllables)
 
     monkeypatch.setattr(search_module, "lower_left_bounds", counted)
-    skipping = run_search(cfg).to_canonical_json()
-    monkeypatch.setattr(search_module, "_DEAD_LO", math.inf)  # rules no word out
-    full = run_search(cfg)
-    assert skipping == full.to_canonical_json()
-    assert evaluated[math.inf] == full.words_evaluated
+    dead_lo = search_module._DEAD_LO
+    runs = {}
+    for twins in (True, False):
+        monkeypatch.setattr(search_module, "WordStream", WordStream if twins else _NoTwins)
+        for dead in (True, False):
+            # a _DEAD_LO of inf rules no word out
+            monkeypatch.setattr(search_module, "_DEAD_LO", dead_lo if dead else math.inf)
+            calls = 0
+            report = run_search(cfg)
+            runs[twins, dead] = report.to_canonical_json(), calls, report
+    full = runs[False, False][2]
+    assert {text for text, _, _ in runs.values()} == {full.to_canonical_json()}
+    assert runs[False, False][1] == full.words_evaluated
     # a root box alone has no ancestor to skip words for
-    assert evaluated[1.0 + 2.0**-48] < full.words_evaluated or full.boxes_tested == 1
+    assert runs[False, True][1] < full.words_evaluated or full.boxes_tested == 1
+    for dead in (True, False):
+        assert runs[True, dead][1] < runs[False, dead][1]
 
 
 def test_box_hands_its_children_a_new_dead_set() -> None:
@@ -708,17 +729,18 @@ def test_box_reads_every_stream_form_alike(stream_caps) -> None:
 
     Each box is scanned without a hint and with three: its near miss, a
     fixed position and a word ruled out on the box.  Dead sets have runs of
-    consecutive positions that make the scan fold several shared counts
-    into its prefix length.  A fresh stream has taken words only through
-    the hint; the shared one is scanned by every case in turn, so later
-    cases start with it already taken.  None takes no hint, since its
-    stream holds no word yet.  An Undecided verdict's dead set must also
-    match the one computed word by word on fresh row stacks, a ruled-out
-    hint's position included.
+    consecutive positions, first words of a body and twins among them.  A
+    fresh stream has taken words only through the hint; the shared one is
+    scanned by every case in turn, so later cases start with it already
+    taken.  None takes no hint, since its stream holds no word yet.  An
+    Undecided verdict's dead set must also match the one computed word by
+    word: the ruled-out positions the scan evaluates, which are the first
+    words of their bodies and a ruled-out hint.
     """
     max_d, max_exp = stream_caps
     cfg = SearchConfig(**dict(_AREA_15, max_d=max_d, max_exp=max_exp, word_budget_per_box=1000))
     pool = list(islice(enumerate_words(max_d, max_exp), 1000))
+    first_of = _taken(pool).first
     shared = WordStream(enumerate_words(max_d, max_exp))
 
     def through(stream, hint):
@@ -754,7 +776,8 @@ def test_box_reads_every_stream_form_alike(stream_caps) -> None:
                 if v.status is BoxStatus.UNDECIDED:
                     undecided += 1
                     dead_hints += hint in ruled_out - dead
-                    assert v.dead == dead | ruled_out, (box.path, hint)
+                    evaluated = {i for i in ruled_out if first_of[i] == i or i == hint}
+                    assert v.dead == dead | evaluated, (box.path, hint)
     assert undecided >= 10 and dead_hints >= 5
 
 
@@ -773,3 +796,31 @@ def test_box_rejects_power_free_words() -> None:
     for form, hint in ((stream, -1), (stream, len(words)), (None, 0)):
         with pytest.raises(ValueError, match="hint must be a taken stream position"):
             test_box(box, form, cfg, hint=hint)
+
+
+def test_box_hint_must_be_an_int() -> None:
+    """A bool or any other non-int hint raises TypeError; True is not position 1."""
+    box = param_space(1.5)
+    cfg = SearchConfig(**_AREA_15)
+    stream = _taken(enumerate_words(2, 1))
+    for hint in (True, False, 1.0, "1"):
+        with pytest.raises(TypeError, match="hint must be an int stream position"):
+            test_box(box, stream, cfg, hint=hint)
+    assert test_box(box, stream, cfg, hint=1).words_scanned > 0
+
+
+def test_twin_skip_keeps_the_leading_block_overflow() -> None:
+    """A skipped twin still raises where its evaluation would.
+
+    At a = 1e308 the offset of x^2 overflows, and x^2 z is a twin of z, so
+    only its leading block's table lookup can raise there, as evaluating
+    it would.
+    """
+    root = ParamBox.from_point(Params(1e308, 0.5 + 1j, 0))
+    cfg = SearchConfig(area_bound=8.9e307, max_d=1, max_exp=2)
+    stream = WordStream(enumerate_words(1, 2))
+    for form in (None, stream, stream):
+        with pytest.raises(ValueError, match=r"the offset of x\^2 y\^0"):
+            test_box(root, form, cfg)
+    twin = stream.words.index(parse_word("x^2 z"))
+    assert stream.first[twin] == stream.words.index(parse_word("z")) < twin

@@ -21,7 +21,6 @@ from horocusp.words import (
     killer_test,
     lower_left_abs,
     lower_left_bounds,
-    new_row_stack,
     parse_word,
     volume_bound,
 )
@@ -326,117 +325,114 @@ def _taken(words):
     return stream
 
 
-def test_prefix_reuse_is_order_independent() -> None:
-    """Rows kept from earlier words never leak into a later word's bounds.
+def _body(word):
+    """A key for the word's body other than WordStream's: e_1 and the syllables after the first."""
+    return word.syllables[0][2], word.syllables[1:]
 
-    Each order is scanned on one row stack with the WordStream's shared
-    counts, as a search scans.
+
+def test_body_twins_share_their_first_words_bits() -> None:
+    """Every word's kernel and oracle bits are those of the first word with its body.
+
+    A cusp translation on the left leaves m21 unchanged, and the kernel's
+    identity row times a translation is the identity row again, so twins
+    agree bit for bit, and each matches the oracle.
     """
     rng = random.Random(6063)
-    boxes = [ParamBox.from_point(REF)]
+    ref = [Params(4.0, 1.0 + 4.0 * k + math.sqrt(3.0) * 1j, 2.0) for k in (-1, 0, 1)]
+    boxes = [ParamBox.from_point(p) for p in ref]
     boxes += _random_dyadic_boxes(1.5, 1, rng) + _random_dyadic_boxes(6.0, 1, rng)
-    pool = list(islice(enumerate_words(6, 3), 2000))
-    shuffled = pool[:]
-    rng.shuffle(shuffled)
-    hint = pool[1234]
-    interleaved = []
-    for i, w in enumerate(pool):
-        if i % 50 == 0:
-            interleaved.append(hint)
-        interleaved.append(w)
-    streams = [_taken(order) for order in (shuffled, pool, interleaved)]
-    for box in boxes:
-        gens = gens_from_params(box)
-        oracle = {w: _bits(evaluate_word(w, box).m21.abs_bounds()) for w in pool}
-        for stream in streams:
-            rows = new_row_stack()
-            for w, keep in zip(stream.words, stream.shared):
-                bounds = RealInterval(*lower_left_bounds(gens, w.syllables, rows, keep))
-                assert _bits(bounds) == oracle[w], (box.path, str(w))
-
-    gens = gens_from_params(REF)
-    overflowing = Word(((3, 0, 1),) * 300)
-    sibling = Word(((3, 0, 1), (0, 1, -1)))
-    rows = new_row_stack()
-    for keep in (0, 1):
-        with pytest.raises(ValueError):
-            lower_left_bounds(gens, overflowing.syllables, rows, keep)
-    oracle = _bits(evaluate_word(sibling, REF).m21.abs_bounds())
-    assert _bits(RealInterval(*lower_left_bounds(gens, sibling.syllables, rows, 1))) == oracle
-    with pytest.raises(ValueError):
-        lower_left_bounds(gens, overflowing.syllables, rows, 1)
-
-
-def test_word_stream_counts_shared_prefixes() -> None:
-    """Each shared count is the longest common syllable prefix with the word before."""
-    for stream in (
-        islice(enumerate_words(6, 3), 2000),
-        islice(enumerate_words(3, 2), 3000),
-        enumerate_words(2, 1),
+    twins = 0
+    for pool in (
+        list(enumerate_words(2, 1)),
+        list(islice(enumerate_words(3, 2), 3000)),
+        list(islice(enumerate_words(6, 3), 2000)),
     ):
-        words = list(stream)
+        first = _taken(pool).first
+        for box in boxes:
+            gens = gens_from_params(box)
+            kernel = [_bits(RealInterval(*lower_left_bounds(gens, w.syllables))) for w in pool]
+            oracle = [_bits(evaluate_word(w, box).m21.abs_bounds()) for w in pool]
+            for i, w in enumerate(pool):
+                j = first[i]
+                assert kernel[i] == oracle[i] == kernel[j] == oracle[j], (box.path, str(w))
+                twins += j != i
+    assert twins > 15_000
+
+
+def test_word_stream_records_first_with_body() -> None:
+    """first[i] is the earliest position whose word has the body of words[i].
+
+    The canonical streams, and orders that shuffle them or repeat a word,
+    since a stream takes its source's order as it comes.
+    """
+    rng = random.Random(4021)
+    pools = [
+        list(islice(enumerate_words(6, 3), 2000)),
+        list(islice(enumerate_words(3, 2), 3000)),
+        list(enumerate_words(2, 1)),
+    ]
+    shuffled = pools[0][:]
+    rng.shuffle(shuffled)
+    repeated = []
+    for w in pools[2]:
+        repeated += [w, pools[2][17]]
+    bodies = []
+    for words in pools + [shuffled, repeated]:
         taken = _taken(words)
         assert taken.words == words
-        expected = [0]
-        for last, word in zip(words, words[1:]):
-            k = 0
-            while k < min(len(last.syllables), len(word.syllables)):
-                if last.syllables[k] != word.syllables[k]:
-                    break
-                k += 1
-            expected.append(k)
-        assert taken.shared == expected
+        earliest = {}
+        for i, w in enumerate(words):
+            earliest.setdefault(_body(w), i)
+        assert taken.first == [earliest[_body(w)] for w in words]
+        bodies.append(len(earliest))
+    assert bodies == [184, 1164, 34, 184, 34]
 
 
 def test_word_stream_takes_words_as_asked() -> None:
     """take() pulls one word at a time and reports the end of its source."""
     source = enumerate_words(2, 1)
     stream = WordStream(source)
-    assert stream.words == [] and stream.shared == []
+    assert stream.words == [] and stream.first == []
     assert stream.take() and len(stream.words) == 1
     assert next(source) == list(islice(enumerate_words(2, 1), 2))[1]
     rest = WordStream(list(enumerate_words(2, 1))[-2:])
     assert rest.take() and rest.take() and not rest.take() and len(rest.words) == 2
 
 
-def _scan_reference_point(monkeypatch, max_d, max_exp, budget, rows=None):
+def _scan_reference_point(max_d, max_exp, budget):
     """test_box at REF over the canonical (max_d, max_exp) stream; the verdict."""
-    if rows is not None:
-        monkeypatch.setattr(search_module, "new_row_stack", lambda: rows)
     cfg = SearchConfig(area_bound=6.0, max_d=max_d, max_exp=max_exp, word_budget_per_box=budget)
     return test_box(ParamBox.from_point(REF), None, cfg)
 
 
-def test_scan_syllable_steps(monkeypatch) -> None:
-    """The canonical stream on one box resumes each word from its shared prefix.
+def test_scan_kernel_evaluations(monkeypatch) -> None:
+    """The canonical stream on one box evaluates only the first word of each body."""
+    calls = 0
+    real = search_module.lower_left_bounds
 
-    Steps are the rows test_box's scan pushes on its row stack.
-    """
-    steps = 0
+    def counted(gens, syllables):
+        nonlocal calls
+        calls += 1
+        return real(gens, syllables)
 
-    class CountingRows(list):
-        def append(self, row):
-            nonlocal steps
-            steps += 1
-            super().append(row)
-
+    monkeypatch.setattr(search_module, "lower_left_bounds", counted)
     for (max_d, max_exp, budget), words, expected in (
-        ((6, 3, 2000), 2000, 2126),
-        ((2, 1, 10000), 145, 162),
+        ((6, 3, 2000), 2000, 184),
+        ((2, 1, 10000), 145, 34),
     ):
-        steps = 0
-        rows = CountingRows(new_row_stack())
-        verdict = _scan_reference_point(monkeypatch, max_d, max_exp, budget, rows)
+        calls = 0
+        verdict = _scan_reference_point(max_d, max_exp, budget)
         assert verdict.words_scanned == words
-        assert steps == expected
+        assert calls == expected
 
 
 def test_scan_rect_mul_count(monkeypatch) -> None:
     """The kernel's general products per stream, pinned.
 
     A gamma^+-1 step takes one rect_mul, a translation one more and any
-    other gamma^e step four; 2079 of the 2126 steps of the first stream and
-    all 162 of the second are gamma^+-1.  The table's builds call
+    other gamma^e step four.  362 of the 364 steps of the 184 words the
+    first stream evaluates, and all 66 steps of the second's 34, are
+    gamma^+-1.  The table's builds call
     bicuspid's rect_mul and are not counted.
     """
     calls = 0
@@ -448,11 +444,11 @@ def test_scan_rect_mul_count(monkeypatch) -> None:
 
     monkeypatch.setattr(words_module, "rect_mul", counting)
     for (max_d, max_exp, budget), words, expected in (
-        ((6, 3, 2000), 2000, 4385),
-        ((2, 1, 10000), 145, 322),
+        ((6, 3, 2000), 2000, 684),
+        ((2, 1, 10000), 145, 123),
     ):
         calls = 0
-        verdict = _scan_reference_point(monkeypatch, max_d, max_exp, budget)
+        verdict = _scan_reference_point(max_d, max_exp, budget)
         assert verdict.words_scanned == words
         assert calls == expected
 
@@ -464,16 +460,15 @@ def _hex_rects(rects):
 def test_gamma_unit_steps_match_the_general_step() -> None:
     """The kernel's gamma^+-1 step is the four-product step bit for bit.
 
-    Each case seeds a row stack with a row after one syllable whose
+    Each case seeds the kernel's row propagation with a row whose
     rectangles have special endpoints, infinities and NaNs among them, and
-    reads the row the kernel pushes for one more syllable (0, 0, +-1).  A
-    non-finite row is pushed before lower_left_bounds raises on it.  NaN
-    hexes alike whatever its sign, so the rows must match wherever they
-    are finite and be non-finite where the general step is.
+    reads the row after one more syllable (0, 0, +-1); the propagation
+    checks nothing, so a non-finite row comes back as it is.  NaN hexes
+    alike whatever its sign, so the rows must match wherever they are
+    finite and be non-finite where the general step is.
     """
     rng = random.Random(5273)
     finite = tuple(v for v in _SPECIAL if math.isfinite(v))
-    first = (1, 0, 1)
     for _ in range(20_000):
         c = _endpoints(rng, finite) + _endpoints(rng, finite)
         box = ParamBox.from_bounds([[4.0, 4.0], [0.0, 0.0], [1.0, 1.0], [2.0, 2.0], c[:2], c[2:]])
@@ -481,18 +476,13 @@ def test_gamma_unit_steps_match_the_general_step() -> None:
         r1 = _endpoints(rng) + _endpoints(rng)
         r2 = _endpoints(rng) + _endpoints(rng)
         for e in (1, -1):
-            rows = new_row_stack() + [(r1, r2)]
-            try:
-                lower_left_bounds(gens, (first, (0, 0, e)), rows, 1)
-            except ValueError:
-                pass
+            row = words_module._bottom_row(gens, ((0, 0, e),), (r1, r2))
             g11, g12, g21, g22 = gens.unboxed_syllable((0, 0, e))[1]
             general = (
                 rect_add(rect_mul(r1, g11), rect_mul(r2, g21)),
                 rect_add(rect_mul(r1, g12), rect_mul(r2, g22)),
             )
-            assert len(rows) == 3
-            assert _hex_rects(rows[-1]) == _hex_rects(general), (c, r1, r2, e)
+            assert _hex_rects(row) == _hex_rects(general), (c, r1, r2, e)
 
 
 def test_unboxed_table_matches_the_oracle_entries() -> None:
