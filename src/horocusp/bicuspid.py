@@ -81,7 +81,9 @@ class ParamBox:
     """Axis-aligned box in the six real parameter coordinates.
 
     path is the dyadic address of the box in the subdivision tree, a string
-    over {0, 1}, empty for the root.
+    over {0, 1}, empty for the root.  Every width hi - lo is finite, or
+    construction raises ValueError: the search bisects widths and samples
+    across them, so the rule holds for each box it can be handed.
     """
 
     a_re: RealInterval
@@ -91,6 +93,11 @@ class ParamBox:
     c_re: RealInterval
     c_im: RealInterval
     path: str = ""
+
+    def __post_init__(self) -> None:
+        for name, iv in zip(COORD_NAMES, self.coords()):
+            if not math.isfinite(iv.hi - iv.lo):
+                raise ValueError(f"the width of {name} = [{iv.lo}, {iv.hi}] must be finite")
 
     @classmethod
     def from_point(cls, p: Params, path: str = "") -> "ParamBox":
@@ -247,6 +254,8 @@ def space_radius(area_bound: float) -> float:
 def param_space(area_bound: float) -> Optional[ParamBox]:
     """Root search box for the given cusp area bound, None when empty.
 
+    Raises ValueError when the box's widths overflow, as ParamBox does for
+    any box: b_re spans [-R, R], so a width of 2R must be a finite float.
     The region collapses to a measure-zero boundary slice once R <= 1
     (every translation length pinned to 1); no positive-volume box fits in
     it, so it is reported empty.

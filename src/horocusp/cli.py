@@ -1,7 +1,10 @@
 """Command-line front end: search, cusp audit, horoball rendering, report audit.
 
 Exit codes: 0 success, 1 runtime or audit failure, 2 search finished with
-undecided boxes, 64 usage error, 65 degenerate lattice.
+undecided boxes, 64 usage error, 65 degenerate lattice.  A usage error is
+a bad flag or setting, and also any TypeError or ValueError the library
+raises on the inputs, such as a search whose interval arithmetic
+overflows at its settings; each prints its subcommand's usage line.
 """
 
 import argparse
@@ -82,11 +85,7 @@ def cmd_search(args, parser):
     # SearchConfig's keywords, so that --workers reaches its deprecation note
     names = inspect.signature(SearchConfig).parameters
     settings.update((k, v) for k, v in vars(args).items() if k in names and v is not None)
-    try:
-        cfg = SearchConfig(**settings)
-    except (TypeError, ValueError) as exc:
-        parser.error(str(exc))
-    report = run_search(cfg)
+    report = run_search(SearchConfig(**settings))
     _write_text(args.out, report.to_canonical_json() + "\n")
     print(
         "search: %d boxes tested, %d leaves, %.2fs"
@@ -113,10 +112,7 @@ def cmd_cusp(args, parser):
         "version": __version__,
         "config": {"a": args.a, "b": args.b, "slope_length": args.slope_length},
     }
-    try:
-        payload.update(audit_cusp(shape, cutoff=args.slope_length))
-    except ValueError as exc:
-        parser.error(str(exc))
+    payload.update(audit_cusp(shape, cutoff=args.slope_length))
     _emit_json(payload, args.out)
     return EXIT_OK
 
@@ -133,13 +129,12 @@ def cmd_horoball(args, parser):
         parser.error("--scale must be positive and finite")
     if not args.svg and not args.csv:
         parser.error("at least one of --svg or --csv is required")
-    if (a.conjugate() * b).imag == 0.0:
-        print("error: degenerate lattice: a and b are collinear", file=sys.stderr)
-        return EXIT_DEGENERATE
     try:
-        diagram = horoball_diagram(Params(a, b, c), args.cutoff, args.depth)
+        CuspShape(a, b)
     except ValueError as exc:
-        parser.error(str(exc))
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_DEGENERATE
+    diagram = horoball_diagram(Params(a, b, c), args.cutoff, args.depth)
     config = {
         "a": args.a,
         "b": args.b,
@@ -163,10 +158,7 @@ def cmd_verify(args, parser):
     except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
-    try:
-        result = verify_report(data, args.samples)
-    except ValueError as exc:
-        parser.error("%s: %s" % (args.report, exc))
+    result = verify_report(data, args.samples)
     payload = {
         "version": __version__,
         "config": {"report": args.report, "samples": args.samples},
@@ -234,6 +226,9 @@ def main(argv=None) -> int:
         return args.func(args, args.parser)
     except SystemExit:
         raise
+    except (TypeError, ValueError) as exc:
+        # the library's verdict on the inputs, however deep it is raised
+        args.parser.error(str(exc))
     except Exception as exc:  # surfaces as a runtime failure, exit 1
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR

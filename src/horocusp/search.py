@@ -100,6 +100,8 @@ class SearchConfig:
     flagged incomplete.  root_box overrides the feasible box, as six
     [lo, hi] coordinate bounds or a ParamBox; bounds are checked and turned
     into a ParamBox on construction, and either way the root's path is "".
+    The root the run will search, root_box or param_space(area_bound),
+    must be a valid ParamBox (every width finite), else ValueError.
     The search runs on one thread; the old worker_count keyword is still
     accepted, ignored whatever its value, with a FutureWarning.
     """
@@ -135,19 +137,20 @@ class SearchConfig:
             raise ValueError("min_box_width must be positive and finite")
         if self.max_boxes < 0:
             raise ValueError("max_boxes must be nonnegative")
-        if isinstance(self.root_box, ParamBox):
-            # the root's path is "", whatever tree the box came from: leaf
-            # paths and max_depth count from it, and to_json_dict keeps only
-            # the bounds, so a kept path would not survive a rerun
-            object.__setattr__(self, "root_box", replace(self.root_box, path=""))
-        elif self.root_box is not None:
-            try:
-                box = ParamBox.from_bounds(self.root_box)
-            except (TypeError, ValueError) as exc:
-                raise ValueError("root_box: %s" % exc) from None
-            object.__setattr__(self, "root_box", box)
-        if self.root_box is not None and not all(map(math.isfinite, self.root_box.widths())):
-            raise ValueError("root_box: every width hi - lo must be finite")
+        root = self.root_box
+        try:
+            if root is None:
+                param_space(self.area_bound)
+            elif isinstance(root, ParamBox):
+                # the root's path is "", whatever tree the box came from: leaf
+                # paths and max_depth count from it, and to_json_dict keeps only
+                # the bounds, so a kept path would not survive a rerun
+                object.__setattr__(self, "root_box", replace(root, path=""))
+            else:
+                object.__setattr__(self, "root_box", ParamBox.from_bounds(root))
+        except (TypeError, ValueError) as exc:
+            what = "area_bound is too large" if root is None else "root_box"
+            raise ValueError(f"{what}: {exc}") from None
 
     def resolved_root(self) -> Optional[ParamBox]:
         if self.root_box is None:
@@ -463,22 +466,8 @@ def _leaf_rows(report) -> List[dict]:
     return leaves
 
 
-def _finite_pair(bound) -> bool:
-    """True for [lo, hi], two numbers with lo <= hi and a finite width hi - lo."""
-    if not (isinstance(bound, list) and len(bound) == 2):
-        return False
-    if not all(type(x) in (int, float) for x in bound):
-        return False
-    try:
-        lo, hi = map(float, bound)
-    except OverflowError:
-        return False
-    # the width is finite only when both endpoints are
-    return lo <= hi and math.isfinite(hi - lo)
-
-
-def _killer_leaf(row: dict) -> Tuple[str, Word, list]:
-    """Path, word and bounds of a killer leaf row; ValueError names what is malformed."""
+def _killer_leaf(row: dict) -> Tuple[str, Word, ParamBox]:
+    """Path, word and box of a killer leaf row; ValueError names what is malformed."""
     path, text, bounds = row.get("path"), row.get("word"), row.get("bounds")
     if not isinstance(path, str) or path.strip("01"):
         raise ValueError("not a search report: a killer leaf's path must be a string of 0s and 1s")
@@ -489,9 +478,11 @@ def _killer_leaf(row: dict) -> Tuple[str, Word, list]:
         word = parse_word(text)
     except ValueError as exc:
         raise ValueError(f"{where}: word {text!r}: {exc}") from None
-    if not (isinstance(bounds, list) and len(bounds) == 6 and all(map(_finite_pair, bounds))):
-        raise ValueError(f"{where}: bounds must be six [lo, hi] pairs with a finite width")
-    return path, word, bounds
+    try:
+        box = ParamBox.from_bounds(bounds)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: bounds: {exc}") from None
+    return path, word, box
 
 
 def verify_report(report, samples_per_box: int) -> dict:
@@ -503,7 +494,11 @@ def verify_report(report, samples_per_box: int) -> dict:
     is not strictly inside, NaN included, is a violation.  Accepts a
     SearchReport or its JSON dictionary form; raises ValueError, naming
     the problem, when the dictionary is not a search report.
+    samples_per_box takes an integral int or float, as SearchConfig's
+    integer settings do: a bool or a string raises TypeError, another
+    non-integral number ValueError.
     """
+    samples_per_box = integer(samples_per_box, "samples_per_box")
     if samples_per_box < 1:
         raise ValueError("samples_per_box must be at least 1")
     audited = 0
@@ -513,11 +508,11 @@ def verify_report(report, samples_per_box: int) -> dict:
         if row["status"] != BoxStatus.ELIMINATED_KILLER.value:
             continue
         audited += 1
-        path, word, bounds = _killer_leaf(row)
+        path, word, box = _killer_leaf(row)
         rng = random.Random(zlib.crc32(("audit:" + path).encode("ascii")))
         for _ in range(samples_per_box):
             taken += 1
-            vals = [lo + rng.random() * (hi - lo) for lo, hi in bounds]
+            vals = [iv.lo + rng.random() * iv.width for iv in box.coords()]
             p = Params(
                 complex(vals[0], vals[1]),
                 complex(vals[2], vals[3]),

@@ -212,6 +212,27 @@ def test_search_usage_errors(tmp_path, capsys):
     assert run_cli(["frobnicate"]) == 64
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        # a default root whose b_re width 2R overflows
+        ["--area-max", "8e307"],
+        ["--area-max", "8.9e307", "--max-d", "1", "--max-exp", "2"],
+        # interval arithmetic that overflows inside the search
+        ["--area-max", "1e200", "--max-d", "2", "--max-exp", "1"],
+        ["--area-max", "1e120", "--max-d", "3", "--max-exp", "2"],
+    ],
+    ids=["root-width", "root-width-twin", "kernel-overflow-d2", "kernel-overflow-d3"],
+)
+def test_search_that_overflows_is_a_usage_error(tmp_path, capsys, flags):
+    out = tmp_path / "r.json"
+    assert run_cli(["search"] + flags + ["--out", str(out)]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("usage: horocusp search "), err
+    assert "must be finite" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_usage_errors_show_the_subcommand_usage(tmp_path, capsys):
     """A bad setting prints the usage line of its own subcommand."""
     out = str(tmp_path / "r.json")

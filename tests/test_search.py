@@ -81,7 +81,8 @@ def test_config_validation() -> None:
         {"root_box": "box"},
         {"root_box": 6},
         {"root_box": WIDE_BOUNDS},
-        {"root_box": ParamBox.from_bounds(WIDE_BOUNDS)},
+        # the default root of this area has a b_re width 2R that overflows
+        {"area_bound": 8e307},
     ):
         try:
             _cfg(**kw)
@@ -89,6 +90,19 @@ def test_config_validation() -> None:
         except (TypeError, ValueError):
             pass
     assert _cfg(root_box=SLICE_BOUNDS).resolved_root() == ParamBox.from_bounds(SLICE_BOUNDS)
+
+
+def test_param_box_widths_must_be_finite() -> None:
+    """Every constructor route refuses a box whose width hi - lo overflows."""
+    wide = [RealInterval(lo, hi) for lo, hi in WIDE_BOUNDS]
+    for build in (
+        lambda: ParamBox.from_bounds(WIDE_BOUNDS),
+        lambda: ParamBox(*wide),
+        lambda: param_space(8e307),
+    ):
+        with pytest.raises(ValueError, match="the width of b_re = .* must be finite"):
+            build()
+    assert math.isfinite(param_space(8e306).max_width())
 
 
 def test_config_defaults_and_stored_types() -> None:
@@ -574,6 +588,19 @@ def test_verify_report_vacuous_on_empty():
     assert audit["passed"] and audit["leaves_audited"] == 0 and audit["samples_taken"] == 0
 
 
+def test_verify_report_samples_must_be_an_integer() -> None:
+    """samples_per_box is checked as SearchConfig's integer settings are, killer leaf or not."""
+    killer = run_search(_cfg(root_box=SLICE_BOUNDS))
+    empty = run_search(_cfg(area_bound=math.sqrt(3.0) / 2.0))
+    for rep in (killer, empty):
+        for bad in (True, "5"):
+            with pytest.raises(TypeError, match="samples_per_box must be a number"):
+                verify_report(rep, bad)
+        with pytest.raises(ValueError, match="samples_per_box must be an integer"):
+            verify_report(rep, 2.5)
+    assert verify_report(killer, 5.0) == verify_report(killer, 5)
+
+
 def test_root_defaults_to_feasible_box():
     cfg = _cfg(max_d=1, max_depth=1, min_box_width=5.0, word_budget_per_box=5)
     root = cfg.resolved_root()
@@ -817,7 +844,8 @@ def test_twin_skip_keeps_the_leading_block_overflow() -> None:
     it would.
     """
     root = ParamBox.from_point(Params(1e308, 0.5 + 1j, 0))
-    cfg = SearchConfig(area_bound=8.9e307, max_d=1, max_exp=2)
+    # the default root of this area is too wide for a ParamBox, so the point is the root
+    cfg = SearchConfig(area_bound=8.9e307, max_d=1, max_exp=2, root_box=root)
     stream = WordStream(enumerate_words(1, 2))
     for form in (None, stream, stream):
         with pytest.raises(ValueError, match=r"the offset of x\^2 y\^0"):
