@@ -19,6 +19,7 @@ from horocusp.bicuspid import Params
 from horocusp.cuspgeom import CuspShape, audit_cusp
 from horocusp.horoball import export_csv, horoball_diagram, render_svg
 from horocusp.search import BoxStatus, SearchConfig, run_search, verify_report
+from horocusp.words import MAX_EXP
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -177,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON file with search settings")
     p.add_argument("--area-max", type=float, dest="area_bound", help="cusp area upper bound")
     p.add_argument("--max-d", type=int, help="largest z-count to enumerate")
-    p.add_argument("--max-exp", type=int, help="largest per-syllable exponent")
+    p.add_argument("--max-exp", type=int, help=f"largest per-syllable exponent, at most {MAX_EXP}")
     p.add_argument("--max-depth", type=int, help="subdivision depth limit")
     p.add_argument("--min-box-width", type=float, help="smallest box width to split")
     p.add_argument("--word-budget", type=int, dest="word_budget_per_box",

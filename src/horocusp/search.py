@@ -6,17 +6,18 @@ per-box verdicts plus an aggregate covolume bound.  The search runs on one
 thread, so reports serialize to canonical JSON that is byte-identical from
 run to run, capped or complete.
 
-One WordStream serves every box of a run: it takes each word from
-enumerate_words once, when the first box asks for it, and records the
-position of the first word with the same body, the word with its leading
-block x^m y^n made trivial.  Boxes name words by stream position, and
-ties go to the earliest, which on the canonical stream is the canonical
-least.  A box evaluates, with words.lower_left_bounds, only the first word
-of each body.  A later body twin has the same [L, U] bit for bit and comes
-after its first word, so it cannot decide the box sooner, be an earlier
-candidate or win a near-miss tie; it counts as scanned, toward the budget
-too.  Its leading block's table entry is still looked up, since that is
-where its own evaluation could overflow.
+One WordStream serves every box of a run: it takes the segments of
+enumerate_segments once, when the first box asks for them.  A segment is
+either the first word of its body, which a box evaluates with
+words.lower_left_bounds, or a Run of later body twins (see the words
+module's lemma), which a box counts and does not evaluate.  Boxes name
+words by stream position, and ties go to the earliest, which on the
+canonical stream is the canonical least.  A twin has the [L, U] of its
+body's first word bit for bit and comes after that word, so it cannot
+decide the box sooner, be an earlier candidate or win a near-miss tie; it
+counts as scanned, toward the budget too.  Its leading syllable's table
+entry is still looked up, once per Run, since that is where its own
+evaluation could overflow.
 
 A box skips the words an ancestor box has ruled out.  A word whose
 enclosure [L, U] of |m21| has L >= _DEAD_LO on a box has L >= 1 on every
@@ -55,19 +56,22 @@ from .bicuspid import Feasibility, ParamBox, Params, box_in_param_space, param_s
 from .bicuspid import integer, real_number, space_radius
 from .interval import RealInterval
 from .words import (
+    MAX_EXP,
     KillerVerdict,
+    Run,
     Word,
     WordStream,
     classify_bounds,
-    enumerate_words,
+    enumerate_segments,
     evaluate_word_float,
     lower_left_bounds,
     parse_word,
     volume_bound,
 )
 
-# not called here: perfbench hooks its words.evaluate span on search.lower_left_abs
-from .words import lower_left_abs  # noqa: F401
+# not called here: perfbench hooks its words.enumerate and words.evaluate spans on
+# search.enumerate_words and search.lower_left_abs
+from .words import enumerate_words, lower_left_abs  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -94,6 +98,7 @@ class SearchConfig:
     float, float settings any int or float; neither takes a bool or a
     string, and use_parent_word_hint takes only a bool.  A bad type raises
     TypeError, a bad value (such as an overflowing search radius) ValueError.
+    max_exp is at most words.MAX_EXP, which bounds the stream's tables.
 
     max_boxes bounds the number of boxes tested (0 for unlimited); when the
     limit trips, untested boxes become undecided leaves and the report is
@@ -131,6 +136,8 @@ class SearchConfig:
         for name in ("max_d", "max_exp", "word_budget_per_box"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+        if self.max_exp > MAX_EXP:
+            raise ValueError(f"max_exp must be at most {MAX_EXP}")
         if not 1 <= self.max_depth <= 64:
             raise ValueError("max_depth must lie in [1, 64]")
         if not (self.min_box_width > 0.0 and math.isfinite(self.min_box_width)):
@@ -284,19 +291,21 @@ def test_box(
     first eliminating word otherwise, else the earliest candidate word,
     else Undecided.  At most cfg.word_budget_per_box words are scanned.
 
-    stream is a WordStream, which boxes can share so that each word is
-    taken and its body looked up once, or None for
-    WordStream(enumerate_words(cfg.max_d, cfg.max_exp)).  Words are named
-    by stream position, and ties go to the earliest, which on the
-    canonical stream is the canonical least.  hint, the position of a word
-    the stream has already taken (else ValueError; TypeError if it is not
-    an int), is scanned first and its stream copy is passed over.
+    stream is a WordStream, which boxes can share so that each segment is
+    taken once, or None for WordStream(enumerate_segments(cfg.max_d,
+    cfg.max_exp)).  Words are named by stream position, and ties go to
+    the earliest, which on the canonical stream is the canonical least.
+    hint, the position of a word the stream has already taken (else
+    ValueError; TypeError if it is not an int), is scanned first and its
+    stream copy is passed over.
 
-    Only the first word of each body is evaluated.  A later twin (see
-    WordStream) counts as scanned and is passed over: its [L, U] is its
-    first word's, scanned before it, so it neither decides the box sooner
-    nor becomes its near miss.  Its leading block's table entry is looked
-    up as its evaluation would, so an overflow there raises ValueError.
+    Only the stream's Word segments are evaluated.  A Run's words (see
+    WordStream) count as scanned, all at once and no further than the
+    budget, the hint's copy excepted: each has the [L, U] of its body's
+    first word, scanned before it, so it neither decides the box sooner
+    nor becomes its near miss.  The Run's leading syllable's table entry
+    is looked up as its words' evaluations would, so an overflow there
+    raises ValueError.
 
     dead holds the positions of words with L >= _DEAD_LO on an enclosing
     box.  Each counts as scanned without being evaluated: by inclusion
@@ -308,9 +317,9 @@ def test_box(
     it.
     """
     if stream is None:
-        stream = WordStream(enumerate_words(cfg.max_d, cfg.max_exp))
-    taken, first = stream.words, stream.first
-    available = len(taken)
+        stream = WordStream(enumerate_segments(cfg.max_d, cfg.max_exp))
+    segments = stream.segments
+    available = len(stream)
     if hint is not None:
         if isinstance(hint, bool) or not isinstance(hint, int):
             raise TypeError(f"hint must be an int stream position, got {hint!r}")
@@ -330,16 +339,18 @@ def test_box(
     ruled_out: List[int] = []
 
     # Evaluate the word at position `at` (the hint first), then step to the
-    # next stream position to evaluate.
-    at, index = hint, -1
+    # next segment, whose first position is `end`, until one is to evaluate.
+    at, word = hint, None if hint is None else stream[hint]
+    skip = -1 if hint is None else hint
+    taken, k, end = len(segments), -1, 0
     while True:
         if at is not None:
-            lo, hi = kernel(gens, taken[at].syllables)
+            lo, hi = kernel(gens, word.syllables)
             scanned += 1
             if hi < 1.0:
                 # only U < 1 decides a box; classify_bounds says which way
                 if classify_bounds(lo, hi) is KillerVerdict.ELIMINATES:
-                    return BoxVerdict(box, BoxStatus.ELIMINATED_KILLER, taken[at], None, scanned)
+                    return BoxVerdict(box, BoxStatus.ELIMINATED_KILLER, word, None, scanned)
                 if candidate is None or at < candidate:
                     candidate = at
             elif lo < 1.0:
@@ -349,29 +360,33 @@ def test_box(
                     near_hi, near = hi, at
             elif lo >= dead_lo:
                 ruled_out.append(at)
+            at = None
         if scanned >= budget:
             break
-        index += 1
-        if index == available:
+        k += 1
+        if k == taken:
             if not stream.take():
                 break
-            available += 1
-        if index == hint:
-            at = None
-        elif index in dead:
-            scanned += 1
-            at = None
-        elif first[index] != index:
-            # a body twin: only its leading block's table entry can raise
-            # where its own evaluation would
-            gens.unboxed_syllable(taken[index].syllables[0])
-            scanned += 1
-            at = None
+            taken += 1
+        segment, start = segments[k], end
+        if segment.__class__ is Run:
+            end += segment.count
+            # twins: only the leading syllable's table entry can raise where
+            # their own evaluations would
+            gens.unboxed_syllable(segment.prefix[0])
+            # the hint's copy is not counted again
+            scanned = min(budget, scanned + segment.count - (start <= skip < end))
         else:
-            at = index
+            end += 1
+            if start == skip:
+                pass  # the hint, scanned first
+            elif start in dead:
+                scanned += 1
+            else:
+                at, word = start, segment
 
     if candidate is not None:
-        word = taken[candidate]
+        word = stream[candidate]
         return BoxVerdict(box, BoxStatus.CANDIDATE, word, volume_bound(word), scanned)
     return BoxVerdict(box, BoxStatus.UNDECIDED, None, None, scanned, near, dead.union(ruled_out))
 
@@ -410,8 +425,8 @@ def run_search(cfg: SearchConfig) -> SearchReport:
         log.info("search finished: empty feasible region")
         return report
 
-    # one stream for every box, taken from enumerate_words as boxes ask
-    stream = WordStream(enumerate_words(cfg.max_d, cfg.max_exp))
+    # one stream for every box, taken from enumerate_segments as boxes ask
+    stream = WordStream(enumerate_segments(cfg.max_d, cfg.max_exp))
     leaves: List[BoxVerdict] = []
     stack: List[Tuple[ParamBox, Optional[int], frozenset]] = [(root, None, frozenset())]
     boxes = words = 0

@@ -50,19 +50,49 @@ product unchanged, so a word r_1 B, with leading block r_1 = x^m y^n and
 body B = z^e_1 r_2 ... z^e_j, has the [L, U] of every other word with
 body B, bit for bit.  The kernel keeps this exactly: the identity row
 (0, 1) times [[1, t], [0, 1]] is (0, 1) again, by rect_mul's zero
-shortcut and rect_add's pass-through.  A WordStream records, once per
-stream, the position of the first word with each word's body, and a scan
-evaluates only that first word.
+shortcut and rect_add's pass-through.
+
+Segments: enumerate_segments gives the canonical stream as a sequence of
+segments, each either a Word that is the first of its body or a Run, a
+counted block of consecutive words that are all later twins.  It rests
+on this lemma about a canonical word r_1 B with r_1 = x^m y^n:
+
+1. A nontrivial r_1 is kept if and only if the first nonzero of (m, n) is
+   positive.  The inverse in word form starts with (-m, -n, -e_last), and
+   _scalar_key ranks m before -m, or n before -n when m = 0, exactly then,
+   whatever the rest of the word.
+2. The words with body B are B itself (r_1 trivial), kept when e_1 and
+   e_last share a sign and z^e_1 ranks before z^-e_last, and r B for each
+   kept r.  They share d, and the extra exponent sum grows with
+   |m| + |n|, so B comes first if kept, and otherwise y B: of the two
+   cost-one blocks that are kept, y and x, the first syllable (0, 1, e_1)
+   ranks before (1, 0, e_1).  So a word is the first of its body if and
+   only if r_1 is trivial, or r_1 = y and B is not kept.
+3. Every other kept first syllable s_1 = (m, n, e_1) of a (d, extra)
+   bucket therefore leads a subtree of twins only: s_1 followed by each
+   completion of the state (d - |e_1|, extra - |m| - |n|).  The walk
+   emits it as one Run and counts its words with a memoized sum over the
+   move tables, without walking it.  A y-twin (r_1 = y, B kept) is a Run
+   of one word.
+
+enumerate_words expands the segments, so the walk that orders the stream
+is this one.  A WordStream holds the segments a scan has asked for and
+builds a run's word only when a position in it is asked for.
+
+Tables: _syllable_ranks and _moves hold up to (2 max_exp + 1)^2 * 2 max_exp
+syllables per entry, so max_exp is capped at MAX_EXP.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 import functools
 import math
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Tuple, Union
+from typing import Iterable, Iterator, List, NamedTuple, Tuple, Union
 
 from .bicuspid import GeneratorTriple, ParamBox, Params, gens_from_params, integer
 from .interval import ComplexInterval, IntervalMatrix, RealInterval
@@ -71,6 +101,11 @@ from .interval import rect_abs, rect_add, rect_mul, rect_neg
 Syllable = Tuple[int, int, int]
 
 _TOKEN = re.compile(r"^([xyz])(?:\^(-?\d+))?$")
+
+# The largest max_exp a stream takes.  The syllable table then holds
+# (2 * 16 + 1)^2 * 2 * 16 = 34,848 syllables, and each move table at most as
+# many; both grow with the cube of max_exp.
+MAX_EXP = 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -234,7 +269,8 @@ def _moves(max_exp: int, d_left: int, extra_left: int, first: bool) -> tuple:
 
     A syllable is next when the rest of the bucket can still be filled: it
     needs between ceil(d / max_exp) and d more syllables, each with a
-    nontrivial block costing 1 to 2 * max_exp of extra.
+    nontrivial block costing 1 to 2 * max_exp of extra.  Every state a move
+    leads to therefore has at least one completion.
     """
     out = []
     for s in _syllable_ranks(max_exp):
@@ -245,6 +281,112 @@ def _moves(max_exp: int, d_left: int, extra_left: int, first: bool) -> tuple:
             if -(-rest_d // max_exp) <= rest_extra <= 2 * max_exp * rest_d:
                 out.append((s, rest_d, rest_extra))
     return tuple(out)
+
+
+@functools.cache
+def _completion_count(max_exp: int, d_left: int, extra_left: int) -> int:
+    """How many ways the syllables after a word's first can fill (d_left, extra_left)."""
+    if not d_left:
+        return 1
+    moves = _moves(max_exp, d_left, extra_left, False)
+    return sum(_completion_count(max_exp, rest_d, rest_extra) for _, rest_d, rest_extra in moves)
+
+
+def _completions(max_exp: int, d_left: int, extra_left: int, syls: list) -> Iterator[list]:
+    """syls followed by each completion of (d_left, extra_left), in rank order.
+
+    Yields syls itself, extended in place; a caller that keeps a word
+    copies it.
+    """
+    if not d_left:
+        yield syls
+        return
+    for s, rest_d, rest_extra in _moves(max_exp, d_left, extra_left, False):
+        syls.append(s)
+        yield from _completions(max_exp, rest_d, rest_extra, syls)
+        syls.pop()
+
+
+class Run(NamedTuple):
+    """count consecutive canonical words, each a later body twin (see the module docstring).
+
+    The words are prefix followed by each completion of the state
+    (d_left, extra_left) within max_exp, in canonical order; d_left = 0
+    leaves prefix as the one word.  prefix[0] is the leading syllable that
+    every word of the run starts with.
+    """
+
+    prefix: Tuple[Syllable, ...]
+    d_left: int
+    extra_left: int
+    count: int
+    max_exp: int
+
+    def word(self, k: int) -> Word:
+        """The run's k-th word, 0 <= k < count, found by counting subtrees, not walking them."""
+        syls = list(self.prefix)
+        d, extra = self.d_left, self.extra_left
+        while d:
+            for s, rest_d, rest_extra in _moves(self.max_exp, d, extra, False):
+                size = _completion_count(self.max_exp, rest_d, rest_extra)
+                if k < size:
+                    break
+                k -= size
+            syls.append(s)
+            d, extra = rest_d, rest_extra
+        return Word._trusted(tuple(syls))
+
+    def words(self) -> Iterator[Word]:
+        """The run's words in order."""
+        for syls in _completions(self.max_exp, self.d_left, self.extra_left, list(self.prefix)):
+            yield Word._trusted(tuple(syls))
+
+
+Segment = Union[Word, Run]
+
+
+def enumerate_segments(max_d: int, max_exp: int) -> Iterator[Segment]:
+    """The canonical stream as segments: first words of their bodies, and Runs of twins.
+
+    Expanding every Run into its words gives enumerate_words word for
+    word.  Each (d, extra) bucket takes its kept first syllables in rank
+    order (see the module docstring's lemma): a trivial block's subtree is
+    walked and yields each kept word, a y block's subtree is walked and
+    yields each word as a Word or, when its body is kept, as a Run of one,
+    and any other positive block's subtree is one Run, counted without a
+    walk.  Raises ValueError unless 1 <= max_d and 1 <= max_exp <= MAX_EXP.
+    """
+    if max_d < 1 or max_exp < 1:
+        raise ValueError("max_d and max_exp must be at least 1")
+    if max_exp > MAX_EXP:
+        raise ValueError(f"max_exp must be at most {MAX_EXP}, got {max_exp}")
+    rank = _syllable_ranks(max_exp)
+    trusted = Word._trusted
+
+    for d in range(1, max_d + 1):
+        for extra in range(0, 2 * max_exp * d + 1):
+            for lead, rest_d, rest_extra in _moves(max_exp, d, extra, True):
+                m, n, e1 = lead
+                if m < 0 or (not m and n < 0):
+                    # the inverse in word form ranks first: no word here is kept
+                    continue
+                if m or n > 1:
+                    # every word here is a twin of an earlier word
+                    count = _completion_count(max_exp, rest_d, rest_extra)
+                    yield Run((lead,), rest_d, rest_extra, count, max_exp)
+                    continue
+                # r_1 trivial or y: each word is decided by whether its body
+                # B = z^e1 ... z^e_last is kept
+                body_e1 = rank[(0, 0, e1)]
+                for syls in _completions(max_exp, rest_d, rest_extra, [lead]):
+                    e_last = syls[-1][2]
+                    body_kept = (e1 > 0) == (e_last > 0) and body_e1 < rank[(0, 0, -e_last)]
+                    if n and body_kept:
+                        # y B, a twin of B
+                        yield Run(tuple(syls), 0, 0, 1, max_exp)
+                    elif n or body_kept:
+                        # B, or y B where B is not kept: the first of its body
+                        yield trusted(tuple(syls))
 
 
 def enumerate_words(max_d: int, max_exp: int) -> Iterator[Word]:
@@ -259,73 +401,77 @@ def enumerate_words(max_d: int, max_exp: int) -> Iterator[Word]:
     prefix each other, so the walk order, syllable by syllable, is the
     order of Word.sort_key.  Of a word and its inverse in word form the
     walk keeps the one whose first syllable comes first; the two first
-    syllables never tie, so no other syllable is compared.  Words are
+    syllables never tie, so no other syllable is compared.  The walk is
+    enumerate_segments', with each Run expanded into its words.  Words are
     built with Word._trusted, since the walk makes only valid tuples of
     int syllables.  Every call shares the cached ranks and move tables.
+    Raises ValueError unless 1 <= max_d and 1 <= max_exp <= MAX_EXP.
     """
-    if max_d < 1 or max_exp < 1:
-        raise ValueError("max_d and max_exp must be at least 1")
-    rank = _syllable_ranks(max_exp)
-    trusted = Word._trusted
-
-    def walk(d_left: int, extra_left: int, syls: list) -> Iterator[Word]:
-        for s, rest_d, rest_extra in _moves(max_exp, d_left, extra_left, not syls):
-            syls.append(s)
-            if rest_d:
-                yield from walk(rest_d, rest_extra, syls)
-            else:
-                first = m1, n1, e1 = syls[0]
-                e_last = s[2]
-                # Cyclically reduced, and smaller than the inverse in word
-                # form, whose first syllable is (-m1, -n1, -e_last).  The first
-                # syllables decide: they would tie only for m1 = n1 = 0 and
-                # e1 = -e_last, a word that is not cyclically reduced.
-                reduced = m1 or n1 or (e1 > 0) == (e_last > 0)
-                if reduced and rank[first] < rank[(-m1, -n1, -e_last)]:
-                    yield trusted(tuple(syls))
-            syls.pop()
-
-    for d in range(1, max_d + 1):
-        for extra in range(0, 2 * max_exp * d + 1):
-            yield from walk(d, extra, [])
+    for segment in enumerate_segments(max_d, max_exp):
+        if segment.__class__ is Run:
+            yield from segment.words()
+        else:
+            yield segment
 
 
-class WordStream:
-    """A word stream taken from its source as scans ask, kept for reuse.
+class WordStream(Sequence):
+    """A segment stream taken from its source as scans ask, kept for reuse.
 
-    words holds the words taken so far, and first[i] is the position of
-    the first word with the body of words[i], its syllables with the
-    leading block made trivial: ((0, 0, e_1),) + syllables[1:].  Such body
-    twins have the same [L, U] bit for bit (see the module docstring), and
-    first[i] <= i, with equality for the first word of each body.  take()
-    pulls one more word from the source and looks its body up there, once
-    per stream, however many scans read it.  take() also rejects a
-    power-free word, which has no lower-left entry to test, with
-    ValueError.  Scans name a word by its position in words and break ties
-    by the earliest, which is the canonical least only when the source is
-    enumerate_words.
+    The source yields segments: Words, which a scan evaluates, and Runs,
+    whose words a scan counts as scanned (see test_box).  On
+    enumerate_segments each Word is the first of its body and each Run
+    holds later twins; a source of plain Words, such as enumerate_words,
+    gives a stream that evaluates every word.  take() pulls one more
+    segment and rejects a power-free word, which has no lower-left entry
+    to test, with ValueError.
+
+    segments holds the segments taken so far.  As a Sequence, the stream
+    is the words they hold, by stream position; a Run's word is built only
+    when its position is asked for.  Scans name a word by its position and
+    break ties by the earliest, which is the canonical least only when the
+    source is enumerate_segments or enumerate_words.
     """
 
-    __slots__ = ("words", "first", "_source", "_bodies")
+    __slots__ = ("segments", "_ends", "_source")
 
-    def __init__(self, source: Iterable[Word]) -> None:
-        self.words: List[Word] = []
-        self.first: List[int] = []
+    def __init__(self, source: Iterable[Segment]) -> None:
+        self.segments: List[Segment] = []
+        # _ends[k] is the position just after segments[k]
+        self._ends: List[int] = []
         self._source = iter(source)
-        self._bodies: dict = {}
 
     def take(self) -> bool:
-        """Append the source's next word and its first-with-body position; False at the end."""
-        word = next(self._source, None)
-        if word is None:
+        """Append the source's next segment; False at the end."""
+        segment = next(self._source, None)
+        if segment is None:
             return False
-        if word.is_pure_translation:
-            raise ValueError(f"word stream produced a power-free word: {word}")
-        syllables = word.syllables
-        body = ((0, 0, syllables[0][2]),) + syllables[1:]
-        self.first.append(self._bodies.setdefault(body, len(self.words)))
-        self.words.append(word)
+        if segment.__class__ is Run:
+            size = segment.count
+        elif segment.is_pure_translation:
+            raise ValueError(f"word stream produced a power-free word: {segment}")
+        else:
+            size = 1
+        ends = self._ends
+        ends.append((ends[-1] if ends else 0) + size)
+        self.segments.append(segment)
         return True
+
+    def __len__(self) -> int:
+        """The number of positions taken."""
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, position: int) -> Word:
+        """The word at a taken position; a negative one counts from the end."""
+        size = len(self)
+        if position < 0:
+            position += size
+        if not 0 <= position < size:
+            raise IndexError(f"stream position {position} not taken")
+        k = bisect.bisect_right(self._ends, position)
+        segment = self.segments[k]
+        if segment.__class__ is Run:
+            return segment.word(position - self._ends[k] + segment.count)
+        return segment
 
 
 def evaluate_word(word: Word, target: Union[GeneratorTriple, Params, ParamBox]) -> IntervalMatrix:

@@ -204,6 +204,13 @@ def test_search_usage_errors(tmp_path, capsys):
     argv = ["search", "--area-max", "1e308", "--max-boxes", "2", "--out", out]
     assert run_cli(argv) == 64
     assert not (tmp_path / "r.json").exists()
+    # a max_exp above words.MAX_EXP would build its tables for minutes
+    argv = ["search", "--area-max", "6", "--max-d", "1", "--max-exp", "1000", "--max-boxes", "1",
+            "--word-budget", "10", "--out", out]
+    capsys.readouterr()
+    assert run_cli(argv) == 64
+    assert "max_exp must be at most 16" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
     capsys.readouterr()
     assert run_cli(["search", "--area-max", "6"]) == 64
     assert run_cli(["search", "--out", out]) == 64

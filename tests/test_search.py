@@ -12,7 +12,8 @@ import pytest
 
 from horocusp import search as search_module
 from horocusp import words as words_module
-from horocusp.bicuspid import COORD_NAMES, ParamBox, Params, gens_from_params, param_space
+from horocusp.bicuspid import COORD_NAMES, Feasibility, ParamBox, Params, box_in_param_space
+from horocusp.bicuspid import gens_from_params, param_space
 from horocusp.search import (
     BoxStatus,
     SearchConfig,
@@ -23,9 +24,19 @@ from horocusp.search import (
     verify_report,
 )
 from horocusp.interval import RealInterval, rect_abs
-from horocusp.words import Word, WordStream, enumerate_words, lower_left_abs, parse_word
+from horocusp.words import (
+    Run,
+    Word,
+    WordStream,
+    enumerate_segments,
+    enumerate_words,
+    lower_left_abs,
+    lower_left_bounds,
+    parse_word,
+    volume_bound,
+)
 
-from test_words import _taken
+from test_words import _first_of_body, _taken
 
 SLICE_BOUNDS = [[1.0, 1.2], [0.0, 0.0], [0.0, 0.0], [4.0, 4.0], [-0.7, -0.4], [0.0, 0.0]]
 # finite endpoints whose b_re width 3.4e308 overflows to inf
@@ -184,18 +195,18 @@ def test_box_budget_and_near_miss():
     lined = ParamBox.from_bounds(
         [[1.0, 1.2], [0.0, 0.0], [0.0, 0.0], [4.0, 4.0], [-0.3, -0.1], [0.0, 0.0]]
     )
-    stream = WordStream(enumerate_words(2, 1))
+    stream = WordStream(enumerate_segments(2, 1))
     v2 = test_box(lined, stream, _cfg())
     assert v2.status is BoxStatus.UNDECIDED
-    assert stream.words[v2.near_miss] == parse_word("z x z")
+    assert stream[v2.near_miss] == parse_word("z x z")
 
 
 def test_box_hint_scanned_first():
     box = ParamBox.from_bounds(
         [[1.0, 1.1], [0.0, 0.0], [0.0, 0.0], [4.0, 4.0], [-0.6, -0.5], [0.0, 0.0]]
     )
-    stream = _taken(enumerate_words(2, 1))
-    hint = stream.words.index(parse_word("z x z"))
+    stream = _taken(enumerate_segments(2, 1))
+    hint = stream.index(parse_word("z x z"))
     assert hint > 0
     v = test_box(box, stream, _cfg(), hint=hint)
     assert v.status is BoxStatus.ELIMINATED_KILLER
@@ -204,15 +215,16 @@ def test_box_hint_scanned_first():
 
 
 class _NoTwins(WordStream):
-    """A WordStream that names every word the first of its body, so scans evaluate every word."""
+    """A WordStream with every Run of its source expanded into Words, so scans evaluate every word."""
 
     __slots__ = ()
 
-    def take(self) -> bool:
-        if not super().take():
-            return False
-        self.first[-1] = len(self.first) - 1
-        return True
+    def __init__(self, source) -> None:
+        super().__init__(
+            word
+            for segment in source
+            for word in (segment.words() if isinstance(segment, Run) else (segment,))
+        )
 
 
 def test_near_miss_tie_rule(monkeypatch) -> None:
@@ -243,7 +255,7 @@ def test_near_miss_tie_rule(monkeypatch) -> None:
         while stream.take():
             pass
         v = test_box(box, stream, _cfg(), hint=None if hint is None else order.index(hint))
-        return v, None if v.near_miss is None else stream.words[v.near_miss]
+        return v, None if v.near_miss is None else stream[v.near_miss]
 
     def near_miss(order, hint=None):
         v, miss = scan(order, hint)
@@ -470,6 +482,25 @@ def test_area_one_complete_cover_golden() -> None:
     assert verify_report(report, 20)["passed"]
 
 
+def test_area_one_and_a_half_deep_cover_golden() -> None:
+    """An uncapped depth-15 cover of the area-1.5 space with 2000 words per box.
+
+    19479 boxes hand hints and dead sets down 15 levels over the (2, 1)
+    stream, so the scan meets Runs, hints and dead positions on every
+    level.  Bytes recorded before the stream held segments.
+    """
+    cfg = SearchConfig(
+        area_bound=1.5, max_d=2, max_exp=1, max_depth=15, word_budget_per_box=2000
+    )
+    report = run_search(cfg)
+    text = report.to_canonical_json().encode()
+    assert hashlib.sha256(text).hexdigest() == (
+        "890a0a6a1f140ec9aa07146e4d6506adcd0f1c5bb22579fc2f88bcd55c2ce8a4"
+    )
+    assert (report.boxes_tested, report.words_evaluated) == (19479, 2450845)
+    assert not report.incomplete
+
+
 def test_leaf_box_as_root_reproduces_from_its_bounds() -> None:
     """A ParamBox root with a path searches as its bounds do, and reruns from its report."""
     earlier = run_search(_cfg(max_depth=6, max_boxes=5, root_box=STRADDLE_BOUNDS))
@@ -506,10 +537,10 @@ def test_box_scan_golden_at_reference_point() -> None:
         [[3.95, 4.05], [0.0, 0.0], [0.95, 1.05], [math.sqrt(3.0) - 0.05, math.sqrt(3.0) + 0.05],
          [2.95, 3.05], [-0.05, 0.05]]
     )
-    stream = WordStream(enumerate_words(6, 3))
+    stream = WordStream(enumerate_segments(6, 3))
     v = test_box(box, stream, cfg)
     assert (v.status, v.words_scanned) == (BoxStatus.UNDECIDED, 300)
-    assert str(stream.words[v.near_miss]) == "z x^-1 z"
+    assert str(stream[v.near_miss]) == "z x^-1 z"
 
 
 def test_run_search_repeat_run_byte_determinism() -> None:
@@ -633,7 +664,7 @@ def test_dead_words_stay_dead_in_every_descendant() -> None:
     def scan(box):
         gens = gens_from_params(box)
         identity = words_module._IDENTITY_ROW
-        rects = [words_module._bottom_row(gens, w.syllables, identity)[0] for w in stream.words]
+        rects = [words_module._bottom_row(gens, w.syllables, identity)[0] for w in stream]
         return [rect_abs(*r)[0] for r in rects], rects
 
     dead_checked = 0
@@ -726,7 +757,7 @@ def test_dead_word_skips_keep_report_bytes(monkeypatch, settings) -> None:
 def test_box_hands_its_children_a_new_dead_set() -> None:
     """test_box never writes into the dead set it is given: siblings share it."""
     cfg = SearchConfig(**_AREA_15)
-    words = WordStream(enumerate_words(2, 1))
+    words = WordStream(enumerate_segments(2, 1))
     box = param_space(1.5)
     for _ in range(4):
         box = subdivide(box)[0]
@@ -767,11 +798,11 @@ def test_box_reads_every_stream_form_alike(stream_caps) -> None:
     max_d, max_exp = stream_caps
     cfg = SearchConfig(**dict(_AREA_15, max_d=max_d, max_exp=max_exp, word_budget_per_box=1000))
     pool = list(islice(enumerate_words(max_d, max_exp), 1000))
-    first_of = _taken(pool).first
-    shared = WordStream(enumerate_words(max_d, max_exp))
+    first_of = _first_of_body(pool)
+    shared = WordStream(enumerate_segments(max_d, max_exp))
 
     def through(stream, hint):
-        while hint is not None and len(stream.words) <= hint:
+        while hint is not None and len(stream) <= hint:
             stream.take()
         return stream
 
@@ -793,7 +824,7 @@ def test_box_reads_every_stream_form_alike(stream_caps) -> None:
         runs.append(frozenset(i for i in range(len(pool)) if (i // 7) % 2))
         for dead in runs:
             for hint in (None, first.near_miss, 17, min(ruled_out - dead, default=None)):
-                forms = [through(WordStream(enumerate_words(max_d, max_exp)), hint)]
+                forms = [through(WordStream(enumerate_segments(max_d, max_exp)), hint)]
                 forms.append(through(shared, hint))
                 if hint is None:
                     forms.append(None)
@@ -806,6 +837,98 @@ def test_box_reads_every_stream_form_alike(stream_caps) -> None:
                     evaluated = {i for i in ruled_out if first_of[i] == i or i == hint}
                     assert v.dead == dead | evaluated, (box.path, hint)
     assert undecided >= 10 and dead_hints >= 5
+
+
+def _scan_every_word(box, area, words, budget, hint=None, dead=frozenset()):
+    """(status, word, volume_bound, words_scanned, near_miss) of a scan that evaluates every word.
+
+    The words are taken in order, the hint first and its copy passed over;
+    a dead position counts as scanned without being evaluated.
+    """
+    if box_in_param_space(box, area) is Feasibility.OUTSIDE:
+        return BoxStatus.ELIMINATED_INFEASIBLE, None, None, 0, None
+    gens = gens_from_params(box)
+    order = ([] if hint is None else [hint]) + [i for i in range(len(words)) if i != hint]
+    scanned, candidate, near = 0, None, (math.inf, None)
+    for i in order:
+        if scanned >= budget:
+            break
+        scanned += 1
+        if i in dead and i != hint:
+            continue
+        lo, hi = lower_left_bounds(gens, words[i].syllables)
+        if hi < 1.0 and lo > 0.0:
+            return BoxStatus.ELIMINATED_KILLER, words[i], None, scanned, None
+        if hi < 1.0:
+            candidate = i if candidate is None else min(candidate, i)
+        elif lo < 1.0:
+            near = min(near, (hi, i))
+    if candidate is not None:
+        word = words[candidate]
+        return BoxStatus.CANDIDATE, word, volume_bound(word), scanned, None
+    return BoxStatus.UNDECIDED, None, None, scanned, near[1]
+
+
+@pytest.mark.parametrize("stream_caps", [(2, 1), (3, 2), (6, 3)], ids=["d2", "d3", "d6"])
+def test_box_matches_a_scan_of_every_word(stream_caps) -> None:
+    """test_box on the segment stream gives the verdict of a scan that evaluates every word.
+
+    The boxes are the reference point in its three normalizations, the
+    slice and straddle fixtures, and seeded dyadic boxes of the area-1.5
+    space.  Each is scanned with budgets that end inside a Run or outlast
+    the stream, with a hint at a body's first word, at a twin and at a
+    dead position, and with a dead set: every other position whose word
+    has L >= _DEAD_LO on the box, first words of bodies and twins among
+    them.
+    """
+    max_d, max_exp = stream_caps
+    segments = list(islice(enumerate_segments(max_d, max_exp), 400))
+    run_starts, body_starts, position = [], [], 0
+    for segment in segments:
+        if isinstance(segment, Run):
+            run_starts += [position] if segment.count > 1 else []
+            position += segment.count
+        else:
+            body_starts.append(position)
+            position += 1
+    words = list(islice(enumerate_words(max_d, max_exp), position))
+    # a cut one word into a Run of two or more, and a twin and a body word as hints
+    cuts = [start + 1 for start in run_starts[:: max(1, len(run_starts) // 3)]][:3]
+    twin_hint, body_hint = run_starts[len(run_starts) // 2] + 1, body_starts[len(body_starts) // 2]
+    rng = random.Random(9161)
+    boxes = [
+        (ParamBox.from_point(Params(4.0, complex(1.0 + 4.0 * k, math.sqrt(3.0)), 2.0)), 6.0)
+        for k in (-1, 0, 1)
+    ]
+    boxes += [(ParamBox.from_bounds(SLICE_BOUNDS), 6.0), (ParamBox.from_bounds(STRADDLE_BOUNDS), 6.0)]
+    for _ in range(6):
+        box = param_space(1.5)
+        for _ in range(rng.randrange(4, 14)):
+            box = subdivide(box)[rng.randrange(2)]
+        boxes.append((box, 1.5))
+    shared = _taken(segments)
+    kinds = Counter()
+    dead_kinds = Counter()
+    for box, area in boxes:
+        gens = gens_from_params(box)
+        lows = [lower_left_bounds(gens, w.syllables)[0] for w in words]
+        dead = frozenset(i for i in range(0, position, 2) if lows[i] >= search_module._DEAD_LO)
+        dead_kinds.update(i in body_starts for i in dead)
+        # position + 1 outlasts the stream, so every position counts
+        for budget in cuts + [position - 1, position + 1]:
+            for hint in (None, body_hint, twin_hint, min(dead, default=None)):
+                for dead_set in (frozenset(), dead):
+                    cfg = SearchConfig(
+                        area_bound=area, max_d=max_d, max_exp=max_exp, word_budget_per_box=budget
+                    )
+                    v = test_box(box, shared, cfg, hint=hint, dead=dead_set)
+                    got = (v.status, v.word, v.volume_bound, v.words_scanned, v.near_miss)
+                    assert got == _scan_every_word(box, area, words, budget, hint, dead_set), (
+                        box.path, budget, hint, bool(dead_set)
+                    )
+                    kinds[v.status] += 1
+    assert kinds[BoxStatus.UNDECIDED] and kinds[BoxStatus.ELIMINATED_KILLER]
+    assert dead_kinds[True] and dead_kinds[False]
 
 
 def test_box_rejects_power_free_words() -> None:
@@ -829,7 +952,7 @@ def test_box_hint_must_be_an_int() -> None:
     """A bool or any other non-int hint raises TypeError; True is not position 1."""
     box = param_space(1.5)
     cfg = SearchConfig(**_AREA_15)
-    stream = _taken(enumerate_words(2, 1))
+    stream = _taken(enumerate_segments(2, 1))
     for hint in (True, False, 1.0, "1"):
         with pytest.raises(TypeError, match="hint must be an int stream position"):
             test_box(box, stream, cfg, hint=hint)
@@ -846,9 +969,10 @@ def test_twin_skip_keeps_the_leading_block_overflow() -> None:
     root = ParamBox.from_point(Params(1e308, 0.5 + 1j, 0))
     # the default root of this area is too wide for a ParamBox, so the point is the root
     cfg = SearchConfig(area_bound=8.9e307, max_d=1, max_exp=2, root_box=root)
-    stream = WordStream(enumerate_words(1, 2))
+    stream = WordStream(enumerate_segments(1, 2))
     for form in (None, stream, stream):
         with pytest.raises(ValueError, match=r"the offset of x\^2 y\^0"):
             test_box(root, form, cfg)
-    twin = stream.words.index(parse_word("x^2 z"))
-    assert stream.first[twin] == stream.words.index(parse_word("z")) < twin
+    # z is evaluated, and x^2 z is a run of one twin
+    assert parse_word("z") in stream.segments
+    assert Run(((2, 0, 1),), 0, 0, 1, 2) in stream.segments

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from itertools import islice, zip_longest
 
 import pytest
@@ -12,9 +13,12 @@ from horocusp.bicuspid import ParamBox, Params, gens_from_params, param_space
 from horocusp.interval import RealInterval, rect_add, rect_mul
 from horocusp.search import SearchConfig, subdivide, test_box
 from horocusp.words import (
+    MAX_EXP,
     KillerVerdict,
+    Run,
     Word,
     WordStream,
+    enumerate_segments,
     enumerate_words,
     evaluate_word,
     evaluate_word_float,
@@ -317,17 +321,23 @@ def test_overflowing_words_raise_before_classification(monkeypatch) -> None:
     assert seen == []
 
 
-def _taken(words):
-    """A WordStream that has taken every word of words."""
-    stream = WordStream(words)
+def _taken(source):
+    """A WordStream that has taken every segment of source."""
+    stream = WordStream(source)
     while stream.take():
         pass
     return stream
 
 
 def _body(word):
-    """A key for the word's body other than WordStream's: e_1 and the syllables after the first."""
+    """A key for the word's body: e_1 and the syllables after the first."""
     return word.syllables[0][2], word.syllables[1:]
+
+
+def _first_of_body(words):
+    """For each position, the earliest position whose word has the same body, from a dict."""
+    earliest = {}
+    return [earliest.setdefault(_body(w), i) for i, w in enumerate(words)]
 
 
 def test_body_twins_share_their_first_words_bits() -> None:
@@ -347,7 +357,7 @@ def test_body_twins_share_their_first_words_bits() -> None:
         list(islice(enumerate_words(3, 2), 3000)),
         list(islice(enumerate_words(6, 3), 2000)),
     ):
-        first = _taken(pool).first
+        first = _first_of_body(pool)
         for box in boxes:
             gens = gens_from_params(box)
             kernel = [_bits(RealInterval(*lower_left_bounds(gens, w.syllables))) for w in pool]
@@ -359,44 +369,110 @@ def test_body_twins_share_their_first_words_bits() -> None:
     assert twins > 15_000
 
 
-def test_word_stream_records_first_with_body() -> None:
-    """first[i] is the earliest position whose word has the body of words[i].
+def _expanded(segments):
+    """(word, is a Word segment) for each stream position of segments."""
+    for segment in segments:
+        if isinstance(segment, Run):
+            words = list(segment.words())
+            assert len(words) == segment.count
+            assert words == [segment.word(k) for k in range(segment.count)]
+            assert all(w.syllables[0] == segment.prefix[0] for w in words)
+            yield from ((w, False) for w in words)
+        else:
+            yield segment, True
 
-    The canonical streams, and orders that shuffle them or repeat a word,
-    since a stream takes its source's order as it comes.
+
+@pytest.mark.parametrize(
+    "max_d, max_exp, count, bodies",
+    [(2, 1, None, 34), (3, 1, None, 546), (3, 2, None, 4900), (4, 2, 20000, 3751),
+     (6, 3, 20000, 5582)],
+)
+def test_segments_hold_the_first_word_of_each_body(max_d, max_exp, count, bodies) -> None:
+    """The stream's Word segments are exactly the first words of their bodies.
+
+    The earliest position of each body comes from a dict over
+    enumerate_words; the segments, expanded, give enumerate_words word for
+    word, and each Run's words, built one at a time by counting or all by
+    walking, are the same.
     """
-    rng = random.Random(4021)
-    pools = [
-        list(islice(enumerate_words(6, 3), 2000)),
-        list(islice(enumerate_words(3, 2), 3000)),
-        list(enumerate_words(2, 1)),
+    words = list(islice(enumerate_words(max_d, max_exp), count))
+    expanded = list(islice(_expanded(enumerate_segments(max_d, max_exp)), len(words)))
+    assert [w for w, _ in expanded] == words
+    first = _first_of_body(words)
+    assert [is_word for _, is_word in expanded] == [j == i for i, j in enumerate(first)]
+    assert len(set(first)) == bodies
+
+
+def test_segments_covering_a_scan_budget() -> None:
+    """2000 positions of the (6, 3) stream take 430 segments: 184 Words and 246 Runs."""
+    kinds, positions = [], 0
+    for segment in enumerate_segments(6, 3):
+        if positions >= 2000:
+            break
+        kinds.append(isinstance(segment, Run))
+        positions += segment.count if kinds[-1] else 1
+    assert (len(kinds), kinds.count(False), kinds.count(True)) == (430, 184, 246)
+
+
+def _completion_sizes(max_exp, d):
+    """Sequences of syllables with nontrivial blocks and total |e| of d, counted by block cost."""
+    steps = [
+        (abs(m) + abs(n), abs(e))
+        for m in range(-max_exp, max_exp + 1)
+        for n in range(-max_exp, max_exp + 1)
+        for e in range(-max_exp, max_exp + 1)
+        if e and (m or n)
     ]
-    shuffled = pools[0][:]
-    rng.shuffle(shuffled)
-    repeated = []
-    for w in pools[2]:
-        repeated += [w, pools[2][17]]
-    bodies = []
-    for words in pools + [shuffled, repeated]:
-        taken = _taken(words)
-        assert taken.words == words
-        earliest = {}
-        for i, w in enumerate(words):
-            earliest.setdefault(_body(w), i)
-        assert taken.first == [earliest[_body(w)] for w in words]
-        bodies.append(len(earliest))
-    assert bodies == [184, 1164, 34, 184, 34]
+    sizes = Counter()
+
+    def grow(d_left, cost):
+        if not d_left:
+            sizes[cost] += 1
+        for step_cost, step_d in steps:
+            if step_d <= d_left:
+                grow(d_left - step_d, cost + step_cost)
+
+    grow(d, 0)
+    return sizes
+
+
+@pytest.mark.parametrize("max_exp, max_d", [(1, 3), (2, 3), (3, 2)])
+def test_completion_count_matches_a_brute_force_walk(max_exp, max_d) -> None:
+    """Each state's completion count is the size of its subtree, walked syllable by syllable."""
+    for d in range(0, max_d + 1):
+        sizes = _completion_sizes(max_exp, d)
+        for extra in range(0, 2 * max_exp * d + 1):
+            count = words_module._completion_count(max_exp, d, extra)
+            assert count == sizes[extra], (d, extra)
 
 
 def test_word_stream_takes_words_as_asked() -> None:
-    """take() pulls one word at a time and reports the end of its source."""
-    source = enumerate_words(2, 1)
+    """take() pulls one segment at a time; the stream builds a Run's word when asked."""
+    source = enumerate_segments(2, 1)
     stream = WordStream(source)
-    assert stream.words == [] and stream.first == []
-    assert stream.take() and len(stream.words) == 1
-    assert next(source) == list(islice(enumerate_words(2, 1), 2))[1]
+    assert stream.segments == [] and len(stream) == 0
+    assert stream.take() and stream.segments == [parse_word("z")]
+    assert next(source) == Run(((0, 1, 1),), 0, 0, 1, 1)
+    stream = _taken(enumerate_segments(2, 1))
+    assert list(stream) == list(enumerate_words(2, 1)) and len(stream) == 145
+    assert stream[-1] == stream[144] and stream.index(parse_word("x z")) == 3
+    with pytest.raises(IndexError):
+        stream[145]
     rest = WordStream(list(enumerate_words(2, 1))[-2:])
-    assert rest.take() and rest.take() and not rest.take() and len(rest.words) == 2
+    assert rest.take() and rest.take() and not rest.take() and len(rest) == 2
+
+
+def test_max_exp_is_capped() -> None:
+    """A stream above MAX_EXP would build cubically large tables, so it is refused."""
+    assert MAX_EXP == 16
+    for enumerate_ in (enumerate_words, enumerate_segments):
+        assert next(enumerate_(1, MAX_EXP)) == parse_word("z")
+        for max_d, max_exp in ((1, MAX_EXP + 1), (1, 1000), (0, 1), (1, 0)):
+            with pytest.raises(ValueError, match="max_exp"):
+                next(enumerate_(max_d, max_exp))
+    with pytest.raises(ValueError, match="max_exp must be at most 16"):
+        SearchConfig(area_bound=6.0, max_exp=MAX_EXP + 1)
+    assert SearchConfig(area_bound=6.0, max_exp=MAX_EXP).max_exp == MAX_EXP
 
 
 def _scan_reference_point(max_d, max_exp, budget):
