@@ -156,20 +156,31 @@ class ParamBox:
 
 @dataclass(slots=True)
 class GeneratorTriple:
-    """Interval enclosures of a, b and c over a box or point, and the scan table.
+    """Interval enclosures of a, b and c over a box or point, and the scan caches.
 
     alpha and beta are the translations by a and b, gamma is
-    [[c, -1], [1, 0]].  The triple holds the word-scan kernel's syllable
-    table, unboxed_syllable(), built once per syllable from the endpoints
-    of a, b and c, and nothing else: the oracle words.evaluate_word builds
-    its own matrices from a, b and c.
+    [[c, -1], [1, 0]].  The triple is the word-scan kernel's per-box
+    context, and each of its caches builds a factor once from the
+    endpoints of a, b and c:
+
+    - the syllable table, unboxed_syllable(), one entry per syllable
+      (m, n, e), which shares the offset of its block (m, n), built from
+      the multiples m*a and n*b, and the power gamma^e;
+    - _first_rows, the kernel's bottom row after a word's first syllable,
+      keyed by that syllable, which words.lower_left_bounds fills and reads.
+
+    Nothing else is held: the oracle words.evaluate_word builds its own
+    matrices from a, b and c.
     """
 
     a: ComplexInterval
     b: ComplexInterval
     c: ComplexInterval
     _unboxed: dict = field(default_factory=dict)
+    _offsets: dict = field(default_factory=dict)
+    _multiples: dict = field(default_factory=dict)
     _unboxed_powers: dict = field(default_factory=dict)
+    _first_rows: dict = field(default_factory=dict)
 
     def unboxed_syllable(self, syllable: tuple) -> tuple:
         """Entries of one syllable (m, n, e) as float rectangles, built once.
@@ -179,23 +190,42 @@ class GeneratorTriple:
         gamma^e, or None when e = 0.  Both come from the endpoints of a, b
         and c by the operations words.evaluate_word applies to their
         intervals, so each rectangle is bit-identical to the entry of the
-        oracle's factor.  Raises ValueError when an entry overflows, as
-        building those intervals does: each entry is checked, and an
-        overflow inside the sums and products that make it leaves a
-        non-finite endpoint.
+        oracle's factor.  Each is built once per block (m, n) and once
+        per exponent e, and shared by the syllables that hold it.  Raises
+        ValueError when an entry overflows, as building those intervals
+        does: each entry is checked, and an overflow inside the sums and
+        products that make it leaves a non-finite endpoint.
         """
         hit = self._unboxed.get(syllable)
         if hit is None:
             m, n, e = syllable
-            offset = None
-            if m or n:
-                offset = _ZERO
-                if m:
-                    offset = rect_add(offset, rect_mul(_point(m), self.a.endpoints()))
-                if n:
-                    offset = rect_add(offset, rect_mul(_point(n), self.b.endpoints()))
-                _check_finite(offset, f"the offset of x^{m} y^{n}")
+            offset = self._offset(m, n) if m or n else None
             hit = self._unboxed[syllable] = (offset, self._unboxed_power(e) if e else None)
+        return hit
+
+    def _offset(self, m: int, n: int) -> tuple:
+        """The offset 0 + m*a + n*b of a nontrivial block, each term added only when nonzero.
+
+        Offsets are checked and kept per block, and the multiples m*a and
+        n*b unchecked, so that an overflow raises naming its block.
+        """
+        offsets = self._offsets
+        hit = offsets.get((m, n))
+        if hit is None:
+            hit = _ZERO
+            multiples = self._multiples
+            if m:
+                ma = multiples.get((m, 0))
+                if ma is None:
+                    ma = multiples[m, 0] = rect_mul(_point(m), self.a.endpoints())
+                hit = rect_add(hit, ma)
+            if n:
+                nb = multiples.get((0, n))
+                if nb is None:
+                    nb = multiples[0, n] = rect_mul(_point(n), self.b.endpoints())
+                hit = rect_add(hit, nb)
+            _check_finite(hit, f"the offset of x^{m} y^{n}")
+            offsets[m, n] = hit
         return hit
 
     def _unboxed_power(self, e: int) -> tuple:

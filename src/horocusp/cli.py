@@ -66,7 +66,8 @@ def _write_text(path, text):
 
 
 def _emit_json(payload, out_path):
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    # a non-finite float is a ValueError, not an Infinity that JSON readers reject
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
     if out_path:
         _write_text(out_path, text)
     else:

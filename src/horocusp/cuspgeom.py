@@ -121,10 +121,17 @@ def delta(s1: Slope, s2: Slope) -> int:
 
 
 def delta_bound(area: float) -> float:
-    """Strict upper bound 36/area for the distance between exceptional slopes."""
+    """Strict upper bound 36/area for the distance between exceptional slopes.
+
+    Raises ValueError unless the area is positive and the bound finite: a
+    subnormal area overflows 36/area.
+    """
     if not area > 0.0:
         raise ValueError("area must be positive")
-    return 36.0 / area
+    bound = 36.0 / area
+    if not math.isfinite(bound):
+        raise ValueError(f"the distance bound 36/area overflows at area {area!r}")
+    return bound
 
 
 def strict_delta_max(area: float) -> int:
@@ -156,8 +163,14 @@ def _is_prime(n: int) -> bool:
 
 
 def audit_cusp(s: CuspShape, cutoff: float = DEFAULT_LENGTH_CUTOFF) -> dict:
-    """One-shot JSON-ready summary of the cusp cross-section invariants."""
+    """One-shot JSON-ready summary of the cusp cross-section invariants.
+
+    Raises ValueError when the area is not a finite float, which JSON
+    cannot hold.
+    """
     area = cusp_area(s)
+    if not math.isfinite(area):
+        raise ValueError(f"the cusp area of a = {s.a!r}, b = {s.b!r} is not finite: {area!r}")
     dmax = strict_delta_max(area)
     return {
         "generators": {

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from horocusp import cli as cli_module
 from horocusp.cli import main, parse_complex_literal
 from horocusp.search import SearchConfig, run_search
 
@@ -304,6 +305,33 @@ def test_cusp_out_file_and_bad_flags(tmp_path, capsys):
     for huge in ("1e300", "1e308"):
         assert run_cli(["cusp", "--a", "4", "--b", HEX_B, "--slope-length", huge]) == 64
     capsys.readouterr()
+
+
+def test_cusp_area_out_of_float_range_is_a_usage_error(tmp_path, capsys):
+    """A subnormal area overflows 36/area, and an overflowing one is no JSON number: both exit 64."""
+    tiny = "0." + "0" * 159 + "1"
+    huge = "1" + "0" * 200
+    out = tmp_path / "audit.json"
+    for a, b, problem in (
+        (tiny, tiny + "i", "the distance bound 36/area overflows"),
+        (huge, huge + "i", "the cusp area of a = (1e+200+0j), b = 1e+200j is not finite"),
+    ):
+        assert run_cli(["cusp", "--a", a, "--b", b]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == "" and problem in captured.err and "Traceback" not in captured.err
+        assert run_cli(["cusp", "--a", a, "--b", b, "--out", str(out)]) == 64
+        assert not out.exists()
+    capsys.readouterr()
+
+
+def test_emitted_json_holds_no_infinity(tmp_path, capsys):
+    """A non-finite float in a payload is refused, not written as Infinity."""
+    with pytest.raises(ValueError):
+        cli_module._emit_json({"area": math.inf}, None)
+    with pytest.raises(ValueError):
+        cli_module._emit_json({"area": math.nan}, str(tmp_path / "o.json"))
+    assert capsys.readouterr().out == ""
+    assert not (tmp_path / "o.json").exists()
 
 
 def test_horoball_artifacts(tmp_path) -> None:

@@ -136,6 +136,22 @@ def test_delta_bound_values():
         assert False, "expected ValueError"
     except ValueError:
         pass
+    # 36/area overflows on a subnormal area
+    for area in (5e-324, 1e-320):
+        for bound in (delta_bound, strict_delta_max):
+            try:
+                bound(area)
+                assert False, "expected ValueError"
+            except ValueError as exc:
+                assert "overflows" in str(exc)
+
+
+def test_audit_cusp_refuses_a_non_finite_area():
+    try:
+        audit_cusp(CuspShape(1e200, 1e200j))
+        assert False, "expected ValueError"
+    except ValueError as exc:
+        assert "not finite" in str(exc)
 
 
 def test_max_exceptional_count_values():

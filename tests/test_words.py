@@ -7,6 +7,7 @@ from itertools import islice, zip_longest
 
 import pytest
 
+from horocusp import bicuspid as bicuspid_module
 from horocusp import search as search_module
 from horocusp import words as words_module
 from horocusp.bicuspid import ParamBox, Params, gens_from_params, param_space
@@ -506,10 +507,15 @@ def test_scan_rect_mul_count(monkeypatch) -> None:
     """The kernel's general products per stream, pinned.
 
     A gamma^+-1 step takes one rect_mul, a translation one more and any
-    other gamma^e step four.  362 of the 364 steps of the 184 words the
-    first stream evaluates, and all 66 steps of the second's 34, are
-    gamma^+-1.  The table's builds call
-    bicuspid's rect_mul and are not counted.
+    other gamma^e step four.  The row after a word's first syllable is
+    built once per box and syllable: the first stream's 184 words start
+    with 5 syllables, z, y z, y z^-1, z^2 and y z^-2, whose rows take 1,
+    2, 2, 4 and 5 products, and the second's 34 words with z, y z and
+    y z^-1, 5 products.  Every later syllable of both streams is a
+    nontrivial block and a gamma^+-1 step, two products each: 180 of
+    them in the first stream, 32 in the second.  So 14 + 360 and 5 + 64;
+    without the first rows' memo the counts were 684 and 123.  The
+    table's builds call bicuspid's rect_mul and are not counted.
     """
     calls = 0
 
@@ -520,13 +526,121 @@ def test_scan_rect_mul_count(monkeypatch) -> None:
 
     monkeypatch.setattr(words_module, "rect_mul", counting)
     for (max_d, max_exp, budget), words, expected in (
-        ((6, 3, 2000), 2000, 684),
-        ((2, 1, 10000), 145, 123),
+        ((6, 3, 2000), 2000, 374),
+        ((2, 1, 10000), 145, 69),
     ):
         calls = 0
         verdict = _scan_reference_point(max_d, max_exp, budget)
         assert verdict.words_scanned == words
         assert calls == expected
+
+
+def test_scan_table_builds_each_factor_once(monkeypatch) -> None:
+    """One (6,3) scan box builds each block's offset and each product once.
+
+    The scan asks its table for 142 syllables, which share 49 blocks
+    (m, n).  Each nontrivial block's offset is built and checked once,
+    from the multiples m*a and n*b, each one rect_mul built once: 6
+    nonzero m and 6 nonzero n.  The powers gamma^+-2 and gamma^+-3 take
+    four products each, so the table calls bicuspid's rect_mul
+    12 + 16 = 28 times; with an offset built per syllable it took 260.
+    """
+    products, checked, built = Counter(), Counter(), []
+    real_mul, real_check, real_gens = (
+        bicuspid_module.rect_mul,
+        bicuspid_module._check_finite,
+        words_module.gens_from_params,
+    )
+
+    def counting_mul(x, y):
+        products[x, y] += 1
+        return real_mul(x, y)
+
+    def counting_check(rect, what):
+        checked[what] += 1
+        return real_check(rect, what)
+
+    def keeping_gens(p):
+        built.append(real_gens(p))
+        return built[-1]
+
+    monkeypatch.setattr(bicuspid_module, "rect_mul", counting_mul)
+    monkeypatch.setattr(bicuspid_module, "_check_finite", counting_check)
+    monkeypatch.setattr(words_module, "gens_from_params", keeping_gens)
+    assert _scan_reference_point(6, 3, 2000).words_scanned == 2000
+    [gens] = built
+    assert len(gens._unboxed) == 142
+    blocks = {(m, n) for m, n, _ in gens._unboxed}
+    assert len(blocks) == 49
+    blocks.remove((0, 0))
+    assert set(gens._offsets) == blocks
+    offsets = Counter(what for what in checked.elements() if what.startswith("the offset"))
+    assert offsets == Counter(f"the offset of x^{m} y^{n}" for m, n in blocks)
+    a, b = gens.a.endpoints(), gens.b.endpoints()
+    multiples = {(x, y): k for (x, y), k in products.items() if y in (a, b)}
+    assert set(multiples) == {((float(m), float(m), 0.0, 0.0), a) for m, _ in blocks if m} | {
+        ((float(n), float(n), 0.0, 0.0), b) for _, n in blocks if n
+    }
+    assert len(multiples) == 12 and set(multiples.values()) == {1}
+    assert sum(products.values()) == 28
+
+
+def _outcome(call):
+    """call()'s result, or the message of the ValueError it raises."""
+    try:
+        return call()
+    except ValueError as err:
+        return str(err)
+
+
+def _hex_outcome(outcome):
+    """An outcome with each float as its hex, nested tuples kept, None and messages as they are."""
+    if isinstance(outcome, float):
+        return outcome.hex()
+    if isinstance(outcome, tuple):
+        return tuple(map(_hex_outcome, outcome))
+    return outcome
+
+
+def test_scan_caches_are_bit_identical_to_fresh_builds() -> None:
+    """A warm triple gives every word the bits of a triple built for it alone.
+
+    One warm triple per box is asked for the syllables of every word in
+    shuffled order, then for the words' bounds in another shuffled order,
+    so each block's offset, each multiple of a and b, each power of gamma
+    and each first-syllable row is built for one word and read by the
+    others.  A fresh triple per word builds only what that word needs.
+    Their table rectangles and [L, U] must agree bit for bit, and an
+    overflow must raise the same message: at a = 1e308 the offset of x^2
+    overflows and that of x does not.
+    """
+    rng = random.Random(19031)
+    ref = [Params(4.0, 1.0 + 4.0 * k + math.sqrt(3.0) * 1j, 2.0) for k in (-1, 0, 1)]
+    boxes = [ParamBox.from_point(p) for p in ref]
+    boxes += _random_dyadic_boxes(1.5, 1, rng) + _random_dyadic_boxes(6.0, 1, rng)
+    boxes.append(ParamBox.from_point(Params(1e308, 0.5 + 1j, 0)))
+    # the first word of every body of (2,1) and (3,2), and 2000 positions of (6,3)
+    pool = [s for d, e in ((2, 1), (3, 2)) for s in enumerate_segments(d, e) if s.__class__ is Word]
+    assert len(pool) == 34 + 4900
+    pool += islice(enumerate_words(6, 3), 2000)
+    raised = 0
+    for box in boxes:
+        warm = gens_from_params(box)
+        syllables = [s for w in pool for s in w.syllables]
+        rng.shuffle(syllables)
+        for s in syllables:
+            _outcome(lambda: warm.unboxed_syllable(s))
+        order = rng.sample(pool, len(pool))
+        warm_bounds = {w: _outcome(lambda: lower_left_bounds(warm, w.syllables)) for w in order}
+        for w in pool:
+            fresh = gens_from_params(box)
+            bounds = _outcome(lambda: lower_left_bounds(fresh, w.syllables))
+            assert _hex_outcome(bounds) == _hex_outcome(warm_bounds[w]), (box.path, str(w))
+            raised += isinstance(bounds, str)
+            for s in w.syllables:
+                entry = _outcome(lambda: fresh.unboxed_syllable(s))
+                assert _hex_outcome(entry) == _hex_outcome(_outcome(lambda: warm.unboxed_syllable(s)))
+    assert raised > 1000
 
 
 def _hex_rects(rects):
