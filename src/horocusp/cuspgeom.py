@@ -15,6 +15,11 @@ DEFAULT_LENGTH_CUTOFF = 6.0
 # Most (p, q) pairs short_slopes scans, so that a huge cutoff fails at
 # once rather than running for hours; a million takes a few seconds.
 MAX_SLOPE_WINDOW = 10**6
+# Largest |a| |b| / area of a basis short_slopes measures lengths in.  A
+# length |p*a + q*b| in floats errs by up to about 2**-51 * |a| |b| / area
+# of itself, since |p| <= length * |b| / area and |q| <= length * |a| / area,
+# so this keeps every length to about 2**-25 of itself.
+MAX_BASIS_SKEW = 2.0**26
 
 
 @dataclass(frozen=True)
@@ -84,20 +89,73 @@ def slope_length(s: CuspShape, sl: Slope) -> float:
     return abs(sl.p * s.a + sl.q * s.b)
 
 
+def _reduced_basis(ar: int, ai: int, br: int, bi: int) -> tuple:
+    """A Gauss-reduced basis of the lattice spanned by a = ar + ai*i and b = br + bi*i.
+
+    Returns (u, v, |u|^2, |v|^2, area^2), where the rows u and v, each
+    (r, s) for the vector r*a + s*b, form a unimodular change of basis,
+    so area^2 = |u|^2 |v|^2 - dot(u, v)^2 is that of a and b.  Lagrange's
+    algorithm: take from v the nearest integer multiple of u, and swap the
+    two, until v is no shorter than u.  The coordinates are integers, so
+    no step rounds.
+    """
+    g11, g12, g22 = ar * ar + ai * ai, ar * br + ai * bi, br * br + bi * bi
+
+    def dot(x, y):
+        return x[0] * y[0] * g11 + (x[0] * y[1] + x[1] * y[0]) * g12 + x[1] * y[1] * g22
+
+    u, v = (1, 0), (0, 1)
+    while True:
+        uu = dot(u, u)
+        # the integer nearest dot(u, v) / |u|^2
+        k = (2 * dot(u, v) + uu) // (2 * uu)
+        v = (v[0] - k * u[0], v[1] - k * u[1])
+        vv = dot(v, v)
+        if vv >= uu:
+            return u, v, uu, vv, uu * vv - dot(u, v) ** 2
+        u, v = v, u
+
+
+def _ceil_sqrt(num: int, den: int) -> int:
+    """The least integer n >= 0 with n * n * den >= num, for num >= 0 and den > 0."""
+    n = math.isqrt(num // den)
+    return n if n * n * den >= num else n + 1
+
+
 def short_slopes(s: CuspShape, cutoff: float = DEFAULT_LENGTH_CUTOFF) -> List[Slope]:
     """All canonical slopes of length <= cutoff, shortest first.
 
-    The window is complete: writing v = p*a + q*b, the dual-basis identities
-    p = Im(conj(b) v)/Im(conj(b) a) and q = Im(conj(a) v)/Im(conj(a) b)
-    bound |p| by cutoff*|b|/area and |q| by cutoff*|a|/area.  Raises
-    ValueError when that window holds more than MAX_SLOPE_WINDOW pairs.
+    The (p, q) window is taken in a Gauss-reduced basis (u, v) of the
+    lattice, so a skewed basis of a small lattice needs no larger window
+    than a reduced one; each slope is mapped back to the given basis a, b
+    and measured there with slope_length.  The window is complete:
+    writing w = p*u + q*v, the dual-basis identities
+    p = Im(conj(v) w)/Im(conj(v) u) and q = Im(conj(u) w)/Im(conj(u) v)
+    bound |p| by cutoff*|v|/area and |q| by cutoff*|u|/area; each bound is
+    rounded up exactly, plus one.  A lattice whose shortest vector u is
+    longer than the cutoff has no short slope.  Raises ValueError for a
+    non-finite generator; when |a| |b| / area exceeds MAX_BASIS_SKEW (or
+    is not finite), since lengths measured in such a basis lose their
+    precision; or when the window holds more than MAX_SLOPE_WINDOW pairs.
     """
     if not (cutoff > 0.0 and math.isfinite(cutoff)):
         raise ValueError("cutoff must be positive and finite")
-    area = cusp_area(s)
-    # bounds clamped at the cap, so an infinite one still gives an integer
-    p_max = int(math.ceil(min(cutoff * abs(s.b) / area, MAX_SLOPE_WINDOW))) + 1
-    q_max = int(math.ceil(min(cutoff * abs(s.a) / area, MAX_SLOPE_WINDOW))) + 1
+    parts = (cutoff, s.a.real, s.a.imag, s.b.real, s.b.imag)
+    if not all(map(math.isfinite, parts)):
+        raise ValueError("lattice generators must be finite")
+    # the floats as integers over one power of two: scaling the cutoff and
+    # the lattice alike leaves cutoff*|v|/area as it is
+    ratios = [x.as_integer_ratio() for x in parts]
+    scale = max(den for _, den in ratios)
+    c, *coords = (num * (scale // den) for num, den in ratios)
+    u, v, uu, vv, area_sq = _reduced_basis(*coords)
+    if c * c < uu:
+        return []
+    skew = abs(s.a) * abs(s.b) / cusp_area(s)
+    if not skew <= MAX_BASIS_SKEW:
+        raise ValueError(f"|a| |b| / area is {skew:.6g}, above {MAX_BASIS_SKEW:.6g}: reduce the basis")
+    p_max = _ceil_sqrt(c * c * vv, area_sq) + 1
+    q_max = _ceil_sqrt(c * c * uu, area_sq) + 1
     if (2 * p_max + 1) * (q_max + 1) > MAX_SLOPE_WINDOW:
         raise ValueError(f"cutoff {cutoff} needs a window of more than {MAX_SLOPE_WINDOW} slopes")
     found = []
@@ -107,7 +165,8 @@ def short_slopes(s: CuspShape, cutoff: float = DEFAULT_LENGTH_CUTOFF) -> List[Sl
                 continue
             if math.gcd(abs(p), abs(q)) != 1:
                 continue
-            sl = Slope(p, q)
+            # p*u + q*v in the given basis; the change is unimodular, so still primitive
+            sl = Slope.canonical(p * u[0] + q * v[0], p * u[1] + q * v[1])
             length = slope_length(s, sl)
             if length <= cutoff:
                 found.append((length, sl.q, sl.p, sl))

@@ -251,7 +251,11 @@ def render_svg(
     scale_px_per_unit: float = 80.0,
     metadata: Optional[dict] = None,
 ) -> str:
-    """Standalone SVG: fundamental parallelogram outline plus one circle per ball."""
+    """Standalone SVG: fundamental parallelogram outline plus one circle per ball.
+
+    Raises ValueError unless the scale is positive and finite, and also
+    when the canvas it gives is too wide or tall for a float.
+    """
     if not (scale_px_per_unit > 0.0 and math.isfinite(scale_px_per_unit)):
         raise ValueError("scale_px_per_unit must be positive and finite")
     a = diagram.lattice.a
@@ -268,6 +272,9 @@ def render_svg(
     min_y, max_y = min(ys), max(ys)
     width = (max_x - min_x) * scale_px_per_unit + 2 * pad
     height = (max_y - min_y) * scale_px_per_unit + 2 * pad
+    # every coordinate and radius written lies within the canvas
+    if not (math.isfinite(width) and math.isfinite(height)):
+        raise ValueError(f"scale {scale_px_per_unit!r} makes a canvas of {width!r} by {height!r}")
 
     def to_px(z: complex) -> Tuple[float, float]:
         return (

@@ -11,13 +11,14 @@ enumerate_segments once, when the first box asks for them.  A segment is
 either the first word of its body, which a box evaluates with
 words.lower_left_bounds, or a Run of later body twins (see the words
 module's lemma), which a box counts and does not evaluate.  Boxes name
-words by stream position, and ties go to the earliest, which on the
-canonical stream is the canonical least.  A twin has the [L, U] of its
-body's first word bit for bit and comes after that word, so it cannot
-decide the box sooner, be an earlier candidate or win a near-miss tie; it
-counts as scanned, toward the budget too.  Its leading syllable's table
-entry is still looked up, once per Run, since that is where its own
-evaluation could overflow.
+words by their index in the stream's segments, and ties go to the
+earliest, which on the canonical stream is the canonical least.  Every
+word a box evaluates is a Word segment, so no index names a twin.  A twin
+has the [L, U] of its body's first word bit for bit and comes after that
+word, so it cannot decide the box sooner, be an earlier candidate or win
+a near-miss tie; it counts as scanned, toward the budget too.  Its
+leading syllable's table entry is still looked up, once per Run, since
+that is where its own evaluation could overflow.
 
 A box skips the words an ancestor box has ruled out.  A word whose
 enclosure [L, U] of |m21| has L >= _DEAD_LO on a box has L >= 1 on every
@@ -191,10 +192,10 @@ class BoxVerdict:
     """Outcome of testing one box.
 
     word is the eliminating word or the candidate word at the earliest
-    stream position.  near_miss is the stream position of the scanned word
+    segment index.  near_miss is the segment index of the scanned word
     with the smallest upper bound on the lower-left entry; it seeds the
-    children's scans and is never serialized.  dead holds the stream
-    positions of the words this box or an ancestor has ruled out for every
+    children's scans and is never serialized.  dead holds the segment
+    indices of the words this box or an ancestor has ruled out for every
     box below it; it too goes to the children only, and leaves keep neither.
     """
 
@@ -293,38 +294,36 @@ def test_box(
 
     stream is a WordStream, which boxes can share so that each segment is
     taken once, or None for WordStream(enumerate_segments(cfg.max_d,
-    cfg.max_exp)).  Words are named by stream position, and ties go to
-    the earliest, which on the canonical stream is the canonical least.
-    hint, the position of a word the stream has already taken (else
-    ValueError; TypeError if it is not an int), is scanned first and its
-    stream copy is passed over.
+    cfg.max_exp)).  Words are named by their index in stream.segments,
+    and ties go to the earliest, which on the canonical stream is the
+    canonical least.  hint, the index of a Word segment the stream has
+    already taken (else ValueError; TypeError if it is not an int), is
+    scanned first and its stream copy is passed over.
 
     Only the stream's Word segments are evaluated.  A Run's words (see
     WordStream) count as scanned, all at once and no further than the
-    budget, the hint's copy excepted: each has the [L, U] of its body's
-    first word, scanned before it, so it neither decides the box sooner
-    nor becomes its near miss.  The Run's leading syllable's table entry
-    is looked up as its words' evaluations would, so an overflow there
-    raises ValueError.
+    budget: each has the [L, U] of its body's first word, scanned before
+    it, so it neither decides the box sooner nor becomes its near miss.
+    The Run's leading syllable's table entry is looked up as its words'
+    evaluations would, so an overflow there raises ValueError.
 
-    dead holds the positions of words with L >= _DEAD_LO on an enclosing
+    dead holds the indices of words with L >= _DEAD_LO on an enclosing
     box.  Each counts as scanned without being evaluated: by inclusion
     isotonicity and the hypot margin (see the module docstring) it has
     L >= 1 here, so it neither decides the box nor becomes its near miss.
     An Undecided verdict carries a new set, dead plus the evaluated
-    positions that reach _DEAD_LO on this box, the hint's included, for
+    indices that reach _DEAD_LO on this box, the hint's included, for
     its children; the set passed in is never changed, since siblings share
     it.
     """
     if stream is None:
         stream = WordStream(enumerate_segments(cfg.max_d, cfg.max_exp))
     segments = stream.segments
-    available = len(stream)
     if hint is not None:
         if isinstance(hint, bool) or not isinstance(hint, int):
-            raise TypeError(f"hint must be an int stream position, got {hint!r}")
-        if not 0 <= hint < available:
-            raise ValueError(f"hint must be a taken stream position in [0, {available}), got {hint!r}")
+            raise TypeError(f"hint must be an int segment index, got {hint!r}")
+        if not 0 <= hint < len(segments) or segments[hint].__class__ is Run:
+            raise ValueError(f"hint must index a taken Word segment, got {hint!r}")
     if box_in_param_space(box, cfg.area_bound) is Feasibility.OUTSIDE:
         return BoxVerdict(box, BoxStatus.ELIMINATED_INFEASIBLE)
 
@@ -338,11 +337,10 @@ def test_box(
     near_hi, near = math.inf, None
     ruled_out: List[int] = []
 
-    # Evaluate the word at position `at` (the hint first), then step to the
-    # next segment, whose first position is `end`, until one is to evaluate.
-    at, word = hint, None if hint is None else stream[hint]
-    skip = -1 if hint is None else hint
-    taken, k, end = len(segments), -1, 0
+    # Evaluate the word at index `at` (the hint first), then step to the next
+    # segment, until one is to evaluate.
+    at, word = hint, None if hint is None else segments[hint]
+    taken, k = len(segments), -1
     while True:
         if at is not None:
             lo, hi = kernel(gens, word.syllables)
@@ -355,7 +353,7 @@ def test_box(
                     candidate = at
             elif lo < 1.0:
                 # lo >= 1 means no sub-box can ever be eliminated by this word;
-                # the least (hi, position); the kernel's hi is finite
+                # the least (hi, index); the kernel's hi is finite
                 if hi < near_hi or (hi == near_hi and at < near):
                     near_hi, near = hi, at
             elif lo >= dead_lo:
@@ -368,25 +366,21 @@ def test_box(
             if not stream.take():
                 break
             taken += 1
-        segment, start = segments[k], end
+        segment = segments[k]
         if segment.__class__ is Run:
-            end += segment.count
             # twins: only the leading syllable's table entry can raise where
             # their own evaluations would
             gens.unboxed_syllable(segment.prefix[0])
-            # the hint's copy is not counted again
-            scanned = min(budget, scanned + segment.count - (start <= skip < end))
+            scanned = min(budget, scanned + segment.count)
+        elif k == hint:
+            pass  # the hint, scanned first
+        elif k in dead:
+            scanned += 1
         else:
-            end += 1
-            if start == skip:
-                pass  # the hint, scanned first
-            elif start in dead:
-                scanned += 1
-            else:
-                at, word = start, segment
+            at, word = k, segment
 
     if candidate is not None:
-        word = stream[candidate]
+        word = segments[candidate]
         return BoxVerdict(box, BoxStatus.CANDIDATE, word, volume_bound(word), scanned)
     return BoxVerdict(box, BoxStatus.UNDECIDED, None, None, scanned, near, dead.union(ruled_out))
 
@@ -412,7 +406,7 @@ def run_search(cfg: SearchConfig) -> SearchReport:
     Undecided boxes wider than cfg.min_box_width and shallower than
     cfg.max_depth are subdivided; other undecided boxes become leaves.
     Both children inherit the box's near miss as their hint and its set of
-    dead stream positions, so they skip the words it ruled out.  A leaf
+    dead segment indices, so they skip the words it ruled out.  A leaf
     keeps neither: no report reads them.
     The search runs on one thread, so the box budget cuts a fixed prefix of
     the depth-first order and every report, capped or complete, serializes

@@ -83,8 +83,9 @@ on this lemma about a canonical word r_1 B with r_1 = x^m y^n:
    of one word.
 
 enumerate_words expands the segments, so the walk that orders the stream
-is this one.  A WordStream holds the segments a scan has asked for and
-builds a run's word only when a position in it is asked for.
+is this one.  A WordStream holds the segments scans have asked for, and
+scans name words by segment index: every word a scan evaluates is a
+Word segment, and segments come in stream order.
 
 Tables: _syllable_ranks and _moves hold up to (2 max_exp + 1)^2 * 2 max_exp
 syllables per entry, so max_exp is capped at MAX_EXP.
@@ -92,12 +93,10 @@ syllables per entry, so max_exp is capped at MAX_EXP.
 
 from __future__ import annotations
 
-import bisect
 import enum
 import functools
 import math
 import re
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, NamedTuple, Tuple, Union
 
@@ -329,20 +328,6 @@ class Run(NamedTuple):
     count: int
     max_exp: int
 
-    def word(self, k: int) -> Word:
-        """The run's k-th word, 0 <= k < count, found by counting subtrees, not walking them."""
-        syls = list(self.prefix)
-        d, extra = self.d_left, self.extra_left
-        while d:
-            for s, rest_d, rest_extra in _moves(self.max_exp, d, extra, False):
-                size = _completion_count(self.max_exp, rest_d, rest_extra)
-                if k < size:
-                    break
-                k -= size
-            syls.append(s)
-            d, extra = rest_d, rest_extra
-        return Word._trusted(tuple(syls))
-
     def words(self) -> Iterator[Word]:
         """The run's words in order."""
         for syls in _completions(self.max_exp, self.d_left, self.extra_left, list(self.prefix)):
@@ -421,7 +406,7 @@ def enumerate_words(max_d: int, max_exp: int) -> Iterator[Word]:
             yield segment
 
 
-class WordStream(Sequence):
+class WordStream:
     """A segment stream taken from its source as scans ask, kept for reuse.
 
     The source yields segments: Words, which a scan evaluates, and Runs,
@@ -432,19 +417,16 @@ class WordStream(Sequence):
     segment and rejects a power-free word, which has no lower-left entry
     to test, with ValueError.
 
-    segments holds the segments taken so far.  As a Sequence, the stream
-    is the words they hold, by stream position; a Run's word is built only
-    when its position is asked for.  Scans name a word by its position and
-    break ties by the earliest, which is the canonical least only when the
-    source is enumerate_segments or enumerate_words.
+    segments holds the segments taken so far, in stream order.  Scans name
+    a word by the index of its Word segment and break ties by the
+    earliest, which is the canonical least only when the source is
+    enumerate_segments or enumerate_words.
     """
 
-    __slots__ = ("segments", "_ends", "_source")
+    __slots__ = ("segments", "_source")
 
     def __init__(self, source: Iterable[Segment]) -> None:
         self.segments: List[Segment] = []
-        # _ends[k] is the position just after segments[k]
-        self._ends: List[int] = []
         self._source = iter(source)
 
     def take(self) -> bool:
@@ -452,33 +434,10 @@ class WordStream(Sequence):
         segment = next(self._source, None)
         if segment is None:
             return False
-        if segment.__class__ is Run:
-            size = segment.count
-        elif segment.is_pure_translation:
+        if segment.__class__ is not Run and segment.is_pure_translation:
             raise ValueError(f"word stream produced a power-free word: {segment}")
-        else:
-            size = 1
-        ends = self._ends
-        ends.append((ends[-1] if ends else 0) + size)
         self.segments.append(segment)
         return True
-
-    def __len__(self) -> int:
-        """The number of positions taken."""
-        return self._ends[-1] if self._ends else 0
-
-    def __getitem__(self, position: int) -> Word:
-        """The word at a taken position; a negative one counts from the end."""
-        size = len(self)
-        if position < 0:
-            position += size
-        if not 0 <= position < size:
-            raise IndexError(f"stream position {position} not taken")
-        k = bisect.bisect_right(self._ends, position)
-        segment = self.segments[k]
-        if segment.__class__ is Run:
-            return segment.word(position - self._ends[k] + segment.count)
-        return segment
 
 
 def evaluate_word(word: Word, target: Union[GeneratorTriple, Params, ParamBox]) -> IntervalMatrix:

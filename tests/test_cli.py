@@ -478,6 +478,17 @@ def test_horoball_center_overflow_is_a_usage_error(tmp_path, capsys):
     assert not csv_path.exists()
 
 
+def test_horoball_canvas_overflow_is_a_usage_error(tmp_path, capsys):
+    """A finite --scale whose canvas is not finite exits 64 and writes no file."""
+    svg, csv_path = tmp_path / "x.svg", tmp_path / "x.csv"
+    argv = ["horoball", "--a", "4", "--b", HEX_B, "--c", "2", "--cutoff", "0.05", "--depth", "4",
+            "--scale", "1e308", "--svg", str(svg), "--csv", str(csv_path)]
+    assert run_cli(argv) == 64
+    err = capsys.readouterr().err
+    assert "makes a canvas of inf by inf" in err and "Traceback" not in err
+    assert not svg.exists() and not csv_path.exists()
+
+
 def test_horoball_depth_over_the_walk_cap_is_a_usage_error(tmp_path, capsys):
     svg = tmp_path / "o.svg"
     argv = ["horoball", "--a", "4", "--b", HEX_B, "--c", "2", "--cutoff", "0.05",

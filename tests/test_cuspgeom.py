@@ -1,6 +1,7 @@
 """Cusp cross-section arithmetic against hand values and a brute-force slope oracle."""
 
 import cmath
+import hashlib
 import json
 import math
 import random
@@ -229,6 +230,65 @@ def test_short_slopes_random_lattices_match_oracle() -> None:
         assert got == _oracle_short_slopes(a, b, 6.0)
 
 
+def test_short_slopes_of_a_skewed_basis() -> None:
+    """b = 10^6 + i spans the square lattice: its window is sized from the reduced basis.
+
+    It was refused as needing a window of more than a million slopes.  Its
+    36 slopes are the unit square's, p + 10^6 q and q in its basis, with
+    the same lengths.  At b = 10^20 + i, p + 10^20 q is no longer a float,
+    so lengths cannot be measured in that basis, and it is refused.
+    """
+    skewed = CuspShape(1.0, 1e6 + 1j)
+    got = short_slopes(skewed, 6.0)
+    square = short_slopes(SQUARE, 6.0)
+    assert len(got) == len(square) == 36
+    assert [(s.p + 10**6 * s.q, s.q) for s in got] == [(s.p, s.q) for s in square]
+    for sl, ref in zip(got, square):
+        assert abs(slope_length(skewed, sl) - slope_length(SQUARE, ref)) <= 1e-9
+    for b in (1e20 + 1j, 2.0**26 + 1.0 + 1j):
+        try:
+            short_slopes(CuspShape(1.0, b), 6.0)
+            assert False, f"expected ValueError for b = {b}"
+        except ValueError as exc:
+            assert "reduce the basis" in str(exc)
+    # as skewed, but its shortest vector 10^10 is past the cutoff: nothing to measure
+    assert short_slopes(CuspShape(1e10, 1e19 + 1e10j), 6.0) == []
+
+
+def test_short_slopes_follow_a_change_of_basis() -> None:
+    """A unimodular change of basis maps the short slopes one to one.
+
+    Seeded lattices in a reduced basis (a, b) and a skewed one (a', b') =
+    (r a + s b, t a + w b), made by three seeded row operations with
+    multipliers up to 12, which keeps |a'| |b'| / area under
+    MAX_BASIS_SKEW: the slope p a' + q b' is (p r + q t) a + (p s + q w) b.
+    """
+    rng = random.Random(27183)
+    for _ in range(30):
+        a = cmath.rect(rng.uniform(1.0, 2.5), rng.uniform(-0.4, 0.4))
+        b = cmath.rect(rng.uniform(1.0, 2.5), rng.uniform(0.5, 2.6))
+        r, s, t, w = 1, 0, 0, 1
+        for _ in range(3):
+            # add k times one row to the other, and swap the rows half the time
+            k = rng.randint(-12, 12)
+            r, s, t, w = r, s, t + k * r, w + k * s
+            if rng.random() < 0.5:
+                r, s, t, w = t, w, r, s
+        assert r * w - s * t in (1, -1)
+        skewed = short_slopes(CuspShape(r * a + s * b, t * a + w * b), 6.0)
+        mapped = {Slope.canonical(sl.p * r + sl.q * t, sl.p * s + sl.q * w) for sl in skewed}
+        assert mapped == set(short_slopes(CuspShape(a, b), 6.0)), (a, b, (r, s, t, w))
+
+
+def test_short_slopes_refuse_a_non_finite_generator() -> None:
+    for a, b in ((math.inf, 1j), (1.0, complex(math.nan, 1.0))):
+        try:
+            short_slopes(CuspShape(a, b), 6.0)
+            assert False, f"expected ValueError for a = {a}, b = {b}"
+        except ValueError:
+            pass
+
+
 def test_audit_cusp_reference():
     report = audit_cusp(HEX)
     assert abs(report["volume"] - 2.0 * math.sqrt(3.0)) < 1e-9
@@ -239,4 +299,8 @@ def test_audit_cusp_reference():
     assert report["length_cutoff"] == 6.0
     lengths = [row["length"] for row in report["short_slopes"]]
     assert lengths == sorted(lengths)
-    json.dumps(report)
+    # the bytes recorded before short_slopes reduced its basis
+    text = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "e50926958f46e71a3f4d20728bdb6a287271a90cee16deb2628bdc4fd45584c3"
+    )

@@ -291,6 +291,10 @@ def test_render_svg_structure_and_determinism():
         with pytest.raises(ValueError):
             render_svg(d, scale)
 
+    # a finite scale whose canvas overflows
+    with pytest.raises(ValueError, match="makes a canvas of inf by inf"):
+        render_svg(d, 1e308)
+
     empty = horoball_diagram(REF, 1.5, 2)
     root2 = ET.fromstring(render_svg(empty))
     assert len(root2.findall("s:circle", ns)) == 0

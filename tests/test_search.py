@@ -36,7 +36,7 @@ from horocusp.words import (
     volume_bound,
 )
 
-from test_words import _first_of_body, _taken
+from test_words import _taken
 
 SLICE_BOUNDS = [[1.0, 1.2], [0.0, 0.0], [0.0, 0.0], [4.0, 4.0], [-0.7, -0.4], [0.0, 0.0]]
 # finite endpoints whose b_re width 3.4e308 overflows to inf
@@ -198,7 +198,7 @@ def test_box_budget_and_near_miss():
     stream = WordStream(enumerate_segments(2, 1))
     v2 = test_box(lined, stream, _cfg())
     assert v2.status is BoxStatus.UNDECIDED
-    assert stream[v2.near_miss] == parse_word("z x z")
+    assert stream.segments[v2.near_miss] == parse_word("z x z")
 
 
 def test_box_hint_scanned_first():
@@ -206,7 +206,7 @@ def test_box_hint_scanned_first():
         [[1.0, 1.1], [0.0, 0.0], [0.0, 0.0], [4.0, 4.0], [-0.6, -0.5], [0.0, 0.0]]
     )
     stream = _taken(enumerate_segments(2, 1))
-    hint = stream.index(parse_word("z x z"))
+    hint = stream.segments.index(parse_word("z x z"))
     assert hint > 0
     v = test_box(box, stream, _cfg(), hint=hint)
     assert v.status is BoxStatus.ELIMINATED_KILLER
@@ -230,9 +230,9 @@ class _NoTwins(WordStream):
 def test_near_miss_tie_rule(monkeypatch) -> None:
     """Candidate and near miss are the earliest in stream order, hint included.
 
-    The near miss is the least (hi, position) and the candidate the least
-    position, in any stream order and whichever word is the hint.  On the
-    canonical stream the earliest position is the least sort_key.  The
+    The near miss is the least (hi, index) and the candidate the least
+    index, in any stream order and whichever word is the hint.  On the
+    canonical stream the earliest index is the least sort_key.  The
     made-up bounds give body twins such as "x z" and "z" different
     enclosures, so the scans run on streams that evaluate every word.
     """
@@ -255,14 +255,14 @@ def test_near_miss_tie_rule(monkeypatch) -> None:
         while stream.take():
             pass
         v = test_box(box, stream, _cfg(), hint=None if hint is None else order.index(hint))
-        return v, None if v.near_miss is None else stream[v.near_miss]
+        return v, None if v.near_miss is None else stream.segments[v.near_miss]
 
     def near_miss(order, hint=None):
         v, miss = scan(order, hint)
         assert v.status is BoxStatus.UNDECIDED
         return miss
 
-    # equal hi: the earliest position wins, whichever word is the hint
+    # equal hi: the earliest index wins, whichever word is the hint
     bounds.update({w: RealInterval(0.5, 1.25) for w in (small, mid, big)})
     bounds[far] = RealInterval(1.0, 1.0)  # lo >= 1: never a near miss
     assert near_miss([small, mid, big]) == small
@@ -270,7 +270,7 @@ def test_near_miss_tie_rule(monkeypatch) -> None:
     assert near_miss([small, mid, big], hint=big) == small
     assert near_miss([far, big, mid], hint=mid) == big
     assert near_miss([far]) is None
-    # a strictly smaller hi wins over any position
+    # a strictly smaller hi wins over any index
     bounds[big] = RealInterval(0.5, 1.125)
     assert near_miss([small, mid, big]) == big
     assert near_miss([big, small, mid], hint=small) == big
@@ -293,7 +293,7 @@ def test_near_miss_tie_rule(monkeypatch) -> None:
             v, _ = scan(order, hint)
             assert (v.status, v.word) == (BoxStatus.CANDIDATE, expected), (order, hint)
 
-    # on the canonical stream, the earliest position is the least sort_key
+    # on the canonical stream, the earliest index is the least sort_key
     canonical = list(enumerate_words(2, 1))
     rng = random.Random(5081)
     for _ in range(20):
@@ -486,7 +486,7 @@ def test_area_one_and_a_half_deep_cover_golden() -> None:
     """An uncapped depth-15 cover of the area-1.5 space with 2000 words per box.
 
     19479 boxes hand hints and dead sets down 15 levels over the (2, 1)
-    stream, so the scan meets Runs, hints and dead positions on every
+    stream, so the scan meets Runs, hints and dead words on every
     level.  Bytes recorded before the stream held segments.
     """
     cfg = SearchConfig(
@@ -540,7 +540,7 @@ def test_box_scan_golden_at_reference_point() -> None:
     stream = WordStream(enumerate_segments(6, 3))
     v = test_box(box, stream, cfg)
     assert (v.status, v.words_scanned) == (BoxStatus.UNDECIDED, 300)
-    assert str(stream[v.near_miss]) == "z x^-1 z"
+    assert str(stream.segments[v.near_miss]) == "z x^-1 z"
 
 
 def test_run_search_repeat_run_byte_determinism() -> None:
@@ -664,7 +664,7 @@ def test_dead_words_stay_dead_in_every_descendant() -> None:
     def scan(box):
         gens = gens_from_params(box)
         identity = words_module._IDENTITY_ROW
-        rects = [words_module._bottom_row(gens, w.syllables, identity)[0] for w in stream]
+        rects = [words_module._bottom_row(gens, w.syllables, identity)[0] for w in stream.segments]
         return [rect_abs(*r)[0] for r in rects], rects
 
     dead_checked = 0
@@ -786,23 +786,29 @@ def test_box_reads_every_stream_form_alike(stream_caps) -> None:
     """None, a fresh WordStream and a shared one give one verdict.
 
     Each box is scanned without a hint and with three: its near miss, a
-    fixed position and a word ruled out on the box.  Dead sets have runs of
-    consecutive positions, first words of a body and twins among them.  A
-    fresh stream has taken words only through the hint; the shared one is
-    scanned by every case in turn, so later cases start with it already
+    fixed Word segment and a word ruled out on the box.  Dead sets have
+    runs of consecutive segment indices, Words and Runs among them.  A
+    fresh stream has taken segments only through the hint; the shared one
+    is scanned by every case in turn, so later cases start with it already
     taken.  None takes no hint, since its stream holds no word yet.  An
     Undecided verdict's dead set must also match the one computed word by
-    word: the ruled-out positions the scan evaluates, which are the first
-    words of their bodies and a ruled-out hint.
+    word: the Word segments of the 1000 scanned positions that are ruled
+    out on the box.
     """
     max_d, max_exp = stream_caps
     cfg = SearchConfig(**dict(_AREA_15, max_d=max_d, max_exp=max_exp, word_budget_per_box=1000))
-    pool = list(islice(enumerate_words(max_d, max_exp), 1000))
-    first_of = _first_of_body(pool)
+    # the segments that hold the budget's 1000 positions
+    segments, positions = [], 0
+    for segment in enumerate_segments(max_d, max_exp):
+        if positions >= 1000:
+            break
+        segments.append(segment)
+        positions += segment.count if isinstance(segment, Run) else 1
+    word_indices = [k for k, segment in enumerate(segments) if isinstance(segment, Word)]
     shared = WordStream(enumerate_segments(max_d, max_exp))
 
     def through(stream, hint):
-        while hint is not None and len(stream) <= hint:
+        while hint is not None and len(stream.segments) <= hint:
             stream.take()
         return stream
 
@@ -817,13 +823,14 @@ def test_box_reads_every_stream_form_alike(stream_caps) -> None:
     for box in boxes:
         first = test_box(box, None, cfg)
         gens = gens_from_params(box)
-        lows = [lower_left_abs(w, gens).lo for w in pool]
-        ruled_out = {i for i, lo in enumerate(lows) if lo >= search_module._DEAD_LO}
+        dead_lo = search_module._DEAD_LO
+        ruled_out = {k for k in word_indices if lower_left_abs(segments[k], gens).lo >= dead_lo}
         runs = [frozenset()]
         runs.append(frozenset(range(3, 40)) | frozenset(range(60, 64)) | frozenset(range(100, 101)))
-        runs.append(frozenset(i for i in range(len(pool)) if (i // 7) % 2))
+        runs.append(frozenset(i for i in range(len(segments)) if (i // 7) % 2))
         for dead in runs:
-            for hint in (None, first.near_miss, 17, min(ruled_out - dead, default=None)):
+            dead_hint = min(ruled_out - dead, default=None)
+            for hint in (None, first.near_miss, word_indices[17], dead_hint):
                 forms = [through(WordStream(enumerate_segments(max_d, max_exp)), hint)]
                 forms.append(through(shared, hint))
                 if hint is None:
@@ -834,8 +841,7 @@ def test_box_reads_every_stream_form_alike(stream_caps) -> None:
                 if v.status is BoxStatus.UNDECIDED:
                     undecided += 1
                     dead_hints += hint in ruled_out - dead
-                    evaluated = {i for i in ruled_out if first_of[i] == i or i == hint}
-                    assert v.dead == dead | evaluated, (box.path, hint)
+                    assert v.dead == dead | ruled_out, (box.path, hint)
     assert undecided >= 10 and dead_hints >= 5
 
 
@@ -876,25 +882,29 @@ def test_box_matches_a_scan_of_every_word(stream_caps) -> None:
     The boxes are the reference point in its three normalizations, the
     slice and straddle fixtures, and seeded dyadic boxes of the area-1.5
     space.  Each is scanned with budgets that end inside a Run or outlast
-    the stream, with a hint at a body's first word, at a twin and at a
-    dead position, and with a dead set: every other position whose word
-    has L >= _DEAD_LO on the box, first words of bodies and twins among
-    them.
+    the stream, with a hint at a body's first word and at a dead one, and
+    with a dead set: every other position whose word has L >= _DEAD_LO on
+    the box, first words of bodies and twins among them.  The scan of
+    every word takes stream positions; test_box takes the Word segments'
+    indices among them, and its near miss is read back as a position.
     """
     max_d, max_exp = stream_caps
     segments = list(islice(enumerate_segments(max_d, max_exp), 400))
-    run_starts, body_starts, position = [], [], 0
+    # starts[k] is the stream position of segments[k]'s first word
+    starts, run_starts, position = [], [], 0
     for segment in segments:
+        starts.append(position)
         if isinstance(segment, Run):
             run_starts += [position] if segment.count > 1 else []
             position += segment.count
         else:
-            body_starts.append(position)
             position += 1
+    body_indices = [k for k, segment in enumerate(segments) if isinstance(segment, Word)]
+    body_starts = {starts[k] for k in body_indices}
     words = list(islice(enumerate_words(max_d, max_exp), position))
-    # a cut one word into a Run of two or more, and a twin and a body word as hints
+    # a cut one word into a Run of two or more, and a body word as the hint
     cuts = [start + 1 for start in run_starts[:: max(1, len(run_starts) // 3)]][:3]
-    twin_hint, body_hint = run_starts[len(run_starts) // 2] + 1, body_starts[len(body_starts) // 2]
+    body_hint = body_indices[len(body_indices) // 2]
     rng = random.Random(9161)
     boxes = [
         (ParamBox.from_point(Params(4.0, complex(1.0 + 4.0 * k, math.sqrt(3.0)), 2.0)), 6.0)
@@ -914,16 +924,19 @@ def test_box_matches_a_scan_of_every_word(stream_caps) -> None:
         lows = [lower_left_bounds(gens, w.syllables)[0] for w in words]
         dead = frozenset(i for i in range(0, position, 2) if lows[i] >= search_module._DEAD_LO)
         dead_kinds.update(i in body_starts for i in dead)
+        dead_indices = frozenset(k for k in body_indices if starts[k] in dead)
         # position + 1 outlasts the stream, so every position counts
         for budget in cuts + [position - 1, position + 1]:
-            for hint in (None, body_hint, twin_hint, min(dead, default=None)):
-                for dead_set in (frozenset(), dead):
+            for hint in (None, body_hint, min(dead_indices, default=None)):
+                at = None if hint is None else starts[hint]
+                for dead_set, dead_index in ((frozenset(), frozenset()), (dead, dead_indices)):
                     cfg = SearchConfig(
                         area_bound=area, max_d=max_d, max_exp=max_exp, word_budget_per_box=budget
                     )
-                    v = test_box(box, shared, cfg, hint=hint, dead=dead_set)
-                    got = (v.status, v.word, v.volume_bound, v.words_scanned, v.near_miss)
-                    assert got == _scan_every_word(box, area, words, budget, hint, dead_set), (
+                    v = test_box(box, shared, cfg, hint=hint, dead=dead_index)
+                    near = None if v.near_miss is None else starts[v.near_miss]
+                    got = (v.status, v.word, v.volume_bound, v.words_scanned, near)
+                    assert got == _scan_every_word(box, area, words, budget, at, dead_set), (
                         box.path, budget, hint, bool(dead_set)
                     )
                     kinds[v.status] += 1
@@ -932,7 +945,11 @@ def test_box_matches_a_scan_of_every_word(stream_caps) -> None:
 
 
 def test_box_rejects_power_free_words() -> None:
-    """A pure translation in the stream, or a hint the stream has not taken, raises ValueError."""
+    """A pure translation in the stream, or a hint at no taken Word segment, raises ValueError.
+
+    A hint must index a Word segment the stream has taken: a negative
+    index, one at or past the segments taken, or a Run's index is refused.
+    """
     box = param_space(1.5)
     cfg = SearchConfig(**_AREA_15)
     translation = parse_word("x^2")
@@ -943,20 +960,25 @@ def test_box_rejects_power_free_words() -> None:
         with pytest.raises(ValueError, match=message):
             test_box(box, WordStream(stream), cfg)
     stream = _taken(words)
-    for form, hint in ((stream, -1), (stream, len(words)), (None, 0)):
-        with pytest.raises(ValueError, match="hint must be a taken stream position"):
+    segmented = _taken(enumerate_segments(2, 1))
+    run = next(k for k, segment in enumerate(segmented.segments) if isinstance(segment, Run))
+    cases = [(stream, -1), (stream, len(words)), (None, 0)]
+    cases += [(segmented, run), (segmented, len(segmented.segments)), (segmented, -1)]
+    for form, hint in cases:
+        with pytest.raises(ValueError, match="hint must index a taken Word segment"):
             test_box(box, form, cfg, hint=hint)
 
 
 def test_box_hint_must_be_an_int() -> None:
-    """A bool or any other non-int hint raises TypeError; True is not position 1."""
+    """A bool or any other non-int hint raises TypeError; True is not index 1."""
     box = param_space(1.5)
     cfg = SearchConfig(**_AREA_15)
     stream = _taken(enumerate_segments(2, 1))
-    for hint in (True, False, 1.0, "1"):
-        with pytest.raises(TypeError, match="hint must be an int stream position"):
+    # segments 0 and 2 are the Words z and y z^-1, and 1 is the Run of y z
+    for hint in (True, False, 0.0, 2.0, "2"):
+        with pytest.raises(TypeError, match="hint must be an int segment index"):
             test_box(box, stream, cfg, hint=hint)
-    assert test_box(box, stream, cfg, hint=1).words_scanned > 0
+    assert test_box(box, stream, cfg, hint=2).words_scanned > 0
 
 
 def test_twin_skip_keeps_the_leading_block_overflow() -> None:
