@@ -19,24 +19,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import Optional
 
-from .interval import ComplexInterval, RealInterval, rect_add, rect_mul
-
-_ZERO = (0.0, 0.0, 0.0, 0.0)
+from .interval import ComplexInterval, RealInterval
 
 COORD_NAMES = ("a_re", "a_im", "b_re", "b_im", "c_re", "c_im")
-
-
-def _point(k: int) -> tuple:
-    """The rectangle of ComplexInterval.point(k)."""
-    return (float(k), float(k), 0.0, 0.0)
-
-
-def _check_finite(rect: tuple, what: str) -> None:
-    if not all(map(math.isfinite, rect)):
-        raise ValueError(f"endpoints must be finite in {what}, got {rect}")
 
 
 def real_number(value, name: str) -> float:
@@ -152,125 +140,6 @@ class ParamBox:
             and self.c_re.contains(p.c.real)
             and self.c_im.contains(p.c.imag)
         )
-
-
-@dataclass(slots=True)
-class GeneratorTriple:
-    """Interval enclosures of a, b and c over a box or point, and the scan caches.
-
-    alpha and beta are the translations by a and b, gamma is
-    [[c, -1], [1, 0]].  The triple is the word-scan kernel's per-box
-    context, and each of its caches builds a factor once from the
-    endpoints of a, b and c:
-
-    - the syllable table, unboxed_syllable(), one entry per syllable
-      (m, n, e), which shares the offset of its block (m, n), built from
-      the multiples m*a and n*b, and the power gamma^e;
-    - _first_rows, the kernel's bottom row after a word's first syllable,
-      keyed by that syllable, which words.lower_left_bounds fills and reads.
-
-    Nothing else is held: the oracle words.evaluate_word builds its own
-    matrices from a, b and c.
-    """
-
-    a: ComplexInterval
-    b: ComplexInterval
-    c: ComplexInterval
-    _unboxed: dict = field(default_factory=dict)
-    _offsets: dict = field(default_factory=dict)
-    _multiples: dict = field(default_factory=dict)
-    _unboxed_powers: dict = field(default_factory=dict)
-    _first_rows: dict = field(default_factory=dict)
-
-    def unboxed_syllable(self, syllable: tuple) -> tuple:
-        """Entries of one syllable (m, n, e) as float rectangles, built once.
-
-        Returns (offset, gamma): the translation offset m*a + n*b, or None
-        when m = n = 0, and the four entries (g11, g12, g21, g22) of
-        gamma^e, or None when e = 0.  Both come from the endpoints of a, b
-        and c by the operations words.evaluate_word applies to their
-        intervals, so each rectangle is bit-identical to the entry of the
-        oracle's factor.  Each is built once per block (m, n) and once
-        per exponent e, and shared by the syllables that hold it.  Raises
-        ValueError when an entry overflows, as building those intervals
-        does: each entry is checked, and an overflow inside the sums and
-        products that make it leaves a non-finite endpoint.
-        """
-        hit = self._unboxed.get(syllable)
-        if hit is None:
-            m, n, e = syllable
-            offset = self._offset(m, n) if m or n else None
-            hit = self._unboxed[syllable] = (offset, self._unboxed_power(e) if e else None)
-        return hit
-
-    def _offset(self, m: int, n: int) -> tuple:
-        """The offset 0 + m*a + n*b of a nontrivial block, each term added only when nonzero.
-
-        Offsets are checked and kept per block, and the multiples m*a and
-        n*b unchecked, so that an overflow raises naming its block.
-        """
-        offsets = self._offsets
-        hit = offsets.get((m, n))
-        if hit is None:
-            hit = _ZERO
-            multiples = self._multiples
-            if m:
-                ma = multiples.get((m, 0))
-                if ma is None:
-                    ma = multiples[m, 0] = rect_mul(_point(m), self.a.endpoints())
-                hit = rect_add(hit, ma)
-            if n:
-                nb = multiples.get((0, n))
-                if nb is None:
-                    nb = multiples[0, n] = rect_mul(_point(n), self.b.endpoints())
-                hit = rect_add(hit, nb)
-            _check_finite(hit, f"the offset of x^{m} y^{n}")
-            offsets[m, n] = hit
-        return hit
-
-    def _unboxed_power(self, e: int) -> tuple:
-        """gamma^e's entries as rectangles: the oracle's left-to-right product of |e| factors.
-
-        The factors are gamma, or its SL2 adjugate for e < 0.  A loop fills
-        the cache, so a large |e| does not recurse.
-        """
-        powers = self._unboxed_powers
-        hit = powers.get(e)
-        if hit is not None:
-            return hit
-        c = self.c.endpoints()
-        if e > 0:
-            step, gen = 1, (c, _point(-1), _point(1), _ZERO)
-        else:
-            # the adjugate negates -1 and 1 exactly, signed zeros and all
-            step, gen = -1, (_ZERO, (1.0, 1.0, -0.0, -0.0), (-1.0, -1.0, -0.0, -0.0), c)
-        powers.setdefault(step, gen)
-        y11, y12, y21, y22 = gen
-        for k in range(2 * step, e + step, step):
-            if k not in powers:
-                x11, x12, x21, x22 = powers[k - step]
-                power = (
-                    rect_add(rect_mul(x11, y11), rect_mul(x12, y21)),
-                    rect_add(rect_mul(x11, y12), rect_mul(x12, y22)),
-                    rect_add(rect_mul(x21, y11), rect_mul(x22, y21)),
-                    rect_add(rect_mul(x21, y12), rect_mul(x22, y22)),
-                )
-                for entry in power:
-                    _check_finite(entry, f"gamma^{k}")
-                powers[k] = power
-        return powers[e]
-
-
-def gens_from_params(p: Union[Params, ParamBox]) -> GeneratorTriple:
-    """Generator enclosures for a parameter point or box.
-
-    Point parameters give zero-width a, b and c, so a word evaluated at a
-    point keeps its structurally exact entries exact.
-    """
-    if isinstance(p, Params):
-        point = ComplexInterval.point
-        return GeneratorTriple(point(p.a), point(p.b), point(p.c))
-    return GeneratorTriple(p.a(), p.b(), p.c())
 
 
 def space_radius(area_bound: float) -> float:

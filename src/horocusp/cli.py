@@ -11,7 +11,6 @@ import argparse
 import inspect
 import json
 import math
-import re
 import sys
 
 from horocusp import __version__
@@ -27,11 +26,6 @@ EXIT_PARTIAL = 2
 EXIT_USAGE = 64
 EXIT_DEGENERATE = 65
 
-_NUM = r"-?\d+(?:\.\d+)?"
-_COMPLEX_FULL = re.compile(r"^(%s)(?:([+-]\d+(?:\.\d+)?)i)?$" % _NUM)
-_COMPLEX_IMAG = re.compile(r"^(%s)i$" % _NUM)
-
-
 class _Parser(argparse.ArgumentParser):
     """Parser whose usage errors exit with status 64."""
 
@@ -41,16 +35,26 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_complex_literal(text: str) -> complex:
-    """Parse "re", "re+imi", "re-imi", or "imi" into a complex number."""
+    """Parse "re", "re+imi", "re-imi", or "imi" into a complex number.
+
+    Each part takes Python's float syntax, so "1e3", ".5" and "+2" are
+    parts.  A part that is not finite, such as "nan", "inf" or "1e400",
+    raises ValueError, as does whitespace inside the literal.
+    """
     s = text.strip()
-    m = _COMPLEX_IMAG.match(s)
-    if m:
-        return complex(0.0, float(m.group(1)))
-    m = _COMPLEX_FULL.match(s)
-    if m:
-        imag = float(m.group(2)) if m.group(2) is not None else 0.0
-        return complex(float(m.group(1)), imag)
-    raise ValueError("bad complex literal %r" % text)
+    if text.split() != [s]:
+        raise ValueError("bad complex literal %r" % text)
+    real, imag = s, "0"
+    if s.endswith("i"):
+        body = s[:-1]
+        # the imaginary part opens at the last sign that opens neither the text nor an exponent
+        signs = [k for k, ch in enumerate(body) if ch in "+-" and k and body[k - 1] not in "eE"]
+        split = signs[-1] if signs else 0
+        real, imag = body[:split] or "0", body[split:]
+    parts = float(real), float(imag)
+    if not all(map(math.isfinite, parts)):
+        raise ValueError("complex literal %r is not finite" % text)
+    return complex(*parts)
 
 
 def _complex_or_usage(parser, flag, text):

@@ -487,6 +487,9 @@ def _killer_leaf(row: dict) -> Tuple[str, Word, ParamBox]:
         word = parse_word(text)
     except ValueError as exc:
         raise ValueError(f"{where}: word {text!r}: {exc}") from None
+    # the search writes no exponent past MAX_EXP, and the audit steps |e| times per sample
+    if any(abs(k) > MAX_EXP for syllable in word.syllables for k in syllable):
+        raise ValueError(f"{where}: word {text!r} has an exponent beyond {MAX_EXP}")
     try:
         box = ParamBox.from_bounds(bounds)
     except (TypeError, ValueError) as exc:

@@ -38,19 +38,19 @@ self-contained interval.rect_add and rect_mul.  A gamma or gamma^-1 step,
 nearly every step of a scan, skips the products by those matrices' exact
 0 and 1 entries and takes the one by -1 as interval.rect_neg; what it
 skips is exact or a shortcut, so the row keeps its bits.  The per-box
-GeneratorTriple builds each factor once: its syllable table shares the
-offset of each block (m, n) and the power of each exponent, and the row
-after a word's first syllable is kept per first syllable, so the kernel
-steps only the later syllables of each word.  A scan's words start with
-a handful of first syllables, 5 in the first 2000 positions of (6, 3).
-These caches repeat the same operations in the same order, so every
-row, [L, U] and overflow message keeps its bits.  lower_left_abs
-and killer_test run the kernel for one word.  evaluate_word is the
-full-matrix route over the interval classes, which never call the
-rectangle functions.  It builds its generator matrices from the triple's
-a, b and c on each call and shares no table with the scan; it stays as
-public API and as the oracle the kernel's bounds are tested against bit
-for bit.  evaluate_word_float is the plain-float audit route.
+GeneratorTriple, defined here, builds each factor once: its syllable
+table shares the offset of each block (m, n) and the power of each
+exponent, repeating the same operations in the same order, so every
+entry, [L, U] and overflow message keeps its bits.  By the body-twin
+lemma below, the row after a word's first syllable (m, n, e) is the
+bottom row of gamma^e, so the kernel takes it from the table and steps
+only the later syllables.  lower_left_abs and killer_test run the
+kernel for one word.  evaluate_word is the full-matrix route over the
+interval classes, which never call the rectangle functions.  It builds
+its generator matrices from the triple's a, b and c on each call and
+shares no table with the scan; it stays as public API and as the oracle
+the kernel's bounds are tested against bit for bit.  evaluate_word_float
+is the plain-float audit route.
 
 Body twins: a cusp translation on the left leaves the bottom row of a
 product unchanged, so a word r_1 B, with leading block r_1 = x^m y^n and
@@ -97,10 +97,10 @@ import enum
 import functools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, List, NamedTuple, Tuple, Union
 
-from .bicuspid import GeneratorTriple, ParamBox, Params, gens_from_params, integer
+from .bicuspid import ParamBox, Params, integer
 from .interval import ComplexInterval, IntervalMatrix, RealInterval
 from .interval import rect_abs, rect_add, rect_mul, rect_neg
 
@@ -440,6 +440,134 @@ class WordStream:
         return True
 
 
+_ZERO = (0.0, 0.0, 0.0, 0.0)
+
+
+def _point(k: int) -> tuple:
+    """The rectangle of ComplexInterval.point(k)."""
+    return (float(k), float(k), 0.0, 0.0)
+
+
+def _check_finite(rect: tuple, what: str) -> None:
+    if not all(map(math.isfinite, rect)):
+        raise ValueError(f"endpoints must be finite in {what}, got {rect}")
+
+
+@dataclass(slots=True)
+class GeneratorTriple:
+    """Interval enclosures of a, b and c over a box or point, and the scan's table.
+
+    alpha and beta are the translations by a and b, gamma is
+    [[c, -1], [1, 0]].  The triple is the scan kernel's per-box context.
+    Its syllable table, unboxed_syllable(), holds one entry per syllable
+    (m, n, e), built once from the endpoints of a, b and c: the offset of
+    its block (m, n), shared by the block's syllables and built from the
+    multiples m*a and n*b, and the power gamma^e, shared by the
+    exponent's.  lower_left_bounds reads the table, and by the body-twin
+    lemma gamma^e's bottom row is its row after a first syllable
+    (m, n, e).  Nothing else is held: the oracle evaluate_word builds its
+    own matrices from a, b and c.
+    """
+
+    a: ComplexInterval
+    b: ComplexInterval
+    c: ComplexInterval
+    _unboxed: dict = field(default_factory=dict)
+    _offsets: dict = field(default_factory=dict)
+    _multiples: dict = field(default_factory=dict)
+    _unboxed_powers: dict = field(default_factory=dict)
+
+    def unboxed_syllable(self, syllable: tuple) -> tuple:
+        """Entries of one syllable (m, n, e) as float rectangles, built once.
+
+        Returns (offset, gamma): the translation offset m*a + n*b, or None
+        when m = n = 0, and the four entries (g11, g12, g21, g22) of
+        gamma^e, or None when e = 0.  Both come from the endpoints of a, b
+        and c by the operations evaluate_word applies to their
+        intervals, so each rectangle is bit-identical to the entry of the
+        oracle's factor.  Each is built once per block (m, n) and once
+        per exponent e, and shared by the syllables that hold it.  Raises
+        ValueError when an entry overflows, as building those intervals
+        does: each entry is checked, and an overflow inside the sums and
+        products that make it leaves a non-finite endpoint.
+        """
+        hit = self._unboxed.get(syllable)
+        if hit is None:
+            m, n, e = syllable
+            offset = self._offset(m, n) if m or n else None
+            hit = self._unboxed[syllable] = (offset, self._unboxed_power(e) if e else None)
+        return hit
+
+    def _offset(self, m: int, n: int) -> tuple:
+        """The offset 0 + m*a + n*b of a nontrivial block, each term added only when nonzero.
+
+        Offsets are checked and kept per block, and the multiples m*a and
+        n*b unchecked, so that an overflow raises naming its block.
+        """
+        offsets = self._offsets
+        hit = offsets.get((m, n))
+        if hit is None:
+            hit = _ZERO
+            multiples = self._multiples
+            if m:
+                ma = multiples.get((m, 0))
+                if ma is None:
+                    ma = multiples[m, 0] = rect_mul(_point(m), self.a.endpoints())
+                hit = rect_add(hit, ma)
+            if n:
+                nb = multiples.get((0, n))
+                if nb is None:
+                    nb = multiples[0, n] = rect_mul(_point(n), self.b.endpoints())
+                hit = rect_add(hit, nb)
+            _check_finite(hit, f"the offset of x^{m} y^{n}")
+            offsets[m, n] = hit
+        return hit
+
+    def _unboxed_power(self, e: int) -> tuple:
+        """gamma^e's entries as rectangles: the oracle's left-to-right product of |e| factors.
+
+        The factors are gamma, or its SL2 adjugate for e < 0.  A loop fills
+        the cache, so a large |e| does not recurse.
+        """
+        powers = self._unboxed_powers
+        hit = powers.get(e)
+        if hit is not None:
+            return hit
+        c = self.c.endpoints()
+        if e > 0:
+            step, gen = 1, (c, _point(-1), _point(1), _ZERO)
+        else:
+            # the adjugate negates -1 and 1 exactly, signed zeros and all
+            step, gen = -1, (_ZERO, (1.0, 1.0, -0.0, -0.0), (-1.0, -1.0, -0.0, -0.0), c)
+        powers.setdefault(step, gen)
+        y11, y12, y21, y22 = gen
+        for k in range(2 * step, e + step, step):
+            if k not in powers:
+                x11, x12, x21, x22 = powers[k - step]
+                power = (
+                    rect_add(rect_mul(x11, y11), rect_mul(x12, y21)),
+                    rect_add(rect_mul(x11, y12), rect_mul(x12, y22)),
+                    rect_add(rect_mul(x21, y11), rect_mul(x22, y21)),
+                    rect_add(rect_mul(x21, y12), rect_mul(x22, y22)),
+                )
+                for entry in power:
+                    _check_finite(entry, f"gamma^{k}")
+                powers[k] = power
+        return powers[e]
+
+
+def gens_from_params(p: Union[Params, ParamBox]) -> GeneratorTriple:
+    """Generator enclosures for a parameter point or box.
+
+    Point parameters give zero-width a, b and c, so a word evaluated at a
+    point keeps its structurally exact entries exact.
+    """
+    if isinstance(p, Params):
+        point = ComplexInterval.point
+        return GeneratorTriple(point(p.a), point(p.b), point(p.c))
+    return GeneratorTriple(p.a(), p.b(), p.c())
+
+
 def evaluate_word(word: Word, target: Union[GeneratorTriple, Params, ParamBox]) -> IntervalMatrix:
     """Certified enclosure of the word's matrix over a point or box.
 
@@ -502,7 +630,7 @@ def _cmul2(x, y):
 
 _INF = math.inf
 # the bottom row (m21, m22) of the identity, as rectangles
-_IDENTITY_ROW = ((0.0, 0.0, 0.0, 0.0), (1.0, 1.0, 0.0, 0.0))
+_IDENTITY_ROW = (_ZERO, _point(1))
 
 
 def lower_left_bounds(gens: GeneratorTriple, syllables: tuple) -> tuple:
@@ -511,14 +639,16 @@ def lower_left_bounds(gens: GeneratorTriple, syllables: tuple) -> tuple:
     This is the scan kernel.  It carries only the bottom row (m21, m22) of
     the left-to-right product, from the identity's, since in acc @ M that
     row depends only on the bottom row of acc, and it works on the unboxed
-    rectangles the GeneratorTriple caches per syllable.  The row after the
-    first syllable is the triple's too: built once per first syllable, by
-    the same steps from the identity's row, and read by every later word
-    that starts with it, so only the later syllables are stepped here.
-    The rectangle arithmetic is the interval layer's own, so (L, U) is
-    bit-identical to the oracle evaluate_word(word, gens).m21.abs_bounds().
-    A leading block x^m y^n leaves the identity's row as it is, bit for
-    bit, so body twins (see WordStream) get one (L, U).
+    rectangles the GeneratorTriple caches per syllable.  A leading block
+    x^m y^n leaves the identity's row as it is, bit for bit, so body twins
+    (see WordStream) get one (L, U), and the row after a first syllable
+    (m, n, e) is gamma^e's bottom row, read from the table: only the later
+    syllables are stepped here.  The first syllable's entry is still looked
+    up, since that is where its block's offset overflow raises, as in the
+    oracle.  That row can differ from the stepped one only in the sign of
+    an exactly-zero part, and the rectangle arithmetic is the interval
+    layer's own, so (L, U) is bit-identical to the oracle
+    evaluate_word(word, gens).m21.abs_bounds().
 
     Raises ValueError when the bottom row overflows.  An infinite or NaN
     endpoint survives every rectangle operation but a product with an
@@ -530,10 +660,8 @@ def lower_left_bounds(gens: GeneratorTriple, syllables: tuple) -> tuple:
     """
     rest = iter(syllables)
     first = next(rest)
-    rows = gens._first_rows
-    row = rows.get(first)
-    if row is None:
-        row = rows[first] = _bottom_row(gens, (first,), _IDENTITY_ROW)
+    gamma = gens.unboxed_syllable(first)[1]
+    row = _IDENTITY_ROW if gamma is None else gamma[2:]
     (rl, rh, il, ih), (sl, sh, jl, jh) = _bottom_row(gens, rest, row)
     # x - x is 0.0 for a finite x and NaN for an infinite or NaN one
     zero_if_finite = (rl - rl) + (rh - rh) + (il - il) + (ih - ih)

@@ -10,12 +10,11 @@ from horocusp.bicuspid import (
     ParamBox,
     Params,
     box_in_param_space,
-    gens_from_params,
     param_space,
     space_radius,
 )
 from horocusp.interval import RealInterval
-from horocusp.words import Word, evaluate_word, lower_left_abs, parse_word
+from horocusp.words import Word, evaluate_word, gens_from_params, lower_left_abs, parse_word
 
 REF = Params(4.0, 1.0 + math.sqrt(3.0) * 1j, 2.0)
 

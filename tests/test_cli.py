@@ -1,5 +1,6 @@
 """End-to-end command-line scenarios and exit-code contract."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -39,12 +40,73 @@ def test_parse_complex_literal():
     assert parse_complex_literal("1-2i") == 1 - 2j
     assert parse_complex_literal("4i") == 4j
     assert parse_complex_literal("-3.5i") == -3.5j
-    for bad in ("", "i", "1+i", "4+", "abc", "1 + 2i", "2j"):
+    for bad in ("", "i", "1+i", "4+", "abc", "1 + 2i", "1 +2i", "2j", "1+2", "1e", "e5i"):
         try:
             parse_complex_literal(bad)
             assert False, bad
         except ValueError:
             pass
+
+
+# literals of the decimal grammar the parser took before float syntax, and
+# their parts as it gave them, signed zeros included
+_DECIMAL_LITERALS = [
+    ("4", 4.0, 0.0),
+    ("-0", -0.0, 0.0),
+    ("-0.0", -0.0, 0.0),
+    ("0i", 0.0, 0.0),
+    ("-0i", 0.0, -0.0),
+    ("1-0i", 1.0, -0.0),
+    ("-0+0i", -0.0, 0.0),
+    ("-0-0i", -0.0, -0.0),
+    ("-2i", 0.0, -2.0),
+    ("12.25-7i", 12.25, -7.0),
+    (HEX_B, 1.0, 1.7320508075688772),
+    ("-1-0.000001i", -1.0, -0.000001),
+    ("100000000000000000000000", 1e23, 0.0),
+    (" 2+3i ", 2.0, 3.0),
+]
+
+
+@pytest.mark.parametrize("text, real, imag", _DECIMAL_LITERALS)
+def test_parse_complex_literal_keeps_decimal_bits(text, real, imag):
+    z = parse_complex_literal(text)
+    assert (z.real.hex(), z.imag.hex()) == (real.hex(), imag.hex())
+
+
+def test_parse_complex_literal_takes_float_syntax():
+    for text, z in (
+        ("1e3", 1000 + 0j),
+        ("1e20+1i", complex(1e20, 1.0)),
+        (".5", 0.5 + 0j),
+        ("+2", 2 + 0j),
+        ("+.5e1-1e-3i", complex(5.0, -0.001)),
+        ("1E3i", 1000j),
+        ("-1e-5i", -1e-5j),
+        ("1e-5+2e+3i", complex(1e-5, 2000.0)),
+    ):
+        assert parse_complex_literal(text) == z, text
+    for bad in ("nan", "inf", "-inf", "infinity", "1e400", "1+nani", "1e400i", "-infi"):
+        with pytest.raises(ValueError, match="not finite"):
+            parse_complex_literal(bad)
+
+
+def test_cusp_float_syntax_gives_the_reference_audit(capsys):
+    """4e0 and 1e0+1.7320508075688772i are the reference lattice: its audit bytes, config aside."""
+    assert run_cli(["cusp", "--a", "4e0", "--b", "1e0+1.7320508075688772i"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload.pop("config") == {"a": "4e0", "b": "1e0+1.7320508075688772i", "slope_length": 6.0}
+    assert payload.pop("version") == "0.1.0"
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "e50926958f46e71a3f4d20728bdb6a287271a90cee16deb2628bdc4fd45584c3"
+    )
+    for a, b in (("1e3", "1e3i"), ("1e20", "1e20+1e20i")):
+        assert run_cli(["cusp", "--a", a, "--b", b]) == 0
+    capsys.readouterr()
+    for a, b in (("nan", "1i"), ("1", "infi"), ("1e400", "1i"), ("1", "1+1e400i")):
+        assert run_cli(["cusp", "--a", a, "--b", b]) == 64, (a, b)
+        assert "expected a complex literal" in capsys.readouterr().err
 
 
 def test_search_slice_config_file(tmp_path) -> None:
@@ -439,9 +501,14 @@ _WIDE_KILLER_BOUNDS = [[1.0, 1.1], [0, 0], [0, 0], [4, 4], [-1e308, 1e308], [0, 
         # an integer endpoint no float can hold
         ({"leaves": [_KILLER_Q["leaves"][0] | {"word": "z", "bounds": [[0, 10**400]] * 6}]},
          "killer leaf '0': bounds"),
+        # an exponent no search writes, which the audit would step through once per unit
+        ({"leaves": [_KILLER_Q["leaves"][0] | {"word": "z^100000000"}]},
+         "killer leaf '0': word 'z^100000000' has an exponent beyond 16"),
+        ({"leaves": [_KILLER_Q["leaves"][0] | {"word": "y^-17 z"}]},
+         "killer leaf '0': word 'y^-17 z' has an exponent beyond 16"),
     ],
     ids=["list", "empty-object", "bad-word", "bad-bounds", "bad-path", "bad-leaf", "wide-bounds",
-         "huge-int-bounds"],
+         "huge-int-bounds", "huge-exponent", "exponent-past-max"],
 )
 def test_verify_json_that_is_not_a_report_is_a_usage_error(tmp_path, capsys, data, problem):
     path = tmp_path / "r.json"
@@ -450,6 +517,13 @@ def test_verify_json_that_is_not_a_report_is_a_usage_error(tmp_path, capsys, dat
     err = capsys.readouterr().err
     assert "not a search report" in err and problem in err
     assert "Traceback" not in err
+
+
+def test_verify_takes_exponents_up_to_max_exp(tmp_path, capsys):
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps({"leaves": [_KILLER_Q["leaves"][0] | {"word": "x^16 y^-16 z^-16"}]}))
+    assert run_cli(["verify", "--report", str(path), "--samples", "1"]) in (0, 1)
+    assert json.loads(capsys.readouterr().out)["samples_taken"] == 1
 
 
 def test_version_flag(capsys):

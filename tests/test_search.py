@@ -13,7 +13,7 @@ import pytest
 from horocusp import search as search_module
 from horocusp import words as words_module
 from horocusp.bicuspid import COORD_NAMES, Feasibility, ParamBox, Params, box_in_param_space
-from horocusp.bicuspid import gens_from_params, param_space
+from horocusp.bicuspid import param_space
 from horocusp.search import (
     BoxStatus,
     SearchConfig,
@@ -30,6 +30,7 @@ from horocusp.words import (
     WordStream,
     enumerate_segments,
     enumerate_words,
+    gens_from_params,
     lower_left_abs,
     lower_left_bounds,
     parse_word,

@@ -7,10 +7,9 @@ from itertools import islice, zip_longest
 
 import pytest
 
-from horocusp import bicuspid as bicuspid_module
 from horocusp import search as search_module
 from horocusp import words as words_module
-from horocusp.bicuspid import ParamBox, Params, gens_from_params, param_space
+from horocusp.bicuspid import ParamBox, Params, param_space
 from horocusp.interval import RealInterval, rect_add, rect_mul
 from horocusp.search import SearchConfig, subdivide, test_box
 from horocusp.words import (
@@ -23,6 +22,7 @@ from horocusp.words import (
     enumerate_words,
     evaluate_word,
     evaluate_word_float,
+    gens_from_params,
     killer_test,
     lower_left_abs,
     lower_left_bounds,
@@ -312,6 +312,9 @@ def test_overflowing_words_raise_before_classification(monkeypatch) -> None:
         (Word(((0, 0, 1),) + ((1, 0, 1),) * 3 + ((1, 0, 2),)), Params(1e100, 1j, 0.0)),
         # a finite bottom row whose |m21| = |c + a| overflows hypot
         (parse_word("z x z"), Params(4.0, 1j, complex(1.5e308, 1.5e308))),
+        # overflows only in the leading block's offset 2a, which the
+        # kernel's row skips but the table lookup checks
+        (parse_word("x^2 z"), Params(1e308, 0.5 + 1j, 0)),
     ]
     routes = (lower_left_abs, killer_test, lambda w, t: evaluate_word(w, t).m21.abs_bounds())
     for w, p in cases:
@@ -503,36 +506,55 @@ def test_scan_kernel_evaluations(monkeypatch) -> None:
         assert calls == expected
 
 
-def test_scan_rect_mul_count(monkeypatch) -> None:
-    """The kernel's general products per stream, pinned.
+def _count_products(monkeypatch):
+    """Count words.rect_mul's calls by (x, y): the kernel's, and the table's builds apart.
 
-    A gamma^+-1 step takes one rect_mul, a translation one more and any
-    other gamma^e step four.  The row after a word's first syllable is
-    built once per box and syllable: the first stream's 184 words start
-    with 5 syllables, z, y z, y z^-1, z^2 and y z^-2, whose rows take 1,
-    2, 2, 4 and 5 products, and the second's 34 words with z, y z and
-    y z^-1, 5 products.  Every later syllable of both streams is a
-    nontrivial block and a gamma^+-1 step, two products each: 180 of
-    them in the first stream, 32 in the second.  So 14 + 360 and 5 + 64;
-    without the first rows' memo the counts were 684 and 123.  The
-    table's builds call bicuspid's rect_mul and are not counted.
+    A call is the table's while GeneratorTriple.unboxed_syllable runs.
+    Returns the two Counters, kernel first, which the patched calls fill.
     """
-    calls = 0
+    kernel, table, building = Counter(), Counter(), []
+    real_syllable = words_module.GeneratorTriple.unboxed_syllable
 
-    def counting(x, y):
-        nonlocal calls
-        calls += 1
+    def counting_mul(x, y):
+        (table if building else kernel)[x, y] += 1
         return rect_mul(x, y)
 
-    monkeypatch.setattr(words_module, "rect_mul", counting)
-    for (max_d, max_exp, budget), words, expected in (
-        ((6, 3, 2000), 2000, 374),
-        ((2, 1, 10000), 145, 69),
+    def building_syllable(gens, syllable):
+        building.append(syllable)
+        try:
+            return real_syllable(gens, syllable)
+        finally:
+            building.pop()
+
+    monkeypatch.setattr(words_module, "rect_mul", counting_mul)
+    monkeypatch.setattr(words_module.GeneratorTriple, "unboxed_syllable", building_syllable)
+    return kernel, table
+
+
+def test_scan_rect_mul_count(monkeypatch) -> None:
+    """The kernel's general products per stream, pinned, and the table's apart.
+
+    A gamma^+-1 step takes one rect_mul, a translation one more and any
+    other gamma^e step four.  The row after a word's first syllable
+    (m, n, e) is gamma^e's bottom row, read from the table, so first rows
+    take no products.  Every later syllable of both streams' evaluated
+    words, 184 and 34, is a nontrivial block and a gamma^+-1 step, two
+    products each: 180 of them in the first stream, 32 in the second.  So
+    360 and 64; with the first rows stepped and kept per first syllable
+    the counts were 374 and 69, and 684 and 123 with neither.  The
+    table's builds take 28 and 4 products of their own.
+    """
+    kernel, table = _count_products(monkeypatch)
+    for (max_d, max_exp, budget), words, expected, built in (
+        ((6, 3, 2000), 2000, 360, 28),
+        ((2, 1, 10000), 145, 64, 4),
     ):
-        calls = 0
+        kernel.clear()
+        table.clear()
         verdict = _scan_reference_point(max_d, max_exp, budget)
         assert verdict.words_scanned == words
-        assert calls == expected
+        assert sum(kernel.values()) == expected
+        assert sum(table.values()) == built
 
 
 def test_scan_table_builds_each_factor_once(monkeypatch) -> None:
@@ -542,19 +564,11 @@ def test_scan_table_builds_each_factor_once(monkeypatch) -> None:
     (m, n).  Each nontrivial block's offset is built and checked once,
     from the multiples m*a and n*b, each one rect_mul built once: 6
     nonzero m and 6 nonzero n.  The powers gamma^+-2 and gamma^+-3 take
-    four products each, so the table calls bicuspid's rect_mul
+    four products each, so the table's builds call rect_mul
     12 + 16 = 28 times; with an offset built per syllable it took 260.
     """
-    products, checked, built = Counter(), Counter(), []
-    real_mul, real_check, real_gens = (
-        bicuspid_module.rect_mul,
-        bicuspid_module._check_finite,
-        words_module.gens_from_params,
-    )
-
-    def counting_mul(x, y):
-        products[x, y] += 1
-        return real_mul(x, y)
+    checked, built = Counter(), []
+    real_check, real_gens = words_module._check_finite, words_module.gens_from_params
 
     def counting_check(rect, what):
         checked[what] += 1
@@ -564,8 +578,8 @@ def test_scan_table_builds_each_factor_once(monkeypatch) -> None:
         built.append(real_gens(p))
         return built[-1]
 
-    monkeypatch.setattr(bicuspid_module, "rect_mul", counting_mul)
-    monkeypatch.setattr(bicuspid_module, "_check_finite", counting_check)
+    _, products = _count_products(monkeypatch)
+    monkeypatch.setattr(words_module, "_check_finite", counting_check)
     monkeypatch.setattr(words_module, "gens_from_params", keeping_gens)
     assert _scan_reference_point(6, 3, 2000).words_scanned == 2000
     [gens] = built
@@ -607,12 +621,12 @@ def test_scan_caches_are_bit_identical_to_fresh_builds() -> None:
 
     One warm triple per box is asked for the syllables of every word in
     shuffled order, then for the words' bounds in another shuffled order,
-    so each block's offset, each multiple of a and b, each power of gamma
-    and each first-syllable row is built for one word and read by the
-    others.  A fresh triple per word builds only what that word needs.
-    Their table rectangles and [L, U] must agree bit for bit, and an
-    overflow must raise the same message: at a = 1e308 the offset of x^2
-    overflows and that of x does not.
+    so each block's offset, each multiple of a and b and each power of
+    gamma is built for one word and read by the others.  A fresh triple
+    per word builds only what that word needs.  Their table rectangles
+    and [L, U] must agree bit for bit, and an overflow must raise the same
+    message: at a = 1e308 the offset of x^2 overflows and that of x does
+    not.
     """
     rng = random.Random(19031)
     ref = [Params(4.0, 1.0 + 4.0 * k + math.sqrt(3.0) * 1j, 2.0) for k in (-1, 0, 1)]
