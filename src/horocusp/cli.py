@@ -230,8 +230,6 @@ def main(argv=None) -> int:
     try:
         # each subcommand reports usage errors through its own subparser
         return args.func(args, args.parser)
-    except SystemExit:
-        raise
     except (TypeError, ValueError) as exc:
         # the library's verdict on the inputs, however deep it is raised
         args.parser.error(str(exc))

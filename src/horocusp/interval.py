@@ -259,6 +259,8 @@ def rect_abs(rl: float, rh: float, il: float, ih: float) -> tuple:
     so L is exactly 0 iff the rectangle contains the origin and point
     rectangles on an axis get exact bounds.  For finite endpoints
     0 <= L <= U, and L is finite; U is infinite when hypot overflows.
+    Every branch gives L >= +0.0, or NaN for a NaN endpoint, so L needs no
+    clamp.
     """
     near_x = 0.0 if rl <= 0.0 <= rh else (rl if rl > 0.0 else rh)
     near_y = 0.0 if il <= 0.0 <= ih else (il if il > 0.0 else ih)
@@ -280,7 +282,7 @@ def rect_abs(rl: float, rh: float, il: float, ih: float) -> tuple:
         hi = far_x
     else:
         hi = _nextafter(math.hypot(far_x, far_y), _INF)
-    return max(lo, 0.0), hi
+    return lo, hi
 
 
 @dataclass(slots=True)

@@ -304,8 +304,9 @@ def test_box(
     WordStream) count as scanned, all at once and no further than the
     budget: each has the [L, U] of its body's first word, scanned before
     it, so it neither decides the box sooner nor becomes its near miss.
-    The Run's leading syllable's table entry is looked up as its words'
-    evaluations would, so an overflow there raises ValueError.
+    The Run's leading syllable is read from the box's GeneratorTriple, as
+    its words' evaluations would read it, so an overflow in that table
+    entry raises ValueError.
 
     dead holds the indices of words with L >= _DEAD_LO on an enclosing
     box.  Each counts as scanned without being evaluated: by inclusion
@@ -369,8 +370,8 @@ def test_box(
         segment = segments[k]
         if segment.__class__ is Run:
             # twins: only the leading syllable's table entry can raise where
-            # their own evaluations would
-            gens.unboxed_syllable(segment.prefix[0])
+            # their own evaluations would, so read it for its error
+            gens[segment.prefix[0]]
             scanned = min(budget, scanned + segment.count)
         elif k == hint:
             pass  # the hint, scanned first
@@ -410,7 +411,9 @@ def run_search(cfg: SearchConfig) -> SearchReport:
     keeps neither: no report reads them.
     The search runs on one thread, so the box budget cuts a fixed prefix of
     the depth-first order and every report, capped or complete, serializes
-    identically from run to run.
+    identically from run to run.  The walk pops each box's 0 child before
+    its 1 child, so leaves, capped ones included, come out in path order
+    without a sort.
     """
     start = time.perf_counter()
     root = cfg.resolved_root()
@@ -444,7 +447,6 @@ def run_search(cfg: SearchConfig) -> SearchReport:
             verdict.near_miss, verdict.dead = None, frozenset()
             leaves.append(verdict)
 
-    leaves.sort(key=lambda leaf: leaf.box.path)
     report = SearchReport(
         cfg,
         leaves,

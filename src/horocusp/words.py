@@ -38,19 +38,23 @@ self-contained interval.rect_add and rect_mul.  A gamma or gamma^-1 step,
 nearly every step of a scan, skips the products by those matrices' exact
 0 and 1 entries and takes the one by -1 as interval.rect_neg; what it
 skips is exact or a shortcut, so the row keeps its bits.  The per-box
-GeneratorTriple, defined here, builds each factor once: its syllable
-table shares the offset of each block (m, n) and the power of each
-exponent, repeating the same operations in the same order, so every
-entry, [L, U] and overflow message keeps its bits.  By the body-twin
-lemma below, the row after a word's first syllable (m, n, e) is the
-bottom row of gamma^e, so the kernel takes it from the table and steps
-only the later syllables.  lower_left_abs and killer_test run the
-kernel for one word.  evaluate_word is the full-matrix route over the
-interval classes, which never call the rectangle functions.  It builds
-its generator matrices from the triple's a, b and c on each call and
-shares no table with the scan; it stays as public API and as the oracle
-the kernel's bounds are tested against bit for bit.  evaluate_word_float
-is the plain-float audit route.
+GeneratorTriple, defined here, is a dict and is the scan's syllable
+table: gens[(m, n, e)] builds an entry on first use and keeps it,
+sharing the offset of each block (m, n) and the power of each exponent.
+It repeats the oracle's operations in the same order, so every entry
+and [L, U] keeps its bits, and an entry raises where the oracle's
+factor overflows.  The message names the first block that overflows:
+x^m y^0 or x^0 y^n when the multiple m*a or n*b itself does, since those
+are the offsets of x^m and y^n.  By the body-twin lemma below, the row
+after a word's first syllable (m, n, e) is the bottom row of gamma^e, so
+the kernel takes it from the table and steps only the later syllables.
+lower_left_abs and killer_test run the kernel for one word.
+evaluate_word is the full-matrix route over the interval classes, which
+never call the rectangle functions.  It builds its generator matrices
+from the triple's a, b and c on each call and shares no table with the
+scan; it stays as public API and as the oracle the kernel's bounds are
+tested against bit for bit.  evaluate_word_float is the plain-float
+audit route.
 
 Body twins: a cusp translation on the left leaves the bottom row of a
 product unchanged, so a word r_1 B, with leading block r_1 = x^m y^n and
@@ -97,7 +101,7 @@ import enum
 import functools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, List, NamedTuple, Tuple, Union
 
 from .bicuspid import ParamBox, Params, integer
@@ -453,72 +457,61 @@ def _check_finite(rect: tuple, what: str) -> None:
         raise ValueError(f"endpoints must be finite in {what}, got {rect}")
 
 
-@dataclass(slots=True)
-class GeneratorTriple:
+class GeneratorTriple(dict):
     """Interval enclosures of a, b and c over a box or point, and the scan's table.
 
     alpha and beta are the translations by a and b, gamma is
-    [[c, -1], [1, 0]].  The triple is the scan kernel's per-box context.
-    Its syllable table, unboxed_syllable(), holds one entry per syllable
-    (m, n, e), built once from the endpoints of a, b and c: the offset of
-    its block (m, n), shared by the block's syllables and built from the
-    multiples m*a and n*b, and the power gamma^e, shared by the
-    exponent's.  lower_left_bounds reads the table, and by the body-twin
-    lemma gamma^e's bottom row is its row after a first syllable
-    (m, n, e).  Nothing else is held: the oracle evaluate_word builds its
-    own matrices from a, b and c.
+    [[c, -1], [1, 0]].  The triple is the scan kernel's per-box context
+    and is itself its syllable table: triple[(m, n, e)] is the entry
+    (offset, gamma) of one syllable, built on first use by __missing__
+    and kept.  offset is the translation offset m*a + n*b of the block
+    (m, n), or None when m = n = 0, and gamma the four entries
+    (g11, g12, g21, g22) of gamma^e, or None when e = 0.  Both come from
+    the endpoints of a, b and c by the operations evaluate_word applies
+    to their intervals, so each rectangle is bit-identical to the entry
+    of the oracle's factor.  Each offset is built once per block and
+    each power once per exponent, and shared by the syllables that hold
+    it.  A lookup raises ValueError when an entry overflows, as building
+    those intervals does: each entry is checked, and an overflow inside
+    the sums and products that make it leaves a non-finite endpoint.
+    lower_left_bounds and the scan read the table by subscript, and by
+    the body-twin lemma gamma^e's bottom row is the row after a first
+    syllable (m, n, e).  Nothing else is held: the oracle evaluate_word
+    builds its own matrices from a, b and c.
     """
 
-    a: ComplexInterval
-    b: ComplexInterval
-    c: ComplexInterval
-    _unboxed: dict = field(default_factory=dict)
-    _offsets: dict = field(default_factory=dict)
-    _multiples: dict = field(default_factory=dict)
-    _unboxed_powers: dict = field(default_factory=dict)
+    __slots__ = ("a", "b", "c", "_offsets", "_unboxed_powers")
 
-    def unboxed_syllable(self, syllable: tuple) -> tuple:
-        """Entries of one syllable (m, n, e) as float rectangles, built once.
+    def __init__(self, a: ComplexInterval, b: ComplexInterval, c: ComplexInterval) -> None:
+        self.a, self.b, self.c = a, b, c
+        self._offsets, self._unboxed_powers = {}, {}
 
-        Returns (offset, gamma): the translation offset m*a + n*b, or None
-        when m = n = 0, and the four entries (g11, g12, g21, g22) of
-        gamma^e, or None when e = 0.  Both come from the endpoints of a, b
-        and c by the operations evaluate_word applies to their
-        intervals, so each rectangle is bit-identical to the entry of the
-        oracle's factor.  Each is built once per block (m, n) and once
-        per exponent e, and shared by the syllables that hold it.  Raises
-        ValueError when an entry overflows, as building those intervals
-        does: each entry is checked, and an overflow inside the sums and
-        products that make it leaves a non-finite endpoint.
-        """
-        hit = self._unboxed.get(syllable)
-        if hit is None:
-            m, n, e = syllable
-            offset = self._offset(m, n) if m or n else None
-            hit = self._unboxed[syllable] = (offset, self._unboxed_power(e) if e else None)
-        return hit
+    def __repr__(self) -> str:
+        return f"GeneratorTriple(a={self.a!r}, b={self.b!r}, c={self.c!r})"
+
+    def __missing__(self, syllable: Syllable) -> tuple:
+        m, n, e = syllable
+        offset = self._offset(m, n) if m or n else None
+        entry = self[syllable] = (offset, self._unboxed_power(e) if e else None)
+        return entry
 
     def _offset(self, m: int, n: int) -> tuple:
-        """The offset 0 + m*a + n*b of a nontrivial block, each term added only when nonzero.
+        """The offset m*a + n*b of a nontrivial block, checked once and kept.
 
-        Offsets are checked and kept per block, and the multiples m*a and
-        n*b unchecked, so that an overflow raises naming its block.
+        The offset of x^m is m*a and that of y^n is n*b, the oracle's
+        0 + m*a and 0 + n*b bit for bit, since every exactly-zero part of
+        a rect_mul result is +0.0.  A two-axis block adds the two, so an
+        overflow raises naming the first block that overflows.
         """
         offsets = self._offsets
         hit = offsets.get((m, n))
         if hit is None:
-            hit = _ZERO
-            multiples = self._multiples
-            if m:
-                ma = multiples.get((m, 0))
-                if ma is None:
-                    ma = multiples[m, 0] = rect_mul(_point(m), self.a.endpoints())
-                hit = rect_add(hit, ma)
-            if n:
-                nb = multiples.get((0, n))
-                if nb is None:
-                    nb = multiples[0, n] = rect_mul(_point(n), self.b.endpoints())
-                hit = rect_add(hit, nb)
+            if m and n:
+                hit = rect_add(self._offset(m, 0), self._offset(0, n))
+            elif m:
+                hit = rect_mul(_point(m), self.a.endpoints())
+            else:
+                hit = rect_mul(_point(n), self.b.endpoints())
             _check_finite(hit, f"the offset of x^{m} y^{n}")
             offsets[m, n] = hit
         return hit
@@ -530,9 +523,8 @@ class GeneratorTriple:
         the cache, so a large |e| does not recurse.
         """
         powers = self._unboxed_powers
-        hit = powers.get(e)
-        if hit is not None:
-            return hit
+        if e in powers:
+            return powers[e]
         c = self.c.endpoints()
         if e > 0:
             step, gen = 1, (c, _point(-1), _point(1), _ZERO)
@@ -556,12 +548,14 @@ class GeneratorTriple:
         return powers[e]
 
 
-def gens_from_params(p: Union[Params, ParamBox]) -> GeneratorTriple:
-    """Generator enclosures for a parameter point or box.
+def gens_from_params(p: Union[GeneratorTriple, Params, ParamBox]) -> GeneratorTriple:
+    """Generator enclosures for a parameter point or box; a triple comes back as it is.
 
     Point parameters give zero-width a, b and c, so a word evaluated at a
     point keeps its structurally exact entries exact.
     """
+    if isinstance(p, GeneratorTriple):
+        return p
     if isinstance(p, Params):
         point = ComplexInterval.point
         return GeneratorTriple(point(p.a), point(p.b), point(p.c))
@@ -580,7 +574,7 @@ def evaluate_word(word: Word, target: Union[GeneratorTriple, Params, ParamBox]) 
     lower_left_bounds, whose bounds equal this matrix's m21.abs_bounds()
     bit for bit.
     """
-    gens = target if isinstance(target, GeneratorTriple) else gens_from_params(target)
+    gens = gens_from_params(target)
     point = ComplexInterval.point
     zero, one = point(0.0), point(1.0)
     gamma = IntervalMatrix(gens.c, point(-1.0), one, zero)
@@ -638,15 +632,15 @@ def lower_left_bounds(gens: GeneratorTriple, syllables: tuple) -> tuple:
 
     This is the scan kernel.  It carries only the bottom row (m21, m22) of
     the left-to-right product, from the identity's, since in acc @ M that
-    row depends only on the bottom row of acc, and it works on the unboxed
-    rectangles the GeneratorTriple caches per syllable.  A leading block
+    row depends only on the bottom row of acc, and it reads each
+    syllable's unboxed rectangles from gens by subscript.  A leading block
     x^m y^n leaves the identity's row as it is, bit for bit, so body twins
     (see WordStream) get one (L, U), and the row after a first syllable
     (m, n, e) is gamma^e's bottom row, read from the table: only the later
-    syllables are stepped here.  The first syllable's entry is still looked
-    up, since that is where its block's offset overflow raises, as in the
-    oracle.  That row can differ from the stepped one only in the sign of
-    an exactly-zero part, and the rectangle arithmetic is the interval
+    syllables are stepped here.  The first syllable's whole entry is still
+    read, since that is where its block's offset overflow raises, as in
+    the oracle.  That row can differ from the stepped one only in the sign
+    of an exactly-zero part, and the rectangle arithmetic is the interval
     layer's own, so (L, U) is bit-identical to the oracle
     evaluate_word(word, gens).m21.abs_bounds().
 
@@ -659,8 +653,7 @@ def lower_left_bounds(gens: GeneratorTriple, syllables: tuple) -> tuple:
     overflow.
     """
     rest = iter(syllables)
-    first = next(rest)
-    gamma = gens.unboxed_syllable(first)[1]
+    gamma = gens[next(rest)][1]
     row = _IDENTITY_ROW if gamma is None else gamma[2:]
     (rl, rh, il, ih), (sl, sh, jl, jh) = _bottom_row(gens, rest, row)
     # x - x is 0.0 for a finite x and NaN for an infinite or NaN one
@@ -687,9 +680,8 @@ def _bottom_row(gens: GeneratorTriple, syllables: Iterable[Syllable], row: tuple
     four rect_mul.  Nothing here checks the row for overflow.
     """
     r1, r2 = row
-    table = gens._unboxed
     for syllable in syllables:
-        offset, gamma = table.get(syllable) or gens.unboxed_syllable(syllable)
+        offset, gamma = gens[syllable]
         if offset is not None:
             # times [[1, t], [0, 1]]: m21 * 1 + m22 * 0 is m21 exactly
             r2 = rect_add(rect_mul(r1, offset), r2)
@@ -712,13 +704,13 @@ def _bottom_row(gens: GeneratorTriple, syllables: Iterable[Syllable], row: tuple
 def lower_left_abs(word: Word, target: Union[GeneratorTriple, Params, ParamBox]) -> RealInterval:
     """Enclosure [L, U] of the lower-left entry's modulus over the target.
 
-    lower_left_bounds for one word, whatever its body; pass one
-    GeneratorTriple per box to build its syllable table once.  [L, U]
+    lower_left_bounds for one word, whatever its body, over
+    gens_from_params(target); pass one GeneratorTriple per box, which
+    comes through as it is, to build its syllable table once.  [L, U]
     equals the oracle evaluate_word(word, target).m21.abs_bounds() bit for
     bit, and raises ValueError where the kernel does.
     """
-    gens = target if isinstance(target, GeneratorTriple) else gens_from_params(target)
-    return RealInterval(*lower_left_bounds(gens, word.syllables))
+    return RealInterval(*lower_left_bounds(gens_from_params(target), word.syllables))
 
 
 class KillerVerdict(enum.Enum):

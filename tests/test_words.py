@@ -315,12 +315,21 @@ def test_overflowing_words_raise_before_classification(monkeypatch) -> None:
         # overflows only in the leading block's offset 2a, which the
         # kernel's row skips but the table lookup checks
         (parse_word("x^2 z"), Params(1e308, 0.5 + 1j, 0)),
+        # the same multiple 2a inside a two-axis block
+        (parse_word("x^2 y z"), Params(1e308, 0.5 + 1j, 0)),
     ]
     routes = (lower_left_abs, killer_test, lambda w, t: evaluate_word(w, t).m21.abs_bounds())
     for w, p in cases:
         for target in (p, ParamBox.from_point(p), gens_from_params(p)):
             for route in routes:
                 with pytest.raises(ValueError):
+                    route(w, target)
+    # the kernel routes name the first block that overflows, x^2 alone
+    p = Params(1e308, 0.5 + 1j, 0)
+    for w in (parse_word("x^2 z"), parse_word("x^2 y z")):
+        for target in (p, ParamBox.from_point(p), gens_from_params(p)):
+            for route in (lower_left_abs, killer_test):
+                with pytest.raises(ValueError, match=r"the offset of x\^2 y\^0"):
                     route(w, target)
     assert seen == []
 
@@ -509,25 +518,25 @@ def test_scan_kernel_evaluations(monkeypatch) -> None:
 def _count_products(monkeypatch):
     """Count words.rect_mul's calls by (x, y): the kernel's, and the table's builds apart.
 
-    A call is the table's while GeneratorTriple.unboxed_syllable runs.
+    A call is the table's while GeneratorTriple.__missing__ runs.
     Returns the two Counters, kernel first, which the patched calls fill.
     """
     kernel, table, building = Counter(), Counter(), []
-    real_syllable = words_module.GeneratorTriple.unboxed_syllable
+    real_missing = words_module.GeneratorTriple.__missing__
 
     def counting_mul(x, y):
         (table if building else kernel)[x, y] += 1
         return rect_mul(x, y)
 
-    def building_syllable(gens, syllable):
+    def building_missing(gens, syllable):
         building.append(syllable)
         try:
-            return real_syllable(gens, syllable)
+            return real_missing(gens, syllable)
         finally:
             building.pop()
 
     monkeypatch.setattr(words_module, "rect_mul", counting_mul)
-    monkeypatch.setattr(words_module.GeneratorTriple, "unboxed_syllable", building_syllable)
+    monkeypatch.setattr(words_module.GeneratorTriple, "__missing__", building_missing)
     return kernel, table
 
 
@@ -561,11 +570,12 @@ def test_scan_table_builds_each_factor_once(monkeypatch) -> None:
     """One (6,3) scan box builds each block's offset and each product once.
 
     The scan asks its table for 142 syllables, which share 49 blocks
-    (m, n).  Each nontrivial block's offset is built and checked once,
-    from the multiples m*a and n*b, each one rect_mul built once: 6
-    nonzero m and 6 nonzero n.  The powers gamma^+-2 and gamma^+-3 take
-    four products each, so the table's builds call rect_mul
-    12 + 16 = 28 times; with an offset built per syllable it took 260.
+    (m, n).  Each nontrivial block's offset is built and checked once:
+    that of x^m is the multiple m*a and that of y^n the multiple n*b, one
+    rect_mul each, 6 nonzero m and 6 nonzero n, and a two-axis block adds
+    the two.  The powers gamma^+-2 and gamma^+-3 take four products
+    each, so the table's builds call rect_mul 12 + 16 = 28 times; with an
+    offset built per syllable it took 260.
     """
     checked, built = Counter(), []
     real_check, real_gens = words_module._check_finite, words_module.gens_from_params
@@ -583,8 +593,8 @@ def test_scan_table_builds_each_factor_once(monkeypatch) -> None:
     monkeypatch.setattr(words_module, "gens_from_params", keeping_gens)
     assert _scan_reference_point(6, 3, 2000).words_scanned == 2000
     [gens] = built
-    assert len(gens._unboxed) == 142
-    blocks = {(m, n) for m, n, _ in gens._unboxed}
+    assert len(gens) == 142
+    blocks = {(m, n) for m, n, _ in gens}
     assert len(blocks) == 49
     blocks.remove((0, 0))
     assert set(gens._offsets) == blocks
@@ -643,7 +653,7 @@ def test_scan_caches_are_bit_identical_to_fresh_builds() -> None:
         syllables = [s for w in pool for s in w.syllables]
         rng.shuffle(syllables)
         for s in syllables:
-            _outcome(lambda: warm.unboxed_syllable(s))
+            _outcome(lambda: warm[s])
         order = rng.sample(pool, len(pool))
         warm_bounds = {w: _outcome(lambda: lower_left_bounds(warm, w.syllables)) for w in order}
         for w in pool:
@@ -652,8 +662,8 @@ def test_scan_caches_are_bit_identical_to_fresh_builds() -> None:
             assert _hex_outcome(bounds) == _hex_outcome(warm_bounds[w]), (box.path, str(w))
             raised += isinstance(bounds, str)
             for s in w.syllables:
-                entry = _outcome(lambda: fresh.unboxed_syllable(s))
-                assert _hex_outcome(entry) == _hex_outcome(_outcome(lambda: warm.unboxed_syllable(s)))
+                entry = _outcome(lambda: fresh[s])
+                assert _hex_outcome(entry) == _hex_outcome(_outcome(lambda: warm[s]))
     assert raised > 1000
 
 
@@ -681,7 +691,7 @@ def test_gamma_unit_steps_match_the_general_step() -> None:
         r2 = _endpoints(rng) + _endpoints(rng)
         for e in (1, -1):
             row = words_module._bottom_row(gens, ((0, 0, e),), (r1, r2))
-            g11, g12, g21, g22 = gens.unboxed_syllable((0, 0, e))[1]
+            g11, g12, g21, g22 = gens[0, 0, e][1]
             general = (
                 rect_add(rect_mul(r1, g11), rect_mul(r2, g21)),
                 rect_add(rect_mul(r1, g12), rect_mul(r2, g22)),
@@ -698,7 +708,7 @@ def test_unboxed_table_matches_the_oracle_entries() -> None:
         gens = gens_from_params(target)
         for m in range(-3, 4):
             for n in range(-3, 4):
-                offset = gens.unboxed_syllable((m, n, 1))[0]
+                offset = gens[m, n, 1][0]
                 if m or n:
                     oracle = evaluate_word(Word(((m, n, 0),)), gens).m12.endpoints()
                     assert _hex_rects([offset]) == _hex_rects([oracle])
@@ -707,8 +717,8 @@ def test_unboxed_table_matches_the_oracle_entries() -> None:
         for e in [k for k in range(-40, 41) if k]:
             g = evaluate_word(Word(((0, 0, e),)), gens)
             oracle = [x.endpoints() for x in (g.m11, g.m12, g.m21, g.m22)]
-            assert _hex_rects(gens.unboxed_syllable((0, 0, e))[1]) == _hex_rects(oracle), e
-        assert gens.unboxed_syllable((2, -1, 0)) == (gens.unboxed_syllable((2, -1, 1))[0], None)
+            assert _hex_rects(gens[0, 0, e][1]) == _hex_rects(oracle), e
+        assert gens[2, -1, 0] == (gens[2, -1, 1][0], None)
     # gamma^+-400 overflows at c = 10: the table's build raises, every time
     p = Params(4.0, 1.0 + math.sqrt(3.0) * 1j, 10.0)
     near = ParamBox.from_bounds(
@@ -719,7 +729,7 @@ def test_unboxed_table_matches_the_oracle_entries() -> None:
         for e in (400, -400):
             for _ in range(2):
                 with pytest.raises(ValueError):
-                    gens.unboxed_syllable((0, 0, e))
+                    gens[0, 0, e]
             with pytest.raises(ValueError):
                 evaluate_word(Word(((0, 0, e),)), gens)
 
