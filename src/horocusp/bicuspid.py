@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .interval import ComplexInterval, RealInterval
+from .interval import ComplexInterval, RealInterval, rect_abs
 
 COORD_NAMES = ("a_re", "a_im", "b_re", "b_im", "c_re", "c_im")
 
@@ -184,23 +184,25 @@ def box_in_param_space(box: ParamBox, area_bound: float) -> Feasibility:
 
     OUTSIDE means every point of the box violates some one constraint,
     INSIDE means every point satisfies all of them, STRADDLES otherwise.
-    Both certified directions use outward-rounded modulus bounds, so they
-    stay sound under floating point.
+    Both certified directions use outward-rounded modulus bounds, read by
+    interval.rect_abs from the coordinates' endpoints, so they stay sound
+    under floating point.
     """
     r = space_radius(area_bound)
     ai = box.a_im
     ar = box.a_re
+    br = box.b_re
     bi = box.b_im
-    b_abs = box.b().abs_bounds()
-    c_abs = box.c().abs_bounds()
+    b_lo, b_hi = rect_abs(br.lo, br.hi, bi.lo, bi.hi)
+    c_lo, c_hi = rect_abs(box.c_re.lo, box.c_re.hi, box.c_im.lo, box.c_im.hi)
     checks = (
         (ai.lo == 0.0 and ai.hi == 0.0, not ai.contains(0.0)),
         (ar.lo >= 1.0, ar.hi < 1.0),
         (ar.hi <= r, ar.lo > r),
         (bi.lo >= 0.0, bi.hi < 0.0),
-        (b_abs.lo >= 1.0, b_abs.hi < 1.0),
-        (b_abs.hi <= r, b_abs.lo > r),
-        (c_abs.hi <= r, c_abs.lo > r),
+        (b_lo >= 1.0, b_hi < 1.0),
+        (b_hi <= r, b_lo > r),
+        (c_hi <= r, c_lo > r),
     )
     if any(violated for _, violated in checks):
         return Feasibility.OUTSIDE

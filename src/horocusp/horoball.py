@@ -1,14 +1,24 @@
 """Horoball patterns at concrete parameter points.
 
-Reduced words are walked breadth-first, one matrix product per word.  An
-element with lower-left entry y sends the height-1 horoball at infinity to a
-ball of diameter 1/|y|^2 tangent to the boundary at w/y.  Cusp translations
-on either side of a word keep |y| and move w/y by a lattice vector, so the
-diagram and min_lower_left walk one word per double coset of P\\G/P, P = <x, y>:
-it starts and ends with z^+-1 and spells each translation run as x^m y^n.
-Each level of a walk is kept to grow the next, except the last: it is
-yielded as it is built, and the double-coset walk builds there only words
-ending with z^+-1.
+Reduced words are walked breadth-first, one product per word, by its last
+letter's generator.  An element with lower-left entry y sends the
+height-1 horoball at infinity to a ball of diameter 1/|y|^2 tangent to the
+boundary at w/y.  Cusp translations on either side of a word keep |y| and
+move w/y by a lattice vector, so the diagram and min_lower_left walk one
+word per double coset of P\\G/P, P = <x, y>: it starts and ends with z^+-1
+and spells each translation run as x^m y^n.  Each level of a walk is kept
+to grow the next, except the last: it is yielded as it is built, and the
+double-coset walk builds there only words ending with z^+-1, the only
+words it yields.
+
+A walk carries only what its caller reads.  enumerate_elements carries
+whole matrices.  min_lower_left carries bottom rows (m21, m22) from each
+generator's, since the bottom row of m @ g needs only that of m.  The
+diagram keeps whole matrices in the levels that grow the next, and its
+last, largest level builds only the left column (m11, m21) it reads.
+Each carried entry repeats the full product's expressions, so it has the
+same bits.
+
 Everything here is float arithmetic; diagrams are illustrations, not certificates.
 """
 
@@ -17,18 +27,19 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .bicuspid import Params
 from .cuspgeom import CuspShape
-from .words import _cmul2
+from .words import _row_mul
 
 DEDUP_DECIMALS = 9
 # Most words one walk may build, so that a deep walk fails at once rather
 # than filling memory.  Depth 9 of the double-coset walk builds 167,762
-# words and keeps 75,024 of them: about 0.3 s and 43 MB peak RSS at the
-# reference point (Python 3.11, one core).
+# words and keeps 75,024 of them: the diagram takes about 0.2 s and 43 MB
+# peak RSS at the reference point, min_lower_left about 0.13 s and 37 MB
+# (CPython 3.11, 2-CPU x86_64).
 MAX_WALK_WORDS = 10**6
 
 _LETTERS = ("x", "x^-1", "y", "y^-1", "z", "z^-1")
@@ -85,21 +96,51 @@ class GroupElement:
         return " ".join(self.letters)
 
 
+def _cmul2(x: Matrix, y: Matrix) -> Matrix:
+    return (
+        x[0] * y[0] + x[1] * y[2],
+        x[0] * y[1] + x[1] * y[3],
+        x[2] * y[0] + x[3] * y[2],
+        x[2] * y[1] + x[3] * y[3],
+    )
+
+
+def _col_mul(x: Matrix, y: Matrix) -> Tuple[complex, complex]:
+    """The left column (m11, m21) of x @ y, with _cmul2's expressions for it."""
+    return (x[0] * y[0] + x[1] * y[2], x[2] * y[0] + x[3] * y[2])
+
+
+# What a walk carries per word: the slice of its matrix, and the product
+# giving that slice of m @ g from what m carries.  A column needs the whole
+# of m, so it is only ever carried by a last level, after whole matrices.
+_Carry = Tuple[slice, Callable]
+_MATRIX: _Carry = (slice(None), _cmul2)
+_ROW: _Carry = (slice(2, None), _row_mul)
+_COLUMN: _Carry = (slice(None, None, 2), _col_mul)
+
+
 def _walk(
     p: Params,
     max_len: int,
     first: Sequence[int],
     follows: Tuple[Letters, ...],
     last: Optional[Tuple[Letters, ...]] = None,
-) -> Iterator[Tuple[Letters, Matrix]]:
-    """Words breadth-first with their left-to-right products.
+    carry: _Carry = _MATRIX,
+    last_carry: Optional[_Carry] = None,
+) -> Iterator[Tuple[Letters, tuple]]:
+    """Words breadth-first with the entries of their products that are read.
 
     Words start with a letter in first, and a letter may be followed only by
     the letters follows[letter] lists; in the last level, of length max_len
-    > 1, only by those last[letter] lists (default follows).  Each level
-    but the last is stored to grow the next; the last is yielded as it is
-    built.  Raises ValueError, before building any word, when the walk
-    could build more than MAX_WALK_WORDS of them.
+    > 1, only by those last[letter] lists (default follows).  Only words
+    ending with a letter that last lists are yielded, as every word of the
+    last level does; the others only grow the next level.  Each level but
+    the last is stored, each product cut to carry's slice.  The last is
+    yielded as it is built, by last_carry's product if given; every word
+    is then yielded with last_carry's slice of the whole matrices that
+    carry must keep.  Each entry has the bits of the full product's.
+    Raises ValueError, before building any word, when the walk could build
+    more than MAX_WALK_WORDS of them.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
@@ -112,24 +153,31 @@ def _walk(
         if total > MAX_WALK_WORDS:
             raise ValueError(f"a walk to length {max_len} may build over {MAX_WALK_WORDS} words")
     gens = _generator_matrices(p)
-    level = [((i,), gens[i]) for i in first]
-    yield from level
+    keep, mul = carry
+    cut, last_mul = (slice(None), mul) if last_carry is None else last_carry
+    if last is None:
+        last = follows
+    ends = {i for letters in last for i in letters}
+
+    def shown(level):
+        return [(w, m[cut]) for w, m in level if w[-1] in ends]
+
+    level = [((i,), gens[i][keep]) for i in first]
+    yield from shown(level)
     if max_len == 1:
         return
     for _ in range(max_len - 2):
-        level = [(w + (i,), _cmul2(m, gens[i])) for w, m in level for i in follows[w[-1]]]
-        yield from level
-    if last is None:
-        last = follows
+        level = [(w + (i,), mul(m, gens[i])) for w, m in level for i in follows[w[-1]]]
+        yield from shown(level)
     for w, m in level:
         for i in last[w[-1]]:
-            yield w + (i,), _cmul2(m, gens[i])
+            yield w + (i,), last_mul(m, gens[i])
 
 
-def _double_coset_words(p: Params, max_len: int) -> Iterator[Tuple[Letters, Matrix]]:
-    for w, m in _walk(p, max_len, (4, 5), _COSET, _COSET_LAST):
-        if w[-1] >= 4:
-            yield w, m
+def _double_coset_words(
+    p: Params, max_len: int, carry: _Carry = _MATRIX, last_carry: Optional[_Carry] = None
+) -> Iterator[Tuple[Letters, tuple]]:
+    return _walk(p, max_len, (4, 5), _COSET, _COSET_LAST, carry, last_carry)
 
 
 def _spell(word: Letters) -> str:
@@ -196,15 +244,14 @@ def horoball_diagram(p: Params, min_diameter: float, max_len: int) -> HoroballDi
         raise ValueError("min_diameter must be positive")
     lattice = CuspShape(p.a, p.b)
     balls: Dict[tuple, Horoball] = {}
-    for word, m in _double_coset_words(p, max_len):
-        y = m[2]
+    for word, (m11, y) in _double_coset_words(p, max_len, _MATRIX, _COLUMN):
         ay = abs(y)
         if ay == 0.0:
             continue
         diameter = 1.0 / (ay * ay)
         if diameter < min_diameter:
             continue
-        q = m[0] / y
+        q = m11 / y
         if q != q:
             raise ValueError(f"the horoball of word {_spell(word)!r} has a NaN center or diameter")
         center = _reduce_mod_lattice(q, lattice.a, lattice.b)
@@ -230,8 +277,8 @@ def min_lower_left(p: Params, max_len: int) -> float:
     naming the first word whose y is NaN.
     """
     best = math.inf
-    for word, m in _double_coset_words(p, max_len):
-        ay = abs(m[2])
+    for word, (y, _) in _double_coset_words(p, max_len, _ROW):
+        ay = abs(y)
         # false for most words; true for a new minimum, a zero or a NaN
         if not ay >= best:
             if ay != ay:

@@ -53,7 +53,7 @@ from typing import Iterable, List, Optional, Tuple, Union
 
 from . import __version__
 from . import words as _words
-from .bicuspid import Feasibility, ParamBox, Params, box_in_param_space, param_space
+from .bicuspid import Feasibility, ParamBox, box_in_param_space, param_space
 from .bicuspid import integer, real_number, space_radius
 from .interval import RealInterval
 from .words import (
@@ -64,7 +64,7 @@ from .words import (
     WordStream,
     classify_bounds,
     enumerate_segments,
-    evaluate_word_float,
+    float_row,
     lower_left_bounds,
     parse_word,
     volume_bound,
@@ -503,11 +503,12 @@ def verify_report(report, samples_per_box: int) -> dict:
     """Independent float audit of every killer-eliminated leaf.
 
     Samples points inside each such leaf with a path-seeded generator and
-    float-evaluates the recorded word, requiring the lower-left magnitude
-    to stay inside (0, 1) with tolerance AUDIT_TOLERANCE; a sample that
-    is not strictly inside, NaN included, is a violation.  Accepts a
-    SearchReport or its JSON dictionary form; raises ValueError, naming
-    the problem, when the dictionary is not a search report.
+    walks the bottom row of the recorded word's float product there
+    (words.float_row), requiring the lower-left magnitude to stay inside
+    (0, 1) with tolerance AUDIT_TOLERANCE; a sample that is not strictly
+    inside, NaN included, is a violation.  Accepts a SearchReport or its
+    JSON dictionary form; raises ValueError, naming the problem, when the
+    dictionary is not a search report.
     samples_per_box takes an integral int or float, as SearchConfig's
     integer settings do: a bool or a string raises TypeError, another
     non-integral number ValueError.
@@ -523,16 +524,14 @@ def verify_report(report, samples_per_box: int) -> dict:
             continue
         audited += 1
         path, word, box = _killer_leaf(row)
-        rng = random.Random(zlib.crc32(("audit:" + path).encode("ascii")))
+        draw = random.Random(zlib.crc32(("audit:" + path).encode("ascii"))).random
+        spans = [(iv.lo, iv.width) for iv in box.coords()]
         for _ in range(samples_per_box):
             taken += 1
-            vals = [iv.lo + rng.random() * iv.width for iv in box.coords()]
-            p = Params(
-                complex(vals[0], vals[1]),
-                complex(vals[2], vals[3]),
-                complex(vals[4], vals[5]),
-            )
-            mag = abs(evaluate_word_float(word, p)[2])
+            vals = [lo + draw() * width for lo, width in spans]
+            a, b = complex(vals[0], vals[1]), complex(vals[2], vals[3])
+            c = complex(vals[4], vals[5])
+            mag = abs(float_row(word, a, b, c, (0j, 1.0 + 0j))[0])
             if not AUDIT_TOLERANCE < mag < 1.0 + AUDIT_TOLERANCE:
                 violations.append(
                     {

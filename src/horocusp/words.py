@@ -53,8 +53,11 @@ evaluate_word is the full-matrix route over the interval classes, which
 never call the rectangle functions.  It builds its generator matrices
 from the triple's a, b and c on each call and shares no table with the
 scan; it stays as public API and as the oracle the kernel's bounds are
-tested against bit for bit.  evaluate_word_float is the plain-float
-audit route.
+tested against bit for bit.  The plain-float routes walk rows too:
+float_row carries one row through a word's factors with _row_mul, which
+repeats a 2x2 product's expressions for that row.  verify_report walks
+the bottom row of each sample, and evaluate_word_float is the top and the
+bottom row walked by float_row, each with the bits of the full product.
 
 Body twins: a cusp translation on the left leaves the bottom row of a
 product unchanged, so a word r_1 B, with leading block r_1 = x^m y^n and
@@ -599,27 +602,31 @@ def evaluate_word(word: Word, target: Union[GeneratorTriple, Params, ParamBox]) 
 
 
 def evaluate_word_float(word: Word, p: Params) -> Tuple[complex, complex, complex, complex]:
-    """Plain floating-point evaluation, the independent audit route."""
+    """Plain floating-point evaluation, the independent audit route: both rows by float_row."""
     a, b, c = complex(p.a), complex(p.b), complex(p.c)
+    return float_row(word, a, b, c, (1.0 + 0j, 0j)) + float_row(word, a, b, c, (0j, 1.0 + 0j))
+
+
+def float_row(word: Word, a: complex, b: complex, c: complex, row: tuple) -> tuple:
+    """row times the word's float matrix at (a, b, c), one _row_mul per factor.
+
+    From (0, 1) it gives the bottom row (m21, m22), from (1, 0) the top
+    row; each entry has the bits of evaluate_word_float's.
+    """
     gamma = (c, -1.0 + 0j, 1.0 + 0j, 0j)
     gamma_inv = (0j, 1.0 + 0j, -1.0 + 0j, c)
-    acc = (1.0 + 0j, 0j, 0j, 1.0 + 0j)
     for m, n, e in word.syllables:
         if m or n:
-            acc = _cmul2(acc, (1.0 + 0j, m * a + n * b, 0j, 1.0 + 0j))
+            row = _row_mul(row, (1.0 + 0j, m * a + n * b, 0j, 1.0 + 0j))
         step = gamma if e > 0 else gamma_inv
         for _ in range(abs(e)):
-            acc = _cmul2(acc, step)
-    return acc
+            row = _row_mul(row, step)
+    return row
 
 
-def _cmul2(x, y):
-    return (
-        x[0] * y[0] + x[1] * y[2],
-        x[0] * y[1] + x[1] * y[3],
-        x[2] * y[0] + x[3] * y[2],
-        x[2] * y[1] + x[3] * y[3],
-    )
+def _row_mul(r: tuple, y: tuple) -> tuple:
+    """The row r times the 2x2 matrix y, each entry as a row of a 2x2 product spells it."""
+    return (r[0] * y[0] + r[1] * y[2], r[0] * y[1] + r[1] * y[3])
 
 
 _INF = math.inf

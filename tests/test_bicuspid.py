@@ -157,6 +157,15 @@ def test_small_translation_box_is_outside():
     assert box_in_param_space(box, 6.0) is Feasibility.OUTSIDE
 
 
+def test_box_whose_modulus_bound_overflows_is_outside():
+    # hypot of the far corner overflows, so |b| <= inf: b is too long at every point
+    huge = [1e308, 1.5e308]
+    box = ParamBox.from_bounds([[1.0, 2.0], [0.0, 0.0], huge, huge, [0.0, 1.0], [0.0, 1.0]])
+    assert box_in_param_space(box, 6.0) is Feasibility.OUTSIDE
+    box = ParamBox.from_bounds([[1.0, 2.0], [0.0, 0.0], [0.0, 1.0], [1.0, 2.0], huge, huge])
+    assert box_in_param_space(box, 6.0) is Feasibility.OUTSIDE
+
+
 def test_boundary_box_straddles():
     box = ParamBox.from_bounds(
         [[0.9, 1.1], [0.0, 0.0], [-2.0, 2.0], [0.0, 2.0], [-1.0, 1.0], [-1.0, 1.0]]

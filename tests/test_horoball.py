@@ -24,8 +24,11 @@ from horocusp.horoball import (
     horoball_diagram,
     min_lower_left,
     render_svg,
+    _COLUMN,
     _COSET,
+    _MATRIX,
     _REDUCED,
+    _ROW,
     _double_coset_words,
     _reduce_mod_lattice,
     _sign_key,
@@ -362,12 +365,8 @@ def _coset_rule(j, i):
 
 
 def _bits(pairs):
-    """(letters, matrix) pairs with each float spelled exactly, signed zeros too."""
-    return [
-        (w, tuple(map(float.hex, (m[0].real, m[0].imag, m[1].real, m[1].imag,
-                                  m[2].real, m[2].imag, m[3].real, m[3].imag))))
-        for w, m in pairs
-    ]
+    """(letters, entries) pairs with each float spelled exactly, signed zeros too."""
+    return [(w, tuple(float.hex(x) for z in m for x in (z.real, z.imag))) for w, m in pairs]
 
 
 @pytest.mark.parametrize(
@@ -375,12 +374,19 @@ def _bits(pairs):
     ids=["ref-k-1", "ref-k0", "ref-k1", "c0.5", "generic"],
 )
 def test_streamed_walks_match_a_walk_that_keeps_every_level(p):
-    # the walk to one length is the start of the walk to a longer one
+    # the walk to one length is the start of the walk to a longer one; the
+    # row walk of min_lower_left and the column last level of the diagram
+    # give the entries they carry with the bits of the full product
     coset = _plain_walk(p, 8, (4, 5), _coset_rule)
     coset = _bits([(w, m) for w, m in coset if w[-1] >= 4])
     for length in range(1, 9):
         expect = [(w, m) for w, m in coset if len(w) <= length]
         assert _bits(_double_coset_words(p, length)) == expect
+        # hexes 4-7 spell (m21, m22), hexes 0-1 and 4-5 (m11, m21)
+        rows = [(w, m[4:]) for w, m in expect]
+        assert _bits(_double_coset_words(p, length, _ROW)) == rows
+        columns = [(w, m[:2] + m[4:6]) for w, m in expect]
+        assert _bits(_double_coset_words(p, length, _MATRIX, _COLUMN)) == columns
     reduced = _plain_walk(p, 6, range(6), _reduced_rule)
     # the first witness of each matrix class, in walk order
     witnesses = {}

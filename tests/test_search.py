@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+import zlib
 from collections import Counter
 from dataclasses import fields
 from itertools import islice, permutations
@@ -15,6 +16,7 @@ from horocusp import words as words_module
 from horocusp.bicuspid import COORD_NAMES, Feasibility, ParamBox, Params, box_in_param_space
 from horocusp.bicuspid import param_space
 from horocusp.search import (
+    AUDIT_TOLERANCE,
     BoxStatus,
     SearchConfig,
     aggregate_volume_bound,
@@ -30,6 +32,7 @@ from horocusp.words import (
     WordStream,
     enumerate_segments,
     enumerate_words,
+    evaluate_word_float,
     gens_from_params,
     lower_left_abs,
     lower_left_bounds,
@@ -486,7 +489,9 @@ def test_area_one_complete_cover_golden() -> None:
     }
     assert report.global_volume_bound == math.pi and not report.incomplete
     _assert_leaf_partition(report)
-    assert verify_report(report, 20)["passed"]
+    audit = verify_report(report, 20)
+    expect = _audit_per_sample_params(json.loads(text), 20)
+    assert audit["passed"] and _spelled(audit) == _spelled(expect)
 
 
 def test_area_one_and_a_half_deep_cover_golden() -> None:
@@ -595,6 +600,40 @@ def test_aggregate_volume_bound_rules():
     assert aggregate_volume_bound([]) == "-inf"
 
 
+def _audit_per_sample_params(blob: dict, samples_per_box: int) -> dict:
+    """verify_report's audit of a report's JSON form: a Params and a full matrix per sample."""
+    audited = taken = 0
+    violations = []
+    for row in blob["leaves"]:
+        if row["status"] != BoxStatus.ELIMINATED_KILLER.value:
+            continue
+        audited += 1
+        box = ParamBox.from_bounds(row["bounds"])
+        rng = random.Random(zlib.crc32(("audit:" + row["path"]).encode("ascii")))
+        for _ in range(samples_per_box):
+            taken += 1
+            vals = [iv.lo + rng.random() * iv.width for iv in box.coords()]
+            p = Params(
+                complex(vals[0], vals[1]), complex(vals[2], vals[3]), complex(vals[4], vals[5])
+            )
+            mag = abs(evaluate_word_float(parse_word(row["word"]), p)[2])
+            if not AUDIT_TOLERANCE < mag < 1.0 + AUDIT_TOLERANCE:
+                violations.append(
+                    {"path": row["path"], "word": row["word"], "params": vals, "abs_lower_left": mag}
+                )
+    return {
+        "passed": not violations,
+        "leaves_audited": audited,
+        "samples_taken": taken,
+        "violations": violations,
+    }
+
+
+def _spelled(audit: dict) -> str:
+    """An audit as JSON text: repr spells each float exactly, signed zeros too, and NaN as NaN."""
+    return json.dumps(audit, sort_keys=True)
+
+
 def test_verify_report_accepts_json_dict_and_catches_corruption():
     rep = run_search(_cfg(root_box=SLICE_BOUNDS))
     blob = json.loads(rep.to_canonical_json())
@@ -608,13 +647,22 @@ def test_verify_report_accepts_json_dict_and_catches_corruption():
     first = audit["violations"][0]
     assert first["path"] == "" and first["word"] == "z y z"
     assert first["abs_lower_left"] >= 1.0
+    assert _spelled(audit) == _spelled(_audit_per_sample_params(corrupted, 30))
+
+    # a second killer leaf where c ~ 1e308 overflows the float product to NaN
+    nan_leaf = dict(corrupted["leaves"][0], path="1", word="z^3 x z^-1")
+    nan_leaf["bounds"] = SLICE_BOUNDS[:4] + [[1e308, 1e308], [0.0, 0.0]]
+    corrupted["leaves"].append(nan_leaf)
+    audit = verify_report(corrupted, 30)
+    assert math.isnan(audit["violations"][-1]["abs_lower_left"]) and audit["samples_taken"] == 60
+    assert _spelled(audit) == _spelled(_audit_per_sample_params(corrupted, 30))
 
 
 def test_verify_report_counts_a_nan_magnitude_as_a_violation(monkeypatch):
     rep = run_search(_cfg(root_box=SLICE_BOUNDS))
     assert verify_report(rep, 5)["passed"]
     nan = complex(math.nan, 0.0)
-    monkeypatch.setattr(search_module, "evaluate_word_float", lambda word, p: (nan,) * 4)
+    monkeypatch.setattr(search_module, "float_row", lambda word, a, b, c, row: (nan, nan))
     audit = verify_report(rep, 5)
     assert not audit["passed"] and len(audit["violations"]) == audit["samples_taken"] == 5
     assert math.isnan(audit["violations"][0]["abs_lower_left"])

@@ -22,6 +22,7 @@ from horocusp.words import (
     enumerate_words,
     evaluate_word,
     evaluate_word_float,
+    float_row,
     gens_from_params,
     killer_test,
     lower_left_abs,
@@ -818,6 +819,31 @@ def test_interval_evaluation_encloses_float_route() -> None:
         f = evaluate_word_float(w, p)
         assert m.contains(*f)
         assert lower_left_abs(w, p).contains(abs(f[2]))
+
+
+def test_float_routes_keep_the_bits_of_the_full_product() -> None:
+    """evaluate_word_float, and float_row's bottom row alone, have _mat_of's bits.
+
+    Every word of (3, 2) at the reference point, at seeded random points,
+    and where c = nan, inf or 1e308 makes entries NaN, infinite or overflow.
+    """
+    rng = random.Random(6021)
+    points = [REF] + [
+        Params(rng.uniform(1.0, 3.0), complex(rng.uniform(-2.0, 2.0), rng.uniform(0.0, 3.0)),
+               complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)))
+        for _ in range(2)
+    ]
+    points += [Params(REF.a, REF.b, c) for c in (math.nan, math.inf, 1e308)]
+
+    def spelled(entries):
+        return tuple(x.hex() for z in entries for x in (z.real, z.imag))
+
+    for p in points:
+        a, b, c = p.a, p.b, p.c
+        for w in enumerate_words(3, 2):
+            full = spelled(_mat_of(w.syllables, p))
+            assert spelled(evaluate_word_float(w, p)) == full, (p, str(w))
+            assert spelled(float_row(w, a, b, c, (0j, 1.0 + 0j))) == full[4:], (p, str(w))
 
 
 def _split_box(box):
