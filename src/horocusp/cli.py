@@ -5,19 +5,18 @@ undecided boxes, 64 usage error, 65 degenerate lattice.  A usage error is
 a bad flag or setting, and also any TypeError or ValueError the library
 raises on the inputs, such as a search whose interval arithmetic
 overflows at its settings; each prints its subcommand's usage line.
+
+Each subcommand imports the library modules it uses when it runs, so
+``cusp`` never loads the search or the horoball code, ``verify`` never
+loads the cusp or horoball code, and ``horoball`` never loads the search.
 """
 
 import argparse
-import inspect
 import json
 import math
 import sys
 
 from horocusp import __version__
-from horocusp.bicuspid import Params
-from horocusp.cuspgeom import CuspShape, audit_cusp
-from horocusp.horoball import export_csv, horoball_diagram, render_svg
-from horocusp.search import BoxStatus, SearchConfig, run_search, verify_report
 from horocusp.words import MAX_EXP
 
 EXIT_OK = 0
@@ -79,6 +78,8 @@ def _emit_json(payload, out_path):
 
 
 def cmd_search(args, parser):
+    from horocusp.search import BoxStatus, SearchConfig, run_search
+
     settings = {}
     if args.config:
         try:
@@ -89,7 +90,7 @@ def cmd_search(args, parser):
         if not isinstance(settings, dict):
             parser.error("config file must hold a JSON object")
     # SearchConfig's keywords, so that --workers reaches its deprecation note
-    names = inspect.signature(SearchConfig).parameters
+    names = SearchConfig.__dataclass_fields__
     settings.update((k, v) for k, v in vars(args).items() if k in names and v is not None)
     report = run_search(SearchConfig(**settings))
     _write_text(args.out, report.to_canonical_json() + "\n")
@@ -105,6 +106,8 @@ def cmd_search(args, parser):
 
 
 def cmd_cusp(args, parser):
+    from horocusp.cuspgeom import CuspShape, audit_cusp
+
     a = _complex_or_usage(parser, "--a", args.a)
     b = _complex_or_usage(parser, "--b", args.b)
     if not (args.slope_length > 0.0 and math.isfinite(args.slope_length)):
@@ -124,6 +127,10 @@ def cmd_cusp(args, parser):
 
 
 def cmd_horoball(args, parser):
+    from horocusp.bicuspid import Params
+    from horocusp.cuspgeom import CuspShape
+    from horocusp.horoball import export_csv, horoball_diagram, render_svg
+
     a = _complex_or_usage(parser, "--a", args.a)
     b = _complex_or_usage(parser, "--b", args.b)
     c = _complex_or_usage(parser, "--c", args.c)
@@ -156,6 +163,8 @@ def cmd_horoball(args, parser):
 
 
 def cmd_verify(args, parser):
+    from horocusp.search import verify_report
+
     if args.samples < 1:
         parser.error("--samples must be at least 1")
     try:

@@ -541,6 +541,34 @@ def test_module_entry_point(tmp_path):
     assert json.loads(proc.stdout)["max_exceptional_count"] == 8
 
 
+def test_each_subcommand_loads_only_its_own_modules(tmp_path, capsys):
+    cfg_path, report = tmp_path / "slice.json", tmp_path / "r.json"
+    cfg_path.write_text(json.dumps(SLICE_CFG))
+    assert run_cli(["search", "--config", str(cfg_path), "--out", str(report)]) == 0
+    capsys.readouterr()
+    code = (
+        "import sys\n"
+        "from horocusp.cli import main\n"
+        "status = main(sys.argv[1:])\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('horocusp.')))\n"
+        "sys.exit(status)\n"
+    )
+    out = str(tmp_path / "out")
+    for argv, unloaded in (
+        (["cusp", "--a", "4", "--b", HEX_B, "--out", out], {"search", "horoball"}),
+        (["verify", "--report", str(report), "--samples", "1", "--out", out],
+         {"horoball", "cuspgeom"}),
+        (["horoball", "--a", "4", "--b", HEX_B, "--c", "2", "--cutoff", "0.5", "--depth", "2",
+          "--csv", out], {"search"}),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert "horocusp.cli" in loaded and not loaded & {"horocusp." + m for m in unloaded}, argv
+
+
 def test_horoball_center_overflow_is_a_usage_error(tmp_path, capsys):
     csv_path = tmp_path / "o.csv"
     argv = ["horoball", "--a", "4", "--b", HEX_B, "--c", "17" + "0" * 307, "--cutoff", "0.05",
