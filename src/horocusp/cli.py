@@ -6,7 +6,8 @@ a bad flag or setting, and also any TypeError or ValueError the library
 raises on the inputs, such as a search whose interval arithmetic
 overflows at its settings; each prints its subcommand's usage line.
 
-Each subcommand imports the library modules it uses when it runs, so
+Each subcommand imports the library modules it uses when it runs, and
+this module imports none, so ``--version`` loads no library module,
 ``cusp`` never loads the search or the horoball code, ``verify`` never
 loads the cusp or horoball code, and ``horoball`` never loads the search.
 """
@@ -17,7 +18,6 @@ import math
 import sys
 
 from horocusp import __version__
-from horocusp.words import MAX_EXP
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -192,7 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON file with search settings")
     p.add_argument("--area-max", type=float, dest="area_bound", help="cusp area upper bound")
     p.add_argument("--max-d", type=int, help="largest z-count to enumerate")
-    p.add_argument("--max-exp", type=int, help=f"largest per-syllable exponent, at most {MAX_EXP}")
+    # words.MAX_EXP, written out so that the parser loads no library module; a test holds them equal
+    p.add_argument("--max-exp", type=int, help="largest per-syllable exponent, at most 16")
     p.add_argument("--max-depth", type=int, help="subdivision depth limit")
     p.add_argument("--min-box-width", type=float, help="smallest box width to split")
     p.add_argument("--word-budget", type=int, dest="word_budget_per_box",

@@ -360,7 +360,19 @@ def enumerate_segments(max_d: int, max_exp: int) -> Iterator[Segment]:
     if max_exp > MAX_EXP:
         raise ValueError(f"max_exp must be at most {MAX_EXP}, got {max_exp}")
     rank = _syllable_ranks(max_exp)
-    trusted = Word._trusted
+    # Word._trusted, and a Run from its fields in order, without the call
+    # frames of a classmethod and of NamedTuple's __new__ on every segment
+    new_word, set_syllables, new_tuple = object.__new__, _set_syllables, tuple.__new__
+    # a body z^e1 ... z^e_last is kept when e1 and e_last share a sign and
+    # z^e1 ranks before z^-e_last: for each e1, the e_last that keep it
+    span = range(-max_exp, max_exp + 1)
+    kept_lasts = {
+        e1: frozenset(
+            e for e in span if e and (e1 > 0) == (e > 0) and rank[(0, 0, e1)] < rank[(0, 0, -e)]
+        )
+        for e1 in span
+        if e1
+    }
 
     for d in range(1, max_d + 1):
         for extra in range(0, 2 * max_exp * d + 1):
@@ -372,20 +384,36 @@ def enumerate_segments(max_d: int, max_exp: int) -> Iterator[Segment]:
                 if m or n > 1:
                     # every word here is a twin of an earlier word
                     count = _completion_count(max_exp, rest_d, rest_extra)
-                    yield Run((lead,), rest_d, rest_extra, count, max_exp)
+                    yield new_tuple(Run, ((lead,), rest_d, rest_extra, count, max_exp))
                     continue
                 # r_1 trivial or y: each word is decided by whether its body
-                # B = z^e1 ... z^e_last is kept
-                body_e1 = rank[(0, 0, e1)]
-                for syls in _completions(max_exp, rest_d, rest_extra, [lead]):
-                    e_last = syls[-1][2]
-                    body_kept = (e1 > 0) == (e_last > 0) and body_e1 < rank[(0, 0, -e_last)]
-                    if n and body_kept:
-                        # y B, a twin of B
-                        yield Run(tuple(syls), 0, 0, 1, max_exp)
-                    elif n or body_kept:
-                        # B, or y B where B is not kept: the first of its body
-                        yield trusted(tuple(syls))
+                # B = z^e1 ... z^e_last is kept.  The subtree is walked with a
+                # stack of move iterators, from the lead as the one root move,
+                # so a word costs one step of this loop; _completions, a
+                # generator per level, would resume every level for each word.
+                kept_last = kept_lasts[e1]
+                prefix, moves, stack = (), iter(((lead, rest_d, rest_extra),)), []
+                while True:
+                    for syllable, left_d, left_extra in moves:
+                        if left_d:
+                            stack.append((prefix, moves))
+                            prefix += (syllable,)
+                            moves = iter(_moves(max_exp, left_d, left_extra, False))
+                            break
+                        syls = prefix + (syllable,)
+                        body_kept = syllable[2] in kept_last
+                        if n and body_kept:
+                            # y B, a twin of B
+                            yield new_tuple(Run, (syls, 0, 0, 1, max_exp))
+                        elif n or body_kept:
+                            # B, or y B where B is not kept: the first of its body
+                            word = new_word(Word)
+                            set_syllables(word, syls)
+                            yield word
+                    else:
+                        if not stack:
+                            break
+                        prefix, moves = stack.pop()
 
 
 def enumerate_words(max_d: int, max_exp: int) -> Iterator[Word]:

@@ -12,6 +12,7 @@ import pytest
 from horocusp import cli as cli_module
 from horocusp.cli import main, parse_complex_literal
 from horocusp.search import SearchConfig, run_search
+from horocusp.words import MAX_EXP
 
 SLICE_CFG = {
     "area_bound": 6.0,
@@ -171,6 +172,12 @@ def test_search_workers_flag_and_key_print_a_note(tmp_path, capsys) -> None:
     assert run_cli(["search", "--help"]) == 0
     help_text = capsys.readouterr().out
     assert "--max-boxes" in help_text and "--workers" not in help_text
+
+
+def test_search_help_names_the_exponent_cap(capsys):
+    # the help text writes out words.MAX_EXP, so that the parser loads no library module
+    assert run_cli(["search", "--help"]) == 0
+    assert "at most %d" % MAX_EXP in " ".join(capsys.readouterr().out.split())
 
 
 def test_search_api_and_cli_give_identical_bytes(tmp_path):

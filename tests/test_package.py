@@ -96,6 +96,7 @@ def run_python(code, *args):
         ("import horocusp", []),
         ("import horocusp; horocusp.SearchConfig", ["bicuspid", "interval", "search", "words"]),
         ("import horocusp; horocusp.Params", ["bicuspid", "interval"]),
+        ("import horocusp.cli", ["cli"]),
     ],
 )
 def test_a_name_loads_only_its_home_and_what_that_imports(statement, loaded):
