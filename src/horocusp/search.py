@@ -16,18 +16,32 @@ earliest, which on the canonical stream is the canonical least.  Every
 word a box evaluates is a Word segment, so no index names a twin.  A twin
 has the [L, U] of its body's first word bit for bit and comes after that
 word, so it cannot decide the box sooner, be an earlier candidate or win
-a near-miss tie; it counts as scanned, toward the budget too.  Its
-leading syllable's table entry is still looked up, once per Run, since
-that is where its own evaluation could overflow.
+a near-miss tie; it counts as scanned, toward the budget too.  Its own
+evaluation could overflow only where its leading syllable's table entry
+does, so a box with no enclosing box reads that entry, once per lead: an
+entry read once without raising never raises.
 
-A box skips the words an ancestor box has ruled out.  A word whose
-enclosure [L, U] of |m21| has L >= _DEAD_LO on a box has L >= 1 on every
-box inside it, so it is inconclusive there and never a near miss.  Every
-step of lower_left_bounds is inclusion isotone: real_add and real_mul with
-their exact 0 and 1 shortcuts, the inline rect_add and rect_mul, the
-product by -1 (rect_neg), nextafter, and the generator and gamma^e builds,
-since round-to-nearest and nextafter are monotone and a shortcut taken
-only on the child returns the exact value, which the parent's rounded hull
+Every box of a run covers one prefix of the stream, the cut: the
+segments through the first whose words reach the budget, or all of them.
+A scan counts the hint's one word first, then each segment's words as it
+passes the segment, the hint's passed over, and stops once it has counted
+the budget.  So a hint inside the cut only moves its own word to the
+front, and a box that no word kills scans the cut's words, capped at the
+budget, which WordStream.ends gives without a walk.  A child's hint is
+its parent's near miss, an evaluated word inside the cut, so the cut of
+every box of a run is the root's.
+
+A box scans only what its parent left open.  An undecided box hands its
+children live, the Words of the cut it evaluated whose L stayed below
+_DEAD_LO, and a child evaluates its hint and those positions only; a
+position absent from live never re-enters.  A word whose enclosure
+[L, U] of |m21| has L >= _DEAD_LO on a box has L >= 1 on every box inside
+it, so it is inconclusive there and never a near miss.  Every step of
+lower_left_bounds is inclusion isotone: real_add and real_mul with their
+exact 0 and 1 shortcuts, the inline rect_add and rect_mul, the product by
+-1 (rect_neg), nextafter, and the generator and gamma^e builds, since
+round-to-nearest and nextafter are monotone and a shortcut taken only on
+the child returns the exact value, which the parent's rounded hull
 contains.  A gamma^+-1 step skips its products by the exact entries 0 and
 1 and keeps the full step's bits, so the argument covers it as is.  So each
 rectangle of a child's bottom row lies inside the parent's, and the point
@@ -38,6 +52,15 @@ margin above 1.  A finite parent row also keeps the child's finite.  Such
 a word still counts as scanned, toward the budget too, so verdicts, near
 misses, hints and report bytes are those of a scan that evaluates every
 word.
+
+A child reads no Run lead.  Its parent scanned the whole cut without
+raising, so the root read the entry of every lead in the cut and found it
+finite.  Each entry of a box's table comes from its generators by the
+isotone builds above, so it lies inside the entry of every enclosing box
+and is finite too: reading it cannot raise.  A child's table starts from
+its parent's (words.GeneratorTriple.inherit), keeping each offset and
+power whose generators' endpoints the split left as they were, bit for
+bit, since it would be built from the same floats by the same operations.
 """
 
 import json
@@ -58,6 +81,7 @@ from .bicuspid import integer, real_number, space_radius
 from .interval import RealInterval
 from .words import (
     MAX_EXP,
+    GeneratorTriple,
     KillerVerdict,
     Run,
     Word,
@@ -194,9 +218,12 @@ class BoxVerdict:
     word is the eliminating word or the candidate word at the earliest
     segment index.  near_miss is the segment index of the scanned word
     with the smallest upper bound on the lower-left entry; it seeds the
-    children's scans and is never serialized.  dead holds the segment
-    indices of the words this box or an ancestor has ruled out for every
-    box below it; it too goes to the children only, and leaves keep neither.
+    children's scans and is never serialized.  An Undecided verdict also
+    carries live, the ascending segment indices of the Words its children
+    still evaluate, and table, the box's GeneratorTriple, from which the
+    children's tables start.  Both go to the children only: they are left
+    out of repr and comparison, never serialized, and leaves keep none of
+    the three.
     """
 
     box: ParamBox
@@ -205,7 +232,8 @@ class BoxVerdict:
     volume_bound: Optional[float] = None
     words_scanned: int = 0
     near_miss: Optional[int] = field(default=None, repr=False)
-    dead: frozenset = field(default=frozenset(), repr=False, compare=False)
+    live: Optional[Tuple[int, ...]] = field(default=None, repr=False, compare=False)
+    table: Optional[GeneratorTriple] = field(default=None, repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         d = {
@@ -284,7 +312,8 @@ def test_box(
     cfg: SearchConfig,
     *,
     hint: Optional[int] = None,
-    dead: frozenset = frozenset(),
+    live: Optional[Tuple[int, ...]] = None,
+    table: Optional[GeneratorTriple] = None,
 ) -> BoxVerdict:
     """Scan one box against the word stream.
 
@@ -300,22 +329,33 @@ def test_box(
     already taken (else ValueError; TypeError if it is not an int), is
     scanned first and its stream copy is passed over.
 
-    Only the stream's Word segments are evaluated.  A Run's words (see
-    WordStream) count as scanned, all at once and no further than the
-    budget: each has the [L, U] of its body's first word, scanned before
-    it, so it neither decides the box sooner nor becomes its near miss.
-    The Run's leading syllable is read from the box's GeneratorTriple, as
-    its words' evaluations would read it, so an overflow in that table
-    entry raises ValueError.
+    A feasible box first takes the stream through the cut: the segments
+    through the first one whose words reach the budget, or through one
+    word less when the hint lies past them, since the hint counts first.
+    Every word of the cut counts as scanned, so words_scanned is read from
+    stream.ends, and a power-free word in the cut raises ValueError before
+    any word is evaluated.  Every box of a run has the root's cut (see the
+    module docstring).
 
-    dead holds the indices of words with L >= _DEAD_LO on an enclosing
-    box.  Each counts as scanned without being evaluated: by inclusion
-    isotonicity and the hypot margin (see the module docstring) it has
-    L >= 1 here, so it neither decides the box nor becomes its near miss.
-    An Undecided verdict carries a new set, dead plus the evaluated
-    indices that reach _DEAD_LO on this box, the hint's included, for
-    its children; the set passed in is never changed, since siblings share
-    it.
+    The scan evaluates the hint, then visits in order the indices of live
+    that lie before the cut, the hint's passed over.  With live None it
+    visits stream.first_scan instead: every Word, and each Run whose
+    leading syllable no earlier Run had.  Such a Run's leading syllable is
+    read from the box's table, as its words' evaluations would read it,
+    so an overflow there raises ValueError.  Every other Run's words, and
+    every Word absent from live, count as scanned without being
+    evaluated: a twin has the [L, U] of its body's first word, scanned
+    before it, and a word absent from live was ruled out on an enclosing
+    box (see the module docstring).
+
+    live, an ascending tuple of Word indices, is the live of an Undecided
+    verdict on an enclosing box scanned with the same stream and budget,
+    and table that verdict's table; this box's table starts from it (see
+    GeneratorTriple.inherit).  An Undecided verdict carries, for its
+    children, its own table and its live: the visited Words whose L stays
+    below _DEAD_LO here, the hint among them when it lies in the cut and
+    in live.  A position absent from live never re-enters, and the tuple
+    passed in is never changed, since siblings share it.
     """
     if stream is None:
         stream = WordStream(enumerate_segments(cfg.max_d, cfg.max_exp))
@@ -328,62 +368,72 @@ def test_box(
     if box_in_param_space(box, cfg.area_bound) is Feasibility.OUTSIDE:
         return BoxVerdict(box, BoxStatus.ELIMINATED_INFEASIBLE)
 
+    budget = cfg.word_budget_per_box
+    cut = stream.reach(budget)
+    hint_at = -1 if hint is None else hint
+    if hint_at >= cut:
+        # a hint past the cut counts first, so the cut holds one word less
+        cut = stream.reach(budget - 1)
+    ends = stream.ends
+    # the cut's words, and the hint when it lies past them
+    scanned = min(budget, (ends[cut - 1] if cut else 0) + (hint_at >= cut))
+
     # looked up on the words module, where perfbench's tracer wraps it
     gens = _words.gens_from_params(box)
+    if table is not None:
+        gens.inherit(table)
     kernel = lower_left_bounds
     dead_lo = _DEAD_LO
-    budget = cfg.word_budget_per_box
-    scanned = 0
     candidate: Optional[int] = None
     near_hi, near = math.inf, None
-    ruled_out: List[int] = []
+    kept: List[int] = []
+    hint_kept = False
 
-    # Evaluate the word at index `at` (the hint first), then step to the next
-    # segment, until one is to evaluate.
-    at, word = hint, None if hint is None else segments[hint]
-    taken, k = len(segments), -1
-    while True:
-        if at is not None:
-            lo, hi = kernel(gens, word.syllables)
-            scanned += 1
-            if hi < 1.0:
-                # only U < 1 decides a box; classify_bounds says which way
-                if classify_bounds(lo, hi) is KillerVerdict.ELIMINATES:
-                    return BoxVerdict(box, BoxStatus.ELIMINATED_KILLER, word, None, scanned)
-                if candidate is None or at < candidate:
-                    candidate = at
-            elif lo < 1.0:
-                # lo >= 1 means no sub-box can ever be eliminated by this word;
-                # the least (hi, index); the kernel's hi is finite
-                if hi < near_hi or (hi == near_hi and at < near):
-                    near_hi, near = hi, at
-            elif lo >= dead_lo:
-                ruled_out.append(at)
-            at = None
-        if scanned >= budget:
+    if hint is not None:
+        word = segments[hint]
+        lo, hi = kernel(gens, word.syllables)
+        if hi < 1.0:
+            # only U < 1 decides a box; classify_bounds says which way
+            if classify_bounds(lo, hi) is KillerVerdict.ELIMINATES:
+                return BoxVerdict(box, BoxStatus.ELIMINATED_KILLER, word, None, 1)
+            candidate = hint
+        elif lo < dead_lo:
+            hint_kept = True
+            if lo < 1.0:
+                near_hi, near = hi, hint
+
+    for k in stream.first_scan if live is None else live:
+        if k >= cut:
             break
-        k += 1
-        if k == taken:
-            if not stream.take():
-                break
-            taken += 1
+        if k == hint:
+            if hint_kept:
+                kept.append(k)
+            continue
         segment = segments[k]
         if segment.__class__ is Run:
-            # twins: only the leading syllable's table entry can raise where
-            # their own evaluations would, so read it for its error
+            # only the leading syllable's table entry can raise where the
+            # twins' own evaluations would, so read it for its error
             gens[segment.prefix[0]]
-            scanned = min(budget, scanned + segment.count)
-        elif k == hint:
-            pass  # the hint, scanned first
-        elif k in dead:
-            scanned += 1
-        else:
-            at, word = k, segment
+            continue
+        lo, hi = kernel(gens, segment.syllables)
+        if hi < 1.0:
+            if classify_bounds(lo, hi) is KillerVerdict.ELIMINATES:
+                # the words through this one, and the hint when it lies past them
+                done = ends[k] + (k < hint_at)
+                return BoxVerdict(box, BoxStatus.ELIMINATED_KILLER, segment, None, done)
+            if candidate is None or k < candidate:
+                candidate = k
+        elif lo < dead_lo:
+            # with lo >= _DEAD_LO the word is ruled out for every box below
+            kept.append(k)
+            # the least (hi, index); the kernel's hi is finite
+            if lo < 1.0 and (hi < near_hi or (hi == near_hi and k < near)):
+                near_hi, near = hi, k
 
     if candidate is not None:
         word = segments[candidate]
         return BoxVerdict(box, BoxStatus.CANDIDATE, word, volume_bound(word), scanned)
-    return BoxVerdict(box, BoxStatus.UNDECIDED, None, None, scanned, near, dead.union(ruled_out))
+    return BoxVerdict(box, BoxStatus.UNDECIDED, None, None, scanned, near, tuple(kept), gens)
 
 
 # keep pytest from collecting the operation as a test case
@@ -406,9 +456,11 @@ def run_search(cfg: SearchConfig) -> SearchReport:
 
     Undecided boxes wider than cfg.min_box_width and shallower than
     cfg.max_depth are subdivided; other undecided boxes become leaves.
-    Both children inherit the box's near miss as their hint and its set of
-    dead segment indices, so they skip the words it ruled out.  A leaf
-    keeps neither: no report reads them.
+    Both children inherit the box's near miss as their hint, its live, so
+    they evaluate only the words it left open, and its table, so they
+    rebuild only the entries the split changed; every box stops at the
+    root's cut (see the module docstring).  A leaf keeps none of the
+    three: no report reads them.
     The search runs on one thread, so the box budget cuts a fixed prefix of
     the depth-first order and every report, capped or complete, serializes
     identically from run to run.  The walk pops each box's 0 child before
@@ -425,26 +477,28 @@ def run_search(cfg: SearchConfig) -> SearchReport:
     # one stream for every box, taken from enumerate_segments as boxes ask
     stream = WordStream(enumerate_segments(cfg.max_d, cfg.max_exp))
     leaves: List[BoxVerdict] = []
-    stack: List[Tuple[ParamBox, Optional[int], frozenset]] = [(root, None, frozenset())]
+    # (box, hint, live, table), the last three from the parent's verdict
+    stack: List[Tuple[ParamBox, Optional[int], Optional[tuple], Optional[GeneratorTriple]]]
+    stack = [(root, None, None, None)]
     boxes = words = 0
     incomplete = False
     while stack:
-        box, hint, dead = stack.pop()
+        box, hint, live, table = stack.pop()
         if cfg.max_boxes and boxes >= cfg.max_boxes:
             incomplete = True
             leaves.append(BoxVerdict(box, BoxStatus.UNDECIDED))
             continue
         boxes += 1
-        verdict = test_box(box, stream, cfg, hint=hint, dead=dead)
+        verdict = test_box(box, stream, cfg, hint=hint, live=live, table=table)
         words += verdict.words_scanned
         splittable = len(box.path) < cfg.max_depth and box.max_width() > cfg.min_box_width
         if verdict.status is BoxStatus.UNDECIDED and splittable:
             child_hint = verdict.near_miss if cfg.use_parent_word_hint else None
             lo, hi = subdivide(box)
-            stack.append((hi, child_hint, verdict.dead))
-            stack.append((lo, child_hint, verdict.dead))
+            stack.append((hi, child_hint, verdict.live, verdict.table))
+            stack.append((lo, child_hint, verdict.live, verdict.table))
         else:
-            verdict.near_miss, verdict.dead = None, frozenset()
+            verdict.near_miss = verdict.live = verdict.table = None
             leaves.append(verdict)
 
     report = SearchReport(

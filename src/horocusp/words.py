@@ -104,6 +104,8 @@ import enum
 import functools
 import math
 import re
+import struct
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, NamedTuple, Tuple, Union
 
@@ -452,16 +454,23 @@ class WordStream:
     segment and rejects a power-free word, which has no lower-left entry
     to test, with ValueError.
 
-    segments holds the segments taken so far, in stream order.  Scans name
-    a word by the index of its Word segment and break ties by the
-    earliest, which is the canonical least only when the source is
-    enumerate_segments or enumerate_words.
+    segments holds the segments taken so far, in stream order, and ends[k]
+    the number of words in segments[0..k].  first_scan lists, in order,
+    the indices a scan with no enclosing box visits: every Word, and each
+    Run whose leading syllable no earlier Run had, since a table entry
+    that was read once without raising never raises.  Scans name a word by
+    the index of its Word segment and break ties by the earliest, which is
+    the canonical least only when the source is enumerate_segments or
+    enumerate_words.
     """
 
-    __slots__ = ("segments", "_source")
+    __slots__ = ("segments", "ends", "first_scan", "_leads", "_source")
 
     def __init__(self, source: Iterable[Segment]) -> None:
         self.segments: List[Segment] = []
+        self.ends: List[int] = []
+        self.first_scan: List[int] = []
+        self._leads = set()
         self._source = iter(source)
 
     def take(self) -> bool:
@@ -469,10 +478,35 @@ class WordStream:
         segment = next(self._source, None)
         if segment is None:
             return False
-        if segment.__class__ is not Run and segment.is_pure_translation:
+        at = len(self.segments)
+        if segment.__class__ is Run:
+            count, lead = segment.count, segment.prefix[0]
+            if lead not in self._leads:
+                self._leads.add(lead)
+                self.first_scan.append(at)
+        elif segment.is_pure_translation:
             raise ValueError(f"word stream produced a power-free word: {segment}")
+        else:
+            count = 1
+            self.first_scan.append(at)
+        self.ends.append(self.ends[-1] + count if at else count)
         self.segments.append(segment)
         return True
+
+    def reach(self, words: int) -> int:
+        """How many segments hold the stream's first `words` words.
+
+        Segments are taken until they hold that many, so the count is the
+        index of the first segment whose ends reaches `words`, plus one;
+        at the end of the source it is every segment.
+        """
+        if words <= 0:
+            return 0
+        ends = self.ends
+        while not ends or ends[-1] < words:
+            if not self.take():
+                return len(ends)
+        return bisect_left(ends, words) + 1
 
 
 _ZERO = (0.0, 0.0, 0.0, 0.0)
@@ -483,9 +517,21 @@ def _point(k: int) -> tuple:
     return (float(k), float(k), 0.0, 0.0)
 
 
-def _check_finite(rect: tuple, what: str) -> None:
+def _check_finite(rect: tuple, what: str, *args) -> None:
+    """ValueError unless every endpoint is finite; what.format(*args) names the entry.
+
+    The name is formatted only when the check fails.
+    """
     if not all(map(math.isfinite, rect)):
-        raise ValueError(f"endpoints must be finite in {what}, got {rect}")
+        raise ValueError(f"endpoints must be finite in {what.format(*args)}, got {rect}")
+
+
+_rect_bytes = struct.Struct("4d").pack
+
+
+def _same_bits(r: tuple, s: tuple) -> bool:
+    """Whether two rectangles' endpoints have the same bits: -0.0 is not 0.0 here."""
+    return _rect_bytes(*r) == _rect_bytes(*s)
 
 
 class GeneratorTriple(dict):
@@ -507,8 +553,9 @@ class GeneratorTriple(dict):
     the sums and products that make it leaves a non-finite endpoint.
     lower_left_bounds and the scan read the table by subscript, and by
     the body-twin lemma gamma^e's bottom row is the row after a first
-    syllable (m, n, e).  Nothing else is held: the oracle evaluate_word
-    builds its own matrices from a, b and c.
+    syllable (m, n, e).  inherit starts a child box's table from its
+    parent's offsets and powers.  Nothing else is held: the oracle
+    evaluate_word builds its own matrices from a, b and c.
     """
 
     __slots__ = ("a", "b", "c", "_offsets", "_unboxed_powers")
@@ -519,6 +566,27 @@ class GeneratorTriple(dict):
 
     def __repr__(self) -> str:
         return f"GeneratorTriple(a={self.a!r}, b={self.b!r}, c={self.c!r})"
+
+    def inherit(self, parent: "GeneratorTriple") -> None:
+        """Start the table from parent's: the offsets and powers it would build bit for bit.
+
+        The offset of x^m reads only a's endpoints, that of y^n only b's
+        and a two-axis block both, and gamma's powers read only c's.  So
+        each offset whose generators' endpoints equal parent's, signed
+        zeros included, is kept, and the powers when c's do.  It replaces
+        this triple's caches, so it is called on a fresh triple, and the
+        kept entries go into new dicts, so the parent's never change.
+        """
+        same_a = _same_bits(self.a.endpoints(), parent.a.endpoints())
+        same_b = _same_bits(self.b.endpoints(), parent.b.endpoints())
+        if same_a or same_b:
+            self._offsets = {
+                block: offset
+                for block, offset in parent._offsets.items()
+                if (same_a or not block[0]) and (same_b or not block[1])
+            }
+        if _same_bits(self.c.endpoints(), parent.c.endpoints()):
+            self._unboxed_powers = dict(parent._unboxed_powers)
 
     def __missing__(self, syllable: Syllable) -> tuple:
         m, n, e = syllable
@@ -543,7 +611,7 @@ class GeneratorTriple(dict):
                 hit = rect_mul(_point(m), self.a.endpoints())
             else:
                 hit = rect_mul(_point(n), self.b.endpoints())
-            _check_finite(hit, f"the offset of x^{m} y^{n}")
+            _check_finite(hit, "the offset of x^{} y^{}", m, n)
             offsets[m, n] = hit
         return hit
 
@@ -574,7 +642,7 @@ class GeneratorTriple(dict):
                     rect_add(rect_mul(x21, y12), rect_mul(x22, y22)),
                 )
                 for entry in power:
-                    _check_finite(entry, f"gamma^{k}")
+                    _check_finite(entry, "gamma^{}", k)
                 powers[k] = power
         return powers[e]
 

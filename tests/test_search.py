@@ -470,7 +470,7 @@ def test_area_one_complete_cover_golden() -> None:
     """The first complete cover: area 1.0 at depth 18, every leaf decided.
 
     The only tier-1 run that scans gamma^+-2 syllables on wide boxes with
-    dead-word sets handed down 18 levels.  Bytes recorded before the
+    live tuples and tables handed down 18 levels.  Bytes recorded before the
     kernel resolved gamma^+-1's exact entries.
     """
     cfg = SearchConfig(
@@ -497,8 +497,8 @@ def test_area_one_complete_cover_golden() -> None:
 def test_area_one_and_a_half_deep_cover_golden() -> None:
     """An uncapped depth-15 cover of the area-1.5 space with 2000 words per box.
 
-    19479 boxes hand hints and dead sets down 15 levels over the (2, 1)
-    stream, so the scan meets Runs, hints and dead words on every
+    19479 boxes hand hints, live tuples and tables down 15 levels over the
+    (2, 1) stream, so the scan meets Runs, hints and dead words on every
     level.  Bytes recorded before the stream held segments.
     """
     cfg = SearchConfig(
@@ -809,46 +809,142 @@ def test_dead_word_skips_keep_report_bytes(monkeypatch, settings) -> None:
         assert runs[True, dead][1] < runs[False, dead][1]
 
 
+class _LeadReads(words_module.GeneratorTriple):
+    """A box's table that records the syllables the scan reads from it outside the kernel."""
+
+    __slots__ = ("outside",)
+    in_kernel = [False]
+
+    def __init__(self, a, b, c) -> None:
+        super().__init__(a, b, c)
+        self.outside = []
+
+    def __getitem__(self, syllable):
+        if not self.in_kernel[0]:
+            self.outside.append(syllable)
+        return super().__getitem__(syllable)
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        dict(_AREA_15, max_boxes=50),
+        dict(_AREA_15, max_boxes=500, word_budget_per_box=60),
+        dict(area_bound=6.0, max_d=2, max_exp=1, max_depth=6, min_box_width=1e-3,
+             root_box=STRADDLE_BOUNDS),
+        dict(area_bound=6.0, max_d=3, max_exp=2, max_depth=6, min_box_width=1e-3,
+             root_box=STRADDLE_BOUNDS),
+    ],
+    ids=["search-area", "budget-60", "straddle", "straddle-d3"],
+)
+def test_every_box_of_a_run_shares_the_root_cut(monkeypatch, settings) -> None:
+    """Every scanned box of a run stops at one cut, and only the root reads Run leads.
+
+    A box that is neither killed nor infeasible scans the words of the
+    segments through the first one whose words reach the budget, cut at
+    the budget, as the root does.  Outside the kernel, the root's table is
+    asked only for the leading syllable of each Run before the cut whose
+    lead no earlier Run had, once each, and a child's table for nothing:
+    its parent read every lead of the shared prefix.
+    """
+    cfg = SearchConfig(**settings)
+    budget, cut, words = cfg.word_budget_per_box, [], 0
+    for segment in enumerate_segments(cfg.max_d, cfg.max_exp):
+        if words >= budget:
+            break
+        cut.append(segment)
+        words += segment.count if isinstance(segment, Run) else 1
+    leads = []
+    for segment in cut:
+        if isinstance(segment, Run) and segment.prefix[0] not in leads:
+            leads.append(segment.prefix[0])
+    assert len(leads) < sum(isinstance(segment, Run) for segment in cut)
+
+    tables, verdicts = {}, []
+    real_kernel, real_test_box = search_module.lower_left_bounds, search_module.test_box
+
+    def kernel(gens, syllables):
+        _LeadReads.in_kernel[0] = True
+        try:
+            return real_kernel(gens, syllables)
+        finally:
+            _LeadReads.in_kernel[0] = False
+
+    def recording_gens(box):
+        tables[box.path] = _LeadReads(box.a(), box.b(), box.c())
+        return tables[box.path]
+
+    def recording_test_box(*args, **kwargs):
+        verdicts.append(real_test_box(*args, **kwargs))
+        return verdicts[-1]
+
+    monkeypatch.setattr(search_module, "lower_left_bounds", kernel)
+    monkeypatch.setattr(words_module, "gens_from_params", recording_gens)
+    monkeypatch.setattr(search_module, "test_box", recording_test_box)
+    report = run_search(cfg)
+    assert len(verdicts) == report.boxes_tested
+    scanned = [v for v in verdicts if v.status in (BoxStatus.CANDIDATE, BoxStatus.UNDECIDED)]
+    assert all(v.words_scanned == min(budget, words) for v in scanned)
+    root = verdicts[0]
+    if root.status is not BoxStatus.ELIMINATED_KILLER:
+        assert tables[""].outside == leads
+    assert all(table.outside == [] for path, table in tables.items() if path)
+    assert len(scanned) > 10 or report.boxes_tested == 1
+
+
 def test_box_hands_its_children_a_new_dead_set() -> None:
-    """test_box never writes into the dead set it is given: siblings share it."""
+    """A child's live is a strict subsequence of its parent's, which it never changes.
+
+    Siblings share the parent's live tuple, so test_box must not write
+    into it, and a position the parent ruled out never comes back.
+    """
     cfg = SearchConfig(**_AREA_15)
     words = WordStream(enumerate_segments(2, 1))
     box = param_space(1.5)
     for _ in range(4):
         box = subdivide(box)[0]
     parent = test_box(box, words, cfg)
-    assert parent.status is BoxStatus.UNDECIDED and parent.dead
-    given = set(parent.dead)
-    child = test_box(subdivide(box)[1], words, cfg, hint=parent.near_miss, dead=given)
+    assert parent.status is BoxStatus.UNDECIDED and parent.live
+    given = parent.live
+    kept = tuple(given)
+    child = test_box(
+        subdivide(box)[1], words, cfg, hint=parent.near_miss, live=given, table=parent.table
+    )
     assert child.status is BoxStatus.UNDECIDED
-    assert given == parent.dead
-    assert child.dead > given
+    assert given == kept and parent.live is given
+    assert set(child.live) < set(given)
+    assert child.live == tuple(k for k in given if k in set(child.live))
 
 
 def test_leaves_keep_no_near_miss_or_dead_set() -> None:
-    """Only children read a near miss or a dead set, so no leaf keeps one."""
+    """Only children read a near miss, a live tuple or a table, so no leaf keeps one."""
     rep = run_search(SearchConfig(**dict(_AREA_15, max_depth=6, word_budget_per_box=2000)))
     assert any(leaf.status is BoxStatus.UNDECIDED and leaf.words_scanned for leaf in rep.leaves)
-    assert all(leaf.near_miss is None and leaf.dead == frozenset() for leaf in rep.leaves)
+    assert all(
+        leaf.near_miss is None and leaf.live is None and leaf.table is None for leaf in rep.leaves
+    )
 
 
 def _verdict_fields(v):
-    return v.status, v.word, v.words_scanned, v.near_miss, v.dead
+    return v.status, v.word, v.words_scanned, v.near_miss, v.live
 
 
 @pytest.mark.parametrize("stream_caps", [(2, 1), (3, 2)], ids=["d2", "d3"])
 def test_box_reads_every_stream_form_alike(stream_caps) -> None:
     """None, a fresh WordStream and a shared one give one verdict.
 
-    Each box is scanned without a hint and with three: its near miss, a
-    fixed Word segment and a word ruled out on the box.  Dead sets have
-    runs of consecutive segment indices, Words and Runs among them.  A
-    fresh stream has taken segments only through the hint; the shared one
-    is scanned by every case in turn, so later cases start with it already
-    taken.  None takes no hint, since its stream holds no word yet.  An
-    Undecided verdict's dead set must also match the one computed word by
-    word: the Word segments of the 1000 scanned positions that are ruled
-    out on the box.
+    Each box is scanned without a hint and with four: its near miss, a
+    fixed Word segment, a word ruled out on the box and a word absent from
+    live.  The given dead sets have runs of consecutive segment indices,
+    Words and Runs among them, and live is the Word indices outside one;
+    the empty set is scanned both with live None, the first scan, and
+    with every Word index.  A fresh stream has taken segments only
+    through the hint; the shared one is scanned by every case in turn, so
+    later cases start with it already taken.  None takes no hint, since
+    its stream holds no word yet.  An Undecided verdict's live must also
+    match the one computed word by word: the Word segments of the 1000
+    scanned positions, less the given dead set and those ruled out on the
+    box, so a position absent from live stays absent even as the hint.
     """
     max_d, max_exp = stream_caps
     cfg = SearchConfig(**dict(_AREA_15, max_d=max_d, max_exp=max_exp, word_budget_per_box=1000))
@@ -874,43 +970,51 @@ def test_box_reads_every_stream_form_alike(stream_caps) -> None:
         for _ in range(rng.randrange(3, 9)):
             box = subdivide(box)[rng.randrange(2)]
         boxes.append(box)
-    undecided = dead_hints = 0
+    undecided = dead_hints = absent_hints = 0
     for box in boxes:
         first = test_box(box, None, cfg)
         gens = gens_from_params(box)
         dead_lo = search_module._DEAD_LO
         ruled_out = {k for k in word_indices if lower_left_abs(segments[k], gens).lo >= dead_lo}
-        runs = [frozenset()]
+        runs = [frozenset(), frozenset()]
         runs.append(frozenset(range(3, 40)) | frozenset(range(60, 64)) | frozenset(range(100, 101)))
         runs.append(frozenset(i for i in range(len(segments)) if (i // 7) % 2))
-        for dead in runs:
+        for case, dead in enumerate(runs):
+            live = None if case == 0 else tuple(k for k in word_indices if k not in dead)
             dead_hint = min(ruled_out - dead, default=None)
-            for hint in (None, first.near_miss, word_indices[17], dead_hint):
+            absent_hint = min(dead.intersection(word_indices) - ruled_out, default=None)
+            for hint in (None, first.near_miss, word_indices[17], dead_hint, absent_hint):
                 forms = [through(WordStream(enumerate_segments(max_d, max_exp)), hint)]
                 forms.append(through(shared, hint))
                 if hint is None:
                     forms.append(None)
-                verdicts = [test_box(box, words, cfg, hint=hint, dead=dead) for words in forms]
+                verdicts = [test_box(box, words, cfg, hint=hint, live=live) for words in forms]
                 assert len({_verdict_fields(v) for v in verdicts}) == 1, (box.path, hint, dead)
                 v = verdicts[0]
                 if v.status is BoxStatus.UNDECIDED:
                     undecided += 1
                     dead_hints += hint in ruled_out - dead
-                    assert v.dead == dead | ruled_out, (box.path, hint)
-    assert undecided >= 10 and dead_hints >= 5
+                    absent_hints += hint in dead
+                    want = set(word_indices) - (dead | ruled_out)
+                    assert v.live == tuple(sorted(want)), (box.path, hint)
+    assert undecided >= 10 and dead_hints >= 5 and absent_hints >= 5
 
 
 def _scan_every_word(box, area, words, budget, hint=None, dead=frozenset()):
-    """(status, word, volume_bound, words_scanned, near_miss) of a scan that evaluates every word.
+    """(status, word, volume_bound, words_scanned, near_miss, live) of a scan that evaluates every word.
 
     The words are taken in order, the hint first and its copy passed over;
-    a dead position counts as scanned without being evaluated.
+    a dead position counts as scanned without being evaluated, unless it
+    is the hint.  live, for an Undecided verdict only, lists in order the
+    scanned positions outside dead whose word has L < _DEAD_LO, among the
+    stream's first budget positions: a hint past them is scanned but not
+    kept, since every box of a run shares that prefix.
     """
     if box_in_param_space(box, area) is Feasibility.OUTSIDE:
-        return BoxStatus.ELIMINATED_INFEASIBLE, None, None, 0, None
+        return BoxStatus.ELIMINATED_INFEASIBLE, None, None, 0, None, None
     gens = gens_from_params(box)
     order = ([] if hint is None else [hint]) + [i for i in range(len(words)) if i != hint]
-    scanned, candidate, near = 0, None, (math.inf, None)
+    scanned, candidate, near, live = 0, None, (math.inf, None), []
     for i in order:
         if scanned >= budget:
             break
@@ -919,15 +1023,17 @@ def _scan_every_word(box, area, words, budget, hint=None, dead=frozenset()):
             continue
         lo, hi = lower_left_bounds(gens, words[i].syllables)
         if hi < 1.0 and lo > 0.0:
-            return BoxStatus.ELIMINATED_KILLER, words[i], None, scanned, None
+            return BoxStatus.ELIMINATED_KILLER, words[i], None, scanned, None, None
         if hi < 1.0:
             candidate = i if candidate is None else min(candidate, i)
         elif lo < 1.0:
             near = min(near, (hi, i))
+        if i not in dead and i < budget and lo < search_module._DEAD_LO:
+            live.append(i)
     if candidate is not None:
         word = words[candidate]
-        return BoxStatus.CANDIDATE, word, volume_bound(word), scanned, None
-    return BoxStatus.UNDECIDED, None, None, scanned, near[1]
+        return BoxStatus.CANDIDATE, word, volume_bound(word), scanned, None, None
+    return BoxStatus.UNDECIDED, None, None, scanned, near[1], tuple(sorted(live))
 
 
 @pytest.mark.parametrize("stream_caps", [(2, 1), (3, 2), (6, 3)], ids=["d2", "d3", "d6"])
@@ -938,10 +1044,13 @@ def test_box_matches_a_scan_of_every_word(stream_caps) -> None:
     slice and straddle fixtures, and seeded dyadic boxes of the area-1.5
     space.  Each is scanned with budgets that end inside a Run or outlast
     the stream, with a hint at a body's first word and at a dead one, and
-    with a dead set: every other position whose word has L >= _DEAD_LO on
-    the box, first words of bodies and twins among them.  The scan of
-    every word takes stream positions; test_box takes the Word segments'
-    indices among them, and its near miss is read back as a position.
+    with live None, with every Word index and with the complement of a
+    dead set: every other position whose word has L >= _DEAD_LO on the
+    box, first words of bodies and twins among them.  The scan of every
+    word takes stream positions; test_box takes the Word segments'
+    indices among them, and its near miss and live are read back as
+    positions, the live ones of the scan of every word kept where a body
+    starts.
     """
     max_d, max_exp = stream_caps
     segments = list(islice(enumerate_segments(max_d, max_exp), 400))
@@ -980,20 +1089,24 @@ def test_box_matches_a_scan_of_every_word(stream_caps) -> None:
         dead = frozenset(i for i in range(0, position, 2) if lows[i] >= search_module._DEAD_LO)
         dead_kinds.update(i in body_starts for i in dead)
         dead_indices = frozenset(k for k in body_indices if starts[k] in dead)
+        lives = [(frozenset(), None), (frozenset(), tuple(body_indices))]
+        lives.append((dead, tuple(k for k in body_indices if k not in dead_indices)))
         # position + 1 outlasts the stream, so every position counts
         for budget in cuts + [position - 1, position + 1]:
             for hint in (None, body_hint, min(dead_indices, default=None)):
                 at = None if hint is None else starts[hint]
-                for dead_set, dead_index in ((frozenset(), frozenset()), (dead, dead_indices)):
+                for dead_set, live in lives:
                     cfg = SearchConfig(
                         area_bound=area, max_d=max_d, max_exp=max_exp, word_budget_per_box=budget
                     )
-                    v = test_box(box, shared, cfg, hint=hint, dead=dead_index)
+                    v = test_box(box, shared, cfg, hint=hint, live=live)
                     near = None if v.near_miss is None else starts[v.near_miss]
-                    got = (v.status, v.word, v.volume_bound, v.words_scanned, near)
-                    assert got == _scan_every_word(box, area, words, budget, at, dead_set), (
-                        box.path, budget, hint, bool(dead_set)
-                    )
+                    kept = None if v.live is None else tuple(starts[k] for k in v.live)
+                    got = (v.status, v.word, v.volume_bound, v.words_scanned, near, kept)
+                    *want, want_live = _scan_every_word(box, area, words, budget, at, dead_set)
+                    if want_live is not None:
+                        want_live = tuple(i for i in want_live if i in body_starts)
+                    assert got == (*want, want_live), (box.path, budget, hint, bool(dead_set))
                     kinds[v.status] += 1
     assert kinds[BoxStatus.UNDECIDED] and kinds[BoxStatus.ELIMINATED_KILLER]
     assert dead_kinds[True] and dead_kinds[False]

@@ -581,9 +581,9 @@ def test_scan_table_builds_each_factor_once(monkeypatch) -> None:
     checked, built = Counter(), []
     real_check, real_gens = words_module._check_finite, words_module.gens_from_params
 
-    def counting_check(rect, what):
-        checked[what] += 1
-        return real_check(rect, what)
+    def counting_check(rect, what, *args):
+        checked[what.format(*args)] += 1
+        return real_check(rect, what, *args)
 
     def keeping_gens(p):
         built.append(real_gens(p))
@@ -666,6 +666,64 @@ def test_scan_caches_are_bit_identical_to_fresh_builds() -> None:
                 entry = _outcome(lambda: fresh[s])
                 assert _hex_outcome(entry) == _hex_outcome(_outcome(lambda: warm[s]))
     assert raised > 1000
+
+
+def _halves(box, axis):
+    """box's two halves split at the midpoint of coordinate axis, whatever the widest."""
+    coords = list(box.coords())
+    iv = coords[axis]
+    mid = iv.midpoint()
+    halves = []
+    for half in (RealInterval(iv.lo, mid), RealInterval(mid, iv.hi)):
+        coords[axis] = half
+        halves.append(ParamBox(*coords, box.path + str(len(halves))))
+    return halves
+
+
+def test_inherited_table_keeps_every_bit() -> None:
+    """A child's table started from its parent's gives every entry the bits of a fresh build.
+
+    Each parent's table is warmed with every syllable of the first 2000
+    positions of (3,2) and (6,3), then each dyadic child split on a_re,
+    b_re, b_im, c_re and c_im inherits it.  A split on a or b keeps the
+    powers and the offsets that read only the other generator, one on c
+    every offset and no power.  Every inherited entry, and every overflow
+    message, must match a fresh gens_from_params(child), and the parent's
+    caches must not change.  A child whose a differs from its parent's
+    only in the sign of zero endpoints keeps no offset that reads a.
+    """
+    syllables = sorted(
+        {s for caps in ((3, 2), (6, 3)) for w in islice(enumerate_words(*caps), 2000) for s in w.syllables}
+    )
+    parents = [param_space(1.5)] + _random_dyadic_boxes(6.0, 1, random.Random(40127))
+    # a = [1e308, 1.5e308], where the offset of x^2 overflows and that of x does not
+    parents.append(ParamBox.from_bounds([[1e308, 1.5e308], [0.0, 0.0], [0.5, 1.0], [1.0, 2.0],
+                                         [1.0, 2.0], [-0.5, 0.5]]))
+    # by the axis split: a block's offset is kept when it reads only the other generator
+    keeps = {0: lambda m, n: not m, 1: lambda m, n: not m, 2: lambda m, n: not n}
+    keeps[3] = keeps[2]
+    raised = 0
+    for parent in parents:
+        warm = gens_from_params(parent)
+        for s in syllables:
+            _outcome(lambda: warm[s])
+        offsets, powers = dict(warm._offsets), dict(warm._unboxed_powers)
+        children = [(axis, child) for axis in (0, 2, 3, 4, 5) for child in _halves(parent, axis)]
+        bounds = parent.to_bounds()
+        bounds[1] = [-0.0, -0.0]
+        children.append((1, ParamBox.from_bounds(bounds)))
+        for axis, child in children:
+            inherited, fresh = gens_from_params(child), gens_from_params(child)
+            inherited.inherit(warm)
+            keep = keeps.get(axis, lambda m, n: axis > 3)
+            assert set(inherited._offsets) == {block for block in offsets if keep(*block)}
+            assert inherited._unboxed_powers == (powers if axis < 4 else {})
+            for s in syllables:
+                entry = _outcome(lambda: inherited[s])
+                assert _hex_outcome(entry) == _hex_outcome(_outcome(lambda: fresh[s])), (axis, s)
+                raised += isinstance(entry, str)
+        assert (warm._offsets, warm._unboxed_powers) == (offsets, powers)
+    assert raised > 100
 
 
 def _hex_rects(rects):
