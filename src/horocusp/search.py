@@ -6,8 +6,8 @@ per-box verdicts plus an aggregate covolume bound.  The search runs on one
 thread, so reports serialize to canonical JSON that is byte-identical from
 run to run, capped or complete.
 
-One WordStream serves every box of a run: it takes the segments of
-enumerate_segments once, when the first box asks for them.  A segment is
+One WordStream serves every box of a run: the cut of enumerate_segments
+at the run's word budget, taken once before the first box.  A segment is
 either the first word of its body, which a box evaluates with
 words.lower_left_bounds, or a Run of later body twins (see the words
 module's lemma), which a box counts and does not evaluate.  Boxes name
@@ -21,15 +21,14 @@ evaluation could overflow only where its leading syllable's table entry
 does, so a box with no enclosing box reads that entry, once per lead: an
 entry read once without raising never raises.
 
-Every box of a run covers one prefix of the stream, the cut: the
-segments through the first whose words reach the budget, or all of them.
-A scan counts the hint's one word first, then each segment's words as it
-passes the segment, the hint's passed over, and stops once it has counted
-the budget.  So a hint inside the cut only moves its own word to the
-front, and a box that no word kills scans the cut's words, capped at the
-budget, which WordStream.ends gives without a walk.  A child's hint is
-its parent's near miss, an evaluated word inside the cut, so the cut of
-every box of a run is the root's.
+The stream is the cut: the segments through the first whose words reach
+the budget, or all of them.  A scan counts the hint's one word first,
+then each segment's words as it passes the segment, the hint's passed
+over, and stops once it has counted the budget.  A hint must index a Word
+of the cut, so it only moves its own word to the front, and a box that
+no word kills scans the cut's words, capped at the budget, which is
+WordStream.scanned.  A child's hint is its parent's near miss, an
+evaluated word of the cut, so every box of a run reads the root's cut.
 
 A box scans only what its parent left open.  An undecided box hands its
 children live, the Words of the cut it evaluated whose L stayed below
@@ -306,6 +305,15 @@ def subdivide(box: ParamBox) -> Tuple[ParamBox, ParamBox]:
     )
 
 
+def _check_cut(stream: WordStream, budget: int, hint: Optional[int]) -> None:
+    """ValueError unless stream is cut for budget and hint, if any, indexes a Word of the cut."""
+    if stream.budget != budget:
+        raise ValueError(f"the stream is cut for a budget of {stream.budget}, not {budget}")
+    segments = stream.segments
+    if hint is not None and (not 0 <= hint < len(segments) or segments[hint].__class__ is Run):
+        raise ValueError(f"hint must index a Word segment of the cut, got {hint!r}")
+
+
 def test_box(
     box: ParamBox,
     stream: Optional[WordStream],
@@ -321,62 +329,51 @@ def test_box(
     first eliminating word otherwise, else the earliest candidate word,
     else Undecided.  At most cfg.word_budget_per_box words are scanned.
 
-    stream is a WordStream, which boxes can share so that each segment is
-    taken once, or None for WordStream(enumerate_segments(cfg.max_d,
-    cfg.max_exp)).  Words are named by their index in stream.segments,
-    and ties go to the earliest, which on the canonical stream is the
-    canonical least.  hint, the index of a Word segment the stream has
-    already taken (else ValueError; TypeError if it is not an int), is
-    scanned first and its stream copy is passed over.
+    stream is the WordStream cut for cfg.word_budget_per_box, which boxes
+    share, or None for WordStream(enumerate_segments(cfg.max_d,
+    cfg.max_exp), cfg.word_budget_per_box), built once the box is found
+    feasible, and the hint is checked against it then; a stream cut for
+    another budget raises ValueError.  Words
+    are named by their index in stream.segments, and ties go to the
+    earliest, which on the canonical stream is the canonical least.  hint,
+    the index of a Word segment of the cut (else ValueError; TypeError if
+    it is not an int), is scanned first and its stream copy is passed
+    over.  The stream is the cut: every word of it counts as scanned, so
+    a box that no word decides reports stream.scanned, and a killer the
+    words through its own segment, the hint among them.  Every box of a
+    run reads the root's cut (see the module docstring).
 
-    A feasible box first takes the stream through the cut: the segments
-    through the first one whose words reach the budget, or through one
-    word less when the hint lies past them, since the hint counts first.
-    Every word of the cut counts as scanned, so words_scanned is read from
-    stream.ends, and a power-free word in the cut raises ValueError before
-    any word is evaluated.  Every box of a run has the root's cut (see the
-    module docstring).
-
-    The scan evaluates the hint, then visits in order the indices of live
-    that lie before the cut, the hint's passed over.  With live None it
-    visits stream.first_scan instead: every Word, and each Run whose
-    leading syllable no earlier Run had.  Such a Run's leading syllable is
-    read from the box's table, as its words' evaluations would read it,
-    so an overflow there raises ValueError.  Every other Run's words, and
-    every Word absent from live, count as scanned without being
-    evaluated: a twin has the [L, U] of its body's first word, scanned
-    before it, and a word absent from live was ruled out on an enclosing
-    box (see the module docstring).
+    The scan evaluates the hint, then visits in order the indices of live,
+    the hint's passed over.  With live None it visits stream.first_scan
+    instead: every Word, and each Run whose leading syllable no earlier
+    Run had.  Such a Run's leading syllable is read from the box's table,
+    as its words' evaluations would read it, so an overflow there raises
+    ValueError.  Every other Run's words, and every Word absent from live,
+    count as scanned without being evaluated: a twin has the [L, U] of its
+    body's first word, scanned before it, and a word absent from live was
+    ruled out on an enclosing box (see the module docstring).
 
     live, an ascending tuple of Word indices, is the live of an Undecided
-    verdict on an enclosing box scanned with the same stream and budget,
-    and table that verdict's table; this box's table starts from it (see
+    verdict on an enclosing box scanned with the same stream, and table
+    that verdict's table; this box's table starts from it (see
     GeneratorTriple.inherit).  An Undecided verdict carries, for its
     children, its own table and its live: the visited Words whose L stays
-    below _DEAD_LO here, the hint among them when it lies in the cut and
-    in live.  A position absent from live never re-enters, and the tuple
-    passed in is never changed, since siblings share it.
+    below _DEAD_LO here, the hint among them when it is in live.  A
+    position absent from live never re-enters, and the tuple passed in is
+    never changed, since siblings share it.
     """
-    if stream is None:
-        stream = WordStream(enumerate_segments(cfg.max_d, cfg.max_exp))
-    segments = stream.segments
-    if hint is not None:
-        if isinstance(hint, bool) or not isinstance(hint, int):
-            raise TypeError(f"hint must be an int segment index, got {hint!r}")
-        if not 0 <= hint < len(segments) or segments[hint].__class__ is Run:
-            raise ValueError(f"hint must index a taken Word segment, got {hint!r}")
+    if hint is not None and (isinstance(hint, bool) or not isinstance(hint, int)):
+        raise TypeError(f"hint must be an int segment index, got {hint!r}")
+    budget = cfg.word_budget_per_box
+    if stream is not None:
+        _check_cut(stream, budget, hint)
     if box_in_param_space(box, cfg.area_bound) is Feasibility.OUTSIDE:
         return BoxVerdict(box, BoxStatus.ELIMINATED_INFEASIBLE)
-
-    budget = cfg.word_budget_per_box
-    cut = stream.reach(budget)
+    if stream is None:
+        stream = WordStream(enumerate_segments(cfg.max_d, cfg.max_exp), budget)
+        _check_cut(stream, budget, hint)
+    segments, ends = stream.segments, stream.ends
     hint_at = -1 if hint is None else hint
-    if hint_at >= cut:
-        # a hint past the cut counts first, so the cut holds one word less
-        cut = stream.reach(budget - 1)
-    ends = stream.ends
-    # the cut's words, and the hint when it lies past them
-    scanned = min(budget, (ends[cut - 1] if cut else 0) + (hint_at >= cut))
 
     # looked up on the words module, where perfbench's tracer wraps it
     gens = _words.gens_from_params(box)
@@ -403,8 +400,6 @@ def test_box(
                 near_hi, near = hi, hint
 
     for k in stream.first_scan if live is None else live:
-        if k >= cut:
-            break
         if k == hint:
             if hint_kept:
                 kept.append(k)
@@ -418,7 +413,7 @@ def test_box(
         lo, hi = kernel(gens, segment.syllables)
         if hi < 1.0:
             if classify_bounds(lo, hi) is KillerVerdict.ELIMINATES:
-                # the words through this one, and the hint when it lies past them
+                # the words through this one, and the hint when it lies after it
                 done = ends[k] + (k < hint_at)
                 return BoxVerdict(box, BoxStatus.ELIMINATED_KILLER, segment, None, done)
             if candidate is None or k < candidate:
@@ -432,8 +427,8 @@ def test_box(
 
     if candidate is not None:
         word = segments[candidate]
-        return BoxVerdict(box, BoxStatus.CANDIDATE, word, volume_bound(word), scanned)
-    return BoxVerdict(box, BoxStatus.UNDECIDED, None, None, scanned, near, tuple(kept), gens)
+        return BoxVerdict(box, BoxStatus.CANDIDATE, word, volume_bound(word), stream.scanned)
+    return BoxVerdict(box, BoxStatus.UNDECIDED, None, None, stream.scanned, near, tuple(kept), gens)
 
 
 # keep pytest from collecting the operation as a test case
@@ -474,8 +469,8 @@ def run_search(cfg: SearchConfig) -> SearchReport:
         log.info("search finished: empty feasible region")
         return report
 
-    # one stream for every box, taken from enumerate_segments as boxes ask
-    stream = WordStream(enumerate_segments(cfg.max_d, cfg.max_exp))
+    # one stream for every box: the cut every box of the run reads
+    stream = WordStream(enumerate_segments(cfg.max_d, cfg.max_exp), cfg.word_budget_per_box)
     leaves: List[BoxVerdict] = []
     # (box, hint, live, table), the last three from the parent's verdict
     stack: List[Tuple[ParamBox, Optional[int], Optional[tuple], Optional[GeneratorTriple]]]

@@ -90,8 +90,9 @@ on this lemma about a canonical word r_1 B with r_1 = x^m y^n:
    of one word.
 
 enumerate_words expands the segments, so the walk that orders the stream
-is this one.  A WordStream holds the segments scans have asked for, and
-scans name words by segment index: every word a scan evaluates is a
+is this one.  A WordStream is the cut of a stream for one word budget:
+the segments through the first whose words reach the budget, taken once.
+Scans name words by segment index: every word a scan evaluates is a
 Word segment, and segments come in stream order.
 
 Tables: _syllable_ranks and _moves hold up to (2 max_exp + 1)^2 * 2 max_exp
@@ -105,7 +106,6 @@ import functools
 import math
 import re
 import struct
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, NamedTuple, Tuple, Union
 
@@ -444,69 +444,56 @@ def enumerate_words(max_d: int, max_exp: int) -> Iterator[Word]:
 
 
 class WordStream:
-    """A segment stream taken from its source as scans ask, kept for reuse.
+    """The cut of a segment stream for one word budget: what every scan at that budget reads.
 
     The source yields segments: Words, which a scan evaluates, and Runs,
     whose words a scan counts as scanned (see test_box).  On
     enumerate_segments each Word is the first of its body and each Run
     holds later twins; a source of plain Words, such as enumerate_words,
-    gives a stream that evaluates every word.  take() pulls one more
-    segment and rejects a power-free word, which has no lower-left entry
-    to test, with ValueError.
+    gives a stream that evaluates every word.  The constructor takes the
+    source once, through the first segment whose words reach budget, or
+    to its end, and rejects a power-free word among those segments, which
+    has no lower-left entry to test, with ValueError.  Nothing past the
+    cut is taken.
 
-    segments holds the segments taken so far, in stream order, and ends[k]
-    the number of words in segments[0..k].  first_scan lists, in order,
+    segments holds the cut's segments, in stream order, ends[k] the number
+    of words in segments[0..k], and scanned, min(budget, ends[-1]), the
+    words a scan that no word decides counts.  first_scan lists, in order,
     the indices a scan with no enclosing box visits: every Word, and each
     Run whose leading syllable no earlier Run had, since a table entry
     that was read once without raising never raises.  Scans name a word by
     the index of its Word segment and break ties by the earliest, which is
     the canonical least only when the source is enumerate_segments or
-    enumerate_words.
+    enumerate_words.  budget must be at least 1, else ValueError.
     """
 
-    __slots__ = ("segments", "ends", "first_scan", "_leads", "_source")
+    __slots__ = ("budget", "segments", "ends", "first_scan", "scanned")
 
-    def __init__(self, source: Iterable[Segment]) -> None:
-        self.segments: List[Segment] = []
-        self.ends: List[int] = []
-        self.first_scan: List[int] = []
-        self._leads = set()
-        self._source = iter(source)
-
-    def take(self) -> bool:
-        """Append the source's next segment; False at the end."""
-        segment = next(self._source, None)
-        if segment is None:
-            return False
-        at = len(self.segments)
-        if segment.__class__ is Run:
-            count, lead = segment.count, segment.prefix[0]
-            if lead not in self._leads:
-                self._leads.add(lead)
-                self.first_scan.append(at)
-        elif segment.is_pure_translation:
-            raise ValueError(f"word stream produced a power-free word: {segment}")
-        else:
-            count = 1
-            self.first_scan.append(at)
-        self.ends.append(self.ends[-1] + count if at else count)
-        self.segments.append(segment)
-        return True
-
-    def reach(self, words: int) -> int:
-        """How many segments hold the stream's first `words` words.
-
-        Segments are taken until they hold that many, so the count is the
-        index of the first segment whose ends reaches `words`, plus one;
-        at the end of the source it is every segment.
-        """
-        if words <= 0:
-            return 0
-        ends = self.ends
-        while not ends or ends[-1] < words:
-            if not self.take():
-                return len(ends)
-        return bisect_left(ends, words) + 1
+    def __init__(self, source: Iterable[Segment], budget: int) -> None:
+        if budget < 1:
+            raise ValueError(f"budget must be at least 1, got {budget!r}")
+        segments: List[Segment] = []
+        ends: List[int] = []
+        first_scan: List[int] = []
+        leads = set()
+        words = 0
+        for at, segment in enumerate(source):
+            if segment.__class__ is Run:
+                words += segment.count
+                if segment.prefix[0] not in leads:
+                    leads.add(segment.prefix[0])
+                    first_scan.append(at)
+            elif segment.is_pure_translation:
+                raise ValueError(f"word stream produced a power-free word: {segment}")
+            else:
+                words += 1
+                first_scan.append(at)
+            segments.append(segment)
+            ends.append(words)
+            if words >= budget:
+                break
+        self.budget, self.segments, self.ends, self.first_scan = budget, segments, ends, first_scan
+        self.scanned = min(budget, words)
 
 
 _ZERO = (0.0, 0.0, 0.0, 0.0)

@@ -40,8 +40,6 @@ from horocusp.words import (
     volume_bound,
 )
 
-from test_words import _taken
-
 SLICE_BOUNDS = [[1.0, 1.2], [0.0, 0.0], [0.0, 0.0], [4.0, 4.0], [-0.7, -0.4], [0.0, 0.0]]
 # finite endpoints whose b_re width 3.4e308 overflows to inf
 WIDE_BOUNDS = [[1.0, 1.2], [0.0, 0.0], [-1.7e308, 1.7e308], [0.5, 1.0], [-0.7, -0.4], [0.0, 0.0]]
@@ -157,13 +155,17 @@ def test_subdivide_tie_break_and_partition():
         pass
 
 
-def test_box_infeasible_short_circuit():
+def test_box_infeasible_short_circuit(monkeypatch):
+    """An infeasible box scans nothing, and with stream None builds no stream."""
     box = ParamBox.from_bounds(
         [[0.2, 0.5], [0.0, 0.0], [0.0, 0.0], [4.0, 4.0], [-0.6, -0.5], [0.0, 0.0]]
     )
+    taken = []
+    monkeypatch.setattr(search_module, "enumerate_segments", lambda *caps: taken.append(caps))
     v = test_box(box, None, _cfg())
     assert v.status is BoxStatus.ELIMINATED_INFEASIBLE
     assert v.words_scanned == 0 and v.word is None
+    assert taken == []
 
 
 def test_box_eliminates_with_canonical_witness():
@@ -199,7 +201,7 @@ def test_box_budget_and_near_miss():
     lined = ParamBox.from_bounds(
         [[1.0, 1.2], [0.0, 0.0], [0.0, 0.0], [4.0, 4.0], [-0.3, -0.1], [0.0, 0.0]]
     )
-    stream = WordStream(enumerate_segments(2, 1))
+    stream = WordStream(enumerate_segments(2, 1), 10000)
     v2 = test_box(lined, stream, _cfg())
     assert v2.status is BoxStatus.UNDECIDED
     assert stream.segments[v2.near_miss] == parse_word("z x z")
@@ -209,7 +211,7 @@ def test_box_hint_scanned_first():
     box = ParamBox.from_bounds(
         [[1.0, 1.1], [0.0, 0.0], [0.0, 0.0], [4.0, 4.0], [-0.6, -0.5], [0.0, 0.0]]
     )
-    stream = _taken(enumerate_segments(2, 1))
+    stream = WordStream(enumerate_segments(2, 1), 10000)
     hint = stream.segments.index(parse_word("z x z"))
     assert hint > 0
     v = test_box(box, stream, _cfg(), hint=hint)
@@ -223,11 +225,14 @@ class _NoTwins(WordStream):
 
     __slots__ = ()
 
-    def __init__(self, source) -> None:
+    def __init__(self, source, budget) -> None:
         super().__init__(
-            word
-            for segment in source
-            for word in (segment.words() if isinstance(segment, Run) else (segment,))
+            (
+                word
+                for segment in source
+                for word in (segment.words() if isinstance(segment, Run) else (segment,))
+            ),
+            budget,
         )
 
 
@@ -255,9 +260,7 @@ def test_near_miss_tie_rule(monkeypatch) -> None:
 
     def scan(order, hint=None):
         """The verdict on a stream of order, hint given as a word; (verdict, near miss word)."""
-        stream = _NoTwins(order)
-        while stream.take():
-            pass
+        stream = _NoTwins(order, 10000)
         v = test_box(box, stream, _cfg(), hint=None if hint is None else order.index(hint))
         return v, None if v.near_miss is None else stream.segments[v.near_miss]
 
@@ -549,7 +552,7 @@ def test_box_scan_golden_at_reference_point() -> None:
         [[3.95, 4.05], [0.0, 0.0], [0.95, 1.05], [math.sqrt(3.0) - 0.05, math.sqrt(3.0) + 0.05],
          [2.95, 3.05], [-0.05, 0.05]]
     )
-    stream = WordStream(enumerate_segments(6, 3))
+    stream = WordStream(enumerate_segments(6, 3), 300)
     v = test_box(box, stream, cfg)
     assert (v.status, v.words_scanned) == (BoxStatus.UNDECIDED, 300)
     assert str(stream.segments[v.near_miss]) == "z x^-1 z"
@@ -712,14 +715,10 @@ def test_dead_words_stay_dead_in_every_descendant() -> None:
     rng = random.Random(36007)
     pool = list(enumerate_words(2, 1)) + list(islice(enumerate_words(3, 2), 3000))
 
-    stream = WordStream(pool)
-    while stream.take():
-        pass
-
     def scan(box):
         gens = gens_from_params(box)
         identity = words_module._IDENTITY_ROW
-        rects = [words_module._bottom_row(gens, w.syllables, identity)[0] for w in stream.segments]
+        rects = [words_module._bottom_row(gens, w.syllables, identity)[0] for w in pool]
         return [rect_abs(*r)[0] for r in rects], rects
 
     dead_checked = 0
@@ -899,7 +898,7 @@ def test_box_hands_its_children_a_new_dead_set() -> None:
     into it, and a position the parent ruled out never comes back.
     """
     cfg = SearchConfig(**_AREA_15)
-    words = WordStream(enumerate_segments(2, 1))
+    words = WordStream(enumerate_segments(2, 1), cfg.word_budget_per_box)
     box = param_space(1.5)
     for _ in range(4):
         box = subdivide(box)[0]
@@ -938,13 +937,13 @@ def test_box_reads_every_stream_form_alike(stream_caps) -> None:
     live.  The given dead sets have runs of consecutive segment indices,
     Words and Runs among them, and live is the Word indices outside one;
     the empty set is scanned both with live None, the first scan, and
-    with every Word index.  A fresh stream has taken segments only
-    through the hint; the shared one is scanned by every case in turn, so
-    later cases start with it already taken.  None takes no hint, since
-    its stream holds no word yet.  An Undecided verdict's live must also
-    match the one computed word by word: the Word segments of the 1000
-    scanned positions, less the given dead set and those ruled out on the
-    box, so a position absent from live stays absent even as the hint.
+    with every Word index.  None builds its own stream in the call, a
+    fresh stream is built for each case, and the shared one, cut at the
+    same budget, is scanned by every case in turn.  An Undecided
+    verdict's live must also match the one computed word by word: the
+    Word segments of the 1000 scanned positions, less the given dead set
+    and those ruled out on the box, so a position absent from live stays
+    absent even as the hint.
     """
     max_d, max_exp = stream_caps
     cfg = SearchConfig(**dict(_AREA_15, max_d=max_d, max_exp=max_exp, word_budget_per_box=1000))
@@ -956,13 +955,8 @@ def test_box_reads_every_stream_form_alike(stream_caps) -> None:
         segments.append(segment)
         positions += segment.count if isinstance(segment, Run) else 1
     word_indices = [k for k, segment in enumerate(segments) if isinstance(segment, Word)]
-    shared = WordStream(enumerate_segments(max_d, max_exp))
-
-    def through(stream, hint):
-        while hint is not None and len(stream.segments) <= hint:
-            stream.take()
-        return stream
-
+    shared = WordStream(enumerate_segments(max_d, max_exp), 1000)
+    assert shared.segments == segments
     rng = random.Random(4153)
     boxes = [param_space(1.5)]
     for _ in range(5):
@@ -984,10 +978,7 @@ def test_box_reads_every_stream_form_alike(stream_caps) -> None:
             dead_hint = min(ruled_out - dead, default=None)
             absent_hint = min(dead.intersection(word_indices) - ruled_out, default=None)
             for hint in (None, first.near_miss, word_indices[17], dead_hint, absent_hint):
-                forms = [through(WordStream(enumerate_segments(max_d, max_exp)), hint)]
-                forms.append(through(shared, hint))
-                if hint is None:
-                    forms.append(None)
+                forms = [None, WordStream(enumerate_segments(max_d, max_exp), 1000), shared]
                 verdicts = [test_box(box, words, cfg, hint=hint, live=live) for words in forms]
                 assert len({_verdict_fields(v) for v in verdicts}) == 1, (box.path, hint, dead)
                 v = verdicts[0]
@@ -1006,9 +997,7 @@ def _scan_every_word(box, area, words, budget, hint=None, dead=frozenset()):
     The words are taken in order, the hint first and its copy passed over;
     a dead position counts as scanned without being evaluated, unless it
     is the hint.  live, for an Undecided verdict only, lists in order the
-    scanned positions outside dead whose word has L < _DEAD_LO, among the
-    stream's first budget positions: a hint past them is scanned but not
-    kept, since every box of a run shares that prefix.
+    scanned positions outside dead whose word has L < _DEAD_LO.
     """
     if box_in_param_space(box, area) is Feasibility.OUTSIDE:
         return BoxStatus.ELIMINATED_INFEASIBLE, None, None, 0, None, None
@@ -1028,7 +1017,7 @@ def _scan_every_word(box, area, words, budget, hint=None, dead=frozenset()):
             candidate = i if candidate is None else min(candidate, i)
         elif lo < 1.0:
             near = min(near, (hi, i))
-        if i not in dead and i < budget and lo < search_module._DEAD_LO:
+        if i not in dead and lo < search_module._DEAD_LO:
             live.append(i)
     if candidate is not None:
         word = words[candidate]
@@ -1043,14 +1032,15 @@ def test_box_matches_a_scan_of_every_word(stream_caps) -> None:
     The boxes are the reference point in its three normalizations, the
     slice and straddle fixtures, and seeded dyadic boxes of the area-1.5
     space.  Each is scanned with budgets that end inside a Run or outlast
-    the stream, with a hint at a body's first word and at a dead one, and
-    with live None, with every Word index and with the complement of a
-    dead set: every other position whose word has L >= _DEAD_LO on the
-    box, first words of bodies and twins among them.  The scan of every
-    word takes stream positions; test_box takes the Word segments'
-    indices among them, and its near miss and live are read back as
-    positions, the live ones of the scan of every word kept where a body
-    starts.
+    the stream, on a stream cut at that budget, with a hint at two bodies'
+    first words, the middle one and the last, and at a dead one, and with
+    live None, with every Word index of the cut and with the complement of
+    a dead set: every other position whose word has L >= _DEAD_LO on the
+    box, first words of bodies and twins among them.  A hint past the cut
+    raises ValueError.  The scan of every word takes stream positions;
+    test_box takes the Word segments' indices among them, and its near
+    miss and live are read back as positions, the live ones of the scan of
+    every word kept where a body starts.
     """
     max_d, max_exp = stream_caps
     segments = list(islice(enumerate_segments(max_d, max_exp), 400))
@@ -1080,7 +1070,6 @@ def test_box_matches_a_scan_of_every_word(stream_caps) -> None:
         for _ in range(rng.randrange(4, 14)):
             box = subdivide(box)[rng.randrange(2)]
         boxes.append((box, 1.5))
-    shared = _taken(segments)
     kinds = Counter()
     dead_kinds = Counter()
     for box, area in boxes:
@@ -1089,17 +1078,24 @@ def test_box_matches_a_scan_of_every_word(stream_caps) -> None:
         dead = frozenset(i for i in range(0, position, 2) if lows[i] >= search_module._DEAD_LO)
         dead_kinds.update(i in body_starts for i in dead)
         dead_indices = frozenset(k for k in body_indices if starts[k] in dead)
-        lives = [(frozenset(), None), (frozenset(), tuple(body_indices))]
-        lives.append((dead, tuple(k for k in body_indices if k not in dead_indices)))
         # position + 1 outlasts the stream, so every position counts
         for budget in cuts + [position - 1, position + 1]:
-            for hint in (None, body_hint, min(dead_indices, default=None)):
+            stream = WordStream(segments, budget)
+            cut_bodies = [k for k in body_indices if k < len(stream.segments)]
+            lives = [(frozenset(), None), (frozenset(), tuple(cut_bodies))]
+            lives.append((dead, tuple(k for k in cut_bodies if k not in dead_indices)))
+            cfg = SearchConfig(
+                area_bound=area, max_d=max_d, max_exp=max_exp, word_budget_per_box=budget
+            )
+            for hint in (None, body_hint, body_indices[-1], min(dead_indices, default=None)):
                 at = None if hint is None else starts[hint]
                 for dead_set, live in lives:
-                    cfg = SearchConfig(
-                        area_bound=area, max_d=max_d, max_exp=max_exp, word_budget_per_box=budget
-                    )
-                    v = test_box(box, shared, cfg, hint=hint, live=live)
+                    if hint is not None and hint >= len(stream.segments):
+                        with pytest.raises(ValueError, match="hint must index a Word segment"):
+                            test_box(box, stream, cfg, hint=hint, live=live)
+                        kinds["past the cut"] += 1
+                        continue
+                    v = test_box(box, stream, cfg, hint=hint, live=live)
                     near = None if v.near_miss is None else starts[v.near_miss]
                     kept = None if v.live is None else tuple(starts[k] for k in v.live)
                     got = (v.status, v.word, v.volume_bound, v.words_scanned, near, kept)
@@ -1109,39 +1105,67 @@ def test_box_matches_a_scan_of_every_word(stream_caps) -> None:
                     assert got == (*want, want_live), (box.path, budget, hint, bool(dead_set))
                     kinds[v.status] += 1
     assert kinds[BoxStatus.UNDECIDED] and kinds[BoxStatus.ELIMINATED_KILLER]
+    assert kinds["past the cut"]
     assert dead_kinds[True] and dead_kinds[False]
 
 
 def test_box_rejects_power_free_words() -> None:
-    """A pure translation in the stream, or a hint at no taken Word segment, raises ValueError.
+    """A pure translation in the cut, or a hint at no Word segment of the cut, raises ValueError.
 
-    A hint must index a Word segment the stream has taken: a negative
-    index, one at or past the segments taken, or a Run's index is refused.
+    A hint must index a Word segment of the cut: a negative index, one at
+    or past the cut's segments, or a Run's index is refused, whether the
+    stream is given or built in the call.
     """
     box = param_space(1.5)
     cfg = SearchConfig(**_AREA_15)
+    budget = cfg.word_budget_per_box
     translation = parse_word("x^2")
     assert translation.is_pure_translation
     words = list(enumerate_words(2, 1))
     message = "word stream produced a power-free word"
     for stream in ([translation] + words, words[:5] + [translation] + words[5:]):
         with pytest.raises(ValueError, match=message):
-            test_box(box, WordStream(stream), cfg)
-    stream = _taken(words)
-    segmented = _taken(enumerate_segments(2, 1))
+            test_box(box, WordStream(stream, budget), cfg)
+    stream = WordStream(words, budget)
+    segmented = WordStream(enumerate_segments(2, 1), budget)
     run = next(k for k, segment in enumerate(segmented.segments) if isinstance(segment, Run))
-    cases = [(stream, -1), (stream, len(words)), (None, 0)]
+    cases = [(stream, -1), (stream, len(words)), (None, run), (None, len(segmented.segments))]
     cases += [(segmented, run), (segmented, len(segmented.segments)), (segmented, -1)]
     for form, hint in cases:
-        with pytest.raises(ValueError, match="hint must index a taken Word segment"):
+        with pytest.raises(ValueError, match="hint must index a Word segment of the cut"):
             test_box(box, form, cfg, hint=hint)
+
+
+def test_box_reads_only_a_stream_cut_for_its_budget() -> None:
+    """A stream cut at another budget, or a hint past the cut, raises ValueError.
+
+    The stream of None is the canonical cut at the box's budget, so every
+    hint gives the verdict it gives on that stream passed in.
+    """
+    box = param_space(1.5)
+    cuts = []
+    for budget in (60, 10000):
+        cfg = SearchConfig(**dict(_AREA_15, word_budget_per_box=budget))
+        stream = WordStream(enumerate_segments(2, 1), budget)
+        cuts.append(len(stream.segments))
+        for other in (budget - 1, budget + 1):
+            with pytest.raises(ValueError, match=f"cut for a budget of {other}, not {budget}"):
+                test_box(box, WordStream(enumerate_segments(2, 1), other), cfg)
+        with pytest.raises(ValueError, match="hint must index a Word segment of the cut"):
+            test_box(box, stream, cfg, hint=len(stream.segments))
+        hints = [k for k, segment in enumerate(stream.segments) if isinstance(segment, Word)]
+        for hint in hints:
+            want = test_box(box, stream, cfg, hint=hint)
+            assert _verdict_fields(test_box(box, None, cfg, hint=hint)) == _verdict_fields(want)
+    # the 145-word stream cut at 60 holds fewer segments than the whole
+    assert cuts == [46, 61]
 
 
 def test_box_hint_must_be_an_int() -> None:
     """A bool or any other non-int hint raises TypeError; True is not index 1."""
     box = param_space(1.5)
     cfg = SearchConfig(**_AREA_15)
-    stream = _taken(enumerate_segments(2, 1))
+    stream = WordStream(enumerate_segments(2, 1), cfg.word_budget_per_box)
     # segments 0 and 2 are the Words z and y z^-1, and 1 is the Run of y z
     for hint in (True, False, 0.0, 2.0, "2"):
         with pytest.raises(TypeError, match="hint must be an int segment index"):
@@ -1159,7 +1183,7 @@ def test_twin_skip_keeps_the_leading_block_overflow() -> None:
     root = ParamBox.from_point(Params(1e308, 0.5 + 1j, 0))
     # the default root of this area is too wide for a ParamBox, so the point is the root
     cfg = SearchConfig(area_bound=8.9e307, max_d=1, max_exp=2, root_box=root)
-    stream = WordStream(enumerate_segments(1, 2))
+    stream = WordStream(enumerate_segments(1, 2), cfg.word_budget_per_box)
     for form in (None, stream, stream):
         with pytest.raises(ValueError, match=r"the offset of x\^2 y\^0"):
             test_box(root, form, cfg)

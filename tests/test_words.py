@@ -3,7 +3,7 @@
 import math
 import random
 from collections import Counter
-from itertools import islice, zip_longest
+from itertools import accumulate, islice, zip_longest
 
 import pytest
 
@@ -335,14 +335,6 @@ def test_overflowing_words_raise_before_classification(monkeypatch) -> None:
     assert seen == []
 
 
-def _taken(source):
-    """A WordStream that has taken every segment of source."""
-    stream = WordStream(source)
-    while stream.take():
-        pass
-    return stream
-
-
 def _body(word):
     """A key for the word's body: e_1 and the syllables after the first."""
     return word.syllables[0][2], word.syllables[1:]
@@ -458,22 +450,55 @@ def test_completion_count_matches_a_brute_force_walk(max_exp, max_d) -> None:
             assert count == sizes[extra], (d, extra)
 
 
-def test_word_stream_takes_words_as_asked() -> None:
-    """take() pulls one segment at a time, and segments holds what it took, in stream order."""
-    source = enumerate_segments(2, 1)
-    stream = WordStream(source)
-    assert stream.segments == []
-    assert stream.take() and stream.segments == [parse_word("z")]
-    assert next(source) == Run(((0, 1, 1),), 0, 0, 1, 1)
-    stream = _taken(enumerate_segments(2, 1))
-    segments = stream.segments
-    assert segments == list(enumerate_segments(2, 1)) and len(segments) == 61
-    assert [w for w, _ in _expanded(segments)] == list(enumerate_words(2, 1))
-    assert sum(s.count if isinstance(s, Run) else 1 for s in segments) == 145
+def test_word_stream_is_the_cut() -> None:
+    """A stream takes its source once, through the first segment whose words reach the budget.
+
+    At (2, 1) the 145 words lie in 61 segments.  Budget 40 ends inside a
+    Run of 8 and 4 at a Run of one; 145 takes every segment, and so do the
+    budgets past it.  first_scan holds every Word and the first Run of each
+    lead, and a power-free word raises only inside the cut.  A budget
+    below 1 raises.
+    """
+    full = list(enumerate_segments(2, 1))
+    counts = [s.count if isinstance(s, Run) else 1 for s in full]
+    ends = list(accumulate(counts))
+    assert (len(full), ends[-1]) == (61, 145)
+    inside_a_run = 0
+    for budget in (1, 3, 4, 40, 145, 146, 10**6):
+        source = enumerate_segments(2, 1)
+        stream = WordStream(source, budget)
+        taken = next((k + 1 for k, end in enumerate(ends) if end >= budget), len(full))
+        assert stream.budget == budget
+        assert stream.segments == full[:taken] and stream.ends == ends[:taken]
+        assert stream.scanned == min(budget, 145)
+        # nothing past the cut was taken from the source
+        assert next(source, None) == (full[taken] if taken < len(full) else None)
+        leads = set()
+        first_scan = []
+        for k, segment in enumerate(stream.segments):
+            if isinstance(segment, Word) or segment.prefix[0] not in leads:
+                first_scan.append(k)
+            if isinstance(segment, Run):
+                leads.add(segment.prefix[0])
+        assert stream.first_scan == first_scan
+        inside_a_run += stream.ends[-1] > budget
+    assert inside_a_run == 1
+    # one entry per Word, and one per distinct Run lead
+    stream = WordStream(enumerate_segments(2, 1), 145)
+    assert len(stream.first_scan) == 34 + 7
+    assert [w for w, _ in _expanded(stream.segments)] == list(enumerate_words(2, 1))
     # x z, the fourth word, is the one word of the Run at index 3
-    assert list(segments[3].words()) == [parse_word("x z")]
-    rest = WordStream(list(enumerate_words(2, 1))[-2:])
-    assert rest.take() and rest.take() and not rest.take() and len(rest.segments) == 2
+    assert list(stream.segments[3].words()) == [parse_word("x z")]
+    words = list(enumerate_words(2, 1))
+    rest = WordStream(words[-2:], 10**6)
+    assert rest.segments == words[-2:] and rest.ends == [1, 2] and rest.scanned == 2
+    # a power-free word inside the cut raises, and one past it is never taken
+    translation = parse_word("x^2")
+    with pytest.raises(ValueError, match="word stream produced a power-free word"):
+        WordStream(words[:3] + [translation], 4)
+    assert WordStream(words[:3] + [translation], 3).segments == words[:3]
+    with pytest.raises(ValueError, match="budget must be at least 1"):
+        WordStream(enumerate_segments(2, 1), 0)
 
 
 def test_max_exp_is_capped() -> None:
