@@ -95,8 +95,8 @@ def cmd_search(args, parser):
     report = run_search(SearchConfig(**settings))
     _write_text(args.out, report.to_canonical_json() + "\n")
     print(
-        "search: %d boxes tested, %d leaves, %.2fs"
-        % (report.boxes_tested, len(report.leaves), report.wall_time),
+        "search: %d boxes tested, %d kernel runs, %d leaves, %.2fs"
+        % (report.boxes_tested, report.kernel_runs, len(report.leaves), report.wall_time),
         file=sys.stderr,
     )
     undecided = any(leaf.status is BoxStatus.UNDECIDED for leaf in report.leaves)

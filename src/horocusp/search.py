@@ -60,6 +60,26 @@ and is finite too: reading it cannot raise.  A child's table starts from
 its parent's (words.GeneratorTriple.inherit), keeping each offset and
 power whose generators' endpoints the split left as they were, bit for
 bit, since it would be built from the same floats by the same operations.
+
+A child re-evaluates only the words its split can change.  A split
+changes the endpoints of one generator, a, b or c, and inherit reports
+which generators' endpoint bits differ.  words.m21_reads names the
+generators a word's lower-left entry reads (WordStream.masks, built once
+per run by the first child), and a live word that reads none of the
+changed ones takes its parent's (L, U) in place of a kernel run.  This
+is sound on three counts.  lower_left_bounds is a deterministic function
+of the bits it reads, so equal input bits give equal output bits.  The
+child's whole bottom row lies inside its parent's, which was finite, by
+the isotonicity above, so no reused word skips a ValueError the kernel
+would raise on the child.  And U, whose overflow the kernel checks, is
+the parent's own.  An Undecided verdict hands its children bounds, the
+(L, U) of words of its live: on a box with a table, of those that read
+fewer than all three generators, since a word that reads all three
+reads whatever a split changes; on a box with no table, which builds no
+masks, of them all.  The reused values pass through the same
+classification, kept rule and near-miss tie rule, so verdicts, near
+misses, live and report bytes are those of a scan that evaluates every
+word.
 """
 
 import json
@@ -79,6 +99,7 @@ from .bicuspid import Feasibility, ParamBox, box_in_param_space, param_space
 from .bicuspid import integer, real_number, space_radius
 from .interval import RealInterval
 from .words import (
+    GEN_ALL,
     MAX_EXP,
     GeneratorTriple,
     KillerVerdict,
@@ -219,10 +240,13 @@ class BoxVerdict:
     with the smallest upper bound on the lower-left entry; it seeds the
     children's scans and is never serialized.  An Undecided verdict also
     carries live, the ascending segment indices of the Words its children
-    still evaluate, and table, the box's GeneratorTriple, from which the
-    children's tables start.  Both go to the children only: they are left
-    out of repr and comparison, never serialized, and leaves keep none of
-    the three.
+    still evaluate, table, the box's GeneratorTriple, from which the
+    children's tables start, and bounds, the (L, U) by segment index that
+    a child may reuse in place of a kernel run.  The three go to the
+    children only: they are left out of repr and comparison, never
+    serialized, and leaves keep none of the four.  kernel_runs counts the
+    scan's words.lower_left_bounds calls; it is left out of repr and
+    comparison and never serialized.
     """
 
     box: ParamBox
@@ -233,6 +257,8 @@ class BoxVerdict:
     near_miss: Optional[int] = field(default=None, repr=False)
     live: Optional[Tuple[int, ...]] = field(default=None, repr=False, compare=False)
     table: Optional[GeneratorTriple] = field(default=None, repr=False, compare=False)
+    bounds: Optional[dict] = field(default=None, repr=False, compare=False)
+    kernel_runs: int = field(default=0, repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         d = {
@@ -253,7 +279,10 @@ class SearchReport:
 
     global_volume_bound is the max candidate bound, the string "unbounded"
     when undecided leaves remain, or the string "-inf" when nothing is left
-    to bound.  wall_time is informational and excluded from serialization.
+    to bound.  words_evaluated counts the words the boxes scanned, and
+    kernel_runs the words.lower_left_bounds calls the scans made: twins,
+    dead words and reused bounds count only toward the first.  wall_time
+    and kernel_runs are informational and excluded from serialization.
     """
 
     config: SearchConfig
@@ -263,6 +292,7 @@ class SearchReport:
     words_evaluated: int
     incomplete: bool = False
     wall_time: float = 0.0
+    kernel_runs: int = 0
 
     def to_json_dict(self) -> dict:
         return {
@@ -322,6 +352,7 @@ def test_box(
     hint: Optional[int] = None,
     live: Optional[Tuple[int, ...]] = None,
     table: Optional[GeneratorTriple] = None,
+    bounds: Optional[dict] = None,
 ) -> BoxVerdict:
     """Scan one box against the word stream.
 
@@ -361,6 +392,16 @@ def test_box(
     below _DEAD_LO here, the hint among them when it is in live.  A
     position absent from live never re-enters, and the tuple passed in is
     never changed, since siblings share it.
+
+    bounds is that verdict's bounds, a dict from Word index to the (L, U)
+    its scan found there; it is read only with a table.  A word in it,
+    the hint too, whose m21 reads none of the generators whose endpoints
+    differ from table's (words.m21_reads) takes those bounds in place of a
+    kernel run, bit for bit the same (see the module docstring).  An
+    Undecided verdict carries, for its children, the bounds of its live:
+    all of them on a box with no table, and otherwise those whose word
+    reads fewer than all three generators.  The verdict's kernel_runs
+    counts the kernel calls.
     """
     if hint is not None and (isinstance(hint, bool) or not isinstance(hint, int)):
         raise TypeError(f"hint must be an int segment index, got {hint!r}")
@@ -377,22 +418,37 @@ def test_box(
 
     # looked up on the words module, where perfbench's tracer wraps it
     gens = _words.gens_from_params(box)
-    if table is not None:
-        gens.inherit(table)
+    # with no masks to pick by, every live word's bounds go to the children
+    view, keep_all = segments, table is None
+    if not keep_all:
+        changed, masks = gens.inherit(table), stream.masks()
+        if bounds:
+            # the segments, each word the split left as it was replaced by
+            # its parent's (L, U), a plain tuple
+            view = segments.copy()
+            for k, hit in bounds.items():
+                if not masks[k] & changed:
+                    view[k] = hit
     kernel = lower_left_bounds
+    runs = 0
     dead_lo = _DEAD_LO
     candidate: Optional[int] = None
     near_hi, near = math.inf, None
     kept: List[int] = []
+    kept_bounds = {}
     hint_kept = False
 
     if hint is not None:
         word = segments[hint]
-        lo, hi = kernel(gens, word.syllables)
+        hint_hit = view[hint]
+        if hint_hit.__class__ is not tuple:
+            hint_hit = kernel(gens, word.syllables)
+            runs += 1
+        lo, hi = hint_hit
         if hi < 1.0:
             # only U < 1 decides a box; classify_bounds says which way
             if classify_bounds(lo, hi) is KillerVerdict.ELIMINATES:
-                return BoxVerdict(box, BoxStatus.ELIMINATED_KILLER, word, None, 1)
+                return BoxVerdict(box, BoxStatus.ELIMINATED_KILLER, word, None, 1, kernel_runs=runs)
             candidate = hint
         elif lo < dead_lo:
             hint_kept = True
@@ -403,32 +459,48 @@ def test_box(
         if k == hint:
             if hint_kept:
                 kept.append(k)
+                if keep_all or masks[k] != GEN_ALL:
+                    kept_bounds[k] = hint_hit
             continue
-        segment = segments[k]
+        segment = view[k]
         if segment.__class__ is Run:
             # only the leading syllable's table entry can raise where the
             # twins' own evaluations would, so read it for its error
             gens[segment.prefix[0]]
             continue
-        lo, hi = kernel(gens, segment.syllables)
+        if segment.__class__ is tuple:
+            # a word the split left as it was: its parent's (L, U)
+            lo, hi = segment
+        else:
+            lo, hi = kernel(gens, segment.syllables)
+            runs += 1
         if hi < 1.0:
             if classify_bounds(lo, hi) is KillerVerdict.ELIMINATES:
                 # the words through this one, and the hint when it lies after it
                 done = ends[k] + (k < hint_at)
-                return BoxVerdict(box, BoxStatus.ELIMINATED_KILLER, segment, None, done)
+                return BoxVerdict(
+                    box, BoxStatus.ELIMINATED_KILLER, segments[k], None, done, kernel_runs=runs
+                )
             if candidate is None or k < candidate:
                 candidate = k
         elif lo < dead_lo:
             # with lo >= _DEAD_LO the word is ruled out for every box below
             kept.append(k)
+            if keep_all or masks[k] != GEN_ALL:
+                kept_bounds[k] = lo, hi
             # the least (hi, index); the kernel's hi is finite
             if lo < 1.0 and (hi < near_hi or (hi == near_hi and k < near)):
                 near_hi, near = hi, k
 
+    scanned = stream.scanned
     if candidate is not None:
         word = segments[candidate]
-        return BoxVerdict(box, BoxStatus.CANDIDATE, word, volume_bound(word), stream.scanned)
-    return BoxVerdict(box, BoxStatus.UNDECIDED, None, None, stream.scanned, near, tuple(kept), gens)
+        return BoxVerdict(
+            box, BoxStatus.CANDIDATE, word, volume_bound(word), scanned, kernel_runs=runs
+        )
+    return BoxVerdict(
+        box, BoxStatus.UNDECIDED, None, None, scanned, near, tuple(kept), gens, kept_bounds, runs
+    )
 
 
 # keep pytest from collecting the operation as a test case
@@ -452,10 +524,12 @@ def run_search(cfg: SearchConfig) -> SearchReport:
     Undecided boxes wider than cfg.min_box_width and shallower than
     cfg.max_depth are subdivided; other undecided boxes become leaves.
     Both children inherit the box's near miss as their hint, its live, so
-    they evaluate only the words it left open, and its table, so they
-    rebuild only the entries the split changed; every box stops at the
-    root's cut (see the module docstring).  A leaf keeps none of the
-    three: no report reads them.
+    they evaluate only the words it left open, its table, so they rebuild
+    only the entries the split changed, and its bounds, so they
+    re-evaluate only the words the split can change; every box stops at
+    the root's cut (see the module docstring).  A leaf keeps none of the
+    four: no report reads them.  The report's kernel_runs sums the
+    verdicts'.
     The search runs on one thread, so the box budget cuts a fixed prefix of
     the depth-first order and every report, capped or complete, serializes
     identically from run to run.  The walk pops each box's 0 child before
@@ -472,28 +546,29 @@ def run_search(cfg: SearchConfig) -> SearchReport:
     # one stream for every box: the cut every box of the run reads
     stream = WordStream(enumerate_segments(cfg.max_d, cfg.max_exp), cfg.word_budget_per_box)
     leaves: List[BoxVerdict] = []
-    # (box, hint, live, table), the last three from the parent's verdict
-    stack: List[Tuple[ParamBox, Optional[int], Optional[tuple], Optional[GeneratorTriple]]]
-    stack = [(root, None, None, None)]
-    boxes = words = 0
+    # (box, hint, live, table, bounds), the last four from the parent's verdict
+    stack: List[tuple] = [(root, None, None, None, None)]
+    boxes = words = runs = 0
     incomplete = False
     while stack:
-        box, hint, live, table = stack.pop()
+        box, hint, live, table, bounds = stack.pop()
         if cfg.max_boxes and boxes >= cfg.max_boxes:
             incomplete = True
             leaves.append(BoxVerdict(box, BoxStatus.UNDECIDED))
             continue
         boxes += 1
-        verdict = test_box(box, stream, cfg, hint=hint, live=live, table=table)
+        verdict = test_box(box, stream, cfg, hint=hint, live=live, table=table, bounds=bounds)
         words += verdict.words_scanned
+        runs += verdict.kernel_runs
         splittable = len(box.path) < cfg.max_depth and box.max_width() > cfg.min_box_width
         if verdict.status is BoxStatus.UNDECIDED and splittable:
             child_hint = verdict.near_miss if cfg.use_parent_word_hint else None
+            handed = (child_hint, verdict.live, verdict.table, verdict.bounds)
             lo, hi = subdivide(box)
-            stack.append((hi, child_hint, verdict.live, verdict.table))
-            stack.append((lo, child_hint, verdict.live, verdict.table))
+            stack.append((hi, *handed))
+            stack.append((lo, *handed))
         else:
-            verdict.near_miss = verdict.live = verdict.table = None
+            verdict.near_miss = verdict.live = verdict.table = verdict.bounds = None
             leaves.append(verdict)
 
     report = SearchReport(
@@ -504,12 +579,14 @@ def run_search(cfg: SearchConfig) -> SearchReport:
         words,
         incomplete,
         time.perf_counter() - start,
+        runs,
     )
     log.info(
-        "search finished: %d leaves, %d boxes tested, %d words evaluated, %.3fs",
+        "search finished: %d leaves, %d boxes tested, %d words evaluated, %d kernel runs, %.3fs",
         len(leaves),
         report.boxes_tested,
         report.words_evaluated,
+        report.kernel_runs,
         report.wall_time,
     )
     return report

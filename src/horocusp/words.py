@@ -95,6 +95,17 @@ the segments through the first whose words reach the budget, taken once.
 Scans name words by segment index: every word a scan evaluates is a
 Word segment, and segments come in stream order.
 
+Reads: m21_reads(syllables) is the set of generators, as GEN_A, GEN_B and
+GEN_C bits, whose endpoints the kernel's m21 reads.  It walks the
+syllables as _bottom_row does, with each rectangle replaced by the set of
+generators it was built from: a product or a sum reads what its operands
+read, and the exact 0, 1 and -1 entries read nothing.  A word's [L, U] is
+then a function of those generators' endpoint bits alone, so a box whose
+a, b and c differ from another's only outside that set gets the same
+[L, U], bit for bit.  The set may hold a generator the value does not
+depend on (the -1 of gamma^2's bottom row (c, -1) counts as reading c);
+it never misses one the value depends on.
+
 Tables: _syllable_ranks and _moves hold up to (2 max_exp + 1)^2 * 2 max_exp
 syllables per entry, so max_exp is capped at MAX_EXP.
 """
@@ -465,9 +476,11 @@ class WordStream:
     the index of its Word segment and break ties by the earliest, which is
     the canonical least only when the source is enumerate_segments or
     enumerate_words.  budget must be at least 1, else ValueError.
+    masks() gives, by segment index, the generators each Word's m21 reads
+    (m21_reads), for scans that reuse a parent box's bounds.
     """
 
-    __slots__ = ("budget", "segments", "ends", "first_scan", "scanned")
+    __slots__ = ("budget", "segments", "ends", "first_scan", "scanned", "_masks")
 
     def __init__(self, source: Iterable[Segment], budget: int) -> None:
         if budget < 1:
@@ -494,6 +507,19 @@ class WordStream:
                 break
         self.budget, self.segments, self.ends, self.first_scan = budget, segments, ends, first_scan
         self.scanned = min(budget, words)
+        self._masks = None
+
+    def masks(self) -> List[int]:
+        """m21_reads of each Word segment, and GEN_ALL for each Run, built on the first call.
+
+        A scan with a parent's table reads them (see search.test_box), so
+        a stream that only root boxes scan never builds them.
+        """
+        if self._masks is None:
+            self._masks = [
+                GEN_ALL if s.__class__ is Run else m21_reads(s.syllables) for s in self.segments
+            ]
+        return self._masks
 
 
 _ZERO = (0.0, 0.0, 0.0, 0.0)
@@ -541,7 +567,8 @@ class GeneratorTriple(dict):
     lower_left_bounds and the scan read the table by subscript, and by
     the body-twin lemma gamma^e's bottom row is the row after a first
     syllable (m, n, e).  inherit starts a child box's table from its
-    parent's offsets and powers.  Nothing else is held: the oracle
+    parent's offsets and powers and names the generators that changed.
+    Nothing else is held: the oracle
     evaluate_word builds its own matrices from a, b and c.
     """
 
@@ -554,7 +581,7 @@ class GeneratorTriple(dict):
     def __repr__(self) -> str:
         return f"GeneratorTriple(a={self.a!r}, b={self.b!r}, c={self.c!r})"
 
-    def inherit(self, parent: "GeneratorTriple") -> None:
+    def inherit(self, parent: "GeneratorTriple") -> int:
         """Start the table from parent's: the offsets and powers it would build bit for bit.
 
         The offset of x^m reads only a's endpoints, that of y^n only b's
@@ -563,17 +590,21 @@ class GeneratorTriple(dict):
         zeros included, is kept, and the powers when c's do.  It replaces
         this triple's caches, so it is called on a fresh triple, and the
         kept entries go into new dicts, so the parent's never change.
+        Returns the generators whose endpoints differ, as GEN_* bits: a
+        word whose m21_reads misses them has parent's (L, U) here.
         """
         same_a = _same_bits(self.a.endpoints(), parent.a.endpoints())
         same_b = _same_bits(self.b.endpoints(), parent.b.endpoints())
+        same_c = _same_bits(self.c.endpoints(), parent.c.endpoints())
         if same_a or same_b:
             self._offsets = {
                 block: offset
                 for block, offset in parent._offsets.items()
                 if (same_a or not block[0]) and (same_b or not block[1])
             }
-        if _same_bits(self.c.endpoints(), parent.c.endpoints()):
+        if same_c:
             self._unboxed_powers = dict(parent._unboxed_powers)
+        return (0 if same_a else GEN_A) | (0 if same_b else GEN_B) | (0 if same_c else GEN_C)
 
     def __missing__(self, syllable: Syllable) -> tuple:
         m, n, e = syllable
@@ -789,6 +820,34 @@ def _bottom_row(gens: GeneratorTriple, syllables: Iterable[Syllable], row: tuple
                 rect_add(rect_mul(r1, g12), rect_mul(r2, g22)),
             )
     return r1, r2
+
+
+# the generators a rectangle is built from, as bits of one int
+GEN_A, GEN_B, GEN_C = 1, 2, 4
+GEN_ALL = GEN_A | GEN_B | GEN_C
+
+
+def m21_reads(syllables: Tuple[Syllable, ...]) -> int:
+    """The generators, as GEN_* bits, whose endpoints lower_left_bounds' (L, U) reads.
+
+    _bottom_row's steps over sets: the row after the first syllable
+    (m, n, e1) is gamma^e1's bottom row, (1, 0) for e1 = 1, (-1, c) for
+    e1 = -1 and both entries read from c otherwise.  Every later block is
+    nontrivial, and its offset step adds r1's set and the block's
+    generators to r2's; a gamma step gives each new entry the sets of the
+    entries and of c it is made from.  (L, U) is read from r1 alone.
+    """
+    e1 = syllables[0][2]
+    r1, r2 = (0, 0) if e1 == 1 else (0, GEN_C) if e1 == -1 else (GEN_C, GEN_C)
+    for m, n, e in syllables[1:]:
+        r2 |= r1 | (GEN_A if m else 0) | (GEN_B if n else 0)
+        if e == 1:
+            r1, r2 = r1 | r2 | GEN_C, r1
+        elif e == -1:
+            r1, r2 = r2, r1 | r2 | GEN_C
+        else:
+            r1 = r2 = r1 | r2 | GEN_C
+    return r1
 
 
 def lower_left_abs(word: Word, target: Union[GeneratorTriple, Params, ParamBox]) -> RealInterval:

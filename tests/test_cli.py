@@ -180,7 +180,7 @@ def test_search_help_names_the_exponent_cap(capsys):
     assert "at most %d" % MAX_EXP in " ".join(capsys.readouterr().out.split())
 
 
-def test_search_api_and_cli_give_identical_bytes(tmp_path):
+def test_search_api_and_cli_give_identical_bytes(tmp_path, capsys):
     # the CLI coerces nothing itself: integral floats and int areas reach
     # SearchConfig as given and serialize as they do through the library
     cfg = SearchConfig(
@@ -192,7 +192,12 @@ def test_search_api_and_cli_give_identical_bytes(tmp_path):
         word_budget_per_box=10000,
         root_box=SLICE_CFG["root_box"],
     )
-    api = (run_search(cfg).to_canonical_json() + "\n").encode()
+    report = run_search(cfg)
+    api = (report.to_canonical_json() + "\n").encode()
+    # the stderr summary names the boxes and the kernel runs behind them
+    summary = "search: %d boxes tested, %d kernel runs, %d leaves, " % (
+        report.boxes_tested, report.kernel_runs, len(report.leaves)
+    )
     cfg_path = tmp_path / "ints.json"
     cfg_path.write_text(json.dumps(dict(SLICE_CFG, area_bound=6, max_d=2.0, max_depth=12.0)))
     for argv in (
@@ -200,8 +205,10 @@ def test_search_api_and_cli_give_identical_bytes(tmp_path):
         ["--config", str(cfg_path), "--area-max", "6", "--max-d", "2"],
     ):
         out = tmp_path / "r.json"
+        capsys.readouterr()
         assert run_cli(["search", *argv, "--out", str(out)]) == 0, argv
         assert out.read_bytes() == api, argv
+        assert capsys.readouterr().err.startswith(summary), argv
 
 
 def test_search_report_config_reproduces_report(tmp_path):

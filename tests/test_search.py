@@ -7,7 +7,7 @@ import random
 import zlib
 from collections import Counter
 from dataclasses import fields
-from itertools import islice, permutations
+from itertools import islice, permutations, product
 
 import pytest
 
@@ -39,6 +39,8 @@ from horocusp.words import (
     parse_word,
     volume_bound,
 )
+
+from test_words import _AXIS_GENERATOR
 
 SLICE_BOUNDS = [[1.0, 1.2], [0.0, 0.0], [0.0, 0.0], [4.0, 4.0], [-0.7, -0.4], [0.0, 0.0]]
 # finite endpoints whose b_re width 3.4e308 overflows to inf
@@ -484,7 +486,7 @@ def test_area_one_complete_cover_golden() -> None:
     assert hashlib.sha256(text).hexdigest() == (
         "f02a3bba9797b07d01a9184ea92f69bbbd5744d9c50e9947348f1999e4b99f98"
     )
-    assert (report.boxes_tested, report.words_evaluated) == (239, 446388)
+    assert (report.boxes_tested, report.words_evaluated, report.kernel_runs) == (239, 446388, 76896)
     assert Counter(leaf.status for leaf in report.leaves) == {
         BoxStatus.CANDIDATE: 104,
         BoxStatus.ELIMINATED_KILLER: 4,
@@ -513,6 +515,7 @@ def test_area_one_and_a_half_deep_cover_golden() -> None:
         "890a0a6a1f140ec9aa07146e4d6506adcd0f1c5bb22579fc2f88bcd55c2ce8a4"
     )
     assert (report.boxes_tested, report.words_evaluated) == (19479, 2450845)
+    assert report.kernel_runs == 182110
     assert not report.incomplete
 
 
@@ -774,10 +777,12 @@ _AREA_15 = dict(
          "straddle-d3"],
 )
 def test_dead_word_skips_keep_report_bytes(monkeypatch, settings) -> None:
-    """Skipping dead words and body twins changes no byte of the report.
+    """Skipping dead words and body twins and reusing bounds change no byte of the report.
 
-    Each setting runs with dead-word skipping on and off, and with twin
-    skipping on and off; with both off the scan evaluates every word.
+    Each setting runs with dead-word skipping, twin skipping and bounds
+    reuse each on and off, all eight ways; reuse is off when every word's
+    m21 reads a, b and c.  With all three off the scan evaluates every
+    word, and every run's kernel_runs counts its kernel calls.
     """
     cfg = SearchConfig(**settings)
     calls = 0
@@ -789,23 +794,28 @@ def test_dead_word_skips_keep_report_bytes(monkeypatch, settings) -> None:
         return real(gens, syllables)
 
     monkeypatch.setattr(search_module, "lower_left_bounds", counted)
-    dead_lo = search_module._DEAD_LO
+    dead_lo, m21_reads = search_module._DEAD_LO, words_module.m21_reads
     runs = {}
-    for twins in (True, False):
+    for twins, dead, reuse in product((True, False), repeat=3):
         monkeypatch.setattr(search_module, "WordStream", WordStream if twins else _NoTwins)
-        for dead in (True, False):
-            # a _DEAD_LO of inf rules no word out
-            monkeypatch.setattr(search_module, "_DEAD_LO", dead_lo if dead else math.inf)
-            calls = 0
-            report = run_search(cfg)
-            runs[twins, dead] = report.to_canonical_json(), calls, report
-    full = runs[False, False][2]
+        # a _DEAD_LO of inf rules no word out
+        monkeypatch.setattr(search_module, "_DEAD_LO", dead_lo if dead else math.inf)
+        reads = m21_reads if reuse else lambda syllables: words_module.GEN_ALL
+        monkeypatch.setattr(words_module, "m21_reads", reads)
+        calls = 0
+        report = run_search(cfg)
+        assert report.kernel_runs == calls
+        runs[twins, dead, reuse] = report.to_canonical_json(), calls, report
+    full = runs[False, False, False][2]
     assert {text for text, _, _ in runs.values()} == {full.to_canonical_json()}
-    assert runs[False, False][1] == full.words_evaluated
-    # a root box alone has no ancestor to skip words for
-    assert runs[False, True][1] < full.words_evaluated or full.boxes_tested == 1
-    for dead in (True, False):
-        assert runs[True, dead][1] < runs[False, dead][1]
+    assert runs[False, False, False][1] == full.words_evaluated
+    # a root box alone has no ancestor to skip words for, or take bounds from
+    assert runs[False, True, False][1] < full.words_evaluated or full.boxes_tested == 1
+    for dead, reuse in product((True, False), repeat=2):
+        assert runs[True, dead, reuse][1] < runs[False, dead, reuse][1]
+    for twins, dead in product((True, False), repeat=2):
+        off = runs[twins, dead, False][1]
+        assert runs[twins, dead, True][1] < off or full.boxes_tested == 1
 
 
 class _LeadReads(words_module.GeneratorTriple):
@@ -891,6 +901,109 @@ def test_every_box_of_a_run_shares_the_root_cut(monkeypatch, settings) -> None:
     assert len(scanned) > 10 or report.boxes_tested == 1
 
 
+@pytest.mark.parametrize(
+    "settings",
+    [
+        dict(_AREA_15, max_boxes=50),
+        dict(_AREA_15, max_boxes=500, word_budget_per_box=60),
+        dict(area_bound=6.0, max_d=2, max_exp=1, max_depth=6, min_box_width=1e-3,
+             root_box=STRADDLE_BOUNDS),
+        dict(area_bound=6.0, max_d=3, max_exp=2, max_depth=6, min_box_width=1e-3,
+             root_box=STRADDLE_BOUNDS),
+    ],
+    ids=["search-area", "budget-60", "straddle", "straddle-d3"],
+)
+def test_child_reevaluates_only_what_its_split_changes(monkeypatch, settings) -> None:
+    """A child runs the kernel only on words whose m21 reads the generator its split changed.
+
+    Every other live word takes its parent's bounds, so the run makes
+    fewer kernel calls than one whose masks read all three generators,
+    with the same report bytes; each verdict's kernel_runs counts its
+    calls.  straddle-d3's root is killed at once, so it has no child.
+    """
+    cfg = SearchConfig(**settings)
+    calls, boxes = [], {}
+    real_kernel, real_test_box = search_module.lower_left_bounds, search_module.test_box
+
+    def kernel(gens, syllables):
+        calls[-1][1].append(syllables)
+        return real_kernel(gens, syllables)
+
+    def recording_test_box(box, *args, **kwargs):
+        boxes[box.path] = box
+        calls.append((box.path, []))
+        verdict = real_test_box(box, *args, **kwargs)
+        assert verdict.kernel_runs == len(calls[-1][1])
+        return verdict
+
+    monkeypatch.setattr(search_module, "lower_left_bounds", kernel)
+    monkeypatch.setattr(search_module, "test_box", recording_test_box)
+    report = run_search(cfg)
+    assert report.kernel_runs == sum(len(evaluated) for _, evaluated in calls)
+    children = 0
+    for path, evaluated in calls:
+        if not path:
+            continue
+        children += 1
+        parent, child = boxes[path[:-1]].coords(), boxes[path].coords()
+        axis = next(i for i in range(6) if parent[i] != child[i])
+        split = _AXIS_GENERATOR[axis]
+        for syllables in evaluated:
+            assert words_module.m21_reads(syllables) & split, (path, str(Word(syllables)))
+    monkeypatch.setattr(words_module, "m21_reads", lambda syllables: words_module.GEN_ALL)
+    monkeypatch.setattr(search_module, "test_box", real_test_box)
+    monkeypatch.setattr(search_module, "lower_left_bounds", real_kernel)
+    unmasked = run_search(cfg)
+    assert unmasked.to_canonical_json() == report.to_canonical_json()
+    assert report.kernel_runs < unmasked.kernel_runs or report.boxes_tested == 1
+    assert children or report.boxes_tested == 1
+
+
+def test_reuse_needs_the_parent_table(monkeypatch) -> None:
+    """Bounds are reused only beside a table, and only where no read generator's bits changed.
+
+    A child scanned with its parent's live and bounds but no table runs the
+    kernel on every live word; with the table, on fewer, for the same
+    verdict.  A box whose c differs from the parent's only in the sign of
+    its zero imaginary part changes c's bits: every word that reads c is
+    evaluated again, and no other.
+    """
+    calls = []
+    real_kernel = search_module.lower_left_bounds
+
+    def kernel(gens, syllables):
+        calls.append(syllables)
+        return real_kernel(gens, syllables)
+
+    monkeypatch.setattr(search_module, "lower_left_bounds", kernel)
+    cfg = _cfg(root_box=STRADDLE_BOUNDS)
+    stream = WordStream(enumerate_segments(2, 1), cfg.word_budget_per_box)
+    root = ParamBox.from_bounds(STRADDLE_BOUNDS)
+    parent = test_box(root, stream, cfg)
+    assert parent.status is BoxStatus.UNDECIDED and parent.live
+    assert set(parent.bounds) == set(parent.live)
+    masks = stream.masks()
+    for child in subdivide(root):
+        handed = dict(live=parent.live, bounds=parent.bounds, hint=parent.near_miss)
+        calls.clear()
+        plain = test_box(child, stream, cfg, **handed)
+        assert plain.kernel_runs == len(calls) == len(parent.live)
+        calls.clear()
+        reused = test_box(child, stream, cfg, table=parent.table, **handed)
+        assert reused.kernel_runs == len(calls) < len(parent.live)
+        assert _verdict_fields(reused) == _verdict_fields(plain)
+    bounds = [list(pair) for pair in STRADDLE_BOUNDS]
+    bounds[5] = [-0.0, -0.0]
+    twin = ParamBox.from_bounds(bounds)
+    assert gens_from_params(twin).inherit(parent.table) == words_module.GEN_C
+    calls.clear()
+    verdict = test_box(twin, stream, cfg, live=parent.live, table=parent.table, bounds=parent.bounds)
+    reads_c = [k for k in parent.live if masks[k] & words_module.GEN_C]
+    assert calls == [stream.segments[k].syllables for k in reads_c]
+    assert 0 < len(reads_c) < len(parent.live)
+    assert _verdict_fields(verdict) == _verdict_fields(test_box(root, stream, cfg))
+
+
 def test_box_hands_its_children_a_new_dead_set() -> None:
     """A child's live is a strict subsequence of its parent's, which it never changes.
 
@@ -916,11 +1029,12 @@ def test_box_hands_its_children_a_new_dead_set() -> None:
 
 
 def test_leaves_keep_no_near_miss_or_dead_set() -> None:
-    """Only children read a near miss, a live tuple or a table, so no leaf keeps one."""
+    """Only children read a near miss, a live tuple, a table or bounds, so no leaf keeps one."""
     rep = run_search(SearchConfig(**dict(_AREA_15, max_depth=6, word_budget_per_box=2000)))
     assert any(leaf.status is BoxStatus.UNDECIDED and leaf.words_scanned for leaf in rep.leaves)
     assert all(
-        leaf.near_miss is None and leaf.live is None and leaf.table is None for leaf in rep.leaves
+        leaf.near_miss is None and leaf.live is None and leaf.table is None and leaf.bounds is None
+        for leaf in rep.leaves
     )
 
 

@@ -13,6 +13,10 @@ from horocusp.bicuspid import ParamBox, Params, param_space
 from horocusp.interval import RealInterval, rect_add, rect_mul
 from horocusp.search import SearchConfig, subdivide, test_box
 from horocusp.words import (
+    GEN_A,
+    GEN_ALL,
+    GEN_B,
+    GEN_C,
     MAX_EXP,
     KillerVerdict,
     Run,
@@ -693,6 +697,10 @@ def test_scan_caches_are_bit_identical_to_fresh_builds() -> None:
     assert raised > 1000
 
 
+# the generator whose endpoints a split on each coordinate changes
+_AXIS_GENERATOR = {0: GEN_A, 1: GEN_A, 2: GEN_B, 3: GEN_B, 4: GEN_C, 5: GEN_C}
+
+
 def _halves(box, axis):
     """box's two halves split at the midpoint of coordinate axis, whatever the widest."""
     coords = list(box.coords())
@@ -716,6 +724,7 @@ def test_inherited_table_keeps_every_bit() -> None:
     message, must match a fresh gens_from_params(child), and the parent's
     caches must not change.  A child whose a differs from its parent's
     only in the sign of zero endpoints keeps no offset that reads a.
+    inherit returns the split generator, a for that child too.
     """
     syllables = sorted(
         {s for caps in ((3, 2), (6, 3)) for w in islice(enumerate_words(*caps), 2000) for s in w.syllables}
@@ -739,7 +748,7 @@ def test_inherited_table_keeps_every_bit() -> None:
         children.append((1, ParamBox.from_bounds(bounds)))
         for axis, child in children:
             inherited, fresh = gens_from_params(child), gens_from_params(child)
-            inherited.inherit(warm)
+            assert inherited.inherit(warm) == _AXIS_GENERATOR[axis]
             keep = keeps.get(axis, lambda m, n: axis > 3)
             assert set(inherited._offsets) == {block for block in offsets if keep(*block)}
             assert inherited._unboxed_powers == (powers if axis < 4 else {})
@@ -753,6 +762,97 @@ def test_inherited_table_keeps_every_bit() -> None:
 
 def _hex_rects(rects):
     return [tuple(v.hex() for v in r) for r in rects]
+
+
+def test_m21_reads_examples() -> None:
+    """The generators named for a few words, against their lower-left entries.
+
+    z and x z have m21 = 1, z^-1 has -1, z^2 has c, z y z^-1 has -b and
+    z x z has c + a.  z^-1 x z has -c + (c - a), which the interval
+    product reads c for, though it equals -a.  The leading block is never
+    read.
+    """
+    for text, reads in (
+        ("z", 0),
+        ("x z", 0),
+        ("x^2 y z", 0),
+        ("z^-1", 0),
+        ("z^2", GEN_C),
+        ("z y z^-1", GEN_B),
+        ("x y z y z^-1", GEN_B),
+        ("z x z", GEN_A | GEN_C),
+        ("z^-1 x z", GEN_A | GEN_C),
+        ("z^2 x y z^-1", GEN_ALL),
+    ):
+        assert words_module.m21_reads(parse_word(text).syllables) == reads, text
+
+
+def test_m21_reads_misses_no_generator_the_bounds_read() -> None:
+    """A word whose mask misses the split generator keeps its bounds' bits on both children.
+
+    Every word of (2,1) and (3,2) and of the first 2000 positions of (6,3),
+    on seeded dyadic parents and the straddle box, each split on a_re,
+    b_re, b_im, c_re and c_im.  Each such word's lower_left_bounds must
+    have the parent's bits on both halves.  Every split keeps some words'
+    bounds this way, and changes the bounds of some word that reads the
+    split generator, so the mask is not all or nothing.
+    """
+    words = [w.syllables for caps in ((2, 1), (3, 2)) for w in enumerate_words(*caps)]
+    words += [w.syllables for w in islice(enumerate_words(6, 3), 2000)]
+    masks = [words_module.m21_reads(syllables) for syllables in words]
+    parents = _random_dyadic_boxes(1.5, 2, random.Random(52711))
+    parents.append(ParamBox.from_bounds([[0.5, 1.5], [0.0, 0.0], [0.0, 0.0], [4.0, 4.0],
+                                         [-0.75, -0.25], [0.0, 0.0]]))
+    kept_by_axis, changed_by_axis = Counter(), Counter()
+    for parent in parents:
+        gens = gens_from_params(parent)
+        before = [_hex_outcome(_outcome(lambda: lower_left_bounds(gens, s))) for s in words]
+        for axis in (0, 2, 3, 4, 5):
+            split = _AXIS_GENERATOR[axis]
+            for child in _halves(parent, axis):
+                if child.coords()[axis].width == 0.0:
+                    continue
+                child_gens = gens_from_params(child)
+                for i, syllables in enumerate(words):
+                    if masks[i] & split and kept_by_axis[axis] and changed_by_axis[axis]:
+                        continue
+                    after = _hex_outcome(_outcome(lambda: lower_left_bounds(child_gens, syllables)))
+                    if not masks[i] & split:
+                        assert after == before[i], (parent.path, axis, Word._trusted(syllables))
+                        kept_by_axis[axis] += 1
+                    elif after != before[i]:
+                        changed_by_axis[axis] += 1
+    assert all(kept_by_axis[axis] > 1000 and changed_by_axis[axis] for axis in (0, 2, 3, 4, 5))
+
+
+def test_stream_builds_masks_once_on_the_first_child(monkeypatch) -> None:
+    """A root scan builds no masks; the first child builds them for every segment, once.
+
+    A Word's entry is its m21_reads and a Run's GEN_ALL.
+    """
+    built = []
+    real = words_module.m21_reads
+
+    def counted(syllables):
+        built.append(syllables)
+        return real(syllables)
+
+    monkeypatch.setattr(words_module, "m21_reads", counted)
+    cfg = SearchConfig(area_bound=1.5, max_d=2, max_exp=1, word_budget_per_box=10000)
+    box = param_space(1.5)
+    for _ in range(4):
+        box = subdivide(box)[0]
+    assert test_box(box, None, cfg).status is search_module.BoxStatus.UNDECIDED
+    stream = WordStream(enumerate_segments(2, 1), 10000)
+    parent = test_box(box, stream, cfg)
+    assert built == [] and stream._masks is None
+    for child in subdivide(box):
+        test_box(child, stream, cfg, live=parent.live, table=parent.table, bounds=parent.bounds)
+    assert built == [s.syllables for s in stream.segments if isinstance(s, Word)]
+    assert stream.masks() == [
+        GEN_ALL if isinstance(s, Run) else real(s.syllables) for s in stream.segments
+    ]
+    assert len(built) == sum(isinstance(s, Word) for s in stream.segments)
 
 
 def test_gamma_unit_steps_match_the_general_step() -> None:
