@@ -22,35 +22,52 @@ does, so a box with no enclosing box reads that entry, once per lead: an
 entry read once without raising never raises.
 
 The stream is the cut: the segments through the first whose words reach
-the budget, or all of them.  A scan counts the hint's one word first,
-then each segment's words as it passes the segment, the hint's passed
-over, and stops once it has counted the budget.  A hint must index a Word
-of the cut, so it only moves its own word to the front, and a box that
-no word kills scans the cut's words, capped at the budget, which is
-WordStream.scanned.  A child's hint is its parent's near miss, an
-evaluated word of the cut, so every box of a run reads the root's cut.
+the budget, or all of them.  A scan evaluates the hint first, and a hint
+that kills the box counts as its one word.  Otherwise the scan visits the
+cut in order, the hint in its place, and a killer counts the words
+through its own segment, and the hint's when it lies after it.  The
+candidate, the least index with U < 1, and the near miss, the least
+(U, index) among kept words with L < 1, do not depend on that order, so
+the hint only moves its kill test to the front.  A hint must index a
+Word of the cut, and a box that no word kills scans the cut's words,
+capped at the budget, which is WordStream.scanned.  A child's hint is its
+parent's near miss, an evaluated word of the cut, so every box of a run
+reads the root's cut.
 
-A box scans only what its parent left open.  An undecided box hands its
-children live, the Words of the cut it evaluated whose L stayed below
-_DEAD_LO, and a child evaluates its hint and those positions only; a
-position absent from live never re-enters.  A word whose enclosure
-[L, U] of |m21| has L >= _DEAD_LO on a box has L >= 1 on every box inside
-it, so it is inconclusive there and never a near miss.  Every step of
-lower_left_bounds is inclusion isotone: real_add and real_mul with their
-exact 0 and 1 shortcuts, the inline rect_add and rect_mul, the product by
--1 (rect_neg), nextafter, and the generator and gamma^e builds, since
-round-to-nearest and nextafter are monotone and a shortcut taken only on
-the child returns the exact value, which the parent's rounded hull
-contains.  A gamma^+-1 step skips its products by the exact entries 0 and
-1 and keeps the full step's bits, so the argument covers it as is.  So each
-rectangle of a child's bottom row lies inside the parent's, and the point
-of rect_abs nearest the origin lies at least as far out on each axis.
-From Python 3.10 on math.hypot errs by under 1 ulp, so L, one nextafter
-below it, is within 2 ulp of the true distance; _DEAD_LO leaves a 16-ulp
-margin above 1.  A finite parent row also keeps the child's finite.  Such
-a word still counts as scanned, toward the budget too, so verdicts, near
-misses, hints and report bytes are those of a scan that evaluates every
-word.
+A box scans only what its parent left open, and re-evaluates only what
+its split can change.  An undecided box hands its children live, a dict
+from each Word of the cut it evaluated whose L stayed below _DEAD_LO, in
+ascending order, to the (L, U) it found there, and a child visits those
+positions only; a position absent from live never re-enters.  A word
+whose enclosure [L, U] of |m21| has L >= _DEAD_LO on a box has L >= 1 on
+every box inside it, so it is inconclusive there and never a near miss.
+Every step of lower_left_bounds is inclusion isotone: real_add and
+real_mul with their exact 0 and 1 shortcuts, the inline rect_add and
+rect_mul, the product by -1 (rect_neg), nextafter, and the generator and
+gamma^e builds, since round-to-nearest and nextafter are monotone and a
+shortcut taken only on the child returns the exact value, which the
+parent's rounded hull contains.  A gamma^+-1 step skips its products by
+the exact entries 0 and 1 and keeps the full step's bits, so the argument
+covers it as is.  So each rectangle of a child's bottom row lies inside
+the parent's, and the point of rect_abs nearest the origin lies at least
+as far out on each axis.  From Python 3.10 on math.hypot errs by under 1
+ulp, so L, one nextafter below it, is within 2 ulp of the true distance;
+_DEAD_LO leaves a 16-ulp margin above 1.  A finite parent row also keeps
+the child's finite.  Such a word still counts as scanned, toward the
+budget too.  A split changes the endpoints of one generator, a, b or c,
+and words.GeneratorTriple.inherit reports which generators' endpoint bits
+differ.  words.m21_reads names the generators a word's lower-left entry
+reads (WordStream.masks, built once per run by the first child), and a
+live word that reads none of the changed ones takes its (L, U) from live
+in place of a kernel run.  This is sound on three counts.
+lower_left_bounds is a deterministic function of the bits it reads, so
+equal input bits give equal output bits.  The child's whole bottom row
+lies inside its parent's, which was finite, by the isotonicity above, so
+no reused word skips a ValueError the kernel would raise on the child.
+And U, whose overflow the kernel checks, is the parent's own.  The reused
+values pass through the same classification, kept rule and near-miss tie
+rule, so verdicts, near misses, hints, live and report bytes are those of
+a scan that evaluates every word.
 
 A child reads no Run lead.  Its parent scanned the whole cut without
 raising, so the root read the entry of every lead in the cut and found it
@@ -60,26 +77,6 @@ and is finite too: reading it cannot raise.  A child's table starts from
 its parent's (words.GeneratorTriple.inherit), keeping each offset and
 power whose generators' endpoints the split left as they were, bit for
 bit, since it would be built from the same floats by the same operations.
-
-A child re-evaluates only the words its split can change.  A split
-changes the endpoints of one generator, a, b or c, and inherit reports
-which generators' endpoint bits differ.  words.m21_reads names the
-generators a word's lower-left entry reads (WordStream.masks, built once
-per run by the first child), and a live word that reads none of the
-changed ones takes its parent's (L, U) in place of a kernel run.  This
-is sound on three counts.  lower_left_bounds is a deterministic function
-of the bits it reads, so equal input bits give equal output bits.  The
-child's whole bottom row lies inside its parent's, which was finite, by
-the isotonicity above, so no reused word skips a ValueError the kernel
-would raise on the child.  And U, whose overflow the kernel checks, is
-the parent's own.  An Undecided verdict hands its children bounds, the
-(L, U) of words of its live: on a box with a table, of those that read
-fewer than all three generators, since a word that reads all three
-reads whatever a split changes; on a box with no table, which builds no
-masks, of them all.  The reused values pass through the same
-classification, kept rule and near-miss tie rule, so verdicts, near
-misses, live and report bytes are those of a scan that evaluates every
-word.
 """
 
 import json
@@ -91,6 +88,7 @@ import warnings
 import zlib
 from dataclasses import InitVar, dataclass, field, fields, replace
 from enum import Enum
+from itertools import repeat
 from typing import Iterable, List, Optional, Tuple, Union
 
 from . import __version__
@@ -99,7 +97,6 @@ from .bicuspid import Feasibility, ParamBox, box_in_param_space, param_space
 from .bicuspid import integer, real_number, space_radius
 from .interval import RealInterval
 from .words import (
-    GEN_ALL,
     MAX_EXP,
     GeneratorTriple,
     KillerVerdict,
@@ -239,12 +236,12 @@ class BoxVerdict:
     segment index.  near_miss is the segment index of the scanned word
     with the smallest upper bound on the lower-left entry; it seeds the
     children's scans and is never serialized.  An Undecided verdict also
-    carries live, the ascending segment indices of the Words its children
-    still evaluate, table, the box's GeneratorTriple, from which the
-    children's tables start, and bounds, the (L, U) by segment index that
-    a child may reuse in place of a kernel run.  The three go to the
-    children only: they are left out of repr and comparison, never
-    serialized, and leaves keep none of the four.  kernel_runs counts the
+    carries live, a dict from the ascending segment indices of the Words
+    its children still evaluate to the (L, U) found here, which a child
+    may reuse in place of a kernel run, and table, the box's
+    GeneratorTriple, from which the children's tables start.  The two go
+    to the children only: they are left out of repr and comparison, never
+    serialized, and leaves keep none of the three.  kernel_runs counts the
     scan's words.lower_left_bounds calls; it is left out of repr and
     comparison and never serialized.
     """
@@ -255,9 +252,8 @@ class BoxVerdict:
     volume_bound: Optional[float] = None
     words_scanned: int = 0
     near_miss: Optional[int] = field(default=None, repr=False)
-    live: Optional[Tuple[int, ...]] = field(default=None, repr=False, compare=False)
+    live: Optional[dict] = field(default=None, repr=False, compare=False)
     table: Optional[GeneratorTriple] = field(default=None, repr=False, compare=False)
-    bounds: Optional[dict] = field(default=None, repr=False, compare=False)
     kernel_runs: int = field(default=0, repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
@@ -350,9 +346,8 @@ def test_box(
     cfg: SearchConfig,
     *,
     hint: Optional[int] = None,
-    live: Optional[Tuple[int, ...]] = None,
+    live: Optional[dict] = None,
     table: Optional[GeneratorTriple] = None,
-    bounds: Optional[dict] = None,
 ) -> BoxVerdict:
     """Scan one box against the word stream.
 
@@ -368,40 +363,39 @@ def test_box(
     are named by their index in stream.segments, and ties go to the
     earliest, which on the canonical stream is the canonical least.  hint,
     the index of a Word segment of the cut (else ValueError; TypeError if
-    it is not an int), is scanned first and its stream copy is passed
-    over.  The stream is the cut: every word of it counts as scanned, so
-    a box that no word decides reports stream.scanned, and a killer the
-    words through its own segment, the hint among them.  Every box of a
-    run reads the root's cut (see the module docstring).
+    it is not an int), is evaluated first, and a hint that kills the box
+    is the verdict's one scanned word.  The stream is the cut: every word
+    of it counts as scanned, so a box that no word kills reports
+    stream.scanned, and a killer the words through its own segment, the
+    hint among them.  Every box of a run reads the root's cut (see the
+    module docstring).
 
-    The scan evaluates the hint, then visits in order the indices of live,
-    the hint's passed over.  With live None it visits stream.first_scan
-    instead: every Word, and each Run whose leading syllable no earlier
-    Run had.  Such a Run's leading syllable is read from the box's table,
-    as its words' evaluations would read it, so an overflow there raises
-    ValueError.  Every other Run's words, and every Word absent from live,
-    count as scanned without being evaluated: a twin has the [L, U] of its
-    body's first word, scanned before it, and a word absent from live was
-    ruled out on an enclosing box (see the module docstring).
+    The scan then visits in order the keys of live, the hint in its place
+    with the bounds found first.  With live None it visits
+    stream.first_scan instead: every Word, and each Run whose leading
+    syllable no earlier Run had.  Such a Run's leading syllable is read
+    from the box's table, as its words' evaluations would read it, so an
+    overflow there raises ValueError.  Every other Run's words, and every
+    Word absent from live, count as scanned without being evaluated: a
+    twin has the [L, U] of its body's first word, scanned before it, and a
+    word absent from live was ruled out on an enclosing box (see the
+    module docstring).  A hint absent from live still counts and can still
+    kill the box, but nothing else is done with it; on a live taken from
+    an enclosing box's verdict such a word has L >= _DEAD_LO, so no verdict
+    changes.
 
-    live, an ascending tuple of Word indices, is the live of an Undecided
-    verdict on an enclosing box scanned with the same stream, and table
-    that verdict's table; this box's table starts from it (see
-    GeneratorTriple.inherit).  An Undecided verdict carries, for its
-    children, its own table and its live: the visited Words whose L stays
-    below _DEAD_LO here, the hint among them when it is in live.  A
-    position absent from live never re-enters, and the tuple passed in is
-    never changed, since siblings share it.
-
-    bounds is that verdict's bounds, a dict from Word index to the (L, U)
-    its scan found there; it is read only with a table.  A word in it,
-    the hint too, whose m21 reads none of the generators whose endpoints
-    differ from table's (words.m21_reads) takes those bounds in place of a
-    kernel run, bit for bit the same (see the module docstring).  An
-    Undecided verdict carries, for its children, the bounds of its live:
-    all of them on a box with no table, and otherwise those whose word
-    reads fewer than all three generators.  The verdict's kernel_runs
-    counts the kernel calls.
+    live, a dict from ascending Word indices to (L, U), is the live of an
+    Undecided verdict on an enclosing box scanned with the same stream,
+    and table that verdict's table; this box's table starts from it (see
+    GeneratorTriple.inherit).  Beside a table, a word of live, the hint
+    too, whose m21 reads none of the generators whose endpoints differ
+    from table's (words.m21_reads) takes its (L, U) from live in place of
+    a kernel run, bit for bit the same (see the module docstring); with no
+    table live's values are not read.  An Undecided verdict carries, for
+    its children, its own table and its live: each visited Word whose L
+    stays below _DEAD_LO here, with its (L, U).  A position absent from
+    live never re-enters, and the dict passed in is never changed, since
+    siblings share it.  The verdict's kernel_runs counts the kernel calls.
     """
     if hint is not None and (isinstance(hint, bool) or not isinstance(hint, int)):
         raise TypeError(f"hint must be an int segment index, got {hint!r}")
@@ -413,83 +407,62 @@ def test_box(
     if stream is None:
         stream = WordStream(enumerate_segments(cfg.max_d, cfg.max_exp), budget)
         _check_cut(stream, budget, hint)
-    segments, ends = stream.segments, stream.ends
-    hint_at = -1 if hint is None else hint
+    segments = stream.segments
 
     # looked up on the words module, where perfbench's tracer wraps it
     gens = _words.gens_from_params(box)
-    # with no masks to pick by, every live word's bounds go to the children
-    view, keep_all = segments, table is None
-    if not keep_all:
+    # the parent's (L, U) are reused only beside its table
+    known = {} if table is None or live is None else live
+    if table is not None:
         changed, masks = gens.inherit(table), stream.masks()
-        if bounds:
-            # the segments, each word the split left as it was replaced by
-            # its parent's (L, U), a plain tuple
-            view = segments.copy()
-            for k, hit in bounds.items():
-                if not masks[k] & changed:
-                    view[k] = hit
     kernel = lower_left_bounds
     runs = 0
+
+    if hint is not None:
+        hint_hit = known.get(hint)
+        if hint_hit is None or masks[hint] & changed:
+            hint_hit = kernel(gens, segments[hint].syllables)
+            runs += 1
+        # only U < 1 decides a box; classify_bounds says which way
+        if hint_hit[1] < 1.0 and classify_bounds(*hint_hit) is KillerVerdict.ELIMINATES:
+            return BoxVerdict(
+                box, BoxStatus.ELIMINATED_KILLER, segments[hint], None, 1, kernel_runs=runs
+            )
+
     dead_lo = _DEAD_LO
     candidate: Optional[int] = None
     near_hi, near = math.inf, None
-    kept: List[int] = []
-    kept_bounds = {}
-    hint_kept = False
-
-    if hint is not None:
-        word = segments[hint]
-        hint_hit = view[hint]
-        if hint_hit.__class__ is not tuple:
-            hint_hit = kernel(gens, word.syllables)
-            runs += 1
-        lo, hi = hint_hit
-        if hi < 1.0:
-            # only U < 1 decides a box; classify_bounds says which way
-            if classify_bounds(lo, hi) is KillerVerdict.ELIMINATES:
-                return BoxVerdict(box, BoxStatus.ELIMINATED_KILLER, word, None, 1, kernel_runs=runs)
-            candidate = hint
-        elif lo < dead_lo:
-            hint_kept = True
-            if lo < 1.0:
-                near_hi, near = hi, hint
-
-    for k in stream.first_scan if live is None else live:
+    kept = {}
+    # positions in ascending order, each with the (L, U) it may reuse or None
+    order = stream.first_scan if live is None else live
+    todo = known.items() if known else zip(order, repeat(None))
+    for k, hit in todo:
         if k == hint:
-            if hint_kept:
-                kept.append(k)
-                if keep_all or masks[k] != GEN_ALL:
-                    kept_bounds[k] = hint_hit
-            continue
-        segment = view[k]
-        if segment.__class__ is Run:
-            # only the leading syllable's table entry can raise where the
-            # twins' own evaluations would, so read it for its error
-            gens[segment.prefix[0]]
-            continue
-        if segment.__class__ is tuple:
-            # a word the split left as it was: its parent's (L, U)
-            lo, hi = segment
-        else:
-            lo, hi = kernel(gens, segment.syllables)
+            hit = hint_hit
+        elif hit is None or masks[k] & changed:
+            segment = segments[k]
+            if segment.__class__ is Run:
+                # only the leading syllable's table entry can raise where the
+                # twins' own evaluations would, so read it for its error
+                gens[segment.prefix[0]]
+                continue
+            hit = kernel(gens, segment.syllables)
             runs += 1
+        lo, hi = hit
         if hi < 1.0:
             if classify_bounds(lo, hi) is KillerVerdict.ELIMINATES:
                 # the words through this one, and the hint when it lies after it
-                done = ends[k] + (k < hint_at)
+                done = stream.ends[k] + (hint is not None and k < hint)
                 return BoxVerdict(
                     box, BoxStatus.ELIMINATED_KILLER, segments[k], None, done, kernel_runs=runs
                 )
-            if candidate is None or k < candidate:
+            if candidate is None:
                 candidate = k
         elif lo < dead_lo:
             # with lo >= _DEAD_LO the word is ruled out for every box below
-            kept.append(k)
-            if keep_all or masks[k] != GEN_ALL:
-                kept_bounds[k] = lo, hi
-            # the least (hi, index); the kernel's hi is finite
-            if lo < 1.0 and (hi < near_hi or (hi == near_hi and k < near)):
+            kept[k] = hit
+            # the least (hi, index), as positions ascend; the kernel's hi is finite
+            if lo < 1.0 and hi < near_hi:
                 near_hi, near = hi, k
 
     scanned = stream.scanned
@@ -498,9 +471,7 @@ def test_box(
         return BoxVerdict(
             box, BoxStatus.CANDIDATE, word, volume_bound(word), scanned, kernel_runs=runs
         )
-    return BoxVerdict(
-        box, BoxStatus.UNDECIDED, None, None, scanned, near, tuple(kept), gens, kept_bounds, runs
-    )
+    return BoxVerdict(box, BoxStatus.UNDECIDED, None, None, scanned, near, kept, gens, runs)
 
 
 # keep pytest from collecting the operation as a test case
@@ -524,12 +495,11 @@ def run_search(cfg: SearchConfig) -> SearchReport:
     Undecided boxes wider than cfg.min_box_width and shallower than
     cfg.max_depth are subdivided; other undecided boxes become leaves.
     Both children inherit the box's near miss as their hint, its live, so
-    they evaluate only the words it left open, its table, so they rebuild
-    only the entries the split changed, and its bounds, so they
-    re-evaluate only the words the split can change; every box stops at
-    the root's cut (see the module docstring).  A leaf keeps none of the
-    four: no report reads them.  The report's kernel_runs sums the
-    verdicts'.
+    they evaluate only the words it left open and re-evaluate only those
+    the split can change, and its table, so they rebuild only the entries
+    the split changed; every box stops at the root's cut (see the module
+    docstring).  A leaf keeps none of the three: no report reads them.
+    The report's kernel_runs sums the verdicts'.
     The search runs on one thread, so the box budget cuts a fixed prefix of
     the depth-first order and every report, capped or complete, serializes
     identically from run to run.  The walk pops each box's 0 child before
@@ -546,29 +516,29 @@ def run_search(cfg: SearchConfig) -> SearchReport:
     # one stream for every box: the cut every box of the run reads
     stream = WordStream(enumerate_segments(cfg.max_d, cfg.max_exp), cfg.word_budget_per_box)
     leaves: List[BoxVerdict] = []
-    # (box, hint, live, table, bounds), the last four from the parent's verdict
-    stack: List[tuple] = [(root, None, None, None, None)]
+    # (box, hint, live, table), the last three from the parent's verdict
+    stack: List[tuple] = [(root, None, None, None)]
     boxes = words = runs = 0
     incomplete = False
     while stack:
-        box, hint, live, table, bounds = stack.pop()
+        box, hint, live, table = stack.pop()
         if cfg.max_boxes and boxes >= cfg.max_boxes:
             incomplete = True
             leaves.append(BoxVerdict(box, BoxStatus.UNDECIDED))
             continue
         boxes += 1
-        verdict = test_box(box, stream, cfg, hint=hint, live=live, table=table, bounds=bounds)
+        verdict = test_box(box, stream, cfg, hint=hint, live=live, table=table)
         words += verdict.words_scanned
         runs += verdict.kernel_runs
         splittable = len(box.path) < cfg.max_depth and box.max_width() > cfg.min_box_width
         if verdict.status is BoxStatus.UNDECIDED and splittable:
             child_hint = verdict.near_miss if cfg.use_parent_word_hint else None
-            handed = (child_hint, verdict.live, verdict.table, verdict.bounds)
+            handed = (child_hint, verdict.live, verdict.table)
             lo, hi = subdivide(box)
             stack.append((hi, *handed))
             stack.append((lo, *handed))
         else:
-            verdict.near_miss = verdict.live = verdict.table = verdict.bounds = None
+            verdict.near_miss = verdict.live = verdict.table = None
             leaves.append(verdict)
 
     report = SearchReport(

@@ -754,6 +754,8 @@ _AREA_15 = dict(
     min_box_width=0.01,
     word_budget_per_box=10000,
 )
+# the (3, 2) stream from the area-1.5 root, which stays undecided: 20 boxes
+_AREA_15_D3 = dict(_AREA_15, max_d=3, max_exp=2, word_budget_per_box=2000, max_boxes=20)
 
 
 @pytest.mark.parametrize(
@@ -772,9 +774,11 @@ _AREA_15 = dict(
         # the longer (3, 2) stream; its root box is eliminated at once
         dict(area_bound=6.0, max_d=3, max_exp=2, max_depth=6, min_box_width=1e-3,
              root_box=STRADDLE_BOUNDS),
+        # the (3, 2) stream on a root that stays undecided, so children scan it
+        _AREA_15_D3,
     ],
     ids=["area-7", "area-50", "area-500", "area-2", "no-hint", "budget-60", "straddle",
-         "straddle-d3"],
+         "straddle-d3", "area-d3"],
 )
 def test_dead_word_skips_keep_report_bytes(monkeypatch, settings) -> None:
     """Skipping dead words and body twins and reusing bounds change no byte of the report.
@@ -843,8 +847,9 @@ class _LeadReads(words_module.GeneratorTriple):
              root_box=STRADDLE_BOUNDS),
         dict(area_bound=6.0, max_d=3, max_exp=2, max_depth=6, min_box_width=1e-3,
              root_box=STRADDLE_BOUNDS),
+        _AREA_15_D3,
     ],
-    ids=["search-area", "budget-60", "straddle", "straddle-d3"],
+    ids=["search-area", "budget-60", "straddle", "straddle-d3", "area-d3"],
 )
 def test_every_box_of_a_run_shares_the_root_cut(monkeypatch, settings) -> None:
     """Every scanned box of a run stops at one cut, and only the root reads Run leads.
@@ -910,8 +915,9 @@ def test_every_box_of_a_run_shares_the_root_cut(monkeypatch, settings) -> None:
              root_box=STRADDLE_BOUNDS),
         dict(area_bound=6.0, max_d=3, max_exp=2, max_depth=6, min_box_width=1e-3,
              root_box=STRADDLE_BOUNDS),
+        _AREA_15_D3,
     ],
-    ids=["search-area", "budget-60", "straddle", "straddle-d3"],
+    ids=["search-area", "budget-60", "straddle", "straddle-d3", "area-d3"],
 )
 def test_child_reevaluates_only_what_its_split_changes(monkeypatch, settings) -> None:
     """A child runs the kernel only on words whose m21 reads the generator its split changed.
@@ -962,8 +968,8 @@ def test_child_reevaluates_only_what_its_split_changes(monkeypatch, settings) ->
 def test_reuse_needs_the_parent_table(monkeypatch) -> None:
     """Bounds are reused only beside a table, and only where no read generator's bits changed.
 
-    A child scanned with its parent's live and bounds but no table runs the
-    kernel on every live word; with the table, on fewer, for the same
+    A child scanned with its parent's live but no table runs the kernel on
+    every live word; with the table, on fewer, for the same
     verdict.  A box whose c differs from the parent's only in the sign of
     its zero imaginary part changes c's bits: every word that reads c is
     evaluated again, and no other.
@@ -981,10 +987,10 @@ def test_reuse_needs_the_parent_table(monkeypatch) -> None:
     root = ParamBox.from_bounds(STRADDLE_BOUNDS)
     parent = test_box(root, stream, cfg)
     assert parent.status is BoxStatus.UNDECIDED and parent.live
-    assert set(parent.bounds) == set(parent.live)
+    assert all(len(hit) == 2 and hit[0] < search_module._DEAD_LO for hit in parent.live.values())
     masks = stream.masks()
     for child in subdivide(root):
-        handed = dict(live=parent.live, bounds=parent.bounds, hint=parent.near_miss)
+        handed = dict(live=parent.live, hint=parent.near_miss)
         calls.clear()
         plain = test_box(child, stream, cfg, **handed)
         assert plain.kernel_runs == len(calls) == len(parent.live)
@@ -997,7 +1003,7 @@ def test_reuse_needs_the_parent_table(monkeypatch) -> None:
     twin = ParamBox.from_bounds(bounds)
     assert gens_from_params(twin).inherit(parent.table) == words_module.GEN_C
     calls.clear()
-    verdict = test_box(twin, stream, cfg, live=parent.live, table=parent.table, bounds=parent.bounds)
+    verdict = test_box(twin, stream, cfg, live=parent.live, table=parent.table)
     reads_c = [k for k in parent.live if masks[k] & words_module.GEN_C]
     assert calls == [stream.segments[k].syllables for k in reads_c]
     assert 0 < len(reads_c) < len(parent.live)
@@ -1007,7 +1013,7 @@ def test_reuse_needs_the_parent_table(monkeypatch) -> None:
 def test_box_hands_its_children_a_new_dead_set() -> None:
     """A child's live is a strict subsequence of its parent's, which it never changes.
 
-    Siblings share the parent's live tuple, so test_box must not write
+    Siblings share the parent's live dict, so test_box must not write
     into it, and a position the parent ruled out never comes back.
     """
     cfg = SearchConfig(**_AREA_15)
@@ -1018,28 +1024,86 @@ def test_box_hands_its_children_a_new_dead_set() -> None:
     parent = test_box(box, words, cfg)
     assert parent.status is BoxStatus.UNDECIDED and parent.live
     given = parent.live
-    kept = tuple(given)
+    kept = dict(given)
     child = test_box(
         subdivide(box)[1], words, cfg, hint=parent.near_miss, live=given, table=parent.table
     )
     assert child.status is BoxStatus.UNDECIDED
-    assert given == kept and parent.live is given
+    assert given == kept and tuple(given) == tuple(kept) and parent.live is given
     assert set(child.live) < set(given)
-    assert child.live == tuple(k for k in given if k in set(child.live))
+    assert tuple(child.live) == tuple(k for k in given if k in child.live)
+
+
+@pytest.mark.parametrize(
+    "settings", [dict(_AREA_15, max_boxes=50), _AREA_15_D3], ids=["search-area", "area-d3"]
+)
+def test_live_holds_each_kept_words_kernel_bounds(monkeypatch, settings) -> None:
+    """Every live entry is the kernel's (L, U) on its own box, bit for bit.
+
+    Each box of a capped run, the root and every child, is checked: each
+    entry's endpoints have the .hex() of lower_left_bounds on the box.  A
+    child's entry for a word whose m21_reads misses the generator its
+    split changed is its parent's tuple itself.  The dict a parent hands
+    down is unchanged, key order included, once both children are scanned,
+    since siblings share it.
+    """
+    cfg = SearchConfig(**settings)
+    seen = {}
+    real_test_box = search_module.test_box
+
+    def hexed(live):
+        return [(k, lo.hex(), hi.hex()) for k, (lo, hi) in live.items()]
+
+    def recording_test_box(box, stream, cfg, **kwargs):
+        nonlocal shared
+        verdict = real_test_box(box, stream, cfg, **kwargs)
+        if box.path:
+            _, _, given, at_return = seen[box.path[:-1]]
+            assert kwargs["live"] is given
+            if box.path.endswith("1"):
+                # the 0 child was scanned first, so both siblings have read it
+                assert hexed(given) == at_return, box.path
+                shared += 1
+        if verdict.live is not None:
+            seen[box.path] = box, stream, verdict.live, hexed(verdict.live)
+        return verdict
+
+    monkeypatch.setattr(search_module, "test_box", recording_test_box)
+    shared = entries = reused = 0
+    assert run_search(cfg).boxes_tested == settings["max_boxes"]
+    for path, (box, stream, live, _) in seen.items():
+        gens = gens_from_params(box)
+        for k, (lo, hi) in live.items():
+            want = lower_left_bounds(gens, stream.segments[k].syllables)
+            assert (lo.hex(), hi.hex()) == (want[0].hex(), want[1].hex()), (path, k)
+            entries += 1
+        if not path:
+            continue
+        parent, _, parent_live, _ = seen[path[:-1]]
+        axis = next(i for i in range(6) if parent.coords()[i] != box.coords()[i])
+        masks = stream.masks()
+        for k, hit in live.items():
+            if not masks[k] & _AXIS_GENERATOR[axis]:
+                assert hit is parent_live[k], (path, k)
+                reused += 1
+    assert entries > 500 and reused > 100 and shared >= 5
 
 
 def test_leaves_keep_no_near_miss_or_dead_set() -> None:
-    """Only children read a near miss, a live tuple, a table or bounds, so no leaf keeps one."""
+    """Only children read a near miss, a live dict or a table, so no leaf keeps one.
+
+    A verdict carries no bounds apart from its live.
+    """
     rep = run_search(SearchConfig(**dict(_AREA_15, max_depth=6, word_budget_per_box=2000)))
     assert any(leaf.status is BoxStatus.UNDECIDED and leaf.words_scanned for leaf in rep.leaves)
     assert all(
-        leaf.near_miss is None and leaf.live is None and leaf.table is None and leaf.bounds is None
-        for leaf in rep.leaves
+        leaf.near_miss is None and leaf.live is None and leaf.table is None for leaf in rep.leaves
     )
+    assert "bounds" not in {f.name for f in fields(search_module.BoxVerdict)}
 
 
 def _verdict_fields(v):
-    return v.status, v.word, v.words_scanned, v.near_miss, v.live
+    return v.status, v.word, v.words_scanned, v.near_miss, None if v.live is None else tuple(v.live)
 
 
 @pytest.mark.parametrize("stream_caps", [(2, 1), (3, 2)], ids=["d2", "d3"])
@@ -1088,7 +1152,7 @@ def test_box_reads_every_stream_form_alike(stream_caps) -> None:
         runs.append(frozenset(range(3, 40)) | frozenset(range(60, 64)) | frozenset(range(100, 101)))
         runs.append(frozenset(i for i in range(len(segments)) if (i // 7) % 2))
         for case, dead in enumerate(runs):
-            live = None if case == 0 else tuple(k for k in word_indices if k not in dead)
+            live = None if case == 0 else dict.fromkeys(k for k in word_indices if k not in dead)
             dead_hint = min(ruled_out - dead, default=None)
             absent_hint = min(dead.intersection(word_indices) - ruled_out, default=None)
             for hint in (None, first.near_miss, word_indices[17], dead_hint, absent_hint):
@@ -1101,7 +1165,7 @@ def test_box_reads_every_stream_form_alike(stream_caps) -> None:
                     dead_hints += hint in ruled_out - dead
                     absent_hints += hint in dead
                     want = set(word_indices) - (dead | ruled_out)
-                    assert v.live == tuple(sorted(want)), (box.path, hint)
+                    assert tuple(v.live) == tuple(sorted(want)), (box.path, hint)
     assert undecided >= 10 and dead_hints >= 5 and absent_hints >= 5
 
 
@@ -1196,8 +1260,8 @@ def test_box_matches_a_scan_of_every_word(stream_caps) -> None:
         for budget in cuts + [position - 1, position + 1]:
             stream = WordStream(segments, budget)
             cut_bodies = [k for k in body_indices if k < len(stream.segments)]
-            lives = [(frozenset(), None), (frozenset(), tuple(cut_bodies))]
-            lives.append((dead, tuple(k for k in cut_bodies if k not in dead_indices)))
+            lives = [(frozenset(), None), (frozenset(), dict.fromkeys(cut_bodies))]
+            lives.append((dead, dict.fromkeys(k for k in cut_bodies if k not in dead_indices)))
             cfg = SearchConfig(
                 area_bound=area, max_d=max_d, max_exp=max_exp, word_budget_per_box=budget
             )

@@ -847,7 +847,7 @@ def test_stream_builds_masks_once_on_the_first_child(monkeypatch) -> None:
     parent = test_box(box, stream, cfg)
     assert built == [] and stream._masks is None
     for child in subdivide(box):
-        test_box(child, stream, cfg, live=parent.live, table=parent.table, bounds=parent.bounds)
+        test_box(child, stream, cfg, live=parent.live, table=parent.table)
     assert built == [s.syllables for s in stream.segments if isinstance(s, Word)]
     assert stream.masks() == [
         GEN_ALL if isinstance(s, Run) else real(s.syllables) for s in stream.segments
