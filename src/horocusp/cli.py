@@ -89,7 +89,7 @@ def cmd_search(args, parser):
             parser.error("cannot read config file: %s" % exc)
         if not isinstance(settings, dict):
             parser.error("config file must hold a JSON object")
-    # SearchConfig's keywords, so that --workers reaches its deprecation note
+    # the flags given that name SearchConfig settings override the file's keys
     names = SearchConfig.__dataclass_fields__
     settings.update((k, v) for k, v in vars(args).items() if k in names and v is not None)
     report = run_search(SearchConfig(**settings))
@@ -198,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-box-width", type=float, help="smallest box width to split")
     p.add_argument("--word-budget", type=int, dest="word_budget_per_box",
                    help="words scanned per box")
-    p.add_argument("--workers", type=int, dest="worker_count", help=argparse.SUPPRESS)
     p.add_argument("--max-boxes", type=int, help="box budget, 0 for unlimited")
     p.add_argument("--no-hint", action="store_false", dest="use_parent_word_hint", default=None,
                    help="disable the inherited near-miss word hint")

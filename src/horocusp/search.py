@@ -35,9 +35,10 @@ parent's near miss, an evaluated word of the cut, so every box of a run
 reads the root's cut.
 
 A box scans only what its parent left open, and re-evaluates only what
-its split can change.  An undecided box hands its children live, a dict
-from each Word of the cut it evaluated whose L stayed below _DEAD_LO, in
-ascending order, to the (L, U) it found there, and a child visits those
+its split can change.  A child takes its parent's Undecided verdict,
+which carries live, a dict from each Word of the cut the parent
+evaluated whose L stayed below _DEAD_LO, in ascending order, to the
+(L, U) it found there, and the parent's table.  The child visits live's
 positions only; a position absent from live never re-enters.  A word
 whose enclosure [L, U] of |m21| has L >= _DEAD_LO on a box has L >= 1 on
 every box inside it, so it is inconclusive there and never a near miss.
@@ -55,19 +56,20 @@ ulp, so L, one nextafter below it, is within 2 ulp of the true distance;
 _DEAD_LO leaves a 16-ulp margin above 1.  A finite parent row also keeps
 the child's finite.  Such a word still counts as scanned, toward the
 budget too.  A split changes the endpoints of one generator, a, b or c,
-and words.GeneratorTriple.inherit reports which generators' endpoint bits
-differ.  words.m21_reads names the generators a word's lower-left entry
-reads (WordStream.masks, built once per run by the first child), and a
-live word that reads none of the changed ones takes its (L, U) from live
-in place of a kernel run.  This is sound on three counts.
-lower_left_bounds is a deterministic function of the bits it reads, so
-equal input bits give equal output bits.  The child's whole bottom row
-lies inside its parent's, which was finite, by the isotonicity above, so
-no reused word skips a ValueError the kernel would raise on the child.
-And U, whose overflow the kernel checks, is the parent's own.  The reused
-values pass through the same classification, kept rule and near-miss tie
-rule, so verdicts, near misses, hints, live and report bytes are those of
-a scan that evaluates every word.
+and words.GeneratorTriple.inherit, given the parent's table, reports
+which generators' endpoint bits differ.  words.m21_reads names the
+generators a word's lower-left entry reads (WordStream.masks, built once
+per run by the first child), and a live word that reads none of the
+changed ones takes its (L, U) from live in place of a kernel run.  This
+is sound on three counts.  lower_left_bounds is a deterministic function
+of the bits it reads, so equal input bits give equal output bits.  The
+child's whole bottom row lies inside its parent's, which was finite, by
+the isotonicity above, so no reused word skips a ValueError the kernel
+would raise on the child.  And U, whose overflow the kernel checks, is
+the parent's own.  The reused values pass through the same
+classification, kept rule and near-miss tie rule, so verdicts, near
+misses, hints, live and report bytes are those of a scan that evaluates
+every word.
 
 A child reads no Run lead.  Its parent scanned the whole cut without
 raising, so the root read the entry of every lead in the cut and found it
@@ -88,7 +90,6 @@ import warnings
 import zlib
 from dataclasses import InitVar, dataclass, field, fields, replace
 from enum import Enum
-from itertools import repeat
 from typing import Iterable, List, Optional, Tuple, Union
 
 from . import __version__
@@ -239,11 +240,12 @@ class BoxVerdict:
     carries live, a dict from the ascending segment indices of the Words
     its children still evaluate to the (L, U) found here, which a child
     may reuse in place of a kernel run, and table, the box's
-    GeneratorTriple, from which the children's tables start.  The two go
-    to the children only: they are left out of repr and comparison, never
-    serialized, and leaves keep none of the three.  kernel_runs counts the
-    scan's words.lower_left_bounds calls; it is left out of repr and
-    comparison and never serialized.
+    GeneratorTriple, from which the children's tables start.  Each child
+    takes the verdict itself as its parent (see test_box).  live and table
+    are left out of repr and comparison, never serialized, and leaves keep
+    none of the three.  kernel_runs counts the scan's
+    words.lower_left_bounds calls; it is left out of repr and comparison
+    and never serialized.
     """
 
     box: ParamBox
@@ -346,8 +348,7 @@ def test_box(
     cfg: SearchConfig,
     *,
     hint: Optional[int] = None,
-    live: Optional[dict] = None,
-    table: Optional[GeneratorTriple] = None,
+    parent: Optional[BoxVerdict] = None,
 ) -> BoxVerdict:
     """Scan one box against the word stream.
 
@@ -370,35 +371,40 @@ def test_box(
     hint among them.  Every box of a run reads the root's cut (see the
     module docstring).
 
-    The scan then visits in order the keys of live, the hint in its place
-    with the bounds found first.  With live None it visits
-    stream.first_scan instead: every Word, and each Run whose leading
-    syllable no earlier Run had.  Such a Run's leading syllable is read
-    from the box's table, as its words' evaluations would read it, so an
-    overflow there raises ValueError.  Every other Run's words, and every
-    Word absent from live, count as scanned without being evaluated: a
-    twin has the [L, U] of its body's first word, scanned before it, and a
-    word absent from live was ruled out on an enclosing box (see the
-    module docstring).  A hint absent from live still counts and can still
-    kill the box, but nothing else is done with it; on a live taken from
-    an enclosing box's verdict such a word has L >= _DEAD_LO, so no verdict
-    changes.
+    parent is None, or the Undecided verdict of an enclosing box scanned
+    on the same stream, with its live and table; any other verdict, such
+    as a decided one or a leaf whose live and table run_search cleared,
+    raises ValueError.  The scan then visits in order the keys of one
+    dict, the hint in its place with the bounds found first:
+    stream.first_scan without a parent, parent.live with one.  first_scan
+    holds every Word, and each Run whose leading syllable no earlier Run
+    had.  Such a Run's leading syllable is read from the box's table, as
+    its words' evaluations would read it, so an overflow there raises
+    ValueError.  Every other Run's words, and every Word absent from the
+    dict, count as scanned without being evaluated: a twin has the [L, U]
+    of its body's first word, scanned before it, and a word absent from
+    parent.live was ruled out on the enclosing box (see the module
+    docstring).  A hint absent from parent.live still counts and can
+    still kill the box, but nothing else is done with it; such a word has
+    L >= _DEAD_LO here, so no verdict changes.
 
-    live, a dict from ascending Word indices to (L, U), is the live of an
-    Undecided verdict on an enclosing box scanned with the same stream,
-    and table that verdict's table; this box's table starts from it (see
-    GeneratorTriple.inherit).  Beside a table, a word of live, the hint
-    too, whose m21 reads none of the generators whose endpoints differ
-    from table's (words.m21_reads) takes its (L, U) from live in place of
-    a kernel run, bit for bit the same (see the module docstring); with no
-    table live's values are not read.  An Undecided verdict carries, for
-    its children, its own table and its live: each visited Word whose L
-    stays below _DEAD_LO here, with its (L, U).  A position absent from
-    live never re-enters, and the dict passed in is never changed, since
+    This box's table starts from parent.table (GeneratorTriple.inherit),
+    and a word of parent.live, the hint too, whose m21 reads none of the
+    generators whose endpoints differ from parent.table's
+    (words.m21_reads) takes its (L, U) from parent.live in place of a
+    kernel run, bit for bit the same (see the module docstring); a word
+    whose value there is None is evaluated.  An Undecided verdict carries,
+    for its children, its own table and its live: each visited Word whose
+    L stays below _DEAD_LO here, with its (L, U).  A position absent from
+    parent.live never re-enters, and parent is never changed, since
     siblings share it.  The verdict's kernel_runs counts the kernel calls.
     """
     if hint is not None and (isinstance(hint, bool) or not isinstance(hint, int)):
         raise TypeError(f"hint must be an int segment index, got {hint!r}")
+    if parent is not None and (
+        parent.status is not BoxStatus.UNDECIDED or parent.live is None or parent.table is None
+    ):
+        raise ValueError("parent must be an Undecided verdict that still holds its live and table")
     budget = cfg.word_budget_per_box
     if stream is not None:
         _check_cut(stream, budget, hint)
@@ -411,15 +417,15 @@ def test_box(
 
     # looked up on the words module, where perfbench's tracer wraps it
     gens = _words.gens_from_params(box)
-    # the parent's (L, U) are reused only beside its table
-    known = {} if table is None or live is None else live
-    if table is not None:
-        changed, masks = gens.inherit(table), stream.masks()
+    # positions in ascending order, each with the (L, U) it may reuse or None
+    visit = stream.first_scan if parent is None else parent.live
+    if parent is not None:
+        changed, masks = gens.inherit(parent.table), stream.masks()
     kernel = lower_left_bounds
     runs = 0
 
     if hint is not None:
-        hint_hit = known.get(hint)
+        hint_hit = visit.get(hint)
         if hint_hit is None or masks[hint] & changed:
             hint_hit = kernel(gens, segments[hint].syllables)
             runs += 1
@@ -433,10 +439,7 @@ def test_box(
     candidate: Optional[int] = None
     near_hi, near = math.inf, None
     kept = {}
-    # positions in ascending order, each with the (L, U) it may reuse or None
-    order = stream.first_scan if live is None else live
-    todo = known.items() if known else zip(order, repeat(None))
-    for k, hit in todo:
+    for k, hit in visit.items():
         if k == hint:
             hit = hint_hit
         elif hit is None or masks[k] & changed:
@@ -494,11 +497,12 @@ def run_search(cfg: SearchConfig) -> SearchReport:
 
     Undecided boxes wider than cfg.min_box_width and shallower than
     cfg.max_depth are subdivided; other undecided boxes become leaves.
-    Both children inherit the box's near miss as their hint, its live, so
-    they evaluate only the words it left open and re-evaluate only those
-    the split can change, and its table, so they rebuild only the entries
-    the split changed; every box stops at the root's cut (see the module
-    docstring).  A leaf keeps none of the three: no report reads them.
+    Both children take the box's verdict as their parent, so they evaluate
+    only the words its live left open, re-evaluate only those the split
+    can change and rebuild only the table entries the split changed, and
+    its near miss as their hint; every box stops at the root's cut (see
+    the module docstring).  A leaf keeps no near miss, live or table: no
+    report reads them.
     The report's kernel_runs sums the verdicts'.
     The search runs on one thread, so the box budget cuts a fixed prefix of
     the depth-first order and every report, capped or complete, serializes
@@ -516,27 +520,26 @@ def run_search(cfg: SearchConfig) -> SearchReport:
     # one stream for every box: the cut every box of the run reads
     stream = WordStream(enumerate_segments(cfg.max_d, cfg.max_exp), cfg.word_budget_per_box)
     leaves: List[BoxVerdict] = []
-    # (box, hint, live, table), the last three from the parent's verdict
-    stack: List[tuple] = [(root, None, None, None)]
+    # (box, hint, parent): the parent's Undecided verdict and, by default, its near miss
+    stack: List[tuple] = [(root, None, None)]
     boxes = words = runs = 0
     incomplete = False
     while stack:
-        box, hint, live, table = stack.pop()
+        box, hint, parent = stack.pop()
         if cfg.max_boxes and boxes >= cfg.max_boxes:
             incomplete = True
             leaves.append(BoxVerdict(box, BoxStatus.UNDECIDED))
             continue
         boxes += 1
-        verdict = test_box(box, stream, cfg, hint=hint, live=live, table=table)
+        verdict = test_box(box, stream, cfg, hint=hint, parent=parent)
         words += verdict.words_scanned
         runs += verdict.kernel_runs
         splittable = len(box.path) < cfg.max_depth and box.max_width() > cfg.min_box_width
         if verdict.status is BoxStatus.UNDECIDED and splittable:
-            child_hint = verdict.near_miss if cfg.use_parent_word_hint else None
-            handed = (child_hint, verdict.live, verdict.table)
+            hint = verdict.near_miss if cfg.use_parent_word_hint else None
             lo, hi = subdivide(box)
-            stack.append((hi, *handed))
-            stack.append((lo, *handed))
+            stack.append((hi, hint, verdict))
+            stack.append((lo, hint, verdict))
         else:
             verdict.near_miss = verdict.live = verdict.table = None
             leaves.append(verdict)

@@ -118,7 +118,7 @@ import math
 import re
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, NamedTuple, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple, Union
 
 from .bicuspid import ParamBox, Params, integer
 from .interval import ComplexInterval, IntervalMatrix, RealInterval
@@ -469,12 +469,14 @@ class WordStream:
 
     segments holds the cut's segments, in stream order, ends[k] the number
     of words in segments[0..k], and scanned, min(budget, ends[-1]), the
-    words a scan that no word decides counts.  first_scan lists, in order,
-    the indices a scan with no enclosing box visits: every Word, and each
-    Run whose leading syllable no earlier Run had, since a table entry
-    that was read once without raising never raises.  Scans name a word by
-    the index of its Word segment and break ties by the earliest, which is
-    the canonical least only when the source is enumerate_segments or
+    words a scan that no word decides counts.  first_scan maps each index
+    a scan with no enclosing box visits to None, in order: every Word, and
+    each Run whose leading syllable no earlier Run had, since a table entry
+    that was read once without raising never raises.  A scan reads it as a
+    child reads its parent's live, where a value is an (L, U) to reuse and
+    None is none (see search.test_box).  Scans name a word by the index of
+    its Word segment and break ties by the earliest, which is the
+    canonical least only when the source is enumerate_segments or
     enumerate_words.  budget must be at least 1, else ValueError.
     masks() gives, by segment index, the generators each Word's m21 reads
     (m21_reads), for scans that reuse a parent box's bounds.
@@ -487,7 +489,7 @@ class WordStream:
             raise ValueError(f"budget must be at least 1, got {budget!r}")
         segments: List[Segment] = []
         ends: List[int] = []
-        first_scan: List[int] = []
+        first_scan: Dict[int, None] = {}
         leads = set()
         words = 0
         for at, segment in enumerate(source):
@@ -495,12 +497,12 @@ class WordStream:
                 words += segment.count
                 if segment.prefix[0] not in leads:
                     leads.add(segment.prefix[0])
-                    first_scan.append(at)
+                    first_scan[at] = None
             elif segment.is_pure_translation:
                 raise ValueError(f"word stream produced a power-free word: {segment}")
             else:
                 words += 1
-                first_scan.append(at)
+                first_scan[at] = None
             segments.append(segment)
             ends.append(words)
             if words >= budget:

@@ -149,26 +149,29 @@ def test_search_deterministic_across_runs(tmp_path) -> None:
 
 
 def test_search_workers_flag_and_key_print_a_note(tmp_path, capsys) -> None:
-    """--workers and a worker_count key are ignored with a note on stderr."""
+    """--workers is a usage error; a worker_count key is ignored with a note on stderr."""
     cfg_path = tmp_path / "slice.json"
     cfg_path.write_text(json.dumps(SLICE_CFG))
     keyed = tmp_path / "keyed.json"
     keyed.write_text(json.dumps(dict(SLICE_CFG, worker_count=8)))
     plain = tmp_path / "plain.json"
     assert run_cli(["search", "--config", str(cfg_path), "--out", str(plain)]) == 0
-    for i, argv in enumerate(
-        (["--config", str(cfg_path), "--workers", "8"], ["--config", str(keyed)])
-    ):
-        out = tmp_path / ("r%d.json" % i)
-        proc = subprocess.run(
-            [sys.executable, "-m", "horocusp.cli", "search", *argv, "--out", str(out)],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "FutureWarning: worker_count is deprecated and ignored" in proc.stderr
-        assert out.read_bytes() == plain.read_bytes(), argv
+    out = tmp_path / "keyed-out.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "horocusp.cli", "search", "--config", str(keyed), "--out", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "FutureWarning: worker_count is deprecated and ignored" in proc.stderr
+    assert out.read_bytes() == plain.read_bytes()
     capsys.readouterr()
+    flagged = tmp_path / "flagged.json"
+    argv = ["search", "--config", str(cfg_path), "--workers", "8", "--out", str(flagged)]
+    assert run_cli(argv) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("usage: horocusp ") and "unrecognized arguments: --workers 8" in err, err
+    assert not flagged.exists()
     assert run_cli(["search", "--help"]) == 0
     help_text = capsys.readouterr().out
     assert "--max-boxes" in help_text and "--workers" not in help_text

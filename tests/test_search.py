@@ -18,6 +18,7 @@ from horocusp.bicuspid import param_space
 from horocusp.search import (
     AUDIT_TOLERANCE,
     BoxStatus,
+    BoxVerdict,
     SearchConfig,
     aggregate_volume_bound,
     run_search,
@@ -475,8 +476,8 @@ def test_area_one_complete_cover_golden() -> None:
     """The first complete cover: area 1.0 at depth 18, every leaf decided.
 
     The only tier-1 run that scans gamma^+-2 syllables on wide boxes with
-    live tuples and tables handed down 18 levels.  Bytes recorded before the
-    kernel resolved gamma^+-1's exact entries.
+    parent verdicts, their live dicts and tables, handed down 18 levels.
+    Bytes recorded before the kernel resolved gamma^+-1's exact entries.
     """
     cfg = SearchConfig(
         area_bound=1.0, max_d=3, max_exp=2, max_depth=18, word_budget_per_box=2000
@@ -502,9 +503,10 @@ def test_area_one_complete_cover_golden() -> None:
 def test_area_one_and_a_half_deep_cover_golden() -> None:
     """An uncapped depth-15 cover of the area-1.5 space with 2000 words per box.
 
-    19479 boxes hand hints, live tuples and tables down 15 levels over the
-    (2, 1) stream, so the scan meets Runs, hints and dead words on every
-    level.  Bytes recorded before the stream held segments.
+    19479 boxes hand hints and parent verdicts, their live dicts and tables,
+    down 15 levels over the (2, 1) stream, so the scan meets Runs, hints
+    and dead words on every level.  Bytes recorded before the stream held
+    segments.
     """
     cfg = SearchConfig(
         area_bound=1.5, max_d=2, max_exp=1, max_depth=15, word_budget_per_box=2000
@@ -966,13 +968,14 @@ def test_child_reevaluates_only_what_its_split_changes(monkeypatch, settings) ->
 
 
 def test_reuse_needs_the_parent_table(monkeypatch) -> None:
-    """Bounds are reused only beside a table, and only where no read generator's bits changed.
+    """Bounds are reused only where no generator a word reads changed from the parent's table.
 
-    A child scanned with its parent's live but no table runs the kernel on
-    every live word; with the table, on fewer, for the same
-    verdict.  A box whose c differs from the parent's only in the sign of
-    its zero imaginary part changes c's bits: every word that reads c is
-    evaluated again, and no other.
+    A child scanned with its parent's verdict on a fresh stream whose masks
+    say every word reads all three generators runs the kernel on every
+    live word; on the run's own stream, on fewer, for the same verdict.  A
+    box whose c differs from the parent's only in the sign of its zero
+    imaginary part changes c's bits: every word that reads c is evaluated
+    again, and no other.
     """
     calls = []
     real_kernel = search_module.lower_left_bounds
@@ -989,21 +992,24 @@ def test_reuse_needs_the_parent_table(monkeypatch) -> None:
     assert parent.status is BoxStatus.UNDECIDED and parent.live
     assert all(len(hit) == 2 and hit[0] < search_module._DEAD_LO for hit in parent.live.values())
     masks = stream.masks()
+    # stream's masks are built; the fresh stream builds its own under the patch
+    monkeypatch.setattr(words_module, "m21_reads", lambda syllables: words_module.GEN_ALL)
+    fresh = WordStream(enumerate_segments(2, 1), cfg.word_budget_per_box)
     for child in subdivide(root):
-        handed = dict(live=parent.live, hint=parent.near_miss)
         calls.clear()
-        plain = test_box(child, stream, cfg, **handed)
+        plain = test_box(child, fresh, cfg, hint=parent.near_miss, parent=parent)
         assert plain.kernel_runs == len(calls) == len(parent.live)
         calls.clear()
-        reused = test_box(child, stream, cfg, table=parent.table, **handed)
+        reused = test_box(child, stream, cfg, hint=parent.near_miss, parent=parent)
         assert reused.kernel_runs == len(calls) < len(parent.live)
         assert _verdict_fields(reused) == _verdict_fields(plain)
+    assert fresh.masks() == [words_module.GEN_ALL] * len(fresh.segments)
     bounds = [list(pair) for pair in STRADDLE_BOUNDS]
     bounds[5] = [-0.0, -0.0]
     twin = ParamBox.from_bounds(bounds)
     assert gens_from_params(twin).inherit(parent.table) == words_module.GEN_C
     calls.clear()
-    verdict = test_box(twin, stream, cfg, live=parent.live, table=parent.table)
+    verdict = test_box(twin, stream, cfg, parent=parent)
     reads_c = [k for k in parent.live if masks[k] & words_module.GEN_C]
     assert calls == [stream.segments[k].syllables for k in reads_c]
     assert 0 < len(reads_c) < len(parent.live)
@@ -1025,17 +1031,49 @@ def test_box_hands_its_children_a_new_dead_set() -> None:
     assert parent.status is BoxStatus.UNDECIDED and parent.live
     given = parent.live
     kept = dict(given)
-    child = test_box(
-        subdivide(box)[1], words, cfg, hint=parent.near_miss, live=given, table=parent.table
-    )
+    child = test_box(subdivide(box)[1], words, cfg, hint=parent.near_miss, parent=parent)
     assert child.status is BoxStatus.UNDECIDED
     assert given == kept and tuple(given) == tuple(kept) and parent.live is given
     assert set(child.live) < set(given)
     assert tuple(child.live) == tuple(k for k in given if k in child.live)
 
 
+def test_box_refuses_a_parent_that_is_not_an_undecided_scan() -> None:
+    """parent must be an Undecided verdict that still holds its live and table, else ValueError.
+
+    A leaf of a finished run_search has had them cleared, a killer verdict
+    never had them, and a verdict of another status is refused even with
+    both.  The live= and table= keywords are gone: passing either is a
+    TypeError.
+    """
+    cfg = SearchConfig(**dict(_AREA_15, max_depth=6, word_budget_per_box=2000))
+    stream = WordStream(enumerate_segments(cfg.max_d, cfg.max_exp), cfg.word_budget_per_box)
+    leaf = next(
+        leaf
+        for leaf in run_search(cfg).leaves
+        if leaf.status is BoxStatus.UNDECIDED and leaf.words_scanned
+    )
+    slice_cfg = _cfg(word_budget_per_box=cfg.word_budget_per_box)
+    killer = test_box(ParamBox.from_bounds(SLICE_BOUNDS), None, slice_cfg)
+    assert killer.status is BoxStatus.ELIMINATED_KILLER
+    real = test_box(leaf.box, stream, cfg)
+    assert real.status is BoxStatus.UNDECIDED and real.live
+    decided = BoxVerdict(leaf.box, BoxStatus.CANDIDATE, live=real.live, table=real.table)
+    child = subdivide(leaf.box)[0]
+    for parent in (leaf, killer, decided):
+        with pytest.raises(ValueError, match="parent must be an Undecided verdict"):
+            test_box(child, stream, cfg, parent=parent)
+    assert test_box(child, stream, cfg, parent=real).words_scanned
+    for keyword in ("live", "table"):
+        with pytest.raises(TypeError, match=keyword):
+            test_box(child, stream, cfg, **{keyword: getattr(real, keyword)})
+
+
 @pytest.mark.parametrize(
-    "settings", [dict(_AREA_15, max_boxes=50), _AREA_15_D3], ids=["search-area", "area-d3"]
+    "settings",
+    [dict(_AREA_15, max_boxes=50), dict(_AREA_15, max_boxes=50, use_parent_word_hint=False),
+     _AREA_15_D3],
+    ids=["search-area", "no-hint", "area-d3"],
 )
 def test_live_holds_each_kept_words_kernel_bounds(monkeypatch, settings) -> None:
     """Every live entry is the kernel's (L, U) on its own box, bit for bit.
@@ -1043,9 +1081,12 @@ def test_live_holds_each_kept_words_kernel_bounds(monkeypatch, settings) -> None
     Each box of a capped run, the root and every child, is checked: each
     entry's endpoints have the .hex() of lower_left_bounds on the box.  A
     child's entry for a word whose m21_reads misses the generator its
-    split changed is its parent's tuple itself.  The dict a parent hands
-    down is unchanged, key order included, once both children are scanned,
-    since siblings share it.
+    split changed is its parent's tuple itself.  The root is called with
+    neither a parent nor a hint, and each child with its parent's verdict
+    itself as parent= and, unless the hint is off, that verdict's near
+    miss as hint=, the keyword the benchmark's hook reads.  The dict a
+    parent hands down is unchanged, key order included, once both
+    children are scanned, since siblings share it.
     """
     cfg = SearchConfig(**settings)
     seen = {}
@@ -1055,23 +1096,29 @@ def test_live_holds_each_kept_words_kernel_bounds(monkeypatch, settings) -> None
         return [(k, lo.hex(), hi.hex()) for k, (lo, hi) in live.items()]
 
     def recording_test_box(box, stream, cfg, **kwargs):
-        nonlocal shared
+        nonlocal shared, hinted
         verdict = real_test_box(box, stream, cfg, **kwargs)
         if box.path:
-            _, _, given, at_return = seen[box.path[:-1]]
-            assert kwargs["live"] is given
+            _, _, handed, near, given, at_return = seen[box.path[:-1]]
+            assert kwargs["parent"] is handed and handed.live is given, box.path
+            assert kwargs["hint"] == (near if cfg.use_parent_word_hint else None), box.path
+            hinted += kwargs["hint"] is not None
             if box.path.endswith("1"):
                 # the 0 child was scanned first, so both siblings have read it
                 assert hexed(given) == at_return, box.path
                 shared += 1
+        else:
+            assert kwargs["parent"] is None and kwargs["hint"] is None
         if verdict.live is not None:
-            seen[box.path] = box, stream, verdict.live, hexed(verdict.live)
+            # run_search clears a leaf's near miss and live, so keep them here
+            live = verdict.live
+            seen[box.path] = box, stream, verdict, verdict.near_miss, live, hexed(live)
         return verdict
 
     monkeypatch.setattr(search_module, "test_box", recording_test_box)
-    shared = entries = reused = 0
+    shared = entries = reused = hinted = 0
     assert run_search(cfg).boxes_tested == settings["max_boxes"]
-    for path, (box, stream, live, _) in seen.items():
+    for path, (box, stream, _, _, live, _) in seen.items():
         gens = gens_from_params(box)
         for k, (lo, hi) in live.items():
             want = lower_left_bounds(gens, stream.segments[k].syllables)
@@ -1079,7 +1126,7 @@ def test_live_holds_each_kept_words_kernel_bounds(monkeypatch, settings) -> None
             entries += 1
         if not path:
             continue
-        parent, _, parent_live, _ = seen[path[:-1]]
+        parent, *_, parent_live, _ = seen[path[:-1]]
         axis = next(i for i in range(6) if parent.coords()[i] != box.coords()[i])
         masks = stream.masks()
         for k, hit in live.items():
@@ -1087,6 +1134,7 @@ def test_live_holds_each_kept_words_kernel_bounds(monkeypatch, settings) -> None
                 assert hit is parent_live[k], (path, k)
                 reused += 1
     assert entries > 500 and reused > 100 and shared >= 5
+    assert hinted > 5 if cfg.use_parent_word_hint else hinted == 0
 
 
 def test_leaves_keep_no_near_miss_or_dead_set() -> None:
@@ -1106,6 +1154,16 @@ def _verdict_fields(v):
     return v.status, v.word, v.words_scanned, v.near_miss, None if v.live is None else tuple(v.live)
 
 
+def _given_parent(box, positions):
+    """An Undecided verdict on box whose live maps each of positions to None.
+
+    A None value has no bounds to reuse, so test_box evaluates that word;
+    the table is box's own.
+    """
+    live = dict.fromkeys(positions)
+    return BoxVerdict(box, BoxStatus.UNDECIDED, live=live, table=gens_from_params(box))
+
+
 @pytest.mark.parametrize("stream_caps", [(2, 1), (3, 2)], ids=["d2", "d3"])
 def test_box_reads_every_stream_form_alike(stream_caps) -> None:
     """None, a fresh WordStream and a shared one give one verdict.
@@ -1113,11 +1171,11 @@ def test_box_reads_every_stream_form_alike(stream_caps) -> None:
     Each box is scanned without a hint and with four: its near miss, a
     fixed Word segment, a word ruled out on the box and a word absent from
     live.  The given dead sets have runs of consecutive segment indices,
-    Words and Runs among them, and live is the Word indices outside one;
-    the empty set is scanned both with live None, the first scan, and
-    with every Word index.  None builds its own stream in the call, a
-    fresh stream is built for each case, and the shared one, cut at the
-    same budget, is scanned by every case in turn.  An Undecided
+    Words and Runs among them, and the given parent's live is the Word
+    indices outside one; the empty set is scanned both with no parent, the
+    first scan, and with every Word index.  None builds its own stream in
+    the call, a fresh stream is built for each case, and the shared one,
+    cut at the same budget, is scanned by every case in turn.  An Undecided
     verdict's live must also match the one computed word by word: the
     Word segments of the 1000 scanned positions, less the given dead set
     and those ruled out on the box, so a position absent from live stays
@@ -1152,12 +1210,13 @@ def test_box_reads_every_stream_form_alike(stream_caps) -> None:
         runs.append(frozenset(range(3, 40)) | frozenset(range(60, 64)) | frozenset(range(100, 101)))
         runs.append(frozenset(i for i in range(len(segments)) if (i // 7) % 2))
         for case, dead in enumerate(runs):
-            live = None if case == 0 else dict.fromkeys(k for k in word_indices if k not in dead)
+            live = [k for k in word_indices if k not in dead]
+            parent = None if case == 0 else _given_parent(box, live)
             dead_hint = min(ruled_out - dead, default=None)
             absent_hint = min(dead.intersection(word_indices) - ruled_out, default=None)
             for hint in (None, first.near_miss, word_indices[17], dead_hint, absent_hint):
                 forms = [None, WordStream(enumerate_segments(max_d, max_exp), 1000), shared]
-                verdicts = [test_box(box, words, cfg, hint=hint, live=live) for words in forms]
+                verdicts = [test_box(box, words, cfg, hint=hint, parent=parent) for words in forms]
                 assert len({_verdict_fields(v) for v in verdicts}) == 1, (box.path, hint, dead)
                 v = verdicts[0]
                 if v.status is BoxStatus.UNDECIDED:
@@ -1212,13 +1271,13 @@ def test_box_matches_a_scan_of_every_word(stream_caps) -> None:
     space.  Each is scanned with budgets that end inside a Run or outlast
     the stream, on a stream cut at that budget, with a hint at two bodies'
     first words, the middle one and the last, and at a dead one, and with
-    live None, with every Word index of the cut and with the complement of
-    a dead set: every other position whose word has L >= _DEAD_LO on the
-    box, first words of bodies and twins among them.  A hint past the cut
-    raises ValueError.  The scan of every word takes stream positions;
-    test_box takes the Word segments' indices among them, and its near
-    miss and live are read back as positions, the live ones of the scan of
-    every word kept where a body starts.
+    no parent, and a given parent whose live is every Word index of the
+    cut or the complement of a dead set: every other position whose word
+    has L >= _DEAD_LO on the box, first words of bodies and twins among
+    them.  A hint past the cut raises ValueError.  The scan of every word
+    takes stream positions; test_box takes the Word segments' indices
+    among them, and its near miss and live are read back as positions, the
+    live ones of the scan of every word kept where a body starts.
     """
     max_d, max_exp = stream_caps
     segments = list(islice(enumerate_segments(max_d, max_exp), 400))
@@ -1260,20 +1319,21 @@ def test_box_matches_a_scan_of_every_word(stream_caps) -> None:
         for budget in cuts + [position - 1, position + 1]:
             stream = WordStream(segments, budget)
             cut_bodies = [k for k in body_indices if k < len(stream.segments)]
-            lives = [(frozenset(), None), (frozenset(), dict.fromkeys(cut_bodies))]
-            lives.append((dead, dict.fromkeys(k for k in cut_bodies if k not in dead_indices)))
+            lives = [(frozenset(), None), (frozenset(), _given_parent(box, cut_bodies))]
+            open_bodies = [k for k in cut_bodies if k not in dead_indices]
+            lives.append((dead, _given_parent(box, open_bodies)))
             cfg = SearchConfig(
                 area_bound=area, max_d=max_d, max_exp=max_exp, word_budget_per_box=budget
             )
             for hint in (None, body_hint, body_indices[-1], min(dead_indices, default=None)):
                 at = None if hint is None else starts[hint]
-                for dead_set, live in lives:
+                for dead_set, parent in lives:
                     if hint is not None and hint >= len(stream.segments):
                         with pytest.raises(ValueError, match="hint must index a Word segment"):
-                            test_box(box, stream, cfg, hint=hint, live=live)
+                            test_box(box, stream, cfg, hint=hint, parent=parent)
                         kinds["past the cut"] += 1
                         continue
-                    v = test_box(box, stream, cfg, hint=hint, live=live)
+                    v = test_box(box, stream, cfg, hint=hint, parent=parent)
                     near = None if v.near_miss is None else starts[v.near_miss]
                     kept = None if v.live is None else tuple(starts[k] for k in v.live)
                     got = (v.status, v.word, v.volume_bound, v.words_scanned, near, kept)

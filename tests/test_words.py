@@ -484,7 +484,8 @@ def test_word_stream_is_the_cut() -> None:
                 first_scan.append(k)
             if isinstance(segment, Run):
                 leads.add(segment.prefix[0])
-        assert stream.first_scan == first_scan
+        assert list(stream.first_scan) == first_scan
+        assert set(stream.first_scan.values()) == {None}
         inside_a_run += stream.ends[-1] > budget
     assert inside_a_run == 1
     # one entry per Word, and one per distinct Run lead
@@ -847,7 +848,7 @@ def test_stream_builds_masks_once_on_the_first_child(monkeypatch) -> None:
     parent = test_box(box, stream, cfg)
     assert built == [] and stream._masks is None
     for child in subdivide(box):
-        test_box(child, stream, cfg, live=parent.live, table=parent.table)
+        test_box(child, stream, cfg, parent=parent)
     assert built == [s.syllables for s in stream.segments if isinstance(s, Word)]
     assert stream.masks() == [
         GEN_ALL if isinstance(s, Run) else real(s.syllables) for s in stream.segments
