@@ -319,10 +319,12 @@ class RealInterval:
         return self.lo <= other.lo and other.hi <= self.hi
 
     def midpoint(self) -> float:
-        """Split point strictly inside for nondegenerate intervals.
+        """The split point lo + (hi - lo)/2, a float in [lo, hi].
 
         All floats are dyadic rationals, so the returned point is a valid
-        dyadic bisection vertex.
+        dyadic bisection vertex.  It can round onto an endpoint: on
+        [1, nextafter(1, 2)] it is 1, and on a point interval it is the
+        point, so a caller that needs a point strictly inside checks.
         """
         return self.lo + (self.hi - self.lo) / 2.0
 

@@ -22,26 +22,29 @@ does, so a box with no enclosing box reads that entry, once per lead: an
 entry read once without raising never raises.
 
 The stream is the cut: the segments through the first whose words reach
-the budget, or all of them.  A scan evaluates the hint first, and a hint
-that kills the box counts as its one word.  Otherwise the scan visits the
-cut in order, the hint in its place, and a killer counts the words
-through its own segment, and the hint's when it lies after it.  The
-candidate, the least index with U < 1, and the near miss, the least
-(U, index) among kept words with L < 1, do not depend on that order, so
-the hint only moves its kill test to the front.  A hint must index a
-Word of the cut, and a box that no word kills scans the cut's words,
-capped at the budget, which is WordStream.scanned.  A child's hint is its
-parent's near miss, an evaluated word of the cut, so every box of a run
-reads the root's cut.
+the budget, or all of them.  A child box's hint is its parent's near
+miss, unless SearchConfig.use_parent_word_hint is off, and a root box
+has none.  A scan evaluates the hint first, and a hint that kills the
+box counts as its one word.  Otherwise the scan visits the cut in order,
+the hint in its place, and a killer counts the words through its own
+segment, and the hint's when it lies after it.  The candidate, the least
+index with U < 1, and the near miss, the least (U, index) among kept
+words with L < 1, do not depend on that order, so the hint only moves
+its kill test to the front.  A near miss is an evaluated Word of the
+cut, a key of its verdict's live, and a box that no word kills scans
+the cut's words, capped at the budget, which is WordStream.scanned.  An
+Undecided verdict records its stream, and a child is scanned on it, so
+every box of a run reads the root's cut.
 
 A box scans only what its parent left open, and re-evaluates only what
 its split can change.  A child takes its parent's Undecided verdict,
 which carries live, a dict from each Word of the cut the parent
 evaluated whose L stayed below _DEAD_LO, in ascending order, to the
-(L, U) it found there, and the parent's table.  The child visits live's
-positions only; a position absent from live never re-enters.  A word
-whose enclosure [L, U] of |m21| has L >= _DEAD_LO on a box has L >= 1 on
-every box inside it, so it is inconclusive there and never a near miss.
+(L, U) it found there, the parent's table and its stream.  The child
+visits live's positions only; a position absent from live never
+re-enters.  A word whose enclosure [L, U] of |m21| has L >= _DEAD_LO on
+a box has L >= 1 on every box inside it, so it is inconclusive there and
+never a near miss.
 Every step of lower_left_bounds is inclusion isotone: real_add and
 real_mul with their exact 0 and 1 shortcuts, the inline rect_add and
 rect_mul, the product by -1 (rect_neg), nextafter, and the generator and
@@ -94,7 +97,7 @@ from typing import Iterable, List, Optional, Tuple, Union
 
 from . import __version__
 from . import words as _words
-from .bicuspid import Feasibility, ParamBox, box_in_param_space, param_space
+from .bicuspid import COORD_NAMES, Feasibility, ParamBox, box_in_param_space, param_space
 from .bicuspid import integer, real_number, space_radius
 from .interval import RealInterval
 from .words import (
@@ -208,18 +211,11 @@ class SearchConfig:
         return self.root_box
 
     def to_json_dict(self) -> dict:
-        root = None if self.root_box is None else self.root_box.to_bounds()
-        return {
-            "area_bound": self.area_bound,
-            "max_d": self.max_d,
-            "max_exp": self.max_exp,
-            "max_depth": self.max_depth,
-            "min_box_width": self.min_box_width,
-            "word_budget_per_box": self.word_budget_per_box,
-            "max_boxes": self.max_boxes,
-            "use_parent_word_hint": self.use_parent_word_hint,
-            "root_box": root,
-        }
+        """Every setting by name, root_box as its bounds or None."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.root_box is not None:
+            d["root_box"] = self.root_box.to_bounds()
+        return d
 
 
 class BoxStatus(Enum):
@@ -235,15 +231,16 @@ class BoxVerdict:
 
     word is the eliminating word or the candidate word at the earliest
     segment index.  near_miss is the segment index of the scanned word
-    with the smallest upper bound on the lower-left entry; it seeds the
-    children's scans and is never serialized.  An Undecided verdict also
+    with the smallest upper bound on the lower-left entry; it is the
+    children's hint and is never serialized.  An Undecided verdict also
     carries live, a dict from the ascending segment indices of the Words
     its children still evaluate to the (L, U) found here, which a child
-    may reuse in place of a kernel run, and table, the box's
-    GeneratorTriple, from which the children's tables start.  Each child
-    takes the verdict itself as its parent (see test_box).  live and table
-    are left out of repr and comparison, never serialized, and leaves keep
-    none of the three.  kernel_runs counts the scan's
+    may reuse in place of a kernel run, table, the box's GeneratorTriple,
+    from which the children's tables start, and stream, the WordStream it
+    was scanned on, which its children read.  Each child takes the verdict
+    itself as its parent (see test_box).  live, table and stream are left
+    out of repr and comparison, never serialized, and leaves keep none of
+    them or the near miss.  kernel_runs counts the scan's
     words.lower_left_bounds calls; it is left out of repr and comparison
     and never serialized.
     """
@@ -256,6 +253,7 @@ class BoxVerdict:
     near_miss: Optional[int] = field(default=None, repr=False)
     live: Optional[dict] = field(default=None, repr=False, compare=False)
     table: Optional[GeneratorTriple] = field(default=None, repr=False, compare=False)
+    stream: Optional[WordStream] = field(default=None, repr=False, compare=False)
     kernel_runs: int = field(default=0, repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
@@ -309,22 +307,35 @@ class SearchReport:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
 
+def _widest(box: ParamBox) -> Tuple[int, RealInterval]:
+    """The index and interval of box's widest coordinate, the earliest on ties."""
+    widths = box.widths()
+    axis = widths.index(max(widths))
+    return axis, box.coords()[axis]
+
+
+def _splits(box: ParamBox, min_width: float) -> bool:
+    """Whether box's widest coordinate is wider than min_width and subdivide can split it."""
+    iv = _widest(box)[1]
+    return iv.width > min_width and iv.lo < iv.midpoint() < iv.hi
+
+
 def subdivide(box: ParamBox) -> Tuple[ParamBox, ParamBox]:
     """Bisect the widest coordinate at its midpoint.
 
     Width ties resolve to the earliest coordinate in (a_re, a_im, b_re,
     b_im, c_re, c_im).  Children extend the parent path with "0" and "1".
+    A box whose widest coordinate's midpoint rounds onto an endpoint, such
+    as a zero-volume box or one whose widest coordinate is one ulp wide,
+    raises ValueError: one child would be the box itself.
     """
-    widths = box.widths()
-    top = max(widths)
-    if top <= 0.0:
-        raise ValueError("cannot subdivide a zero-volume box")
-    axis = widths.index(top)
-    coords = list(box.coords())
-    iv = coords[axis]
+    axis, iv = _widest(box)
     mid = iv.midpoint()
-    lo_coords = list(coords)
-    hi_coords = list(coords)
+    if not iv.lo < mid < iv.hi:
+        where = f"{COORD_NAMES[axis]} = [{iv.lo!r}, {iv.hi!r}]"
+        raise ValueError(f"cannot subdivide: the midpoint of {where} is not strictly inside")
+    lo_coords = list(box.coords())
+    hi_coords = list(lo_coords)
     lo_coords[axis] = RealInterval(iv.lo, mid)
     hi_coords[axis] = RealInterval(mid, iv.hi)
     return (
@@ -333,21 +344,11 @@ def subdivide(box: ParamBox) -> Tuple[ParamBox, ParamBox]:
     )
 
 
-def _check_cut(stream: WordStream, budget: int, hint: Optional[int]) -> None:
-    """ValueError unless stream is cut for budget and hint, if any, indexes a Word of the cut."""
-    if stream.budget != budget:
-        raise ValueError(f"the stream is cut for a budget of {stream.budget}, not {budget}")
-    segments = stream.segments
-    if hint is not None and (not 0 <= hint < len(segments) or segments[hint].__class__ is Run):
-        raise ValueError(f"hint must index a Word segment of the cut, got {hint!r}")
-
-
 def test_box(
     box: ParamBox,
     stream: Optional[WordStream],
     cfg: SearchConfig,
     *,
-    hint: Optional[int] = None,
     parent: Optional[BoxVerdict] = None,
 ) -> BoxVerdict:
     """Scan one box against the word stream.
@@ -357,36 +358,35 @@ def test_box(
     else Undecided.  At most cfg.word_budget_per_box words are scanned.
 
     stream is the WordStream cut for cfg.word_budget_per_box, which boxes
-    share, or None for WordStream(enumerate_segments(cfg.max_d,
-    cfg.max_exp), cfg.word_budget_per_box), built once the box is found
-    feasible, and the hint is checked against it then; a stream cut for
-    another budget raises ValueError.  Words
-    are named by their index in stream.segments, and ties go to the
-    earliest, which on the canonical stream is the canonical least.  hint,
-    the index of a Word segment of the cut (else ValueError; TypeError if
-    it is not an int), is evaluated first, and a hint that kills the box
-    is the verdict's one scanned word.  The stream is the cut: every word
-    of it counts as scanned, so a box that no word kills reports
-    stream.scanned, and a killer the words through its own segment, the
-    hint among them.  Every box of a run reads the root's cut (see the
-    module docstring).
+    share.  None means parent's stream when there is a parent, else
+    WordStream(enumerate_segments(cfg.max_d, cfg.max_exp),
+    cfg.word_budget_per_box), built once the box is found feasible.  A
+    stream cut for another budget raises ValueError, and so does a given
+    stream that is not parent's: the same object, or one cut for the same
+    budget with equal segments.  Words are named by their index in
+    stream.segments, and ties go to the earliest, which on the canonical
+    stream is the canonical least.  The stream is the cut: every word of
+    it counts as scanned, so a box that no word kills reports
+    stream.scanned, and a killer the words through its own segment.
+    Every box of a run reads the root's cut (see the module docstring).
 
-    parent is None, or the Undecided verdict of an enclosing box scanned
-    on the same stream, with its live and table; any other verdict, such
-    as a decided one or a leaf whose live and table run_search cleared,
-    raises ValueError.  The scan then visits in order the keys of one
-    dict, the hint in its place with the bounds found first:
-    stream.first_scan without a parent, parent.live with one.  first_scan
-    holds every Word, and each Run whose leading syllable no earlier Run
-    had.  Such a Run's leading syllable is read from the box's table, as
-    its words' evaluations would read it, so an overflow there raises
-    ValueError.  Every other Run's words, and every Word absent from the
-    dict, count as scanned without being evaluated: a twin has the [L, U]
-    of its body's first word, scanned before it, and a word absent from
-    parent.live was ruled out on the enclosing box (see the module
-    docstring).  A hint absent from parent.live still counts and can
-    still kill the box, but nothing else is done with it; such a word has
-    L >= _DEAD_LO here, so no verdict changes.
+    parent is None, or the Undecided verdict of an enclosing box, with its
+    live, table and stream; any other verdict, such as a decided one or a
+    leaf whose three run_search cleared, raises ValueError, and so does a
+    near miss that is not a key of its live.  With cfg.use_parent_word_hint
+    set, parent's near miss is the hint, evaluated first; a hint that kills
+    the box is the verdict's one scanned word, and a killer found later
+    counts the hint too when it lies after it.  A root box has no hint.
+    The scan then visits in order the keys of one dict, the hint in its
+    place with the bounds found first: stream.first_scan without a parent,
+    parent.live with one.  first_scan holds every Word, and each Run whose
+    leading syllable no earlier Run had.  Such a Run's leading syllable is
+    read from the box's table, as its words' evaluations would read it, so
+    an overflow there raises ValueError.  Every other Run's words, and
+    every Word absent from the dict, count as scanned without being
+    evaluated: a twin has the [L, U] of its body's first word, scanned
+    before it, and a word absent from parent.live was ruled out on the
+    enclosing box (see the module docstring).
 
     This box's table starts from parent.table (GeneratorTriple.inherit),
     and a word of parent.live, the hint too, whose m21 reads none of the
@@ -394,25 +394,31 @@ def test_box(
     (words.m21_reads) takes its (L, U) from parent.live in place of a
     kernel run, bit for bit the same (see the module docstring); a word
     whose value there is None is evaluated.  An Undecided verdict carries,
-    for its children, its own table and its live: each visited Word whose
-    L stays below _DEAD_LO here, with its (L, U).  A position absent from
-    parent.live never re-enters, and parent is never changed, since
-    siblings share it.  The verdict's kernel_runs counts the kernel calls.
+    for its children, its stream, its own table and its live: each visited
+    Word whose L stays below _DEAD_LO here, with its (L, U).  A position
+    absent from parent.live never re-enters, and parent is never changed,
+    since siblings share it.  The verdict's kernel_runs counts the kernel
+    calls.
     """
-    if hint is not None and (isinstance(hint, bool) or not isinstance(hint, int)):
-        raise TypeError(f"hint must be an int segment index, got {hint!r}")
-    if parent is not None and (
-        parent.status is not BoxStatus.UNDECIDED or parent.live is None or parent.table is None
-    ):
-        raise ValueError("parent must be an Undecided verdict that still holds its live and table")
-    budget = cfg.word_budget_per_box
-    if stream is not None:
-        _check_cut(stream, budget, hint)
+    budget, hint = cfg.word_budget_per_box, None
+    if parent is not None:
+        held = (parent.live, parent.table, parent.stream)
+        if parent.status is not BoxStatus.UNDECIDED or any(x is None for x in held):
+            raise ValueError("parent must be an Undecided verdict with its live, table and stream")
+        if parent.near_miss is not None and parent.near_miss not in parent.live:
+            raise ValueError(f"parent's near miss {parent.near_miss!r} is not a key of its live")
+        own = parent.stream
+        if stream is None:
+            stream = own
+        elif stream is not own and (stream.budget, stream.segments) != (own.budget, own.segments):
+            raise ValueError("the parent was scanned on another stream")
+        hint = parent.near_miss if cfg.use_parent_word_hint else None
+    if stream is not None and stream.budget != budget:
+        raise ValueError(f"the stream is cut for a budget of {stream.budget}, not {budget}")
     if box_in_param_space(box, cfg.area_bound) is Feasibility.OUTSIDE:
         return BoxVerdict(box, BoxStatus.ELIMINATED_INFEASIBLE)
     if stream is None:
         stream = WordStream(enumerate_segments(cfg.max_d, cfg.max_exp), budget)
-        _check_cut(stream, budget, hint)
     segments = stream.segments
 
     # looked up on the words module, where perfbench's tracer wraps it
@@ -425,7 +431,7 @@ def test_box(
     runs = 0
 
     if hint is not None:
-        hint_hit = visit.get(hint)
+        hint_hit = visit[hint]
         if hint_hit is None or masks[hint] & changed:
             hint_hit = kernel(gens, segments[hint].syllables)
             runs += 1
@@ -474,7 +480,7 @@ def test_box(
         return BoxVerdict(
             box, BoxStatus.CANDIDATE, word, volume_bound(word), scanned, kernel_runs=runs
         )
-    return BoxVerdict(box, BoxStatus.UNDECIDED, None, None, scanned, near, kept, gens, runs)
+    return BoxVerdict(box, BoxStatus.UNDECIDED, None, None, scanned, near, kept, gens, stream, runs)
 
 
 # keep pytest from collecting the operation as a test case
@@ -497,12 +503,13 @@ def run_search(cfg: SearchConfig) -> SearchReport:
 
     Undecided boxes wider than cfg.min_box_width and shallower than
     cfg.max_depth are subdivided; other undecided boxes become leaves.
-    Both children take the box's verdict as their parent, so they evaluate
-    only the words its live left open, re-evaluate only those the split
-    can change and rebuild only the table entries the split changed, and
-    its near miss as their hint; every box stops at the root's cut (see
-    the module docstring).  A leaf keeps no near miss, live or table: no
-    report reads them.
+    A box is split only where subdivide can split it.  Both children take
+    the box's verdict as their parent, so they evaluate only the words its
+    live left open, re-evaluate only those the split can change, rebuild
+    only the table entries the split changed and, with
+    cfg.use_parent_word_hint, take its near miss as their hint; every box
+    stops at the root's cut (see the module docstring).  A leaf keeps no
+    near miss, live, table or stream: no report reads them.
     The report's kernel_runs sums the verdicts'.
     The search runs on one thread, so the box budget cuts a fixed prefix of
     the depth-first order and every report, capped or complete, serializes
@@ -520,28 +527,27 @@ def run_search(cfg: SearchConfig) -> SearchReport:
     # one stream for every box: the cut every box of the run reads
     stream = WordStream(enumerate_segments(cfg.max_d, cfg.max_exp), cfg.word_budget_per_box)
     leaves: List[BoxVerdict] = []
-    # (box, hint, parent): the parent's Undecided verdict and, by default, its near miss
-    stack: List[tuple] = [(root, None, None)]
+    # (box, parent): the parent's Undecided verdict, None for the root
+    stack: List[tuple] = [(root, None)]
     boxes = words = runs = 0
     incomplete = False
     while stack:
-        box, hint, parent = stack.pop()
+        box, parent = stack.pop()
         if cfg.max_boxes and boxes >= cfg.max_boxes:
             incomplete = True
             leaves.append(BoxVerdict(box, BoxStatus.UNDECIDED))
             continue
         boxes += 1
-        verdict = test_box(box, stream, cfg, hint=hint, parent=parent)
+        verdict = test_box(box, stream, cfg, parent=parent)
         words += verdict.words_scanned
         runs += verdict.kernel_runs
-        splittable = len(box.path) < cfg.max_depth and box.max_width() > cfg.min_box_width
-        if verdict.status is BoxStatus.UNDECIDED and splittable:
-            hint = verdict.near_miss if cfg.use_parent_word_hint else None
+        deeper = len(box.path) < cfg.max_depth
+        if verdict.status is BoxStatus.UNDECIDED and deeper and _splits(box, cfg.min_box_width):
             lo, hi = subdivide(box)
-            stack.append((hi, hint, verdict))
-            stack.append((lo, hint, verdict))
+            stack.append((hi, verdict))
+            stack.append((lo, verdict))
         else:
-            verdict.near_miss = verdict.live = verdict.table = None
+            verdict.near_miss = verdict.live = verdict.table = verdict.stream = None
             leaves.append(verdict)
 
     report = SearchReport(

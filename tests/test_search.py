@@ -6,7 +6,7 @@ import math
 import random
 import zlib
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 from itertools import islice, permutations, product
 
 import pytest
@@ -158,6 +158,31 @@ def test_subdivide_tie_break_and_partition():
         pass
 
 
+def test_a_box_whose_midpoint_rounds_onto_an_endpoint_is_not_split() -> None:
+    """A box whose widest coordinate's midpoint rounds onto an endpoint is not split.
+
+    On [1, nextafter(1, 2)] the midpoint rounds onto lo, and on
+    [nextafter(1, 0), 1] onto hi, so one half would be the box itself:
+    subdivide raises ValueError, and run_search keeps such a root as its
+    one leaf, where it used to test 25 boxes and keep 13 leaves, twelve of
+    zero width and one equal to the root.  A two-ulp coordinate still
+    splits into two one-ulp halves.
+    """
+    r3 = math.sqrt(3.0)
+    points = [[4.0, 4.0], [0.0, 0.0], [1.0, 1.0], [r3, r3], [2.0, 2.0]]
+    for c_im in ([1.0, math.nextafter(1.0, 2.0)], [math.nextafter(1.0, 0.0), 1.0]):
+        root = points + [c_im]
+        where = rf"c_im = \[{c_im[0]!r}, {c_im[1]!r}\]"
+        with pytest.raises(ValueError, match=f"the midpoint of {where} is not strictly inside"):
+            subdivide(ParamBox.from_bounds(root))
+        rep = run_search(_cfg(root_box=root, min_box_width=1e-300))
+        assert (rep.boxes_tested, len(rep.leaves)) == (1, 1)
+        assert rep.leaves[0].box.path == "" and rep.leaves[0].status is BoxStatus.UNDECIDED
+    two = points + [[1.0, math.nextafter(math.nextafter(1.0, 2.0), 2.0)]]
+    lo, hi = subdivide(ParamBox.from_bounds(two))
+    assert lo.c_im.hi == hi.c_im.lo == math.nextafter(1.0, 2.0)
+
+
 def test_box_infeasible_short_circuit(monkeypatch):
     """An infeasible box scans nothing, and with stream None builds no stream."""
     box = ParamBox.from_bounds(
@@ -211,16 +236,21 @@ def test_box_budget_and_near_miss():
 
 
 def test_box_hint_scanned_first():
+    """The parent's near miss is the hint, scanned first, unless use_parent_word_hint is off."""
     box = ParamBox.from_bounds(
         [[1.0, 1.1], [0.0, 0.0], [0.0, 0.0], [4.0, 4.0], [-0.6, -0.5], [0.0, 0.0]]
     )
     stream = WordStream(enumerate_segments(2, 1), 10000)
     hint = stream.segments.index(parse_word("z x z"))
     assert hint > 0
-    v = test_box(box, stream, _cfg(), hint=hint)
+    # a parent whose live is the root's first scan, so only the hint differs
+    parent = _given_parent(box, stream, stream.first_scan, near_miss=hint)
+    v = test_box(box, stream, _cfg(), parent=parent)
     assert v.status is BoxStatus.ELIMINATED_KILLER
     assert v.word == parse_word("z x z")
     assert v.words_scanned == 1
+    off = test_box(box, stream, _cfg(use_parent_word_hint=False), parent=parent)
+    assert (off.status, off.word, off.words_scanned) == (v.status, v.word, 12)
 
 
 class _NoTwins(WordStream):
@@ -243,7 +273,8 @@ def test_near_miss_tie_rule(monkeypatch) -> None:
     """Candidate and near miss are the earliest in stream order, hint included.
 
     The near miss is the least (hi, index) and the candidate the least
-    index, in any stream order and whichever word is the hint.  On the
+    index, in any stream order and whichever word is the hint, the near
+    miss of a given parent whose live holds every index.  On the
     canonical stream the earliest index is the least sort_key.  The
     made-up bounds give body twins such as "x z" and "z" different
     enclosures, so the scans run on streams that evaluate every word.
@@ -264,7 +295,10 @@ def test_near_miss_tie_rule(monkeypatch) -> None:
     def scan(order, hint=None):
         """The verdict on a stream of order, hint given as a word; (verdict, near miss word)."""
         stream = _NoTwins(order, 10000)
-        v = test_box(box, stream, _cfg(), hint=None if hint is None else order.index(hint))
+        parent = None
+        if hint is not None:
+            parent = _given_parent(box, stream, range(len(order)), near_miss=order.index(hint))
+        v = test_box(box, stream, _cfg(), parent=parent)
         return v, None if v.near_miss is None else stream.segments[v.near_miss]
 
     def near_miss(order, hint=None):
@@ -997,10 +1031,10 @@ def test_reuse_needs_the_parent_table(monkeypatch) -> None:
     fresh = WordStream(enumerate_segments(2, 1), cfg.word_budget_per_box)
     for child in subdivide(root):
         calls.clear()
-        plain = test_box(child, fresh, cfg, hint=parent.near_miss, parent=parent)
+        plain = test_box(child, fresh, cfg, parent=parent)
         assert plain.kernel_runs == len(calls) == len(parent.live)
         calls.clear()
-        reused = test_box(child, stream, cfg, hint=parent.near_miss, parent=parent)
+        reused = test_box(child, stream, cfg, parent=parent)
         assert reused.kernel_runs == len(calls) < len(parent.live)
         assert _verdict_fields(reused) == _verdict_fields(plain)
     assert fresh.masks() == [words_module.GEN_ALL] * len(fresh.segments)
@@ -1011,7 +1045,9 @@ def test_reuse_needs_the_parent_table(monkeypatch) -> None:
     calls.clear()
     verdict = test_box(twin, stream, cfg, parent=parent)
     reads_c = [k for k in parent.live if masks[k] & words_module.GEN_C]
-    assert calls == [stream.segments[k].syllables for k in reads_c]
+    # the parent's near miss, the hint, is evaluated first when it reads c
+    first = sorted(reads_c, key=lambda k: k != parent.near_miss)
+    assert calls == [stream.segments[k].syllables for k in first]
     assert 0 < len(reads_c) < len(parent.live)
     assert _verdict_fields(verdict) == _verdict_fields(test_box(root, stream, cfg))
 
@@ -1031,7 +1067,7 @@ def test_box_hands_its_children_a_new_dead_set() -> None:
     assert parent.status is BoxStatus.UNDECIDED and parent.live
     given = parent.live
     kept = dict(given)
-    child = test_box(subdivide(box)[1], words, cfg, hint=parent.near_miss, parent=parent)
+    child = test_box(subdivide(box)[1], words, cfg, parent=parent)
     assert child.status is BoxStatus.UNDECIDED
     assert given == kept and tuple(given) == tuple(kept) and parent.live is given
     assert set(child.live) < set(given)
@@ -1039,12 +1075,12 @@ def test_box_hands_its_children_a_new_dead_set() -> None:
 
 
 def test_box_refuses_a_parent_that_is_not_an_undecided_scan() -> None:
-    """parent must be an Undecided verdict that still holds its live and table, else ValueError.
+    """parent must be an Undecided verdict holding its live, table and stream, else ValueError.
 
     A leaf of a finished run_search has had them cleared, a killer verdict
-    never had them, and a verdict of another status is refused even with
-    both.  The live= and table= keywords are gone: passing either is a
-    TypeError.
+    never had them, an Undecided verdict without its stream has nothing to
+    read, and a verdict of another status is refused even with all three.  The live=, table= and hint= keywords are gone: passing any
+    of them is a TypeError.
     """
     cfg = SearchConfig(**dict(_AREA_15, max_depth=6, word_budget_per_box=2000))
     stream = WordStream(enumerate_segments(cfg.max_d, cfg.max_exp), cfg.word_budget_per_box)
@@ -1058,15 +1094,56 @@ def test_box_refuses_a_parent_that_is_not_an_undecided_scan() -> None:
     assert killer.status is BoxStatus.ELIMINATED_KILLER
     real = test_box(leaf.box, stream, cfg)
     assert real.status is BoxStatus.UNDECIDED and real.live
-    decided = BoxVerdict(leaf.box, BoxStatus.CANDIDATE, live=real.live, table=real.table)
+    decided = BoxVerdict(
+        leaf.box, BoxStatus.CANDIDATE, live=real.live, table=real.table, stream=real.stream
+    )
     child = subdivide(leaf.box)[0]
-    for parent in (leaf, killer, decided):
+    for parent in (leaf, killer, replace(real, stream=None), decided):
         with pytest.raises(ValueError, match="parent must be an Undecided verdict"):
             test_box(child, stream, cfg, parent=parent)
     assert test_box(child, stream, cfg, parent=real).words_scanned
-    for keyword in ("live", "table"):
+    for keyword, value in (("live", real.live), ("table", real.table), ("hint", real.near_miss)):
         with pytest.raises(TypeError, match=keyword):
-            test_box(child, stream, cfg, **{keyword: getattr(real, keyword)})
+            test_box(child, stream, cfg, **{keyword: value})
+
+
+def test_box_takes_a_parent_only_on_its_own_stream() -> None:
+    """A child is scanned on its parent's stream: None reads it, and another raises ValueError.
+
+    A stream cut for the same budget with equal segments is the parent's
+    too, and gives the verdict of the parent's own object.  A (2, 1)
+    parent handed to a (3, 2) scan at the same budget is refused, as is a
+    parent whose near miss, the hint, is not a key of its live.
+    """
+    settings = dict(_AREA_15, word_budget_per_box=2000)
+    cfg21, cfg32 = SearchConfig(**settings), SearchConfig(**dict(settings, max_d=3, max_exp=2))
+    s21 = WordStream(enumerate_segments(2, 1), 2000)
+    s32 = WordStream(enumerate_segments(3, 2), 2000)
+    root = param_space(1.5)
+    parent = test_box(root, s21, cfg21)
+    assert parent.status is BoxStatus.UNDECIDED and parent.stream is s21
+    assert parent.near_miss in parent.live
+    own = test_box(root, s32, cfg32)
+    assert own.status is BoxStatus.UNDECIDED
+    for child in subdivide(root):
+        with pytest.raises(ValueError, match="the parent was scanned on another stream"):
+            test_box(child, s32, cfg32, parent=parent)
+        with pytest.raises(ValueError, match="the parent was scanned on another stream"):
+            test_box(child, s21, cfg32, parent=own)
+        # None reads the parent's stream, which is cut for another budget than cfg's
+        with pytest.raises(ValueError, match="cut for a budget of 2000, not 10000"):
+            test_box(child, None, SearchConfig(**_AREA_15), parent=parent)
+        want = _verdict_fields(test_box(child, s21, cfg21, parent=parent))
+        equal = WordStream(enumerate_segments(2, 1), 2000)
+        assert equal is not s21 and equal.segments == s21.segments
+        for stream in (None, equal):
+            assert _verdict_fields(test_box(child, stream, cfg21, parent=parent)) == want
+    stray = next(k for k in range(len(s21.segments)) if k not in parent.live)
+    for near_miss in (stray, -1, len(s21.segments)):
+        bad = replace(parent, near_miss=near_miss)
+        for cfg in (cfg21, SearchConfig(**dict(settings, use_parent_word_hint=False))):
+            with pytest.raises(ValueError, match="near miss .* is not a key of its live"):
+                test_box(subdivide(root)[0], s21, cfg, parent=bad)
 
 
 @pytest.mark.parametrize(
@@ -1082,11 +1159,11 @@ def test_live_holds_each_kept_words_kernel_bounds(monkeypatch, settings) -> None
     entry's endpoints have the .hex() of lower_left_bounds on the box.  A
     child's entry for a word whose m21_reads misses the generator its
     split changed is its parent's tuple itself.  The root is called with
-    neither a parent nor a hint, and each child with its parent's verdict
-    itself as parent= and, unless the hint is off, that verdict's near
-    miss as hint=, the keyword the benchmark's hook reads.  The dict a
-    parent hands down is unchanged, key order included, once both
-    children are scanned, since siblings share it.
+    parent=None, and each child with its parent's verdict itself as
+    parent= and no other keyword.  Unless the hint is off, some children
+    are killed by that verdict's near miss, their one scanned word; with
+    it off, none is.  The dict a parent hands down is unchanged, key order
+    included, once both children are scanned, since siblings share it.
     """
     cfg = SearchConfig(**settings)
     seen = {}
@@ -1096,19 +1173,18 @@ def test_live_holds_each_kept_words_kernel_bounds(monkeypatch, settings) -> None
         return [(k, lo.hex(), hi.hex()) for k, (lo, hi) in live.items()]
 
     def recording_test_box(box, stream, cfg, **kwargs):
-        nonlocal shared, hinted
+        nonlocal shared, hint_kills
         verdict = real_test_box(box, stream, cfg, **kwargs)
         if box.path:
             _, _, handed, near, given, at_return = seen[box.path[:-1]]
-            assert kwargs["parent"] is handed and handed.live is given, box.path
-            assert kwargs["hint"] == (near if cfg.use_parent_word_hint else None), box.path
-            hinted += kwargs["hint"] is not None
+            assert kwargs == {"parent": handed} and handed.live is given, box.path
+            hint_kills += verdict.words_scanned == 1 and verdict.word == stream.segments[near]
             if box.path.endswith("1"):
                 # the 0 child was scanned first, so both siblings have read it
                 assert hexed(given) == at_return, box.path
                 shared += 1
         else:
-            assert kwargs["parent"] is None and kwargs["hint"] is None
+            assert kwargs == {"parent": None}
         if verdict.live is not None:
             # run_search clears a leaf's near miss and live, so keep them here
             live = verdict.live
@@ -1116,7 +1192,7 @@ def test_live_holds_each_kept_words_kernel_bounds(monkeypatch, settings) -> None
         return verdict
 
     monkeypatch.setattr(search_module, "test_box", recording_test_box)
-    shared = entries = reused = hinted = 0
+    shared = entries = reused = hint_kills = 0
     assert run_search(cfg).boxes_tested == settings["max_boxes"]
     for path, (box, stream, _, _, live, _) in seen.items():
         gens = gens_from_params(box)
@@ -1134,52 +1210,95 @@ def test_live_holds_each_kept_words_kernel_bounds(monkeypatch, settings) -> None
                 assert hit is parent_live[k], (path, k)
                 reused += 1
     assert entries > 500 and reused > 100 and shared >= 5
-    assert hinted > 5 if cfg.use_parent_word_hint else hinted == 0
+    assert hint_kills > 0 if cfg.use_parent_word_hint else hint_kills == 0
 
 
 def test_leaves_keep_no_near_miss_or_dead_set() -> None:
-    """Only children read a near miss, a live dict or a table, so no leaf keeps one.
+    """Only children read a near miss, a live dict, a table or a stream, so no leaf keeps one.
 
     A verdict carries no bounds apart from its live.
     """
     rep = run_search(SearchConfig(**dict(_AREA_15, max_depth=6, word_budget_per_box=2000)))
     assert any(leaf.status is BoxStatus.UNDECIDED and leaf.words_scanned for leaf in rep.leaves)
     assert all(
-        leaf.near_miss is None and leaf.live is None and leaf.table is None for leaf in rep.leaves
+        (leaf.near_miss, leaf.live, leaf.table, leaf.stream) == (None,) * 4 for leaf in rep.leaves
     )
     assert "bounds" not in {f.name for f in fields(search_module.BoxVerdict)}
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [dict(_AREA_15, max_boxes=50),
+     dict(area_bound=1.0, max_d=3, max_exp=2, max_depth=18, word_budget_per_box=2000)],
+    ids=["search-area", "golden-area-1"],
+)
+def test_leaf_replays_one_call_per_level(settings) -> None:
+    """Each tested leaf is test_box chained down its path from the root, one call per level.
+
+    The root is scanned with stream None, a new canonical cut, and each
+    child with None and its parent's verdict, whose stream it reads.  The
+    replay gives run_search's leaf: its status, word, words_scanned and
+    kernel_runs.  A leaf cut by max_boxes was never tested, so it has
+    nothing to replay.
+    """
+    cfg = SearchConfig(**settings)
+    report = run_search(cfg)
+    verdicts = {"": test_box(cfg.resolved_root(), None, cfg)}
+    replayed = 0
+    for leaf in report.leaves:
+        if leaf.status is BoxStatus.UNDECIDED and not leaf.words_scanned:
+            continue
+        path = leaf.box.path
+        for depth in range(1, len(path) + 1):
+            if path[:depth] not in verdicts:
+                parent = verdicts[path[: depth - 1]]
+                child = subdivide(parent.box)[int(path[depth - 1])]
+                verdicts[path[:depth]] = test_box(child, None, cfg, parent=parent)
+        v = verdicts[path]
+        assert v.box == leaf.box
+        got = (v.status, v.word, v.words_scanned, v.kernel_runs)
+        assert got == (leaf.status, leaf.word, leaf.words_scanned, leaf.kernel_runs), path
+        replayed += 1
+    # the replays share their prefixes, so each box of the run is scanned once
+    assert len(verdicts) == report.boxes_tested
+    assert replayed == {50: 21, 0: 120}[cfg.max_boxes]
 
 
 def _verdict_fields(v):
     return v.status, v.word, v.words_scanned, v.near_miss, None if v.live is None else tuple(v.live)
 
 
-def _given_parent(box, positions):
-    """An Undecided verdict on box whose live maps each of positions to None.
+def _given_parent(box, stream, positions, near_miss=None):
+    """An Undecided verdict on box, scanned on stream, whose live maps each of positions to None.
 
     A None value has no bounds to reuse, so test_box evaluates that word;
-    the table is box's own.
+    the table is box's own, and near_miss is the children's hint.
     """
     live = dict.fromkeys(positions)
-    return BoxVerdict(box, BoxStatus.UNDECIDED, live=live, table=gens_from_params(box))
+    return BoxVerdict(
+        box, BoxStatus.UNDECIDED, near_miss=near_miss, live=live, table=gens_from_params(box),
+        stream=stream,
+    )
 
 
 @pytest.mark.parametrize("stream_caps", [(2, 1), (3, 2)], ids=["d2", "d3"])
 def test_box_reads_every_stream_form_alike(stream_caps) -> None:
     """None, a fresh WordStream and a shared one give one verdict.
 
-    Each box is scanned without a hint and with four: its near miss, a
-    fixed Word segment, a word ruled out on the box and a word absent from
-    live.  The given dead sets have runs of consecutive segment indices,
-    Words and Runs among them, and the given parent's live is the Word
-    indices outside one; the empty set is scanned both with no parent, the
-    first scan, and with every Word index.  None builds its own stream in
-    the call, a fresh stream is built for each case, and the shared one,
-    cut at the same budget, is scanned by every case in turn.  An Undecided
-    verdict's live must also match the one computed word by word: the
-    Word segments of the 1000 scanned positions, less the given dead set
-    and those ruled out on the box, so a position absent from live stays
-    absent even as the hint.
+    Each box is scanned with no parent, the first scan, and with given
+    parents scanned on the shared stream.  A given parent's near miss, the
+    hint, is None or one of four: the box's own near miss, a fixed Word
+    segment, a word ruled out on the box and a word absent from live,
+    which raises ValueError.  The given dead sets have runs of consecutive
+    segment indices, Words and Runs among them, and the given parent's live
+    is the Word indices outside one; the empty set is scanned both with no
+    parent and with every Word index.  None builds its own stream in the
+    call without a parent and reads the parent's with one, a fresh stream
+    is built for each case, and the shared one, cut at the same budget, is
+    scanned by every case in turn.  An Undecided verdict's live must also
+    match the one computed word by word: the Word segments of the 1000
+    scanned positions, less the given dead set and those ruled out on the
+    box.
     """
     max_d, max_exp = stream_caps
     cfg = SearchConfig(**dict(_AREA_15, max_d=max_d, max_exp=max_exp, word_budget_per_box=1000))
@@ -1200,7 +1319,7 @@ def test_box_reads_every_stream_form_alike(stream_caps) -> None:
         for _ in range(rng.randrange(3, 9)):
             box = subdivide(box)[rng.randrange(2)]
         boxes.append(box)
-    undecided = dead_hints = absent_hints = 0
+    undecided = dead_hints = refused = 0
     for box in boxes:
         first = test_box(box, None, cfg)
         gens = gens_from_params(box)
@@ -1211,30 +1330,36 @@ def test_box_reads_every_stream_form_alike(stream_caps) -> None:
         runs.append(frozenset(i for i in range(len(segments)) if (i // 7) % 2))
         for case, dead in enumerate(runs):
             live = [k for k in word_indices if k not in dead]
-            parent = None if case == 0 else _given_parent(box, live)
             dead_hint = min(ruled_out - dead, default=None)
             absent_hint = min(dead.intersection(word_indices) - ruled_out, default=None)
-            for hint in (None, first.near_miss, word_indices[17], dead_hint, absent_hint):
+            hints = (None, first.near_miss, word_indices[17], dead_hint, absent_hint)
+            for hint in hints[:1] if case == 0 else hints:
+                parent = None if case == 0 else _given_parent(box, shared, live, near_miss=hint)
                 forms = [None, WordStream(enumerate_segments(max_d, max_exp), 1000), shared]
-                verdicts = [test_box(box, words, cfg, hint=hint, parent=parent) for words in forms]
+                if hint in dead:
+                    for words in forms:
+                        with pytest.raises(ValueError, match="is not a key of its live"):
+                            test_box(box, words, cfg, parent=parent)
+                    refused += 1
+                    continue
+                verdicts = [test_box(box, words, cfg, parent=parent) for words in forms]
                 assert len({_verdict_fields(v) for v in verdicts}) == 1, (box.path, hint, dead)
                 v = verdicts[0]
                 if v.status is BoxStatus.UNDECIDED:
                     undecided += 1
                     dead_hints += hint in ruled_out - dead
-                    absent_hints += hint in dead
                     want = set(word_indices) - (dead | ruled_out)
                     assert tuple(v.live) == tuple(sorted(want)), (box.path, hint)
-    assert undecided >= 10 and dead_hints >= 5 and absent_hints >= 5
+    assert undecided >= 10 and dead_hints >= 5 and refused >= 5
 
 
 def _scan_every_word(box, area, words, budget, hint=None, dead=frozenset()):
     """(status, word, volume_bound, words_scanned, near_miss, live) of a scan that evaluates every word.
 
     The words are taken in order, the hint first and its copy passed over;
-    a dead position counts as scanned without being evaluated, unless it
-    is the hint.  live, for an Undecided verdict only, lists in order the
-    scanned positions outside dead whose word has L < _DEAD_LO.
+    a dead position, which the hint never is, counts as scanned without
+    being evaluated.  live, for an Undecided verdict only, lists in order
+    the scanned positions outside dead whose word has L < _DEAD_LO.
     """
     if box_in_param_space(box, area) is Feasibility.OUTSIDE:
         return BoxStatus.ELIMINATED_INFEASIBLE, None, None, 0, None, None
@@ -1245,7 +1370,7 @@ def _scan_every_word(box, area, words, budget, hint=None, dead=frozenset()):
         if scanned >= budget:
             break
         scanned += 1
-        if i in dead and i != hint:
+        if i in dead:
             continue
         lo, hi = lower_left_bounds(gens, words[i].syllables)
         if hi < 1.0 and lo > 0.0:
@@ -1269,12 +1394,13 @@ def test_box_matches_a_scan_of_every_word(stream_caps) -> None:
     The boxes are the reference point in its three normalizations, the
     slice and straddle fixtures, and seeded dyadic boxes of the area-1.5
     space.  Each is scanned with budgets that end inside a Run or outlast
-    the stream, on a stream cut at that budget, with a hint at two bodies'
-    first words, the middle one and the last, and at a dead one, and with
-    no parent, and a given parent whose live is every Word index of the
-    cut or the complement of a dead set: every other position whose word
-    has L >= _DEAD_LO on the box, first words of bodies and twins among
-    them.  A hint past the cut raises ValueError.  The scan of every word
+    the stream, on a stream cut at that budget, with no parent, and with a
+    given parent whose live is every Word index of the cut or the
+    complement of a dead set: every other position whose word has L >=
+    _DEAD_LO on the box, first words of bodies and twins among them.  The
+    given parent's near miss, the hint, is None or at two bodies' first
+    words, the middle one and the last, or at a dead one.  A hint past the
+    cut or outside live raises ValueError.  The scan of every word
     takes stream positions; test_box takes the Word segments' indices
     among them, and its near miss and live are read back as positions, the
     live ones of the scan of every word kept where a body starts.
@@ -1319,21 +1445,23 @@ def test_box_matches_a_scan_of_every_word(stream_caps) -> None:
         for budget in cuts + [position - 1, position + 1]:
             stream = WordStream(segments, budget)
             cut_bodies = [k for k in body_indices if k < len(stream.segments)]
-            lives = [(frozenset(), None), (frozenset(), _given_parent(box, cut_bodies))]
             open_bodies = [k for k in cut_bodies if k not in dead_indices]
-            lives.append((dead, _given_parent(box, open_bodies)))
+            lives = [(frozenset(), None), (frozenset(), cut_bodies), (dead, open_bodies)]
             cfg = SearchConfig(
                 area_bound=area, max_d=max_d, max_exp=max_exp, word_budget_per_box=budget
             )
             for hint in (None, body_hint, body_indices[-1], min(dead_indices, default=None)):
                 at = None if hint is None else starts[hint]
-                for dead_set, parent in lives:
-                    if hint is not None and hint >= len(stream.segments):
-                        with pytest.raises(ValueError, match="hint must index a Word segment"):
-                            test_box(box, stream, cfg, hint=hint, parent=parent)
-                        kinds["past the cut"] += 1
+                for dead_set, live in lives:
+                    if live is None and hint is not None:
+                        continue  # a root box has no hint
+                    parent = None if live is None else _given_parent(box, stream, live, hint)
+                    if hint is not None and hint not in live:
+                        with pytest.raises(ValueError, match="is not a key of its live"):
+                            test_box(box, stream, cfg, parent=parent)
+                        kinds["past the cut" if hint >= len(stream.segments) else "dead"] += 1
                         continue
-                    v = test_box(box, stream, cfg, hint=hint, parent=parent)
+                    v = test_box(box, stream, cfg, parent=parent)
                     near = None if v.near_miss is None else starts[v.near_miss]
                     kept = None if v.live is None else tuple(starts[k] for k in v.live)
                     got = (v.status, v.word, v.volume_bound, v.words_scanned, near, kept)
@@ -1343,16 +1471,17 @@ def test_box_matches_a_scan_of_every_word(stream_caps) -> None:
                     assert got == (*want, want_live), (box.path, budget, hint, bool(dead_set))
                     kinds[v.status] += 1
     assert kinds[BoxStatus.UNDECIDED] and kinds[BoxStatus.ELIMINATED_KILLER]
-    assert kinds["past the cut"]
+    assert kinds["past the cut"] and kinds["dead"]
     assert dead_kinds[True] and dead_kinds[False]
 
 
 def test_box_rejects_power_free_words() -> None:
-    """A pure translation in the cut, or a hint at no Word segment of the cut, raises ValueError.
+    """A pure translation in the cut, or a parent's near miss outside its live, raises ValueError.
 
-    A hint must index a Word segment of the cut: a negative index, one at
-    or past the cut's segments, or a Run's index is refused, whether the
-    stream is given or built in the call.
+    A given parent's live holds the Word segments of the cut, and its near
+    miss, the hint, is a negative index, one at or past the cut's
+    segments, or a Run's index: each is refused, whether the stream is
+    given or read from the parent.
     """
     box = param_space(1.5)
     cfg = SearchConfig(**_AREA_15)
@@ -1367,18 +1496,23 @@ def test_box_rejects_power_free_words() -> None:
     stream = WordStream(words, budget)
     segmented = WordStream(enumerate_segments(2, 1), budget)
     run = next(k for k, segment in enumerate(segmented.segments) if isinstance(segment, Run))
-    cases = [(stream, -1), (stream, len(words)), (None, run), (None, len(segmented.segments))]
+    cases = [(stream, -1), (stream, len(words))]
     cases += [(segmented, run), (segmented, len(segmented.segments)), (segmented, -1)]
-    for form, hint in cases:
-        with pytest.raises(ValueError, match="hint must index a Word segment of the cut"):
-            test_box(box, form, cfg, hint=hint)
+    for given, hint in cases:
+        live = [k for k, segment in enumerate(given.segments) if isinstance(segment, Word)]
+        parent = _given_parent(box, given, live, hint)
+        for form in (given, None):
+            with pytest.raises(ValueError, match="is not a key of its live"):
+                test_box(box, form, cfg, parent=parent)
 
 
 def test_box_reads_only_a_stream_cut_for_its_budget() -> None:
-    """A stream cut at another budget, or a hint past the cut, raises ValueError.
+    """A stream cut at another budget, given or a parent's, raises ValueError.
 
-    The stream of None is the canonical cut at the box's budget, so every
-    hint gives the verdict it gives on that stream passed in.
+    The stream of None is the canonical cut at the box's budget without a
+    parent, and the parent's stream with one.  A parent scanned on a
+    canonical cut of its own gives, for every hint, the verdict it gives
+    with an equal cut passed in.
     """
     box = param_space(1.5)
     cuts = []
@@ -1386,29 +1520,22 @@ def test_box_reads_only_a_stream_cut_for_its_budget() -> None:
         cfg = SearchConfig(**dict(_AREA_15, word_budget_per_box=budget))
         stream = WordStream(enumerate_segments(2, 1), budget)
         cuts.append(len(stream.segments))
-        for other in (budget - 1, budget + 1):
-            with pytest.raises(ValueError, match=f"cut for a budget of {other}, not {budget}"):
-                test_box(box, WordStream(enumerate_segments(2, 1), other), cfg)
-        with pytest.raises(ValueError, match="hint must index a Word segment of the cut"):
-            test_box(box, stream, cfg, hint=len(stream.segments))
         hints = [k for k, segment in enumerate(stream.segments) if isinstance(segment, Word)]
+        for other in (budget - 1, budget + 1):
+            other_cut = WordStream(enumerate_segments(2, 1), other)
+            with pytest.raises(ValueError, match=f"cut for a budget of {other}, not {budget}"):
+                test_box(box, other_cut, cfg)
+            with pytest.raises(ValueError, match=f"cut for a budget of {other}, not {budget}"):
+                test_box(box, None, cfg, parent=_given_parent(box, other_cut, hints[:1]))
+        plain = test_box(box, stream, cfg)
+        assert _verdict_fields(test_box(box, None, cfg)) == _verdict_fields(plain)
+        own = WordStream(enumerate_segments(2, 1), budget)
         for hint in hints:
-            want = test_box(box, stream, cfg, hint=hint)
-            assert _verdict_fields(test_box(box, None, cfg, hint=hint)) == _verdict_fields(want)
+            parent = _given_parent(box, own, hints, hint)
+            want = test_box(box, stream, cfg, parent=parent)
+            assert _verdict_fields(test_box(box, None, cfg, parent=parent)) == _verdict_fields(want)
     # the 145-word stream cut at 60 holds fewer segments than the whole
     assert cuts == [46, 61]
-
-
-def test_box_hint_must_be_an_int() -> None:
-    """A bool or any other non-int hint raises TypeError; True is not index 1."""
-    box = param_space(1.5)
-    cfg = SearchConfig(**_AREA_15)
-    stream = WordStream(enumerate_segments(2, 1), cfg.word_budget_per_box)
-    # segments 0 and 2 are the Words z and y z^-1, and 1 is the Run of y z
-    for hint in (True, False, 0.0, 2.0, "2"):
-        with pytest.raises(TypeError, match="hint must be an int segment index"):
-            test_box(box, stream, cfg, hint=hint)
-    assert test_box(box, stream, cfg, hint=2).words_scanned > 0
 
 
 def test_twin_skip_keeps_the_leading_block_overflow() -> None:
