@@ -119,9 +119,6 @@ class ParamBox:
     def widths(self) -> tuple:
         return tuple(iv.width for iv in self.coords())
 
-    def max_width(self) -> float:
-        return max(self.widths())
-
     def a(self) -> ComplexInterval:
         return ComplexInterval(self.a_re, self.a_im)
 

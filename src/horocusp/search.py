@@ -6,20 +6,21 @@ per-box verdicts plus an aggregate covolume bound.  The search runs on one
 thread, so reports serialize to canonical JSON that is byte-identical from
 run to run, capped or complete.
 
-One WordStream serves every box of a run: the cut of enumerate_segments
-at the run's word budget, taken once before the first box.  A segment is
+One WordStream serves every box of a run: the cut of the canonical
+stream at the run's caps and word budget, WordStream(max_d, max_exp,
+word_budget_per_box), taken once before the first box.  A segment is
 either the first word of its body, which a box evaluates with
 words.lower_left_bounds, or a Run of later body twins (see the words
 module's lemma), which a box counts and does not evaluate.  Boxes name
 words by their index in the stream's segments, and ties go to the
-earliest, which on the canonical stream is the canonical least.  Every
-word a box evaluates is a Word segment, so no index names a twin.  A twin
-has the [L, U] of its body's first word bit for bit and comes after that
-word, so it cannot decide the box sooner, be an earlier candidate or win
-a near-miss tie; it counts as scanned, toward the budget too.  Its own
-evaluation could overflow only where its leading syllable's table entry
-does, so a box with no enclosing box reads that entry, once per lead: an
-entry read once without raising never raises.
+earliest, the canonical least.  Every word a box evaluates is a Word
+segment, so no index names a twin.  A twin has the [L, U] of its body's
+first word bit for bit and comes after that word, so it cannot decide
+the box sooner, be an earlier candidate or win a near-miss tie; it
+counts as scanned, toward the budget too.  Its own evaluation could
+overflow only where its leading syllable's table entry does, so a box
+with no enclosing box reads that entry, once per lead: an entry read
+once without raising never raises.
 
 The stream is the cut: the segments through the first whose words reach
 the budget, or all of them.  A child box's hint is its parent's near
@@ -108,7 +109,6 @@ from .words import (
     Word,
     WordStream,
     classify_bounds,
-    enumerate_segments,
     float_row,
     lower_left_bounds,
     parse_word,
@@ -357,18 +357,17 @@ def test_box(
     first eliminating word otherwise, else the earliest candidate word,
     else Undecided.  At most cfg.word_budget_per_box words are scanned.
 
-    stream is the WordStream cut for cfg.word_budget_per_box, which boxes
-    share.  None means parent's stream when there is a parent, else
-    WordStream(enumerate_segments(cfg.max_d, cfg.max_exp),
+    stream is the WordStream whose key is cfg's (max_d, max_exp,
+    word_budget_per_box), which boxes share.  None means parent's stream
+    when there is a parent, else WordStream(cfg.max_d, cfg.max_exp,
     cfg.word_budget_per_box), built once the box is found feasible.  A
-    stream cut for another budget raises ValueError, and so does a given
-    stream that is not parent's: the same object, or one cut for the same
-    budget with equal segments.  Words are named by their index in
-    stream.segments, and ties go to the earliest, which on the canonical
-    stream is the canonical least.  The stream is the cut: every word of
-    it counts as scanned, so a box that no word kills reports
-    stream.scanned, and a killer the words through its own segment.
-    Every box of a run reads the root's cut (see the module docstring).
+    stream whose key is not cfg's raises ValueError, whether it is given
+    or parent's; streams with one key hold equal segments.  Words are
+    named by their index in stream.segments, and ties go to the earliest,
+    the canonical least.  The stream is the cut: every word of it counts
+    as scanned, so a box that no word kills reports stream.scanned, and a
+    killer the words through its own segment.  Every box of a run reads
+    the root's cut (see the module docstring).
 
     parent is None, or the Undecided verdict of an enclosing box, with its
     live, table and stream; any other verdict, such as a decided one or a
@@ -400,25 +399,24 @@ def test_box(
     since siblings share it.  The verdict's kernel_runs counts the kernel
     calls.
     """
-    budget, hint = cfg.word_budget_per_box, None
+    key, hint = (cfg.max_d, cfg.max_exp, cfg.word_budget_per_box), None
+    given = {"the stream": stream}
     if parent is not None:
         held = (parent.live, parent.table, parent.stream)
         if parent.status is not BoxStatus.UNDECIDED or any(x is None for x in held):
             raise ValueError("parent must be an Undecided verdict with its live, table and stream")
         if parent.near_miss is not None and parent.near_miss not in parent.live:
             raise ValueError(f"parent's near miss {parent.near_miss!r} is not a key of its live")
-        own = parent.stream
-        if stream is None:
-            stream = own
-        elif stream is not own and (stream.budget, stream.segments) != (own.budget, own.segments):
-            raise ValueError("the parent was scanned on another stream")
+        given["the parent's stream"] = parent.stream
+        stream = parent.stream if stream is None else stream
         hint = parent.near_miss if cfg.use_parent_word_hint else None
-    if stream is not None and stream.budget != budget:
-        raise ValueError(f"the stream is cut for a budget of {stream.budget}, not {budget}")
+    for name, s in given.items():
+        if s is not None and s.key != key:
+            raise ValueError(f"{name} is cut for (max_d, max_exp, budget) {s.key}, not {key}")
     if box_in_param_space(box, cfg.area_bound) is Feasibility.OUTSIDE:
         return BoxVerdict(box, BoxStatus.ELIMINATED_INFEASIBLE)
     if stream is None:
-        stream = WordStream(enumerate_segments(cfg.max_d, cfg.max_exp), budget)
+        stream = WordStream(*key)
     segments = stream.segments
 
     # looked up on the words module, where perfbench's tracer wraps it
@@ -525,7 +523,7 @@ def run_search(cfg: SearchConfig) -> SearchReport:
         return report
 
     # one stream for every box: the cut every box of the run reads
-    stream = WordStream(enumerate_segments(cfg.max_d, cfg.max_exp), cfg.word_budget_per_box)
+    stream = WordStream(cfg.max_d, cfg.max_exp, cfg.word_budget_per_box)
     leaves: List[BoxVerdict] = []
     # (box, parent): the parent's Undecided verdict, None for the root
     stack: List[tuple] = [(root, None)]

@@ -8,10 +8,6 @@ turns a word into a Mobius transformation; its lower-left matrix entry
 decides elimination. The z-syllable count d(w) = sum |e_i| drives the
 covolume bound pi * (d(w) - 2) attached to candidate relators.
 
-A single trailing translation syllable with zero z-exponent is admitted so
-that pure lattice words such as "x^2 y" can be evaluated, but enumeration
-only ever yields words with d >= 1 that end in a z-syllable.
-
 Cyclic reduction: interior commuting blocks are nontrivial by construction,
 and when r_1 is trivial the first and last z-exponents must share a sign,
 otherwise the word would shorten under cyclic rotation.
@@ -90,8 +86,9 @@ on this lemma about a canonical word r_1 B with r_1 = x^m y^n:
    of one word.
 
 enumerate_words expands the segments, so the walk that orders the stream
-is this one.  A WordStream is the cut of a stream for one word budget:
-the segments through the first whose words reach the budget, taken once.
+is this one.  A WordStream is the cut of the canonical stream within caps
+(max_d, max_exp) for one word budget: the segments through the first
+whose words reach the budget, taken once, named by those three numbers.
 Scans name words by segment index: every word a scan evaluates is a
 Word segment, and segments come in stream order.
 
@@ -139,7 +136,9 @@ class Word:
     """Immutable syllable sequence, each syllable a triple (m, n, e).
 
     Each entry is an integral int or float, stored as an int; a bool or a
-    string raises TypeError, and any other number ValueError.
+    string raises TypeError, and any other number ValueError.  Every e is
+    nonzero, so every word moves infinity and has a lower-left entry to
+    test, and d >= 1; a zero e raises ValueError.
     """
 
     syllables: Tuple[Syllable, ...]
@@ -156,10 +155,7 @@ class Word:
             if i > 0 and m == 0 and n == 0:
                 raise ValueError(f"trivial interior commuting block at syllable {i}")
             if e == 0:
-                if i != len(syls) - 1:
-                    raise ValueError(f"zero z-exponent at interior syllable {i}")
-                if len(syls) != 1 or (m == 0 and n == 0):
-                    raise ValueError("zero z-exponent allowed only for a pure translation")
+                raise ValueError(f"zero z-exponent at syllable {i}")
 
     @property
     def z_count(self) -> int:
@@ -169,15 +165,6 @@ class Word:
     @property
     def total_exponents(self) -> int:
         return sum(abs(m) + abs(n) + abs(e) for m, n, e in self.syllables)
-
-    @property
-    def is_pure_translation(self) -> bool:
-        """True for a power-free word, z_count == 0, in O(1).
-
-        A valid word has a zero z-exponent only as a one-syllable
-        translation, so the last exponent decides.
-        """
-        return self.syllables[-1][2] == 0
 
     @classmethod
     def _trusted(cls, syllables: Tuple[Syllable, ...]) -> "Word":
@@ -192,8 +179,6 @@ class Word:
 
     @property
     def cyclically_reduced(self) -> bool:
-        if self.is_pure_translation:
-            return True
         m1, n1, e1 = self.syllables[0]
         e_last = self.syllables[-1][2]
         if m1 == 0 and n1 == 0:
@@ -208,9 +193,6 @@ class Word:
         alternating shape without changing d or the exponent sum.
         """
         syls = self.syllables
-        if self.is_pure_translation:
-            m, n, _ = syls[0]
-            return Word(((-m, -n, 0),))
         j = len(syls)
         out: List[Syllable] = [(-syls[0][0], -syls[0][1], -syls[j - 1][2])]
         for k in range(j - 1, 0, -1):
@@ -230,8 +212,7 @@ class Word:
                 pieces.append(_factor("x", m))
             if n:
                 pieces.append(_factor("y", n))
-            if e:
-                pieces.append(_factor("z", e))
+            pieces.append(_factor("z", e))
         return " ".join(pieces)
 
 
@@ -248,7 +229,10 @@ def _factor(letter: str, k: int) -> str:
 
 
 def parse_word(text: str) -> Word:
-    """Parse the space-separated caret serialization back into a Word."""
+    """Parse the space-separated caret serialization back into a Word.
+
+    A word ends in a z factor: a trailing x^m y^n block raises ValueError.
+    """
     tokens = text.split()
     if not tokens:
         raise ValueError("empty word text")
@@ -276,7 +260,7 @@ def parse_word(text: str) -> Word:
             m = n = 0
             seen_x = seen_y = False
     if seen_x or seen_y:
-        syllables.append((m, n, 0))
+        raise ValueError("a word must end in a z factor")
     return Word(tuple(syllables))
 
 
@@ -455,17 +439,15 @@ def enumerate_words(max_d: int, max_exp: int) -> Iterator[Word]:
 
 
 class WordStream:
-    """The cut of a segment stream for one word budget: what every scan at that budget reads.
+    """The cut of the canonical stream for one word budget: what every scan at that budget reads.
 
-    The source yields segments: Words, which a scan evaluates, and Runs,
-    whose words a scan counts as scanned (see test_box).  On
-    enumerate_segments each Word is the first of its body and each Run
-    holds later twins; a source of plain Words, such as enumerate_words,
-    gives a stream that evaluates every word.  The constructor takes the
-    source once, through the first segment whose words reach budget, or
-    to its end, and rejects a power-free word among those segments, which
-    has no lower-left entry to test, with ValueError.  Nothing past the
-    cut is taken.
+    WordStream(max_d, max_exp, budget) takes enumerate_segments(max_d,
+    max_exp) once, through the first segment whose words reach budget, or
+    to its end; nothing past the cut is taken.  Its Words, each the first
+    of its body, are what a scan evaluates, and its Runs hold later twins,
+    whose words a scan counts as scanned (see test_box).  key is
+    (max_d, max_exp, budget): two streams with one key hold equal segments,
+    so a scan checks a stream by its key alone.
 
     segments holds the cut's segments, in stream order, ends[k] the number
     of words in segments[0..k], and scanned, min(budget, ends[-1]), the
@@ -475,16 +457,16 @@ class WordStream:
     that was read once without raising never raises.  A scan reads it as a
     child reads its parent's live, where a value is an (L, U) to reuse and
     None is none (see search.test_box).  Scans name a word by the index of
-    its Word segment and break ties by the earliest, which is the
-    canonical least only when the source is enumerate_segments or
-    enumerate_words.  budget must be at least 1, else ValueError.
-    masks() gives, by segment index, the generators each Word's m21 reads
-    (m21_reads), for scans that reuse a parent box's bounds.
+    its Word segment and break ties by the earliest, the canonical least.
+    budget must be at least 1, else ValueError, and the caps are checked
+    as enumerate_segments checks them.  masks() gives, by segment index,
+    the generators each Word's m21 reads (m21_reads), for scans that reuse
+    a parent box's bounds.
     """
 
-    __slots__ = ("budget", "segments", "ends", "first_scan", "scanned", "_masks")
+    __slots__ = ("key", "segments", "ends", "first_scan", "scanned", "_masks")
 
-    def __init__(self, source: Iterable[Segment], budget: int) -> None:
+    def __init__(self, max_d: int, max_exp: int, budget: int) -> None:
         if budget < 1:
             raise ValueError(f"budget must be at least 1, got {budget!r}")
         segments: List[Segment] = []
@@ -492,14 +474,12 @@ class WordStream:
         first_scan: Dict[int, None] = {}
         leads = set()
         words = 0
-        for at, segment in enumerate(source):
+        for at, segment in enumerate(enumerate_segments(max_d, max_exp)):
             if segment.__class__ is Run:
                 words += segment.count
                 if segment.prefix[0] not in leads:
                     leads.add(segment.prefix[0])
                     first_scan[at] = None
-            elif segment.is_pure_translation:
-                raise ValueError(f"word stream produced a power-free word: {segment}")
             else:
                 words += 1
                 first_scan[at] = None
@@ -507,9 +487,8 @@ class WordStream:
             ends.append(words)
             if words >= budget:
                 break
-        self.budget, self.segments, self.ends, self.first_scan = budget, segments, ends, first_scan
-        self.scanned = min(budget, words)
-        self._masks = None
+        self.key, self.segments, self.ends = (max_d, max_exp, budget), segments, ends
+        self.first_scan, self.scanned, self._masks = first_scan, min(budget, words), None
 
     def masks(self) -> List[int]:
         """m21_reads of each Word segment, and GEN_ALL for each Run, built on the first call.
@@ -558,10 +537,10 @@ class GeneratorTriple(dict):
     (offset, gamma) of one syllable, built on first use by __missing__
     and kept.  offset is the translation offset m*a + n*b of the block
     (m, n), or None when m = n = 0, and gamma the four entries
-    (g11, g12, g21, g22) of gamma^e, or None when e = 0.  Both come from
-    the endpoints of a, b and c by the operations evaluate_word applies
-    to their intervals, so each rectangle is bit-identical to the entry
-    of the oracle's factor.  Each offset is built once per block and
+    (g11, g12, g21, g22) of gamma^e.  Both come from the endpoints of a,
+    b and c by the operations evaluate_word applies to their intervals,
+    so each rectangle is bit-identical to the entry of the oracle's
+    factor.  Each offset is built once per block and
     each power once per exponent, and shared by the syllables that hold
     it.  A lookup raises ValueError when an entry overflows, as building
     those intervals does: each entry is checked, and an overflow inside
@@ -611,7 +590,7 @@ class GeneratorTriple(dict):
     def __missing__(self, syllable: Syllable) -> tuple:
         m, n, e = syllable
         offset = self._offset(m, n) if m or n else None
-        entry = self[syllable] = (offset, self._unboxed_power(e) if e else None)
+        entry = self[syllable] = (offset, self._unboxed_power(e))
         return entry
 
     def _offset(self, m: int, n: int) -> tuple:
@@ -707,13 +686,11 @@ def evaluate_word(word: Word, target: Union[GeneratorTriple, Params, ParamBox]) 
                 off = off + point(float(n)) * gens.b
             t = IntervalMatrix(one, off, zero, one)
             acc = t if acc is None else acc @ t
-        if e:
-            gen = gamma if e > 0 else gamma.inverse_sl2()
-            g = gen
-            for _ in range(abs(e) - 1):
-                g = g @ gen
-            acc = g if acc is None else acc @ g
-    assert acc is not None
+        gen = gamma if e > 0 else gamma.inverse_sl2()
+        g = gen
+        for _ in range(abs(e) - 1):
+            g = g @ gen
+        acc = g if acc is None else acc @ g
     return acc
 
 
@@ -746,8 +723,6 @@ def _row_mul(r: tuple, y: tuple) -> tuple:
 
 
 _INF = math.inf
-# the bottom row (m21, m22) of the identity, as rectangles
-_IDENTITY_ROW = (_ZERO, _point(1))
 
 
 def lower_left_bounds(gens: GeneratorTriple, syllables: tuple) -> tuple:
@@ -776,9 +751,7 @@ def lower_left_bounds(gens: GeneratorTriple, syllables: tuple) -> tuple:
     overflow.
     """
     rest = iter(syllables)
-    gamma = gens[next(rest)][1]
-    row = _IDENTITY_ROW if gamma is None else gamma[2:]
-    (rl, rh, il, ih), (sl, sh, jl, jh) = _bottom_row(gens, rest, row)
+    (rl, rh, il, ih), (sl, sh, jl, jh) = _bottom_row(gens, rest, gens[next(rest)][1][2:])
     # x - x is 0.0 for a finite x and NaN for an infinite or NaN one
     zero_if_finite = (rl - rl) + (rh - rh) + (il - il) + (ih - ih)
     if zero_if_finite + (sl - sl) + (sh - sh) + (jl - jl) + (jh - jh) != 0.0:
@@ -815,7 +788,7 @@ def _bottom_row(gens: GeneratorTriple, syllables: Iterable[Syllable], row: tuple
         elif e == -1:
             # times [[0, 1], [-1, c]], the exact entries resolved
             r1, r2 = rect_neg(r2), rect_add(rect_mul(r2, gamma[3]), r1)
-        elif e:
+        else:
             g11, g12, g21, g22 = gamma
             r1, r2 = (
                 rect_add(rect_mul(r1, g11), rect_mul(r2, g21)),
@@ -886,15 +859,10 @@ def classify_bounds(lo: float, hi: float) -> KillerVerdict:
 
 def killer_test(word: Word, target: Union[GeneratorTriple, Params, ParamBox]) -> KillerVerdict:
     """Classify a word's elimination power over a box with classify_bounds."""
-    if word.z_count < 1:
-        raise ValueError("killer test needs a word with at least one z-syllable")
     bounds = lower_left_abs(word, target)
     return classify_bounds(bounds.lo, bounds.hi)
 
 
 def volume_bound(word: Word) -> float:
     """Covolume cap pi * (d(w) - 2) for a candidate relator."""
-    d = word.z_count
-    if d < 1:
-        raise ValueError("volume bound needs a word with at least one z-syllable")
-    return math.pi * (d - 2)
+    return math.pi * (word.z_count - 2)

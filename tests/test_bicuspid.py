@@ -13,14 +13,24 @@ from horocusp.bicuspid import (
     param_space,
     space_radius,
 )
-from horocusp.interval import RealInterval
-from horocusp.words import Word, evaluate_word, gens_from_params, lower_left_abs, parse_word
+from horocusp.interval import ComplexInterval, IntervalMatrix, RealInterval
+from horocusp.words import GeneratorTriple, Word, evaluate_word, gens_from_params, lower_left_abs
+from horocusp.words import parse_word
 
 REF = Params(4.0, 1.0 + math.sqrt(3.0) * 1j, 2.0)
 
 
 def _translation(m, n, target):
-    return evaluate_word(Word(((m, n, 0),)), target)
+    """The oracle's translation factor [[1, t], [0, 1]] of x^m y^n, read off its x^m y^n z.
+
+    Every word ends in a z factor.  At c = 0, gamma is the signed
+    permutation [[0, -1], [1, 0]], so x^m y^n z is [[t, -1], [1, 0]], each
+    entry an entry of the factor by the zero and one shortcuts, and
+    undoing gamma only negates and moves entries.
+    """
+    g = gens_from_params(target)
+    tz = evaluate_word(Word(((m, n, 1),)), GeneratorTriple(g.a, g.b, ComplexInterval.point(0.0)))
+    return IntervalMatrix(-tz.m12, tz.m11, -tz.m22, tz.m21)
 
 
 def _gamma_power(e, target):
@@ -228,7 +238,8 @@ def test_box_generators_enclose_point_generators() -> None:
             complex(rng.uniform(box.c_re.lo, box.c_re.hi), rng.uniform(box.c_im.lo, box.c_im.hi)),
         )
         assert box.contains_params(p)
-        for word in (Word(((1, 0, 0),)), Word(((0, 1, 0),)), parse_word("z")):
+        # x z and y z read a and b, each beside c: [[c + a, -1], [1, 0]]
+        for word in (parse_word("x z"), parse_word("y z"), parse_word("z")):
             mb, mp = evaluate_word(word, box), evaluate_word(word, p)
             for name in ("m11", "m12", "m21", "m22"):
                 assert getattr(mb, name).encloses(getattr(mp, name))

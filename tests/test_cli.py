@@ -523,9 +523,12 @@ _WIDE_KILLER_BOUNDS = [[1.0, 1.1], [0, 0], [0, 0], [4, 4], [-1e308, 1e308], [0, 
          "killer leaf '0': word 'z^100000000' has an exponent beyond 16"),
         ({"leaves": [_KILLER_Q["leaves"][0] | {"word": "y^-17 z"}]},
          "killer leaf '0': word 'y^-17 z' has an exponent beyond 16"),
+        # a word with no z factor fixes infinity: it has no lower-left entry to audit
+        ({"leaves": [_KILLER_Q["leaves"][0] | {"word": "x y"}]},
+         "killer leaf '0': word 'x y': a word must end in a z factor"),
     ],
     ids=["list", "empty-object", "bad-word", "bad-bounds", "bad-path", "bad-leaf", "wide-bounds",
-         "huge-int-bounds", "huge-exponent", "exponent-past-max"],
+         "huge-int-bounds", "huge-exponent", "exponent-past-max", "no-z-factor"],
 )
 def test_verify_json_that_is_not_a_report_is_a_usage_error(tmp_path, capsys, data, problem):
     path = tmp_path / "r.json"

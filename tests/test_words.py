@@ -10,7 +10,7 @@ import pytest
 from horocusp import search as search_module
 from horocusp import words as words_module
 from horocusp.bicuspid import ParamBox, Params, param_space
-from horocusp.interval import RealInterval, rect_add, rect_mul
+from horocusp.interval import ComplexInterval, IntervalMatrix, RealInterval, rect_add, rect_mul
 from horocusp.search import SearchConfig, subdivide, test_box
 from horocusp.words import (
     GEN_A,
@@ -65,6 +65,9 @@ def test_word_validation() -> None:
         ((1, 0, 1), (0, 0, 1)),
         ((0, 0, 0), (1, 0, 1)),
         ((1, 0, 0), (1, 0, 1)),
+        # a pure translation moves no point off infinity: no lower-left entry to test
+        ((2, 1, 0),),
+        ((0, 0, 1), (1, 0, 0)),
     ):
         try:
             Word(tuple(bad))
@@ -72,7 +75,6 @@ def test_word_validation() -> None:
         except ValueError:
             pass
     Word(((0, 0, 1),))
-    Word(((2, 1, 0),))
     Word(((0, 0, 2), (1, -1, -1)))
 
 
@@ -94,8 +96,12 @@ def test_serialization_round_trip():
     assert str(w) == "x^2 y^-1 z x z^-1"
     assert parse_word(str(w)) == w
     assert str(parse_word("z x z")) == "z x z"
-    assert parse_word("x^2 y") == Word(((2, 1, 0),))
     assert parse_word("z^2") == Word(((0, 0, 2),))
+    # a word with no z factor is no word: neither route builds one
+    with pytest.raises(ValueError, match="a word must end in a z factor"):
+        parse_word("x^2 y")
+    with pytest.raises(ValueError, match="zero z-exponent at syllable 0"):
+        Word(((2, 1, 0),))
 
 
 def test_parse_rejects_malformed() -> None:
@@ -110,11 +116,16 @@ def test_parse_rejects_malformed() -> None:
 def test_z_count_examples():
     assert Word(((0, 0, 1), (1, 0, 1))).z_count == 2
     assert Word(((0, 0, 1),)).z_count == 1
-    assert Word(((2, 1, 0),)).z_count == 0
     assert parse_word("z x z^-2 y z").z_count == 4
-    for text in ("x", "y^-2", "x^2 y", "z", "x z^-1", "z x z^-2 y z"):
-        w = parse_word(text)
-        assert w.is_pure_translation is (w.z_count == 0) is ("z" not in text), text
+    # every word has a z-syllable, so d >= 1; a text or a syllable without one raises
+    for text in ("x", "y^-2", "x^2 y", "z", "x z^-1", "z x z^-2 y z", "z x", "z x y^-2 z"):
+        if "z" in text.split()[-1]:
+            assert parse_word(text).z_count >= 1, text
+        else:
+            with pytest.raises(ValueError, match="a word must end in a z factor"):
+                parse_word(text)
+    with pytest.raises(ValueError, match="zero z-exponent"):
+        Word(((2, 1, 0),))
 
 
 def test_depth_one_enumeration_content():
@@ -275,8 +286,7 @@ def test_enumerated_words_are_validated_words(max_d, max_exp, count) -> None:
         assert all(type(s) is tuple and all(type(v) is int for v in s) for s in w.syllables)
         for twin in (Word(w.syllables), parse_word(str(w))):
             assert twin == w and hash(twin) == hash(w) and twin.syllables == w.syllables
-        assert w.is_pure_translation is (w.z_count == 0)
-        assert not w.is_pure_translation
+        assert all(e for _, _, e in w.syllables) and w.z_count >= 1
 
 
 def _random_dyadic_boxes(area_bound, count, rng):
@@ -454,29 +464,40 @@ def test_completion_count_matches_a_brute_force_walk(max_exp, max_d) -> None:
             assert count == sizes[extra], (d, extra)
 
 
-def test_word_stream_is_the_cut() -> None:
-    """A stream takes its source once, through the first segment whose words reach the budget.
+def test_word_stream_is_the_cut(monkeypatch) -> None:
+    """A stream takes the canonical segments once, through the first whose words reach the budget.
 
     At (2, 1) the 145 words lie in 61 segments.  Budget 40 ends inside a
     Run of 8 and 4 at a Run of one; 145 takes every segment, and so do the
-    budgets past it.  first_scan holds every Word and the first Run of each
-    lead, and a power-free word raises only inside the cut.  A budget
-    below 1 raises.
+    budgets past it.  A counting enumerate_segments shows the stream asks
+    for its caps once and takes nothing past the cut.  key is the caps and
+    the budget.  first_scan holds every Word and the first Run of each
+    lead.  A budget below 1, or caps enumerate_segments refuses, raises.
     """
     full = list(enumerate_segments(2, 1))
     counts = [s.count if isinstance(s, Run) else 1 for s in full]
     ends = list(accumulate(counts))
     assert (len(full), ends[-1]) == (61, 145)
+    calls, pulled = [], []
+
+    def counting(max_d, max_exp):
+        calls.append((max_d, max_exp))
+        for segment in enumerate_segments(max_d, max_exp):
+            pulled.append(segment)
+            yield segment
+
+    monkeypatch.setattr(words_module, "enumerate_segments", counting)
     inside_a_run = 0
     for budget in (1, 3, 4, 40, 145, 146, 10**6):
-        source = enumerate_segments(2, 1)
-        stream = WordStream(source, budget)
+        calls.clear()
+        pulled.clear()
+        stream = WordStream(2, 1, budget)
         taken = next((k + 1 for k, end in enumerate(ends) if end >= budget), len(full))
-        assert stream.budget == budget
+        assert stream.key == (2, 1, budget)
         assert stream.segments == full[:taken] and stream.ends == ends[:taken]
         assert stream.scanned == min(budget, 145)
         # nothing past the cut was taken from the source
-        assert next(source, None) == (full[taken] if taken < len(full) else None)
+        assert calls == [(2, 1)] and pulled == full[:taken]
         leads = set()
         first_scan = []
         for k, segment in enumerate(stream.segments):
@@ -489,21 +510,16 @@ def test_word_stream_is_the_cut() -> None:
         inside_a_run += stream.ends[-1] > budget
     assert inside_a_run == 1
     # one entry per Word, and one per distinct Run lead
-    stream = WordStream(enumerate_segments(2, 1), 145)
+    stream = WordStream(2, 1, 145)
     assert len(stream.first_scan) == 34 + 7
     assert [w for w, _ in _expanded(stream.segments)] == list(enumerate_words(2, 1))
     # x z, the fourth word, is the one word of the Run at index 3
     assert list(stream.segments[3].words()) == [parse_word("x z")]
-    words = list(enumerate_words(2, 1))
-    rest = WordStream(words[-2:], 10**6)
-    assert rest.segments == words[-2:] and rest.ends == [1, 2] and rest.scanned == 2
-    # a power-free word inside the cut raises, and one past it is never taken
-    translation = parse_word("x^2")
-    with pytest.raises(ValueError, match="word stream produced a power-free word"):
-        WordStream(words[:3] + [translation], 4)
-    assert WordStream(words[:3] + [translation], 3).segments == words[:3]
     with pytest.raises(ValueError, match="budget must be at least 1"):
-        WordStream(enumerate_segments(2, 1), 0)
+        WordStream(2, 1, 0)
+    for max_d, max_exp in ((0, 1), (1, 0), (1, MAX_EXP + 1)):
+        with pytest.raises(ValueError, match="max_exp"):
+            WordStream(max_d, max_exp, 10)
 
 
 def test_max_exp_is_capped() -> None:
@@ -844,7 +860,7 @@ def test_stream_builds_masks_once_on_the_first_child(monkeypatch) -> None:
     for _ in range(4):
         box = subdivide(box)[0]
     assert test_box(box, None, cfg).status is search_module.BoxStatus.UNDECIDED
-    stream = WordStream(enumerate_segments(2, 1), 10000)
+    stream = WordStream(2, 1, 10000)
     parent = test_box(box, stream, cfg)
     assert built == [] and stream._masks is None
     for child in subdivide(box):
@@ -885,17 +901,24 @@ def test_gamma_unit_steps_match_the_general_step() -> None:
 
 
 def test_unboxed_table_matches_the_oracle_entries() -> None:
-    """Rectangles built from endpoints equal the oracle's generator entries bit for bit."""
+    """Rectangles built from endpoints equal the oracle's generator entries bit for bit.
+
+    The oracle's offset t of x^m y^n is read as the top-left entry 1 * 0 +
+    t * 1 of its x^m y^n z over a, b and c = 0, exact by the zero and one
+    shortcuts.  Every syllable of a block shares the block's offset.
+    """
     box = param_space(1.5)
     for bit in "0110100101":
         box = subdivide(box)[int(bit)]
     for target in (REF, Params(4.0, 1.0 + math.sqrt(3.0) * 1j, 0.5), box):
         gens = gens_from_params(target)
+        at_c0 = words_module.GeneratorTriple(gens.a, gens.b, ComplexInterval.point(0.0))
         for m in range(-3, 4):
             for n in range(-3, 4):
                 offset = gens[m, n, 1][0]
+                assert gens[m, n, -2][0] is offset
                 if m or n:
-                    oracle = evaluate_word(Word(((m, n, 0),)), gens).m12.endpoints()
+                    oracle = evaluate_word(Word(((m, n, 1),)), at_c0).m11.endpoints()
                     assert _hex_rects([offset]) == _hex_rects([oracle])
                 else:
                     assert offset is None
@@ -903,7 +926,6 @@ def test_unboxed_table_matches_the_oracle_entries() -> None:
             g = evaluate_word(Word(((0, 0, e),)), gens)
             oracle = [x.endpoints() for x in (g.m11, g.m12, g.m21, g.m22)]
             assert _hex_rects(gens[0, 0, e][1]) == _hex_rects(oracle), e
-        assert gens[2, -1, 0] == (gens[2, -1, 1][0], None)
     # gamma^+-400 overflows at c = 10: the table's build raises, every time
     p = Params(4.0, 1.0 + math.sqrt(3.0) * 1j, 10.0)
     near = ParamBox.from_bounds(
@@ -929,11 +951,24 @@ def test_evaluate_pairing_sandwich_symbolic():
 
 
 def test_pure_translation_structural_zero():
-    w = parse_word("x^2 y")
-    m = evaluate_word(w, REF)
-    assert m.m21.re.lo == 0.0 and m.m21.re.hi == 0.0
-    assert m.m21.im.lo == 0.0 and m.m21.im.hi == 0.0
-    assert m.m12.contains(2 * REF.a + REF.b)
+    """A product of translations keeps its lower-left entry exactly [0, 0].
+
+    The interval module's zero shortcut promises this for upper-triangular
+    products.  x^2 y is no Word, so its matrix is the product of the
+    translation matrices built from the generators, at a point and on a box.
+    """
+    point = ComplexInterval.point
+    one, zero = point(1.0), point(0.0)
+
+    def x2_y(target):
+        gens = gens_from_params(target)
+        x, y = (IntervalMatrix(one, t, zero, one) for t in (gens.a, gens.b))
+        return x @ x @ y
+
+    for m in (x2_y(REF), x2_y(param_space(1.5))):
+        assert m.m21.re.lo == 0.0 and m.m21.re.hi == 0.0
+        assert m.m21.im.lo == 0.0 and m.m21.im.hi == 0.0
+    assert x2_y(REF).m12.contains(2 * REF.a + REF.b)
 
 
 def _slice_box(a_lo, a_hi, c_lo, c_hi, b=4j):
