@@ -15,6 +15,7 @@ loads the cusp or horoball code, and ``horoball`` never loads the search.
 import argparse
 import json
 import math
+import os
 import sys
 
 from horocusp import __version__
@@ -68,6 +69,18 @@ def _write_text(path, text):
         fh.write(text)
 
 
+def _check_writable(path):
+    """Raise the OSError that opening path for writing raises, and leave no new file behind.
+
+    An existing file is opened for appending, so its bytes stay as they are.
+    """
+    existed = os.path.lexists(path)
+    with open(path, "a", encoding="utf-8"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
 def _emit_json(payload, out_path):
     # a non-finite float is a ValueError, not an Infinity that JSON readers reject
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
@@ -92,7 +105,10 @@ def cmd_search(args, parser):
     # the flags given that name SearchConfig settings override the file's keys
     names = SearchConfig.__dataclass_fields__
     settings.update((k, v) for k, v in vars(args).items() if k in names and v is not None)
-    report = run_search(SearchConfig(**settings))
+    cfg = SearchConfig(**settings)
+    # an unwritable --out fails before the search, not after it
+    _check_writable(args.out)
+    report = run_search(cfg)
     _write_text(args.out, report.to_canonical_json() + "\n")
     print(
         "search: %d boxes tested, %d kernel runs, %d leaves, %.2fs"

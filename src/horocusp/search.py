@@ -18,9 +18,10 @@ segment, so no index names a twin.  A twin has the [L, U] of its body's
 first word bit for bit and comes after that word, so it cannot decide
 the box sooner, be an earlier candidate or win a near-miss tie; it
 counts as scanned, toward the budget too.  Its own evaluation could
-overflow only where its leading syllable's table entry does, so a box
-with no enclosing box reads that entry, once per lead: an entry read
-once without raising never raises.
+overflow only where its leading block's offset or its leading power of
+gamma does, so a box with no enclosing box reads those from its table,
+once per lead: an offset or a power read once without raising never
+raises.
 
 The stream is the cut: the segments through the first whose words reach
 the budget, or all of them.  A child box's hint is its parent's near
@@ -52,12 +53,14 @@ rect_mul, the product by -1 (rect_neg), nextafter, and the generator and
 gamma^e builds, since round-to-nearest and nextafter are monotone and a
 shortcut taken only on the child returns the exact value, which the
 parent's rounded hull contains.  A gamma^+-1 step skips its products by
-the exact entries 0 and 1 and keeps the full step's bits, so the argument
-covers it as is.  So each rectangle of a child's bottom row lies inside
-the parent's, and the point of rect_abs nearest the origin lies at least
-as far out on each axis.  From Python 3.10 on math.hypot errs by under 1
-ulp, so L, one nextafter below it, is within 2 ulp of the true distance;
-_DEAD_LO leaves a 16-ulp margin above 1.  A finite parent row also keeps
+the exact entries 0 and 1 and keeps the full step's bits, and so do the
+rows after a first z or z^-1 and the row a table's slot holds, which
+have the bits of the stepped row, so the argument covers them as is.
+So each rectangle of a child's bottom row lies inside the parent's, and
+the point of rect_abs nearest the origin lies at least as far out on
+each axis.  From Python 3.10 on math.hypot errs by under 1 ulp, so L,
+one nextafter below it, is within 2 ulp of the true distance; _DEAD_LO
+leaves a 16-ulp margin above 1.  A finite parent row also keeps
 the child's finite.  Such a word still counts as scanned, toward the
 budget too.  A split changes the endpoints of one generator, a, b or c,
 and words.GeneratorTriple.inherit, given the parent's table, reports
@@ -66,7 +69,9 @@ generators a word's lower-left entry reads (WordStream.masks, built once
 per run by the first child), and a live word that reads none of the
 changed ones takes its (L, U) from live in place of a kernel run.  This
 is sound on three counts.  lower_left_bounds is a deterministic function
-of the bits it reads, so equal input bits give equal output bits.  The
+of the bits it reads, so equal input bits give equal output bits: the
+row in a table's slot has the bits of the stepped row, whatever words
+filled it, so the slot adds no input.  The
 child's whole bottom row lies inside its parent's, which was finite, by
 the isotonicity above, so no reused word skips a ValueError the kernel
 would raise on the child.  And U, whose overflow the kernel checks, is
@@ -76,13 +81,14 @@ misses, hints, live and report bytes are those of a scan that evaluates
 every word.
 
 A child reads no Run lead.  Its parent scanned the whole cut without
-raising, so the root read the entry of every lead in the cut and found it
-finite.  Each entry of a box's table comes from its generators by the
-isotone builds above, so it lies inside the entry of every enclosing box
-and is finite too: reading it cannot raise.  A child's table starts from
-its parent's (words.GeneratorTriple.inherit), keeping each offset and
-power whose generators' endpoints the split left as they were, bit for
-bit, since it would be built from the same floats by the same operations.
+raising, so the root read the offset and power of every lead in the cut
+and found them finite.  Each offset and power of a box's table comes from
+its generators by the isotone builds above, so it lies inside the one of
+every enclosing box and is finite too: reading it cannot raise.  A
+child's table starts from its parent's (words.GeneratorTriple.inherit),
+keeping each offset and power whose generators' endpoints the split left
+as they were, bit for bit, since it would be built from the same floats
+by the same operations, and starting with an empty slot.
 """
 
 import json
@@ -379,9 +385,10 @@ def test_box(
     The scan then visits in order the keys of one dict, the hint in its
     place with the bounds found first: stream.first_scan without a parent,
     parent.live with one.  first_scan holds every Word, and each Run whose
-    leading syllable no earlier Run had.  Such a Run's leading syllable is
-    read from the box's table, as its words' evaluations would read it, so
-    an overflow there raises ValueError.  Every other Run's words, and
+    leading syllable no earlier Run had.  Such a Run's leading block offset
+    and power are read from the box's table (GeneratorTriple.entry), as
+    its words' evaluations would read them, so an overflow there raises
+    ValueError.  Every other Run's words, and
     every Word absent from the dict, count as scanned without being
     evaluated: a twin has the [L, U] of its body's first word, scanned
     before it, and a word absent from parent.live was ruled out on the
@@ -449,9 +456,9 @@ def test_box(
         elif hit is None or masks[k] & changed:
             segment = segments[k]
             if segment.__class__ is Run:
-                # only the leading syllable's table entry can raise where the
-                # twins' own evaluations would, so read it for its error
-                gens[segment.prefix[0]]
+                # only the leading syllable's offset and power can raise where
+                # the twins' own evaluations would, so read them for their errors
+                gens.entry(segment.prefix[0])
                 continue
             hit = kernel(gens, segment.syllables)
             runs += 1
@@ -504,7 +511,7 @@ def run_search(cfg: SearchConfig) -> SearchReport:
     A box is split only where subdivide can split it.  Both children take
     the box's verdict as their parent, so they evaluate only the words its
     live left open, re-evaluate only those the split can change, rebuild
-    only the table entries the split changed and, with
+    only the offsets and powers the split changed and, with
     cfg.use_parent_word_hint, take its near miss as their hint; every box
     stops at the root's cut (see the module docstring).  A leaf keeps no
     near miss, live, table or stream: no report reads them.

@@ -31,19 +31,29 @@ Evaluation: lower_left_bounds is the one scan kernel.  It propagates only
 the bottom row of the product on unboxed float rectangles, from the
 identity's bottom row.  Its rectangle sum and product are the
 self-contained interval.rect_add and rect_mul.  A gamma or gamma^-1 step,
-nearly every step of a scan, skips the products by those matrices' exact
-0 and 1 entries and takes the one by -1 as interval.rect_neg; what it
-skips is exact or a shortcut, so the row keeps its bits.  The per-box
-GeneratorTriple, defined here, is a dict and is the scan's syllable
-table: gens[(m, n, e)] builds an entry on first use and keeps it,
-sharing the offset of each block (m, n) and the power of each exponent.
-It repeats the oracle's operations in the same order, so every entry
-and [L, U] keeps its bits, and an entry raises where the oracle's
-factor overflows.  The message names the first block that overflows:
-x^m y^0 or x^0 y^n when the multiple m*a or n*b itself does, since those
-are the offsets of x^m and y^n.  By the body-twin lemma below, the row
-after a word's first syllable (m, n, e) is the bottom row of gamma^e, so
-the kernel takes it from the table and steps only the later syllables.
+nearly every step of a scan, reads c's rectangle straight from the
+triple, skips the products by those matrices' exact 0 and 1 entries and
+takes the one by -1 as interval.rect_neg; what it skips is exact or a
+shortcut, so the row keeps its bits.  The per-box GeneratorTriple,
+defined here, holds the scan's two tables: the offset of each block
+(m, n) and the power gamma^e of each exponent, each built on first use
+and kept; nothing is kept per syllable.  It repeats the oracle's
+operations in the same order, so every offset, power and [L, U] keeps
+its bits, and a build raises where the oracle's factor overflows.  The
+message names the first block that overflows: x^m y^0 or x^0 y^n when
+the multiple m*a or n*b itself does, since those are the offsets of x^m
+and y^n.  By the body-twin lemma below, the row after a word's first
+syllable (m, n, e) is the bottom row of gamma^e.  After z it is the
+exact (1, 0) and after z^-1 it is (-1, c), so the kernel takes the row
+after the next syllable with no product by an exact operand: after
+z t z it is (1*c + t, -1).  1*c, c with its all-zero parts +0.0, and -c
+are built once per triple.
+The row after a word's first two syllables depends on them and the
+table's bits alone, so each triple keeps one slot, that row for the last
+word evaluated, keyed by its first exponent and second syllable.  A word
+with the same key steps only its later syllables, and a slot row has the
+bits of a stepped one.  In stream order most words share the previous
+word's first two syllables.  inherit never copies the slot.
 lower_left_abs and killer_test run the kernel for one word.
 evaluate_word is the full-matrix route over the interval classes, which
 never call the rectangle functions.  It builds its generator matrices
@@ -453,8 +463,8 @@ class WordStream:
     of words in segments[0..k], and scanned, min(budget, ends[-1]), the
     words a scan that no word decides counts.  first_scan maps each index
     a scan with no enclosing box visits to None, in order: every Word, and
-    each Run whose leading syllable no earlier Run had, since a table entry
-    that was read once without raising never raises.  A scan reads it as a
+    each Run whose leading syllable no earlier Run had, since an offset or
+    a power that was read once without raising never raises.  A scan reads it as a
     child reads its parent's live, where a value is an (L, U) to reuse and
     None is none (see search.test_box).  Scans name a word by the index of
     its Word segment and break ties by the earliest, the canonical least.
@@ -511,6 +521,11 @@ def _point(k: int) -> tuple:
     return (float(k), float(k), 0.0, 0.0)
 
 
+_ONE, _MINUS_ONE = _point(1), _point(-1)
+# rect_neg(-1), the product of -1 by -1, which rounds 1 outward
+_ONE_HULL = rect_neg(_MINUS_ONE)
+
+
 def _check_finite(rect: tuple, what: str, *args) -> None:
     """ValueError unless every endpoint is finite; what.format(*args) names the entry.
 
@@ -528,55 +543,62 @@ def _same_bits(r: tuple, s: tuple) -> bool:
     return _rect_bytes(*r) == _rect_bytes(*s)
 
 
-class GeneratorTriple(dict):
-    """Interval enclosures of a, b and c over a box or point, and the scan's table.
+class GeneratorTriple:
+    """Interval enclosures of a, b and c over a box or point, and the scan's tables.
 
     alpha and beta are the translations by a and b, gamma is
     [[c, -1], [1, 0]].  The triple is the scan kernel's per-box context
-    and is itself its syllable table: triple[(m, n, e)] is the entry
-    (offset, gamma) of one syllable, built on first use by __missing__
-    and kept.  offset is the translation offset m*a + n*b of the block
-    (m, n), or None when m = n = 0, and gamma the four entries
-    (g11, g12, g21, g22) of gamma^e.  Both come from the endpoints of a,
-    b and c by the operations evaluate_word applies to their intervals,
-    so each rectangle is bit-identical to the entry of the oracle's
-    factor.  Each offset is built once per block and
-    each power once per exponent, and shared by the syllables that hold
-    it.  A lookup raises ValueError when an entry overflows, as building
-    those intervals does: each entry is checked, and an overflow inside
-    the sums and products that make it leaves a non-finite endpoint.
-    lower_left_bounds and the scan read the table by subscript, and by
-    the body-twin lemma gamma^e's bottom row is the row after a first
-    syllable (m, n, e).  inherit starts a child box's table from its
-    parent's offsets and powers and names the generators that changed.
-    Nothing else is held: the oracle
-    evaluate_word builds its own matrices from a, b and c.
+    and holds its two tables: the translation offset m*a + n*b of each
+    nontrivial block (m, n), and the four entries (g11, g12, g21, g22) of
+    gamma^e for each exponent e, each built on first use and kept.  Both
+    come from the endpoints of a, b and c by the operations evaluate_word
+    applies to their intervals, so each rectangle is bit-identical to the
+    entry of the oracle's factor.  No entry is kept per syllable: entry
+    gives one syllable's (offset, gamma^e) from the two tables, building
+    the offset first, as the oracle does, and raises ValueError where
+    either overflows, as building those intervals does: each offset and
+    power is checked, and an overflow inside the sums and products that
+    make it leaves a non-finite endpoint.  The kernel reads the tables
+    directly, c's rectangle for a gamma^+-1 step, and 1*c and -c, built
+    here once, for the rows after z and z^-1.  It also keeps one slot
+    here, the row after the first two syllables of the last word it
+    evaluated with two or more (see lower_left_bounds).  inherit starts
+    a child box's tables from its parent's offsets and powers and names
+    the generators that changed; it never copies the slot.  Nothing else
+    is held: the oracle evaluate_word builds its own matrices from a, b
+    and c.
     """
 
-    __slots__ = ("a", "b", "c", "_offsets", "_unboxed_powers")
+    __slots__ = ("a", "b", "c", "_c", "_one_c", "_minus_c", "_offsets", "_unboxed_powers", "_slot")
 
     def __init__(self, a: ComplexInterval, b: ComplexInterval, c: ComplexInterval) -> None:
         self.a, self.b, self.c = a, b, c
+        self._c = c.endpoints()
+        # 1*c and -c, what products of c by a row's exact 1 and -1 give
+        self._one_c, self._minus_c = rect_mul(_ONE, self._c), rect_neg(self._c)
         self._offsets, self._unboxed_powers = {}, {}
+        # (key, row) in one tuple, so that no reader pairs one word's key with another's row
+        self._slot = (None, None)
 
     def __repr__(self) -> str:
         return f"GeneratorTriple(a={self.a!r}, b={self.b!r}, c={self.c!r})"
 
     def inherit(self, parent: "GeneratorTriple") -> int:
-        """Start the table from parent's: the offsets and powers it would build bit for bit.
+        """Start the tables from parent's: the offsets and powers they would build bit for bit.
 
         The offset of x^m reads only a's endpoints, that of y^n only b's
         and a two-axis block both, and gamma's powers read only c's.  So
         each offset whose generators' endpoints equal parent's, signed
         zeros included, is kept, and the powers when c's do.  It replaces
-        this triple's caches, so it is called on a fresh triple, and the
-        kept entries go into new dicts, so the parent's never change.
+        this triple's tables, so it is called on a fresh triple, and the
+        kept entries go into new dicts, so the parent's never change.  The
+        slot is not copied: it holds a row of parent's.
         Returns the generators whose endpoints differ, as GEN_* bits: a
         word whose m21_reads misses them has parent's (L, U) here.
         """
         same_a = _same_bits(self.a.endpoints(), parent.a.endpoints())
         same_b = _same_bits(self.b.endpoints(), parent.b.endpoints())
-        same_c = _same_bits(self.c.endpoints(), parent.c.endpoints())
+        same_c = _same_bits(self._c, parent._c)
         if same_a or same_b:
             self._offsets = {
                 block: offset
@@ -587,11 +609,14 @@ class GeneratorTriple(dict):
             self._unboxed_powers = dict(parent._unboxed_powers)
         return (0 if same_a else GEN_A) | (0 if same_b else GEN_B) | (0 if same_c else GEN_C)
 
-    def __missing__(self, syllable: Syllable) -> tuple:
+    def entry(self, syllable: Syllable) -> tuple:
+        """(offset, gamma^e) of the syllable (m, n, e): offset None for a trivial block.
+
+        The offset is read first, so an overflow raises where the oracle's
+        first overflowing factor does.
+        """
         m, n, e = syllable
-        offset = self._offset(m, n) if m or n else None
-        entry = self[syllable] = (offset, self._unboxed_power(e))
-        return entry
+        return (self._offset(m, n) if m or n else None), self._unboxed_power(e)
 
     def _offset(self, m: int, n: int) -> tuple:
         """The offset m*a + n*b of a nontrivial block, checked once and kept.
@@ -618,14 +643,16 @@ class GeneratorTriple(dict):
         """gamma^e's entries as rectangles: the oracle's left-to-right product of |e| factors.
 
         The factors are gamma, or its SL2 adjugate for e < 0.  A loop fills
-        the cache, so a large |e| does not recurse.
+        the cache, so a large |e| does not recurse.  Every entry of a power
+        with |e| >= 2 is a sum of two rect_mul results, so each of its
+        all-zero parts is +0.0.
         """
         powers = self._unboxed_powers
         if e in powers:
             return powers[e]
-        c = self.c.endpoints()
+        c = self._c
         if e > 0:
-            step, gen = 1, (c, _point(-1), _point(1), _ZERO)
+            step, gen = 1, (c, _MINUS_ONE, _ONE, _ZERO)
         else:
             # the adjugate negates -1 and 1 exactly, signed zeros and all
             step, gen = -1, (_ZERO, (1.0, 1.0, -0.0, -0.0), (-1.0, -1.0, -0.0, -0.0), c)
@@ -730,19 +757,32 @@ def lower_left_bounds(gens: GeneratorTriple, syllables: tuple) -> tuple:
 
     This is the scan kernel.  It carries only the bottom row (m21, m22) of
     the left-to-right product, from the identity's, since in acc @ M that
-    row depends only on the bottom row of acc, and it reads each
-    syllable's unboxed rectangles from gens by subscript.  A leading block
+    row depends only on the bottom row of acc, and it reads each block's
+    offset and each power of gamma from gens' tables.  A leading block
     x^m y^n leaves the identity's row as it is, bit for bit, so body twins
-    (see WordStream) get one (L, U), and the row after a first syllable
-    (m, n, e) is gamma^e's bottom row, read from the table: only the later
-    syllables are stepped here.  The first syllable's whole entry is still
-    read, since that is where its block's offset overflow raises, as in
-    the oracle.  That row can differ from the stepped one only in the sign
-    of an exactly-zero part, and the rectangle arithmetic is the interval
-    layer's own, so (L, U) is bit-identical to the oracle
-    evaluate_word(word, gens).m21.abs_bounds().
+    (see WordStream) get one (L, U); its offset is still read, since that
+    is where its overflow raises, as in the oracle.  The row after a first
+    syllable (m, n, e1) is then gamma^e1's bottom row.  For e1 = 1 that
+    row is the exact (1, 0) and for e1 = -1 it is (-1, c), so the row
+    after the second syllable is taken with no product by an exact
+    operand: after z t z it is (1*c + t, -1), with the stepped row's
+    bits (see _row_after_unit).
 
-    Raises ValueError when the bottom row overflows.  An infinite or NaN
+    The row after the first two syllables is a function of e1, the second
+    syllable and the table's bits alone, so gens keeps one slot: that row
+    for the last word evaluated with two or more syllables, keyed by
+    (e1, second syllable).  A word whose key matches takes the slot's row
+    and steps only its later syllables; in stream order most words share
+    the previous word's first two syllables.  Every offset and power the
+    slot's row read was built and checked when it was filled, so a hit
+    skips no ValueError.  The slot's row has the bits of the stepped row,
+    and the rectangle arithmetic is the interval layer's own, so (L, U)
+    is bit-identical to the oracle
+    evaluate_word(word, gens).m21.abs_bounds(), whatever words gens
+    evaluated before.
+
+    Raises ValueError when an offset or a power overflows, where the
+    oracle's factor does, or when the bottom row does.  An infinite or NaN
     endpoint survives every rectangle operation but a product with an
     exact zero, and each row of a generator matrix has a nonzero entry, so
     an overflow anywhere leaves a non-finite endpoint in the final row.
@@ -750,8 +790,24 @@ def lower_left_bounds(gens: GeneratorTriple, syllables: tuple) -> tuple:
     can drop a NaN, and so is U, since hypot of two finite floats can
     overflow.
     """
-    rest = iter(syllables)
-    (rl, rh, il, ih), (sl, sh, jl, jh) = _bottom_row(gens, rest, gens[next(rest)][1][2:])
+    m, n, e1 = syllables[0]
+    if (m or n) and (m, n) not in gens._offsets:
+        # the row skips the leading block, but its offset's overflow raises
+        gens._offset(m, n)
+    if len(syllables) == 1:
+        row = gens._unboxed_power(e1)[2:]
+    else:
+        key = (e1, syllables[1])
+        held, row = gens._slot
+        if held != key:
+            if e1 == 1 or e1 == -1:
+                row = _row_after_unit(gens, e1, syllables[1])
+            else:
+                row = _bottom_row(gens, syllables[1:2], gens._unboxed_power(e1)[2:])
+            gens._slot = (key, row)
+        if len(syllables) > 2:
+            row = _bottom_row(gens, syllables[2:], row)
+    (rl, rh, il, ih), (sl, sh, jl, jh) = row
     # x - x is 0.0 for a finite x and NaN for an infinite or NaN one
     zero_if_finite = (rl - rl) + (rh - rh) + (il - il) + (ih - ih)
     if zero_if_finite + (sl - sl) + (sh - sh) + (jl - jl) + (jh - jh) != 0.0:
@@ -762,34 +818,72 @@ def lower_left_bounds(gens: GeneratorTriple, syllables: tuple) -> tuple:
     return lo, hi
 
 
+def _row_after_unit(gens: GeneratorTriple, e1: int, second: Syllable) -> tuple:
+    """The bottom row after a first syllable with exponent e1 = +-1 and the syllable second.
+
+    The row after z is the exact (1, 0), and after z^-1 it is (-1, c),
+    whose -1 is gamma^-1's, with imaginary part -0.0.  A product by the
+    exact 1 is the other operand itself, since every all-zero part of an
+    offset or of a power gamma^e with |e| >= 2 is +0.0 (see
+    GeneratorTriple), and a product by the exact -1 is rect_neg of the
+    other operand, bit for bit, since its imaginary part is zero.  So no
+    rect_mul by an exact operand is taken.  Times [[1, t], [0, 1]] the
+    row is (s, r2) = (1, t) or (-1, c - t).  Then gamma's step gives
+    (s*c + r2, -s), where s*c is the triple's 1*c or -c, gamma^-1's
+    gives (-r2, r2*c + s), and gamma^e's, for |e| >= 2, gives
+    (s*g11 + r2*g21, s*g12 + r2*g22).  Each is the stepped row's bits:
+    the sign of s's zero imaginary part reaches no result, since a sum
+    takes a zero part from its other operand.  The block's offset is read
+    before gamma^e, as the oracle builds them.
+    """
+    m, n, e = second
+    t = gens._offset(m, n) if m or n else _ZERO
+    if e1 == 1:
+        s, r2, s_c, minus_s = _ONE, t, gens._one_c, _MINUS_ONE
+    else:
+        s, r2 = _MINUS_ONE, rect_add(rect_neg(t), gens._c)
+        s_c, minus_s = gens._minus_c, _ONE_HULL
+    if e == 1:
+        return rect_add(s_c, r2), minus_s
+    if e == -1:
+        return rect_neg(r2), rect_add(rect_mul(r2, gens._c), s)
+    g11, g12, g21, g22 = gens._unboxed_power(e)
+    if e1 == -1:
+        g11, g12 = rect_neg(g11), rect_neg(g12)
+    return rect_add(g11, rect_mul(r2, g21)), rect_add(g12, rect_mul(r2, g22))
+
+
 def _bottom_row(gens: GeneratorTriple, syllables: Iterable[Syllable], row: tuple) -> tuple:
     """The bottom row (r1, r2) of row's matrix times the syllables, left to right.
 
     A gamma^+-1 step resolves the exact entries of [[c, -1], [1, 0]] and
-    [[0, 1], [-1, c]]: one rect_mul by c, one rect_add and one rect_neg,
-    where the full step takes four rect_mul and two rect_add.  A product by
-    0 is [0, 0], which a sum passes over.  A product by 1 is the row
-    itself but for the sign of an all-zero part; rect_add takes a part from
-    whichever argument is nonzero there, and from its first argument where
-    both are zero, so the rect_mul result, whose zero parts are +0.0, goes
-    first.  The step thus keeps the full step's bits.  Other powers take
-    four rect_mul.  Nothing here checks the row for overflow.
+    [[0, 1], [-1, c]], reading c's rectangle from gens: one rect_mul by c,
+    one rect_add and one rect_neg, where the full step takes four rect_mul
+    and two rect_add.  A product by 0 is [0, 0], which a sum passes over.
+    A product by 1 is the row itself but for the sign of an all-zero
+    part; rect_add takes a part from whichever argument is nonzero there,
+    and from its first argument where both are zero, so the rect_mul
+    result, whose zero parts are +0.0, goes first.  The step thus keeps
+    the full step's bits.  Other powers take four rect_mul.  Each
+    syllable's offset is read before its power, as the oracle builds
+    them, so an overflow raises where the oracle's does.  Nothing here
+    checks the row for overflow.
     """
     r1, r2 = row
-    for syllable in syllables:
-        offset, gamma = gens[syllable]
-        if offset is not None:
+    offsets, powers, c = gens._offsets, gens._unboxed_powers, gens._c
+    for m, n, e in syllables:
+        if m or n:
             # times [[1, t], [0, 1]]: m21 * 1 + m22 * 0 is m21 exactly
-            r2 = rect_add(rect_mul(r1, offset), r2)
-        e = syllable[2]
+            t = offsets.get((m, n)) or gens._offset(m, n)
+            r2 = rect_add(rect_mul(r1, t), r2)
         if e == 1:
             # times [[c, -1], [1, 0]], the exact entries resolved
-            r1, r2 = rect_add(rect_mul(r1, gamma[0]), r2), rect_neg(r1)
+            r1, r2 = rect_add(rect_mul(r1, c), r2), rect_neg(r1)
         elif e == -1:
             # times [[0, 1], [-1, c]], the exact entries resolved
-            r1, r2 = rect_neg(r2), rect_add(rect_mul(r2, gamma[3]), r1)
+            r1, r2 = rect_neg(r2), rect_add(rect_mul(r2, c), r1)
         else:
-            g11, g12, g21, g22 = gamma
+            g11, g12, g21, g22 = powers.get(e) or gens._unboxed_power(e)
             r1, r2 = (
                 rect_add(rect_mul(r1, g11), rect_mul(r2, g21)),
                 rect_add(rect_mul(r1, g12), rect_mul(r2, g22)),
@@ -830,9 +924,11 @@ def lower_left_abs(word: Word, target: Union[GeneratorTriple, Params, ParamBox])
 
     lower_left_bounds for one word, whatever its body, over
     gens_from_params(target); pass one GeneratorTriple per box, which
-    comes through as it is, to build its syllable table once.  [L, U]
-    equals the oracle evaluate_word(word, target).m21.abs_bounds() bit for
-    bit, and raises ValueError where the kernel does.
+    comes through as it is, to build its offsets and powers once and
+    share its slot between words.  [L, U] equals the oracle
+    evaluate_word(word, target).m21.abs_bounds() bit for bit, whatever
+    words the triple evaluated before, and raises ValueError where the
+    kernel does.
     """
     return RealInterval(*lower_left_bounds(gens_from_params(target), word.syllables))
 

@@ -242,6 +242,38 @@ def test_search_partial_exit_code(tmp_path):
     assert report["incomplete"] is True
 
 
+def test_search_fails_fast_on_an_unwritable_out(tmp_path, capsys, monkeypatch):
+    """An --out that cannot be written exits 1 with the OSError before any search runs.
+
+    run_search is replaced by one that records its call and raises, as a
+    search that fails does.  A writable --out that did not exist is not
+    left behind, and one that exists keeps its bytes.
+    """
+    searched = []
+
+    def failing_search(cfg):
+        searched.append(cfg)
+        raise RuntimeError("the search failed")
+
+    monkeypatch.setattr("horocusp.search.run_search", failing_search)
+    missing = tmp_path / "no" / "such" / "dir" / "r.json"
+    argv = ["search", "--area-max", "1.2", "--max-depth", "18", "--out"]
+    for out in (missing, tmp_path):
+        capsys.readouterr()
+        assert run_cli(argv + [str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and str(out) in err, err
+    assert searched == [] and not missing.parent.exists()
+    fresh, kept = tmp_path / "fresh.json", tmp_path / "kept.json"
+    kept.write_text("old")
+    for out in (fresh, kept):
+        capsys.readouterr()
+        assert run_cli(argv + [str(out)]) == 1
+        assert capsys.readouterr().err == "error: the search failed\n"
+    assert len(searched) == 2
+    assert not fresh.exists() and kept.read_text() == "old"
+
+
 def test_search_usage_errors(tmp_path, capsys):
     out = str(tmp_path / "r.json")
     assert run_cli(["search", "--area-max", "0", "--out", out]) == 64

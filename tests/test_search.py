@@ -557,6 +557,30 @@ def test_area_one_and_a_half_deep_cover_golden() -> None:
     assert not report.incomplete
 
 
+def test_four_syllable_words_capped_cover_golden() -> None:
+    """A capped area-1.2 search on the (4,1) stream, the one golden that meets 4-syllable words.
+
+    Its 20000-word cut holds 7970 Words, 7424 of them of 4 syllables, so
+    the kernel steps rows past the first two syllables on every box, a
+    root and 9 children handed parent verdicts.  Bytes and kernel runs
+    recorded before the table kept the row after a word's first two
+    syllables.
+    """
+    cfg = SearchConfig(
+        area_bound=1.2, max_d=4, max_exp=1, max_depth=12, word_budget_per_box=20000, max_boxes=10
+    )
+    cut = WordStream(4, 1, 20000)
+    lengths = Counter(len(s.syllables) for s in cut.segments if isinstance(s, Word))
+    assert lengths == {4: 7424, 3: 512, 2: 32, 1: 2}
+    report = run_search(cfg)
+    text = report.to_canonical_json().encode()
+    assert hashlib.sha256(text).hexdigest() == (
+        "227ec65f1621df73713e0b4e10cf0ba0b58300a17de0a9c6775013e3b2beff82"
+    )
+    assert (report.boxes_tested, report.words_evaluated, report.kernel_runs) == (10, 200000, 78440)
+    assert report.incomplete
+
+
 def test_leaf_box_as_root_reproduces_from_its_bounds() -> None:
     """A ParamBox root with a path searches as its bounds do, and reruns from its report."""
     earlier = run_search(_cfg(max_depth=6, max_boxes=5, root_box=STRADDLE_BOUNDS))
@@ -863,7 +887,7 @@ def test_dead_word_skips_keep_report_bytes(monkeypatch, settings) -> None:
 
 
 class _LeadReads(words_module.GeneratorTriple):
-    """A box's table that records the syllables the scan reads from it outside the kernel."""
+    """A box's table that records the syllables whose entry the scan reads outside the kernel."""
 
     __slots__ = ("outside",)
     in_kernel = [False]
@@ -872,10 +896,10 @@ class _LeadReads(words_module.GeneratorTriple):
         super().__init__(a, b, c)
         self.outside = []
 
-    def __getitem__(self, syllable):
+    def entry(self, syllable):
         if not self.in_kernel[0]:
             self.outside.append(syllable)
-        return super().__getitem__(syllable)
+        return super().entry(syllable)
 
 
 @pytest.mark.parametrize(

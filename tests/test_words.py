@@ -303,17 +303,76 @@ def _bits(iv):
     return (iv.lo.hex(), iv.hi.hex())
 
 
+def _interleaved_by_first_exponent(words):
+    """The words taken in turn from each first exponent's, in stream order within each."""
+    by_first = {}
+    for w in words:
+        by_first.setdefault(w.syllables[0][2], []).append(w)
+    columns = zip_longest(*by_first.values())
+    return [w for column in columns for w in column if w is not None]
+
+
+def _kernel_matches_oracle(gens, words, oracle):
+    """Each word's kernel bounds on gens, in order, against the oracle's hex, and the slot after each.
+
+    A word of two or more syllables leaves in gens' slot its first
+    exponent and second syllable, and the row after them, which must have
+    the bits of the second syllable stepped from gamma^e1's bottom row.
+    """
+    for w in words:
+        syllables = w.syllables
+        assert _bits(lower_left_abs(w, gens)) == oracle[w], str(w)
+        if len(syllables) > 1:
+            key, row = gens._slot
+            assert key == (syllables[0][2], syllables[1]), str(w)
+            stepped = words_module._bottom_row(gens, syllables[1:2], gens.entry(syllables[0])[1][2:])
+            assert _hex_rects(row) == _hex_rects(stepped), str(w)
+
+
 def test_kernel_bounds_bit_identical_to_full_matrix_oracle() -> None:
+    """Every Word's kernel (L, U) has the oracle's bits, whatever the table evaluated before.
+
+    Each box uses one table for every word of (2,1) and of the first 2000
+    positions of (6,3), body twins too, every Word of the 20000-word cuts
+    of (3,2) and (4,1), and the first 2000 Words of (6,3), in stream
+    order, in reverse and interleaved by first exponent, so the slot is
+    hit and missed on every kind of key.  After each word the
+    slot must hold its key and the stepped row.  One box's c has the
+    imaginary part [-0.0, -0.0] and its a is real, so z x z's row 1*c + a
+    differs from c + a in the sign of a zero.  Its child split on c starts
+    from its table with an empty slot, and its first word is the one whose
+    row the parent's slot holds.
+    """
     rng = random.Random(20081)
     ref = [Params(4.0, 1.0 + 4.0 * k + math.sqrt(3.0) * 1j, 2.0) for k in (-1, 0, 1)]
     boxes = [ParamBox.from_point(p) for p in ref]
     boxes += _random_dyadic_boxes(1.5, 2, rng) + _random_dyadic_boxes(6.0, 2, rng)
+    signed = ParamBox.from_bounds([[4, 4], [0, 0], [1, 1], [1.5, 2], [1.5, 2], [-0.0, -0.0]])
+    assert [math.copysign(1.0, v) for v in signed.c().endpoints()[2:]] == [-1.0, -1.0]
+    boxes.append(signed)
+    # every word of (2,1) and 2000 positions of (6,3), twins too, then the
+    # Words of the (3,2) and (4,1) cuts and the first 2000 Words of (6,3)
     pool = list(enumerate_words(2, 1)) + list(islice(enumerate_words(6, 3), 2000))
+    pool += [s for caps in ((3, 2, 20000), (4, 1, 20000))
+             for s in WordStream(*caps).segments if s.__class__ is Word]
+    pool += islice((s for s in enumerate_segments(6, 3) if s.__class__ is Word), 2000)
+    pool = list(dict.fromkeys(pool))
+    assert len(pool) == 13483
+    orders = (pool, pool[::-1], _interleaved_by_first_exponent(pool))
     for box in boxes:
         gens = gens_from_params(box)
-        for w in pool:
-            oracle = evaluate_word(w, box).m21.abs_bounds()
-            assert _bits(lower_left_abs(w, gens)) == _bits(oracle), (box.path, str(w))
+        oracle = {w: _bits(evaluate_word(w, box).m21.abs_bounds()) for w in pool}
+        for words in orders:
+            _kernel_matches_oracle(gens, words, oracle)
+    # signed's child split on c, whose table starts from signed's
+    child = _halves(signed, 4)[1]
+    child_gens = gens_from_params(child)
+    child_gens.inherit(gens)
+    assert gens._slot[0] is not None and child_gens._slot == (None, None)
+    last = next(w for w in reversed(orders[-1]) if len(w.syllables) > 1)
+    oracle = {w: _bits(evaluate_word(w, child).m21.abs_bounds()) for w in pool}
+    for words in ([last],) + orders:
+        _kernel_matches_oracle(child_gens, words, oracle)
 
 
 def test_overflowing_words_raise_before_classification(monkeypatch) -> None:
@@ -565,45 +624,62 @@ def test_scan_kernel_evaluations(monkeypatch) -> None:
 def _count_products(monkeypatch):
     """Count words.rect_mul's calls by (x, y): the kernel's, and the table's builds apart.
 
-    A call is the table's while GeneratorTriple.__missing__ runs.
-    Returns the two Counters, kernel first, which the patched calls fill.
+    A call is the table's while a GeneratorTriple builds: its __init__
+    (1*c), _offset or _unboxed_power runs.  Returns the two Counters,
+    kernel first, which the patched calls fill.
     """
     kernel, table, building = Counter(), Counter(), []
-    real_missing = words_module.GeneratorTriple.__missing__
 
     def counting_mul(x, y):
         (table if building else kernel)[x, y] += 1
         return rect_mul(x, y)
 
-    def building_missing(gens, syllable):
-        building.append(syllable)
-        try:
-            return real_missing(gens, syllable)
-        finally:
-            building.pop()
+    def building_(real):
+        def build(*args):
+            building.append(real)
+            try:
+                return real(*args)
+            finally:
+                building.pop()
+
+        return build
 
     monkeypatch.setattr(words_module, "rect_mul", counting_mul)
-    monkeypatch.setattr(words_module.GeneratorTriple, "__missing__", building_missing)
+    for name in ("__init__", "_offset", "_unboxed_power"):
+        real = getattr(words_module.GeneratorTriple, name)
+        monkeypatch.setattr(words_module.GeneratorTriple, name, building_(real))
     return kernel, table
 
 
 def test_scan_rect_mul_count(monkeypatch) -> None:
     """The kernel's general products per stream, pinned, and the table's apart.
 
-    A gamma^+-1 step takes one rect_mul, a translation one more and any
-    other gamma^e step four.  The row after a word's first syllable
-    (m, n, e) is gamma^e's bottom row, read from the table, so first rows
-    take no products.  Every later syllable of both streams' evaluated
-    words, 184 and 34, is a nontrivial block and a gamma^+-1 step, two
-    products each: 180 of them in the first stream, 32 in the second.  So
-    360 and 64; with the first rows stepped and kept per first syllable
-    the counts were 374 and 69, and 684 and 123 with neither.  The
-    table's builds take 28 and 4 products of their own.
+    A later syllable's block takes one rect_mul, a gamma^+-1 step one more
+    and any other gamma^e step four.  A word's first syllable costs
+    nothing, and its second nothing when the word shares its first
+    exponent and second syllable with the word before (the slot).  On a
+    slot miss after z or z^-1, whose rows are exact, the second syllable
+    takes no product when its exponent is 1, one (r2 * c) when it is -1
+    and two for a longer power; after any other first power it is
+    stepped, 2 or 5 products.
+      - (6,3), 2000 positions: 184 words, none past 2 syllables, so no
+        later syllable and no slot hit.  4 have one syllable, 92 end in z
+        (0) and 88 in z^-1 (1 each): 88.
+      - (2,1), the whole stream: 34 words; 2, 16 (0) and 16 (1): 16.
+      - (3,2), 20000 positions: 3751 words, 4 of one syllable and 3011
+        slot hits.  The 736 misses take 272 * 0 + 272 * 1 + 96 * 2 after
+        z^+-1 and 96 * 2 after z^+-2, 656 in all, and the 3459 later
+        syllables, each a block and a gamma^+-1 step, 6918: 7574.
+    These were 360, 64 and 14,700 when every second syllable was
+    stepped, 374 and 69 when the first rows were stepped too, and 684
+    and 123 before that.  The tables take 29, 5 and 25 products: the
+    multiples m*a and n*b, eight per power gamma^+-2 and one for 1*c.
     """
     kernel, table = _count_products(monkeypatch)
     for (max_d, max_exp, budget), words, expected, built in (
-        ((6, 3, 2000), 2000, 360, 28),
-        ((2, 1, 10000), 145, 64, 4),
+        ((6, 3, 2000), 2000, 88, 29),
+        ((2, 1, 10000), 145, 16, 5),
+        ((3, 2, 20000), 20000, 7574, 25),
     ):
         kernel.clear()
         table.clear()
@@ -616,13 +692,16 @@ def test_scan_rect_mul_count(monkeypatch) -> None:
 def test_scan_table_builds_each_factor_once(monkeypatch) -> None:
     """One (6,3) scan box builds each block's offset and each product once.
 
-    The scan asks its table for 142 syllables, which share 49 blocks
-    (m, n).  Each nontrivial block's offset is built and checked once:
-    that of x^m is the multiple m*a and that of y^n the multiple n*b, one
-    rect_mul each, 6 nonzero m and 6 nonzero n, and a two-axis block adds
-    the two.  The powers gamma^+-2 and gamma^+-3 take four products
-    each, so the table's builds call rect_mul 12 + 16 = 28 times; with an
-    offset built per syllable it took 260.
+    The table holds no entry per syllable: the scan's 184 words and 92
+    Run leads use 142 syllables, which share 49 blocks (m, n) and 4
+    exponents.  Each of the 48 nontrivial blocks' offsets is built and
+    checked once: that of x^m is the multiple m*a and that of y^n the
+    multiple n*b, one rect_mul each, 6 nonzero m and 6 nonzero n, and a
+    two-axis block adds the two.  The powers gamma^+-2 take eight
+    products each and 1*c one, so the table's builds call rect_mul
+    12 + 16 + 1 = 29 times: 48 offsets and 4 powers, where the syllable
+    table held 142 entries, and with an offset built per syllable it
+    took 260 products.
     """
     checked, built = Counter(), []
     real_check, real_gens = words_module._check_finite, words_module.gens_from_params
@@ -638,13 +717,17 @@ def test_scan_table_builds_each_factor_once(monkeypatch) -> None:
     _, products = _count_products(monkeypatch)
     monkeypatch.setattr(words_module, "_check_finite", counting_check)
     monkeypatch.setattr(words_module, "gens_from_params", keeping_gens)
-    assert _scan_reference_point(6, 3, 2000).words_scanned == 2000
+    verdict = _scan_reference_point(6, 3, 2000)
+    assert verdict.words_scanned == 2000
     [gens] = built
-    assert len(gens) == 142
-    blocks = {(m, n) for m, n, _ in gens}
+    read = [verdict.stream.segments[k] for k in verdict.stream.first_scan]
+    syllables = {s for x in read for s in (x.prefix[:1] if isinstance(x, Run) else x.syllables)}
+    assert (len(read), len(syllables)) == (184 + 92, 142)
+    blocks = {(m, n) for m, n, _ in syllables}
     assert len(blocks) == 49
     blocks.remove((0, 0))
     assert set(gens._offsets) == blocks
+    assert sorted(gens._unboxed_powers) == sorted({e for _, _, e in syllables}) == [-2, -1, 1, 2]
     offsets = Counter(what for what in checked.elements() if what.startswith("the offset"))
     assert offsets == Counter(f"the offset of x^{m} y^{n}" for m, n in blocks)
     a, b = gens.a.endpoints(), gens.b.endpoints()
@@ -653,7 +736,7 @@ def test_scan_table_builds_each_factor_once(monkeypatch) -> None:
         ((float(n), float(n), 0.0, 0.0), b) for _, n in blocks if n
     }
     assert len(multiples) == 12 and set(multiples.values()) == {1}
-    assert sum(products.values()) == 28
+    assert sum(products.values()) == 29
 
 
 def _outcome(call):
@@ -700,7 +783,7 @@ def test_scan_caches_are_bit_identical_to_fresh_builds() -> None:
         syllables = [s for w in pool for s in w.syllables]
         rng.shuffle(syllables)
         for s in syllables:
-            _outcome(lambda: warm[s])
+            _outcome(lambda: warm.entry(s))
         order = rng.sample(pool, len(pool))
         warm_bounds = {w: _outcome(lambda: lower_left_bounds(warm, w.syllables)) for w in order}
         for w in pool:
@@ -709,8 +792,8 @@ def test_scan_caches_are_bit_identical_to_fresh_builds() -> None:
             assert _hex_outcome(bounds) == _hex_outcome(warm_bounds[w]), (box.path, str(w))
             raised += isinstance(bounds, str)
             for s in w.syllables:
-                entry = _outcome(lambda: fresh[s])
-                assert _hex_outcome(entry) == _hex_outcome(_outcome(lambda: warm[s]))
+                entry = _outcome(lambda: fresh.entry(s))
+                assert _hex_outcome(entry) == _hex_outcome(_outcome(lambda: warm.entry(s)))
     assert raised > 1000
 
 
@@ -757,7 +840,7 @@ def test_inherited_table_keeps_every_bit() -> None:
     for parent in parents:
         warm = gens_from_params(parent)
         for s in syllables:
-            _outcome(lambda: warm[s])
+            _outcome(lambda: warm.entry(s))
         offsets, powers = dict(warm._offsets), dict(warm._unboxed_powers)
         children = [(axis, child) for axis in (0, 2, 3, 4, 5) for child in _halves(parent, axis)]
         bounds = parent.to_bounds()
@@ -770,8 +853,8 @@ def test_inherited_table_keeps_every_bit() -> None:
             assert set(inherited._offsets) == {block for block in offsets if keep(*block)}
             assert inherited._unboxed_powers == (powers if axis < 4 else {})
             for s in syllables:
-                entry = _outcome(lambda: inherited[s])
-                assert _hex_outcome(entry) == _hex_outcome(_outcome(lambda: fresh[s])), (axis, s)
+                entry = _outcome(lambda: inherited.entry(s))
+                assert _hex_outcome(entry) == _hex_outcome(_outcome(lambda: fresh.entry(s))), (axis, s)
                 raised += isinstance(entry, str)
         assert (warm._offsets, warm._unboxed_powers) == (offsets, powers)
     assert raised > 100
@@ -892,7 +975,7 @@ def test_gamma_unit_steps_match_the_general_step() -> None:
         r2 = _endpoints(rng) + _endpoints(rng)
         for e in (1, -1):
             row = words_module._bottom_row(gens, ((0, 0, e),), (r1, r2))
-            g11, g12, g21, g22 = gens[0, 0, e][1]
+            g11, g12, g21, g22 = gens.entry((0, 0, e))[1]
             general = (
                 rect_add(rect_mul(r1, g11), rect_mul(r2, g21)),
                 rect_add(rect_mul(r1, g12), rect_mul(r2, g22)),
@@ -915,8 +998,8 @@ def test_unboxed_table_matches_the_oracle_entries() -> None:
         at_c0 = words_module.GeneratorTriple(gens.a, gens.b, ComplexInterval.point(0.0))
         for m in range(-3, 4):
             for n in range(-3, 4):
-                offset = gens[m, n, 1][0]
-                assert gens[m, n, -2][0] is offset
+                offset = gens.entry((m, n, 1))[0]
+                assert gens.entry((m, n, -2))[0] is offset
                 if m or n:
                     oracle = evaluate_word(Word(((m, n, 1),)), at_c0).m11.endpoints()
                     assert _hex_rects([offset]) == _hex_rects([oracle])
@@ -925,7 +1008,7 @@ def test_unboxed_table_matches_the_oracle_entries() -> None:
         for e in [k for k in range(-40, 41) if k]:
             g = evaluate_word(Word(((0, 0, e),)), gens)
             oracle = [x.endpoints() for x in (g.m11, g.m12, g.m21, g.m22)]
-            assert _hex_rects(gens[0, 0, e][1]) == _hex_rects(oracle), e
+            assert _hex_rects(gens.entry((0, 0, e))[1]) == _hex_rects(oracle), e
     # gamma^+-400 overflows at c = 10: the table's build raises, every time
     p = Params(4.0, 1.0 + math.sqrt(3.0) * 1j, 10.0)
     near = ParamBox.from_bounds(
@@ -936,7 +1019,7 @@ def test_unboxed_table_matches_the_oracle_entries() -> None:
         for e in (400, -400):
             for _ in range(2):
                 with pytest.raises(ValueError):
-                    gens[0, 0, e]
+                    gens.entry((0, 0, e))
             with pytest.raises(ValueError):
                 evaluate_word(Word(((0, 0, e),)), gens)
 
