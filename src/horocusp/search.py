@@ -8,31 +8,30 @@ run to run, capped or complete.
 
 One WordStream serves every box of a run: the cut of the canonical
 stream at the run's caps and word budget, WordStream(max_d, max_exp,
-word_budget_per_box), taken once before the first box.  A segment is
-either the first word of its body, which a box evaluates with
-words.lower_left_bounds, or a Run of later body twins (see the words
-module's lemma), which a box counts and does not evaluate.  Boxes name
-words by their index in the stream's segments, and ties go to the
-earliest, the canonical least.  Every word a box evaluates is a Word
-segment, so no index names a twin.  A twin has the [L, U] of its body's
-first word bit for bit and comes after that word, so it cannot decide
-the box sooner, be an earlier candidate or win a near-miss tie; it
-counts as scanned, toward the budget too.  Its own evaluation could
-overflow only where its leading block's offset or its leading power of
-gamma does, so a box with no enclosing box reads those from its table,
-once per lead: an offset or a power read once without raising never
-raises.
+word_budget_per_box), taken once before the first box.  It holds the
+cut's Words, the first words of their bodies, which a box evaluates with
+words.lower_left_bounds, and counts the cut's later body twins (see the
+words module's lemma), which no box evaluates.  Boxes name words by
+their index in the stream's words, and ties go to the earliest, the
+canonical least.  A twin has the [L, U] of its body's first word bit for
+bit and comes after that word, so it cannot decide the box sooner, be an
+earlier candidate or win a near-miss tie; it counts as scanned, toward
+the budget too.  Only its leading block's offset could raise at a twin
+first, so a box with no enclosing box reads the offset of each of the
+stream's blocks from its table once, before its first word: by the words
+module's twin reads, that raises where the twins' evaluations would, and
+changes no verdict.  So a scan has one path, the kernel on a Word.
 
 The stream is the cut: the segments through the first whose words reach
 the budget, or all of them.  A child box's hint is its parent's near
 miss, unless SearchConfig.use_parent_word_hint is off, and a root box
 has none.  A scan evaluates the hint first, and a hint that kills the
-box counts as its one word.  Otherwise the scan visits the cut in order,
-the hint in its place, and a killer counts the words through its own
-segment, and the hint's when it lies after it.  The candidate, the least
-index with U < 1, and the near miss, the least (U, index) among kept
-words with L < 1, do not depend on that order, so the hint only moves
-its kill test to the front.  A near miss is an evaluated Word of the
+box counts as its one word.  Otherwise the scan visits the cut's words in
+order, the hint in its place, and a killer counts the words of the cut
+through it, twins included, and the hint when it lies after it.  The
+candidate, the least index with U < 1, and the near miss, the least
+(U, index) among kept words with L < 1, do not depend on that order, so
+the hint only moves its kill test to the front.  A near miss is an evaluated Word of the
 cut, a key of its verdict's live, and a box that no word kills scans
 the cut's words, capped at the budget, which is WordStream.scanned.  An
 Undecided verdict records its stream, and a child is scanned on it, so
@@ -40,7 +39,7 @@ every box of a run reads the root's cut.
 
 A box scans only what its parent left open, and re-evaluates only what
 its split can change.  A child takes its parent's Undecided verdict,
-which carries live, a dict from each Word of the cut the parent
+which carries live, a dict from each word of the cut the parent
 evaluated whose L stayed below _DEAD_LO, in ascending order, to the
 (L, U) it found there, the parent's table and its stream.  The child
 visits live's positions only; a position absent from live never
@@ -80,15 +79,15 @@ classification, kept rule and near-miss tie rule, so verdicts, near
 misses, hints, live and report bytes are those of a scan that evaluates
 every word.
 
-A child reads no Run lead.  Its parent scanned the whole cut without
-raising, so the root read the offset and power of every lead in the cut
-and found them finite.  Each offset and power of a box's table comes from
-its generators by the isotone builds above, so it lies inside the one of
-every enclosing box and is finite too: reading it cannot raise.  A
-child's table starts from its parent's (words.GeneratorTriple.inherit),
-keeping each offset and power whose generators' endpoints the split left
-as they were, bit for bit, since it would be built from the same floats
-by the same operations, and starting with an empty slot.
+A child reads no block offset.  Its parent scanned the whole cut without
+raising, so the root read every block's offset and found it finite.  Each
+offset and power of a box's table comes from its generators by the
+isotone builds above, so it lies inside the one of every enclosing box
+and is finite too: reading it cannot raise.  A child's table starts
+from its parent's (words.GeneratorTriple.inherit), keeping each offset
+and power whose generators' endpoints the split left as they were, bit
+for bit, since it would be built from the same floats by the same
+operations, and starting with an empty slot.
 """
 
 import json
@@ -111,7 +110,6 @@ from .words import (
     MAX_EXP,
     GeneratorTriple,
     KillerVerdict,
-    Run,
     Word,
     WordStream,
     classify_bounds,
@@ -236,11 +234,11 @@ class BoxVerdict:
     """Outcome of testing one box.
 
     word is the eliminating word or the candidate word at the earliest
-    segment index.  near_miss is the segment index of the scanned word
-    with the smallest upper bound on the lower-left entry; it is the
+    index in the stream's words.  near_miss is the index of the scanned
+    word with the smallest upper bound on the lower-left entry; it is the
     children's hint and is never serialized.  An Undecided verdict also
-    carries live, a dict from the ascending segment indices of the Words
-    its children still evaluate to the (L, U) found here, which a child
+    carries live, a dict from the ascending indices of the words its
+    children still evaluate to the (L, U) found here, which a child
     may reuse in place of a kernel run, table, the box's GeneratorTriple,
     from which the children's tables start, and stream, the WordStream it
     was scanned on, which its children read.  Each child takes the verdict
@@ -368,31 +366,32 @@ def test_box(
     when there is a parent, else WordStream(cfg.max_d, cfg.max_exp,
     cfg.word_budget_per_box), built once the box is found feasible.  A
     stream whose key is not cfg's raises ValueError, whether it is given
-    or parent's; streams with one key hold equal segments.  Words are
-    named by their index in stream.segments, and ties go to the earliest,
-    the canonical least.  The stream is the cut: every word of it counts
-    as scanned, so a box that no word kills reports stream.scanned, and a
-    killer the words through its own segment.  Every box of a run reads
-    the root's cut (see the module docstring).
+    or parent's; streams with one key are equal.  Words are named by
+    their index in stream.words, and ties go to the earliest, the
+    canonical least.  The stream is the cut: every word of it, twins
+    included, counts as scanned, so a box that no word kills reports
+    stream.scanned, and a killer the words through it, stream.ends.
+    Every box of a run reads the root's cut (see the module docstring).
 
     parent is None, or the Undecided verdict of an enclosing box, with its
     live, table and stream; any other verdict, such as a decided one or a
-    leaf whose three run_search cleared, raises ValueError, and so does a
-    near miss that is not a key of its live.  With cfg.use_parent_word_hint
-    set, parent's near miss is the hint, evaluated first; a hint that kills
-    the box is the verdict's one scanned word, and a killer found later
-    counts the hint too when it lies after it.  A root box has no hint.
-    The scan then visits in order the keys of one dict, the hint in its
-    place with the bounds found first: stream.first_scan without a parent,
-    parent.live with one.  first_scan holds every Word, and each Run whose
-    leading syllable no earlier Run had.  Such a Run's leading block offset
-    and power are read from the box's table (GeneratorTriple.entry), as
-    its words' evaluations would read them, so an overflow there raises
-    ValueError.  Every other Run's words, and
-    every Word absent from the dict, count as scanned without being
-    evaluated: a twin has the [L, U] of its body's first word, scanned
-    before it, and a word absent from parent.live was ruled out on the
-    enclosing box (see the module docstring).
+    leaf whose three run_search cleared, raises ValueError, and so do a
+    live whose first or last key lies outside the indices of its stream's
+    words and a near miss that is not a key of its live.  With
+    cfg.use_parent_word_hint set, parent's near miss is the hint,
+    evaluated first; a hint that kills the box is the verdict's one
+    scanned word, and a killer found later counts the hint too when it
+    lies after it.  A root box has no hint.  A box with no parent reads
+    the offset of each of stream.blocks from its table
+    (GeneratorTriple.offset) before its first word, as its twins'
+    evaluations would read them, so an overflow there raises ValueError
+    (see the words module's twin reads).  The scan then visits in order
+    the keys of one dict, the hint in its place with the bounds found
+    first: stream.first_scan, every word, without a parent, parent.live
+    with one.  A twin, and every word absent from the dict, counts as
+    scanned without being evaluated: a twin has the [L, U] of its body's
+    first word, scanned before it, and a word absent from parent.live was
+    ruled out on the enclosing box (see the module docstring).
 
     This box's table starts from parent.table (GeneratorTriple.inherit),
     and a word of parent.live, the hint too, whose m21 reads none of the
@@ -401,7 +400,7 @@ def test_box(
     kernel run, bit for bit the same (see the module docstring); a word
     whose value there is None is evaluated.  An Undecided verdict carries,
     for its children, its stream, its own table and its live: each visited
-    Word whose L stays below _DEAD_LO here, with its (L, U).  A position
+    word whose L stays below _DEAD_LO here, with its (L, U).  A position
     absent from parent.live never re-enters, and parent is never changed,
     since siblings share it.  The verdict's kernel_runs counts the kernel
     calls.
@@ -412,7 +411,11 @@ def test_box(
         held = (parent.live, parent.table, parent.stream)
         if parent.status is not BoxStatus.UNDECIDED or any(x is None for x in held):
             raise ValueError("parent must be an Undecided verdict with its live, table and stream")
-        if parent.near_miss is not None and parent.near_miss not in parent.live:
+        # live ascends, so its first and last keys bound the others
+        live, size = parent.live, len(parent.stream.words)
+        if live and (next(iter(live)) < 0 or next(reversed(live)) >= size):
+            raise ValueError(f"parent's live has a key outside range({size}), its stream's words")
+        if parent.near_miss is not None and parent.near_miss not in live:
             raise ValueError(f"parent's near miss {parent.near_miss!r} is not a key of its live")
         given["the parent's stream"] = parent.stream
         stream = parent.stream if stream is None else stream
@@ -424,26 +427,30 @@ def test_box(
         return BoxVerdict(box, BoxStatus.ELIMINATED_INFEASIBLE)
     if stream is None:
         stream = WordStream(*key)
-    segments = stream.segments
+    words = stream.words
 
     # looked up on the words module, where perfbench's tracer wraps it
     gens = _words.gens_from_params(box)
-    # positions in ascending order, each with the (L, U) it may reuse or None
-    visit = stream.first_scan if parent is None else parent.live
-    if parent is not None:
-        changed, masks = gens.inherit(parent.table), stream.masks()
+    # visit: positions in ascending order, each with the (L, U) it may reuse or None
+    if parent is None:
+        # the twins' one read that can raise first (see the words module's twin reads)
+        for block in stream.blocks:
+            gens.offset(*block)
+        visit = stream.first_scan
+    else:
+        visit, changed, masks = parent.live, gens.inherit(parent.table), stream.masks()
     kernel = lower_left_bounds
     runs = 0
 
     if hint is not None:
         hint_hit = visit[hint]
         if hint_hit is None or masks[hint] & changed:
-            hint_hit = kernel(gens, segments[hint].syllables)
+            hint_hit = kernel(gens, words[hint].syllables)
             runs += 1
         # only U < 1 decides a box; classify_bounds says which way
         if hint_hit[1] < 1.0 and classify_bounds(*hint_hit) is KillerVerdict.ELIMINATES:
             return BoxVerdict(
-                box, BoxStatus.ELIMINATED_KILLER, segments[hint], None, 1, kernel_runs=runs
+                box, BoxStatus.ELIMINATED_KILLER, words[hint], None, 1, kernel_runs=runs
             )
 
     dead_lo = _DEAD_LO
@@ -454,13 +461,7 @@ def test_box(
         if k == hint:
             hit = hint_hit
         elif hit is None or masks[k] & changed:
-            segment = segments[k]
-            if segment.__class__ is Run:
-                # only the leading syllable's offset and power can raise where
-                # the twins' own evaluations would, so read them for their errors
-                gens.entry(segment.prefix[0])
-                continue
-            hit = kernel(gens, segment.syllables)
+            hit = kernel(gens, words[k].syllables)
             runs += 1
         lo, hi = hit
         if hi < 1.0:
@@ -468,7 +469,7 @@ def test_box(
                 # the words through this one, and the hint when it lies after it
                 done = stream.ends[k] + (hint is not None and k < hint)
                 return BoxVerdict(
-                    box, BoxStatus.ELIMINATED_KILLER, segments[k], None, done, kernel_runs=runs
+                    box, BoxStatus.ELIMINATED_KILLER, words[k], None, done, kernel_runs=runs
                 )
             if candidate is None:
                 candidate = k
@@ -481,7 +482,7 @@ def test_box(
 
     scanned = stream.scanned
     if candidate is not None:
-        word = segments[candidate]
+        word = words[candidate]
         return BoxVerdict(
             box, BoxStatus.CANDIDATE, word, volume_bound(word), scanned, kernel_runs=runs
         )

@@ -99,8 +99,26 @@ enumerate_words expands the segments, so the walk that orders the stream
 is this one.  A WordStream is the cut of the canonical stream within caps
 (max_d, max_exp) for one word budget: the segments through the first
 whose words reach the budget, taken once, named by those three numbers.
-Scans name words by segment index: every word a scan evaluates is a
-Word segment, and segments come in stream order.
+It keeps the cut's Words, which scans name by index, and counts its
+twins.
+
+Twin reads: a scan evaluates no twin, yet it raises and decides where a
+scan that evaluates every word in stream order would.  A twin r_1 B reads
+what the first word of its body B reads, which comes before it, and r_1's
+offset besides, so only that offset could raise first at the twin.  A
+scan with no enclosing box reads the offset of each leading block of the
+cut's Runs once, in stream order, before its first word, and that
+raises where the twins would, by three facts about the cut:
+
+(i) nothing in the d = 1 bucket can decide or raise but a twin's
+    leading offset: its Words are z and y z^-1, whose |m21| is 1
+    exactly, and y's offset 1*b is b's finite endpoints;
+(ii) every block's first Run is its d = 1 twin x^m y^n z, so the first
+    offset to overflow is the same block's in both scans, and raises
+    before any word can decide;
+(iii) a later lead's power gamma^e1 was already built by an earlier Word
+    of the cut: z^e1, or y z^e1 for e1 < 0, the first word of the stream
+    to lead with e1.
 
 Reads: m21_reads(syllables) is the set of generators, as GEN_A, GEN_B and
 GEN_C bits, whose endpoints the kernel's m21 reads.  It walks the
@@ -453,63 +471,60 @@ class WordStream:
 
     WordStream(max_d, max_exp, budget) takes enumerate_segments(max_d,
     max_exp) once, through the first segment whose words reach budget, or
-    to its end; nothing past the cut is taken.  Its Words, each the first
-    of its body, are what a scan evaluates, and its Runs hold later twins,
-    whose words a scan counts as scanned (see test_box).  key is
-    (max_d, max_exp, budget): two streams with one key hold equal segments,
-    so a scan checks a stream by its key alone.
+    to its end; nothing past the cut is taken.  It keeps only what a scan
+    reads (see search.test_box).  key is (max_d, max_exp, budget): two
+    streams with one key are equal, so a scan checks a stream by its key
+    alone.
 
-    segments holds the cut's segments, in stream order, ends[k] the number
-    of words in segments[0..k], and scanned, min(budget, ends[-1]), the
-    words a scan that no word decides counts.  first_scan maps each index
-    a scan with no enclosing box visits to None, in order: every Word, and
-    each Run whose leading syllable no earlier Run had, since an offset or
-    a power that was read once without raising never raises.  A scan reads it as a
-    child reads its parent's live, where a value is an (L, U) to reuse and
-    None is none (see search.test_box).  Scans name a word by the index of
-    its Word segment and break ties by the earliest, the canonical least.
-    budget must be at least 1, else ValueError, and the caps are checked
-    as enumerate_segments checks them.  masks() gives, by segment index,
-    the generators each Word's m21 reads (m21_reads), for scans that reuse
-    a parent box's bounds.
+    words holds the cut's Word segments, each the first of its body, in
+    stream order: the words a scan evaluates, which scans name by their
+    index here, ties going to the earliest, the canonical least.  ends[k]
+    is the number of words of the cut through words[k], the twins before
+    it included, and scanned, min(budget, the cut's words), the words a
+    scan that no word decides counts.  A twin is counted, never evaluated.
+    blocks holds the distinct leading blocks (m, n) of the cut's Runs, in
+    stream order: the offsets a scan with no enclosing box reads for the
+    twins' errors (see the module docstring's twin reads).  first_scan
+    maps every index of words to None, in order; a scan with no enclosing
+    box reads it as a child reads its parent's live, where a value is an
+    (L, U) to reuse and None is none.  budget must be at least 1, else
+    ValueError, and the caps are checked as enumerate_segments checks
+    them.  masks() gives, by index, the generators each word's m21 reads
+    (m21_reads), for scans that reuse a parent box's bounds.
     """
 
-    __slots__ = ("key", "segments", "ends", "first_scan", "scanned", "_masks")
+    __slots__ = ("key", "words", "ends", "blocks", "first_scan", "scanned", "_masks")
 
     def __init__(self, max_d: int, max_exp: int, budget: int) -> None:
         if budget < 1:
             raise ValueError(f"budget must be at least 1, got {budget!r}")
-        segments: List[Segment] = []
+        words: List[Word] = []
         ends: List[int] = []
-        first_scan: Dict[int, None] = {}
-        leads = set()
-        words = 0
-        for at, segment in enumerate(enumerate_segments(max_d, max_exp)):
+        # a dict keeps each block where it first came
+        blocks: Dict[Tuple[int, int], None] = {}
+        count = 0
+        for segment in enumerate_segments(max_d, max_exp):
             if segment.__class__ is Run:
-                words += segment.count
-                if segment.prefix[0] not in leads:
-                    leads.add(segment.prefix[0])
-                    first_scan[at] = None
+                count += segment.count
+                blocks[segment.prefix[0][:2]] = None
             else:
-                words += 1
-                first_scan[at] = None
-            segments.append(segment)
-            ends.append(words)
-            if words >= budget:
+                count += 1
+                words.append(segment)
+                ends.append(count)
+            if count >= budget:
                 break
-        self.key, self.segments, self.ends = (max_d, max_exp, budget), segments, ends
-        self.first_scan, self.scanned, self._masks = first_scan, min(budget, words), None
+        self.key, self.words, self.ends = (max_d, max_exp, budget), words, ends
+        self.blocks, self.scanned, self._masks = list(blocks), min(budget, count), None
+        self.first_scan = dict.fromkeys(range(len(words)))
 
     def masks(self) -> List[int]:
-        """m21_reads of each Word segment, and GEN_ALL for each Run, built on the first call.
+        """m21_reads of each word, built on the first call.
 
         A scan with a parent's table reads them (see search.test_box), so
         a stream that only root boxes scan never builds them.
         """
         if self._masks is None:
-            self._masks = [
-                GEN_ALL if s.__class__ is Run else m21_reads(s.syllables) for s in self.segments
-            ]
+            self._masks = [m21_reads(w.syllables) for w in self.words]
         return self._masks
 
 
@@ -553,14 +568,15 @@ class GeneratorTriple:
     gamma^e for each exponent e, each built on first use and kept.  Both
     come from the endpoints of a, b and c by the operations evaluate_word
     applies to their intervals, so each rectangle is bit-identical to the
-    entry of the oracle's factor.  No entry is kept per syllable: entry
-    gives one syllable's (offset, gamma^e) from the two tables, building
-    the offset first, as the oracle does, and raises ValueError where
-    either overflows, as building those intervals does: each offset and
-    power is checked, and an overflow inside the sums and products that
-    make it leaves a non-finite endpoint.  The kernel reads the tables
-    directly, c's rectangle for a gamma^+-1 step, and 1*c and -c, built
-    here once, for the rows after z and z^-1.  It also keeps one slot
+    entry of the oracle's factor.  No entry is kept per syllable: offset
+    gives one block's offset, and entry one syllable's (offset, gamma^e)
+    from the two tables, building the offset first, as the oracle does;
+    each raises ValueError where what it builds overflows, as building
+    those intervals does: each offset and power is checked, and an
+    overflow inside the sums and products that make it leaves a
+    non-finite endpoint.  The kernel reads the tables directly, c's
+    rectangle for a gamma^+-1 step, and 1*c and -c, built here once, for
+    the rows after z and z^-1.  It also keeps one slot
     here, the row after the first two syllables of the last word it
     evaluated with two or more (see lower_left_bounds).  inherit starts
     a child box's tables from its parent's offsets and powers and names
@@ -616,9 +632,9 @@ class GeneratorTriple:
         first overflowing factor does.
         """
         m, n, e = syllable
-        return (self._offset(m, n) if m or n else None), self._unboxed_power(e)
+        return (self.offset(m, n) if m or n else None), self._unboxed_power(e)
 
-    def _offset(self, m: int, n: int) -> tuple:
+    def offset(self, m: int, n: int) -> tuple:
         """The offset m*a + n*b of a nontrivial block, checked once and kept.
 
         The offset of x^m is m*a and that of y^n is n*b, the oracle's
@@ -630,7 +646,7 @@ class GeneratorTriple:
         hit = offsets.get((m, n))
         if hit is None:
             if m and n:
-                hit = rect_add(self._offset(m, 0), self._offset(0, n))
+                hit = rect_add(self.offset(m, 0), self.offset(0, n))
             elif m:
                 hit = rect_mul(_point(m), self.a.endpoints())
             else:
@@ -793,7 +809,7 @@ def lower_left_bounds(gens: GeneratorTriple, syllables: tuple) -> tuple:
     m, n, e1 = syllables[0]
     if (m or n) and (m, n) not in gens._offsets:
         # the row skips the leading block, but its offset's overflow raises
-        gens._offset(m, n)
+        gens.offset(m, n)
     if len(syllables) == 1:
         row = gens._unboxed_power(e1)[2:]
     else:
@@ -837,7 +853,7 @@ def _row_after_unit(gens: GeneratorTriple, e1: int, second: Syllable) -> tuple:
     before gamma^e, as the oracle builds them.
     """
     m, n, e = second
-    t = gens._offset(m, n) if m or n else _ZERO
+    t = gens.offset(m, n) if m or n else _ZERO
     if e1 == 1:
         s, r2, s_c, minus_s = _ONE, t, gens._one_c, _MINUS_ONE
     else:
@@ -874,7 +890,7 @@ def _bottom_row(gens: GeneratorTriple, syllables: Iterable[Syllable], row: tuple
     for m, n, e in syllables:
         if m or n:
             # times [[1, t], [0, 1]]: m21 * 1 + m22 * 0 is m21 exactly
-            t = offsets.get((m, n)) or gens._offset(m, n)
+            t = offsets.get((m, n)) or gens.offset(m, n)
             r2 = rect_add(rect_mul(r1, t), r2)
         if e == 1:
             # times [[c, -1], [1, 0]], the exact entries resolved

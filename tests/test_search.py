@@ -42,7 +42,7 @@ from horocusp.words import (
     volume_bound,
 )
 
-from test_words import _AXIS_GENERATOR, _expanded
+from test_words import _AXIS_GENERATOR, _expanded, _outcome
 
 SLICE_BOUNDS = [[1.0, 1.2], [0.0, 0.0], [0.0, 0.0], [4.0, 4.0], [-0.7, -0.4], [0.0, 0.0]]
 # finite endpoints whose b_re width 3.4e308 overflows to inf
@@ -233,7 +233,7 @@ def test_box_budget_and_near_miss():
     stream = WordStream(2, 1, 10000)
     v2 = test_box(lined, stream, _cfg())
     assert v2.status is BoxStatus.UNDECIDED
-    assert stream.segments[v2.near_miss] == parse_word("z x z")
+    assert stream.words[v2.near_miss] == parse_word("z x z")
 
 
 def test_box_hint_scanned_first():
@@ -242,7 +242,7 @@ def test_box_hint_scanned_first():
         [[1.0, 1.1], [0.0, 0.0], [0.0, 0.0], [4.0, 4.0], [-0.6, -0.5], [0.0, 0.0]]
     )
     stream = WordStream(2, 1, 10000)
-    hint = stream.segments.index(parse_word("z x z"))
+    hint = stream.words.index(parse_word("z x z"))
     assert hint > 0
     # a parent whose live is the root's first scan, so only the hint differs
     parent = _given_parent(box, stream, stream.first_scan, near_miss=hint)
@@ -301,7 +301,7 @@ def test_near_miss_tie_rule(monkeypatch) -> None:
         if hint is not None:
             parent = _given_parent(box, stream, range(len(order)), near_miss=order.index(hint))
         v = test_box(box, stream, _cfg(), parent=parent)
-        return v, None if v.near_miss is None else stream.segments[v.near_miss]
+        return v, None if v.near_miss is None else stream.words[v.near_miss]
 
     def near_miss(order, hint=None):
         v, miss = scan(order, hint)
@@ -570,7 +570,7 @@ def test_four_syllable_words_capped_cover_golden() -> None:
         area_bound=1.2, max_d=4, max_exp=1, max_depth=12, word_budget_per_box=20000, max_boxes=10
     )
     cut = WordStream(4, 1, 20000)
-    lengths = Counter(len(s.syllables) for s in cut.segments if isinstance(s, Word))
+    lengths = Counter(len(w.syllables) for w in cut.words)
     assert lengths == {4: 7424, 3: 512, 2: 32, 1: 2}
     report = run_search(cfg)
     text = report.to_canonical_json().encode()
@@ -620,7 +620,7 @@ def test_box_scan_golden_at_reference_point() -> None:
     stream = WordStream(6, 3, 300)
     v = test_box(box, stream, cfg)
     assert (v.status, v.words_scanned) == (BoxStatus.UNDECIDED, 300)
-    assert str(stream.segments[v.near_miss]) == "z x^-1 z"
+    assert str(stream.words[v.near_miss]) == "z x^-1 z"
 
 
 def test_run_search_repeat_run_byte_determinism() -> None:
@@ -886,19 +886,33 @@ def test_dead_word_skips_keep_report_bytes(monkeypatch, settings) -> None:
         assert runs[twins, dead, True][1] < off or full.boxes_tested == 1
 
 
-class _LeadReads(words_module.GeneratorTriple):
-    """A box's table that records the syllables whose entry the scan reads outside the kernel."""
+class _TableReads(words_module.GeneratorTriple):
+    """A box's table that records what the scan reads from it outside the kernel.
 
-    __slots__ = ("outside",)
+    outside lists each block whose offset is asked for, once per outermost
+    call, and ("entry", syllable) for each entry asked for.
+    """
+
+    __slots__ = ("outside", "depth")
     in_kernel = [False]
 
     def __init__(self, a, b, c) -> None:
         super().__init__(a, b, c)
-        self.outside = []
+        self.outside, self.depth = [], 0
+
+    def offset(self, m, n):
+        # a two-axis block's offset asks for its two one-axis offsets
+        if not self.in_kernel[0] and not self.depth:
+            self.outside.append((m, n))
+        self.depth += 1
+        try:
+            return super().offset(m, n)
+        finally:
+            self.depth -= 1
 
     def entry(self, syllable):
         if not self.in_kernel[0]:
-            self.outside.append(syllable)
+            self.outside.append(("entry", syllable))
         return super().entry(syllable)
 
 
@@ -916,14 +930,15 @@ class _LeadReads(words_module.GeneratorTriple):
     ids=["search-area", "budget-60", "straddle", "straddle-d3", "area-d3"],
 )
 def test_every_box_of_a_run_shares_the_root_cut(monkeypatch, settings) -> None:
-    """Every scanned box of a run stops at one cut, and only the root reads Run leads.
+    """Every scanned box of a run stops at one cut, and only the root reads the twins' blocks.
 
     A box that is neither killed nor infeasible scans the words of the
     segments through the first one whose words reach the budget, cut at
     the budget, as the root does.  Outside the kernel, the root's table is
-    asked only for the leading syllable of each Run before the cut whose
-    lead no earlier Run had, once each, and a child's table for nothing:
-    its parent read every lead of the shared prefix.
+    asked for exactly the offsets of stream.blocks, in order, the distinct
+    leading blocks of the cut's Runs, whether or not a word then kills the
+    root, and for no entry; a child's table is asked for nothing: the root
+    read every block of the shared cut.
     """
     cfg = SearchConfig(**settings)
     budget, cut, words = cfg.word_budget_per_box, [], 0
@@ -932,24 +947,24 @@ def test_every_box_of_a_run_shares_the_root_cut(monkeypatch, settings) -> None:
             break
         cut.append(segment)
         words += segment.count if isinstance(segment, Run) else 1
-    leads = []
+    blocks = []
     for segment in cut:
-        if isinstance(segment, Run) and segment.prefix[0] not in leads:
-            leads.append(segment.prefix[0])
-    assert len(leads) < sum(isinstance(segment, Run) for segment in cut)
+        if isinstance(segment, Run) and segment.prefix[0][:2] not in blocks:
+            blocks.append(segment.prefix[0][:2])
+    assert len(blocks) < sum(isinstance(segment, Run) for segment in cut)
 
     tables, verdicts = {}, []
     real_kernel, real_test_box = search_module.lower_left_bounds, search_module.test_box
 
     def kernel(gens, syllables):
-        _LeadReads.in_kernel[0] = True
+        _TableReads.in_kernel[0] = True
         try:
             return real_kernel(gens, syllables)
         finally:
-            _LeadReads.in_kernel[0] = False
+            _TableReads.in_kernel[0] = False
 
     def recording_gens(box):
-        tables[box.path] = _LeadReads(box.a(), box.b(), box.c())
+        tables[box.path] = _TableReads(box.a(), box.b(), box.c())
         return tables[box.path]
 
     def recording_test_box(*args, **kwargs):
@@ -963,9 +978,8 @@ def test_every_box_of_a_run_shares_the_root_cut(monkeypatch, settings) -> None:
     assert len(verdicts) == report.boxes_tested
     scanned = [v for v in verdicts if v.status in (BoxStatus.CANDIDATE, BoxStatus.UNDECIDED)]
     assert all(v.words_scanned == min(budget, words) for v in scanned)
-    root = verdicts[0]
-    if root.status is not BoxStatus.ELIMINATED_KILLER:
-        assert tables[""].outside == leads
+    assert WordStream(cfg.max_d, cfg.max_exp, budget).blocks == blocks
+    assert tables[""].outside == blocks
     assert all(table.outside == [] for path, table in tables.items() if path)
     assert len(scanned) > 10 or report.boxes_tested == 1
 
@@ -1065,7 +1079,7 @@ def test_reuse_needs_the_parent_table(monkeypatch) -> None:
         reused = test_box(child, stream, cfg, parent=parent)
         assert reused.kernel_runs == len(calls) < len(parent.live)
         assert _verdict_fields(reused) == _verdict_fields(plain)
-    assert fresh.masks() == [words_module.GEN_ALL] * len(fresh.segments)
+    assert fresh.masks() == [words_module.GEN_ALL] * len(fresh.words)
     bounds = [list(pair) for pair in STRADDLE_BOUNDS]
     bounds[5] = [-0.0, -0.0]
     twin = ParamBox.from_bounds(bounds)
@@ -1075,7 +1089,7 @@ def test_reuse_needs_the_parent_table(monkeypatch) -> None:
     reads_c = [k for k in parent.live if masks[k] & words_module.GEN_C]
     # the parent's near miss, the hint, is evaluated first when it reads c
     first = sorted(reads_c, key=lambda k: k != parent.near_miss)
-    assert calls == [stream.segments[k].syllables for k in first]
+    assert calls == [stream.words[k].syllables for k in first]
     assert 0 < len(reads_c) < len(parent.live)
     assert _verdict_fields(verdict) == _verdict_fields(test_box(root, stream, cfg))
 
@@ -1107,8 +1121,11 @@ def test_box_refuses_a_parent_that_is_not_an_undecided_scan() -> None:
 
     A leaf of a finished run_search has had them cleared, a killer verdict
     never had them, an Undecided verdict without its stream has nothing to
-    read, and a verdict of another status is refused even with all three.  The live=, table= and hint= keywords are gone: passing any
-    of them is a TypeError.
+    read, and a verdict of another status is refused even with all three.
+    A live whose first or last key lies outside the stream's words, such
+    as -1, -3, 66 or one past the last word, is refused too; it used to be
+    read with its index wrapped, or raise IndexError.  The live=, table=
+    and hint= keywords are gone: passing any of them is a TypeError.
     """
     cfg = SearchConfig(**dict(_AREA_15, max_depth=6, word_budget_per_box=2000))
     stream = WordStream(cfg.max_d, cfg.max_exp, cfg.word_budget_per_box)
@@ -1130,6 +1147,15 @@ def test_box_refuses_a_parent_that_is_not_an_undecided_scan() -> None:
         with pytest.raises(ValueError, match="parent must be an Undecided verdict"):
             test_box(child, stream, cfg, parent=parent)
     assert test_box(child, stream, cfg, parent=real).words_scanned
+    size = len(stream.words)
+    for live in ({-1: None}, {-3: None}, {66: None}, {0: None, size: None}):
+        stray = replace(real, live=live, near_miss=None)
+        for given in (stream, None):
+            with pytest.raises(ValueError, match=rf"live has a key outside range\({size}\)"):
+                test_box(child, given, cfg, parent=stray)
+    # the last word is in range: it is evaluated
+    last = replace(real, live={size - 1: None}, near_miss=None)
+    assert test_box(child, stream, cfg, parent=last).kernel_runs == 1
     for keyword, value in (("live", real.live), ("table", real.table), ("hint", real.near_miss)):
         with pytest.raises(TypeError, match=keyword):
             test_box(child, stream, cfg, **{keyword: value})
@@ -1168,15 +1194,19 @@ def test_box_takes_a_parent_only_on_its_own_stream() -> None:
             test_box(child, None, SearchConfig(**_AREA_15), parent=parent)
         want = _verdict_fields(test_box(child, s21, cfg21, parent=parent))
         equal = WordStream(2, 1, 2000)
-        assert equal is not s21 and equal.segments == s21.segments
+        assert equal is not s21
+        assert (equal.words, equal.ends, equal.blocks) == (s21.words, s21.ends, s21.blocks)
         for stream in (None, equal):
             assert _verdict_fields(test_box(child, stream, cfg21, parent=parent)) == want
     # a root scan checks a given stream's key too
     with pytest.raises(ValueError, match="the stream" + cut21 + r"\(3, 2, 2000\)"):
         test_box(root, WordStream(2, 1, 2000), cfg32)
-    stray = next(k for k in range(len(s21.segments)) if k not in parent.live)
-    for near_miss in (stray, -1, len(s21.segments)):
-        bad = replace(parent, near_miss=near_miss)
+    # every word of the root is live, so the stray one is taken out of a copy
+    thinned = {k: hit for k, hit in parent.live.items() if k != parent.near_miss}
+    for live, near_miss in (
+        (thinned, parent.near_miss), (parent.live, -1), (parent.live, len(s21.words))
+    ):
+        bad = replace(parent, live=live, near_miss=near_miss)
         for cfg in (cfg21, SearchConfig(**dict(settings, use_parent_word_hint=False))):
             with pytest.raises(ValueError, match="near miss .* is not a key of its live"):
                 test_box(subdivide(root)[0], s21, cfg, parent=bad)
@@ -1214,7 +1244,7 @@ def test_live_holds_each_kept_words_kernel_bounds(monkeypatch, settings) -> None
         if box.path:
             _, _, handed, near, given, at_return = seen[box.path[:-1]]
             assert kwargs == {"parent": handed} and handed.live is given, box.path
-            hint_kills += verdict.words_scanned == 1 and verdict.word == stream.segments[near]
+            hint_kills += verdict.words_scanned == 1 and verdict.word == stream.words[near]
             if box.path.endswith("1"):
                 # the 0 child was scanned first, so both siblings have read it
                 assert hexed(given) == at_return, box.path
@@ -1233,7 +1263,7 @@ def test_live_holds_each_kept_words_kernel_bounds(monkeypatch, settings) -> None
     for path, (box, stream, _, _, live, _) in seen.items():
         gens = gens_from_params(box)
         for k, (lo, hi) in live.items():
-            want = lower_left_bounds(gens, stream.segments[k].syllables)
+            want = lower_left_bounds(gens, stream.words[k].syllables)
             assert (lo.hex(), hi.hex()) == (want[0].hex(), want[1].hex()), (path, k)
             entries += 1
         if not path:
@@ -1323,31 +1353,31 @@ def test_box_reads_every_stream_form_alike(stream_caps) -> None:
 
     Each box is scanned with no parent, the first scan, and with given
     parents scanned on the shared stream.  A given parent's near miss, the
-    hint, is None or one of four: the box's own near miss, a fixed Word
-    segment, a word ruled out on the box and a word absent from live,
-    which raises ValueError.  The given dead sets have runs of consecutive
-    segment indices, Words and Runs among them, and the given parent's live
-    is the Word indices outside one; the empty set is scanned both with no
-    parent and with every Word index.  None builds its own stream in the
+    hint, is None or one of four: the box's own near miss, a fixed word,
+    a word ruled out on the box and a word absent from live, which raises
+    ValueError.  The given dead sets have runs of consecutive indices of
+    the stream's words, and the given parent's live is the indices outside
+    one; the empty set is scanned both with no parent and with every
+    index.  None builds its own stream in the
     call without a parent and reads the parent's with one, a fresh stream
     is built for each case, and the shared one, cut at the same budget, is
     scanned by every case in turn.  An Undecided verdict's live must also
-    match the one computed word by word: the Word segments of the 1000
-    scanned positions, less the given dead set and those ruled out on the
-    box.
+    match the one computed word by word: the Words among the segments of
+    the 1000 scanned positions, less the given dead set and those ruled
+    out on the box.
     """
     max_d, max_exp = stream_caps
     cfg = SearchConfig(**dict(_AREA_15, max_d=max_d, max_exp=max_exp, word_budget_per_box=1000))
-    # the segments that hold the budget's 1000 positions
-    segments, positions = [], 0
+    # the Words of the segments that hold the budget's 1000 positions
+    words, positions = [], 0
     for segment in enumerate_segments(max_d, max_exp):
         if positions >= 1000:
             break
-        segments.append(segment)
+        words += [] if isinstance(segment, Run) else [segment]
         positions += segment.count if isinstance(segment, Run) else 1
-    word_indices = [k for k, segment in enumerate(segments) if isinstance(segment, Word)]
+    word_indices = range(len(words))
     shared = WordStream(max_d, max_exp, 1000)
-    assert shared.segments == segments
+    assert shared.words == words
     rng = random.Random(4153)
     boxes = [param_space(1.5)]
     for _ in range(5):
@@ -1360,10 +1390,10 @@ def test_box_reads_every_stream_form_alike(stream_caps) -> None:
         first = test_box(box, None, cfg)
         gens = gens_from_params(box)
         dead_lo = search_module._DEAD_LO
-        ruled_out = {k for k in word_indices if lower_left_abs(segments[k], gens).lo >= dead_lo}
+        ruled_out = {k for k in word_indices if lower_left_abs(words[k], gens).lo >= dead_lo}
         runs = [frozenset(), frozenset()]
         runs.append(frozenset(range(3, 40)) | frozenset(range(60, 64)) | frozenset(range(100, 101)))
-        runs.append(frozenset(i for i in range(len(segments)) if (i // 7) % 2))
+        runs.append(frozenset(i for i in word_indices if (i // 7) % 2))
         for case, dead in enumerate(runs):
             live = [k for k in word_indices if k not in dead]
             dead_hint = min(ruled_out - dead, default=None)
@@ -1373,12 +1403,12 @@ def test_box_reads_every_stream_form_alike(stream_caps) -> None:
                 parent = None if case == 0 else _given_parent(box, shared, live, near_miss=hint)
                 forms = [None, WordStream(max_d, max_exp, 1000), shared]
                 if hint in dead:
-                    for words in forms:
+                    for form in forms:
                         with pytest.raises(ValueError, match="is not a key of its live"):
-                            test_box(box, words, cfg, parent=parent)
+                            test_box(box, form, cfg, parent=parent)
                     refused += 1
                     continue
-                verdicts = [test_box(box, words, cfg, parent=parent) for words in forms]
+                verdicts = [test_box(box, form, cfg, parent=parent) for form in forms]
                 assert len({_verdict_fields(v) for v in verdicts}) == 1, (box.path, hint, dead)
                 v = verdicts[0]
                 if v.status is BoxStatus.UNDECIDED:
@@ -1423,46 +1453,87 @@ def _scan_every_word(box, area, words, budget, hint=None, dead=frozenset()):
     return BoxStatus.UNDECIDED, None, None, scanned, near[1], tuple(sorted(live))
 
 
-@pytest.mark.parametrize("stream_caps", [(2, 1), (3, 2), (6, 3)], ids=["d2", "d3", "d6"])
-def test_box_matches_a_scan_of_every_word(stream_caps) -> None:
-    """test_box on the segment stream gives the verdict of a scan that evaluates every word.
+# root points near overflow, searched under this area bound, whose default
+# root is too wide for a ParamBox: each is its own root
+_NEAR_OVERFLOW_AREA = 8.9e307
+_NEAR_OVERFLOW = [
+    # the offset of x^2 overflows; at max_exp 1, nothing does
+    Params(1e308, 0.5 + 1j, 0),
+    # and z x z, whose m21 is a + c = 0.5i, kills the box
+    Params(1e308, 0.5 + 1j, -1e308 + 0.5j),
+    # the offset of y^2 overflows
+    Params(2.0, 1e308j, 1 + 1j),
+    # gamma^2 overflows, and so do bottom rows that multiply c by c
+    Params(2.0, 1.5 + 0.5j, 1e308),
+    # y z x y^-1 z^-1 kills the box before gamma^3 overflows
+    Params(2.0, 1.5 + 0.5j, 1e120),
+]
+
+
+@pytest.mark.parametrize(
+    "stream_caps, reach",
+    [((2, 1), 1400), ((3, 2), 1400), ((6, 3), 1400), ((3, 3), 4800)],
+    ids=["d2", "d3", "d6", "d3e3"],
+)
+def test_box_matches_a_scan_of_every_word(stream_caps, reach) -> None:
+    """test_box gives the verdict, or raises the error, of a scan that evaluates every word.
 
     The boxes are the reference point in its three normalizations, the
-    slice and straddle fixtures, and seeded dyadic boxes of the area-1.5
-    space.  Each is scanned with budgets that end inside a Run, or one
-    past the cut's words, which outlasts the (2, 1) stream, on the stream
-    WordStream(max_d, max_exp, budget), with no parent, and with a
-    given parent whose live is every Word index of the cut or the
-    complement of a dead set: every other position whose word has L >=
-    _DEAD_LO on the box, first words of bodies and twins among them.  The
-    given parent's near miss, the hint, is None or at two bodies' first
-    words, the middle one and the last, or at a dead one.  A hint past the
-    cut or outside live raises ValueError.  The scan of every word
-    takes stream positions; test_box takes the Word segments' indices
-    among them, and its near miss and live are read back as positions, the
-    live ones of the scan of every word kept where a body starts.  The
-    words are the expansion of the real cut at a budget of 1400, all
-    145 at (2, 1), and one segment more, so a budget one past them is cut
-    on the same segments.
+    slice and straddle fixtures, seeded dyadic boxes of the area-1.5
+    space, and root points near overflow: a = 1e308, whose x^2 offset
+    overflows, with c = 0 or with c = -1e308 + 0.5i, where z x z kills;
+    b = 1e308i, whose y^2 offset overflows; c = 1e308; and a = 2,
+    b = 1.5 + 0.5i, c = 1e120, where at (3,3) y z x y^-1 z^-1, segment 111
+    of the stream, kills the box before gamma^3 overflows, though a Run
+    led by gamma^3, segment 623 at position 4763, lies in the cut.  Each is scanned on the stream
+    WordStream(max_d, max_exp, budget) with budgets that end inside a Run,
+    inside the d = 1 bucket or one past it, and one short of the cut's
+    words or one past them, which outlasts the (2, 1) stream.  A point
+    near overflow is scanned as a root, with no parent, and test_box must
+    raise the reference's ValueError, message included, or give its
+    verdict.  The other boxes are also scanned with a given parent whose
+    live is every word of the cut or the complement of a dead set: every
+    other position whose word has L >= _DEAD_LO on the box, first words of
+    bodies and twins among them.  The given parent's near miss, the hint,
+    is None or at two bodies' first words, the middle one and the last, or
+    at a dead one.  A hint past the cut or outside live raises ValueError.
+    The scan of every word takes stream positions; test_box takes the
+    indices of the stream's words, and its near miss and live are read
+    back as positions, the live ones of the scan of every word kept where
+    a body starts.  The words are the expansion of the cut at a budget of
+    reach, 1400, or 4800 at (3,3) to take in that Run, all 145 words at
+    (2, 1), and one segment more, so a budget one past them is cut on the
+    same segments.
     """
     max_d, max_exp = stream_caps
-    edge = WordStream(max_d, max_exp, 1400).ends[-1]
-    segments = WordStream(max_d, max_exp, edge + 1).segments
-    # starts[k] is the stream position of segments[k]'s first word
-    starts, run_starts, position = [], [], 0
+    # the cut at a budget of reach and one segment more; edge is the cut's words
+    segments, position, edge = [], 0, None
+    for segment in enumerate_segments(max_d, max_exp):
+        segments.append(segment)
+        position += segment.count if isinstance(segment, Run) else 1
+        if edge is not None:
+            break
+        edge = position if position >= reach else None
+    edge = position if edge is None else edge
+    # body_starts[k] is the stream position of the stream's k-th word
+    body_starts, run_starts, position, gamma3_at = [], [], 0, math.inf
     for segment in segments:
-        starts.append(position)
         if isinstance(segment, Run):
             run_starts += [position] if segment.count > 1 else []
+            if abs(segment.prefix[0][2]) == 3:
+                gamma3_at = min(gamma3_at, position)
             position += segment.count
         else:
+            body_starts.append(position)
             position += 1
-    body_indices = [k for k, segment in enumerate(segments) if isinstance(segment, Word)]
-    body_starts = {starts[k] for k in body_indices}
     words = [w for w, _ in _expanded(segments)]
-    # a cut one word into a Run of two or more, and a body word as the hint
+    assert [words[at] for at in body_starts] == [s for s in segments if isinstance(s, Word)]
+    d1 = sum(w.z_count == 1 for w in words)
+    # a cut one word into a Run of two or more, inside the d = 1 bucket or
+    # one past it, and one short of the cut's words or one past them
     cuts = [start + 1 for start in run_starts[:: max(1, len(run_starts) // 3)]][:3]
-    body_hint = body_indices[len(body_indices) // 2]
+    budgets = cuts + [2, d1 - 1, d1 + 1, edge - 1, edge + 1]
+    body_hint = len(body_starts) // 2
     rng = random.Random(9161)
     boxes = [
         (ParamBox.from_point(Params(4.0, complex(1.0 + 4.0 * k, math.sqrt(3.0)), 2.0)), 6.0)
@@ -1474,25 +1545,39 @@ def test_box_matches_a_scan_of_every_word(stream_caps) -> None:
         for _ in range(rng.randrange(4, 14)):
             box = subdivide(box)[rng.randrange(2)]
         boxes.append((box, 1.5))
+    boxes += [(ParamBox.from_point(p), _NEAR_OVERFLOW_AREA) for p in _NEAR_OVERFLOW]
+    gamma3_root = boxes[-1][0]
+
+    def as_positions(v):
+        near = None if v.near_miss is None else body_starts[v.near_miss]
+        kept = None if v.live is None else tuple(body_starts[k] for k in v.live)
+        return v.status, v.word, v.volume_bound, v.words_scanned, near, kept
+
     kinds = Counter()
     dead_kinds = Counter()
     for box, area in boxes:
-        gens = gens_from_params(box)
-        lows = [lower_left_bounds(gens, w.syllables)[0] for w in words]
-        dead = frozenset(i for i in range(0, position, 2) if lows[i] >= search_module._DEAD_LO)
-        dead_kinds.update(i in body_starts for i in dead)
-        dead_indices = frozenset(k for k in body_indices if starts[k] in dead)
-        # edge + 1 outlasts the (2, 1) stream, so every position counts there
-        for budget in cuts + [edge - 1, edge + 1]:
+        root_only = area == _NEAR_OVERFLOW_AREA
+        dead, dead_indices = frozenset(), frozenset()
+        if not root_only:
+            gens = gens_from_params(box)
+            lows = [lower_left_bounds(gens, w.syllables)[0] for w in words]
+            dead = frozenset(i for i in range(0, position, 2) if lows[i] >= search_module._DEAD_LO)
+            dead_kinds.update(i in body_starts for i in dead)
+            dead_indices = frozenset(k for k, at in enumerate(body_starts) if at in dead)
+        for budget in budgets:
             stream = WordStream(max_d, max_exp, budget)
-            cut_bodies = [k for k in body_indices if k < len(stream.segments)]
-            open_bodies = [k for k in cut_bodies if k not in dead_indices]
-            lives = [(frozenset(), None), (frozenset(), cut_bodies), (dead, open_bodies)]
+            cut = range(len(stream.words))
+            lives = [(frozenset(), None)]
+            if not root_only:
+                open_bodies = [k for k in cut if k not in dead_indices]
+                lives += [(frozenset(), list(cut)), (dead, open_bodies)]
             cfg = SearchConfig(
-                area_bound=area, max_d=max_d, max_exp=max_exp, word_budget_per_box=budget
+                area_bound=area, max_d=max_d, max_exp=max_exp, word_budget_per_box=budget,
+                root_box=box if root_only else None,
             )
-            for hint in (None, body_hint, body_indices[-1], min(dead_indices, default=None)):
-                at = None if hint is None else starts[hint]
+            hints = [None, body_hint, len(body_starts) - 1, min(dead_indices, default=None)]
+            for hint in hints[:1] if root_only else hints:
+                at = None if hint is None else body_starts[hint]
                 for dead_set, live in lives:
                     if live is None and hint is not None:
                         continue  # a root box has no hint
@@ -1500,20 +1585,25 @@ def test_box_matches_a_scan_of_every_word(stream_caps) -> None:
                     if hint is not None and hint not in live:
                         with pytest.raises(ValueError, match="is not a key of its live"):
                             test_box(box, stream, cfg, parent=parent)
-                        kinds["past the cut" if hint >= len(stream.segments) else "dead"] += 1
+                        kinds["past the cut" if hint >= len(stream.words) else "dead"] += 1
                         continue
-                    v = test_box(box, stream, cfg, parent=parent)
-                    near = None if v.near_miss is None else starts[v.near_miss]
-                    kept = None if v.live is None else tuple(starts[k] for k in v.live)
-                    got = (v.status, v.word, v.volume_bound, v.words_scanned, near, kept)
-                    *want, want_live = _scan_every_word(box, area, words, budget, at, dead_set)
-                    if want_live is not None:
-                        want_live = tuple(i for i in want_live if i in body_starts)
-                    assert got == (*want, want_live), (box.path, budget, hint, bool(dead_set))
-                    kinds[v.status] += 1
-    assert kinds[BoxStatus.UNDECIDED] and kinds[BoxStatus.ELIMINATED_KILLER]
+                    got = _outcome(lambda: as_positions(test_box(box, stream, cfg, parent=parent)))
+                    want = _outcome(lambda: _scan_every_word(box, area, words, budget, at, dead_set))
+                    if isinstance(want, tuple) and want[-1] is not None:
+                        want = (*want[:-1], tuple(i for i in want[-1] if i in body_starts))
+                    assert got == want, (box.to_bounds(), budget, hint, bool(dead_set))
+                    kinds["raises" if isinstance(got, str) else got[0]] += 1
+                    # a Run led by gamma^3 lies in the cut, behind the killer
+                    if box is gamma3_root and budget > gamma3_at:
+                        kinds["killed before gamma^3 overflows"] += got[:2] == (
+                            BoxStatus.ELIMINATED_KILLER, parse_word("y z x y^-1 z^-1")
+                        )
+
+    assert kinds[BoxStatus.UNDECIDED] and kinds[BoxStatus.ELIMINATED_KILLER] and kinds["raises"]
     assert kinds["past the cut"] and kinds["dead"]
     assert dead_kinds[True] and dead_kinds[False]
+    if stream_caps == (3, 3):
+        assert kinds["killed before gamma^3 overflows"]
 
 
 def test_box_rejects_power_free_words(monkeypatch) -> None:
@@ -1521,11 +1611,11 @@ def test_box_rejects_power_free_words(monkeypatch) -> None:
 
     A pure translation has no lower-left entry to test, and neither
     Word nor parse_word builds one, so no stream can hold one.  A given
-    parent's live holds the Word segments of the cut, and its near miss,
-    the hint, is a negative index, one at or past the cut's segments, or
-    a Run's index: each is refused with ValueError, on the canonical
-    stream and on one that evaluates every word, whether the stream is
-    given or read from the parent.
+    parent's live holds every index of the stream's words, and its near
+    miss, the hint, is a negative index or one at or past the stream's
+    words: each is refused with ValueError, on the canonical stream and on
+    one that evaluates every word, whether the stream is given or read
+    from the parent.  No index names a twin, since the stream holds none.
     """
     with pytest.raises(ValueError, match="zero z-exponent"):
         Word(((2, 0, 0),))
@@ -1536,13 +1626,12 @@ def test_box_rejects_power_free_words(monkeypatch) -> None:
     words = list(enumerate_words(2, 1))
     stream = _stream_of(monkeypatch, words, cfg)
     segmented = WordStream(2, 1, cfg.word_budget_per_box)
-    assert stream.segments == words and stream.key == segmented.key
-    run = next(k for k, segment in enumerate(segmented.segments) if isinstance(segment, Run))
+    assert stream.words == words and stream.key == segmented.key and not stream.blocks
+    assert len(segmented.words) < len(words)
     cases = [(stream, -1), (stream, len(words))]
-    cases += [(segmented, run), (segmented, len(segmented.segments)), (segmented, -1)]
+    cases += [(segmented, len(segmented.words)), (segmented, -1)]
     for given, hint in cases:
-        live = [k for k, segment in enumerate(given.segments) if isinstance(segment, Word)]
-        parent = _given_parent(box, given, live, hint)
+        parent = _given_parent(box, given, range(len(given.words)), hint)
         for form in (given, None):
             with pytest.raises(ValueError, match="is not a key of its live"):
                 test_box(box, form, cfg, parent=parent)
@@ -1561,8 +1650,8 @@ def test_box_reads_only_a_stream_cut_for_its_budget() -> None:
     for budget in (60, 10000):
         cfg = SearchConfig(**dict(_AREA_15, word_budget_per_box=budget))
         stream = WordStream(2, 1, budget)
-        cuts.append(len(stream.segments))
-        hints = [k for k, segment in enumerate(stream.segments) if isinstance(segment, Word)]
+        cuts.append(len(stream.words))
+        hints = list(range(len(stream.words)))
         for other in (budget - 1, budget + 1):
             other_cut = WordStream(2, 1, other)
             wrong = re.escape(f"cut for (max_d, max_exp, budget) (2, 1, {other}), not (2, 1, {budget})")
@@ -1577,16 +1666,17 @@ def test_box_reads_only_a_stream_cut_for_its_budget() -> None:
             parent = _given_parent(box, own, hints, hint)
             want = test_box(box, stream, cfg, parent=parent)
             assert _verdict_fields(test_box(box, None, cfg, parent=parent)) == _verdict_fields(want)
-    # the 145-word stream cut at 60 holds fewer segments than the whole
-    assert cuts == [46, 61]
+    # the 145-word stream cut at 60 holds fewer Words than the whole
+    assert cuts == [29, 34]
 
 
 def test_twin_skip_keeps_the_leading_block_overflow() -> None:
     """A skipped twin still raises where its evaluation would.
 
     At a = 1e308 the offset of x^2 overflows, and x^2 z is a twin of z, so
-    only its leading block's table lookup can raise there, as evaluating
-    it would.
+    only the root's read of its leading block's offset can raise there, as
+    evaluating it would.  The stream's two words, z and y z^-1, read no
+    offset that overflows.
     """
     root = ParamBox.from_point(Params(1e308, 0.5 + 1j, 0))
     # the default root of this area is too wide for a ParamBox, so the point is the root
@@ -1595,6 +1685,6 @@ def test_twin_skip_keeps_the_leading_block_overflow() -> None:
     for form in (None, stream, stream):
         with pytest.raises(ValueError, match=r"the offset of x\^2 y\^0"):
             test_box(root, form, cfg)
-    # z is evaluated, and x^2 z is a run of one twin
-    assert parse_word("z") in stream.segments
-    assert Run(((2, 0, 1),), 0, 0, 1, 2) in stream.segments
+    # z and y z^-1 are evaluated, and x^2 z is a twin whose block is read
+    assert stream.words == [parse_word("z"), parse_word("y z^-1")]
+    assert (2, 0) in stream.blocks

@@ -353,8 +353,7 @@ def test_kernel_bounds_bit_identical_to_full_matrix_oracle() -> None:
     # every word of (2,1) and 2000 positions of (6,3), twins too, then the
     # Words of the (3,2) and (4,1) cuts and the first 2000 Words of (6,3)
     pool = list(enumerate_words(2, 1)) + list(islice(enumerate_words(6, 3), 2000))
-    pool += [s for caps in ((3, 2, 20000), (4, 1, 20000))
-             for s in WordStream(*caps).segments if s.__class__ is Word]
+    pool += [w for caps in ((3, 2, 20000), (4, 1, 20000)) for w in WordStream(*caps).words]
     pool += islice((s for s in enumerate_segments(6, 3) if s.__class__ is Word), 2000)
     pool = list(dict.fromkeys(pool))
     assert len(pool) == 13483
@@ -526,17 +525,21 @@ def test_completion_count_matches_a_brute_force_walk(max_exp, max_d) -> None:
 def test_word_stream_is_the_cut(monkeypatch) -> None:
     """A stream takes the canonical segments once, through the first whose words reach the budget.
 
-    At (2, 1) the 145 words lie in 61 segments.  Budget 40 ends inside a
-    Run of 8 and 4 at a Run of one; 145 takes every segment, and so do the
-    budgets past it.  A counting enumerate_segments shows the stream asks
-    for its caps once and takes nothing past the cut.  key is the caps and
-    the budget.  first_scan holds every Word and the first Run of each
-    lead.  A budget below 1, or caps enumerate_segments refuses, raises.
+    At (2, 1) the 145 words lie in 61 segments, 34 of them Words.  Budget
+    40 ends inside a Run of 8 and 4 at a Run of one; 145 takes every
+    segment, and so do the budgets past it.  A counting enumerate_segments
+    shows the stream asks for its caps once and takes nothing past the
+    cut.  key is the caps and the budget.  words, ends and blocks are
+    rebuilt from the cut's segments: its Words, the words of the cut
+    through each, twins before it included, and the distinct leading
+    blocks of its Runs in stream order.  first_scan maps every index of
+    words to None.  A budget below 1, or caps enumerate_segments refuses,
+    raises.
     """
     full = list(enumerate_segments(2, 1))
     counts = [s.count if isinstance(s, Run) else 1 for s in full]
-    ends = list(accumulate(counts))
-    assert (len(full), ends[-1]) == (61, 145)
+    positions = list(accumulate(counts))
+    assert (len(full), positions[-1]) == (61, 145)
     calls, pulled = [], []
 
     def counting(max_d, max_exp):
@@ -551,29 +554,31 @@ def test_word_stream_is_the_cut(monkeypatch) -> None:
         calls.clear()
         pulled.clear()
         stream = WordStream(2, 1, budget)
-        taken = next((k + 1 for k, end in enumerate(ends) if end >= budget), len(full))
+        taken = next((k + 1 for k, end in enumerate(positions) if end >= budget), len(full))
+        cut = full[:taken]
+        words = [s for s in cut if isinstance(s, Word)]
+        ends = [end for s, end in zip(cut, positions) if isinstance(s, Word)]
+        blocks = []
+        for segment in cut:
+            if isinstance(segment, Run) and segment.prefix[0][:2] not in blocks:
+                blocks.append(segment.prefix[0][:2])
         assert stream.key == (2, 1, budget)
-        assert stream.segments == full[:taken] and stream.ends == ends[:taken]
+        assert (stream.words, stream.ends, stream.blocks) == (words, ends, blocks)
         assert stream.scanned == min(budget, 145)
         # nothing past the cut was taken from the source
-        assert calls == [(2, 1)] and pulled == full[:taken]
-        leads = set()
-        first_scan = []
-        for k, segment in enumerate(stream.segments):
-            if isinstance(segment, Word) or segment.prefix[0] not in leads:
-                first_scan.append(k)
-            if isinstance(segment, Run):
-                leads.add(segment.prefix[0])
-        assert list(stream.first_scan) == first_scan
+        assert calls == [(2, 1)] and pulled == cut
+        assert list(stream.first_scan) == list(range(len(words)))
         assert set(stream.first_scan.values()) == {None}
-        inside_a_run += stream.ends[-1] > budget
+        inside_a_run += positions[taken - 1] > budget
     assert inside_a_run == 1
-    # one entry per Word, and one per distinct Run lead
     stream = WordStream(2, 1, 145)
-    assert len(stream.first_scan) == 34 + 7
-    assert [w for w, _ in _expanded(stream.segments)] == list(enumerate_words(2, 1))
-    # x z, the fourth word, is the one word of the Run at index 3
-    assert list(stream.segments[3].words()) == [parse_word("x z")]
+    assert len(stream.words) == 34 and stream.blocks == [(0, 1), (1, 0), (1, 1), (1, -1)]
+    # each Word sits at the last position its end counts
+    every = list(enumerate_words(2, 1))
+    assert [every[end - 1] for end in stream.ends] == stream.words
+    # x z, the fourth word, is a twin of z: no Word, and its block is read
+    assert every[3] == parse_word("x z") and every[3] not in stream.words
+    assert (1, 0) in stream.blocks
     with pytest.raises(ValueError, match="budget must be at least 1"):
         WordStream(2, 1, 0)
     for max_d, max_exp in ((0, 1), (1, 0), (1, MAX_EXP + 1)):
@@ -625,7 +630,7 @@ def _count_products(monkeypatch):
     """Count words.rect_mul's calls by (x, y): the kernel's, and the table's builds apart.
 
     A call is the table's while a GeneratorTriple builds: its __init__
-    (1*c), _offset or _unboxed_power runs.  Returns the two Counters,
+    (1*c), offset or _unboxed_power runs.  Returns the two Counters,
     kernel first, which the patched calls fill.
     """
     kernel, table, building = Counter(), Counter(), []
@@ -645,7 +650,7 @@ def _count_products(monkeypatch):
         return build
 
     monkeypatch.setattr(words_module, "rect_mul", counting_mul)
-    for name in ("__init__", "_offset", "_unboxed_power"):
+    for name in ("__init__", "offset", "_unboxed_power"):
         real = getattr(words_module.GeneratorTriple, name)
         monkeypatch.setattr(words_module.GeneratorTriple, name, building_(real))
     return kernel, table
@@ -692,9 +697,10 @@ def test_scan_rect_mul_count(monkeypatch) -> None:
 def test_scan_table_builds_each_factor_once(monkeypatch) -> None:
     """One (6,3) scan box builds each block's offset and each product once.
 
-    The table holds no entry per syllable: the scan's 184 words and 92
-    Run leads use 142 syllables, which share 49 blocks (m, n) and 4
-    exponents.  Each of the 48 nontrivial blocks' offsets is built and
+    The table holds no entry per syllable: the scan's 184 words use 95
+    syllables, which share 49 blocks (m, n) and 4 exponents, and the
+    stream's 24 blocks, whose offsets the box reads for its twins, are
+    among them.  Each of the 48 nontrivial blocks' offsets is built and
     checked once: that of x^m is the multiple m*a and that of y^n the
     multiple n*b, one rect_mul each, 6 nonzero m and 6 nonzero n, and a
     two-axis block adds the two.  The powers gamma^+-2 take eight
@@ -720,11 +726,11 @@ def test_scan_table_builds_each_factor_once(monkeypatch) -> None:
     verdict = _scan_reference_point(6, 3, 2000)
     assert verdict.words_scanned == 2000
     [gens] = built
-    read = [verdict.stream.segments[k] for k in verdict.stream.first_scan]
-    syllables = {s for x in read for s in (x.prefix[:1] if isinstance(x, Run) else x.syllables)}
-    assert (len(read), len(syllables)) == (184 + 92, 142)
+    read, twin_blocks = verdict.stream.words, verdict.stream.blocks
+    syllables = {s for w in read for s in w.syllables}
+    assert (len(read), len(syllables), len(twin_blocks)) == (184, 95, 24)
     blocks = {(m, n) for m, n, _ in syllables}
-    assert len(blocks) == 49
+    assert len(blocks) == 49 and blocks.issuperset(twin_blocks)
     blocks.remove((0, 0))
     assert set(gens._offsets) == blocks
     assert sorted(gens._unboxed_powers) == sorted({e for _, _, e in syllables}) == [-2, -1, 1, 2]
@@ -926,9 +932,10 @@ def test_m21_reads_misses_no_generator_the_bounds_read() -> None:
 
 
 def test_stream_builds_masks_once_on_the_first_child(monkeypatch) -> None:
-    """A root scan builds no masks; the first child builds them for every segment, once.
+    """A root scan builds no masks; the first child builds them for every word, once.
 
-    A Word's entry is its m21_reads and a Run's GEN_ALL.
+    Each entry is its word's m21_reads: the stream holds no twin, so no
+    entry stands for one.
     """
     built = []
     real = words_module.m21_reads
@@ -948,11 +955,9 @@ def test_stream_builds_masks_once_on_the_first_child(monkeypatch) -> None:
     assert built == [] and stream._masks is None
     for child in subdivide(box):
         test_box(child, stream, cfg, parent=parent)
-    assert built == [s.syllables for s in stream.segments if isinstance(s, Word)]
-    assert stream.masks() == [
-        GEN_ALL if isinstance(s, Run) else real(s.syllables) for s in stream.segments
-    ]
-    assert len(built) == sum(isinstance(s, Word) for s in stream.segments)
+    assert built == [w.syllables for w in stream.words]
+    assert stream.masks() == [real(w.syllables) for w in stream.words]
+    assert len(built) == len(stream.words) == 34
 
 
 def test_gamma_unit_steps_match_the_general_step() -> None:
