@@ -7,6 +7,7 @@ lengths, the complete list of short slopes, intersection numbers, the
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import List
 
 from .bicuspid import Params
@@ -194,8 +195,14 @@ def delta_bound(area: float) -> float:
 
 
 def strict_delta_max(area: float) -> int:
-    """Largest integer strictly below delta_bound(area)."""
-    return max(0, math.ceil(delta_bound(area)) - 1)
+    """Largest integer strictly below 36/area, of the area's exact value.
+
+    The float delta_bound(area) can round down onto an integer k that the
+    exact quotient exceeds, which would give k - 1, so the bound is taken
+    by Fraction.  Raises ValueError where delta_bound does.
+    """
+    delta_bound(area)
+    return max(0, math.ceil(Fraction(36) / Fraction(area)) - 1)
 
 
 def max_exceptional_count(delta_max: int) -> int:

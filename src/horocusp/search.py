@@ -71,8 +71,11 @@ is sound on three counts.  lower_left_bounds is a deterministic function
 of the bits it reads, so equal input bits give equal output bits: the
 row in a table's slot has the bits of the stepped row, whatever words
 filled it, so the slot adds no input.  The
-child's whole bottom row lies inside its parent's, which was finite, by
-the isotonicity above, so no reused word skips a ValueError the kernel
+child's whole bottom row, m22 included, lies inside its parent's by the
+isotonicity above, and the parent's was finite: its last m22 was either
+built and checked or shown finite by the kernel's magnitude guard
+(words.lower_left_bounds), and the kernel raises exactly where the
+whole row overflows.  So no reused word skips a ValueError the kernel
 would raise on the child.  And U, whose overflow the kernel checks, is
 the parent's own.  The reused values pass through the same
 classification, kept rule and near-miss tie rule, so verdicts, near

@@ -29,7 +29,11 @@ omitted, e.g. "x^2 y^-1 z x z^-1".
 
 Evaluation: lower_left_bounds is the one scan kernel.  It propagates only
 the bottom row of the product on unboxed float rectangles, from the
-identity's bottom row.  Its rectangle sum and product are the
+identity's bottom row, and at a word's last syllable it builds m21, the
+entry every verdict reads, and m22 only where a magnitude guard cannot
+show it finite: where the operands m22 would read all lie inside
+(-2^500, 2^500), m22 is finite, so skipping it skips no error.  Its
+rectangle sum and product are the
 self-contained interval.rect_add and rect_mul.  A gamma or gamma^-1 step,
 nearly every step of a scan, reads c's rectangle straight from the
 triple, skips the products by those matrices' exact 0 and 1 entries and
@@ -50,10 +54,13 @@ z t z it is (1*c + t, -1).  1*c, c with its all-zero parts +0.0, and -c
 are built once per triple.
 The row after a word's first two syllables depends on them and the
 table's bits alone, so each triple keeps one slot, that row for the last
-word evaluated, keyed by its first exponent and second syllable.  A word
-with the same key steps only its later syllables, and a slot row has the
-bits of a stepped one.  In stream order most words share the previous
-word's first two syllables.  inherit never copies the slot.
+word of three or more syllables evaluated, keyed by its first exponent
+and second syllable.  A word with the same key steps only its later
+syllables, and a slot row has the bits of a stepped one.  In stream
+order most words share the previous word's first two syllables.  A word
+of two syllables neither reads nor writes the slot: no two Words of a
+stream share a first exponent and second syllable, which fix the body.
+inherit never copies the slot.
 lower_left_abs and killer_test run the kernel for one word.
 evaluate_word is the full-matrix route over the interval classes, which
 never call the rectangle functions.  It builds its generator matrices
@@ -550,6 +557,19 @@ def _check_finite(rect: tuple, what: str, *args) -> None:
         raise ValueError(f"endpoints must be finite in {what.format(*args)}, got {rect}")
 
 
+# A guard on the operands of a word's last m22: a product of two endpoints
+# inside (-_SMALL, _SMALL) is at most 2^1000 and a rounding step, so the
+# few sums that make m22 stay far below the float range's 2^1024.
+_SMALL = 2.0**500
+
+
+def _small(rect: tuple) -> bool:
+    """Whether every endpoint lies in the open interval (-_SMALL, _SMALL); a NaN does not."""
+    rl, rh, il, ih = rect
+    small = _SMALL
+    return -small < rl < small and -small < rh < small and -small < il < small and -small < ih < small
+
+
 _rect_bytes = struct.Struct("4d").pack
 
 
@@ -576,20 +596,26 @@ class GeneratorTriple:
     overflow inside the sums and products that make it leaves a
     non-finite endpoint.  The kernel reads the tables directly, c's
     rectangle for a gamma^+-1 step, and 1*c and -c, built here once, for
-    the rows after z and z^-1.  It also keeps one slot
+    the rows after z and z^-1, and whether c is _small, c's part of the
+    guard on a word's last m22, also found once.  It also keeps one slot
     here, the row after the first two syllables of the last word it
-    evaluated with two or more (see lower_left_bounds).  inherit starts
+    evaluated with three or more (see lower_left_bounds).  inherit starts
     a child box's tables from its parent's offsets and powers and names
     the generators that changed; it never copies the slot.  Nothing else
     is held: the oracle evaluate_word builds its own matrices from a, b
     and c.
     """
 
-    __slots__ = ("a", "b", "c", "_c", "_one_c", "_minus_c", "_offsets", "_unboxed_powers", "_slot")
+    __slots__ = (
+        "a", "b", "c", "_c", "_c_small", "_one_c", "_minus_c",
+        "_offsets", "_unboxed_powers", "_slot",
+    )
 
     def __init__(self, a: ComplexInterval, b: ComplexInterval, c: ComplexInterval) -> None:
         self.a, self.b, self.c = a, b, c
         self._c = c.endpoints()
+        # c's part of the guard on a word's last m22 (see _last_step)
+        self._c_small = _small(self._c)
         # 1*c and -c, what products of c by a row's exact 1 and -1 give
         self._one_c, self._minus_c = rect_mul(_ONE, self._c), rect_neg(self._c)
         self._offsets, self._unboxed_powers = {}, {}
@@ -767,66 +793,88 @@ def _row_mul(r: tuple, y: tuple) -> tuple:
 
 _INF = math.inf
 
-
 def lower_left_bounds(gens: GeneratorTriple, syllables: tuple) -> tuple:
     """Floats (L, U) enclosing the lower-left entry's modulus of a word over gens.
 
     This is the scan kernel.  It carries only the bottom row (m21, m22) of
     the left-to-right product, from the identity's, since in acc @ M that
     row depends only on the bottom row of acc, and it reads each block's
-    offset and each power of gamma from gens' tables.  A leading block
-    x^m y^n leaves the identity's row as it is, bit for bit, so body twins
-    (see WordStream) get one (L, U); its offset is still read, since that
-    is where its overflow raises, as in the oracle.  The row after a first
-    syllable (m, n, e1) is then gamma^e1's bottom row.  For e1 = 1 that
-    row is the exact (1, 0) and for e1 = -1 it is (-1, c), so the row
-    after the second syllable is taken with no product by an exact
-    operand: after z t z it is (1*c + t, -1), with the stepped row's
-    bits (see _row_after_unit).
+    offset and each power of gamma from gens' tables.  At the last
+    syllable it builds m21, and m22 only after z, where it is -r1 and
+    takes no product, or where the guard below cannot show it finite.  A
+    leading block x^m y^n leaves the identity's row as it is, bit for
+    bit, so body twins (see WordStream) get one (L, U); its offset is
+    still read, since that is where its overflow raises, as in the oracle.
+    The row after a first syllable (m, n, e1) is then gamma^e1's bottom
+    row.  For e1 = 1 that row is the exact (1, 0) and for e1 = -1 it is
+    (-1, c), so the row after the second syllable is taken with no
+    product by an exact operand: after z t z it is (1*c + t, -1), with the
+    stepped row's bits (see _row_after_unit).
 
     The row after the first two syllables is a function of e1, the second
     syllable and the table's bits alone, so gens keeps one slot: that row
-    for the last word evaluated with two or more syllables, keyed by
+    for the last word evaluated with three or more syllables, keyed by
     (e1, second syllable).  A word whose key matches takes the slot's row
     and steps only its later syllables; in stream order most words share
-    the previous word's first two syllables.  Every offset and power the
-    slot's row read was built and checked when it was filled, so a hit
-    skips no ValueError.  The slot's row has the bits of the stepped row,
-    and the rectangle arithmetic is the interval layer's own, so (L, U)
-    is bit-identical to the oracle
+    the previous word's first two syllables.  A two-syllable word neither
+    reads nor writes the slot: by the body lemma, two Words with one key
+    and two syllables would be one word, so in a scan it could never hit.
+    Every offset and power the slot's row read was built and checked when
+    it was filled, so a hit skips no ValueError.  The slot's row has the
+    bits of the stepped row, and the rectangle arithmetic is the interval
+    layer's own, so (L, U) is bit-identical to the oracle
     evaluate_word(word, gens).m21.abs_bounds(), whatever words gens
     evaluated before.
 
     Raises ValueError when an offset or a power overflows, where the
-    oracle's factor does, or when the bottom row does.  An infinite or NaN
-    endpoint survives every rectangle operation but a product with an
-    exact zero, and each row of a generator matrix has a nonzero entry, so
-    an overflow anywhere leaves a non-finite endpoint in the final row.
-    All eight endpoints are checked there, before the max() in rect_abs
-    can drop a NaN, and so is U, since hypot of two finite floats can
-    overflow.
+    oracle's factor does, or when the full bottom row does.  An infinite
+    or NaN endpoint survives every rectangle operation but a product with
+    an exact zero, and each row of a generator matrix has a nonzero entry,
+    so an overflow anywhere leaves a non-finite endpoint in the final row.
+    The guard: when every endpoint of the operands the last m22 would
+    read, the row after the last syllable's offset step and c or
+    gamma^e's g12 and g22, lies inside (-2^500, 2^500) (_small; a NaN
+    does not), each product m22 takes is at most 2^1000 and a rounding
+    step, and its few sums stay far inside the float range, so m22 is
+    finite and is not built.  m21's four endpoints are then checked.
+    Otherwise m22 is built by the full step and all eight endpoints are
+    checked, as for a one-syllable word and after a last z.  Either way
+    the check raises exactly where one of the whole final row would, and
+    comes before the max() in rect_abs can drop a NaN; U is checked too,
+    since hypot of two finite floats can overflow.
     """
     m, n, e1 = syllables[0]
     if (m or n) and (m, n) not in gens._offsets:
         # the row skips the leading block, but its offset's overflow raises
         gens.offset(m, n)
-    if len(syllables) == 1:
-        row = gens._unboxed_power(e1)[2:]
+    j = len(syllables)
+    if j == 1:
+        m21, m22 = gens._unboxed_power(e1)[2:]
+    elif j == 2:
+        # no slot: two Words with one e1 and second syllable are one word
+        if e1 == 1 or e1 == -1:
+            m21, m22 = _row_after_unit(gens, e1, syllables[1], last=True)
+        else:
+            m21, m22 = _last_step(gens, gens._unboxed_power(e1)[2:], syllables[1])
     else:
         key = (e1, syllables[1])
         held, row = gens._slot
         if held != key:
             if e1 == 1 or e1 == -1:
-                row = _row_after_unit(gens, e1, syllables[1])
+                row = _row_after_unit(gens, e1, syllables[1], last=False)
             else:
                 row = _bottom_row(gens, syllables[1:2], gens._unboxed_power(e1)[2:])
             gens._slot = (key, row)
-        if len(syllables) > 2:
-            row = _bottom_row(gens, syllables[2:], row)
-    (rl, rh, il, ih), (sl, sh, jl, jh) = row
+        if j > 3:
+            row = _bottom_row(gens, syllables[2:-1], row)
+        m21, m22 = _last_step(gens, row, syllables[-1])
+    rl, rh, il, ih = m21
     # x - x is 0.0 for a finite x and NaN for an infinite or NaN one
     zero_if_finite = (rl - rl) + (rh - rh) + (il - il) + (ih - ih)
-    if zero_if_finite + (sl - sl) + (sh - sh) + (jl - jl) + (jh - jh) != 0.0:
+    if m22 is not None:
+        sl, sh, jl, jh = m22
+        zero_if_finite += (sl - sl) + (sh - sh) + (jl - jl) + (jh - jh)
+    if zero_if_finite != 0.0:
         raise ValueError(f"endpoints must be finite in the bottom row of {Word._trusted(syllables)}")
     lo, hi = rect_abs(rl, rh, il, ih)
     if hi == _INF:
@@ -834,7 +882,7 @@ def lower_left_bounds(gens: GeneratorTriple, syllables: tuple) -> tuple:
     return lo, hi
 
 
-def _row_after_unit(gens: GeneratorTriple, e1: int, second: Syllable) -> tuple:
+def _row_after_unit(gens: GeneratorTriple, e1: int, second: Syllable, last: bool) -> tuple:
     """The bottom row after a first syllable with exponent e1 = +-1 and the syllable second.
 
     The row after z is the exact (1, 0), and after z^-1 it is (-1, c),
@@ -850,7 +898,10 @@ def _row_after_unit(gens: GeneratorTriple, e1: int, second: Syllable) -> tuple:
     (s*g11 + r2*g21, s*g12 + r2*g22).  Each is the stepped row's bits:
     the sign of s's zero imaginary part reaches no result, since a sum
     takes a zero part from its other operand.  The block's offset is read
-    before gamma^e, as the oracle builds them.
+    before gamma^e, as the oracle builds them.  When second is the last
+    syllable, last is true and m22 is None where the guard shows it
+    finite (see lower_left_bounds); s is an exact +-1, so the guard reads
+    r2 and c or g12 and g22.
     """
     m, n, e = second
     t = gens.offset(m, n) if m or n else _ZERO
@@ -862,11 +913,44 @@ def _row_after_unit(gens: GeneratorTriple, e1: int, second: Syllable) -> tuple:
     if e == 1:
         return rect_add(s_c, r2), minus_s
     if e == -1:
+        if last and gens._c_small and _small(r2):
+            return rect_neg(r2), None
         return rect_neg(r2), rect_add(rect_mul(r2, gens._c), s)
     g11, g12, g21, g22 = gens._unboxed_power(e)
     if e1 == -1:
-        g11, g12 = rect_neg(g11), rect_neg(g12)
-    return rect_add(g11, rect_mul(r2, g21)), rect_add(g12, rect_mul(r2, g22))
+        g11 = rect_neg(g11)
+    m21 = rect_add(g11, rect_mul(r2, g21))
+    if last and _small(r2) and _small(g12) and _small(g22):
+        return m21, None
+    if e1 == -1:
+        g12 = rect_neg(g12)
+    return m21, rect_add(g12, rect_mul(r2, g22))
+
+
+def _last_step(gens: GeneratorTriple, row: tuple, syllable: Syllable) -> tuple:
+    """(m21, m22) of row times the syllable's factors, m22 None where the guard shows it finite.
+
+    The offset step and m21 are _bottom_row's expressions, so m21 has the
+    stepped row's bits.  After z, m22 is -r1, which takes no product.
+    Otherwise m22 is built by the full step, _bottom_row, only when an
+    operand it reads, r1 and r2 after the offset step and c or gamma^e's
+    g12 and g22, is not _small.
+    """
+    r1, r2 = row
+    m, n, e = syllable
+    if m or n:
+        t = gens._offsets.get((m, n)) or gens.offset(m, n)
+        r2 = rect_add(rect_mul(r1, t), r2)
+    if e == 1:
+        return rect_add(rect_mul(r1, gens._c), r2), rect_neg(r1)
+    if e == -1:
+        if gens._c_small and _small(r1) and _small(r2):
+            return rect_neg(r2), None
+    else:
+        g11, g12, g21, g22 = gens._unboxed_powers.get(e) or gens._unboxed_power(e)
+        if _small(r1) and _small(r2) and _small(g12) and _small(g22):
+            return rect_add(rect_mul(r1, g11), rect_mul(r2, g21)), None
+    return _bottom_row(gens, (syllable,), row)
 
 
 def _bottom_row(gens: GeneratorTriple, syllables: Iterable[Syllable], row: tuple) -> tuple:

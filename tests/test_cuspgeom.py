@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import random
+from fractions import Fraction
 
 from horocusp import cuspgeom
 from horocusp.bicuspid import Params
@@ -123,6 +124,26 @@ def test_delta_values_and_symmetry():
         u = (s1.p - s1.q, s1.q)
         v = (s2.p - s2.q, s2.q)
         assert delta(s1, s2) == abs(u[0] * v[1] - v[0] * u[1])
+
+
+def test_strict_delta_max_is_exact_next_to_integer_bounds():
+    """strict_delta_max(area) is the d with d * area < 36 <= (d + 1) * area, exactly.
+
+    Checked at 36/k and its two float neighbours for k = 1 to 199, where
+    the float 36/area rounds onto an integer: ceil of it is one short at
+    106 of those 597 areas.  At area 3.2727272727272725, just below
+    36/11, the audit's delta_max is 11 and max_exceptional_count 14.
+    """
+    float_misses = 0
+    for k in range(1, 200):
+        x = 36 / k
+        for area in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)):
+            d = strict_delta_max(area)
+            assert d * Fraction(area) < 36 <= (d + 1) * Fraction(area), (k, area)
+            float_misses += d != max(0, math.ceil(36.0 / area) - 1)
+    assert float_misses == 106
+    audit = audit_cusp(CuspShape(1.0, 3.2727272727272725j))
+    assert (audit["delta_max"], audit["max_exceptional_count"]) == (11, 14)
 
 
 def test_delta_bound_values():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from collections import Counter
 from itertools import accumulate, islice, zip_longest
 
@@ -10,7 +11,14 @@ import pytest
 from horocusp import search as search_module
 from horocusp import words as words_module
 from horocusp.bicuspid import ParamBox, Params, param_space
-from horocusp.interval import ComplexInterval, IntervalMatrix, RealInterval, rect_add, rect_mul
+from horocusp.interval import (
+    ComplexInterval,
+    IntervalMatrix,
+    RealInterval,
+    rect_abs,
+    rect_add,
+    rect_mul,
+)
 from horocusp.search import SearchConfig, subdivide, test_box
 from horocusp.words import (
     GEN_A,
@@ -315,18 +323,87 @@ def _interleaved_by_first_exponent(words):
 def _kernel_matches_oracle(gens, words, oracle):
     """Each word's kernel bounds on gens, in order, against the oracle's hex, and the slot after each.
 
-    A word of two or more syllables leaves in gens' slot its first
+    A word of three or more syllables leaves in gens' slot its first
     exponent and second syllable, and the row after them, which must have
     the bits of the second syllable stepped from gamma^e1's bottom row.
+    A shorter word leaves the slot as it found it.  A slot already
+    checked, the same tuple, is not stepped again.
     """
+    checked = None
     for w in words:
         syllables = w.syllables
-        assert _bits(lower_left_abs(w, gens)) == oracle[w], str(w)
-        if len(syllables) > 1:
-            key, row = gens._slot
+        before = gens._slot
+        lo, hi = lower_left_bounds(gens, syllables)
+        assert (lo.hex(), hi.hex()) == oracle[w], str(w)
+        if len(syllables) > 2:
+            key, row = slot = gens._slot
             assert key == (syllables[0][2], syllables[1]), str(w)
-            stepped = words_module._bottom_row(gens, syllables[1:2], gens.entry(syllables[0])[1][2:])
-            assert _hex_rects(row) == _hex_rects(stepped), str(w)
+            if slot is not checked:
+                stepped = words_module._bottom_row(gens, syllables[1:2], gens.entry(syllables[0])[1][2:])
+                assert _hex_rects(row) == _hex_rects(stepped), str(w)
+                checked = slot
+        else:
+            assert gens._slot is before, str(w)
+
+
+def _oracle_bits(box, words):
+    """Each word's evaluate_word(word, box).m21.abs_bounds() bits, its products shared.
+
+    The oracle's steps, with each product built once per box: each
+    block's translation matrix and each power gamma^e are built as
+    evaluate_word builds them, and the words are taken in the order of
+    their syllables, so the words that share a prefix come together.  A
+    path holds, for each syllable of the last word, the product through
+    its block's translation and the product through its power, each an
+    IntervalMatrix product of the one before by the next factor.  A word
+    steps only the syllables after the prefix it shares with the path,
+    and takes the product through the first one's translation from the
+    path when the block is the same.  A word's matrix is then the product
+    evaluate_word forms, operation for operation, with its bits.
+    """
+    gens = gens_from_params(box)
+    point = ComplexInterval.point
+    zero, one = point(0.0), point(1.0)
+    gamma = IntervalMatrix(gens.c, point(-1.0), one, zero)
+    unit = {1: gamma, -1: gamma.inverse_sl2()}
+    translations, powers, bits = {}, {}, {}
+    # (syllable, product through its translation or None, product through its power)
+    path = []
+    for w in sorted(words, key=lambda w: w.syllables):
+        syllables = w.syllables
+        k = 0
+        while k < len(path) and k < len(syllables) and path[k][0] == syllables[k]:
+            k += 1
+        # in sorted order no word is a prefix of the one before, so k < len(syllables)
+        shared = path[k][1] if k < len(path) and path[k][0][:2] == syllables[k][:2] else None
+        del path[k:]
+        acc = path[-1][2] if path else None
+        for m, n, e in syllables[k:]:
+            through_block = None
+            if m or n:
+                through_block = shared
+                if through_block is None:
+                    t = translations.get((m, n))
+                    if t is None:
+                        off = zero
+                        if m:
+                            off = off + point(float(m)) * gens.a
+                        if n:
+                            off = off + point(float(n)) * gens.b
+                        t = translations[m, n] = IntervalMatrix(one, off, zero, one)
+                    through_block = t if acc is None else acc @ t
+                acc = through_block
+            shared = None
+            g = powers.get(e)
+            if g is None:
+                gen = g = unit[1 if e > 0 else -1]
+                for _ in range(abs(e) - 1):
+                    g = g @ gen
+                powers[e] = g
+            acc = g if acc is None else acc @ g
+            path.append(((m, n, e), through_block, acc))
+        bits[w] = _bits(acc.m21.abs_bounds())
+    return bits
 
 
 def test_kernel_bounds_bit_identical_to_full_matrix_oracle() -> None:
@@ -336,8 +413,11 @@ def test_kernel_bounds_bit_identical_to_full_matrix_oracle() -> None:
     positions of (6,3), body twins too, every Word of the 20000-word cuts
     of (3,2) and (4,1), and the first 2000 Words of (6,3), in stream
     order, in reverse and interleaved by first exponent, so the slot is
-    hit and missed on every kind of key.  After each word the
-    slot must hold its key and the stepped row.  One box's c has the
+    hit and missed on every kind of key.  After each word of three or
+    more syllables the slot must hold its key and the stepped row, and a
+    shorter word must leave it as it was.  The oracle's bits come from
+    _oracle_bits, which equals evaluate_word on every word of the first
+    box and on 200 sampled words of every other.  One box's c has the
     imaginary part [-0.0, -0.0] and its a is real, so z x z's row 1*c + a
     differs from c + a in the sign of a zero.  Its child split on c starts
     from its table with an empty slot, and its first word is the one whose
@@ -358,9 +438,16 @@ def test_kernel_bounds_bit_identical_to_full_matrix_oracle() -> None:
     pool = list(dict.fromkeys(pool))
     assert len(pool) == 13483
     orders = (pool, pool[::-1], _interleaved_by_first_exponent(pool))
+
+    def oracle_of(box, checked):
+        oracle, target = _oracle_bits(box, pool), gens_from_params(box)
+        for w in checked:
+            assert oracle[w] == _bits(evaluate_word(w, target).m21.abs_bounds()), str(w)
+        return oracle
+
     for box in boxes:
         gens = gens_from_params(box)
-        oracle = {w: _bits(evaluate_word(w, box).m21.abs_bounds()) for w in pool}
+        oracle = oracle_of(box, pool if box is boxes[0] else rng.sample(pool, 200))
         for words in orders:
             _kernel_matches_oracle(gens, words, oracle)
     # signed's child split on c, whose table starts from signed's
@@ -368,8 +455,8 @@ def test_kernel_bounds_bit_identical_to_full_matrix_oracle() -> None:
     child_gens = gens_from_params(child)
     child_gens.inherit(gens)
     assert gens._slot[0] is not None and child_gens._slot == (None, None)
-    last = next(w for w in reversed(orders[-1]) if len(w.syllables) > 1)
-    oracle = {w: _bits(evaluate_word(w, child).m21.abs_bounds()) for w in pool}
+    last = next(w for w in reversed(orders[-1]) if len(w.syllables) > 2)
+    oracle = oracle_of(child, rng.sample(pool, 200))
     for words in ([last],) + orders:
         _kernel_matches_oracle(child_gens, words, oracle)
 
@@ -383,6 +470,10 @@ def test_overflowing_words_raise_before_classification(monkeypatch) -> None:
         (Word(((3, 2, -1),) * 300), REF),
         # overflows only in m22: gamma^2 = -1 at c = 0 keeps m21 finite
         (Word(((0, 0, 1),) + ((1, 0, 1),) * 3 + ((1, 0, 2),)), Params(1e100, 1j, 0.0)),
+        # overflow only in the last m22 = r2 * c + r1, where m21 = -r2 is
+        # finite: -a after z x, and a few ulps of 1e200 after z^-1 x
+        (parse_word("z x z^-1"), Params(1e200, 1j, 1e200)),
+        (parse_word("z^-1 x z^-1"), Params(1e200, 1j, 1e200)),
         # a finite bottom row whose |m21| = |c + a| overflows hypot
         (parse_word("z x z"), Params(4.0, 1j, complex(1.5e308, 1.5e308))),
         # overflows only in the leading block's offset 2a, which the
@@ -397,6 +488,14 @@ def test_overflowing_words_raise_before_classification(monkeypatch) -> None:
             for route in routes:
                 with pytest.raises(ValueError):
                     route(w, target)
+    # the kernel routes name the word whose last m22 overflows
+    p = Params(1e200, 1j, 1e200)
+    for text in ("z x z^-1", "z^-1 x z^-1"):
+        for target in (p, ParamBox.from_point(p), gens_from_params(p)):
+            for route in (lower_left_abs, killer_test):
+                message = rf"endpoints must be finite in the bottom row of {re.escape(text)}$"
+                with pytest.raises(ValueError, match=message):
+                    route(parse_word(text), target)
     # the kernel routes name the first block that overflows, x^2 alone
     p = Params(1e308, 0.5 + 1j, 0)
     for w in (parse_word("x^2 z"), parse_word("x^2 y z")):
@@ -405,6 +504,58 @@ def test_overflowing_words_raise_before_classification(monkeypatch) -> None:
                 with pytest.raises(ValueError, match=r"the offset of x\^2 y\^0"):
                     route(w, target)
     assert seen == []
+
+
+def _full_row_outcome(gens, syllables):
+    """What the kernel must give: the full row's m21 bounds, or "raises".
+
+    The full row is _bottom_row over the syllables after the first, from
+    gamma^e1's bottom row, with both entries built.  It raises where a
+    table build, a non-finite endpoint of either entry or the overflow of
+    |m21| does.
+    """
+    m, n, e1 = syllables[0]
+    try:
+        if m or n:
+            gens.offset(m, n)
+        r1, r2 = words_module._bottom_row(gens, syllables[1:], gens._unboxed_power(e1)[2:])
+    except ValueError:
+        return "raises"
+    if not all(map(math.isfinite, r1 + r2)):
+        return "raises"
+    lo, hi = rect_abs(*r1)
+    return "raises" if hi == math.inf else (lo, hi)
+
+
+def test_kernel_raises_where_the_full_row_does() -> None:
+    """Near the m22 guard's 2^500 the kernel raises exactly where the full stepped row does.
+
+    A word's last syllable builds m21 alone where the operands of m22 are
+    inside (-2^500, 2^500), so a missed overflow of m22 would show here:
+    at a and c around 2^500 products of two operands straddle the float
+    range.  Every Word of (2,1), of the first 2000 positions of (6,3) and
+    of the 20000-word cut of (3,2) is run on one table per point, in
+    stream order, so the slot is used as in a scan.  Where the full row
+    is finite and |m21| does not overflow, the kernel gives its m21's
+    bounds bit for bit.
+    """
+    pool = [w for caps in ((2, 1, 10**6), (6, 3, 2000), (3, 2, 20000)) for w in WordStream(*caps).words]
+    sizes = (2.0**499, 2.0**500, 2.0**501, 1e154, 1e200)
+    raised = kept = 0
+    for a in sizes:
+        for c in sizes:
+            p = Params(a, 0.5 + 1j, c)
+            gens, full = gens_from_params(p), gens_from_params(p)
+            for w in pool:
+                expected = _full_row_outcome(full, w.syllables)
+                outcome = _outcome(lambda: lower_left_bounds(gens, w.syllables))
+                if expected == "raises":
+                    assert isinstance(outcome, str), (a, c, str(w))
+                    raised += 1
+                else:
+                    assert _hex_outcome(outcome) == _hex_outcome(expected), (a, c, str(w))
+                    kept += 1
+    assert raised > 1000 and kept > 1000, (raised, kept)
 
 
 def _body(word):
@@ -659,32 +810,37 @@ def _count_products(monkeypatch):
 def test_scan_rect_mul_count(monkeypatch) -> None:
     """The kernel's general products per stream, pinned, and the table's apart.
 
-    A later syllable's block takes one rect_mul, a gamma^+-1 step one more
-    and any other gamma^e step four.  A word's first syllable costs
-    nothing, and its second nothing when the word shares its first
-    exponent and second syllable with the word before (the slot).  On a
-    slot miss after z or z^-1, whose rows are exact, the second syllable
-    takes no product when its exponent is 1, one (r2 * c) when it is -1
-    and two for a longer power; after any other first power it is
-    stepped, 2 or 5 products.
-      - (6,3), 2000 positions: 184 words, none past 2 syllables, so no
-        later syllable and no slot hit.  4 have one syllable, 92 end in z
-        (0) and 88 in z^-1 (1 each): 88.
-      - (2,1), the whole stream: 34 words; 2, 16 (0) and 16 (1): 16.
-      - (3,2), 20000 positions: 3751 words, 4 of one syllable and 3011
-        slot hits.  The 736 misses take 272 * 0 + 272 * 1 + 96 * 2 after
-        z^+-1 and 96 * 2 after z^+-2, 656 in all, and the 3459 later
-        syllables, each a block and a gamma^+-1 step, 6918: 7574.
-    These were 360, 64 and 14,700 when every second syllable was
-    stepped, 374 and 69 when the first rows were stepped too, and 684
-    and 123 before that.  The tables take 29, 5 and 25 products: the
-    multiples m*a and n*b, eight per power gamma^+-2 and one for 1*c.
+    A word's first syllable costs nothing.  Its last builds m21 alone
+    here, since every operand is far below 2^500: a block takes one
+    product (r1 * t), then z one (r1 * c) and z^-1 none (m21 is -r2);
+    right after z or z^-1, whose row starts with an exact +-1, z takes
+    none and z^+-2 one (r2 * g21).  A word of three syllables takes its
+    second from the slot when it shares its first exponent and second
+    syllable with the last such word; a miss steps it from the exact row
+    after z or z^-1, with no product when its exponent is 1 and one
+    (r2 * c) when it is -1.
+      - (6,3), 2000 positions: 184 words, none past 2 syllables.  4 have
+        one syllable, 92 end in z and 88 in z^-1, all after z^+-1: 0.
+      - (2,1), the whole stream: 34 words; 2, 16 and 16: 0.
+      - (3,2), 20000 positions: 3751 words.  4 have one syllable.  Of
+        the 288 of two, the 192 after z^+-1 take 48 * 0 (z), 48 * 0
+        (z^-1) and 96 * 1 (z^+-2), and the 96 after z^+-2 take 48 * 2
+        (x^m y^n z) and 48 * 1 (x^m y^n z^-1): 240.  The 3459 of three
+        have 3011 slot hits, and the 448 misses take 224 * 0 + 224 * 1.
+        Their last syllables take 1856 * 2 (ending in z) and 1603 * 1
+        (ending in z^-1), 5315: 5779 in all.
+    These were 88, 16 and 7574 when the last syllable built m22 too,
+    one product on each of the 1795 (3,2) words that end in z^-1 or
+    z^+-2; 360, 64 and 14,700 when every second syllable was stepped,
+    374 and 69 when the first rows were stepped too, and 684 and 123
+    before that.  The tables take 29, 5 and 25 products: the multiples
+    m*a and n*b, eight per power gamma^+-2 and one for 1*c.
     """
     kernel, table = _count_products(monkeypatch)
     for (max_d, max_exp, budget), words, expected, built in (
-        ((6, 3, 2000), 2000, 88, 29),
-        ((2, 1, 10000), 145, 16, 5),
-        ((3, 2, 20000), 20000, 7574, 25),
+        ((6, 3, 2000), 2000, 0, 29),
+        ((2, 1, 10000), 145, 0, 5),
+        ((3, 2, 20000), 20000, 5779, 25),
     ):
         kernel.clear()
         table.clear()
