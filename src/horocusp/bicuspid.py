@@ -3,10 +3,12 @@
 A bicuspid group is generated by two parabolic translations fixing infinity,
 alpha: z -> z + a and beta: z -> z + b, together with the pairing element
 gamma = [[c, -1], [1, 0]] carrying the height-one horoball at infinity to
-the unit-diameter ball tangent at the origin. After conjugation the search
-region is reduced so that a is real with a >= 1 and Im b >= 0, and every
-translation length of the cusp lattice lies in [1, R] where
-R = 2 * area_bound / sqrt(3).
+the unit-diameter ball tangent at the origin. The search root fixes
+a_im = 0: it is the slice where a is real, with a >= 1 and Im b >= 0, and
+every translation length of the cusp lattice lies in [1, R] where
+R = 2 * area_bound / sqrt(3). Every cover so far certifies that slice
+only. Whether every group of the family has a conjugate in the slice,
+with gamma kept in this form, is open (ROADMAP item 18).
 
 Feasibility checks certify only sound necessary conditions for a normalized
 group: Im a = 0, 1 <= Re a <= R, Im b >= 0, 1 <= |b| <= R, |c| <= R.

@@ -205,8 +205,19 @@ def strict_delta_max(area: float) -> int:
     return max(0, math.ceil(Fraction(36) / Fraction(area)) - 1)
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality for every
+# n below _PRIME_BOUND (Sorenson and Webster, Math. Comp. 86, 2017)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
 def max_exceptional_count(delta_max: int) -> int:
-    """Smallest prime strictly above delta_max, plus one."""
+    """Smallest prime strictly above delta_max, plus one.
+
+    Raises ValueError when delta_max is negative, or when the search for
+    that prime reaches _PRIME_BOUND, about 3.3e24, past which _is_prime
+    is not proved.
+    """
     if delta_max < 0:
         raise ValueError("delta_max must be nonnegative")
     n = delta_max + 1
@@ -216,15 +227,32 @@ def max_exceptional_count(delta_max: int) -> int:
 
 
 def _is_prime(n: int) -> bool:
+    """Whether n is prime: Miller-Rabin with _PRIME_BASES, deterministic below _PRIME_BOUND.
+
+    Raises ValueError at or above _PRIME_BOUND.
+    """
+    if n >= _PRIME_BOUND:
+        digits = len(str(n))
+        raise ValueError(f"primality is decided only below {_PRIME_BOUND}, got a {digits}-digit number")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for p in _PRIME_BASES:
+        if n % p == 0:
+            return n == p
+    # n - 1 = d * 2^s with d odd; n > 41 here, so every base is below n
+    d, s = n - 1, 0
+    while not d % 2:
+        d, s = d // 2, s + 1
+    for base in _PRIME_BASES:
+        x = pow(base, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

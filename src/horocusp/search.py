@@ -8,10 +8,13 @@ run to run, capped or complete.
 
 One WordStream serves every box of a run: the cut of the canonical
 stream at the run's caps and word budget, WordStream(max_d, max_exp,
-word_budget_per_box), taken once before the first box.  It holds the
-cut's Words, the first words of their bodies, which a box evaluates with
-words.lower_left_bounds, and counts the cut's later body twins (see the
-words module's lemma), which no box evaluates.  Boxes name words by
+word_budget_per_box), built once before the first box.  Its build counts
+the cut in one walk over the words module's lead table and body walk,
+the same two pieces enumerate_segments is built on, and makes no
+segment object.  It holds the cut's Words, the first words of their
+bodies, which a box evaluates with words.lower_left_bounds, and counts
+the cut's later body twins (see the words module's lemma), which no box
+evaluates and the build never makes.  Boxes name words by
 their index in the stream's words, and ties go to the earliest, the
 canonical least.  A twin has the [L, U] of its body's first word bit for
 bit and comes after that word, so it cannot decide the box sooner, be an

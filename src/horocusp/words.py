@@ -97,17 +97,27 @@ on this lemma about a canonical word r_1 B with r_1 = x^m y^n:
    only if r_1 is trivial, or r_1 = y and B is not kept.
 3. Every other kept first syllable s_1 = (m, n, e_1) of a (d, extra)
    bucket therefore leads a subtree of twins only: s_1 followed by each
-   completion of the state (d - |e_1|, extra - |m| - |n|).  The walk
-   emits it as one Run and counts its words with a memoized sum over the
-   move tables, without walking it.  A y-twin (r_1 = y, B kept) is a Run
-   of one word.
+   completion of the state (d - |e_1|, extra - |m| - |n|).  Its words are
+   counted with a memoized sum over the move tables, without a walk.  A
+   y-twin (r_1 = y, B kept) is a Run of one word.
 
-enumerate_words expands the segments, so the walk that orders the stream
-is this one.  A WordStream is the cut of the canonical stream within caps
-(max_d, max_exp) for one word budget: the segments through the first
-whose words reach the budget, taken once, named by those three numbers.
-It keeps the cut's Words, which scans name by index, and counts its
-twins.
+Two pieces apply the lemma, and nothing else does.  The lead table
+_leads(max_exp, d, extra), cached per caps like the move tables, holds a
+bucket's kept first syllables in rank order, each that begins a Run
+with its count.  The body walk _body_walk walks the subtree of a trivial
+or y lead and gives each kept word's syllables and whether it is the
+first of its body, by lemma 2.  enumerate_segments builds its segments
+from the two: a Run for each counted lead, and a Word or a y-twin's Run
+of one for each word of a walk.  enumerate_words expands the segments,
+so the walk that orders the stream is this one.
+
+A WordStream is the cut of the canonical stream within caps (max_d,
+max_exp) for one word budget: the segments through the first whose
+words reach the budget, named by those three numbers.  It counts the cut
+in one walk over the same two pieces and builds no segment: a counted
+lead adds its count, a y-twin adds one, and only the first words of
+their bodies are built, which it keeps and scans name by index.  It
+keeps no stream between calls.
 
 Twin reads: a scan evaluates no twin, yet it raises and decides where a
 scan that evaluates every word in stream order would.  A twin r_1 B reads
@@ -150,7 +160,8 @@ import math
 import re
 import struct
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple, Union
+from itertools import chain
+from typing import Iterable, Iterator, List, NamedTuple, Tuple, Union
 
 from .bicuspid import ParamBox, Params, integer
 from .interval import ComplexInterval, IntervalMatrix, RealInterval
@@ -376,76 +387,104 @@ class Run(NamedTuple):
 Segment = Union[Word, Run]
 
 
+def _check_caps(max_d: int, max_exp: int) -> None:
+    """ValueError unless 1 <= max_d and 1 <= max_exp <= MAX_EXP."""
+    if max_d < 1 or max_exp < 1:
+        raise ValueError("max_d and max_exp must be at least 1")
+    if max_exp > MAX_EXP:
+        raise ValueError(f"max_exp must be at most {MAX_EXP}, got {max_exp}")
+
+
+@functools.cache
+def _leads(max_exp: int, d: int, extra: int) -> tuple:
+    """(lead, rest_d, rest_extra, count) for each kept first syllable of a bucket, in rank order.
+
+    A lead is kept when its block is trivial or the first nonzero of its
+    (m, n) is positive (lemma 1); the others' inverses in word form rank
+    first.  A lead that begins a Run, any block but the trivial one and y
+    (lemma 3), carries count, the Run's words, its completion count; a
+    trivial or y lead carries None, and _body_walk walks its subtree.
+    """
+    out = []
+    for lead, rest_d, rest_extra in _moves(max_exp, d, extra, True):
+        m, n, _ = lead
+        if m < 0 or (not m and n < 0):
+            continue
+        count = _completion_count(max_exp, rest_d, rest_extra) if m or n > 1 else None
+        out.append((lead, rest_d, rest_extra, count))
+    return tuple(out)
+
+
+def _stream_leads(max_d: int, max_exp: int) -> Iterator[tuple]:
+    """_leads of every (d, extra) bucket within the caps, chained in stream order."""
+    buckets = ((d, extra) for d in range(1, max_d + 1) for extra in range(2 * max_exp * d + 1))
+    return chain.from_iterable(_leads(max_exp, d, extra) for d, extra in buckets)
+
+
+def _body_walk(max_exp: int, lead: Syllable, rest_d: int, rest_extra: int) -> Iterator[tuple]:
+    """(syllables, first) for each kept word of a trivial or y lead's subtree, in rank order.
+
+    first is whether the word is the first of its body.  By lemma 2 the
+    body B = z^e1 ... z^e_last is kept when e1 and e_last share a sign and
+    z^e1 ranks before z^-e_last, which by _scalar_key is when
+    e_last >= e1 > 0 or e_last < e1 < 0.  Under a trivial lead a word is
+    kept, and is the first of its body, exactly when B is kept; under y
+    every word is kept, a twin of B when B is kept and the first of its
+    body otherwise.  The subtree is walked with a stack of
+    move iterators, from the lead as the one root move, so a word costs
+    one step of this loop; _completions, a generator per level, would
+    resume every level for each word.  Yields tuples of int syllables.
+    """
+    _, n, e1 = lead
+    prefix, moves, stack = (), iter(((lead, rest_d, rest_extra),)), []
+    while True:
+        for syllable, left_d, left_extra in moves:
+            if left_d:
+                stack.append((prefix, moves))
+                prefix += (syllable,)
+                moves = iter(_moves(max_exp, left_d, left_extra, False))
+                break
+            e_last = syllable[2]
+            if e_last >= e1 > 0 or e_last < e1 < 0:
+                # B, or y B, a twin of B
+                yield prefix + (syllable,), not n
+            elif n:
+                # y B where B is not kept: the first of its body
+                yield prefix + (syllable,), True
+        else:
+            if not stack:
+                return
+            prefix, moves = stack.pop()
+
+
 def enumerate_segments(max_d: int, max_exp: int) -> Iterator[Segment]:
     """The canonical stream as segments: first words of their bodies, and Runs of twins.
 
     Expanding every Run into its words gives enumerate_words word for
     word.  Each (d, extra) bucket takes its kept first syllables in rank
-    order (see the module docstring's lemma): a trivial block's subtree is
-    walked and yields each kept word, a y block's subtree is walked and
-    yields each word as a Word or, when its body is kept, as a Run of one,
-    and any other positive block's subtree is one Run, counted without a
-    walk.  Raises ValueError unless 1 <= max_d and 1 <= max_exp <= MAX_EXP.
+    order from the lead table _leads (see the module docstring's lemma):
+    a lead that begins a Run is yielded as one, counted without a walk,
+    and a trivial or y lead's subtree is walked by _body_walk, which
+    yields each first word of its body as a Word and each twin of a y
+    lead as a Run of one.  WordStream counts its cut from the same table
+    and walk.  Raises ValueError unless 1 <= max_d and 1 <= max_exp <=
+    MAX_EXP.
     """
-    if max_d < 1 or max_exp < 1:
-        raise ValueError("max_d and max_exp must be at least 1")
-    if max_exp > MAX_EXP:
-        raise ValueError(f"max_exp must be at most {MAX_EXP}, got {max_exp}")
-    rank = _syllable_ranks(max_exp)
+    _check_caps(max_d, max_exp)
     # Word._trusted, and a Run from its fields in order, without the call
     # frames of a classmethod and of NamedTuple's __new__ on every segment
     new_word, set_syllables, new_tuple = object.__new__, _set_syllables, tuple.__new__
-    # a body z^e1 ... z^e_last is kept when e1 and e_last share a sign and
-    # z^e1 ranks before z^-e_last: for each e1, the e_last that keep it
-    span = range(-max_exp, max_exp + 1)
-    kept_lasts = {
-        e1: frozenset(
-            e for e in span if e and (e1 > 0) == (e > 0) and rank[(0, 0, e1)] < rank[(0, 0, -e)]
-        )
-        for e1 in span
-        if e1
-    }
-
-    for d in range(1, max_d + 1):
-        for extra in range(0, 2 * max_exp * d + 1):
-            for lead, rest_d, rest_extra in _moves(max_exp, d, extra, True):
-                m, n, e1 = lead
-                if m < 0 or (not m and n < 0):
-                    # the inverse in word form ranks first: no word here is kept
-                    continue
-                if m or n > 1:
-                    # every word here is a twin of an earlier word
-                    count = _completion_count(max_exp, rest_d, rest_extra)
-                    yield new_tuple(Run, ((lead,), rest_d, rest_extra, count, max_exp))
-                    continue
-                # r_1 trivial or y: each word is decided by whether its body
-                # B = z^e1 ... z^e_last is kept.  The subtree is walked with a
-                # stack of move iterators, from the lead as the one root move,
-                # so a word costs one step of this loop; _completions, a
-                # generator per level, would resume every level for each word.
-                kept_last = kept_lasts[e1]
-                prefix, moves, stack = (), iter(((lead, rest_d, rest_extra),)), []
-                while True:
-                    for syllable, left_d, left_extra in moves:
-                        if left_d:
-                            stack.append((prefix, moves))
-                            prefix += (syllable,)
-                            moves = iter(_moves(max_exp, left_d, left_extra, False))
-                            break
-                        syls = prefix + (syllable,)
-                        body_kept = syllable[2] in kept_last
-                        if n and body_kept:
-                            # y B, a twin of B
-                            yield new_tuple(Run, (syls, 0, 0, 1, max_exp))
-                        elif n or body_kept:
-                            # B, or y B where B is not kept: the first of its body
-                            word = new_word(Word)
-                            set_syllables(word, syls)
-                            yield word
-                    else:
-                        if not stack:
-                            break
-                        prefix, moves = stack.pop()
+    for lead, rest_d, rest_extra, count in _stream_leads(max_d, max_exp):
+        if count:
+            yield new_tuple(Run, ((lead,), rest_d, rest_extra, count, max_exp))
+            continue
+        for syls, first in _body_walk(max_exp, lead, rest_d, rest_extra):
+            if first:
+                word = new_word(Word)
+                set_syllables(word, syls)
+                yield word
+            else:
+                yield new_tuple(Run, (syls, 0, 0, 1, max_exp))
 
 
 def enumerate_words(max_d: int, max_exp: int) -> Iterator[Word]:
@@ -473,53 +512,80 @@ def enumerate_words(max_d: int, max_exp: int) -> Iterator[Word]:
             yield segment
 
 
+def _cut(max_d: int, max_exp: int, budget: int) -> tuple:
+    """(words, ends, blocks, count) of the canonical stream's cut at budget, in one counting walk.
+
+    The walk is enumerate_segments' with no segment built: a lead that
+    begins a Run adds its count and records its block, a first word of
+    its body is kept with its end, and a y twin adds one and records
+    (0, 1).  It stops at the first position that reaches budget, where
+    the segment holding that position ends, or at the stream's end.
+    blocks is a dict, which keeps each block where it first came.
+    """
+    words, ends, blocks, count = [], [], {}, 0
+    new_word, set_syllables = object.__new__, _set_syllables
+    for lead, rest_d, rest_extra, run in _stream_leads(max_d, max_exp):
+        if run:
+            count += run
+            blocks[lead[:2]] = None
+            if count >= budget:
+                return words, ends, blocks, count
+            continue
+        for syls, first in _body_walk(max_exp, lead, rest_d, rest_extra):
+            count += 1
+            if first:
+                # Word._trusted without the call frame of a classmethod
+                word = new_word(Word)
+                set_syllables(word, syls)
+                words.append(word)
+                ends.append(count)
+            else:
+                blocks[0, 1] = None
+            if count >= budget:
+                return words, ends, blocks, count
+    return words, ends, blocks, count
+
+
 class WordStream:
     """The cut of the canonical stream for one word budget: what every scan at that budget reads.
 
-    WordStream(max_d, max_exp, budget) takes enumerate_segments(max_d,
-    max_exp) once, through the first segment whose words reach budget, or
-    to its end; nothing past the cut is taken.  It keeps only what a scan
-    reads (see search.test_box).  key is (max_d, max_exp, budget): two
-    streams with one key are equal, so a scan checks a stream by its key
-    alone.
+    WordStream(max_d, max_exp, budget) counts the canonical stream of
+    enumerate_segments(max_d, max_exp) once, in one walk over the same
+    lead table and body walk that builds no segment, through the first
+    segment whose words reach budget, or to its end; nothing past the cut
+    is walked.  It keeps only what a scan reads (see search.test_box).
+    key is (max_d, max_exp, budget): two streams with one key are equal,
+    so a scan checks a stream by its key alone.
 
-    words holds the cut's Word segments, each the first of its body, in
-    stream order: the words a scan evaluates, which scans name by their
-    index here, ties going to the earliest, the canonical least.  ends[k]
-    is the number of words of the cut through words[k], the twins before
-    it included, and scanned, min(budget, the cut's words), the words a
-    scan that no word decides counts.  A twin is counted, never evaluated.
-    blocks holds the distinct leading blocks (m, n) of the cut's Runs, in
-    stream order: the offsets a scan with no enclosing box reads for the
-    twins' errors (see the module docstring's twin reads).  first_scan
-    maps every index of words to None, in order; a scan with no enclosing
-    box reads it as a child reads its parent's live, where a value is an
-    (L, U) to reuse and None is none.  budget must be at least 1, else
-    ValueError, and the caps are checked as enumerate_segments checks
-    them.  masks() gives, by index, the generators each word's m21 reads
-    (m21_reads), for scans that reuse a parent box's bounds.
+    words holds the cut's first words of their bodies, in stream order:
+    the words a scan evaluates, which scans name by their index here, ties
+    going to the earliest, the canonical least.  ends[k] is the number of
+    words of the cut through words[k], the twins before it included, and
+    scanned, min(budget, the cut's words), the words a scan that no word
+    decides counts.  A twin is counted, never evaluated.  blocks holds the
+    distinct leading blocks (m, n) of the cut's twins, in stream order:
+    the offsets a scan with no enclosing box reads for the twins' errors
+    (see the module docstring's twin reads).  first_scan maps every index
+    of words to None, in order; a scan with no enclosing box reads it as a
+    child reads its parent's live, where a value is an (L, U) to reuse and
+    None is none.  max_d, max_exp and budget are each an integral int or
+    float, stored as an int; a bool or a string raises TypeError, and any
+    other number ValueError, as SearchConfig's do.  budget must be at
+    least 1, else ValueError, and the caps are checked as
+    enumerate_segments checks them.  masks() gives, by index, the
+    generators each word's m21 reads (m21_reads), for scans that reuse a
+    parent box's bounds.
     """
 
     __slots__ = ("key", "words", "ends", "blocks", "first_scan", "scanned", "_masks")
 
     def __init__(self, max_d: int, max_exp: int, budget: int) -> None:
+        max_d, max_exp = integer(max_d, "max_d"), integer(max_exp, "max_exp")
+        budget = integer(budget, "budget")
         if budget < 1:
             raise ValueError(f"budget must be at least 1, got {budget!r}")
-        words: List[Word] = []
-        ends: List[int] = []
-        # a dict keeps each block where it first came
-        blocks: Dict[Tuple[int, int], None] = {}
-        count = 0
-        for segment in enumerate_segments(max_d, max_exp):
-            if segment.__class__ is Run:
-                count += segment.count
-                blocks[segment.prefix[0][:2]] = None
-            else:
-                count += 1
-                words.append(segment)
-                ends.append(count)
-            if count >= budget:
-                break
+        _check_caps(max_d, max_exp)
+        words, ends, blocks, count = _cut(max_d, max_exp, budget)
         self.key, self.words, self.ends = (max_d, max_exp, budget), words, ends
         self.blocks, self.scanned, self._masks = list(blocks), min(budget, count), None
         self.first_scan = dict.fromkeys(range(len(words)))

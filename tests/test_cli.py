@@ -435,6 +435,22 @@ def test_cusp_area_out_of_float_range_is_a_usage_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cusp_with_a_huge_delta_max_exits_64():
+    """Area 1e-300 gives delta_max about 3.6e301, past the proved primality bound: exit 64 at once.
+
+    The console command ran until killed when the next prime above
+    delta_max was sought by trial division; the timeout makes a hang a
+    failure, not a stuck run.
+    """
+    argv = ["cusp", "--a", "1e-150", "--b", "1e-150i", "--slope-length", "1e-150"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "horocusp.cli", *argv], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 64 and proc.stdout == ""
+    assert "primality is decided only below 3317044064679887385961981" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_emitted_json_holds_no_infinity(tmp_path, capsys):
     """A non-finite float in a payload is refused, not written as Infinity."""
     with pytest.raises(ValueError):

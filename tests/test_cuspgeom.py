@@ -7,6 +7,8 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from horocusp import cuspgeom
 from horocusp.bicuspid import Params
 from horocusp.cuspgeom import (
@@ -144,6 +146,39 @@ def test_strict_delta_max_is_exact_next_to_integer_bounds():
     assert float_misses == 106
     audit = audit_cusp(CuspShape(1.0, 3.2727272727272725j))
     assert (audit["delta_max"], audit["max_exceptional_count"]) == (11, 14)
+
+
+def _next_prime_by_trial_division(n: int) -> int:
+    """The smallest prime above n, each candidate tested by division up to its square root."""
+    while True:
+        n += 1
+        if n > 1 and all(n % f for f in range(2, math.isqrt(n) + 1)):
+            return n
+
+
+def test_max_exceptional_count_is_decided_by_miller_rabin():
+    """Miller-Rabin with the first 13 prime bases agrees with trial division, and stops at its bound.
+
+    Every delta_max up to 10^4 gives the trial-division answer.  Next to
+    2^61, the primes 2^61 - 31, 2^61 - 1 and 2^61 + 15 are found with no
+    prime between them.  3825123056546413051, a strong pseudoprime to
+    every prime base up to 23, and 318665857834031151167461, one to the
+    first 12 prime bases, are composite.  A search that reaches
+    3317044064679887385961981, where the bases are no longer proved
+    enough, raises ValueError at once.
+    """
+    for d in range(10**4 + 1):
+        assert max_exceptional_count(d) == _next_prime_by_trial_division(d) + 1, d
+    p = 2**61
+    assert max_exceptional_count(p - 32) == p - 31 + 1
+    assert max_exceptional_count(p - 31) == p - 1 + 1
+    assert max_exceptional_count(p - 1) == p + 15 + 1
+    assert not cuspgeom._is_prime(3825123056546413051)
+    assert not cuspgeom._is_prime(318665857834031151167461)
+    bound = 3317044064679887385961981
+    for d in (bound - 1, 36 * 10**301):
+        with pytest.raises(ValueError, match=f"primality is decided only below {bound}"):
+            max_exceptional_count(d)
 
 
 def test_delta_bound_values():

@@ -42,7 +42,7 @@ from horocusp.words import (
     volume_bound,
 )
 
-from test_words import _AXIS_GENERATOR, _expanded, _outcome
+from test_words import _AXIS_GENERATOR, _expanded, _outcome, _stream_from_segments
 
 SLICE_BOUNDS = [[1.0, 1.2], [0.0, 0.0], [0.0, 0.0], [4.0, 4.0], [-0.7, -0.4], [0.0, 0.0]]
 # finite endpoints whose b_re width 3.4e308 overflows to inf
@@ -185,16 +185,30 @@ def test_a_box_whose_midpoint_rounds_onto_an_endpoint_is_not_split() -> None:
 
 
 def test_box_infeasible_short_circuit(monkeypatch):
-    """An infeasible box scans nothing, and with stream None builds no stream."""
+    """An infeasible box scans nothing, and with stream None builds no stream.
+
+    A spy on WordStream's own build records every stream built; a
+    feasible box with stream None builds one, at its config's key.
+    """
     box = ParamBox.from_bounds(
         [[0.2, 0.5], [0.0, 0.0], [0.0, 0.0], [4.0, 4.0], [-0.6, -0.5], [0.0, 0.0]]
     )
-    taken = []
-    monkeypatch.setattr(words_module, "enumerate_segments", lambda *caps: taken.append(caps))
+    built, real_init = [], WordStream.__init__
+
+    def spy(stream, *key):
+        built.append(key)
+        real_init(stream, *key)
+
+    monkeypatch.setattr(WordStream, "__init__", spy)
     v = test_box(box, None, _cfg())
     assert v.status is BoxStatus.ELIMINATED_INFEASIBLE
     assert v.words_scanned == 0 and v.word is None
-    assert taken == []
+    assert built == []
+    feasible = ParamBox.from_bounds(
+        [[1.0, 1.1], [0.0, 0.0], [0.0, 0.0], [4.0, 4.0], [-0.6, -0.5], [0.0, 0.0]]
+    )
+    assert test_box(feasible, None, _cfg()).status is BoxStatus.ELIMINATED_KILLER
+    assert built == [(2, 1, _cfg().word_budget_per_box)]
 
 
 def test_box_eliminates_with_canonical_witness():
@@ -254,21 +268,14 @@ def test_box_hint_scanned_first():
     assert (off.status, off.word, off.words_scanned) == (v.status, v.word, 12)
 
 
-def _every_word(max_d, max_exp):
-    """enumerate_segments with every Run expanded into Words, so a stream of it evaluates every word."""
-    for segment in enumerate_segments(max_d, max_exp):
-        yield from segment.words() if isinstance(segment, Run) else (segment,)
+def _every_word_stream(max_d, max_exp, budget):
+    """The stream keyed (max_d, max_exp, budget) that evaluates every word: each a Word segment."""
+    return _stream_from_segments(enumerate_words(max_d, max_exp), max_d, max_exp, budget)
 
 
-def _stream_of(monkeypatch, segments, cfg):
-    """The WordStream at cfg's caps and budget cut from segments, in their order.
-
-    WordStream takes its segments from words.enumerate_segments, so the
-    stream is built while that yields these segments.
-    """
-    with monkeypatch.context() as patch:
-        patch.setattr(words_module, "enumerate_segments", lambda max_d, max_exp: iter(segments))
-        return WordStream(cfg.max_d, cfg.max_exp, cfg.word_budget_per_box)
+def _stream_of(segments, cfg):
+    """The WordStream keyed by cfg's caps and budget, cut from segments in their order."""
+    return _stream_from_segments(segments, cfg.max_d, cfg.max_exp, cfg.word_budget_per_box)
 
 
 def test_near_miss_tie_rule(monkeypatch) -> None:
@@ -296,7 +303,7 @@ def test_near_miss_tie_rule(monkeypatch) -> None:
 
     def scan(order, hint=None):
         """The verdict on a stream of order, hint given as a word; (verdict, near miss word)."""
-        stream = _stream_of(monkeypatch, order, _cfg())
+        stream = _stream_of(order, _cfg())
         parent = None
         if hint is not None:
             parent = _given_parent(box, stream, range(len(order)), near_miss=order.index(hint))
@@ -864,8 +871,8 @@ def test_dead_word_skips_keep_report_bytes(monkeypatch, settings) -> None:
     dead_lo, m21_reads = search_module._DEAD_LO, words_module.m21_reads
     runs = {}
     for twins, dead, reuse in product((True, False), repeat=3):
-        segments = enumerate_segments if twins else _every_word
-        monkeypatch.setattr(words_module, "enumerate_segments", segments)
+        stream = words_module.WordStream if twins else _every_word_stream
+        monkeypatch.setattr(search_module, "WordStream", stream)
         # a _DEAD_LO of inf rules no word out
         monkeypatch.setattr(search_module, "_DEAD_LO", dead_lo if dead else math.inf)
         reads = m21_reads if reuse else lambda syllables: words_module.GEN_ALL
@@ -1606,7 +1613,7 @@ def test_box_matches_a_scan_of_every_word(stream_caps, reach) -> None:
         assert kinds["killed before gamma^3 overflows"]
 
 
-def test_box_rejects_power_free_words(monkeypatch) -> None:
+def test_box_rejects_power_free_words() -> None:
     """No stream holds a pure translation, and a parent's near miss outside its live raises.
 
     A pure translation has no lower-left entry to test, and neither
@@ -1624,7 +1631,7 @@ def test_box_rejects_power_free_words(monkeypatch) -> None:
     box = param_space(1.5)
     cfg = SearchConfig(**_AREA_15)
     words = list(enumerate_words(2, 1))
-    stream = _stream_of(monkeypatch, words, cfg)
+    stream = _stream_of(words, cfg)
     segmented = WordStream(2, 1, cfg.word_budget_per_box)
     assert stream.words == words and stream.key == segmented.key and not stream.blocks
     assert len(segmented.words) < len(words)

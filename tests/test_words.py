@@ -673,55 +673,88 @@ def test_completion_count_matches_a_brute_force_walk(max_exp, max_d) -> None:
             assert count == sizes[extra], (d, extra)
 
 
+def _stream_from_segments(segments, max_d, max_exp, budget):
+    """The WordStream keyed (max_d, max_exp, budget) whose cut is taken from segments, in their order.
+
+    The reference cut: segments are taken through the first whose words
+    reach budget, or to their end.  words are the Word segments, ends[k]
+    the words through words[k], blocks the distinct leading blocks of the
+    Runs in order, and scanned min(budget, the cut's words).  A caller may
+    pass made-up segments, such as every word as a Word, for a stream
+    that evaluates every word.
+    """
+    words, ends, blocks, count = [], [], [], 0
+    for segment in segments:
+        if isinstance(segment, Run):
+            count += segment.count
+            if segment.prefix[0][:2] not in blocks:
+                blocks.append(segment.prefix[0][:2])
+        else:
+            count += 1
+            words.append(segment)
+            ends.append(count)
+        if count >= budget:
+            break
+    stream = object.__new__(WordStream)
+    stream.key, stream.words, stream.ends, stream.blocks = (max_d, max_exp, budget), words, ends, blocks
+    stream.scanned, stream._masks = min(budget, count), None
+    stream.first_scan = dict.fromkeys(range(len(words)))
+    return stream
+
+
 def test_word_stream_is_the_cut(monkeypatch) -> None:
-    """A stream takes the canonical segments once, through the first whose words reach the budget.
+    """A stream counts the canonical segments once, through the first whose words reach the budget.
 
     At (2, 1) the 145 words lie in 61 segments, 34 of them Words.  Budget
     40 ends inside a Run of 8 and 4 at a Run of one; 145 takes every
-    segment, and so do the budgets past it.  A counting enumerate_segments
-    shows the stream asks for its caps once and takes nothing past the
-    cut.  key is the caps and the budget.  words, ends and blocks are
-    rebuilt from the cut's segments: its Words, the words of the cut
-    through each, twins before it included, and the distinct leading
-    blocks of its Runs in stream order.  first_scan maps every index of
-    words to None.  A budget below 1, or caps enumerate_segments refuses,
-    raises.
+    segment, and so do the budgets past it.  The build walks nothing past
+    the cut: the lead table entries and body-walk words it consumes,
+    recorded as they are taken and rebuilt as segments, are the cut's
+    segments in order.  key is the caps and the budget.  words, ends and
+    blocks are rebuilt from the cut's segments: its Words, the words of
+    the cut through each, twins before it included, and the distinct
+    leading blocks of its Runs in stream order.  first_scan maps every
+    index of words to None.  A budget below 1, or caps
+    enumerate_segments refuses, raises.
     """
     full = list(enumerate_segments(2, 1))
     counts = [s.count if isinstance(s, Run) else 1 for s in full]
     positions = list(accumulate(counts))
     assert (len(full), positions[-1]) == (61, 145)
-    calls, pulled = [], []
+    real_leads, real_walk, walked = words_module._leads, words_module._body_walk, []
 
-    def counting(max_d, max_exp):
-        calls.append((max_d, max_exp))
-        for segment in enumerate_segments(max_d, max_exp):
-            pulled.append(segment)
-            yield segment
+    def leads(max_exp, d, extra):
+        # a counted lead is a Run; a walked lead's words come from the walk
+        for lead, rest_d, rest_extra, count in real_leads(max_exp, d, extra):
+            if count:
+                walked.append(Run((lead,), rest_d, rest_extra, count, max_exp))
+            yield lead, rest_d, rest_extra, count
 
-    monkeypatch.setattr(words_module, "enumerate_segments", counting)
+    def walk(max_exp, *root):
+        for syls, first in real_walk(max_exp, *root):
+            walked.append(Word(syls) if first else Run(syls, 0, 0, 1, max_exp))
+            yield syls, first
+
+    monkeypatch.setattr(words_module, "_leads", leads)
+    monkeypatch.setattr(words_module, "_body_walk", walk)
     inside_a_run = 0
     for budget in (1, 3, 4, 40, 145, 146, 10**6):
-        calls.clear()
-        pulled.clear()
+        walked.clear()
         stream = WordStream(2, 1, budget)
         taken = next((k + 1 for k, end in enumerate(positions) if end >= budget), len(full))
         cut = full[:taken]
-        words = [s for s in cut if isinstance(s, Word)]
-        ends = [end for s, end in zip(cut, positions) if isinstance(s, Word)]
-        blocks = []
-        for segment in cut:
-            if isinstance(segment, Run) and segment.prefix[0][:2] not in blocks:
-                blocks.append(segment.prefix[0][:2])
-        assert stream.key == (2, 1, budget)
-        assert (stream.words, stream.ends, stream.blocks) == (words, ends, blocks)
-        assert stream.scanned == min(budget, 145)
-        # nothing past the cut was taken from the source
-        assert calls == [(2, 1)] and pulled == cut
-        assert list(stream.first_scan) == list(range(len(words)))
+        want = _stream_from_segments(full, 2, 1, budget)
+        assert stream.key == want.key == (2, 1, budget)
+        assert (stream.words, stream.ends, stream.blocks) == (want.words, want.ends, want.blocks)
+        assert stream.words == [s for s in cut if isinstance(s, Word)]
+        assert stream.scanned == want.scanned == min(budget, 145)
+        # nothing past the cut was walked
+        assert walked == cut
+        assert list(stream.first_scan) == list(range(len(stream.words)))
         assert set(stream.first_scan.values()) == {None}
         inside_a_run += positions[taken - 1] > budget
     assert inside_a_run == 1
+    monkeypatch.undo()
     stream = WordStream(2, 1, 145)
     assert len(stream.words) == 34 and stream.blocks == [(0, 1), (1, 0), (1, 1), (1, -1)]
     # each Word sits at the last position its end counts
@@ -735,6 +768,83 @@ def test_word_stream_is_the_cut(monkeypatch) -> None:
     for max_d, max_exp in ((0, 1), (1, 0), (1, MAX_EXP + 1)):
         with pytest.raises(ValueError, match="max_exp"):
             WordStream(max_d, max_exp, 10)
+
+
+def _segment_cuts(max_d, max_exp, last_budget):
+    """For budgets 1 to last_budget, the segment-derived cut: (budget, words, ends, blocks, scanned).
+
+    One pass over enumerate_segments: every budget in (positions[k - 1],
+    positions[k]] is cut through segment k, so its words, ends and blocks
+    are prefixes of those of the segments through the last cut.
+    """
+    segments, position = [], 0
+    for segment in enumerate_segments(max_d, max_exp):
+        segments.append(segment)
+        position += segment.count if isinstance(segment, Run) else 1
+        if position >= last_budget:
+            break
+    whole = _stream_from_segments(segments, max_d, max_exp, last_budget)
+    words, ends = [w.syllables for w in whole.words], whole.ends
+    counted, blocks, budget, position = 0, 0, 1, 0
+    for segment in segments:
+        if isinstance(segment, Run):
+            position += segment.count
+            blocks = max(blocks, whole.blocks.index(segment.prefix[0][:2]) + 1)
+        else:
+            position += 1
+            counted += 1
+        while budget <= min(position, last_budget):
+            yield budget, words[:counted], ends[:counted], whole.blocks[:blocks], budget
+            budget += 1
+    for budget in range(budget, last_budget + 1):
+        yield budget, words, ends, whole.blocks, position
+
+
+def test_word_stream_cut_equals_the_segment_cut_everywhere() -> None:
+    """The counting build gives the cut built from enumerate_segments at every budget checked.
+
+    Every budget from 1 to one past the whole stream at (1, 1), (2, 1),
+    (3, 1) and (2, 2), every budget up to 2000 at (3, 2), and the
+    benchmark's and the goldens' caps: words, ends, blocks and scanned
+    all agree.
+    """
+    sweeps = [(1, 1, 10), (2, 1, 146), (3, 1, 2322), (2, 2, 1227), (3, 2, 2000)]
+    checked = 0
+    for max_d, max_exp, last in sweeps:
+        for budget, words, ends, blocks, scanned in _segment_cuts(max_d, max_exp, last):
+            stream = WordStream(max_d, max_exp, budget)
+            assert [w.syllables for w in stream.words] == words, (max_d, max_exp, budget)
+            assert (stream.ends, stream.blocks, stream.scanned) == (ends, blocks, scanned)
+            checked += 1
+    assert checked == sum(last for _, _, last in sweeps)
+    for key in ((6, 3, 2000), (2, 1, 10000), (3, 2, 20000)):
+        stream, want = WordStream(*key), _stream_from_segments(enumerate_segments(*key[:2]), *key)
+        assert (stream.words, stream.ends, stream.blocks, stream.scanned) == (
+            want.words, want.ends, want.blocks, want.scanned
+        ), key
+
+
+def test_word_stream_takes_integers_only() -> None:
+    """Caps and budget are each an integral int or float, stored as an int, never a bool.
+
+    A float budget of 3.0 gives the stream of budget 3, keyed by the int,
+    so a scan reports an int words_scanned; a bool or a string raises
+    TypeError and a fractional number ValueError, as SearchConfig's do.
+    """
+    stream = WordStream(2.0, 1.0, 3.0)
+    assert stream.key == (2, 1, 3) and all(type(k) is int for k in stream.key)
+    assert type(stream.scanned) is int and stream.scanned == 3
+    assert stream.words == WordStream(2, 1, 3).words
+    cfg = SearchConfig(area_bound=6.0, max_d=2, max_exp=1, word_budget_per_box=3)
+    box = ParamBox.from_bounds([[1.0, 1.1], [0.0, 0.0], [0.0, 0.0], [4.0, 4.0], [-0.6, -0.5], [0.0, 0.0]])
+    v = test_box(box, stream, cfg)
+    assert v.words_scanned == 3 and type(v.words_scanned) is int
+    for bad in ((2, 1, True), (True, 1, 3), (2, True, 3), (2, 1, "3")):
+        with pytest.raises(TypeError, match="must be a number"):
+            WordStream(*bad)
+    for bad, name in (((2, 1, 2.5), "budget"), ((2.5, 1, 3), "max_d"), ((2, 1.5, 3), "max_exp")):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            WordStream(*bad)
 
 
 def test_max_exp_is_capped() -> None:
