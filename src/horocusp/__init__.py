@@ -22,7 +22,7 @@ _EXPORTS = {
         "Feasibility", "ParamBox", "Params", "box_in_param_space", "param_space", "space_radius",
     ),
     "words": (
-        "GeneratorTriple", "KillerVerdict", "Run", "Word", "WordStream", "enumerate_segments",
+        "GeneratorTriple", "KillerVerdict", "Word", "WordStream",
         "enumerate_words", "evaluate_word", "evaluate_word_float", "gens_from_params",
         "killer_test", "lower_left_abs", "parse_word", "volume_bound",
     ),

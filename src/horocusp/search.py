@@ -10,11 +10,11 @@ One WordStream serves every box of a run: the cut of the canonical
 stream at the run's caps and word budget, WordStream(max_d, max_exp,
 word_budget_per_box), built once before the first box.  Its build counts
 the cut in one walk over the words module's lead table and body walk,
-the same two pieces enumerate_segments is built on, and makes no
-segment object.  It holds the cut's Words, the first words of their
-bodies, which a box evaluates with words.lower_left_bounds, and counts
-the cut's later body twins (see the words module's lemma), which no box
-evaluates and the build never makes.  Boxes name words by
+the same two pieces enumerate_words is built on: a counted lead adds its
+subtree's count at once.  It holds the cut's Words, the first words of
+their bodies, which a box evaluates with words.lower_left_bounds, and
+counts the cut's later body twins (see the words module's lemma), which
+no box evaluates and the build never makes.  Boxes name words by
 their index in the stream's words, and ties go to the earliest, the
 canonical least.  A twin has the [L, U] of its body's first word bit for
 bit and comes after that word, so it cannot decide the box sooner, be an
@@ -25,17 +25,18 @@ stream's blocks from its table once, before its first word: by the words
 module's twin reads, that raises where the twins' evaluations would, and
 changes no verdict.  So a scan has one path, the kernel on a Word.
 
-The stream is the cut: the segments through the first whose words reach
-the budget, or all of them.  A child box's hint is its parent's near
-miss, unless SearchConfig.use_parent_word_hint is off, and a root box
-has none.  A scan evaluates the hint first, and a hint that kills the
-box counts as its one word.  Otherwise the scan visits the cut's words in
-order, the hint in its place, and a killer counts the words of the cut
-through it, twins included, and the hint when it lies after it.  The
-candidate, the least index with U < 1, and the near miss, the least
-(U, index) among kept words with L < 1, do not depend on that order, so
-the hint only moves its kill test to the front.  A near miss is an evaluated Word of the
-cut, a key of its verdict's live, and a box that no word kills scans
+The stream is the cut: its words through the first counted lead or
+walked word that brings the count to the budget, or all of them.  A
+child box's hint is its parent's near miss, unless
+SearchConfig.use_parent_word_hint is off, and a root box has none.  A
+scan evaluates the hint first, and a hint that kills the box counts as
+its one word.  Otherwise the scan visits the cut's words in order, the
+hint in its place, and a killer counts the words of the cut through it,
+twins included, and the hint when it lies after it.  The candidate, the
+least index with U < 1, and the near miss, the least (U, index) among
+kept words with L < 1, do not depend on that order, so the hint only
+moves its kill test to the front.  A near miss is an evaluated Word of
+the cut, a key of its verdict's live, and a box that no word kills scans
 the cut's words, capped at the budget, which is WordStream.scanned.  An
 Undecided verdict records its stream, and a child is scanned on it, so
 every box of a run reads the root's cut.

@@ -79,10 +79,10 @@ body B, bit for bit.  The kernel keeps this exactly: the identity row
 (0, 1) times [[1, t], [0, 1]] is (0, 1) again, by rect_mul's zero
 shortcut and rect_add's pass-through.
 
-Segments: enumerate_segments gives the canonical stream as a sequence of
-segments, each either a Word that is the first of its body or a Run, a
-counted block of consecutive words that are all later twins.  It rests
-on this lemma about a canonical word r_1 B with r_1 = x^m y^n:
+Counted leads: each (d, extra) bucket is walked by its kept first
+syllables, its leads, in rank order, and a lead's subtree, the lead
+followed by each completion of its state, is either counted or walked.
+This rests on a lemma about a canonical word r_1 B with r_1 = x^m y^n:
 
 1. A nontrivial r_1 is kept if and only if the first nonzero of (m, n) is
    positive.  The inverse in word form starts with (-m, -n, -e_last), and
@@ -97,40 +97,40 @@ on this lemma about a canonical word r_1 B with r_1 = x^m y^n:
    only if r_1 is trivial, or r_1 = y and B is not kept.
 3. Every other kept first syllable s_1 = (m, n, e_1) of a (d, extra)
    bucket therefore leads a subtree of twins only: s_1 followed by each
-   completion of the state (d - |e_1|, extra - |m| - |n|).  Its words are
-   counted with a memoized sum over the move tables, without a walk.  A
-   y-twin (r_1 = y, B kept) is a Run of one word.
+   completion of the state (d - |e_1|, extra - |m| - |n|).  It is a
+   counted lead: its words are counted with a memoized sum over the move
+   tables, without a walk.  A trivial or y lead is walked, and a y-twin
+   (r_1 = y, B kept) is a lone twin inside its walk.
 
 Two pieces apply the lemma, and nothing else does.  The lead table
 _leads(max_exp, d, extra), cached per caps like the move tables, holds a
-bucket's kept first syllables in rank order, each that begins a Run
-with its count.  The body walk _body_walk walks the subtree of a trivial
-or y lead and gives each kept word's syllables and whether it is the
-first of its body, by lemma 2.  enumerate_segments builds its segments
-from the two: a Run for each counted lead, and a Word or a y-twin's Run
-of one for each word of a walk.  enumerate_words expands the segments,
-so the walk that orders the stream is this one.
+bucket's kept leads in rank order, each counted lead with its count.
+The body walk _body_walk walks the subtree of a trivial or y lead and
+gives each kept word's syllables and whether it is the first of its
+body, by lemma 2.  enumerate_words takes a counted lead's words from
+_completions and a walked lead's from the body walk, so the walk that
+orders the stream is this one.
 
 A WordStream is the cut of the canonical stream within caps (max_d,
-max_exp) for one word budget: the segments through the first whose
-words reach the budget, named by those three numbers.  It counts the cut
-in one walk over the same two pieces and builds no segment: a counted
-lead adds its count, a y-twin adds one, and only the first words of
-their bodies are built, which it keeps and scans name by index.  It
-keeps no stream between calls.
+max_exp) for one word budget: its words through the first counted lead
+or walked word that brings the count of words to the budget, named by
+those three numbers.  It counts the cut in one walk over the same two
+pieces and builds no twin: a counted lead adds its count, a y-twin adds
+one, and only the first words of their bodies are built, which it keeps
+and scans name by index.  It keeps no stream between calls.
 
 Twin reads: a scan evaluates no twin, yet it raises and decides where a
 scan that evaluates every word in stream order would.  A twin r_1 B reads
 what the first word of its body B reads, which comes before it, and r_1's
 offset besides, so only that offset could raise first at the twin.  A
 scan with no enclosing box reads the offset of each leading block of the
-cut's Runs once, in stream order, before its first word, and that
+cut's twins once, in stream order, before its first word, and that
 raises where the twins would, by three facts about the cut:
 
 (i) nothing in the d = 1 bucket can decide or raise but a twin's
     leading offset: its Words are z and y z^-1, whose |m21| is 1
     exactly, and y's offset 1*b is b's finite endpoints;
-(ii) every block's first Run is its d = 1 twin x^m y^n z, so the first
+(ii) every block's first twin is its d = 1 twin x^m y^n z, so the first
     offset to overflow is the same block's in both scans, and raises
     before any word can decide;
 (iii) a later lead's power gamma^e1 was already built by an earlier Word
@@ -161,7 +161,7 @@ import re
 import struct
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, List, NamedTuple, Tuple, Union
+from typing import Iterable, Iterator, List, Tuple, Union
 
 from .bicuspid import ParamBox, Params, integer
 from .interval import ComplexInterval, IntervalMatrix, RealInterval
@@ -363,30 +363,6 @@ def _completions(max_exp: int, d_left: int, extra_left: int, syls: list) -> Iter
         syls.pop()
 
 
-class Run(NamedTuple):
-    """count consecutive canonical words, each a later body twin (see the module docstring).
-
-    The words are prefix followed by each completion of the state
-    (d_left, extra_left) within max_exp, in canonical order; d_left = 0
-    leaves prefix as the one word.  prefix[0] is the leading syllable that
-    every word of the run starts with.
-    """
-
-    prefix: Tuple[Syllable, ...]
-    d_left: int
-    extra_left: int
-    count: int
-    max_exp: int
-
-    def words(self) -> Iterator[Word]:
-        """The run's words in order."""
-        for syls in _completions(self.max_exp, self.d_left, self.extra_left, list(self.prefix)):
-            yield Word._trusted(tuple(syls))
-
-
-Segment = Union[Word, Run]
-
-
 def _check_caps(max_d: int, max_exp: int) -> None:
     """ValueError unless 1 <= max_d and 1 <= max_exp <= MAX_EXP."""
     if max_d < 1 or max_exp < 1:
@@ -401,9 +377,10 @@ def _leads(max_exp: int, d: int, extra: int) -> tuple:
 
     A lead is kept when its block is trivial or the first nonzero of its
     (m, n) is positive (lemma 1); the others' inverses in word form rank
-    first.  A lead that begins a Run, any block but the trivial one and y
-    (lemma 3), carries count, the Run's words, its completion count; a
-    trivial or y lead carries None, and _body_walk walks its subtree.
+    first.  A counted lead, any block but the trivial one and y (lemma 3),
+    carries count, its subtree's words, all twins, by its completion
+    count; a trivial or y lead carries None, and _body_walk walks its
+    subtree.
     """
     out = []
     for lead, rest_d, rest_extra in _moves(max_exp, d, extra, True):
@@ -457,36 +434,6 @@ def _body_walk(max_exp: int, lead: Syllable, rest_d: int, rest_extra: int) -> It
             prefix, moves = stack.pop()
 
 
-def enumerate_segments(max_d: int, max_exp: int) -> Iterator[Segment]:
-    """The canonical stream as segments: first words of their bodies, and Runs of twins.
-
-    Expanding every Run into its words gives enumerate_words word for
-    word.  Each (d, extra) bucket takes its kept first syllables in rank
-    order from the lead table _leads (see the module docstring's lemma):
-    a lead that begins a Run is yielded as one, counted without a walk,
-    and a trivial or y lead's subtree is walked by _body_walk, which
-    yields each first word of its body as a Word and each twin of a y
-    lead as a Run of one.  WordStream counts its cut from the same table
-    and walk.  Raises ValueError unless 1 <= max_d and 1 <= max_exp <=
-    MAX_EXP.
-    """
-    _check_caps(max_d, max_exp)
-    # Word._trusted, and a Run from its fields in order, without the call
-    # frames of a classmethod and of NamedTuple's __new__ on every segment
-    new_word, set_syllables, new_tuple = object.__new__, _set_syllables, tuple.__new__
-    for lead, rest_d, rest_extra, count in _stream_leads(max_d, max_exp):
-        if count:
-            yield new_tuple(Run, ((lead,), rest_d, rest_extra, count, max_exp))
-            continue
-        for syls, first in _body_walk(max_exp, lead, rest_d, rest_extra):
-            if first:
-                word = new_word(Word)
-                set_syllables(word, syls)
-                yield word
-            else:
-                yield new_tuple(Run, (syls, 0, 0, 1, max_exp))
-
-
 def enumerate_words(max_d: int, max_exp: int) -> Iterator[Word]:
     """Yield every cyclically reduced word within the caps, canonically ordered.
 
@@ -499,28 +446,52 @@ def enumerate_words(max_d: int, max_exp: int) -> Iterator[Word]:
     prefix each other, so the walk order, syllable by syllable, is the
     order of Word.sort_key.  Of a word and its inverse in word form the
     walk keeps the one whose first syllable comes first; the two first
-    syllables never tie, so no other syllable is compared.  The walk is
-    enumerate_segments', with each Run expanded into its words.  Words are
-    built with Word._trusted, since the walk makes only valid tuples of
-    int syllables.  Every call shares the cached ranks and move tables.
-    Raises ValueError unless 1 <= max_d and 1 <= max_exp <= MAX_EXP.
+    syllables never tie, so no other syllable is compared.  The bucket's
+    kept leads come in rank order from the lead table _leads (see the
+    module docstring's lemma): a counted lead's words are it followed by
+    each completion of its state, from _completions, and a trivial or y
+    lead's come from the body walk _body_walk.  Words are built as
+    Word._trusted builds them, since the walk makes only valid tuples of
+    int syllables.  Every call shares the cached ranks, move and lead
+    tables.
+
+    max_d and max_exp are each an integral int or float, stored as an
+    int; a bool or a string raises TypeError, and any other number
+    ValueError, as WordStream's do.  They must satisfy 1 <= max_d and
+    1 <= max_exp <= MAX_EXP, else ValueError.  Both are checked at the
+    call, before the first word is asked for.
     """
-    for segment in enumerate_segments(max_d, max_exp):
-        if segment.__class__ is Run:
-            yield from segment.words()
+    max_d, max_exp = integer(max_d, "max_d"), integer(max_exp, "max_exp")
+    _check_caps(max_d, max_exp)
+    return _stream_words(max_d, max_exp)
+
+
+def _stream_words(max_d: int, max_exp: int) -> Iterator[Word]:
+    """The words of enumerate_words, for caps already checked."""
+    # Word._trusted without the call frame of a classmethod on every word
+    new_word, set_syllables = object.__new__, _set_syllables
+    for lead, rest_d, rest_extra, count in _stream_leads(max_d, max_exp):
+        if count:
+            # _completions extends one list in place, so each word is copied
+            subtree = map(tuple, _completions(max_exp, rest_d, rest_extra, [lead]))
         else:
-            yield segment
+            subtree = (syls for syls, _ in _body_walk(max_exp, lead, rest_d, rest_extra))
+        for syls in subtree:
+            word = new_word(Word)
+            set_syllables(word, syls)
+            yield word
 
 
 def _cut(max_d: int, max_exp: int, budget: int) -> tuple:
     """(words, ends, blocks, count) of the canonical stream's cut at budget, in one counting walk.
 
-    The walk is enumerate_segments' with no segment built: a lead that
-    begins a Run adds its count and records its block, a first word of
-    its body is kept with its end, and a y twin adds one and records
-    (0, 1).  It stops at the first position that reaches budget, where
-    the segment holding that position ends, or at the stream's end.
-    blocks is a dict, which keeps each block where it first came.
+    The walk is enumerate_words' with no twin built: a counted lead adds
+    its count and records its block, a first word of its body is kept
+    with its end, and a y twin adds one and records (0, 1).  It stops at
+    the first counted lead or walked word that brings count to budget, so
+    count may pass budget by the rest of a counted lead's subtree, or at
+    the stream's end.  blocks is a dict, which keeps each block where it
+    first came.
     """
     words, ends, blocks, count = [], [], {}, 0
     new_word, set_syllables = object.__new__, _set_syllables
@@ -550,12 +521,13 @@ class WordStream:
     """The cut of the canonical stream for one word budget: what every scan at that budget reads.
 
     WordStream(max_d, max_exp, budget) counts the canonical stream of
-    enumerate_segments(max_d, max_exp) once, in one walk over the same
-    lead table and body walk that builds no segment, through the first
-    segment whose words reach budget, or to its end; nothing past the cut
-    is walked.  It keeps only what a scan reads (see search.test_box).
-    key is (max_d, max_exp, budget): two streams with one key are equal,
-    so a scan checks a stream by its key alone.
+    enumerate_words(max_d, max_exp) once, in one walk over the same lead
+    table and body walk that builds no twin (see _cut), through the first
+    counted lead or walked word that brings the count to budget, or to
+    its end; nothing past the cut is walked.  It keeps only what a scan
+    reads (see search.test_box).  key is (max_d, max_exp, budget): two
+    streams with one key are equal, so a scan checks a stream by its key
+    alone.
 
     words holds the cut's first words of their bodies, in stream order:
     the words a scan evaluates, which scans name by their index here, ties
@@ -572,7 +544,7 @@ class WordStream:
     float, stored as an int; a bool or a string raises TypeError, and any
     other number ValueError, as SearchConfig's do.  budget must be at
     least 1, else ValueError, and the caps are checked as
-    enumerate_segments checks them.  masks() gives, by index, the
+    enumerate_words checks them.  masks() gives, by index, the
     generators each word's m21 reads (m21_reads), for scans that reuse a
     parent box's bounds.
     """
@@ -655,8 +627,7 @@ class GeneratorTriple:
     come from the endpoints of a, b and c by the operations evaluate_word
     applies to their intervals, so each rectangle is bit-identical to the
     entry of the oracle's factor.  No entry is kept per syllable: offset
-    gives one block's offset, and entry one syllable's (offset, gamma^e)
-    from the two tables, building the offset first, as the oracle does;
+    gives one block's offset and _unboxed_power one power of gamma, and
     each raises ValueError where what it builds overflows, as building
     those intervals does: each offset and power is checked, and an
     overflow inside the sums and products that make it leaves a
@@ -716,15 +687,6 @@ class GeneratorTriple:
         if same_c:
             self._unboxed_powers = dict(parent._unboxed_powers)
         return (0 if same_a else GEN_A) | (0 if same_b else GEN_B) | (0 if same_c else GEN_C)
-
-    def entry(self, syllable: Syllable) -> tuple:
-        """(offset, gamma^e) of the syllable (m, n, e): offset None for a trivial block.
-
-        The offset is read first, so an overflow raises where the oracle's
-        first overflowing factor does.
-        """
-        m, n, e = syllable
-        return (self.offset(m, n) if m or n else None), self._unboxed_power(e)
 
     def offset(self, m: int, n: int) -> tuple:
         """The offset m*a + n*b of a nontrivial block, checked once and kept.
@@ -1059,7 +1021,6 @@ def _bottom_row(gens: GeneratorTriple, syllables: Iterable[Syllable], row: tuple
 
 # the generators a rectangle is built from, as bits of one int
 GEN_A, GEN_B, GEN_C = 1, 2, 4
-GEN_ALL = GEN_A | GEN_B | GEN_C
 
 
 def m21_reads(syllables: Tuple[Syllable, ...]) -> int:

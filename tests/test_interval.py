@@ -17,6 +17,8 @@ from horocusp.interval import (
     rect_neg,
 )
 
+from _reference import _SPECIAL, _endpoints
+
 ULP = 1e-12
 
 
@@ -222,24 +224,6 @@ def test_determinant_of_generator_words_contains_one() -> None:
         for _ in range(rng.randint(1, 10)):
             m = m @ gens[rng.randrange(6)]
         assert m.det().contains(1.0 + 0.0j)
-
-
-_SPECIAL = (0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 1e-300, -1e-300, 1e300, -1e300)
-_SPECIAL += (math.inf, -math.inf, math.nan)
-
-
-def _endpoints(rng, special=_SPECIAL):
-    """A point or non-point interval, each endpoint special or random."""
-    def draw():
-        if rng.random() < 0.5:
-            return rng.choice(special)
-        return rng.uniform(-4.0, 4.0) * 10.0 ** rng.randint(-3, 3)
-
-    lo = draw()
-    if rng.random() < 0.4:
-        return lo, lo
-    hi = draw()
-    return (lo, hi) if not hi < lo else (hi, lo)
 
 
 def _composed_rect_mul(x, y):

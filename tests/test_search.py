@@ -1,5 +1,6 @@
 """Branch-and-prune driver: frozen fixtures, cover invariants, determinism."""
 
+import functools
 import hashlib
 import json
 import math
@@ -8,14 +9,13 @@ import re
 import zlib
 from collections import Counter
 from dataclasses import fields, replace
-from itertools import islice, permutations, product
+from itertools import islice, permutations
 
 import pytest
 
 from horocusp import search as search_module
 from horocusp import words as words_module
-from horocusp.bicuspid import COORD_NAMES, Feasibility, ParamBox, Params, box_in_param_space
-from horocusp.bicuspid import param_space
+from horocusp.bicuspid import COORD_NAMES, ParamBox, Params, param_space
 from horocusp.search import (
     AUDIT_TOLERANCE,
     BoxStatus,
@@ -29,20 +29,17 @@ from horocusp.search import (
 )
 from horocusp.interval import RealInterval, rect_abs
 from horocusp.words import (
-    Run,
     Word,
     WordStream,
-    enumerate_segments,
     enumerate_words,
     evaluate_word_float,
     gens_from_params,
     lower_left_abs,
     lower_left_bounds,
     parse_word,
-    volume_bound,
 )
 
-from test_words import _AXIS_GENERATOR, _expanded, _outcome, _stream_from_segments
+from _reference import _AXIS_GENERATOR, _first_of_bodies, _given_parent, _outcome, reference_search
 
 SLICE_BOUNDS = [[1.0, 1.2], [0.0, 0.0], [0.0, 0.0], [4.0, 4.0], [-0.7, -0.4], [0.0, 0.0]]
 # finite endpoints whose b_re width 3.4e308 overflows to inf
@@ -268,14 +265,19 @@ def test_box_hint_scanned_first():
     assert (off.status, off.word, off.words_scanned) == (v.status, v.word, 12)
 
 
-def _every_word_stream(max_d, max_exp, budget):
-    """The stream keyed (max_d, max_exp, budget) that evaluates every word: each a Word segment."""
-    return _stream_from_segments(enumerate_words(max_d, max_exp), max_d, max_exp, budget)
+def _stream_of(words, cfg):
+    """A WordStream keyed by cfg's caps and budget that evaluates each of words, in their order.
 
-
-def _stream_of(segments, cfg):
-    """The WordStream keyed by cfg's caps and budget, cut from segments in their order."""
-    return _stream_from_segments(segments, cfg.max_d, cfg.max_exp, cfg.word_budget_per_box)
+    Every word is a Word of the stream, none a twin: its first budget
+    words are the cut, and no block is read for a twin.
+    """
+    words = list(words)[: cfg.word_budget_per_box]
+    stream = object.__new__(WordStream)
+    stream.key, stream.words = (cfg.max_d, cfg.max_exp, cfg.word_budget_per_box), words
+    stream.ends, stream.blocks = list(range(1, len(words) + 1)), []
+    stream.scanned, stream._masks = len(words), None
+    stream.first_scan = dict.fromkeys(range(len(words)))
+    return stream
 
 
 def test_near_miss_tie_rule(monkeypatch) -> None:
@@ -491,6 +493,70 @@ def test_worker_count_is_a_deprecated_no_op():
     assert run_search(cfg).to_canonical_json() == plain.to_canonical_json()
 
 
+# search-area's settings
+_AREA_15 = dict(
+    area_bound=1.5,
+    max_d=2,
+    max_exp=1,
+    max_depth=12,
+    min_box_width=0.01,
+    word_budget_per_box=10000,
+)
+# the (3, 2) stream from the area-1.5 root, which stays undecided: 20 boxes
+_AREA_15_D3 = dict(_AREA_15, max_d=3, max_exp=2, word_budget_per_box=2000, max_boxes=20)
+
+
+_STRADDLE = dict(area_bound=6.0, max_d=2, max_exp=1, max_depth=6, min_box_width=1e-3,
+                 root_box=STRADDLE_BOUNDS)
+# the configs on which run_search must give the reference search's report
+_REFERENCE_CONFIGS = {
+    "area-7": dict(_AREA_15, max_boxes=7),
+    "area-20": dict(_AREA_15, max_boxes=20),
+    "area-50": dict(_AREA_15, max_boxes=50),
+    "area-500": dict(_AREA_15, max_boxes=500),
+    # at area 2 a word ruled out on one sibling can kill the other early on
+    "area-2": dict(_AREA_15, area_bound=2.0, max_boxes=100),
+    "no-hint": dict(_AREA_15, max_boxes=50, use_parent_word_hint=False),
+    # the 145-word (2, 1) stream cut at 60, inside a counted lead's words
+    "budget-60": dict(_AREA_15, max_boxes=500, word_budget_per_box=60),
+    "straddle": _STRADDLE,
+    # the longer (3, 2) stream; its root box is eliminated at once
+    "straddle-d3": dict(_STRADDLE, max_d=3, max_exp=2),
+    # the (3, 2) stream on a root that stays undecided, so children scan it
+    "area-d3": _AREA_15_D3,
+    "golden-area-1": dict(area_bound=1.0, max_d=3, max_exp=2, max_depth=18, word_budget_per_box=2000),
+    "golden-area-1-no-hint": dict(
+        area_bound=1.0, max_d=3, max_exp=2, max_depth=18, word_budget_per_box=2000,
+        use_parent_word_hint=False,
+    ),
+    "deep-500": dict(area_bound=1.5, max_d=2, max_exp=1, max_depth=15, word_budget_per_box=2000,
+                     max_boxes=500),
+    "four-syllable": dict(area_bound=1.2, max_d=4, max_exp=1, max_depth=12,
+                          word_budget_per_box=20000, max_boxes=10),
+}
+
+
+@functools.cache
+def _search(name):
+    """run_search's report on _REFERENCE_CONFIGS[name], run once per session; no test changes it."""
+    return run_search(SearchConfig(**_REFERENCE_CONFIGS[name]))
+
+
+def _assert_the_reference_reports(*names):
+    """run_search's report on each named config is the reference search's, byte for byte.
+
+    As many boxes are tested.  The configs share what the reference
+    evaluated, so a config with the hint on and off evaluates each word on
+    each box once.
+    """
+    known = {}
+    for name in names:
+        got = _search(name)
+        want = reference_search(got.config, known)
+        assert got.to_canonical_json() == want.to_canonical_json(), name
+        assert got.boxes_tested == want.boxes_tested > 0, name
+
+
 # canonical report bytes of the budget-capped area-1.5 search by box cap,
 # recorded before the unboxed scan kernel and the tuple-key enumerator; the
 # 50-box report is the one the search-area benchmark checks
@@ -502,16 +568,8 @@ CAPPED_AREA_SHA256 = {
 
 @pytest.mark.parametrize("max_boxes", sorted(CAPPED_AREA_SHA256))
 def test_capped_area_search_report_golden(max_boxes) -> None:
-    cfg = SearchConfig(
-        area_bound=1.5,
-        max_d=2,
-        max_exp=1,
-        max_depth=12,
-        min_box_width=0.01,
-        word_budget_per_box=10000,
-        max_boxes=max_boxes,
-    )
-    text = run_search(cfg).to_canonical_json().encode()
+    """search-area's settings, _AREA_15, capped at 20 and 50 boxes."""
+    text = _search(f"area-{max_boxes}").to_canonical_json().encode()
     assert hashlib.sha256(text).hexdigest() == CAPPED_AREA_SHA256[max_boxes]
 
 
@@ -522,10 +580,10 @@ def test_area_one_complete_cover_golden() -> None:
     parent verdicts, their live dicts and tables, handed down 18 levels.
     Bytes recorded before the kernel resolved gamma^+-1's exact entries.
     """
-    cfg = SearchConfig(
+    report = _search("golden-area-1")
+    assert report.config == SearchConfig(
         area_bound=1.0, max_d=3, max_exp=2, max_depth=18, word_budget_per_box=2000
     )
-    report = run_search(cfg)
     text = report.to_canonical_json().encode()
     assert hashlib.sha256(text).hexdigest() == (
         "f02a3bba9797b07d01a9184ea92f69bbbd5744d9c50e9947348f1999e4b99f98"
@@ -573,13 +631,13 @@ def test_four_syllable_words_capped_cover_golden() -> None:
     recorded before the table kept the row after a word's first two
     syllables.
     """
-    cfg = SearchConfig(
-        area_bound=1.2, max_d=4, max_exp=1, max_depth=12, word_budget_per_box=20000, max_boxes=10
-    )
     cut = WordStream(4, 1, 20000)
     lengths = Counter(len(w.syllables) for w in cut.words)
     assert lengths == {4: 7424, 3: 512, 2: 32, 1: 2}
-    report = run_search(cfg)
+    report = _search("four-syllable")
+    assert report.config == SearchConfig(
+        area_bound=1.2, max_d=4, max_exp=1, max_depth=12, word_budget_per_box=20000, max_boxes=10
+    )
     text = report.to_canonical_json().encode()
     assert hashlib.sha256(text).hexdigest() == (
         "227ec65f1621df73713e0b4e10cf0ba0b58300a17de0a9c6775013e3b2beff82"
@@ -628,6 +686,24 @@ def test_box_scan_golden_at_reference_point() -> None:
     v = test_box(box, stream, cfg)
     assert (v.status, v.words_scanned) == (BoxStatus.UNDECIDED, 300)
     assert str(stream.words[v.near_miss]) == "z x^-1 z"
+
+
+@pytest.mark.parametrize(
+    "names",
+    [("golden-area-1", "golden-area-1-no-hint"), ("area-20",), ("deep-500",), ("four-syllable",)],
+    ids=lambda names: names[0],
+)
+def test_run_search_matches_the_reference_search(names) -> None:
+    """The goldens' and the capped runs' reports are the reference search's.
+
+    The reference evaluates every word of every box's budget, twins
+    included, with no stream, live dict, dead word, reused bound,
+    inherited table or slot.  Here: the area-1.0 golden with the hint on
+    and off, the 20-box capped area-1.5 run, 500 boxes of the area-1.5
+    depth-15 cover and the (4, 1) run that meets 4-syllable words; the
+    50-box run is checked by test_dead_word_skips_keep_report_bytes.
+    """
+    _assert_the_reference_reports(*names)
 
 
 def test_run_search_repeat_run_byte_determinism() -> None:
@@ -815,179 +891,44 @@ def test_dead_words_stay_dead_in_every_descendant() -> None:
     assert dead_checked > 10_000
 
 
-# search-area's settings
-_AREA_15 = dict(
-    area_bound=1.5,
-    max_d=2,
-    max_exp=1,
-    max_depth=12,
-    min_box_width=0.01,
-    word_budget_per_box=10000,
-)
-# the (3, 2) stream from the area-1.5 root, which stays undecided: 20 boxes
-_AREA_15_D3 = dict(_AREA_15, max_d=3, max_exp=2, word_budget_per_box=2000, max_boxes=20)
-
-
 @pytest.mark.parametrize(
-    "settings",
-    [
-        dict(_AREA_15, max_boxes=7),
-        dict(_AREA_15, max_boxes=50),
-        dict(_AREA_15, max_boxes=500),
-        # at area 2 a word ruled out on one sibling can kill the other early on
-        dict(_AREA_15, area_bound=2.0, max_boxes=100),
-        dict(_AREA_15, max_boxes=50, use_parent_word_hint=False),
-        # the 145-word (2, 1) stream cut at 60, so an uncounted skip shows
-        dict(_AREA_15, max_boxes=500, word_budget_per_box=60),
-        dict(area_bound=6.0, max_d=2, max_exp=1, max_depth=6, min_box_width=1e-3,
-             root_box=STRADDLE_BOUNDS),
-        # the longer (3, 2) stream; its root box is eliminated at once
-        dict(area_bound=6.0, max_d=3, max_exp=2, max_depth=6, min_box_width=1e-3,
-             root_box=STRADDLE_BOUNDS),
-        # the (3, 2) stream on a root that stays undecided, so children scan it
-        _AREA_15_D3,
-    ],
-    ids=["area-7", "area-50", "area-500", "area-2", "no-hint", "budget-60", "straddle",
-         "straddle-d3", "area-d3"],
+    "name",
+    ["area-7", "area-50", "area-500", "area-2", "no-hint", "budget-60", "straddle", "straddle-d3",
+     "area-d3"],
 )
-def test_dead_word_skips_keep_report_bytes(monkeypatch, settings) -> None:
+def test_dead_word_skips_keep_report_bytes(name) -> None:
     """Skipping dead words and body twins and reusing bounds change no byte of the report.
 
-    Each setting runs with dead-word skipping, twin skipping and bounds
-    reuse each on and off, all eight ways; reuse is off when every word's
-    m21 reads a, b and c.  With all three off the scan evaluates every
-    word, and every run's kernel_runs counts its kernel calls.
+    run_search skips each where it can, and the reference search skips
+    none: it evaluates every word of every box's budget.  The two reports
+    must be equal byte for byte, with as many boxes tested.
     """
-    cfg = SearchConfig(**settings)
-    calls = 0
-    real = search_module.lower_left_bounds
-
-    def counted(gens, syllables):
-        nonlocal calls
-        calls += 1
-        return real(gens, syllables)
-
-    monkeypatch.setattr(search_module, "lower_left_bounds", counted)
-    dead_lo, m21_reads = search_module._DEAD_LO, words_module.m21_reads
-    runs = {}
-    for twins, dead, reuse in product((True, False), repeat=3):
-        stream = words_module.WordStream if twins else _every_word_stream
-        monkeypatch.setattr(search_module, "WordStream", stream)
-        # a _DEAD_LO of inf rules no word out
-        monkeypatch.setattr(search_module, "_DEAD_LO", dead_lo if dead else math.inf)
-        reads = m21_reads if reuse else lambda syllables: words_module.GEN_ALL
-        monkeypatch.setattr(words_module, "m21_reads", reads)
-        calls = 0
-        report = run_search(cfg)
-        assert report.kernel_runs == calls
-        runs[twins, dead, reuse] = report.to_canonical_json(), calls, report
-    full = runs[False, False, False][2]
-    assert {text for text, _, _ in runs.values()} == {full.to_canonical_json()}
-    assert runs[False, False, False][1] == full.words_evaluated
-    # a root box alone has no ancestor to skip words for, or take bounds from
-    assert runs[False, True, False][1] < full.words_evaluated or full.boxes_tested == 1
-    for dead, reuse in product((True, False), repeat=2):
-        assert runs[True, dead, reuse][1] < runs[False, dead, reuse][1]
-    for twins, dead in product((True, False), repeat=2):
-        off = runs[twins, dead, False][1]
-        assert runs[twins, dead, True][1] < off or full.boxes_tested == 1
+    _assert_the_reference_reports(name)
 
 
-class _TableReads(words_module.GeneratorTriple):
-    """A box's table that records what the scan reads from it outside the kernel.
+@pytest.mark.parametrize("name", ["area-50", "budget-60", "straddle", "straddle-d3", "area-d3"],
+                         ids=["search-area", "budget-60", "straddle", "straddle-d3", "area-d3"])
+def test_every_box_of_a_run_shares_the_root_cut(monkeypatch, name) -> None:
+    """Every scanned box of a run stops at one cut, the root's.
 
-    outside lists each block whose offset is asked for, once per outermost
-    call, and ("entry", syllable) for each entry asked for.
+    A box that is neither killed nor infeasible reports as scanned the
+    stream's first word_budget_per_box words, or all of them when the
+    stream is shorter, as the root does.  The verdicts are test_box's, as
+    run_search makes them.
     """
-
-    __slots__ = ("outside", "depth")
-    in_kernel = [False]
-
-    def __init__(self, a, b, c) -> None:
-        super().__init__(a, b, c)
-        self.outside, self.depth = [], 0
-
-    def offset(self, m, n):
-        # a two-axis block's offset asks for its two one-axis offsets
-        if not self.in_kernel[0] and not self.depth:
-            self.outside.append((m, n))
-        self.depth += 1
-        try:
-            return super().offset(m, n)
-        finally:
-            self.depth -= 1
-
-    def entry(self, syllable):
-        if not self.in_kernel[0]:
-            self.outside.append(("entry", syllable))
-        return super().entry(syllable)
-
-
-@pytest.mark.parametrize(
-    "settings",
-    [
-        dict(_AREA_15, max_boxes=50),
-        dict(_AREA_15, max_boxes=500, word_budget_per_box=60),
-        dict(area_bound=6.0, max_d=2, max_exp=1, max_depth=6, min_box_width=1e-3,
-             root_box=STRADDLE_BOUNDS),
-        dict(area_bound=6.0, max_d=3, max_exp=2, max_depth=6, min_box_width=1e-3,
-             root_box=STRADDLE_BOUNDS),
-        _AREA_15_D3,
-    ],
-    ids=["search-area", "budget-60", "straddle", "straddle-d3", "area-d3"],
-)
-def test_every_box_of_a_run_shares_the_root_cut(monkeypatch, settings) -> None:
-    """Every scanned box of a run stops at one cut, and only the root reads the twins' blocks.
-
-    A box that is neither killed nor infeasible scans the words of the
-    segments through the first one whose words reach the budget, cut at
-    the budget, as the root does.  Outside the kernel, the root's table is
-    asked for exactly the offsets of stream.blocks, in order, the distinct
-    leading blocks of the cut's Runs, whether or not a word then kills the
-    root, and for no entry; a child's table is asked for nothing: the root
-    read every block of the shared cut.
-    """
-    cfg = SearchConfig(**settings)
-    budget, cut, words = cfg.word_budget_per_box, [], 0
-    for segment in enumerate_segments(cfg.max_d, cfg.max_exp):
-        if words >= budget:
-            break
-        cut.append(segment)
-        words += segment.count if isinstance(segment, Run) else 1
-    blocks = []
-    for segment in cut:
-        if isinstance(segment, Run) and segment.prefix[0][:2] not in blocks:
-            blocks.append(segment.prefix[0][:2])
-    assert len(blocks) < sum(isinstance(segment, Run) for segment in cut)
-
-    tables, verdicts = {}, []
-    real_kernel, real_test_box = search_module.lower_left_bounds, search_module.test_box
-
-    def kernel(gens, syllables):
-        _TableReads.in_kernel[0] = True
-        try:
-            return real_kernel(gens, syllables)
-        finally:
-            _TableReads.in_kernel[0] = False
-
-    def recording_gens(box):
-        tables[box.path] = _TableReads(box.a(), box.b(), box.c())
-        return tables[box.path]
+    cfg = SearchConfig(**_REFERENCE_CONFIGS[name])
+    cut = sum(1 for _ in islice(enumerate_words(cfg.max_d, cfg.max_exp), cfg.word_budget_per_box))
+    verdicts, real_test_box = [], search_module.test_box
 
     def recording_test_box(*args, **kwargs):
         verdicts.append(real_test_box(*args, **kwargs))
         return verdicts[-1]
 
-    monkeypatch.setattr(search_module, "lower_left_bounds", kernel)
-    monkeypatch.setattr(words_module, "gens_from_params", recording_gens)
     monkeypatch.setattr(search_module, "test_box", recording_test_box)
     report = run_search(cfg)
     assert len(verdicts) == report.boxes_tested
     scanned = [v for v in verdicts if v.status in (BoxStatus.CANDIDATE, BoxStatus.UNDECIDED)]
-    assert all(v.words_scanned == min(budget, words) for v in scanned)
-    assert WordStream(cfg.max_d, cfg.max_exp, budget).blocks == blocks
-    assert tables[""].outside == blocks
-    assert all(table.outside == [] for path, table in tables.items() if path)
+    assert all(v.words_scanned == cut for v in scanned)
     assert len(scanned) > 10 or report.boxes_tested == 1
 
 
@@ -1041,64 +982,14 @@ def test_child_reevaluates_only_what_its_split_changes(monkeypatch, settings) ->
         split = _AXIS_GENERATOR[axis]
         for syllables in evaluated:
             assert words_module.m21_reads(syllables) & split, (path, str(Word(syllables)))
-    monkeypatch.setattr(words_module, "m21_reads", lambda syllables: words_module.GEN_ALL)
+    every = words_module.GEN_A | words_module.GEN_B | words_module.GEN_C
+    monkeypatch.setattr(words_module, "m21_reads", lambda syllables: every)
     monkeypatch.setattr(search_module, "test_box", real_test_box)
     monkeypatch.setattr(search_module, "lower_left_bounds", real_kernel)
     unmasked = run_search(cfg)
     assert unmasked.to_canonical_json() == report.to_canonical_json()
     assert report.kernel_runs < unmasked.kernel_runs or report.boxes_tested == 1
     assert children or report.boxes_tested == 1
-
-
-def test_reuse_needs_the_parent_table(monkeypatch) -> None:
-    """Bounds are reused only where no generator a word reads changed from the parent's table.
-
-    A child scanned with its parent's verdict on a fresh stream whose masks
-    say every word reads all three generators runs the kernel on every
-    live word; on the run's own stream, on fewer, for the same verdict.  A
-    box whose c differs from the parent's only in the sign of its zero
-    imaginary part changes c's bits: every word that reads c is evaluated
-    again, and no other.
-    """
-    calls = []
-    real_kernel = search_module.lower_left_bounds
-
-    def kernel(gens, syllables):
-        calls.append(syllables)
-        return real_kernel(gens, syllables)
-
-    monkeypatch.setattr(search_module, "lower_left_bounds", kernel)
-    cfg = _cfg(root_box=STRADDLE_BOUNDS)
-    stream = WordStream(2, 1, cfg.word_budget_per_box)
-    root = ParamBox.from_bounds(STRADDLE_BOUNDS)
-    parent = test_box(root, stream, cfg)
-    assert parent.status is BoxStatus.UNDECIDED and parent.live
-    assert all(len(hit) == 2 and hit[0] < search_module._DEAD_LO for hit in parent.live.values())
-    masks = stream.masks()
-    # stream's masks are built; the fresh stream builds its own under the patch
-    monkeypatch.setattr(words_module, "m21_reads", lambda syllables: words_module.GEN_ALL)
-    fresh = WordStream(2, 1, cfg.word_budget_per_box)
-    for child in subdivide(root):
-        calls.clear()
-        plain = test_box(child, fresh, cfg, parent=parent)
-        assert plain.kernel_runs == len(calls) == len(parent.live)
-        calls.clear()
-        reused = test_box(child, stream, cfg, parent=parent)
-        assert reused.kernel_runs == len(calls) < len(parent.live)
-        assert _verdict_fields(reused) == _verdict_fields(plain)
-    assert fresh.masks() == [words_module.GEN_ALL] * len(fresh.words)
-    bounds = [list(pair) for pair in STRADDLE_BOUNDS]
-    bounds[5] = [-0.0, -0.0]
-    twin = ParamBox.from_bounds(bounds)
-    assert gens_from_params(twin).inherit(parent.table) == words_module.GEN_C
-    calls.clear()
-    verdict = test_box(twin, stream, cfg, parent=parent)
-    reads_c = [k for k in parent.live if masks[k] & words_module.GEN_C]
-    # the parent's near miss, the hint, is evaluated first when it reads c
-    first = sorted(reads_c, key=lambda k: k != parent.near_miss)
-    assert calls == [stream.words[k].syllables for k in first]
-    assert 0 < len(reads_c) < len(parent.live)
-    assert _verdict_fields(verdict) == _verdict_fields(test_box(root, stream, cfg))
 
 
 def test_box_hands_its_children_a_new_dead_set() -> None:
@@ -1190,6 +1081,7 @@ def test_box_takes_a_parent_only_on_its_own_stream() -> None:
     own = test_box(root, s32, cfg32)
     assert own.status is BoxStatus.UNDECIDED
     cut21 = re.escape(" is cut for (max_d, max_exp, budget) (2, 1, 2000), not ")
+    undecided = 0
     for child in subdivide(root):
         for stream in (s32, None):
             with pytest.raises(ValueError, match="the parent's stream" + cut21 + r"\(3, 2, 2000\)"):
@@ -1205,6 +1097,9 @@ def test_box_takes_a_parent_only_on_its_own_stream() -> None:
         assert (equal.words, equal.ends, equal.blocks) == (s21.words, s21.ends, s21.blocks)
         for stream in (None, equal):
             assert _verdict_fields(test_box(child, stream, cfg21, parent=parent)) == want
+        # None reads the parent's stream itself, which an undecided child hands on
+        undecided += test_box(child, None, cfg21, parent=parent).stream is s21
+    assert undecided
     # a root scan checks a given stream's key too
     with pytest.raises(ValueError, match="the stream" + cut21 + r"\(3, 2, 2000\)"):
         test_box(root, WordStream(2, 1, 2000), cfg32)
@@ -1299,13 +1194,8 @@ def test_leaves_keep_no_near_miss_or_dead_set() -> None:
     assert "bounds" not in {f.name for f in fields(search_module.BoxVerdict)}
 
 
-@pytest.mark.parametrize(
-    "settings",
-    [dict(_AREA_15, max_boxes=50),
-     dict(area_bound=1.0, max_d=3, max_exp=2, max_depth=18, word_budget_per_box=2000)],
-    ids=["search-area", "golden-area-1"],
-)
-def test_leaf_replays_one_call_per_level(settings) -> None:
+@pytest.mark.parametrize("name", ["area-50", "golden-area-1"], ids=["search-area", "golden-area-1"])
+def test_leaf_replays_one_call_per_level(name) -> None:
     """Each tested leaf is test_box chained down its path from the root, one call per level.
 
     The root is scanned with stream None, a new canonical cut, and each
@@ -1314,8 +1204,8 @@ def test_leaf_replays_one_call_per_level(settings) -> None:
     kernel_runs.  A leaf cut by max_boxes was never tested, so it has
     nothing to replay.
     """
-    cfg = SearchConfig(**settings)
-    report = run_search(cfg)
+    report = _search(name)
+    cfg = report.config
     verdicts = {"": test_box(cfg.resolved_root(), None, cfg)}
     replayed = 0
     for leaf in report.leaves:
@@ -1341,19 +1231,6 @@ def _verdict_fields(v):
     return v.status, v.word, v.words_scanned, v.near_miss, None if v.live is None else tuple(v.live)
 
 
-def _given_parent(box, stream, positions, near_miss=None):
-    """An Undecided verdict on box, scanned on stream, whose live maps each of positions to None.
-
-    A None value has no bounds to reuse, so test_box evaluates that word;
-    the table is box's own, and near_miss is the children's hint.
-    """
-    live = dict.fromkeys(positions)
-    return BoxVerdict(
-        box, BoxStatus.UNDECIDED, near_miss=near_miss, live=live, table=gens_from_params(box),
-        stream=stream,
-    )
-
-
 @pytest.mark.parametrize("stream_caps", [(2, 1), (3, 2)], ids=["d2", "d3"])
 def test_box_reads_every_stream_form_alike(stream_caps) -> None:
     """None, a fresh WordStream and a shared one give one verdict.
@@ -1365,23 +1242,18 @@ def test_box_reads_every_stream_form_alike(stream_caps) -> None:
     ValueError.  The given dead sets have runs of consecutive indices of
     the stream's words, and the given parent's live is the indices outside
     one; the empty set is scanned both with no parent and with every
-    index.  None builds its own stream in the
-    call without a parent and reads the parent's with one, a fresh stream
-    is built for each case, and the shared one, cut at the same budget, is
-    scanned by every case in turn.  An Undecided verdict's live must also
-    match the one computed word by word: the Words among the segments of
-    the 1000 scanned positions, less the given dead set and those ruled
-    out on the box.
+    index.  None builds its own stream in the call without a parent and
+    reads the parent's with one, a fresh stream is built for each case,
+    and the shared one, cut at the same budget, is scanned by every case
+    in turn.  An Undecided verdict's live must also match the one computed
+    word by word: the first words of their bodies among the first 1000
+    words of enumerate_words, less the given dead set and those ruled out
+    on the box.
     """
     max_d, max_exp = stream_caps
     cfg = SearchConfig(**dict(_AREA_15, max_d=max_d, max_exp=max_exp, word_budget_per_box=1000))
-    # the Words of the segments that hold the budget's 1000 positions
-    words, positions = [], 0
-    for segment in enumerate_segments(max_d, max_exp):
-        if positions >= 1000:
-            break
-        words += [] if isinstance(segment, Run) else [segment]
-        positions += segment.count if isinstance(segment, Run) else 1
+    # the first words of their bodies among the budget's 1000 words
+    words = _first_of_bodies(islice(enumerate_words(max_d, max_exp), 1000))
     word_indices = range(len(words))
     shared = WordStream(max_d, max_exp, 1000)
     assert shared.words == words
@@ -1426,40 +1298,6 @@ def test_box_reads_every_stream_form_alike(stream_caps) -> None:
     assert undecided >= 10 and dead_hints >= 5 and refused >= 5
 
 
-def _scan_every_word(box, area, words, budget, hint=None, dead=frozenset()):
-    """(status, word, volume_bound, words_scanned, near_miss, live) of a scan that evaluates every word.
-
-    The words are taken in order, the hint first and its copy passed over;
-    a dead position, which the hint never is, counts as scanned without
-    being evaluated.  live, for an Undecided verdict only, lists in order
-    the scanned positions outside dead whose word has L < _DEAD_LO.
-    """
-    if box_in_param_space(box, area) is Feasibility.OUTSIDE:
-        return BoxStatus.ELIMINATED_INFEASIBLE, None, None, 0, None, None
-    gens = gens_from_params(box)
-    order = ([] if hint is None else [hint]) + [i for i in range(len(words)) if i != hint]
-    scanned, candidate, near, live = 0, None, (math.inf, None), []
-    for i in order:
-        if scanned >= budget:
-            break
-        scanned += 1
-        if i in dead:
-            continue
-        lo, hi = lower_left_bounds(gens, words[i].syllables)
-        if hi < 1.0 and lo > 0.0:
-            return BoxStatus.ELIMINATED_KILLER, words[i], None, scanned, None, None
-        if hi < 1.0:
-            candidate = i if candidate is None else min(candidate, i)
-        elif lo < 1.0:
-            near = min(near, (hi, i))
-        if i not in dead and lo < search_module._DEAD_LO:
-            live.append(i)
-    if candidate is not None:
-        word = words[candidate]
-        return BoxStatus.CANDIDATE, word, volume_bound(word), scanned, None, None
-    return BoxStatus.UNDECIDED, None, None, scanned, near[1], tuple(sorted(live))
-
-
 # root points near overflow, searched under this area bound, whose default
 # root is too wide for a ParamBox: each is its own root
 _NEAR_OVERFLOW_AREA = 8.9e307
@@ -1478,137 +1316,61 @@ _NEAR_OVERFLOW = [
 
 
 @pytest.mark.parametrize(
-    "stream_caps, reach",
-    [((2, 1), 1400), ((3, 2), 1400), ((6, 3), 1400), ((3, 3), 4800)],
+    "stream_caps, budgets",
+    [((2, 1), (2, 40, 146)), ((3, 2), (2, 1400)), ((6, 3), (2, 1400)), ((3, 3), (2, 4800))],
     ids=["d2", "d3", "d6", "d3e3"],
 )
-def test_box_matches_a_scan_of_every_word(stream_caps, reach) -> None:
-    """test_box gives the verdict, or raises the error, of a scan that evaluates every word.
+def test_box_matches_a_scan_of_every_word(stream_caps, budgets) -> None:
+    """A box searched as its own root gives the reference search's report, or raises its error.
 
     The boxes are the reference point in its three normalizations, the
-    slice and straddle fixtures, seeded dyadic boxes of the area-1.5
-    space, and root points near overflow: a = 1e308, whose x^2 offset
-    overflows, with c = 0 or with c = -1e308 + 0.5i, where z x z kills;
-    b = 1e308i, whose y^2 offset overflows; c = 1e308; and a = 2,
-    b = 1.5 + 0.5i, c = 1e120, where at (3,3) y z x y^-1 z^-1, segment 111
-    of the stream, kills the box before gamma^3 overflows, though a Run
-    led by gamma^3, segment 623 at position 4763, lies in the cut.  Each is scanned on the stream
-    WordStream(max_d, max_exp, budget) with budgets that end inside a Run,
-    inside the d = 1 bucket or one past it, and one short of the cut's
-    words or one past them, which outlasts the (2, 1) stream.  A point
-    near overflow is scanned as a root, with no parent, and test_box must
-    raise the reference's ValueError, message included, or give its
-    verdict.  The other boxes are also scanned with a given parent whose
-    live is every word of the cut or the complement of a dead set: every
-    other position whose word has L >= _DEAD_LO on the box, first words of
-    bodies and twins among them.  The given parent's near miss, the hint,
-    is None or at two bodies' first words, the middle one and the last, or
-    at a dead one.  A hint past the cut or outside live raises ValueError.
-    The scan of every word takes stream positions; test_box takes the
-    indices of the stream's words, and its near miss and live are read
-    back as positions, the live ones of the scan of every word kept where
-    a body starts.  The words are the expansion of the cut at a budget of
-    reach, 1400, or 4800 at (3,3) to take in that Run, all 145 words at
-    (2, 1), and one segment more, so a budget one past them is cut on the
-    same segments.
+    slice and straddle fixtures and seeded dyadic boxes of the area-1.5
+    space, each searched one level deep, so a box that stays undecided
+    hands its verdict to two children, and the points of _NEAR_OVERFLOW.
+    A root reads the offsets of its twins' blocks before its first word,
+    where the reference evaluates each twin in its place, so both must
+    raise the same ValueError, message included, or neither.  The budgets
+    end one word into the stream, one short of the d = 1 bucket's end and
+    one past it, inside a counted lead's words (40 at (2, 1)), past the
+    whole (2, 1) stream (146), and at (3, 3) past position 4763, where a
+    counted lead led by gamma^3 starts: there y z x y^-1 z^-1 kills the
+    c = 1e120 root before gamma^3 overflows.
     """
     max_d, max_exp = stream_caps
-    # the cut at a budget of reach and one segment more; edge is the cut's words
-    segments, position, edge = [], 0, None
-    for segment in enumerate_segments(max_d, max_exp):
-        segments.append(segment)
-        position += segment.count if isinstance(segment, Run) else 1
-        if edge is not None:
-            break
-        edge = position if position >= reach else None
-    edge = position if edge is None else edge
-    # body_starts[k] is the stream position of the stream's k-th word
-    body_starts, run_starts, position, gamma3_at = [], [], 0, math.inf
-    for segment in segments:
-        if isinstance(segment, Run):
-            run_starts += [position] if segment.count > 1 else []
-            if abs(segment.prefix[0][2]) == 3:
-                gamma3_at = min(gamma3_at, position)
-            position += segment.count
-        else:
-            body_starts.append(position)
-            position += 1
-    words = [w for w, _ in _expanded(segments)]
-    assert [words[at] for at in body_starts] == [s for s in segments if isinstance(s, Word)]
-    d1 = sum(w.z_count == 1 for w in words)
-    # a cut one word into a Run of two or more, inside the d = 1 bucket or
-    # one past it, and one short of the cut's words or one past them
-    cuts = [start + 1 for start in run_starts[:: max(1, len(run_starts) // 3)]][:3]
-    budgets = cuts + [2, d1 - 1, d1 + 1, edge - 1, edge + 1]
-    body_hint = len(body_starts) // 2
+    d1 = sum(1 for _ in enumerate_words(1, max_exp))
     rng = random.Random(9161)
-    boxes = [
+    roots = [
         (ParamBox.from_point(Params(4.0, complex(1.0 + 4.0 * k, math.sqrt(3.0)), 2.0)), 6.0)
         for k in (-1, 0, 1)
     ]
-    boxes += [(ParamBox.from_bounds(SLICE_BOUNDS), 6.0), (ParamBox.from_bounds(STRADDLE_BOUNDS), 6.0)]
+    roots += [(ParamBox.from_bounds(SLICE_BOUNDS), 6.0), (ParamBox.from_bounds(STRADDLE_BOUNDS), 6.0)]
     for _ in range(6):
         box = param_space(1.5)
         for _ in range(rng.randrange(4, 14)):
             box = subdivide(box)[rng.randrange(2)]
-        boxes.append((box, 1.5))
-    boxes += [(ParamBox.from_point(p), _NEAR_OVERFLOW_AREA) for p in _NEAR_OVERFLOW]
-    gamma3_root = boxes[-1][0]
-
-    def as_positions(v):
-        near = None if v.near_miss is None else body_starts[v.near_miss]
-        kept = None if v.live is None else tuple(body_starts[k] for k in v.live)
-        return v.status, v.word, v.volume_bound, v.words_scanned, near, kept
-
+        roots.append((box, 1.5))
+    roots += [(ParamBox.from_point(p), _NEAR_OVERFLOW_AREA) for p in _NEAR_OVERFLOW]
     kinds = Counter()
-    dead_kinds = Counter()
-    for box, area in boxes:
-        root_only = area == _NEAR_OVERFLOW_AREA
-        dead, dead_indices = frozenset(), frozenset()
-        if not root_only:
-            gens = gens_from_params(box)
-            lows = [lower_left_bounds(gens, w.syllables)[0] for w in words]
-            dead = frozenset(i for i in range(0, position, 2) if lows[i] >= search_module._DEAD_LO)
-            dead_kinds.update(i in body_starts for i in dead)
-            dead_indices = frozenset(k for k, at in enumerate(body_starts) if at in dead)
-        for budget in budgets:
-            stream = WordStream(max_d, max_exp, budget)
-            cut = range(len(stream.words))
-            lives = [(frozenset(), None)]
-            if not root_only:
-                open_bodies = [k for k in cut if k not in dead_indices]
-                lives += [(frozenset(), list(cut)), (dead, open_bodies)]
+    for root, area in roots:
+        for budget in sorted({*budgets, d1 - 1, d1 + 1}):
             cfg = SearchConfig(
-                area_bound=area, max_d=max_d, max_exp=max_exp, word_budget_per_box=budget,
-                root_box=box if root_only else None,
+                area_bound=area, max_d=max_d, max_exp=max_exp, max_depth=1,
+                word_budget_per_box=budget, root_box=root,
             )
-            hints = [None, body_hint, len(body_starts) - 1, min(dead_indices, default=None)]
-            for hint in hints[:1] if root_only else hints:
-                at = None if hint is None else body_starts[hint]
-                for dead_set, live in lives:
-                    if live is None and hint is not None:
-                        continue  # a root box has no hint
-                    parent = None if live is None else _given_parent(box, stream, live, hint)
-                    if hint is not None and hint not in live:
-                        with pytest.raises(ValueError, match="is not a key of its live"):
-                            test_box(box, stream, cfg, parent=parent)
-                        kinds["past the cut" if hint >= len(stream.words) else "dead"] += 1
-                        continue
-                    got = _outcome(lambda: as_positions(test_box(box, stream, cfg, parent=parent)))
-                    want = _outcome(lambda: _scan_every_word(box, area, words, budget, at, dead_set))
-                    if isinstance(want, tuple) and want[-1] is not None:
-                        want = (*want[:-1], tuple(i for i in want[-1] if i in body_starts))
-                    assert got == want, (box.to_bounds(), budget, hint, bool(dead_set))
-                    kinds["raises" if isinstance(got, str) else got[0]] += 1
-                    # a Run led by gamma^3 lies in the cut, behind the killer
-                    if box is gamma3_root and budget > gamma3_at:
-                        kinds["killed before gamma^3 overflows"] += got[:2] == (
-                            BoxStatus.ELIMINATED_KILLER, parse_word("y z x y^-1 z^-1")
-                        )
-
-    assert kinds[BoxStatus.UNDECIDED] and kinds[BoxStatus.ELIMINATED_KILLER] and kinds["raises"]
-    assert kinds["past the cut"] and kinds["dead"]
-    assert dead_kinds[True] and dead_kinds[False]
+            got = _outcome(lambda: run_search(cfg).to_canonical_json())
+            want = _outcome(lambda: reference_search(cfg).to_canonical_json())
+            assert got == want, (root.to_bounds(), budget)
+            if not got.startswith("{"):
+                kinds["raises"] += 1
+                continue
+            leaves = json.loads(got)["leaves"]
+            kinds.update(leaf["status"] for leaf in leaves)
+            kinds["split"] += len(leaves) > 1
+            kinds["killed before gamma^3 overflows"] += budget > 4763 and leaves[0].get("word") == (
+                "y z x y^-1 z^-1"
+            )
+    assert kinds["raises"] and kinds["eliminated_killer"] and kinds["undecided"], kinds
+    assert kinds["split"], kinds
     if stream_caps == (3, 3):
         assert kinds["killed before gamma^3 overflows"]
 

@@ -4,7 +4,7 @@ import math
 import random
 import re
 from collections import Counter
-from itertools import accumulate, islice, zip_longest
+from itertools import islice, zip_longest
 
 import pytest
 
@@ -22,15 +22,12 @@ from horocusp.interval import (
 from horocusp.search import SearchConfig, subdivide, test_box
 from horocusp.words import (
     GEN_A,
-    GEN_ALL,
     GEN_B,
     GEN_C,
     MAX_EXP,
     KillerVerdict,
-    Run,
     Word,
     WordStream,
-    enumerate_segments,
     enumerate_words,
     evaluate_word,
     evaluate_word_float,
@@ -43,7 +40,7 @@ from horocusp.words import (
     volume_bound,
 )
 
-from test_interval import _SPECIAL, _endpoints
+from _reference import _AXIS_GENERATOR, _SPECIAL, _bits, _body, _endpoints, _oracle_bits, _outcome
 
 REF = Params(4.0, 1.0 + math.sqrt(3.0) * 1j, 2.0)
 
@@ -307,10 +304,6 @@ def _random_dyadic_boxes(area_bound, count, rng):
     return boxes
 
 
-def _bits(iv):
-    return (iv.lo.hex(), iv.hi.hex())
-
-
 def _interleaved_by_first_exponent(words):
     """The words taken in turn from each first exponent's, in stream order within each."""
     by_first = {}
@@ -339,71 +332,12 @@ def _kernel_matches_oracle(gens, words, oracle):
             key, row = slot = gens._slot
             assert key == (syllables[0][2], syllables[1]), str(w)
             if slot is not checked:
-                stepped = words_module._bottom_row(gens, syllables[1:2], gens.entry(syllables[0])[1][2:])
+                first_row = gens._unboxed_power(syllables[0][2])[2:]
+                stepped = words_module._bottom_row(gens, syllables[1:2], first_row)
                 assert _hex_rects(row) == _hex_rects(stepped), str(w)
                 checked = slot
         else:
             assert gens._slot is before, str(w)
-
-
-def _oracle_bits(box, words):
-    """Each word's evaluate_word(word, box).m21.abs_bounds() bits, its products shared.
-
-    The oracle's steps, with each product built once per box: each
-    block's translation matrix and each power gamma^e are built as
-    evaluate_word builds them, and the words are taken in the order of
-    their syllables, so the words that share a prefix come together.  A
-    path holds, for each syllable of the last word, the product through
-    its block's translation and the product through its power, each an
-    IntervalMatrix product of the one before by the next factor.  A word
-    steps only the syllables after the prefix it shares with the path,
-    and takes the product through the first one's translation from the
-    path when the block is the same.  A word's matrix is then the product
-    evaluate_word forms, operation for operation, with its bits.
-    """
-    gens = gens_from_params(box)
-    point = ComplexInterval.point
-    zero, one = point(0.0), point(1.0)
-    gamma = IntervalMatrix(gens.c, point(-1.0), one, zero)
-    unit = {1: gamma, -1: gamma.inverse_sl2()}
-    translations, powers, bits = {}, {}, {}
-    # (syllable, product through its translation or None, product through its power)
-    path = []
-    for w in sorted(words, key=lambda w: w.syllables):
-        syllables = w.syllables
-        k = 0
-        while k < len(path) and k < len(syllables) and path[k][0] == syllables[k]:
-            k += 1
-        # in sorted order no word is a prefix of the one before, so k < len(syllables)
-        shared = path[k][1] if k < len(path) and path[k][0][:2] == syllables[k][:2] else None
-        del path[k:]
-        acc = path[-1][2] if path else None
-        for m, n, e in syllables[k:]:
-            through_block = None
-            if m or n:
-                through_block = shared
-                if through_block is None:
-                    t = translations.get((m, n))
-                    if t is None:
-                        off = zero
-                        if m:
-                            off = off + point(float(m)) * gens.a
-                        if n:
-                            off = off + point(float(n)) * gens.b
-                        t = translations[m, n] = IntervalMatrix(one, off, zero, one)
-                    through_block = t if acc is None else acc @ t
-                acc = through_block
-            shared = None
-            g = powers.get(e)
-            if g is None:
-                gen = g = unit[1 if e > 0 else -1]
-                for _ in range(abs(e) - 1):
-                    g = g @ gen
-                powers[e] = g
-            acc = g if acc is None else acc @ g
-            path.append(((m, n, e), through_block, acc))
-        bits[w] = _bits(acc.m21.abs_bounds())
-    return bits
 
 
 def test_kernel_bounds_bit_identical_to_full_matrix_oracle() -> None:
@@ -434,7 +368,7 @@ def test_kernel_bounds_bit_identical_to_full_matrix_oracle() -> None:
     # Words of the (3,2) and (4,1) cuts and the first 2000 Words of (6,3)
     pool = list(enumerate_words(2, 1)) + list(islice(enumerate_words(6, 3), 2000))
     pool += [w for caps in ((3, 2, 20000), (4, 1, 20000)) for w in WordStream(*caps).words]
-    pool += islice((s for s in enumerate_segments(6, 3) if s.__class__ is Word), 2000)
+    pool += WordStream(6, 3, 20000).words[:2000]
     pool = list(dict.fromkeys(pool))
     assert len(pool) == 13483
     orders = (pool, pool[::-1], _interleaved_by_first_exponent(pool))
@@ -558,11 +492,6 @@ def test_kernel_raises_where_the_full_row_does() -> None:
     assert raised > 1000 and kept > 1000, (raised, kept)
 
 
-def _body(word):
-    """A key for the word's body: e_1 and the syllables after the first."""
-    return word.syllables[0][2], word.syllables[1:]
-
-
 def _first_of_body(words):
     """For each position, the earliest position whose word has the same body, from a dict."""
     earliest = {}
@@ -598,49 +527,6 @@ def test_body_twins_share_their_first_words_bits() -> None:
     assert twins > 15_000
 
 
-def _expanded(segments):
-    """(word, is a Word segment) for each stream position of segments."""
-    for segment in segments:
-        if isinstance(segment, Run):
-            words = list(segment.words())
-            assert len(words) == segment.count
-            assert all(w.syllables[0] == segment.prefix[0] for w in words)
-            yield from ((w, False) for w in words)
-        else:
-            yield segment, True
-
-
-@pytest.mark.parametrize(
-    "max_d, max_exp, count, bodies",
-    [(2, 1, None, 34), (3, 1, None, 546), (3, 2, None, 4900), (4, 2, 20000, 3751),
-     (6, 3, 20000, 5582)],
-)
-def test_segments_hold_the_first_word_of_each_body(max_d, max_exp, count, bodies) -> None:
-    """The stream's Word segments are exactly the first words of their bodies.
-
-    The earliest position of each body comes from a dict over
-    enumerate_words; the segments, expanded, give enumerate_words word for
-    word, and each Run holds as many words as it counts.
-    """
-    words = list(islice(enumerate_words(max_d, max_exp), count))
-    expanded = list(islice(_expanded(enumerate_segments(max_d, max_exp)), len(words)))
-    assert [w for w, _ in expanded] == words
-    first = _first_of_body(words)
-    assert [is_word for _, is_word in expanded] == [j == i for i, j in enumerate(first)]
-    assert len(set(first)) == bodies
-
-
-def test_segments_covering_a_scan_budget() -> None:
-    """2000 positions of the (6, 3) stream take 430 segments: 184 Words and 246 Runs."""
-    kinds, positions = [], 0
-    for segment in enumerate_segments(6, 3):
-        if positions >= 2000:
-            break
-        kinds.append(isinstance(segment, Run))
-        positions += segment.count if kinds[-1] else 1
-    assert (len(kinds), kinds.count(False), kinds.count(True)) == (430, 184, 246)
-
-
 def _completion_sizes(max_exp, d):
     """Sequences of syllables with nontrivial blocks and total |e| of d, counted by block cost."""
     steps = [
@@ -673,87 +559,144 @@ def test_completion_count_matches_a_brute_force_walk(max_exp, max_d) -> None:
             assert count == sizes[extra], (d, extra)
 
 
-def _stream_from_segments(segments, max_d, max_exp, budget):
-    """The WordStream keyed (max_d, max_exp, budget) whose cut is taken from segments, in their order.
+@pytest.mark.parametrize(
+    "max_d, max_exp, count, bodies",
+    [(2, 1, None, 34), (3, 1, None, 546), (3, 2, None, 4900), (4, 2, 20000, 3751),
+     (6, 3, 20000, 5582)],
+)
+def test_segments_hold_the_first_word_of_each_body(max_d, max_exp, count, bodies) -> None:
+    """A stream's Words are exactly the first words of their bodies, and its blocks the twins'.
 
-    The reference cut: segments are taken through the first whose words
-    reach budget, or to their end.  words are the Word segments, ends[k]
-    the words through words[k], blocks the distinct leading blocks of the
-    Runs in order, and scanned min(budget, the cut's words).  A caller may
-    pass made-up segments, such as every word as a Word, for a stream
-    that evaluates every word.
+    The stream cut at count words, or at the whole stream, against the
+    earliest position of each body from a dict over enumerate_words: its
+    words are the words at those positions, its ends one past each, and
+    its blocks the leading blocks of the other words, the twins, each
+    where it first comes.
     """
-    words, ends, blocks, count = [], [], [], 0
-    for segment in segments:
-        if isinstance(segment, Run):
-            count += segment.count
-            if segment.prefix[0][:2] not in blocks:
-                blocks.append(segment.prefix[0][:2])
-        else:
-            count += 1
-            words.append(segment)
-            ends.append(count)
-        if count >= budget:
-            break
-    stream = object.__new__(WordStream)
-    stream.key, stream.words, stream.ends, stream.blocks = (max_d, max_exp, budget), words, ends, blocks
-    stream.scanned, stream._masks = min(budget, count), None
-    stream.first_scan = dict.fromkeys(range(len(words)))
-    return stream
+    words = list(islice(enumerate_words(max_d, max_exp), count))
+    stream = WordStream(max_d, max_exp, len(words))
+    first = _first_of_body(words)
+    assert stream.words == [w for i, w in enumerate(words) if first[i] == i]
+    assert stream.ends == [i + 1 for i, j in enumerate(first) if j == i]
+    twins = (w.syllables[0][:2] for i, w in enumerate(words) if first[i] != i)
+    assert stream.blocks == list(dict.fromkeys(twins))
+    assert len(stream.words) == bodies
+
+
+def test_segments_covering_a_scan_budget() -> None:
+    """2000 positions of the (6, 3) stream take 430 segments: 184 Words and 246 runs of twins.
+
+    A segment is what the cut counts at once: a first word of its body,
+    which a scan evaluates, or a run of twins, the subtree of one counted
+    lead or one y-twin (see the words module's lemma).  Rebuilt from
+    enumerate_words, consecutive twins with one first syllable are one
+    run, unless their block is y.  The stream keeps the 184 Words and the
+    24 distinct blocks of the runs.
+    """
+    words = list(islice(enumerate_words(6, 3), 2000))
+    first = _first_of_body(words)
+    kinds, lead = [], None
+    for i, w in enumerate(words):
+        if first[i] == i:
+            kinds.append("word")
+            lead = None
+        elif w.syllables[0] != lead or w.syllables[0][:2] == (0, 1):
+            kinds.append("run")
+            lead = w.syllables[0]
+    assert (len(kinds), kinds.count("word"), kinds.count("run")) == (430, 184, 246)
+    stream = WordStream(6, 3, 2000)
+    assert (len(stream.words), len(stream.blocks)) == (184, 24)
+
+
+def _cuts(max_d, max_exp, last_budget):
+    """(budget, words, ends, blocks, k, j, scanned) for budgets 1 to last_budget: the segment cuts.
+
+    The cut at a budget is the stream's first budget words: words are
+    those that are the first of their body, ends[k] the position after
+    words[k], blocks the distinct leading blocks (m, n) of the twins among
+    them in stream order, and scanned their number.  One pass: the cut at
+    a budget is a prefix of the cut at the next, so the lists are shared
+    and a cut is their prefixes of lengths k (words and ends) and j
+    (blocks).
+    """
+    words, ends, blocks, seen, budget = [], [], [], set(), 0
+    for budget, w in enumerate(islice(enumerate_words(max_d, max_exp), last_budget), 1):
+        if _body(w) not in seen:
+            seen.add(_body(w))
+            words.append(w)
+            ends.append(budget)
+        elif w.syllables[0][:2] not in blocks:
+            blocks.append(w.syllables[0][:2])
+        yield budget, words, ends, blocks, len(words), len(blocks), budget
+    for past in range(budget + 1, last_budget + 1):
+        yield past, words, ends, blocks, len(words), len(blocks), budget
+
+
+def test_word_stream_cut_equals_the_segment_cut_everywhere() -> None:
+    """The counting build gives the segment cut, rebuilt from enumerate_words, at every budget checked.
+
+    The segment cut is the stream's first budget words as its segments
+    count them, each a first word of its body or a twin (see _cuts).
+    Every budget from 1 to one past the whole stream at (1, 1), (2, 1),
+    (3, 1) and (2, 2), every budget up to 2000 at (3, 2), and the
+    benchmark's and the goldens' keys (6, 3, 2000), (2, 1, 10000) and
+    (3, 2, 20000): words, ends, blocks and scanned all agree.  key is the
+    caps and the budget, and first_scan maps every index of words to None.
+    """
+    sweeps = [(1, 1, 10), (2, 1, 146), (3, 1, 2322), (2, 2, 1227), (3, 2, 2000)]
+    keys = [(6, 3, 2000), (2, 1, 10000), (3, 2, 20000)]
+    checked = 0
+    for max_d, max_exp, last in sweeps + keys:
+        cuts = _cuts(max_d, max_exp, last)
+        if (max_d, max_exp, last) in keys:
+            cuts = [list(cuts)[-1]]
+        for budget, words, ends, blocks, k, j, scanned in cuts:
+            stream = WordStream(max_d, max_exp, budget)
+            assert stream.key == (max_d, max_exp, budget)
+            assert stream.words == words[:k], (max_d, max_exp, budget)
+            assert (stream.ends, stream.blocks, stream.scanned) == (ends[:k], blocks[:j], scanned)
+            assert list(stream.first_scan) == list(range(k)) and set(stream.first_scan.values()) <= {None}
+            checked += 1
+    assert checked == sum(last for _, _, last in sweeps) + len(keys)
 
 
 def test_word_stream_is_the_cut(monkeypatch) -> None:
-    """A stream counts the canonical segments once, through the first whose words reach the budget.
+    """A stream counts the canonical stream once, through the segment that reaches the budget.
 
-    At (2, 1) the 145 words lie in 61 segments, 34 of them Words.  Budget
-    40 ends inside a Run of 8 and 4 at a Run of one; 145 takes every
-    segment, and so do the budgets past it.  The build walks nothing past
-    the cut: the lead table entries and body-walk words it consumes,
-    recorded as they are taken and rebuilt as segments, are the cut's
-    segments in order.  key is the caps and the budget.  words, ends and
-    blocks are rebuilt from the cut's segments: its Words, the words of
-    the cut through each, twins before it included, and the distinct
-    leading blocks of its Runs in stream order.  first_scan maps every
-    index of words to None.  A budget below 1, or caps
-    enumerate_segments refuses, raises.
+    Its segments are the lead table's counted leads and the body walk's
+    words, recorded as the build takes them: they cover the positions it
+    counted, and the last one taken holds position budget, or the stream
+    ends first, so nothing past the cut is walked.  At (2, 1) budget 40
+    ends inside a counted lead of 8 words and 4 at a y-twin.  Each Word
+    sits at the position its end counts, a twin such as x z is no Word
+    and its block is read, and a budget below 1, or caps enumerate_words
+    refuses, raises.
     """
-    full = list(enumerate_segments(2, 1))
-    counts = [s.count if isinstance(s, Run) else 1 for s in full]
-    positions = list(accumulate(counts))
-    assert (len(full), positions[-1]) == (61, 145)
-    real_leads, real_walk, walked = words_module._leads, words_module._body_walk, []
+    real_leads, real_walk, taken = words_module._leads, words_module._body_walk, []
 
     def leads(max_exp, d, extra):
-        # a counted lead is a Run; a walked lead's words come from the walk
-        for lead, rest_d, rest_extra, count in real_leads(max_exp, d, extra):
-            if count:
-                walked.append(Run((lead,), rest_d, rest_extra, count, max_exp))
-            yield lead, rest_d, rest_extra, count
+        for row in real_leads(max_exp, d, extra):
+            if row[3]:
+                taken.append(row[3])
+            yield row
 
     def walk(max_exp, *root):
-        for syls, first in real_walk(max_exp, *root):
-            walked.append(Word(syls) if first else Run(syls, 0, 0, 1, max_exp))
-            yield syls, first
+        for item in real_walk(max_exp, *root):
+            taken.append(1)
+            yield item
 
     monkeypatch.setattr(words_module, "_leads", leads)
     monkeypatch.setattr(words_module, "_body_walk", walk)
-    inside_a_run = 0
+    inside_a_lead = 0
     for budget in (1, 3, 4, 40, 145, 146, 10**6):
-        walked.clear()
-        stream = WordStream(2, 1, budget)
-        taken = next((k + 1 for k, end in enumerate(positions) if end >= budget), len(full))
-        cut = full[:taken]
-        want = _stream_from_segments(full, 2, 1, budget)
-        assert stream.key == want.key == (2, 1, budget)
-        assert (stream.words, stream.ends, stream.blocks) == (want.words, want.ends, want.blocks)
-        assert stream.words == [s for s in cut if isinstance(s, Word)]
-        assert stream.scanned == want.scanned == min(budget, 145)
-        # nothing past the cut was walked
-        assert walked == cut
-        assert list(stream.first_scan) == list(range(len(stream.words)))
-        assert set(stream.first_scan.values()) == {None}
-        inside_a_run += positions[taken - 1] > budget
-    assert inside_a_run == 1
+        taken.clear()
+        WordStream(2, 1, budget)
+        if budget <= 145:
+            assert sum(taken) - taken[-1] < budget <= sum(taken), budget
+        else:
+            assert sum(taken) == 145
+        inside_a_lead += sum(taken) > budget
+    assert inside_a_lead == 1
     monkeypatch.undo()
     stream = WordStream(2, 1, 145)
     assert len(stream.words) == 34 and stream.blocks == [(0, 1), (1, 0), (1, 1), (1, -1)]
@@ -768,60 +711,6 @@ def test_word_stream_is_the_cut(monkeypatch) -> None:
     for max_d, max_exp in ((0, 1), (1, 0), (1, MAX_EXP + 1)):
         with pytest.raises(ValueError, match="max_exp"):
             WordStream(max_d, max_exp, 10)
-
-
-def _segment_cuts(max_d, max_exp, last_budget):
-    """For budgets 1 to last_budget, the segment-derived cut: (budget, words, ends, blocks, scanned).
-
-    One pass over enumerate_segments: every budget in (positions[k - 1],
-    positions[k]] is cut through segment k, so its words, ends and blocks
-    are prefixes of those of the segments through the last cut.
-    """
-    segments, position = [], 0
-    for segment in enumerate_segments(max_d, max_exp):
-        segments.append(segment)
-        position += segment.count if isinstance(segment, Run) else 1
-        if position >= last_budget:
-            break
-    whole = _stream_from_segments(segments, max_d, max_exp, last_budget)
-    words, ends = [w.syllables for w in whole.words], whole.ends
-    counted, blocks, budget, position = 0, 0, 1, 0
-    for segment in segments:
-        if isinstance(segment, Run):
-            position += segment.count
-            blocks = max(blocks, whole.blocks.index(segment.prefix[0][:2]) + 1)
-        else:
-            position += 1
-            counted += 1
-        while budget <= min(position, last_budget):
-            yield budget, words[:counted], ends[:counted], whole.blocks[:blocks], budget
-            budget += 1
-    for budget in range(budget, last_budget + 1):
-        yield budget, words, ends, whole.blocks, position
-
-
-def test_word_stream_cut_equals_the_segment_cut_everywhere() -> None:
-    """The counting build gives the cut built from enumerate_segments at every budget checked.
-
-    Every budget from 1 to one past the whole stream at (1, 1), (2, 1),
-    (3, 1) and (2, 2), every budget up to 2000 at (3, 2), and the
-    benchmark's and the goldens' caps: words, ends, blocks and scanned
-    all agree.
-    """
-    sweeps = [(1, 1, 10), (2, 1, 146), (3, 1, 2322), (2, 2, 1227), (3, 2, 2000)]
-    checked = 0
-    for max_d, max_exp, last in sweeps:
-        for budget, words, ends, blocks, scanned in _segment_cuts(max_d, max_exp, last):
-            stream = WordStream(max_d, max_exp, budget)
-            assert [w.syllables for w in stream.words] == words, (max_d, max_exp, budget)
-            assert (stream.ends, stream.blocks, stream.scanned) == (ends, blocks, scanned)
-            checked += 1
-    assert checked == sum(last for _, _, last in sweeps)
-    for key in ((6, 3, 2000), (2, 1, 10000), (3, 2, 20000)):
-        stream, want = WordStream(*key), _stream_from_segments(enumerate_segments(*key[:2]), *key)
-        assert (stream.words, stream.ends, stream.blocks, stream.scanned) == (
-            want.words, want.ends, want.blocks, want.scanned
-        ), key
 
 
 def test_word_stream_takes_integers_only() -> None:
@@ -850,14 +739,33 @@ def test_word_stream_takes_integers_only() -> None:
 def test_max_exp_is_capped() -> None:
     """A stream above MAX_EXP would build cubically large tables, so it is refused."""
     assert MAX_EXP == 16
-    for enumerate_ in (enumerate_words, enumerate_segments):
-        assert next(enumerate_(1, MAX_EXP)) == parse_word("z")
-        for max_d, max_exp in ((1, MAX_EXP + 1), (1, 1000), (0, 1), (1, 0)):
-            with pytest.raises(ValueError, match="max_exp"):
-                next(enumerate_(max_d, max_exp))
+    assert next(enumerate_words(1, MAX_EXP)) == parse_word("z")
+    for max_d, max_exp in ((1, MAX_EXP + 1), (1, 1000), (0, 1), (1, 0)):
+        with pytest.raises(ValueError, match="max_exp"):
+            enumerate_words(max_d, max_exp)
     with pytest.raises(ValueError, match="max_exp must be at most 16"):
         SearchConfig(area_bound=6.0, max_exp=MAX_EXP + 1)
     assert SearchConfig(area_bound=6.0, max_exp=MAX_EXP).max_exp == MAX_EXP
+
+
+def test_enumerate_words_checks_its_caps_at_the_call() -> None:
+    """Caps are checked as WordStream checks them, when enumerate_words is called.
+
+    An integral float is taken as its int, so (2.0, 1) is the (2, 1)
+    stream; a bool or a string raises TypeError and a fractional number
+    ValueError, and caps outside the bounds raise ValueError at the call,
+    before any word is asked for.
+    """
+    assert list(enumerate_words(2.0, 1.0)) == list(enumerate_words(2, 1))
+    for bad in ((True, 1), (2, True), ("2", 1), (2, "1")):
+        with pytest.raises(TypeError, match="must be a number"):
+            enumerate_words(*bad)
+    for bad, name in (((2.5, 1), "max_d"), ((2, 1.5), "max_exp")):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            enumerate_words(*bad)
+    for bad in ((0, 1), (1, 0), (1, MAX_EXP + 1)):
+        with pytest.raises(ValueError, match="max_exp"):
+            enumerate_words(*bad)
 
 
 def _scan_reference_point(max_d, max_exp, budget):
@@ -960,65 +868,6 @@ def test_scan_rect_mul_count(monkeypatch) -> None:
         assert sum(table.values()) == built
 
 
-def test_scan_table_builds_each_factor_once(monkeypatch) -> None:
-    """One (6,3) scan box builds each block's offset and each product once.
-
-    The table holds no entry per syllable: the scan's 184 words use 95
-    syllables, which share 49 blocks (m, n) and 4 exponents, and the
-    stream's 24 blocks, whose offsets the box reads for its twins, are
-    among them.  Each of the 48 nontrivial blocks' offsets is built and
-    checked once: that of x^m is the multiple m*a and that of y^n the
-    multiple n*b, one rect_mul each, 6 nonzero m and 6 nonzero n, and a
-    two-axis block adds the two.  The powers gamma^+-2 take eight
-    products each and 1*c one, so the table's builds call rect_mul
-    12 + 16 + 1 = 29 times: 48 offsets and 4 powers, where the syllable
-    table held 142 entries, and with an offset built per syllable it
-    took 260 products.
-    """
-    checked, built = Counter(), []
-    real_check, real_gens = words_module._check_finite, words_module.gens_from_params
-
-    def counting_check(rect, what, *args):
-        checked[what.format(*args)] += 1
-        return real_check(rect, what, *args)
-
-    def keeping_gens(p):
-        built.append(real_gens(p))
-        return built[-1]
-
-    _, products = _count_products(monkeypatch)
-    monkeypatch.setattr(words_module, "_check_finite", counting_check)
-    monkeypatch.setattr(words_module, "gens_from_params", keeping_gens)
-    verdict = _scan_reference_point(6, 3, 2000)
-    assert verdict.words_scanned == 2000
-    [gens] = built
-    read, twin_blocks = verdict.stream.words, verdict.stream.blocks
-    syllables = {s for w in read for s in w.syllables}
-    assert (len(read), len(syllables), len(twin_blocks)) == (184, 95, 24)
-    blocks = {(m, n) for m, n, _ in syllables}
-    assert len(blocks) == 49 and blocks.issuperset(twin_blocks)
-    blocks.remove((0, 0))
-    assert set(gens._offsets) == blocks
-    assert sorted(gens._unboxed_powers) == sorted({e for _, _, e in syllables}) == [-2, -1, 1, 2]
-    offsets = Counter(what for what in checked.elements() if what.startswith("the offset"))
-    assert offsets == Counter(f"the offset of x^{m} y^{n}" for m, n in blocks)
-    a, b = gens.a.endpoints(), gens.b.endpoints()
-    multiples = {(x, y): k for (x, y), k in products.items() if y in (a, b)}
-    assert set(multiples) == {((float(m), float(m), 0.0, 0.0), a) for m, _ in blocks if m} | {
-        ((float(n), float(n), 0.0, 0.0), b) for _, n in blocks if n
-    }
-    assert len(multiples) == 12 and set(multiples.values()) == {1}
-    assert sum(products.values()) == 29
-
-
-def _outcome(call):
-    """call()'s result, or the message of the ValueError it raises."""
-    try:
-        return call()
-    except ValueError as err:
-        return str(err)
-
-
 def _hex_outcome(outcome):
     """An outcome with each float as its hex, nested tuples kept, None and messages as they are."""
     if isinstance(outcome, float):
@@ -1026,51 +875,6 @@ def _hex_outcome(outcome):
     if isinstance(outcome, tuple):
         return tuple(map(_hex_outcome, outcome))
     return outcome
-
-
-def test_scan_caches_are_bit_identical_to_fresh_builds() -> None:
-    """A warm triple gives every word the bits of a triple built for it alone.
-
-    One warm triple per box is asked for the syllables of every word in
-    shuffled order, then for the words' bounds in another shuffled order,
-    so each block's offset, each multiple of a and b and each power of
-    gamma is built for one word and read by the others.  A fresh triple
-    per word builds only what that word needs.  Their table rectangles
-    and [L, U] must agree bit for bit, and an overflow must raise the same
-    message: at a = 1e308 the offset of x^2 overflows and that of x does
-    not.
-    """
-    rng = random.Random(19031)
-    ref = [Params(4.0, 1.0 + 4.0 * k + math.sqrt(3.0) * 1j, 2.0) for k in (-1, 0, 1)]
-    boxes = [ParamBox.from_point(p) for p in ref]
-    boxes += _random_dyadic_boxes(1.5, 1, rng) + _random_dyadic_boxes(6.0, 1, rng)
-    boxes.append(ParamBox.from_point(Params(1e308, 0.5 + 1j, 0)))
-    # the first word of every body of (2,1) and (3,2), and 2000 positions of (6,3)
-    pool = [s for d, e in ((2, 1), (3, 2)) for s in enumerate_segments(d, e) if s.__class__ is Word]
-    assert len(pool) == 34 + 4900
-    pool += islice(enumerate_words(6, 3), 2000)
-    raised = 0
-    for box in boxes:
-        warm = gens_from_params(box)
-        syllables = [s for w in pool for s in w.syllables]
-        rng.shuffle(syllables)
-        for s in syllables:
-            _outcome(lambda: warm.entry(s))
-        order = rng.sample(pool, len(pool))
-        warm_bounds = {w: _outcome(lambda: lower_left_bounds(warm, w.syllables)) for w in order}
-        for w in pool:
-            fresh = gens_from_params(box)
-            bounds = _outcome(lambda: lower_left_bounds(fresh, w.syllables))
-            assert _hex_outcome(bounds) == _hex_outcome(warm_bounds[w]), (box.path, str(w))
-            raised += isinstance(bounds, str)
-            for s in w.syllables:
-                entry = _outcome(lambda: fresh.entry(s))
-                assert _hex_outcome(entry) == _hex_outcome(_outcome(lambda: warm.entry(s)))
-    assert raised > 1000
-
-
-# the generator whose endpoints a split on each coordinate changes
-_AXIS_GENERATOR = {0: GEN_A, 1: GEN_A, 2: GEN_B, 3: GEN_B, 4: GEN_C, 5: GEN_C}
 
 
 def _halves(box, axis):
@@ -1085,6 +889,15 @@ def _halves(box, axis):
     return halves
 
 
+def _entry(gens, syllable):
+    """(offset, gamma^e) of the syllable (m, n, e) from gens' tables, the offset None for a trivial block.
+
+    The offset is read first, as the oracle builds it first.
+    """
+    m, n, e = syllable
+    return (gens.offset(m, n) if m or n else None), gens._unboxed_power(e)
+
+
 def test_inherited_table_keeps_every_bit() -> None:
     """A child's table started from its parent's gives every entry the bits of a fresh build.
 
@@ -1095,8 +908,9 @@ def test_inherited_table_keeps_every_bit() -> None:
     every offset and no power.  Every inherited entry, and every overflow
     message, must match a fresh gens_from_params(child), and the parent's
     caches must not change.  A child whose a differs from its parent's
-    only in the sign of zero endpoints keeps no offset that reads a.
-    inherit returns the split generator, a for that child too.
+    only in the sign of zero endpoints keeps no offset that reads a, and
+    one whose c differs so keeps no power.  inherit returns the split
+    generator, a or c for those children too.
     """
     syllables = sorted(
         {s for caps in ((3, 2), (6, 3)) for w in islice(enumerate_words(*caps), 2000) for s in w.syllables}
@@ -1112,7 +926,7 @@ def test_inherited_table_keeps_every_bit() -> None:
     for parent in parents:
         warm = gens_from_params(parent)
         for s in syllables:
-            _outcome(lambda: warm.entry(s))
+            _outcome(lambda: _entry(warm, s))
         offsets, powers = dict(warm._offsets), dict(warm._unboxed_powers)
         children = [(axis, child) for axis in (0, 2, 3, 4, 5) for child in _halves(parent, axis)]
         bounds = parent.to_bounds()
@@ -1125,11 +939,18 @@ def test_inherited_table_keeps_every_bit() -> None:
             assert set(inherited._offsets) == {block for block in offsets if keep(*block)}
             assert inherited._unboxed_powers == (powers if axis < 4 else {})
             for s in syllables:
-                entry = _outcome(lambda: inherited.entry(s))
-                assert _hex_outcome(entry) == _hex_outcome(_outcome(lambda: fresh.entry(s))), (axis, s)
+                entry = _outcome(lambda: _entry(inherited, s))
+                assert _hex_outcome(entry) == _hex_outcome(_outcome(lambda: _entry(fresh, s))), (axis, s)
                 raised += isinstance(entry, str)
         assert (warm._offsets, warm._unboxed_powers) == (offsets, powers)
     assert raised > 100
+    # c = [-0.75, -0.25] + [-0.0, -0.0]i against the parent's +0.0 parts: no power is kept
+    bounds = [[0.5, 1.5], [0.0, 0.0], [0.0, 0.0], [4.0, 4.0], [-0.75, -0.25], [0.0, 0.0]]
+    warm = gens_from_params(ParamBox.from_bounds(bounds))
+    _entry(warm, (0, 0, 2))
+    bounds[5] = [-0.0, -0.0]
+    signed = gens_from_params(ParamBox.from_bounds(bounds))
+    assert signed.inherit(warm) == GEN_C and signed._unboxed_powers == {}
 
 
 def _hex_rects(rects):
@@ -1154,7 +975,7 @@ def test_m21_reads_examples() -> None:
         ("x y z y z^-1", GEN_B),
         ("z x z", GEN_A | GEN_C),
         ("z^-1 x z", GEN_A | GEN_C),
-        ("z^2 x y z^-1", GEN_ALL),
+        ("z^2 x y z^-1", GEN_A | GEN_B | GEN_C),
     ):
         assert words_module.m21_reads(parse_word(text).syllables) == reads, text
 
@@ -1246,7 +1067,7 @@ def test_gamma_unit_steps_match_the_general_step() -> None:
         r2 = _endpoints(rng) + _endpoints(rng)
         for e in (1, -1):
             row = words_module._bottom_row(gens, ((0, 0, e),), (r1, r2))
-            g11, g12, g21, g22 = gens.entry((0, 0, e))[1]
+            g11, g12, g21, g22 = gens._unboxed_power(e)
             general = (
                 rect_add(rect_mul(r1, g11), rect_mul(r2, g21)),
                 rect_add(rect_mul(r1, g12), rect_mul(r2, g22)),
@@ -1259,7 +1080,7 @@ def test_unboxed_table_matches_the_oracle_entries() -> None:
 
     The oracle's offset t of x^m y^n is read as the top-left entry 1 * 0 +
     t * 1 of its x^m y^n z over a, b and c = 0, exact by the zero and one
-    shortcuts.  Every syllable of a block shares the block's offset.
+    shortcuts.  A block's offset is built once and kept.
     """
     box = param_space(1.5)
     for bit in "0110100101":
@@ -1269,17 +1090,15 @@ def test_unboxed_table_matches_the_oracle_entries() -> None:
         at_c0 = words_module.GeneratorTriple(gens.a, gens.b, ComplexInterval.point(0.0))
         for m in range(-3, 4):
             for n in range(-3, 4):
-                offset = gens.entry((m, n, 1))[0]
-                assert gens.entry((m, n, -2))[0] is offset
                 if m or n:
+                    offset = gens.offset(m, n)
+                    assert gens.offset(m, n) is offset
                     oracle = evaluate_word(Word(((m, n, 1),)), at_c0).m11.endpoints()
                     assert _hex_rects([offset]) == _hex_rects([oracle])
-                else:
-                    assert offset is None
         for e in [k for k in range(-40, 41) if k]:
             g = evaluate_word(Word(((0, 0, e),)), gens)
             oracle = [x.endpoints() for x in (g.m11, g.m12, g.m21, g.m22)]
-            assert _hex_rects(gens.entry((0, 0, e))[1]) == _hex_rects(oracle), e
+            assert _hex_rects(gens._unboxed_power(e)) == _hex_rects(oracle), e
     # gamma^+-400 overflows at c = 10: the table's build raises, every time
     p = Params(4.0, 1.0 + math.sqrt(3.0) * 1j, 10.0)
     near = ParamBox.from_bounds(
@@ -1290,7 +1109,7 @@ def test_unboxed_table_matches_the_oracle_entries() -> None:
         for e in (400, -400):
             for _ in range(2):
                 with pytest.raises(ValueError):
-                    gens.entry((0, 0, e))
+                    gens._unboxed_power(e)
             with pytest.raises(ValueError):
                 evaluate_word(Word(((0, 0, e),)), gens)
 
